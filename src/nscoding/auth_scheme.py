@@ -24,14 +24,20 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import BlockStateSource, ChannelWithState, builtin_product_xs
-from .indexing import index_to_seq, seq_to_index
+from .channels import (
+    BlockStateSource,
+    ChannelWithState,
+    block_outputs,
+    builtin_product_xs,
+    state_blocks,
+)
+from .indexing import all_sequences, index_to_seq, seq_to_index
 from .rational import as_rational, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import jointly_typical
@@ -617,100 +623,47 @@ def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
 # -- success probability ----------------------------------------------------
 
 
-def _resolve_block_state(
-    ch: ChannelWithState, block_state: Optional[BlockStateSource], n: int
-):
-    source = block_state if block_state is not None else ch.block_state
-    if source is not None and source.n != n:
-        raise ValueError(f"block state source has length {source.n}, scheme has n = {n}")
-    return source
-
-
-def _state_blocks(ch: ChannelWithState, source: Optional[BlockStateSource], n: int):
-    if source is not None:
-        for ss, p in source.atoms:
-            if p:
-                yield list(ss), p
-        return
-    support = [s for s in range(ch.s_size) if ch.state_prob(s)]
-    for ss in itertools.product(support, repeat=n):
-        p = ONE
-        for s in ss:
-            p *= ch.state_prob(s)
-        yield list(ss), p
-
-
-def _tensor_success(
-    tensor: SchemeTensor, ch: ChannelWithState, source: Optional[BlockStateSource]
-) -> Fraction:
+def _tensor_success(tensor: SchemeTensor, ch: ChannelWithState) -> Fraction:
     n, m = tensor.n, tensor.message_count
-    nx, ny = ch.x_size**n, ch.y_size**n
     total = ZERO
-    inv_m = Fraction(1, m)
-    for ss, p_s in _state_blocks(ch, source, n):
-        si = seq_to_index(ss, ch.s_size)
-        for xi in range(nx):
-            xs = index_to_seq(xi, ch.x_size, n)
-            for yi in range(ny):
+    for si, ss, p_s in state_blocks(ch, n):
+        for xi, xs in enumerate(all_sequences(ch.x_size, n)):
+            for yi, p_y in block_outputs(ch, xs, ss):
                 cell = sum((tensor.entries[xi, w, w, si, yi] for w in range(m)), ZERO)
-                if not cell:
-                    continue
-                ys = index_to_seq(yi, ch.y_size, n)
-                p_y = ONE
-                for x, s, y in zip(xs, ss, ys):
-                    p_y *= ch.prob(y, x, s)
-                    if not p_y:
-                        break
-                if p_y:
-                    total += p_s * p_y * inv_m * cell
-    return total
+                if cell:
+                    total += p_s * p_y * cell
+    return total / m
 
 
-def _walk_outputs(ch: ChannelWithState, xs, ss):
-    """Yield (y^n, probability) over blocks with positive channel weight."""
-    supports = []
-    for x, s in zip(xs, ss):
-        row = [(y, ch.prob(y, x, s)) for y in range(ch.y_size) if ch.prob(y, x, s)]
-        supports.append(row)
-    for combo in itertools.product(*supports):
-        p = ONE
-        for _, q in combo:
-            p *= q
-        yield [y for y, _ in combo], p
+def _exact_walk(scheme: AuthScheme, ch: ChannelWithState, cap: int):
+    """Yield (weight, x^n, y^n, mapped states) for every block triple of
+    positive weight P(s^n) * zeta(x^n|s^n) * N^n(y^n|x^n,s^n).
 
-
-def _scheme_success_exact(
-    scheme: AuthScheme,
-    source: Optional[BlockStateSource],
-    cap: int,
-    ch: Optional[ChannelWithState] = None,
-) -> Fraction:
-    ch = ch if ch is not None else scheme.channel
+    The terms are counted against `cap` before the walk starts.
+    """
     n = scheme.n
-    y_max = max(
-        sum(1 for y in range(ch.y_size) if ch.prob(y, x, s))
-        for s in range(ch.s_size)
-        for x in range(ch.x_size)
+    y_max = max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
+    terms = sum(1 for _ in state_blocks(ch, n)) * ch.x_size**n * y_max**n
+    if terms > cap:
+        raise ValueError(f"about {terms} terms exceed the exact cap {cap}; use monte_carlo mode")
+    for _si, ss, p_s in state_blocks(ch, n):
+        mapped = map_with_budgets(ss, scheme.state_budgets)
+        for xs in all_sequences(ch.x_size, n):
+            w_in = _input_weight(scheme, xs, mapped.output)
+            if w_in:
+                for yi, p_y in block_outputs(ch, xs, ss):
+                    yield p_s * w_in * p_y, xs, index_to_seq(yi, ch.y_size, n), mapped
+
+
+def _scheme_success_exact(scheme: AuthScheme, ch: ChannelWithState, cap: int) -> Fraction:
+    walk = _exact_walk(scheme, ch, cap)
+    if scheme.message_count == 1:
+        return sum((weight for weight, *_ in walk), ZERO)
+    return scheme.acceptance * sum(
+        (weight for weight, xs, ys, mapped in walk
+         if _accepts(scheme, xs, ys, mapped.output)),
+        ZERO,
     )
-    s_count = sum(1 for _ in _state_blocks(ch, source, n))
-    if s_count * (ch.x_size**n) * (y_max**n) > cap:
-        raise ValueError(
-            f"about {s_count * ch.x_size ** n * y_max ** n} terms exceed the exact cap {cap};"
-            " use monte_carlo mode"
-        )
-    total = ZERO
-    for ss, p_s in _state_blocks(ch, source, n):
-        mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-        for xs in itertools.product(range(ch.x_size), repeat=n):
-            w_in = _input_weight(scheme, xs, mapped_states)
-            if not w_in:
-                continue
-            for ys, p_y in _walk_outputs(ch, xs, ss):
-                if scheme.message_count == 1:
-                    total += p_s * w_in * p_y
-                elif _accepts(scheme, xs, ys, mapped_states):
-                    total += p_s * w_in * p_y * scheme.acceptance
-    return total
 
 
 def _sample_states(ch, source, n, rng):
@@ -786,14 +739,16 @@ def success_probability(
             raise ValueError("a channel is required to evaluate a bare tensor")
         if mode != "exact":
             raise ValueError("bare tensors only support exact evaluation")
-        source = _resolve_block_state(channel, block_state, target.n)
-        return _tensor_success(target, channel, source)
+        return _tensor_success(
+            target, replace(channel, block_state=block_state or channel.block_state)
+        )
     ch = channel if channel is not None else target.channel
-    source = _resolve_block_state(ch, block_state, target.n)
+    ch = replace(ch, block_state=block_state or ch.block_state)
+    state_blocks(ch, target.n)  # rejects a block source of another length up front
     if mode == "exact":
-        return _scheme_success_exact(target, source, cap, ch)
+        return _scheme_success_exact(target, ch, cap)
     if mode == "monte_carlo":
-        return _scheme_success_monte_carlo(target, source, samples, seed, ch)
+        return _scheme_success_monte_carlo(target, ch.block_state, samples, seed, ch)
     raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
 
 
@@ -819,37 +774,20 @@ def success_decomposition(
     """One exact pass computing the success probability together with the
     flag probability and the conditional acceptance rate, so that
     success >= acceptance * P(F=1) * P(accept | F=1) can be checked."""
-    ch = scheme.channel
-    source = _resolve_block_state(ch, block_state, scheme.n)
-    y_max = max(
-        sum(1 for y in range(ch.y_size) if ch.prob(y, x, s))
-        for s in range(ch.s_size)
-        for x in range(ch.x_size)
-    )
-    s_count = sum(1 for _ in _state_blocks(ch, source, scheme.n))
-    if s_count * (ch.x_size**scheme.n) * (y_max**scheme.n) > cap:
-        raise ValueError(f"exact decomposition exceeds the cap {cap}")
     p_accept = ZERO
     p_flag = ZERO
     p_both = ZERO
-    for ss, p_s in _state_blocks(ch, source, scheme.n):
-        s_mapped = map_with_budgets(ss, scheme.state_budgets)
-        mapped_states = s_mapped.output
-        for xs in itertools.product(range(ch.x_size), repeat=scheme.n):
-            w_in = _input_weight(scheme, xs, mapped_states)
-            if not w_in:
-                continue
-            for ys, p_y in _walk_outputs(ch, xs, ss):
-                weight = p_s * w_in * p_y
-                _, y_flags = _kept_pairs(scheme, ys, mapped_states)
-                flag = bool(s_mapped.flag) and all(y_flags)
-                accept = _accepts(scheme, xs, ys, mapped_states)
-                if accept:
-                    p_accept += weight
-                if flag:
-                    p_flag += weight
-                    if accept:
-                        p_both += weight
+    ch = replace(scheme.channel, block_state=block_state or scheme.channel.block_state)
+    for weight, xs, ys, mapped in _exact_walk(scheme, ch, cap):
+        _, y_flags = _kept_pairs(scheme, ys, mapped.output)
+        flag = bool(mapped.flag) and all(y_flags)
+        accept = _accepts(scheme, xs, ys, mapped.output)
+        if accept:
+            p_accept += weight
+        if flag:
+            p_flag += weight
+            if accept:
+                p_both += weight
     given = p_both / p_flag if p_flag else ZERO
     return SuccessDecomposition(
         success=scheme.acceptance * p_accept,

@@ -48,13 +48,13 @@ class ConvergenceError(RuntimeError):
 
 def _mutual_information(joint: np.ndarray) -> float:
     """I between the two axes of a joint distribution, in bits."""
-    px = joint.sum(axis=1, keepdims=True)
-    py = joint.sum(axis=0, keepdims=True)
+    # Sum of logs, not the log of joint / (px * py): input weights driven
+    # to denormals make that product underflow to zero.
     mask = joint > 0
-    ratio = np.ones_like(joint)
-    denom = px * py
-    np.divide(joint, denom, out=ratio, where=mask)
-    return float(np.sum(joint[mask] * np.log2(ratio[mask])))
+    px = np.broadcast_to(joint.sum(axis=1, keepdims=True), joint.shape)[mask]
+    py = np.broadcast_to(joint.sum(axis=0, keepdims=True), joint.shape)[mask]
+    p = joint[mask]
+    return float(np.sum(p * (np.log2(p) - np.log2(px) - np.log2(py))))
 
 
 @dataclass

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .indexing import seq_to_index
 from .rational import as_rational, format_rational
 
 __all__ = [
@@ -22,6 +24,8 @@ __all__ = [
     "BlockStateSource",
     "make_channel",
     "lift_csir",
+    "state_blocks",
+    "block_outputs",
     "block_kernel",
     "builtin_z0z1",
     "builtin_product_xs",
@@ -31,6 +35,7 @@ __all__ = [
     "BUILTIN_CHANNELS",
 ]
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -63,12 +68,6 @@ class BlockStateSource:
             total += p
         if total != ONE:
             raise ValueError(f"block state probabilities sum to {total}, expected 1")
-
-    def prob(self, seq: tuple[int, ...]) -> Fraction:
-        for atom, p in self.atoms:
-            if atom == seq:
-                return p
-        return Fraction(0)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(seq for seq, p in self.atoms if p > 0)
@@ -144,15 +143,9 @@ class ChannelWithState:
         return p
 
     def state_block_prob(self, ss: Sequence[int]) -> Fraction:
-        """P(S^n = ss): the block source if attached, else the i.i.d. product."""
+        """P(S^n = ss), as `state_blocks` weighs it."""
         ss = tuple(ss)
-        if self.block_state is not None:
-            if len(ss) != self.block_state.n:
-                raise ValueError(
-                    f"sequence length {len(ss)} does not match block source length {self.block_state.n}"
-                )
-            return self.block_state.prob(ss)
-        return self.iid_block_prob(ss)
+        return next((p for _, seq, p in state_blocks(self, len(ss)) if seq == ss), ZERO)
 
 
 def make_channel(
@@ -209,6 +202,52 @@ def lift_csir(ch: ChannelWithState) -> ChannelWithState:
     )
 
 
+# -- the block law ----------------------------------------------------------
+#
+# Every exact number (LP objectives, the classical search, scheme success)
+# is a sum against P(s^n) * prod_i N(y_i|x_i,s_i); these two walks are the
+# only places that weigh state blocks and multiply kernel entries.
+
+
+def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
+    """(index, s^n, P(s^n)) for every state block of positive probability,
+    in index order.
+
+    The weight comes from the attached block source, whose length must be
+    n, and otherwise from the i.i.d. product over the letters with P(s) > 0.
+    """
+    source = ch.block_state
+    if source is not None:
+        if source.n != n:
+            raise ValueError(f"block length {n} does not match block source length {source.n}")
+        return ((seq_to_index(ss, ch.s_size), ss, p) for ss, p in sorted(source.atoms) if p)
+    support = [s for s in range(ch.s_size) if ch.state_dist[s]]
+    return (
+        (seq_to_index(ss, ch.s_size), ss, ch.iid_block_prob(ss))
+        for ss in product(support, repeat=n)
+    )
+
+
+def block_outputs(
+    ch: ChannelWithState, xs: Sequence[int], ss: Sequence[int]
+) -> Iterator[tuple[int, Fraction]]:
+    """(index, N^n(y^n|x^n,s^n)) for every output block of positive
+    probability, in index order.
+
+    A depth-first walk over the per-position output supports: it visits
+    only the supported blocks, sharing prefix products between them.
+    """
+    rows = [[(y, q) for y, q in enumerate(ch.kernel[s][x]) if q] for x, s in zip(xs, ss)]
+    stack = [(0, 0, ONE)]
+    while stack:
+        depth, yi, p = stack.pop()
+        if depth == len(rows):
+            yield yi, p
+            continue
+        for y, q in reversed(rows[depth]):
+            stack.append((depth + 1, yi * ch.y_size + y, p * q))
+
+
 def block_kernel(
     ch: ChannelWithState,
     xs: Sequence[int],
@@ -218,12 +257,8 @@ def block_kernel(
     """N^{(x)n}(ys|xs,ss) = prod_i N(y_i|x_i,s_i) for a memoryless block."""
     if not len(xs) == len(ss) == len(ys):
         raise ValueError(f"sequence lengths differ: {len(xs)}, {len(ss)}, {len(ys)}")
-    p = Fraction(1)
-    for x, s, y in zip(xs, ss, ys):
-        p *= ch.kernel[s][x][y]
-        if not p:
-            return p
-    return p
+    target = seq_to_index(ys, ch.y_size)
+    return next((p for yi, p in block_outputs(ch, xs, ss) if yi == target), ZERO)
 
 
 # -- builtins -------------------------------------------------------------
@@ -288,6 +323,25 @@ def builtin_channel(name: str) -> ChannelWithState:
 # -- file format ----------------------------------------------------------
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _block_state_from_json(path: str, raw: object) -> BlockStateSource:
+    """{"n": int, "atoms": [[sequence, probability], ...]}, or ValueError."""
+    if not (isinstance(raw, dict) and _is_int(raw.get("n")) and isinstance(raw.get("atoms"), list)):
+        raise ValueError(f"{path}: block_state must be an object with an integer n and an atoms list")
+    atoms = []
+    for atom in raw["atoms"]:
+        if not (
+            isinstance(atom, list) and len(atom) == 2
+            and isinstance(atom[0], list) and all(_is_int(s) for s in atom[0])
+        ):
+            raise ValueError(f"{path}: block_state atom {atom!r} is not a [sequence, probability] pair")
+        atoms.append((tuple(atom[0]), as_rational(atom[1])))
+    return BlockStateSource(n=raw["n"], atoms=tuple(atoms))
+
+
 def load_channel_file(path: str) -> ChannelWithState:
     """Load a channel from a JSON file.
 
@@ -302,16 +356,13 @@ def load_channel_file(path: str) -> ChannelWithState:
             doc = json.load(fh, parse_float=Fraction)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     for field in ("x_size", "y_size", "s_size", "kernel", "state_dist"):
         if field not in doc:
             raise ValueError(f"{path}: missing field {field!r}")
-    block = None
-    if "block_state" in doc and doc["block_state"] is not None:
-        raw = doc["block_state"]
-        block = BlockStateSource(
-            n=int(raw["n"]),
-            atoms=tuple((tuple(int(s) for s in seq), as_rational(p)) for seq, p in raw["atoms"]),
-        )
+    raw = doc.get("block_state")
+    block = None if raw is None else _block_state_from_json(path, raw)
     ch = make_channel(doc["kernel"], doc["state_dist"], block_state=block)
     declared = (int(doc["x_size"]), int(doc["y_size"]), int(doc["s_size"]))
     if declared != (ch.x_size, ch.y_size, ch.s_size):

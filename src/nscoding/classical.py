@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .channels import ChannelWithState, builtin_z0z1
-from .indexing import index_to_seq, seq_to_index
+from .channels import ChannelWithState, block_outputs, builtin_z0z1, state_blocks
+from .indexing import all_sequences, index_to_seq, seq_to_index
 
 __all__ = [
     "DeterministicEncoder",
@@ -108,29 +108,34 @@ def _branch_inputs(branch, ss: Sequence[int], s_size: int) -> tuple[int, ...]:
     )
 
 
-def _state_blocks(ch: ChannelWithState, n: int):
-    blocks = []
-    for si in range(ch.s_size**n):
-        ss = index_to_seq(si, ch.s_size, n)
-        p = ch.state_block_prob(ss)
-        if p:
-            blocks.append((si, ss, p))
-    return blocks
-
-
-def _branch_weights_plain(ch, branch, n, blocks) -> tuple[Fraction, ...]:
-    """Weight of each output block: sum over states of P(s) * channel."""
+def _path_tables(ch, n, blocks):
+    """tab[si][x-block] = output-block weight vector P(s) * channel, computed once."""
     ny = ch.y_size**n
-    out = [ZERO] * ny
-    for _si, ss, p_s in blocks:
-        xs = _branch_inputs(branch, ss, ch.s_size)
-        for yi in range(ny):
-            ys = index_to_seq(yi, ch.y_size, n)
-            w = p_s
-            for x, s, y in zip(xs, ss, ys):
-                w *= ch.prob(y, x, s)
-                if not w:
-                    break
+    tables = {}
+    for si, ss, p_s in blocks:
+        per_x = []
+        for xs in all_sequences(ch.x_size, n):
+            row = [ZERO] * ny
+            for yi, p_y in block_outputs(ch, xs, ss):
+                row[yi] = p_s * p_y
+            per_x.append(tuple(row))
+        tables[si] = per_x
+    return tables
+
+
+def _branch_rows(ch, branch, blocks, path_tables) -> dict[int, tuple[Fraction, ...]]:
+    """Per state block: the path-table row of the branch's input block on it."""
+    return {
+        si: path_tables[si][seq_to_index(_branch_inputs(branch, ss, ch.s_size), ch.x_size)]
+        for si, ss, _p in blocks
+    }
+
+
+def _branch_weights_plain(ch, branch, n, blocks, path_tables) -> tuple[Fraction, ...]:
+    """Weight of each output block: the branch's rows summed over the states."""
+    out = [ZERO] * ch.y_size**n
+    for row in _branch_rows(ch, branch, blocks, path_tables).values():
+        for yi, w in enumerate(row):
             if w:
                 out[yi] += w
     return tuple(out)
@@ -149,8 +154,11 @@ def _combine(branch0, branch1, x_size: int, s_size: int, n: int, m: int = 2) -> 
 
 
 def _best_pair_plain(ch, n, branch_count, blocks):
+    path_tables = _path_tables(ch, n, blocks)
     weights = [
-        _branch_weights_plain(ch, _branch_from_index(i, ch.x_size, ch.s_size, n), n, blocks)
+        _branch_weights_plain(
+            ch, _branch_from_index(i, ch.x_size, ch.s_size, n), n, blocks, path_tables
+        )
         for i in range(branch_count)
     ]
     best = None
@@ -164,28 +172,6 @@ def _best_pair_plain(ch, n, branch_count, blocks):
 
 
 # -- two-message search: receiver sees the states too --------------------------
-
-
-def _path_tables(ch, n, blocks):
-    """tab[si][x-block] = output-block weight vector, computed once."""
-    ny = ch.y_size**n
-    tables = {}
-    for si, ss, p_s in blocks:
-        per_x = []
-        for xi in range(ch.x_size**n):
-            xs = index_to_seq(xi, ch.x_size, n)
-            row = []
-            for yi in range(ny):
-                ys = index_to_seq(yi, ch.y_size, n)
-                w = p_s
-                for x, s, y in zip(xs, ss, ys):
-                    w *= ch.prob(y, x, s)
-                    if not w:
-                        break
-                row.append(w)
-            per_x.append(tuple(row))
-        tables[si] = per_x
-    return tables
 
 
 def _best_response_csir(ch, n, a_weights, path_tables, blocks):
@@ -259,31 +245,13 @@ def _best_response_csir(ch, n, a_weights, path_tables, blocks):
     return total, tuple(branch)
 
 
-def _branch_weights_csir(ch, branch, n, blocks) -> dict[int, tuple[Fraction, ...]]:
-    ny = ch.y_size**n
-    out = {}
-    for si, ss, p_s in blocks:
-        xs = _branch_inputs(branch, ss, ch.s_size)
-        row = []
-        for yi in range(ny):
-            ys = index_to_seq(yi, ch.y_size, n)
-            w = p_s
-            for x, s, y in zip(xs, ss, ys):
-                w *= ch.prob(y, x, s)
-                if not w:
-                    break
-            row.append(w)
-        out[si] = tuple(row)
-    return out
-
-
 def _csir_chunk(args):
     ch, n, start, stop, blocks = args
     path_tables = _path_tables(ch, n, blocks)
     best = None
     for i in range(start, stop):
         branch = _branch_from_index(i, ch.x_size, ch.s_size, n)
-        a_weights = _branch_weights_csir(ch, branch, n, blocks)
+        a_weights = _branch_rows(ch, branch, blocks, path_tables)
         adv, b_branch = _best_response_csir(ch, n, a_weights, path_tables, blocks)
         if best is None or adv > best[0]:
             best = (adv, i, b_branch)
@@ -314,7 +282,7 @@ def classical_opt_success(
         )
     if M != 2:
         raise ValueError(f"the exhaustive search supports M in {{1, 2}}, got {M}")
-    blocks = _state_blocks(ch, n)
+    blocks = list(state_blocks(ch, n))
     branch_count = _branch_count(ch.x_size, ch.s_size, n)
     ny = ch.y_size**n
     if csir:
@@ -366,25 +334,13 @@ def evaluate_strategy(
     Returns the average success and the per-message breakdown.
     """
     n, m = encoder.n, encoder.message_count
-    ny = ch.y_size**n
     per_message = []
     for w in range(m):
         hit = ZERO
-        for _si, ss, p_s in _state_blocks(ch, n):
-            xs = encoder.input_block(w, ss)
-            si = seq_to_index(ss, ch.s_size)
-            for yi in range(ny):
-                ys = index_to_seq(yi, ch.y_size, n)
-                weight = p_s
-                for x, s, y in zip(xs, ss, ys):
-                    weight *= ch.prob(y, x, s)
-                    if not weight:
-                        break
-                if not weight:
-                    continue
-                key = (yi, si) if csir else yi
-                if decoder.get(key, 0) == w:
-                    hit += weight
+        for si, ss, p_s in state_blocks(ch, n):
+            for yi, p_y in block_outputs(ch, encoder.input_block(w, ss), ss):
+                if decoder.get((yi, si) if csir else yi, 0) == w:
+                    hit += p_s * p_y
         per_message.append(hit)
     return sum(per_message, ZERO) / m, tuple(per_message)
 

@@ -3,9 +3,10 @@
 Every subcommand builds a ReportDocument — command echo, channel
 digest, seed, result lines, check verdicts — and renders it either as
 plain text (`key = value` lines, `name: pass|FAIL` verdicts) or as JSON
-mirroring the same fields.  Reports carry no timestamps or timings, so
-rerunning a command with the same inputs and seed reproduces the output
-byte for byte.  Exit status: 0 when every check passed, 1 on a module
+mirroring the same fields (results as an ordered list of [key, value]
+pairs, since a key such as `witness` repeats).  Reports carry no
+timestamps or timings, so rerunning a command with the same inputs and
+seed reproduces the output byte for byte.  Exit status: 0 when every check passed, 1 on a module
 error or failed check, 2 on usage errors (from argparse).
 """
 
@@ -29,7 +30,7 @@ from .channels import (
     load_channel_file,
 )
 from .rational import as_rational, format_rational
-from .simplex import solve_exact
+from .simplex import PivotLimitError, solve_exact
 
 __all__ = ["ReportDocument", "run", "main"]
 
@@ -75,7 +76,7 @@ class ReportDocument:
             doc["channel"] = self.channel
         if self.seed is not None:
             doc["seed"] = self.seed
-        doc["results"] = dict(self.results)
+        doc["results"] = [list(item) for item in self.results]
         doc["checks"] = {k: "pass" if ok else "FAIL" for k, ok in self.checks}
         return json.dumps(doc, indent=2) + "\n"
 
@@ -415,7 +416,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     args = _build_parser().parse_args(argv)
     try:
         report = _DISPATCH[args.subcommand](args)
-    except (ValueError, OSError, auth_scheme.DegenerateSchemeError) as exc:
+    except (ValueError, OSError, PivotLimitError, capacity.ConvergenceError) as exc:
         return 1, f"error: {exc}\n"
     code = 0 if report.all_pass() else 1
     return code, report.render(args.json)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .channels import ChannelWithState, builtin_z0z1
-from .indexing import all_sequences, index_to_seq, seq_to_index
+from .channels import ChannelWithState, block_outputs, builtin_z0z1, state_blocks
+from .indexing import all_sequences
 from .rational import as_rational
 from .simplex import LinearProgram
 
@@ -55,29 +55,15 @@ def _check_var_budget(count: int, what: str) -> None:
         )
 
 
-def _block_tables(ch: ChannelWithState, n: int):
-    """i.i.d. state block probabilities and block kernel products."""
-    xs_list = list(all_sequences(ch.x_size, n))
-    ss_list = list(all_sequences(ch.s_size, n))
-    ys_list = list(all_sequences(ch.y_size, n))
-    ps = []
-    for ss in ss_list:
-        p = Fraction(1)
-        for s in ss:
-            p *= ch.state_dist[s]
-        ps.append(p)
-    kern = {}
-    for xi, xs in enumerate(xs_list):
-        for si, ss in enumerate(ss_list):
-            for yi, ys in enumerate(ys_list):
-                p = Fraction(1)
-                for x, s, y in zip(xs, ss, ys):
-                    p *= ch.kernel[s][x][y]
-                    if not p:
-                        break
-                if p:
-                    kern[(xi, si, yi)] = p
-    return ps, kern
+def _block_tables(ch: ChannelWithState, n: int) -> dict[tuple[int, int, int], Fraction]:
+    """Positive block-law weights P(s^n) * N^n(y^n|x^n,s^n), keyed (x, s, y)."""
+    blocks = list(state_blocks(ch, n))
+    return {
+        (xi, si, yi): p_s * p_y
+        for xi, xs in enumerate(all_sequences(ch.x_size, n))
+        for si, ss, p_s in blocks
+        for yi, p_y in block_outputs(ch, xs, ss)
+    }
 
 
 def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> LinearProgram:
@@ -100,15 +86,12 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
                     for yi in range(ny):
                         var[(xi, wh, w, si, yi)] = lp.add_var(f"z[{xi},{wh},{w},{si},{yi}]")
 
-    ps, kern = _block_tables(ch, n)
     inv_m = Fraction(1, M)
-    objective: dict[int, Fraction] = {}
-    for (xi, si, yi), kp in kern.items():
-        coeff = inv_m * ps[si] * kp
-        if coeff:
-            for w in range(M):
-                objective[var[(xi, w, w, si, yi)]] = coeff
-    lp.set_objective(objective)
+    lp.set_objective({
+        var[(xi, w, w, si, yi)]: inv_m * weight
+        for (xi, si, yi), weight in _block_tables(ch, n).items()
+        for w in range(M)
+    })
 
     # normalization: sum over (x, wh) equals one in every conditioning cell
     for w in range(M):
@@ -188,8 +171,7 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
         for si in range(ns):
             q[(xi, si)] = lp.add_var(f"q[{xi},{si}]")
 
-    ps, kern = _block_tables(ch, n)
-    lp.set_objective({r[(xi, yi, si)]: ps[si] * kp for (xi, si, yi), kp in kern.items() if ps[si] * kp})
+    lp.set_objective({r[(xi, yi, si)]: weight for (xi, si, yi), weight in _block_tables(ch, n).items()})
 
     inv_m = Fraction(1, M)
     for si in range(ns):

@@ -175,3 +175,22 @@ def test_capacity_table_ordering_z0z1():
     assert rep.classical_causal <= rep.classical_noncausal + 1e-9
     assert rep.classical_noncausal <= rep.ns_causal + 1e-9
     assert rep.ns_causal == rep.ns_noncausal
+
+
+def test_capacity_cells_stay_finite_when_input_weights_underflow():
+    # Blahut-Arimoto drives some strategy-channel input weights of this
+    # channel down to denormals; the mutual information must not divide
+    # by their underflowed px * py.
+    ch = make_channel(
+        [
+            [["1/4", "3/4", "0"], ["1", "0", "0"], ["0", "3/4", "1/4"]],
+            [["0", "1/4", "3/4"], ["1/4", "1/4", "1/2"], ["0", "3/4", "1/4"]],
+        ],
+        ["3/4", "1/4"],
+    )
+    cells = capacity_table(ch).cells()
+    tol = 1e-6
+    top = log2(min(ch.x_size, ch.y_size))
+    assert all(np.isfinite(v) and -tol <= v <= top + tol for v in cells.values()), cells
+    assert cells["classical_causal"] <= cells["ns_causal"] + tol
+    assert cells["classical_noncausal"] <= cells["ns_noncausal"] + tol

@@ -13,9 +13,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from nscoding.capacity import capacity_table
+from nscoding import capacity, cli
+from nscoding.capacity import ConvergenceError, capacity_table
 from nscoding.channels import builtin_z0z1
 from nscoding.cli import channel_digest, run
+from nscoding.simplex import PivotLimitError
 from nscoding.type_mapping import map_sequence
 
 
@@ -153,10 +155,21 @@ def test_json_report_mirrors_text(tmp_path):
     assert (code, json_code) == (0, 0)
     doc = json.loads(blob)
     assert doc["command"] == "toy"
-    for key, value in doc["results"].items():
+    for key, value in doc["results"]:
         assert f"{key} = {value}" in text
     for key, verdict in doc["checks"].items():
         assert f"{key}: {'pass' if verdict == 'pass' else 'FAIL'}" in text
+
+
+def test_json_report_keeps_repeated_keys():
+    argv = ["classical", "--channel", "z0z1", "--M", "2", "--n", "2", "--csir"]
+    _, text = run(argv)
+    _, blob = run(argv + ["--json"])
+    witness = [v for k, v in json.loads(blob)["results"] if k == "witness"]
+    assert len(witness) == 12
+    assert [f"witness = {v}" for v in witness] == [
+        line for line in text.splitlines() if line.startswith("witness = ")
+    ]
 
 
 def test_channel_digest_is_stable_and_content_sensitive():
@@ -178,6 +191,45 @@ def test_module_error_exits_1():
     code, text = run(["lp", "solve", "--channel", "missing.json", "--M", "2", "--n", "2"])
     assert code == 1
     assert text.startswith("error:")
+
+
+def test_malformed_block_state_is_one_error_line(tmp_path):
+    path = tmp_path / "bad_block.json"
+    path.write_text(
+        json.dumps(
+            {
+                "x_size": 2,
+                "y_size": 2,
+                "s_size": 1,
+                "kernel": [[["1", "0"], ["0", "1"]]],
+                "state_dist": ["1"],
+                "block_state": {"atoms": []},
+            }
+        )
+    )
+    code, text = run(["lp", "solve", "--channel", str(path), "--M", "2", "--n", "1"])
+    assert code == 1
+    assert text.startswith("error:") and "block_state" in text
+    assert text.count("\n") == 1
+
+
+def test_pivot_limit_is_one_error_line(monkeypatch):
+    def give_up(lp):
+        raise PivotLimitError("pivot limit 1 exceeded")
+
+    monkeypatch.setattr(cli, "solve_exact", give_up)
+    code, text = run(["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "1"])
+    assert (code, text) == (1, "error: pivot limit 1 exceeded\n")
+
+
+def test_capacity_nonconvergence_is_one_error_line(monkeypatch):
+    def give_up(*args, **kwargs):
+        raise ConvergenceError(7, 0.5)
+
+    monkeypatch.setattr(capacity, "capacity_table", give_up)
+    code, text = run(["capacity", "z0z1"])
+    assert code == 1
+    assert text.startswith("error: no convergence after 7 iterations")
 
 
 def test_console_script_entry_point():

@@ -8,12 +8,21 @@ from both sides) and 7/8 for the non-causal programs, which must not
 change when the receiver is handed the state sequence.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from nscoding.channels import builtin_z0z1, lift_csir, make_channel
+from nscoding.channels import (
+    BlockStateSource,
+    block_outputs,
+    builtin_z0z1,
+    lift_csir,
+    make_channel,
+    state_blocks,
+)
+from nscoding.classical import classical_opt_success
 from nscoding.ns_lp import (
     MAX_LP_VARIABLES,
     build_lp1,
@@ -151,6 +160,67 @@ def test_formulations_agree_on_random_channels(seed):
     reduced = solve_exact(build_lp2(ch, M=2, n=2))
     assert full.status == reduced.status == "optimal"
     assert full.value == reduced.value
+
+
+# -- the block law -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_law_matches_direct_product(seed, n):
+    # Reference: P(s^n) and prod_i N(y_i|x_i,s_i) written out over every
+    # (x^n, s^n, y^n), zero-weight blocks dropped.
+    ch = random_binary_channel(seed)
+    blocks = list(itertools.product(range(2), repeat=n))
+    expected_states = []
+    for si, ss in enumerate(blocks):
+        p = F(1)
+        for s in ss:
+            p *= ch.state_dist[s]
+        if p:
+            expected_states.append((si, ss, p))
+    assert list(state_blocks(ch, n)) == expected_states
+    for ss in blocks:
+        for xs in blocks:
+            expected = []
+            for yi, ys in enumerate(blocks):
+                p = F(1)
+                for x, s, y in zip(xs, ss, ys):
+                    p *= ch.kernel[s][x][y]
+                if p:
+                    expected.append((yi, p))
+            assert list(block_outputs(ch, xs, ss)) == expected
+
+
+def product_channel_with_block_source():
+    # y = x*s at n = 2, the state block uniform on {(0,1), (1,0)}: one
+    # position always copies x, so one clean bit gets through.
+    h = F(1, 2)
+    source = BlockStateSource(n=2, atoms=(((1, 0), h), ((0, 1), h)))
+    return make_channel(
+        kernel=[[[1, 0], [1, 0]], [[1, 0], [0, 1]]], state_dist=[h, h], block_state=source
+    )
+
+
+def test_state_blocks_follow_the_block_source():
+    ch = product_channel_with_block_source()
+    assert list(state_blocks(ch, 2)) == [(1, (0, 1), F(1, 2)), (2, (1, 0), F(1, 2))]
+
+
+@pytest.mark.parametrize("build", [build_lp1, build_lp2])
+@pytest.mark.parametrize("causal", [True, False])
+def test_assisted_programs_weigh_states_by_the_block_source(build, causal):
+    ch = product_channel_with_block_source()
+    classical, _ = classical_opt_success(ch, 2, 2)
+    assert classical == 1
+    assisted = solve_exact(build(ch, M=2, n=2, causal=causal))
+    assert assisted.status == "optimal"
+    assert assisted.value >= classical
+
+
+def test_program_length_must_match_the_block_source():
+    with pytest.raises(ValueError, match="block source length 2"):
+        build_lp2(product_channel_with_block_source(), M=2, n=3)
 
 
 # -- structural guards ------------------------------------------------------
