@@ -34,7 +34,6 @@ from .channels import (
     BlockStateSource,
     ChannelWithState,
     block_outputs,
-    builtin_product_xs,
     state_blocks,
 )
 from .indexing import all_sequences, index_to_seq, seq_to_index
@@ -245,6 +244,19 @@ def _scheme_tables(ch: ChannelWithState, strategy: InputStrategy, n: int, eps: F
     return state_b, tuple(y_b), p_y, p_xy
 
 
+def _mu(strat: InputStrategy, y_b, p_xy, eps: Fraction, method: str = "types") -> Fraction:
+    """1 / (product over tested states of the pass probability)."""
+    prob = ONE
+    for s, b in enumerate(y_b):
+        if b is not None:
+            prob *= typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps, method=method)
+    if prob == 0:
+        raise DegenerateSchemeError(
+            "no input block passes the typicality test for these parameters"
+        )
+    return 1 / prob
+
+
 def compute_mu(
     ch: ChannelWithState,
     strategy: Sequence[Sequence[object]],
@@ -261,18 +273,7 @@ def compute_mu(
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
     _, y_b, _, p_xy = _scheme_tables(ch, strat, n, eps)
-    prob = ONE
-    for s in range(ch.s_size):
-        if y_b[s] is None:
-            continue
-        prob *= typicality_pass_probability(
-            strat[s], p_xy[s], y_b[s].per_symbol, eps, method=method
-        )
-    if prob == 0:
-        raise DegenerateSchemeError(
-            "no input block passes the typicality test for these parameters"
-        )
-    return 1 / prob
+    return _mu(strat, y_b, p_xy, eps, method)
 
 
 def mu_by_enumeration(
@@ -281,6 +282,12 @@ def mu_by_enumeration(
     """compute_mu with every per-state factor found by brute-force input
     enumeration instead of type counting; for cross-checks on small blocks."""
     return compute_mu(ch, strategy, n, eps, method="enumerate")
+
+
+def _ci95(p_hat: float, samples: int) -> tuple[float, float]:
+    """Normal-approximation 95% interval for a frequency, clipped to [0, 1]."""
+    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
+    return max(p_hat - half, 0.0), min(p_hat + half, 1.0)
 
 
 def estimate_mu(
@@ -322,8 +329,7 @@ def estimate_mu(
                 break
         wins += ok
     p_hat = wins / samples
-    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
-    lo_p, hi_p = max(p_hat - half, 0.0), min(p_hat + half, 1.0)
+    lo_p, hi_p = _ci95(p_hat, samples)
     mu_est = math.inf if p_hat == 0 else 1 / p_hat
     mu_hi = math.inf if lo_p == 0 else 1 / lo_p
     mu_lo = 1 / hi_p if hi_p > 0 else math.inf
@@ -347,16 +353,7 @@ def build_auth_scheme(
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
     state_b, y_b, p_y, p_xy = _scheme_tables(ch, strat, n, eps)
-    prob = ONE
-    for s in range(ch.s_size):
-        if y_b[s] is None:
-            continue
-        prob *= typicality_pass_probability(strat[s], p_xy[s], y_b[s].per_symbol, eps)
-    if prob == 0:
-        raise DegenerateSchemeError(
-            "no input block passes the typicality test for these parameters"
-        )
-    mu = 1 / prob
+    mu = _mu(strat, y_b, p_xy, eps)
     minimum = rational_ceil(mu)
     if message_count is None:
         message_count = minimum
@@ -479,26 +476,40 @@ class SchemeTensor:
         ]
 
     def validate(self) -> None:
-        nx, m1, m2, ns, ny = self.entries.shape
         expected = (self.x_size**self.n, self.message_count, self.message_count,
                     self.s_size**self.n, self.y_size**self.n)
-        if (nx, m1, m2, ns, ny) != expected:
+        if self.entries.shape != expected:
             raise ValueError(f"entry shape {self.entries.shape} does not match {expected}")
-        if any(v < 0 for v in self.entries.flat):
+        if (self.entries < 0).any():
             raise ValueError("negative tensor entry")
         sums = self.entries.sum(axis=(0, 1))
-        for w in range(m2):
-            for si in range(ns):
-                for yi in range(ny):
-                    if sums[w, si, yi] != 1:
-                        raise ValueError(
-                            f"entries for (w={w}, s_index={si}, y_index={yi}) sum to"
-                            f" {sums[w, si, yi]}, not 1"
-                        )
+        bad = np.argwhere(sums != 1)
+        if bad.size:
+            w, si, yi = bad[0].tolist()
+            raise ValueError(
+                f"entries for (w={w}, s_index={si}, y_index={yi}) sum to"
+                f" {sums[w, si, yi]}, not 1"
+            )
 
     def message_marginals(self) -> np.ndarray:
         """Z(w-hat | w, s^n, y^n): entries summed over the input block."""
         return self.entries.sum(axis=0)
+
+
+def _diagonal_tensor(m: int, n: int, sizes: tuple[int, int, int], weight, accept) -> SchemeTensor:
+    """Z = zeta * t on the diagonal w-hat = w and zeta * (1 - t) / (M - 1)
+    off it, from object tables zeta[x, s] and t[x, s, y]; just zeta at M = 1.
+
+    All (w-hat, w) cells of one (x, s, y) share their Fraction objects.
+    """
+    zeta = weight[:, None, None, :, None]
+    if m == 1:
+        entries = np.broadcast_to(zeta, (zeta.shape[0], 1, 1) + accept.shape[1:]).copy()
+    else:
+        t = accept[:, None, None]
+        diagonal = np.eye(m, dtype=bool)[:, :, None, None]
+        entries = np.where(diagonal, zeta * t, zeta * ((1 - t) / (m - 1)))
+    return SchemeTensor(m, n, *sizes, entries=entries)
 
 
 def materialize_tensor(scheme: AuthScheme, cap: int = TENSOR_ENTRY_CAP) -> SchemeTensor:
@@ -509,35 +520,18 @@ def materialize_tensor(scheme: AuthScheme, cap: int = TENSOR_ENTRY_CAP) -> Schem
     total = nx * m * m * ns * ny
     if total > cap:
         raise ValueError(f"{total} tensor entries exceed the cap {cap}")
-    entries = np.empty((nx, m, m, ns, ny), dtype=object)
-    for si in range(ns):
-        ss = index_to_seq(si, ch.s_size, n)
+    weight = np.empty((nx, ns), dtype=object)
+    accept = np.full((nx, ns, ny), ZERO, dtype=object)
+    for si, ss in enumerate(all_sequences(ch.s_size, n)):
         mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-        weights = [
-            _input_weight(scheme, index_to_seq(xi, ch.x_size, n), mapped_states)
-            for xi in range(nx)
-        ]
-        for yi in range(ny):
-            ys = index_to_seq(yi, ch.y_size, n)
-            for xi in range(nx):
-                zeta_w = weights[xi]
-                if m == 1:
-                    entries[xi, 0, 0, si, yi] = zeta_w
-                    continue
-                xs = index_to_seq(xi, ch.x_size, n)
-                t = scheme.acceptance if (
-                    zeta_w and _accepts(scheme, xs, ys, mapped_states)
-                ) else ZERO
-                miss = (1 - t) / (m - 1)
-                for w in range(m):
-                    for wh in range(m):
-                        entries[xi, wh, w, si, yi] = (zeta_w * t if wh == w
-                                                      else zeta_w * miss)
-    return SchemeTensor(
-        message_count=m, n=n,
-        x_size=ch.x_size, s_size=ch.s_size, y_size=ch.y_size,
-        entries=entries,
-    )
+        for xi, xs in enumerate(all_sequences(ch.x_size, n)):
+            weight[xi, si] = _input_weight(scheme, xs, mapped_states)
+            if m == 1 or not weight[xi, si]:
+                continue
+            for yi, ys in enumerate(all_sequences(ch.y_size, n)):
+                if _accepts(scheme, xs, ys, mapped_states):
+                    accept[xi, si, yi] = scheme.acceptance
+    return _diagonal_tensor(m, n, (ch.x_size, ch.s_size, ch.y_size), weight, accept)
 
 
 # -- condition checks -------------------------------------------------------
@@ -556,8 +550,22 @@ class ConditionReport:
         return not (self.c1 or self.c2 or self.c3 or self.combined)
 
 
+def _violations(head: str, names: Sequence[str], mask: np.ndarray, walk=None) -> list[str]:
+    """One label `head` + "name=index,..." + "]" per set cell of `mask`.
+
+    Cells are listed in lexicographic order over the axes taken in the
+    order `walk` (default: as stored); labels name the axes as stored.
+    """
+    walk = tuple(range(mask.ndim)) if walk is None else walk
+    cells = np.argwhere(mask.transpose(walk))[:, np.argsort(walk)]
+    return [
+        head + ",".join(f"{k}={v}" for k, v in zip(names, cell)) + "]"
+        for cell in cells.tolist()
+    ]
+
+
 def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
-    """Check the three invariance conditions cell by cell.
+    """Check the three invariance conditions exactly, on every cell.
 
     The first: the guess marginal may not react to the output block.
     The second: the input-block marginal may not react to the message or
@@ -566,57 +574,29 @@ def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
     combined with the second, not to the outputs either.
     """
     z = tensor.entries
-    nx, m, _, ns, ny = z.shape
-    n, xk, sk = tensor.n, tensor.x_size, tensor.s_size
-    c1, c2, c3, combined = [], [], [], []
+    n, m, ny = tensor.n, tensor.message_count, z.shape[4]
+    xk, sk = tensor.x_size, tensor.s_size
 
     guess = z.sum(axis=1)  # (x, w, s, y)
-    for xi in range(nx):
-        for w in range(m):
-            for si in range(ns):
-                ref = guess[xi, w, si, 0]
-                for yi in range(1, ny):
-                    if guess[xi, w, si, yi] != ref:
-                        c1.append(f"c1[x={xi},w={w},s={si},y={yi}]")
-
+    c1 = _violations("c1[", ("x", "w", "s", "y"), guess != guess[..., :1])
     inputs = z.sum(axis=0)  # (wh, w, s, y)
-    for wh in range(m):
-        for yi in range(ny):
-            ref = inputs[wh, 0, 0, yi]
-            for w in range(m):
-                for si in range(ns):
-                    if inputs[wh, w, si, yi] != ref:
-                        c2.append(f"c2[wh={wh},w={w},s={si},y={yi}]")
-
+    c2 = _violations(
+        "c2[", ("wh", "w", "s", "y"), inputs != inputs[:, :1, :1], walk=(0, 3, 1, 2)
+    )
+    c3, combined = [], []
     for i in range(1, n):
         head_x, tail_x = xk**i, xk ** (n - i)
         head_s, tail_s = sk**i, sk ** (n - i)
         # law of the first i inputs, jointly with the guess
         g = z.reshape(head_x, tail_x, m, m, head_s, tail_s, ny).sum(axis=1)
-        for hx in range(head_x):
-            for wh in range(m):
-                for w in range(m):
-                    for hs in range(head_s):
-                        for yi in range(ny):
-                            ref = g[hx, wh, w, hs, 0, yi]
-                            for ts in range(1, tail_s):
-                                if g[hx, wh, w, hs, ts, yi] != ref:
-                                    c3.append(
-                                        f"c3[i={i},x^i={hx},wh={wh},w={w},"
-                                        f"s^i={hs},tail={ts},y={yi}]"
-                                    )
+        c3 += _violations(
+            f"c3[i={i},", ("x^i", "wh", "w", "s^i", "tail", "y"),
+            g != g[:, :, :, :, :1], walk=(0, 1, 2, 3, 5, 4),
+        )
         h = g.sum(axis=1)  # (head_x, w, head_s, tail_s, y)
-        for hx in range(head_x):
-            for w in range(m):
-                for hs in range(head_s):
-                    ref = h[hx, w, hs, 0, 0]
-                    for ts in range(tail_s):
-                        for yi in range(ny):
-                            if h[hx, w, hs, ts, yi] != ref:
-                                combined.append(
-                                    f"combined[i={i},x^i={hx},w={w},s^i={hs},"
-                                    f"tail={ts},y={yi}]"
-                                )
+        combined += _violations(
+            f"combined[i={i},", ("x^i", "w", "s^i", "tail", "y"), h != h[:, :, :, :1, :1]
+        )
     return ConditionReport(c1=c1, c2=c2, c3=c3, combined=combined)
 
 
@@ -666,36 +646,27 @@ def _scheme_success_exact(scheme: AuthScheme, ch: ChannelWithState, cap: int) ->
     )
 
 
-def _sample_states(ch, source, n, rng):
-    if source is not None:
-        atoms = [list(ss) for ss, _ in source.atoms]
-        weights = [float(p) for _, p in source.atoms]
+def _sample_states(ch, n, rng):
+    if ch.block_state is not None:
+        atoms = [list(ss) for ss, _ in ch.block_state.atoms]
+        weights = [float(p) for _, p in ch.block_state.atoms]
         return atoms[rng.choices(range(len(atoms)), weights=weights, k=1)[0]]
     weights = [float(p) for p in ch.state_dist]
     return rng.choices(range(ch.s_size), weights=weights, k=n)
 
 
 def _scheme_success_monte_carlo(
-    scheme: AuthScheme,
-    source: Optional[BlockStateSource],
-    samples: int,
-    seed: int,
-    ch: Optional[ChannelWithState] = None,
+    scheme: AuthScheme, ch: ChannelWithState, samples: int, seed: int
 ) -> tuple[float, tuple[float, float]]:
-    ch = ch if ch is not None else scheme.channel
-    n = scheme.n
     rng = random.Random(seed)
     phi = placeholder(ch.s_size)
     uniform = [1.0] * ch.x_size
     strat_w = [[float(p) for p in row] for row in scheme.strategy]
-    kernel_w = [
-        [[float(ch.prob(y, x, s)) for y in range(ch.y_size)] for x in range(ch.x_size)]
-        for s in range(ch.s_size)
-    ]
+    kernel_w = [[[float(p) for p in row] for row in state_slice] for state_slice in ch.kernel]
     lam = float(scheme.acceptance)
     wins = 0
     for _ in range(samples):
-        ss = _sample_states(ch, source, n, rng)
+        ss = _sample_states(ch, scheme.n, rng)
         mapped_states = map_with_budgets(ss, scheme.state_budgets).output
         xs = [
             rng.choices(
@@ -709,13 +680,11 @@ def _scheme_success_monte_carlo(
             rng.choices(range(ch.y_size), weights=kernel_w[s][x], k=1)[0]
             for x, s in zip(xs, ss)
         ]
-        if scheme.message_count == 1:
-            wins += 1
-        elif _accepts(scheme, xs, ys, mapped_states) and rng.random() < lam:
-            wins += 1
+        wins += scheme.message_count == 1 or (
+            _accepts(scheme, xs, ys, mapped_states) and rng.random() < lam
+        )
     p_hat = wins / samples
-    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
-    return p_hat, (max(p_hat - half, 0.0), min(p_hat + half, 1.0))
+    return p_hat, _ci95(p_hat, samples)
 
 
 def success_probability(
@@ -748,7 +717,7 @@ def success_probability(
     if mode == "exact":
         return _scheme_success_exact(target, ch, cap)
     if mode == "monte_carlo":
-        return _scheme_success_monte_carlo(target, ch.block_state, samples, seed, ch)
+        return _scheme_success_monte_carlo(target, ch, samples, seed)
     raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
 
 
@@ -819,22 +788,12 @@ def toy_product_scheme() -> SchemeTensor:
     blocks the channel wipes exactly the one position the test ignores,
     so the right message is decoded with certainty.
     """
-    ch = builtin_product_xs()
-    m, n = 4, 3
-    nx, ns, ny = 8, 8, 8
-    eighth = Fraction(1, 8)
-    entries = np.empty((nx, m, m, ns, ny), dtype=object)
-    for si in range(ns):
-        rep = _canonical_state_block(index_to_seq(si, 2, n))
-        for xi in range(nx):
-            xs = index_to_seq(xi, 2, n)
-            for yi in range(ny):
-                ys = index_to_seq(yi, 2, n)
-                t = ONE if all(
-                    y == x for x, y, s in zip(xs, ys, rep) if s == 1
-                ) else ZERO
-                miss = (1 - t) / (m - 1)
-                for w in range(m):
-                    for wh in range(m):
-                        entries[xi, wh, w, si, yi] = eighth * (t if wh == w else miss)
-    return SchemeTensor(message_count=m, n=n, x_size=2, s_size=2, y_size=2, entries=entries)
+    n = 3
+    blocks = list(all_sequences(2, n))
+    accept = np.array(
+        [[[ONE if all(y == x for x, y, s in zip(xs, ys, _canonical_state_block(ss)) if s == 1)
+           else ZERO for ys in blocks] for ss in blocks] for xs in blocks],
+        dtype=object,
+    )
+    weight = np.full((8, 8), Fraction(1, 8), dtype=object)
+    return _diagonal_tensor(4, n, (2, 2, 2), weight, accept)

@@ -361,10 +361,20 @@ def load_channel_file(path: str) -> ChannelWithState:
     for field in ("x_size", "y_size", "s_size", "kernel", "state_dist"):
         if field not in doc:
             raise ValueError(f"{path}: missing field {field!r}")
+    declared = (doc["x_size"], doc["y_size"], doc["s_size"])
+    if not all(_is_int(v) for v in declared):
+        raise ValueError(f"{path}: x_size, y_size and s_size must be integers")
+    kernel = doc["kernel"]
+    if not (
+        isinstance(kernel, list)
+        and all(isinstance(sl, list) and all(isinstance(row, list) for row in sl) for sl in kernel)
+    ):
+        raise ValueError(f"{path}: kernel must be [s][x][y] nested lists")
+    if not isinstance(doc["state_dist"], list):
+        raise ValueError(f"{path}: state_dist must be a list")
     raw = doc.get("block_state")
     block = None if raw is None else _block_state_from_json(path, raw)
-    ch = make_channel(doc["kernel"], doc["state_dist"], block_state=block)
-    declared = (int(doc["x_size"]), int(doc["y_size"]), int(doc["s_size"]))
+    ch = make_channel(kernel, doc["state_dist"], block_state=block)
     if declared != (ch.x_size, ch.y_size, ch.s_size):
         raise ValueError(
             f"{path}: declared sizes {declared} do not match kernel shape "

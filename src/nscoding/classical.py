@@ -17,6 +17,7 @@ processes).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,10 +271,14 @@ def classical_opt_success(
 
     `csir` gives the decoder the state block alongside the outputs.
     Two messages at most: beyond that the coupled maximization has no
-    small closed form and the enumeration explodes.
+    small closed form and the enumeration explodes.  With `csir`, the
+    search is split into at most min(workers, CPU count) chunks, one
+    worker process each.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if M == 1:
         sizes = _slot_sizes(ch.s_size, n)
         tables = tuple((0,) * size for size in sizes)
@@ -301,12 +306,13 @@ def classical_opt_success(
             ch.x_size, ch.s_size, n,
         )
         return value, encoder
-    if workers > 1:
+    chunks = min(workers, os.cpu_count() or 1)
+    if chunks > 1:
         bounds = []
-        step = (branch_count + workers - 1) // workers
+        step = (branch_count + chunks - 1) // chunks
         for start in range(0, branch_count, step):
             bounds.append((ch, n, start, min(start + step, branch_count), blocks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             candidates = [c for c in pool.map(_csir_chunk, bounds) if c is not None]
         best = min(candidates, key=lambda c: (-c[0], c[1]))
     else:

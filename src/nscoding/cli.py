@@ -193,6 +193,8 @@ def _load_strategy(path: Optional[str], ch: ChannelWithState):
         return [[u] * ch.x_size for _ in range(ch.s_size)]
     with open(path, "r", encoding="utf-8") as fh:
         rows = json.load(fh, parse_float=Fraction)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"{path}: a strategy file must hold a list of per-state rows (lists)")
     return [[as_rational(p) for p in row] for row in rows]
 
 

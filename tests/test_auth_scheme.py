@@ -8,6 +8,7 @@ exercises the degenerate corners.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -354,6 +355,154 @@ def test_tensor_validation_catches_bad_tables():
     bad = SchemeTensor(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     with pytest.raises(ValueError, match="sum"):
         bad.validate()
+
+
+# -- cell-by-cell reference for the array forms -----------------------------------
+
+
+def reference_tensor(scheme):
+    """Z one cell at a time from the public zeta and t_function:
+    zeta * t on the diagonal, zeta * (1 - t) / (M - 1) off it."""
+    ch, n, m = scheme.channel, scheme.n, scheme.message_count
+    xs_all, ss_all, ys_all = (
+        list(itertools.product(range(size), repeat=n))
+        for size in (ch.x_size, ch.s_size, ch.y_size)
+    )
+    entries = np.empty((len(xs_all), m, m, len(ss_all), len(ys_all)), dtype=object)
+    for si, ss in enumerate(ss_all):
+        for xi, xs in enumerate(xs_all):
+            weight = F(1)
+            for i in range(1, n + 1):
+                weight *= zeta(scheme, i, xs[i - 1], ss[:i])
+            for yi, ys in enumerate(ys_all):
+                t = t_function(scheme, xs, ys, ss)
+                miss = (1 - t) / (m - 1)
+                for w in range(m):
+                    for wh in range(m):
+                        entries[xi, wh, w, si, yi] = weight * (t if wh == w else miss)
+    return entries
+
+
+def reference_conditions(tensor):
+    """The condition checks as nested loops over every cell."""
+    z = tensor.entries
+    nx, m, _, ns, ny = z.shape
+    n, xk, sk = tensor.n, tensor.x_size, tensor.s_size
+    c1, c2, c3, combined = [], [], [], []
+
+    guess = z.sum(axis=1)  # (x, w, s, y)
+    for xi in range(nx):
+        for w in range(m):
+            for si in range(ns):
+                ref = guess[xi, w, si, 0]
+                for yi in range(1, ny):
+                    if guess[xi, w, si, yi] != ref:
+                        c1.append(f"c1[x={xi},w={w},s={si},y={yi}]")
+
+    inputs = z.sum(axis=0)  # (wh, w, s, y)
+    for wh in range(m):
+        for yi in range(ny):
+            ref = inputs[wh, 0, 0, yi]
+            for w in range(m):
+                for si in range(ns):
+                    if inputs[wh, w, si, yi] != ref:
+                        c2.append(f"c2[wh={wh},w={w},s={si},y={yi}]")
+
+    for i in range(1, n):
+        head_x, tail_x = xk**i, xk ** (n - i)
+        head_s, tail_s = sk**i, sk ** (n - i)
+        g = z.reshape(head_x, tail_x, m, m, head_s, tail_s, ny).sum(axis=1)
+        for hx in range(head_x):
+            for wh in range(m):
+                for w in range(m):
+                    for hs in range(head_s):
+                        for yi in range(ny):
+                            ref = g[hx, wh, w, hs, 0, yi]
+                            for ts in range(1, tail_s):
+                                if g[hx, wh, w, hs, ts, yi] != ref:
+                                    c3.append(
+                                        f"c3[i={i},x^i={hx},wh={wh},w={w},"
+                                        f"s^i={hs},tail={ts},y={yi}]"
+                                    )
+        h = g.sum(axis=1)  # (head_x, w, head_s, tail_s, y)
+        for hx in range(head_x):
+            for w in range(m):
+                for hs in range(head_s):
+                    ref = h[hx, w, hs, 0, 0]
+                    for ts in range(tail_s):
+                        for yi in range(ny):
+                            if h[hx, w, hs, ts, yi] != ref:
+                                combined.append(
+                                    f"combined[i={i},x^i={hx},w={w},s^i={hs},"
+                                    f"tail={ts},y={yi}]"
+                                )
+    return c1, c2, c3, combined
+
+
+def reference_validate_message(tensor):
+    """The first validation failure found cell by cell, or None."""
+    if any(v < 0 for v in tensor.entries.flat):
+        return "negative tensor entry"
+    sums = tensor.entries.sum(axis=(0, 1))
+    for w, si, yi in itertools.product(*map(range, sums.shape)):
+        if sums[w, si, yi] != 1:
+            return f"entries for (w={w}, s_index={si}, y_index={yi}) sum to {sums[w, si, yi]}, not 1"
+    return None
+
+
+def validate_message(tensor):
+    try:
+        tensor.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "ch, strategy, n, m",
+    [(builtin_z0z1(), [[HALF, HALF]] * 2, 2, 2), (identity_channel(), UNIFORM2, 4, 4)],
+    ids=["z0z1-n2", "identity-n4"],
+)
+def test_materialized_entries_match_the_cell_rule(ch, strategy, n, m):
+    scheme = build_auth_scheme(ch, strategy, n, HALF, message_count=m)
+    entries = materialize_tensor(scheme).entries
+    expected = reference_tensor(scheme)
+    assert entries.shape == expected.shape
+    assert entries.tolist() == expected.tolist()
+
+
+def test_condition_labels_and_messages_match_the_cell_loops():
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 3, HALF, message_count=2)
+    base = materialize_tensor(scheme)
+    cases = [routed_tensor()]
+    for seed in range(50):
+        rng = random.Random(seed)
+        entries = base.entries.copy()
+        for _ in range(rng.randint(1, 4)):
+            cell = tuple(rng.randrange(d) for d in entries.shape)
+            entries[cell] += F(rng.randint(-2, 2), rng.randint(1, 8))
+        if seed % 3 == 0:  # move mass between guesses: normalization survives
+            xi, w, si, yi = (rng.randrange(entries.shape[k]) for k in (0, 2, 3, 4))
+            entries[xi, 0, w, si, yi] += F(1, 64)
+            entries[xi, 1, w, si, yi] -= F(1, 64)
+        cases.append(SchemeTensor(2, 3, 2, 2, 2, entries))
+
+    def fields(label):
+        return tuple(int(v) for v in re.findall(r"=(\d+)", label))
+
+    walk_order_seen = {1: False, 2: False}
+    for tensor in cases:
+        expected = reference_conditions(tensor)
+        report = verify_conditions(tensor)
+        assert (report.c1, report.c2, report.c3, report.combined) == expected
+        assert validate_message(tensor) == reference_validate_message(tensor)
+        for k in walk_order_seen:  # c2 and c3 list cells out of storage order
+            walk_order_seen[k] |= expected[k] != sorted(expected[k], key=fields)
+    assert all(walk_order_seen.values())
+    assert sum(len(labels) for t in cases for labels in reference_conditions(t)) > 1000
+    messages = [validate_message(t) for t in cases]
+    assert None in messages and "negative tensor entry" in messages
+    assert any(m and m.endswith("not 1") for m in messages)
 
 
 # -- success probability ----------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nscoding import classical
 from nscoding.channels import builtin_z0z1, lift_csir, make_channel
 from nscoding.classical import (
     classical_opt_success,
@@ -119,6 +120,40 @@ def test_parallel_chunks_match_sequential():
         builtin_z0z1(), 2, 2, csir=True, workers=3
     )
     assert (par_value, par_enc) == (seq_value, seq_enc)
+
+
+def test_worker_count_is_bounded_by_the_cpu_count(monkeypatch):
+    # A serial stand-in for the pool records how many processes would
+    # start; no real process is spawned for the huge request.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(classical, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(classical.os, "cpu_count", lambda: 3)
+    serial = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
+    assert classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=10**6) == serial
+    assert started == [3]
+    monkeypatch.setattr(classical.os, "cpu_count", lambda: None)
+    assert classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=10**6) == serial
+    assert started == [3]
+
+
+def test_nonpositive_worker_count_rejected():
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers"):
+            classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=workers)
 
 
 def test_work_cap_rejects_large_instances():

@@ -213,6 +213,38 @@ def test_malformed_block_state_is_one_error_line(tmp_path):
     assert text.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", ["5", "[[0.5, 0.5], 3]"])
+def test_malformed_strategy_file_is_one_error_line(tmp_path, content):
+    path = tmp_path / "strategy.json"
+    path.write_text(content)
+    argv = ["scheme", "build", "--channel", "z0z1", "--n", "2", "--eps", "1/2"]
+    code, text = run(argv + ["--strategy-file", str(path)])
+    assert code == 1
+    assert text.startswith("error:") and "strategy" in text
+    assert text.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value", [("kernel", 5), ("state_dist", 5), ("x_size", [2])]
+)
+def test_malformed_channel_field_is_one_error_line(tmp_path, field, value):
+    doc = json.loads(open(write_identity_channel(tmp_path)).read())
+    doc[field] = value
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["scheme", "build", "--channel", str(path), "--n", "2", "--eps", "1/2"])
+    assert code == 1
+    assert text.startswith("error:") and field in text
+    assert text.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_nonpositive_worker_count_is_one_error_line(workers):
+    argv = ["classical", "--channel", "z0z1", "--M", "2", "--n", "1", "--csir"]
+    code, text = run(argv + ["--workers", workers])
+    assert (code, text) == (1, f"error: workers must be >= 1, got {workers}\n")
+
+
 def test_pivot_limit_is_one_error_line(monkeypatch):
     def give_up(lp):
         raise PivotLimitError("pivot limit 1 exceeded")
