@@ -304,6 +304,8 @@ def estimate_mu(
     compositions and inverts the estimated pass probability; the upper
     endpoint is inf when the lower pass-frequency bound hits zero.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
     _, y_b, _, p_xy = _scheme_tables(ch, strat, n, eps)
@@ -512,14 +514,14 @@ def _diagonal_tensor(m: int, n: int, sizes: tuple[int, int, int], weight, accept
     return SchemeTensor(m, n, *sizes, entries=entries)
 
 
-def materialize_tensor(scheme: AuthScheme, cap: int = TENSOR_ENTRY_CAP) -> SchemeTensor:
+def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     """Write the scheme out as a dense tensor (small blocks only)."""
     ch = scheme.channel
     n, m = scheme.n, scheme.message_count
     nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
     total = nx * m * m * ns * ny
-    if total > cap:
-        raise ValueError(f"{total} tensor entries exceed the cap {cap}")
+    if total > TENSOR_ENTRY_CAP:
+        raise ValueError(f"{total} tensor entries exceed the cap {TENSOR_ENTRY_CAP}")
     weight = np.empty((nx, ns), dtype=object)
     accept = np.full((nx, ns, ny), ZERO, dtype=object)
     for si, ss in enumerate(all_sequences(ch.s_size, n)):
@@ -615,17 +617,19 @@ def _tensor_success(tensor: SchemeTensor, ch: ChannelWithState) -> Fraction:
     return total / m
 
 
-def _exact_walk(scheme: AuthScheme, ch: ChannelWithState, cap: int):
+def _exact_walk(scheme: AuthScheme, ch: ChannelWithState):
     """Yield (weight, x^n, y^n, mapped states) for every block triple of
     positive weight P(s^n) * zeta(x^n|s^n) * N^n(y^n|x^n,s^n).
 
-    The terms are counted against `cap` before the walk starts.
+    The terms are counted against EXACT_SUCCESS_CAP before the walk starts.
     """
     n = scheme.n
     y_max = max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
     terms = sum(1 for _ in state_blocks(ch, n)) * ch.x_size**n * y_max**n
-    if terms > cap:
-        raise ValueError(f"about {terms} terms exceed the exact cap {cap}; use monte_carlo mode")
+    if terms > EXACT_SUCCESS_CAP:
+        raise ValueError(
+            f"about {terms} terms exceed the exact cap {EXACT_SUCCESS_CAP}; use monte_carlo mode"
+        )
     for _si, ss, p_s in state_blocks(ch, n):
         mapped = map_with_budgets(ss, scheme.state_budgets)
         for xs in all_sequences(ch.x_size, n):
@@ -635,8 +639,8 @@ def _exact_walk(scheme: AuthScheme, ch: ChannelWithState, cap: int):
                     yield p_s * w_in * p_y, xs, index_to_seq(yi, ch.y_size, n), mapped
 
 
-def _scheme_success_exact(scheme: AuthScheme, ch: ChannelWithState, cap: int) -> Fraction:
-    walk = _exact_walk(scheme, ch, cap)
+def _scheme_success_exact(scheme: AuthScheme, ch: ChannelWithState) -> Fraction:
+    walk = _exact_walk(scheme, ch)
     if scheme.message_count == 1:
         return sum((weight for weight, *_ in walk), ZERO)
     return scheme.acceptance * sum(
@@ -658,6 +662,8 @@ def _sample_states(ch, n, rng):
 def _scheme_success_monte_carlo(
     scheme: AuthScheme, ch: ChannelWithState, samples: int, seed: int
 ) -> tuple[float, tuple[float, float]]:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     phi = placeholder(ch.s_size)
     uniform = [1.0] * ch.x_size
@@ -694,7 +700,6 @@ def success_probability(
     mode: str = "exact",
     samples: int = 100_000,
     seed: int = 0,
-    cap: int = EXACT_SUCCESS_CAP,
 ):
     """Probability that the decoded message equals the sent one.
 
@@ -715,7 +720,7 @@ def success_probability(
     ch = replace(ch, block_state=block_state or ch.block_state)
     state_blocks(ch, target.n)  # rejects a block source of another length up front
     if mode == "exact":
-        return _scheme_success_exact(target, ch, cap)
+        return _scheme_success_exact(target, ch)
     if mode == "monte_carlo":
         return _scheme_success_monte_carlo(target, ch, samples, seed)
     raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
@@ -738,7 +743,6 @@ class SuccessDecomposition:
 def success_decomposition(
     scheme: AuthScheme,
     block_state: Optional[BlockStateSource] = None,
-    cap: int = EXACT_SUCCESS_CAP,
 ) -> SuccessDecomposition:
     """One exact pass computing the success probability together with the
     flag probability and the conditional acceptance rate, so that
@@ -747,7 +751,7 @@ def success_decomposition(
     p_flag = ZERO
     p_both = ZERO
     ch = replace(scheme.channel, block_state=block_state or scheme.channel.block_state)
-    for weight, xs, ys, mapped in _exact_walk(scheme, ch, cap):
+    for weight, xs, ys, mapped in _exact_walk(scheme, ch):
         _, y_flags = _kept_pairs(scheme, ys, mapped.output)
         flag = bool(mapped.flag) and all(y_flags)
         accept = _accepts(scheme, xs, ys, mapped.output)

@@ -79,6 +79,8 @@ def blahut_arimoto(
     way (up to additive float noise), which is a theorem for these
     updates and a cheap self-check in practice.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     W = np.asarray(p_y_x, dtype=float)
     if W.ndim != 2:
         raise ValueError(f"kernel must be 2-D, got shape {W.shape}")

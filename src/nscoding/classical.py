@@ -264,7 +264,6 @@ def classical_opt_success(
     M: int,
     n: int,
     csir: bool = False,
-    work_cap: int = SEARCH_WORK_CAP,
     workers: int = 1,
 ) -> tuple[Fraction, DeterministicEncoder]:
     """Exact optimum over deterministic causal encoders with MAP decoding.
@@ -294,9 +293,9 @@ def classical_opt_success(
         work = branch_count * len(blocks) * (ch.x_size**n) * ny
     else:
         work = branch_count * branch_count * ny
-    if work > work_cap:
+    if work > SEARCH_WORK_CAP:
         raise ValueError(
-            f"estimated work {work} exceeds the cap {work_cap} for this instance"
+            f"estimated work {work} exceeds the cap {SEARCH_WORK_CAP} for this instance"
         )
     if not csir:
         value, i, k = _best_pair_plain(ch, n, branch_count, blocks)

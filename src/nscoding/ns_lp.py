@@ -12,8 +12,8 @@ length n with M messages:
   (input marginal), which reaches the same optimum and is much smaller.
 
 Both directions of the optimum-preserving variable mapping are exposed,
-together with the binary-alphabet relaxation/dual pair used to certify
-the 13/16 bound and the published certificate point.
+together with a generic LP dual, the binary-alphabet relaxation whose
+dual certifies the 13/16 bound, and the published certificate point.
 
 Reference instances of invariance rows (the cell a row compares
 against) are tautologies and are not emitted.
@@ -21,9 +21,12 @@ against) are tautologies and are not emitted.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
 
 from .channels import ChannelWithState, block_outputs, builtin_z0z1, state_blocks
 from .indexing import all_sequences
@@ -38,6 +41,7 @@ __all__ = [
     "lp2_to_lp1",
     "build_lp3_z0z1",
     "build_lp4_z0z1",
+    "dual_of",
     "certificate_point_z0z1",
     "CertificateReport",
     "verify_certificate",
@@ -66,6 +70,38 @@ def _block_tables(ch: ChannelWithState, n: int) -> dict[tuple[int, int, int], Fr
     }
 
 
+def _variables(lp: LinearProgram, stem: str, *shape: int) -> np.ndarray:
+    """Add stem[i,j,...] for every index of `shape` (row-major); return their indices."""
+    first = len(lp.var_names)
+    for cell in itertools.product(*map(range, shape)):
+        lp.add_var(f"{stem}[{','.join(map(str, cell))}]")
+    return np.arange(first, len(lp.var_names)).reshape(shape)
+
+
+def _same_sums(lp: LinearProgram, rows) -> None:
+    """Add `sum(cells) - sum(refs) == 0` for each (label, cells, refs) of 1-D index arrays."""
+    for label, cells, refs in rows:
+        coeffs = dict.fromkeys(cells.tolist(), 1)
+        for j in refs.tolist():
+            coeffs[j] = coeffs.get(j, 0) - 1
+        lp.add_row(coeffs, "==", 0, label)
+
+
+def _prefixes(ch: ChannelWithState, n: int):
+    """Yield (i, px, x blocks, state pairs) for each prefix length 0 < i < n.
+
+    The x blocks are the slice of blocks that start with the x-prefix px.
+    Each state pair (si, ref) couples a state block with the block that
+    shares its first i states and has the all-zero suffix; reference
+    blocks themselves are skipped.
+    """
+    for i in range(1, n):
+        sx, ss = ch.x_size ** (n - i), ch.s_size ** (n - i)
+        states = [(si, si - si % ss) for si in range(ch.s_size**n) if si % ss]
+        for px in range(ch.x_size**i):
+            yield i, px, slice(px * sx, (px + 1) * sx), states
+
+
 def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> LinearProgram:
     """Full program over z[x,wh,w,s,y] (packed indices, x-major order).
 
@@ -77,18 +113,11 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
     _check_var_budget(nx * M * M * ns * ny, f"lp1(M={M}, n={n})")
     lp = LinearProgram(name=f"lp1[M={M},n={n},causal={causal}]", sense="max")
-
-    var = {}
-    for xi in range(nx):
-        for wh in range(M):
-            for w in range(M):
-                for si in range(ns):
-                    for yi in range(ny):
-                        var[(xi, wh, w, si, yi)] = lp.add_var(f"z[{xi},{wh},{w},{si},{yi}]")
+    z = _variables(lp, "z", nx, M, M, ns, ny)
 
     inv_m = Fraction(1, M)
     lp.set_objective({
-        var[(xi, w, w, si, yi)]: inv_m * weight
+        int(z[xi, w, w, si, yi]): inv_m * weight
         for (xi, si, yi), weight in _block_tables(ch, n).items()
         for w in range(M)
     })
@@ -97,59 +126,29 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     for w in range(M):
         for si in range(ns):
             for yi in range(ny):
-                coeffs = {var[(xi, wh, w, si, yi)]: 1 for xi in range(nx) for wh in range(M)}
-                lp.add_row(coeffs, "==", 1, f"norm[w={w},s={si},y={yi}]")
+                cells = z[:, :, w, si, yi].ravel().tolist()
+                lp.add_row(dict.fromkeys(cells, 1), "==", 1, f"norm[w={w},s={si},y={yi}]")
 
     # C1: the (x, w)-marginal over wh may not depend on y
-    for xi in range(nx):
-        for w in range(M):
-            for si in range(ns):
-                for yi in range(1, ny):
-                    coeffs: dict[int, Fraction] = {}
-                    for wh in range(M):
-                        coeffs[var[(xi, wh, w, si, yi)]] = Fraction(1)
-                        ref = var[(xi, wh, w, si, 0)]
-                        coeffs[ref] = coeffs.get(ref, ZERO) - 1
-                    lp.add_row(coeffs, "==", 0, f"c1[x={xi},w={w},s={si},y={yi}]")
-
+    _same_sums(lp, (
+        (f"c1[x={xi},w={w},s={si},y={yi}]", z[xi, :, w, si, yi], z[xi, :, w, si, 0])
+        for xi in range(nx) for w in range(M) for si in range(ns) for yi in range(1, ny)
+    ))
     # C2: the wh-marginal over x may not depend on (w, s)
-    for wh in range(M):
-        for w in range(M):
-            for si in range(ns):
-                if (w, si) == (0, 0):
-                    continue
-                for yi in range(ny):
-                    coeffs = {}
-                    for xi in range(nx):
-                        coeffs[var[(xi, wh, w, si, yi)]] = Fraction(1)
-                        ref = var[(xi, wh, 0, 0, yi)]
-                        coeffs[ref] = coeffs.get(ref, ZERO) - 1
-                    lp.add_row(coeffs, "==", 0, f"c2[wh={wh},w={w},s={si},y={yi}]")
-
+    _same_sums(lp, (
+        (f"c2[wh={wh},w={w},s={si},y={yi}]", z[:, wh, w, si, yi], z[:, wh, 0, 0, yi])
+        for wh in range(M) for w in range(M) for si in range(ns) if (w, si) != (0, 0)
+        for yi in range(ny)
+    ))
     # C3: for each prefix length i, the x-prefix marginal may not depend on
     # the states after position i
     if causal:
-        for i in range(1, n):
-            sx = ch.x_size ** (n - i)  # suffix block sizes
-            ss = ch.s_size ** (n - i)
-            for px in range(ch.x_size**i):
-                for wh in range(M):
-                    for w in range(M):
-                        for si in range(ns):
-                            if si % ss == 0:
-                                continue  # reference suffix
-                            ref_si = (si // ss) * ss
-                            for yi in range(ny):
-                                coeffs = {}
-                                for tail in range(sx):
-                                    xi = px * sx + tail
-                                    coeffs[var[(xi, wh, w, si, yi)]] = Fraction(1)
-                                    ref = var[(xi, wh, w, ref_si, yi)]
-                                    coeffs[ref] = coeffs.get(ref, ZERO) - 1
-                                lp.add_row(
-                                    coeffs, "==", 0,
-                                    f"c3[i={i},px={px},wh={wh},w={w},s={si},y={yi}]",
-                                )
+        _same_sums(lp, (
+            (f"c3[i={i},px={px},wh={wh},w={w},s={si},y={yi}]",
+             z[xs, wh, w, si, yi], z[xs, wh, w, ref, yi])
+            for i, px, xs, states in _prefixes(ch, n)
+            for wh in range(M) for w in range(M) for si, ref in states for yi in range(ny)
+        ))
     return lp
 
 
@@ -160,57 +159,39 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
     _check_var_budget(nx * ny * ns + nx * ns, f"lp2(M={M}, n={n})")
     lp = LinearProgram(name=f"lp2[M={M},n={n},causal={causal}]", sense="max")
+    r = _variables(lp, "r", nx, ny, ns)
+    q = _variables(lp, "q", nx, ns)
 
-    r = {}
-    for xi in range(nx):
-        for yi in range(ny):
-            for si in range(ns):
-                r[(xi, yi, si)] = lp.add_var(f"r[{xi},{yi},{si}]")
-    q = {}
-    for xi in range(nx):
-        for si in range(ns):
-            q[(xi, si)] = lp.add_var(f"q[{xi},{si}]")
-
-    lp.set_objective({r[(xi, yi, si)]: weight for (xi, si, yi), weight in _block_tables(ch, n).items()})
+    lp.set_objective({
+        int(r[xi, yi, si]): weight for (xi, si, yi), weight in _block_tables(ch, n).items()
+    })
 
     inv_m = Fraction(1, M)
     for si in range(ns):
         for yi in range(ny):
-            lp.add_row({r[(xi, yi, si)]: 1 for xi in range(nx)}, "==", inv_m, f"rsum[s={si},y={yi}]")
+            lp.add_row(dict.fromkeys(r[:, yi, si].tolist(), 1), "==", inv_m, f"rsum[s={si},y={yi}]")
     for si in range(ns):
-        lp.add_row({q[(xi, si)]: 1 for xi in range(nx)}, "==", 1, f"qsum[s={si}]")
+        lp.add_row(dict.fromkeys(q[:, si].tolist(), 1), "==", 1, f"qsum[s={si}]")
     for xi in range(nx):
         for yi in range(ny):
             for si in range(ns):
-                lp.add_row({r[(xi, yi, si)]: 1, q[(xi, si)]: -1}, "<=", 0, f"rq[x={xi},y={yi},s={si}]")
+                coeffs = {int(r[xi, yi, si]): 1, int(q[xi, si]): -1}
+                lp.add_row(coeffs, "<=", 0, f"rq[x={xi},y={yi},s={si}]")
 
     # causality of the diagonal weight and of the input marginal; both row
     # families descend from the per-prefix condition of the full program,
     # so the non-causal variant drops both
     if causal:
-        for i in range(1, n):
-            sx = ch.x_size ** (n - i)
-            ss = ch.s_size ** (n - i)
-            for px in range(ch.x_size**i):
-                for si in range(ns):
-                    if si % ss == 0:
-                        continue
-                    ref_si = (si // ss) * ss
-                    for yi in range(ny):
-                        coeffs: dict[int, Fraction] = {}
-                        for tail in range(sx):
-                            xi = px * sx + tail
-                            coeffs[r[(xi, yi, si)]] = Fraction(1)
-                            ref = r[(xi, yi, ref_si)]
-                            coeffs[ref] = coeffs.get(ref, ZERO) - 1
-                        lp.add_row(coeffs, "==", 0, f"rcausal[i={i},px={px},s={si},y={yi}]")
-                    coeffs = {}
-                    for tail in range(sx):
-                        xi = px * sx + tail
-                        coeffs[q[(xi, si)]] = Fraction(1)
-                        ref = q[(xi, ref_si)]
-                        coeffs[ref] = coeffs.get(ref, ZERO) - 1
-                    lp.add_row(coeffs, "==", 0, f"qcausal[i={i},px={px},s={si}]")
+        _same_sums(lp, (
+            row
+            for i, px, xs, states in _prefixes(ch, n)
+            for si, ref in states
+            for row in [
+                *((f"rcausal[i={i},px={px},s={si},y={yi}]", r[xs, yi, si], r[xs, yi, ref])
+                  for yi in range(ny)),
+                (f"qcausal[i={i},px={px},s={si}]", q[xs, si], q[xs, ref]),
+            ]
+        ))
     return lp
 
 
@@ -287,137 +268,65 @@ def build_lp3_z0z1() -> LinearProgram:
     return lp
 
 
-def build_lp4_z0z1() -> LinearProgram:
-    """Hand-transcribed dual of the relaxation, for the same instance.
+def dual_of(lp: LinearProgram) -> LinearProgram:
+    """The LP dual of `lp`, so that weak duality bounds its optimum.
 
-    Variables: lam[y1,y2,s1,s2] (output-block normalization rows),
-    mu[s1,s2] (input-marginal normalization rows), xi[x1,y1,y2,s1]
-    (diagonal-weight causality rows, entering with sign (-1)^s2), and
-    eta[x1,x2,y1,y2,s1,s2] >= 0 (r <= q rows).  Any feasible point's
-    objective upper-bounds the relaxed primal.
+    One dual variable per primal row, named by the row's label, and one
+    dual row per primal variable, labelled dual[<variable>].  A row on
+    the wrong side for the sense (>= in a max problem, <= in a min
+    problem) enters negated, so its dual variable is nonnegative;
+    equality rows get free dual variables, and free primal variables
+    give equality dual rows.
     """
-    ch = builtin_z0z1()
-    lp = LinearProgram(name="lp4[z0z1,M=2,n=2]", sense="min")
-    lam = {}
-    for y1 in range(2):
-        for y2 in range(2):
-            for s1 in range(2):
-                for s2 in range(2):
-                    lam[(y1, y2, s1, s2)] = lp.add_var(
-                        f"lam[{y1},{y2},{s1},{s2}]", nonneg=False, objective=Fraction(1, 2)
-                    )
-    mu = {}
-    for s1 in range(2):
-        for s2 in range(2):
-            mu[(s1, s2)] = lp.add_var(f"mu[{s1},{s2}]", nonneg=False, objective=1)
-    xi = {}
-    for x1 in range(2):
-        for y1 in range(2):
-            for y2 in range(2):
-                for s1 in range(2):
-                    xi[(x1, y1, y2, s1)] = lp.add_var(f"xi[{x1},{y1},{y2},{s1}]", nonneg=False)
-    eta = {}
-    for x1 in range(2):
-        for x2 in range(2):
-            for y1 in range(2):
-                for y2 in range(2):
-                    for s1 in range(2):
-                        for s2 in range(2):
-                            eta[(x1, x2, y1, y2, s1, s2)] = lp.add_var(
-                                f"eta[{x1},{x2},{y1},{y2},{s1},{s2}]"
-                            )
+    maximize = lp.sense == "max"
+    # the relation that enters negated is also the one of the dual rows
+    side = ">=" if maximize else "<="
+    dual = LinearProgram(name=f"dual[{lp.name}]", sense="min" if maximize else "max")
+    columns: list[dict[int, Fraction]] = [{} for _ in lp.var_names]
+    for row in lp.rows:
+        sign = -1 if row.relation == side else 1
+        y = dual.add_var(row.label, nonneg=row.relation != "==", objective=sign * row.rhs)
+        for j, c in row.coeffs.items():
+            columns[j][y] = sign * c
+    for j, name in enumerate(lp.var_names):
+        relation = side if lp.nonneg[j] else "=="
+        dual.add_row(columns[j], relation, lp.objective.get(j, ZERO), f"dual[{name}]")
+    return dual
 
-    quarter = Fraction(1, 4)
-    for x1 in range(2):
-        for x2 in range(2):
-            for y1 in range(2):
-                for y2 in range(2):
-                    for s1 in range(2):
-                        for s2 in range(2):
-                            rhs = quarter * ch.prob(y1, x1, s1) * ch.prob(y2, x2, s2)
-                            sign = 1 if s2 == 0 else -1
-                            lp.add_row(
-                                {
-                                    lam[(y1, y2, s1, s2)]: 1,
-                                    xi[(x1, y1, y2, s1)]: sign,
-                                    eta[(x1, x2, y1, y2, s1, s2)]: 1,
-                                },
-                                ">=",
-                                rhs,
-                                f"dual[x={x1}{x2},y={y1}{y2},s={s1}{s2}]",
-                            )
-    for x1 in range(2):
-        for x2 in range(2):
-            for s1 in range(2):
-                for s2 in range(2):
-                    coeffs = {mu[(s1, s2)]: Fraction(1)}
-                    for y1 in range(2):
-                        for y2 in range(2):
-                            coeffs[eta[(x1, x2, y1, y2, s1, s2)]] = Fraction(-1)
-                    lp.add_row(coeffs, ">=", 0, f"mubound[x={x1}{x2},s={s1}{s2}]")
-    return lp
+
+def build_lp4_z0z1() -> LinearProgram:
+    """The dual of the relaxation: any feasible point's objective
+    upper-bounds the relaxed primal, hence the causal optimum."""
+    return dual_of(build_lp3_z0z1())
 
 
 def certificate_point_z0z1() -> dict[str, Fraction]:
     """A feasible point of the dual with objective exactly 13/16.
 
-    Every unlisted variable is zero.  Feasibility is machine-checkable
-    with verify_certificate; by weak duality the point certifies that
-    no causal assisted scheme for this instance succeeds with
-    probability above 13/16."""
-    lam = {
-        (0, 0, 0, 1): "3/16",
-        (0, 0, 1, 0): "1/16",
-        (0, 1, 0, 1): "3/16",
-        (1, 0, 0, 1): "1/16",
-        (1, 0, 1, 0): "3/16",
-        (1, 1, 1, 0): "3/16",
+    Keyed by the relaxation's rows: output-block normalization (rsum),
+    input-marginal normalization (qsum), diagonal-weight causality
+    (rcausal) and r <= q (rq).  Every unlisted variable is zero.
+    Feasibility is machine-checkable with verify_certificate; by weak
+    duality the point certifies that no causal assisted scheme for this
+    instance succeeds with probability above 13/16."""
+    table = {
+        "rsum[s=1,y=0]": "3/16", "rsum[s=2,y=0]": "1/16", "rsum[s=1,y=1]": "3/16",
+        "rsum[s=1,y=2]": "1/16", "rsum[s=2,y=2]": "3/16", "rsum[s=2,y=3]": "3/16",
+        "qsum[s=0]": "1/8", "qsum[s=1]": "1/16", "qsum[s=2]": "1/8", "qsum[s=3]": "1/16",
+        "rcausal[i=1,px=0,s=1,y=0]": "-1/8", "rcausal[i=1,px=0,s=3,y=1]": "1/16",
+        "rcausal[i=1,px=0,s=1,y=2]": "-1/16", "rcausal[i=1,px=0,s=3,y=2]": "1/16",
+        "rcausal[i=1,px=0,s=3,y=3]": "1/8", "rcausal[i=1,px=1,s=1,y=0]": "-1/8",
+        "rcausal[i=1,px=1,s=3,y=0]": "1/16", "rcausal[i=1,px=1,s=1,y=1]": "-1/16",
+        "rcausal[i=1,px=1,s=1,y=2]": "-1/16", "rcausal[i=1,px=1,s=3,y=2]": "1/16",
+        "rcausal[i=1,px=1,s=1,y=3]": "1/16", "rcausal[i=1,px=1,s=3,y=3]": "3/16",
+        "rq[x=0,y=0,s=0]": "1/8", "rq[x=0,y=0,s=1]": "1/16", "rq[x=0,y=0,s=2]": "1/16",
+        "rq[x=0,y=0,s=3]": "1/16", "rq[x=0,y=1,s=2]": "1/16", "rq[x=1,y=1,s=0]": "1/8",
+        "rq[x=1,y=1,s=1]": "1/16", "rq[x=1,y=1,s=2]": "1/8", "rq[x=1,y=1,s=3]": "1/16",
+        "rq[x=2,y=2,s=0]": "1/16", "rq[x=2,y=2,s=1]": "1/16", "rq[x=2,y=2,s=2]": "1/8",
+        "rq[x=2,y=2,s=3]": "1/16", "rq[x=2,y=3,s=0]": "1/16", "rq[x=3,y=3,s=0]": "1/8",
+        "rq[x=3,y=3,s=1]": "1/16", "rq[x=3,y=3,s=2]": "1/8", "rq[x=3,y=3,s=3]": "1/16",
     }
-    mu = {(0, 0): "1/8", (0, 1): "1/16", (1, 0): "1/8", (1, 1): "1/16"}
-    xi = {
-        (0, 0, 0, 0): "1/8",
-        (0, 0, 1, 1): "-1/16",
-        (0, 1, 0, 0): "1/16",
-        (0, 1, 0, 1): "-1/16",
-        (0, 1, 1, 1): "-1/8",
-        (1, 0, 0, 0): "1/8",
-        (1, 0, 0, 1): "-1/16",
-        (1, 0, 1, 0): "1/16",
-        (1, 1, 0, 0): "1/16",
-        (1, 1, 0, 1): "-1/16",
-        (1, 1, 1, 0): "-1/16",
-        (1, 1, 1, 1): "-3/16",
-    }
-    eta = {
-        (0, 0, 0, 0, 0, 0): "1/8",
-        (0, 0, 0, 0, 0, 1): "1/16",
-        (0, 0, 0, 0, 1, 0): "1/16",
-        (0, 0, 0, 0, 1, 1): "1/16",
-        (0, 0, 0, 1, 1, 0): "1/16",
-        (0, 1, 0, 1, 0, 0): "1/8",
-        (0, 1, 0, 1, 0, 1): "1/16",
-        (0, 1, 0, 1, 1, 0): "1/8",
-        (0, 1, 0, 1, 1, 1): "1/16",
-        (1, 0, 1, 0, 0, 0): "1/16",
-        (1, 0, 1, 0, 0, 1): "1/16",
-        (1, 0, 1, 0, 1, 0): "1/8",
-        (1, 0, 1, 0, 1, 1): "1/16",
-        (1, 0, 1, 1, 0, 0): "1/16",
-        (1, 1, 1, 1, 0, 0): "1/8",
-        (1, 1, 1, 1, 0, 1): "1/16",
-        (1, 1, 1, 1, 1, 0): "1/8",
-        (1, 1, 1, 1, 1, 1): "1/16",
-    }
-    point: dict[str, Fraction] = {}
-    for (y1, y2, s1, s2), v in lam.items():
-        point[f"lam[{y1},{y2},{s1},{s2}]"] = as_rational(v)
-    for (s1, s2), v in mu.items():
-        point[f"mu[{s1},{s2}]"] = as_rational(v)
-    for (x1, y1, y2, s1), v in xi.items():
-        point[f"xi[{x1},{y1},{y2},{s1}]"] = as_rational(v)
-    for (x1, x2, y1, y2, s1, s2), v in eta.items():
-        point[f"eta[{x1},{x2},{y1},{y2},{s1},{s2}]"] = as_rational(v)
-    return point
+    return {label: as_rational(v) for label, v in table.items()}
 
 
 @dataclass

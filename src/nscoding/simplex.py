@@ -95,6 +95,8 @@ class LinearProgram:
     def _vector(self, assignment: Mapping[str, object]) -> list[Fraction]:
         vec = [ZERO] * len(self.var_names)
         for name, value in assignment.items():
+            if name not in self._index:
+                raise ValueError(f"program {self.name!r} has no variable {name!r}")
             vec[self._index[name]] = as_rational(value)
         return vec
 

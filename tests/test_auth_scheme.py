@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nscoding import auth_scheme
 from nscoding.auth_scheme import (
     DegenerateSchemeError,
     SchemeTensor,
@@ -307,10 +308,11 @@ def test_single_message_tensor_is_input_weight_only():
     assert all(v == F(1, 16) for v in tensor.entries.flat)  # all placeholders: uniform
 
 
-def test_tensor_cap_enforced():
+def test_tensor_cap_enforced(monkeypatch):
     scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
+    monkeypatch.setattr(auth_scheme, "TENSOR_ENTRY_CAP", 100)
     with pytest.raises(ValueError, match="cap"):
-        materialize_tensor(scheme, cap=100)
+        materialize_tensor(scheme)
 
 
 def routed_tensor():
@@ -553,10 +555,20 @@ def test_monte_carlo_of_degenerate_message_count_one():
     assert estimate == 1.0
 
 
-def test_exact_cap_points_to_sampling():
+def test_exact_cap_points_to_sampling(monkeypatch):
     scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
+    monkeypatch.setattr(auth_scheme, "EXACT_SUCCESS_CAP", 10)
     with pytest.raises(ValueError, match="monte_carlo"):
-        success_probability(scheme, cap=10)
+        success_probability(scheme)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sample_count_must_be_positive(samples):
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 2, HALF)
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        success_probability(scheme, mode="monte_carlo", samples=samples)
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        estimate_mu(builtin_z0z1(), [[HALF, HALF]] * 2, 2, HALF, samples=samples)
 
 
 def test_success_decomposition_inequality():

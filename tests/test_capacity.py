@@ -107,6 +107,14 @@ def test_blahut_arimoto_nonconvergence_reports_gap():
         blahut_arimoto(np.array([[1.0, 0.0], [0.5, 0.5]]), tol=1e-15, max_iter=3)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        blahut_arimoto(np.array([[1.0, 0.0], [0.5, 0.5]]), tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        capacity_table(builtin_z0z1(), tol=tol)
+
+
 def test_ns_capacity_z0z1_grid_oracle():
     ch = builtin_z0z1()
     res = ns_capacity(ch)

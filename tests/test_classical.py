@@ -156,11 +156,12 @@ def test_nonpositive_worker_count_rejected():
             classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=workers)
 
 
-def test_work_cap_rejects_large_instances():
+def test_work_cap_rejects_large_instances(monkeypatch):
     with pytest.raises(ValueError, match="exceeds the cap"):
         classical_opt_success(builtin_z0z1(), 2, 3, csir=False)
+    monkeypatch.setattr(classical, "SEARCH_WORK_CAP", 10)
     with pytest.raises(ValueError, match="exceeds the cap"):
-        classical_opt_success(builtin_z0z1(), 2, 2, csir=True, work_cap=10)
+        classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
 
 
 def test_more_than_two_messages_rejected():

@@ -245,6 +245,18 @@ def test_nonpositive_worker_count_is_one_error_line(workers):
     assert (code, text) == (1, f"error: workers must be >= 1, got {workers}\n")
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_nonpositive_sample_count_is_one_error_line(samples):
+    argv = ["scheme", "simulate", "--channel", "z0z1", "--n", "2", "--eps", "1/2", "--mode", "mc"]
+    code, text = run(argv + ["--samples", samples])
+    assert (code, text) == (1, f"error: samples must be >= 1, got {samples}\n")
+
+
+def test_nonpositive_capacity_tolerance_is_one_error_line():
+    code, text = run(["capacity", "z0z1", "--tol", "-1"])
+    assert (code, text) == (1, "error: tolerance must be finite and positive, got -1.0\n")
+
+
 def test_pivot_limit_is_one_error_line(monkeypatch):
     def give_up(lp):
         raise PivotLimitError("pivot limit 1 exceeded")

@@ -3,11 +3,12 @@
 The binary two-state channel at M=2, n=2 is small enough to solve
 exactly, so the values asserted here are solver-verified rationals:
 13/16 for the causal programs (full and reduced agree, and the
-relaxation plus its hand-built dual certificate pin the same number
-from both sides) and 7/8 for the non-causal programs, which must not
-change when the receiver is handed the state sequence.
+relaxation plus a certificate point in its derived dual pin the same
+number from both sides) and 7/8 for the non-causal programs, which must
+not change when the receiver is handed the state sequence.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from nscoding.ns_lp import (
     build_lp3_z0z1,
     build_lp4_z0z1,
     certificate_point_z0z1,
+    dual_of,
     lp1_to_lp2,
     lp2_to_lp1,
     verify_certificate,
@@ -97,15 +99,25 @@ def test_certificate_is_feasible_with_objective_13_16():
 
 def test_certificate_mu_entry_cannot_be_lowered():
     point = dict(certificate_point_z0z1())
-    point["mu[0,0]"] = F(1, 16)
+    point["qsum[s=0]"] = F(1, 16)
     report = verify_certificate(build_lp4_z0z1(), point)
     assert not report.feasible
     assert report.violated == [
-        "mubound[x=00,s=00]",
-        "mubound[x=01,s=00]",
-        "mubound[x=10,s=00]",
-        "mubound[x=11,s=00]",
+        "dual[q[0,0]]",
+        "dual[q[1,0]]",
+        "dual[q[2,0]]",
+        "dual[q[3,0]]",
     ]
+
+
+def test_certificate_with_an_unknown_variable_is_a_value_error():
+    with pytest.raises(ValueError, match=r"no variable 'mu\[0,0\]'"):
+        verify_certificate(build_lp4_z0z1(), {"mu[0,0]": 1})
+
+
+def test_dual_of_the_dual_recovers_13_16():
+    # The dual is a min problem with free variables and >= rows.
+    assert solve_exact(dual_of(build_lp4_z0z1())).value == OPT_CAUSAL
 
 
 # -- point mappings between the two formulations ----------------------------
@@ -151,6 +163,63 @@ def random_binary_channel(seed: int):
     ]
     b = rng.randint(1, 7)
     return make_channel(kernel=kernel, state_dist=[F(b, 8), F(8 - b, 8)])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "build, n, causal",
+    [(build_lp2, 2, True), (build_lp2, 2, False), (build_lp1, 1, True)],
+)
+def test_dual_of_meets_the_primal_optimum(seed, build, n, causal):
+    lp = build(random_binary_channel(seed), M=2, n=n, causal=causal)
+    assert solve_exact(dual_of(lp)).value == solve_exact(lp).value
+
+
+def random_channel(seed: int, x_size: int, y_size: int, s_size: int):
+    # Small-integer kernel rows, some entries zero, and a positive state law.
+    rng = random.Random(seed)
+    kernel = []
+    for _ in range(s_size):
+        rows = []
+        for _ in range(x_size):
+            w = [rng.randint(0, 3) for _ in range(y_size)]
+            w[rng.randrange(y_size)] += 1
+            rows.append([F(a, sum(w)) for a in w])
+        kernel.append(rows)
+    d = [rng.randint(1, 4) for _ in range(s_size)]
+    return make_channel(kernel=kernel, state_dist=[F(a, sum(d)) for a in d])
+
+
+def test_programs_match_the_pinned_digest():
+    # The sha256 of every program below, computed with the per-family
+    # row loops the builders had before they shared one invariance-row
+    # rule: name, sense, variables, objective, sign constraints and every
+    # row, in row order.  Coefficient keys must be Python ints.
+    z0z1 = builtin_z0z1()
+    channels = [
+        z0z1,
+        lift_csir(z0z1),
+        random_channel(1, 2, 3, 2),
+        random_channel(2, 3, 2, 2),
+        random_channel(3, 2, 2, 3),
+    ]
+    programs = [
+        build(ch, M, n, causal)
+        for ch in channels
+        for n in (1, 2)
+        for M in (1, 2, 3)
+        for causal in (True, False)
+        for build in (build_lp1, build_lp2)
+    ]
+    programs += [build_lp2(z0z1, 2, 3), build_lp3_z0z1()]
+    digest = hashlib.sha256()
+    for lp in programs:
+        rows = [(sorted(row.coeffs.items()), row.relation, row.rhs, row.label) for row in lp.rows]
+        digest.update(repr((
+            lp.name, lp.sense, lp.var_names, sorted(lp.objective.items()), lp.nonneg, rows,
+        )).encode())
+    assert len(programs) == 122
+    assert digest.hexdigest() == "296eb66666595bdc5c06e4736190f7e6265606c8f87e2b5788bc6560d4ebcf1f"
 
 
 @pytest.mark.parametrize("seed", [1, 2])
