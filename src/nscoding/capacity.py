@@ -263,6 +263,11 @@ def _gp_ascend(
     return _gp_objective(p, xm, W, ps), p, xm
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 2:
+        raise ValueError(f"restarts must be >= 2 (the two informed starts), got {restarts}")
+
+
 def gp_noncausal_capacity(
     ch: ChannelWithState,
     restarts: int = 8,
@@ -278,7 +283,9 @@ def gp_noncausal_capacity(
     informed starting points (the per-state maximizer, which is exact
     for state-revealing channels, and the causal solution, which makes
     the bound at least the causal capacity) plus seeded random starts.
+    `restarts` counts all starts and must be at least 2.
     """
+    _check_restarts(restarts)
     W = ch.kernel_array()
     ps = ch.state_array()
     s_size, x_size = ch.s_size, ch.x_size
@@ -308,7 +315,7 @@ def gp_noncausal_capacity(
     starts.append((p2, xm2))
 
     rng = np.random.default_rng(seed)
-    while len(starts) < max(restarts, 2):
+    while len(starts) < restarts:
         p = rng.dirichlet(np.ones(n_u), size=s_size)
         xm = rng.integers(0, x_size, size=(n_u, s_size))
         starts.append((p, xm))
@@ -352,6 +359,7 @@ def capacity_table(
     max I(X;Y|S); the classical non-causal cell is an approximate lower
     bound (see gp_noncausal_capacity).
     """
+    _check_restarts(gp_restarts)
     ns = ns_capacity(ch, tol=tol)
     causal = shannon_causal_capacity(ch, tol=tol)
     gp = gp_noncausal_capacity(ch, restarts=gp_restarts, tol=max(tol, 1e-11), seed=seed)

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .indexing import seq_to_index
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, read_rational
 
 __all__ = [
     "ChannelWithState",
@@ -338,7 +338,7 @@ def _block_state_from_json(path: str, raw: object) -> BlockStateSource:
             and isinstance(atom[0], list) and all(_is_int(s) for s in atom[0])
         ):
             raise ValueError(f"{path}: block_state atom {atom!r} is not a [sequence, probability] pair")
-        atoms.append((tuple(atom[0]), as_rational(atom[1])))
+        atoms.append((tuple(atom[0]), read_rational(atom[1])))
     return BlockStateSource(n=raw["n"], atoms=tuple(atoms))
 
 
@@ -372,9 +372,11 @@ def load_channel_file(path: str) -> ChannelWithState:
         raise ValueError(f"{path}: kernel must be [s][x][y] nested lists")
     if not isinstance(doc["state_dist"], list):
         raise ValueError(f"{path}: state_dist must be a list")
+    kernel = [[[read_rational(p) for p in row] for row in sl] for sl in kernel]
+    state_dist = [read_rational(p) for p in doc["state_dist"]]
     raw = doc.get("block_state")
     block = None if raw is None else _block_state_from_json(path, raw)
-    ch = make_channel(kernel, doc["state_dist"], block_state=block)
+    ch = make_channel(kernel, state_dist, block_state=block)
     if declared != (ch.x_size, ch.y_size, ch.s_size):
         raise ValueError(
             f"{path}: declared sizes {declared} do not match kernel shape "

@@ -29,7 +29,7 @@ from .channels import (
     builtin_z0z1,
     load_channel_file,
 )
-from .rational import as_rational, format_rational
+from .rational import format_rational, read_rational
 from .simplex import PivotLimitError, solve_exact
 
 __all__ = ["ReportDocument", "run", "main"]
@@ -107,7 +107,7 @@ def _load_channel(spec: str) -> tuple[str, ChannelWithState]:
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
-    return [as_rational(part.strip()) for part in text.split(",") if part.strip()]
+    return [read_rational(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -195,7 +195,7 @@ def _load_strategy(path: Optional[str], ch: ChannelWithState):
         rows = json.load(fh, parse_float=Fraction)
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError(f"{path}: a strategy file must hold a list of per-state rows (lists)")
-    return [[as_rational(p) for p in row] for row in rows]
+    return [[read_rational(p) for p in row] for row in rows]
 
 
 def _cmd_scheme(args) -> ReportDocument:
@@ -206,7 +206,7 @@ def _cmd_scheme(args) -> ReportDocument:
         seed=args.seed if args.scheme_action == "simulate" else None,
     )
     strategy = _load_strategy(args.strategy_file, ch)
-    scheme = auth_scheme.build_auth_scheme(ch, strategy, args.n, as_rational(args.eps))
+    scheme = auth_scheme.build_auth_scheme(ch, strategy, args.n, read_rational(args.eps))
     report.add("mu", scheme.mu)
     report.add("message_count", scheme.message_count)
     report.add("lambda", scheme.mu / scheme.message_count)
@@ -248,7 +248,7 @@ def _cmd_typemap(args) -> ReportDocument:
     dist = _parse_rational_list(args.dist)
     seq = _parse_int_list(args.seq)
     mapped = type_mapping.map_sequence(
-        args.n, len(dist), dist, seq, as_rational(args.eps)
+        args.n, len(dist), dist, seq, read_rational(args.eps)
     )
     report.add("output", ",".join(str(v) for v in mapped.output))
     report.add("flag", mapped.flag)

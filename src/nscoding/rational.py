@@ -54,6 +54,18 @@ def as_rational(value: RationalLike) -> Fraction:
     raise ValueError(f"cannot use {type(value).__name__} as an exact rational")
 
 
+def read_rational(value: RationalLike) -> Fraction:
+    """as_rational for a value read from a file or the command line.
+
+    A zero denominator there is bad input, not an arithmetic fault, so
+    it is a ValueError naming the literal.
+    """
+    try:
+        return as_rational(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal {value!r}") from None
+
+
 def format_rational(value: Fraction) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     value = as_rational(value)

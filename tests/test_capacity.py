@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from math import log2
 
+from nscoding import capacity
 from nscoding.capacity import (
     BlahutArimotoResult,
     CapacityReport,
@@ -113,6 +114,19 @@ def test_tolerance_must_be_finite_and_positive(tol):
         blahut_arimoto(np.array([[1.0, 0.0], [0.5, 0.5]]), tol=tol)
     with pytest.raises(ValueError, match="tolerance must be finite and positive"):
         capacity_table(builtin_z0z1(), tol=tol)
+
+
+@pytest.mark.parametrize("restarts", [-1, 0, 1])
+def test_gp_restarts_below_two_rejected_before_any_work(monkeypatch, restarts):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a capacity was computed before the restart count was checked")
+
+    monkeypatch.setattr(capacity, "ns_capacity", no_work)
+    message = f"restarts must be >= 2 .*got {restarts}$"
+    with pytest.raises(ValueError, match=message):
+        gp_noncausal_capacity(builtin_z0z1(), restarts=restarts)
+    with pytest.raises(ValueError, match=message):
+        capacity_table(builtin_z0z1(), gp_restarts=restarts)
 
 
 def test_ns_capacity_z0z1_grid_oracle():

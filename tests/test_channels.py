@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nscoding.channels import (
     BlockStateSource,
+    ChannelWithState,
     block_kernel,
     builtin_channel,
     builtin_product_xs,
@@ -137,3 +140,71 @@ def test_load_rejects_bad_files(tmp_path):
     )
     with pytest.raises(ValueError, match="declared sizes"):
         load_channel_file(str(p))
+
+
+# -- fuzzing the channel file ----------------------------------------------
+
+_ENTRY = st.one_of(
+    st.sampled_from(["1", "0", "1/2", "1/3", "-1/2", "3/2", "0.5", "1/0", "0/0", "x", ""]),
+    st.integers(-1, 2),
+    st.floats(-2, 2),
+    st.none(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _laws(k: int):
+    # a law on k points: uniform, a point mass, or arbitrary entries
+    return st.one_of(
+        st.builds(lambda: [f"1/{k}"] * k), st.builds(lambda: ["1"] + ["0"] * (k - 1)), st.lists(_ENTRY, max_size=k + 1)
+    )
+
+
+@st.composite
+def channel_docs(draw):
+    """A channel file, well formed or with a spoiled entry or fields."""
+    x, y, s = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    doc = {
+        "x_size": x,
+        "y_size": y,
+        "s_size": s,
+        "kernel": [[draw(_laws(y)) for _ in range(x)] for _ in range(s)],
+        "state_dist": draw(_laws(s)),
+    }
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 3))
+        seqs = st.lists(st.integers(-1, s), min_size=n, max_size=n)
+        doc["block_state"] = {"n": n, "atoms": [[draw(seqs), p] for p in draw(_laws(2))]}
+    rows = [row for sl in doc["kernel"] for row in sl if row]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_ENTRY)
+    for spoil in draw(st.lists(st.sampled_from(["field", "drop"]), max_size=2)):
+        name = draw(st.sampled_from(sorted(doc)))
+        if spoil == "drop":
+            del doc[name]
+        else:
+            doc[name] = draw(_JSON)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("channel-fuzz")
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=st.one_of(channel_docs(), _JSON))
+def test_any_channel_file_loads_or_is_a_value_error(fuzz_dir, doc):
+    path = fuzz_dir / "channel.json"
+    path.write_text(json.dumps(doc))
+    try:
+        ch = load_channel_file(str(path))
+    except ValueError:
+        return
+    assert isinstance(ch, ChannelWithState)

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nscoding import capacity, cli
 from nscoding.capacity import ConvergenceError, capacity_table
@@ -274,6 +275,105 @@ def test_capacity_nonconvergence_is_one_error_line(monkeypatch):
     code, text = run(["capacity", "z0z1"])
     assert code == 1
     assert text.startswith("error: no convergence after 7 iterations")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scheme", "verify", "--channel", "z0z1", "--n", "2", "--eps", "1/0"],
+        ["typemap", "--n", "4", "--dist", "1/0,1/2", "--eps", "1/4", "--seq", "0,1,1,0"],
+        ["lp", "solve", "--channel", "ZERO_DEN_FILE", "--M", "2", "--n", "1"],
+    ],
+)
+def test_zero_denominator_is_one_error_line(tmp_path, argv):
+    doc = json.loads(open(write_identity_channel(tmp_path)).read())
+    doc["kernel"][0][1] = ["1/0", "1"]
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if a == "ZERO_DEN_FILE" else a for a in argv]
+    code, text = run(argv)
+    assert (code, text) == (1, "error: zero denominator in rational literal '1/0'\n")
+
+
+@pytest.mark.parametrize("restarts", ["-1", "1"])
+def test_too_few_gp_restarts_is_one_error_line(restarts):
+    code, text = run(["capacity", "z0z1", "--gp-restarts", restarts])
+    assert code == 1
+    assert text.startswith("error: restarts must be >= 2") and text.endswith(f"got {restarts}\n")
+    assert text.count("\n") == 1
+
+
+def test_oversize_tableau_is_one_error_line():
+    # 4352 variables pass the builders' variable budget, but the tableau
+    # would hold 6748 x 11100 cells; the solver refuses it before building.
+    code, text = run(["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "4"])
+    assert code == 1
+    assert text.startswith("error:") and "6748 x 11100 tableau (74902800 cells)" in text
+    assert text.count("\n") == 1
+
+
+# -- fuzzing the command line -------------------------------------------------
+#
+# Only cheap instances are drawn (n <= 2, M <= 3, at most 100 samples, at
+# most 2 restarts) and at most one worker, so no pool process starts.
+
+_INTS = st.integers(-1, 2).map(str)
+_MESSAGES = st.integers(-1, 3).map(str)
+_RATIONALS = st.sampled_from(["1/2", "1/4", "0", "1", "2", "-1/3", "0.25", "1/0", "0/0", "x", ""])
+_LISTS = st.lists(_RATIONALS, max_size=3).map(",".join)
+
+
+@st.composite
+def _argv(draw, channels):
+    channel = draw(st.sampled_from(channels))
+    kind = draw(st.sampled_from(["capacity", "lp", "certificate", "classical", "scheme", "typemap", "theorem2", "toy"]))
+    if kind == "capacity":
+        argv = ["capacity", channel, "--gp-restarts", draw(_INTS)]
+        argv += ["--tol", draw(st.sampled_from(["1e-9", "1e-6", "0", "-1", "nan", "inf"]))]
+    elif kind == "lp":
+        argv = ["lp", "solve", "--channel", channel, "--M", draw(_MESSAGES), "--n", draw(_INTS)]
+        argv += draw(st.sampled_from([[], ["--form", "lp1"], ["--noncausal", "--solution"]]))
+    elif kind == "certificate":
+        argv = ["lp", "certificate"]
+    elif kind == "classical":
+        argv = ["classical", "--channel", channel, "--M", draw(_MESSAGES), "--n", draw(_INTS)]
+        argv += draw(st.sampled_from([[], ["--csir"]])) + ["--workers", draw(st.integers(-1, 1).map(str))]
+    elif kind == "scheme":
+        action = draw(st.sampled_from(["build", "verify", "simulate"]))
+        argv = ["scheme", action, "--channel", channel, "--n", draw(_INTS), "--eps", draw(_RATIONALS)]
+        if action == "simulate" and draw(st.booleans()):
+            argv += ["--mode", "mc", "--samples", draw(st.integers(-1, 100).map(str))]
+    elif kind == "typemap":
+        argv = ["typemap", "--n", draw(_INTS), "--dist", draw(_LISTS), "--eps", draw(_RATIONALS)]
+        argv += ["--seq", draw(st.lists(st.integers(-1, 3).map(str), max_size=4).map(",".join))]
+    else:
+        argv = [kind]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_channels(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    good = write_identity_channel(tmp)
+    doc = json.loads(open(good).read())
+    doc["state_dist"] = ["1/0"]
+    bad = tmp / "zero_den.json"
+    bad.write_text(json.dumps(doc))
+    return ["z0z1", "product-xs", good, str(bad), str(tmp / "missing.json")]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_any_command_line_exits_0_1_or_2(fuzz_channels, data):
+    argv = data.draw(_argv(fuzz_channels))
+    try:
+        code, text = run(argv)
+    except SystemExit as exc:  # argparse usage errors
+        assert exc.code == 2
+        return
+    assert code in (0, 1)
+    if code == 1 and text.startswith("error:"):
+        assert text.count("\n") == 1
 
 
 def test_console_script_entry_point():

@@ -1,11 +1,16 @@
 """Tests for the exact rational simplex solver."""
 
 from fractions import Fraction
+from typing import Optional
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nscoding.simplex import LinearProgram, PivotLimitError, solve_exact
+from nscoding import simplex
+from nscoding.channels import builtin_z0z1, lift_csir
+from nscoding.ns_lp import build_lp1, build_lp2
+from nscoding.simplex import LinearProgram, PivotLimitError, SimplexSolution, solve_exact
+from test_ns_lp import random_binary_channel, random_channel
 
 F = Fraction
 
@@ -150,3 +155,298 @@ def test_row_with_unknown_index_rejected():
     lp.add_var("x")
     with pytest.raises(ValueError, match="unknown variable index"):
         lp.add_row({7: 1}, "<=", 0, label="oops")
+
+
+def test_tableau_cell_budget_counts_every_column(monkeypatch):
+    # x free (two columns), y; x + y >= 1 gets a surplus and an artificial,
+    # x - y == -2 flips its sign and gets an artificial: 2 x (3 + 1 + 2).
+    lp = LinearProgram(name="budget", sense="min")
+    x = lp.add_var("x", nonneg=False, objective=1)
+    y = lp.add_var("y", objective=1)
+    lp.add_row({x: 1, y: 1}, ">=", 1)
+    lp.add_row({x: 1, y: -1}, "==", -2)
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 12)
+    assert solve_exact(lp).value == 1
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 11)
+    with pytest.raises(ValueError, match=r"2 x 6 tableau \(12 cells\)"):
+        solve_exact(lp)
+
+
+# -- differential test: the integer-row tableau against the Fraction one -----
+#
+# The reference below is the dense Fraction tableau the solver used before
+# its rows became integers over one denominator each.  Both must take the
+# same pivots to the same vertex.
+
+ZERO, ONE = F(0), F(1)
+
+
+def _ref_pivot(tableau, basis, row, col):
+    piv_row = tableau[row]
+    piv = piv_row[col]
+    if piv != ONE:
+        inv = ONE / piv
+        tableau[row] = piv_row = [v * inv if v else v for v in piv_row]
+    for i, other in enumerate(tableau):
+        if i == row:
+            continue
+        m = other[col]
+        if m:
+            tableau[i] = [a - m * b if b else a for a, b in zip(other, piv_row)]
+    basis[row] = col
+
+
+def _ref_choose_entering(obj, ncols, allowed, bland) -> Optional[int]:
+    if bland:
+        for j in range(ncols):
+            if allowed[j] and obj[j] > 0:
+                return j
+        return None
+    best, best_j = ZERO, None
+    for j in range(ncols):
+        if allowed[j]:
+            c = obj[j]
+            if c > best:
+                best, best_j = c, j
+    return best_j
+
+
+def _ref_choose_leaving(tableau, basis, col) -> Optional[int]:
+    best_ratio = None
+    best_row = None
+    for i, row in enumerate(tableau):
+        a = row[col]
+        if a > 0:
+            ratio = row[-1] / a
+            if best_ratio is None or ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[best_row]):
+                best_ratio = ratio
+                best_row = i
+    return best_row
+
+
+def _ref_run_simplex(tableau, obj, basis, allowed, max_pivots, pivots_done, stop_at_zero=False):
+    ncols = len(obj) - 1
+    bland = False
+    streak = 0
+    while True:
+        if stop_at_zero and obj[-1] == 0:
+            return "optimal", pivots_done
+        col = _ref_choose_entering(obj, ncols, allowed, bland)
+        if col is None:
+            return "optimal", pivots_done
+        row = _ref_choose_leaving(tableau, basis, col)
+        if row is None:
+            return "unbounded", pivots_done
+        pivots_done += 1
+        if pivots_done > max_pivots:
+            raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
+        before = obj[-1]
+        _ref_pivot(tableau, basis, row, col)
+        m = obj[col]
+        if m:
+            piv_row = tableau[row]
+            for j, b in enumerate(piv_row):
+                if b:
+                    obj[j] -= m * b
+        if obj[-1] == before:
+            streak += 1
+            if streak >= simplex._DEGENERATE_STREAK:
+                bland = True
+        else:
+            streak = 0
+
+
+def reference_solve(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
+    negate = lp.sense == "min"
+    n_orig = len(lp.var_names)
+    col_of = []
+    ncols = 0
+    for j in range(n_orig):
+        if lp.nonneg[j]:
+            col_of.append((ncols, -1))
+            ncols += 1
+        else:
+            col_of.append((ncols, ncols + 1))
+            ncols += 2
+    n_struct = ncols
+
+    dense_rows, relations, rhs_vals = [], [], []
+    for row in lp.rows:
+        dense = [ZERO] * n_struct
+        for j, c in row.coeffs.items():
+            plus, minus = col_of[j]
+            dense[plus] += c
+            if minus >= 0:
+                dense[minus] -= c
+        rel, rhs = row.relation, row.rhs
+        if rhs < 0:
+            dense = [-v for v in dense]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        dense_rows.append(dense)
+        relations.append(rel)
+        rhs_vals.append(rhs)
+
+    m = len(dense_rows)
+    n_slack = sum(1 for r in relations if r != "==")
+    slack_base = n_struct
+    art_base = n_struct + n_slack
+    n_art = sum(1 for r in relations if r != "<=")
+    total = art_base + n_art
+
+    tableau, basis, art_rows = [], [], []
+    s_idx = a_idx = 0
+    for i in range(m):
+        line = dense_rows[i] + [ZERO] * (n_slack + n_art) + [rhs_vals[i]]
+        rel = relations[i]
+        if rel == "<=":
+            line[slack_base + s_idx] = ONE
+            basis.append(slack_base + s_idx)
+            s_idx += 1
+        else:
+            if rel == ">=":
+                line[slack_base + s_idx] = -ONE
+                s_idx += 1
+            line[art_base + a_idx] = ONE
+            basis.append(art_base + a_idx)
+            art_rows.append(i)
+            a_idx += 1
+        tableau.append(line)
+
+    pivots = 0
+    if n_art:
+        obj = [ZERO] * (total + 1)
+        for i in art_rows:
+            row = tableau[i]
+            for j in range(total):
+                if row[j]:
+                    obj[j] += row[j]
+            obj[-1] += row[-1]
+        for j in range(art_base, total):
+            obj[j] = ZERO
+        allowed = [True] * art_base + [False] * n_art
+        status, pivots = _ref_run_simplex(tableau, obj, basis, allowed, max_pivots, pivots, stop_at_zero=True)
+        if status != "optimal" or obj[-1] != 0:
+            return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=pivots)
+        drop = []
+        for i in range(m):
+            if basis[i] >= art_base:
+                row = tableau[i]
+                for j in range(art_base):
+                    if row[j]:
+                        pivots += 1
+                        _ref_pivot(tableau, basis, i, j)
+                        break
+                else:
+                    drop.append(i)
+        for i in reversed(drop):
+            del tableau[i], basis[i]
+        tableau = [row[:art_base] + row[-1:] for row in tableau]
+        total = art_base
+
+    cost = [ZERO] * total
+    for j, c in lp.objective.items():
+        c = -c if negate else c
+        plus, minus = col_of[j]
+        cost[plus] += c
+        if minus >= 0:
+            cost[minus] -= c
+    obj = list(cost) + [ZERO]
+    for i, row in enumerate(tableau):
+        cb = cost[basis[i]]
+        if cb:
+            for j in range(total):
+                if row[j]:
+                    obj[j] -= cb * row[j]
+            obj[-1] -= cb * row[-1]
+    status, pivots = _ref_run_simplex(tableau, obj, basis, [True] * total, max_pivots, pivots)
+    if status == "unbounded":
+        return SimplexSolution(status="unbounded", value=None, assignment={}, pivots=pivots)
+    values = [ZERO] * total
+    for i, b in enumerate(basis):
+        values[b] = tableau[i][-1]
+    assignment = {}
+    for j in range(n_orig):
+        plus, minus = col_of[j]
+        v = values[plus] - (values[minus] if minus >= 0 else ZERO)
+        if v:
+            assignment[lp.var_names[j]] = v
+    value = -obj[-1]
+    return SimplexSolution(status="optimal", value=-value if negate else value, assignment=assignment, pivots=pivots)
+
+
+def assert_same_pivots(lp: LinearProgram) -> None:
+    new, ref = solve_exact(lp), reference_solve(lp)
+    assert (new.status, new.value, new.pivots) == (ref.status, ref.value, ref.pivots)
+    assert new.assignment == ref.assignment
+
+
+def _assisted_programs():
+    # LP2 at n = 1, 2 and LP1 at n = 1 (plus the full 13/16 program) on the
+    # channels of the LP tests; LP1 at n = 2 elsewhere costs the Fraction
+    # reference seconds to a minute each.
+    z0z1 = builtin_z0z1()
+    channels = {
+        "z0z1": z0z1,
+        "z0z1-csir": lift_csir(z0z1),
+        "binary#1": random_binary_channel(1),
+        "binary#2": random_binary_channel(2),
+        "random#1": random_channel(1, 2, 3, 2),
+        "random#2": random_channel(2, 3, 2, 2),
+        "random#3": random_channel(3, 2, 2, 3),
+    }
+    for name, ch in channels.items():
+        for causal in (True, False):
+            mode = "causal" if causal else "noncausal"
+            yield pytest.param(build_lp1, ch, 1, causal, id=f"lp1-{name}-n1-{mode}")
+            for n in (1, 2):
+                yield pytest.param(build_lp2, ch, n, causal, id=f"lp2-{name}-n{n}-{mode}")
+    yield pytest.param(build_lp1, z0z1, 2, True, id="lp1-z0z1-n2-causal")
+
+
+@pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
+def test_assisted_programs_take_the_reference_pivots(build, ch, n, causal):
+    assert_same_pivots(build(ch, M=2, n=n, causal=causal))
+
+
+def test_degenerate_program_takes_the_reference_pivots():
+    assert_same_pivots(beale_cycling_program())
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_programs(draw):
+    """(sense, nonneg flags, objective, rows) of a program with at most
+    four variables and five rows, some of them repeated equalities."""
+    nvars = draw(st.integers(1, 4))
+    nonneg = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars))
+    objective = draw(st.dictionaries(st.integers(0, nvars - 1), _COEFF, max_size=nvars))
+    row = st.tuples(
+        st.dictionaries(st.integers(0, nvars - 1), _COEFF, min_size=1, max_size=nvars),
+        st.sampled_from(["<=", ">=", "=="]),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    )
+    rows = draw(st.lists(row, max_size=5))
+    equalities = [r for r in rows if r[1] == "=="]
+    if equalities and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(equalities)))
+    return draw(st.sampled_from(["max", "min"])), nonneg, objective, rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_programs())
+@example(("max", [True], {0: 1}, [({0: 1}, "<=", -1)]))  # infeasible
+@example(("max", [False], {0: 1}, [({0: -1}, "<=", 2)]))  # unbounded
+@example(("min", [True, False], {0: 1, 1: F(1, 2)}, [  # a redundant equality row
+    ({0: 1, 1: 1}, "==", F(-3, 2)), ({0: 1, 1: 1}, "==", F(-3, 2)), ({1: 2}, ">=", -5),
+]))
+def test_small_programs_take_the_reference_pivots(spec):
+    sense, nonneg, objective, rows = spec
+    lp = LinearProgram(sense=sense)
+    for j, flag in enumerate(nonneg):
+        lp.add_var(f"x{j}", nonneg=flag, objective=objective.get(j, 0))
+    for coeffs, relation, rhs in rows:
+        lp.add_row(coeffs, relation, rhs)
+    assert_same_pivots(lp)
