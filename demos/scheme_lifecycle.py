@@ -33,15 +33,14 @@ print(f"mu = {mu}  ->  M = ceil(mu) = 4, lambda = mu/M = {mu / 4}")
 scheme = build_auth_scheme(identity, uniform, 8, eps)
 print(f"kept block lengths: {scheme.kept_block_lengths()}  rate = {scheme.rate():.4f} bits/use")
 
-# The tensor at n=8 is large, so verify the exact same construction at
-# n=4 where it fits comfortably (the conditions are per-cell identities,
-# not asymptotic statements).
-small = build_auth_scheme(identity, uniform, 4, eps, message_count=4)
-tensor = materialize_tensor(small)
+# The n=8 tensor has 2^8 * 4 * 4 * 1 * 2^8 cells, integer numerators over
+# one denominator; every condition is checked on every cell.
+tensor = materialize_tensor(scheme)
 tensor.validate()
 report = verify_conditions(tensor)
-print(f"n=4 tensor: conditions pass = {report.all_pass()}")
-print(f"n=4 guess-marginal uniform at 1/4: {bool((tensor.message_marginals() == Fraction(1, 4)).all())}")
+print(f"n=8 tensor: {tensor.numerators.size} cells over denominator {tensor.denominator},"
+      f" conditions pass = {report.all_pass()}")
+print(f"n=8 guess-marginal uniform at 1/4: {bool((tensor.message_marginals() == Fraction(1, 4)).all())}")
 
 # Exact success at n=8 (sparse walk over reachable outputs) ...
 exact = success_probability(scheme, mode="exact")

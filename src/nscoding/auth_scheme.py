@@ -16,7 +16,9 @@ correctly with conditional probability exactly 1/M, which is what the
 non-signaling marginal condition requires.
 
 Everything here is exact rational arithmetic except the Monte Carlo
-estimators, which are explicitly estimators.
+estimators, which are explicitly estimators.  Dense tensors hold integer
+numerators over one positive denominator, and the typicality test is
+decided on integer pair counts against windows computed once per scheme.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .channels import (
 from .indexing import all_sequences, index_to_seq, seq_to_index
 from .rational import as_rational, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
-from .typicality import jointly_typical
+from .typicality import count_window, jointly_typical
 
 __all__ = [
     "AuthScheme",
@@ -140,6 +142,39 @@ class AuthScheme:
         )
 
 
+# -- the typicality test on integer counts ----------------------------------
+
+
+Window = tuple[list[int], list[int]]
+
+
+def _pair_windows(p_xy: Sequence[Sequence[Fraction]], n_tilde: int, eps: Fraction) -> Window:
+    """Count windows (lo, hi) of every (x, y) pair of a length-n_tilde block,
+    flat at x * |Y| + y: `jointly_typical` passes exactly when each pair
+    count c has lo <= c <= hi."""
+    bounds = [count_window(n_tilde, p, eps) for row in p_xy for p in row]
+    return [lo for lo, _ in bounds], [hi for _, hi in bounds]
+
+
+def _pairs_typical(window: Window, y_size: int, xs: Sequence[int], ys: Sequence[int]) -> bool:
+    lo, hi = window
+    counts = [0] * len(lo)
+    for x, y in zip(xs, ys):
+        counts[x * y_size + y] += 1
+    return all(a <= c <= b for a, c, b in zip(lo, counts, hi))
+
+
+def _count_windows(scheme: AuthScheme) -> list[tuple[int, Window]]:
+    """(sigma, pair windows) for every tested state sigma.  Its kept block
+    always has the fixed length n-tilde_sigma, so one window per pair
+    decides the test for every block."""
+    return [
+        (s, _pair_windows(scheme.p_xy_given_s[s], sum(b.per_symbol), scheme.eps))
+        for s, b in enumerate(scheme.y_budgets)
+        if b is not None
+    ]
+
+
 # -- mu ---------------------------------------------------------------------
 
 
@@ -208,10 +243,8 @@ def typicality_pass_probability(
             continue
         windows = []
         for x in range(x_size):
-            lo_b = n_tilde * column[x] * (1 - eps)
-            hi_b = n_tilde * column[x] * (1 + eps)
-            lo = max(0, rational_ceil(lo_b))
-            hi = min(m, math.floor(hi_b))
+            lo, hi = count_window(n_tilde, column[x], eps)
+            hi = min(m, hi)
             if lo > hi:
                 return ZERO
             windows.append(range(lo, hi + 1))
@@ -317,16 +350,16 @@ def estimate_mu(
         canonical = [y for y in range(ch.y_size) for _ in range(counts[y])]
         if canonical:
             weights = [float(p) for p in strat[s]]
-            blocks.append((s, canonical, weights))
+            blocks.append((canonical, weights, _pair_windows(p_xy[s], len(canonical), eps)))
     if not blocks:
         return 1.0, (1.0, 1.0)
     rng = random.Random(seed)
     wins = 0
     for _ in range(samples):
         ok = True
-        for s, canonical, weights in blocks:
+        for canonical, weights, window in blocks:
             xs = rng.choices(range(ch.x_size), weights=weights, k=len(canonical))
-            if not jointly_typical(xs, canonical, p_xy[s], eps):
+            if not _pairs_typical(window, ch.y_size, xs, canonical):
                 ok = False
                 break
         wins += ok
@@ -409,13 +442,13 @@ def _input_weight(scheme: AuthScheme, xs: Sequence[int], mapped_states: Sequence
 
 
 def _kept_pairs(scheme: AuthScheme, ys: Sequence[int], mapped_states: Sequence[int]):
-    """Per state sigma: positions whose mapped output survives, with that
-    output value, plus the output-mapper flags."""
+    """Per tested state sigma, in `_count_windows` order: positions whose
+    mapped output survives, with that output value; plus the output-mapper
+    flags."""
     phi_y = placeholder(scheme.channel.y_size)
     result = []
     flags = []
-    for s in range(scheme.channel.s_size):
-        b = scheme.y_budgets[s]
+    for s, b in enumerate(scheme.y_budgets):
         if b is None:
             continue
         block = [i for i, v in enumerate(mapped_states) if v == s]
@@ -427,17 +460,17 @@ def _kept_pairs(scheme: AuthScheme, ys: Sequence[int], mapped_states: Sequence[i
             if v != phi_y:
                 kept_positions.append(block[j])
                 kept_outputs.append(v)
-        result.append((s, kept_positions, kept_outputs))
+        result.append((kept_positions, kept_outputs))
     return result, flags
 
 
-def _accepts(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], mapped_states) -> bool:
-    kept, _ = _kept_pairs(scheme, ys, mapped_states)
-    for s, positions, outputs in kept:
-        inputs = [xs[i] for i in positions]
-        if not jointly_typical(inputs, outputs, scheme.p_xy_given_s[s], scheme.eps):
-            return False
-    return True
+def _accepts(scheme: AuthScheme, windows, xs: Sequence[int], kept) -> bool:
+    """The typicality test on the kept pairs `_kept_pairs` found."""
+    y_size = scheme.channel.y_size
+    return all(
+        _pairs_typical(window, y_size, [xs[i] for i in positions], outputs)
+        for (_s, window), (positions, outputs) in zip(windows, kept)
+    )
 
 
 def t_function(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], ss: Sequence[int]) -> Fraction:
@@ -446,19 +479,41 @@ def t_function(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], ss: Seq
     for name, seq in (("x", xs), ("y", ys), ("s", ss)):
         if len(seq) != scheme.n:
             raise ValueError(f"{name}-sequence has length {len(seq)}, expected {scheme.n}")
+    x_size = scheme.channel.x_size
+    if not all(0 <= x < x_size for x in xs):
+        raise ValueError(f"x-sequence {tuple(xs)} has a symbol outside 0..{x_size - 1}")
     mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-    return scheme.acceptance if _accepts(scheme, xs, ys, mapped_states) else ZERO
+    kept, _ = _kept_pairs(scheme, ys, mapped_states)
+    return scheme.acceptance if _accepts(scheme, _count_windows(scheme), xs, kept) else ZERO
 
 
 # -- dense tensor -----------------------------------------------------------
 
 
+def _int_dtype(bound: int, cells: int):
+    """int64 when no sum over `cells` values of magnitude <= bound can
+    overflow it, else Python ints in an object array (same array code)."""
+    return np.int64 if bound * cells < 2**63 else object
+
+
+def _fractions(numerators: np.ndarray, denominator: int) -> np.ndarray:
+    """Read-only Fraction array numerators / denominator, one Fraction
+    object per distinct numerator."""
+    values, inverse = np.unique(numerators, return_inverse=True)
+    table = np.array([Fraction(int(v), denominator) for v in values], dtype=object)
+    view = table[inverse.reshape(numerators.shape)]
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class SchemeTensor:
-    """Dense table Z(x^n, w-hat | w, s^n, y^n), exact rationals.
+    """Dense table Z(x^n, w-hat | w, s^n, y^n), exact rationals stored as
+    integer `numerators` over one positive `denominator`.
 
-    `entries` has shape (|X|^n, M, M, |S|^n, |Y|^n) with blocks indexed
-    as in `indexing` (position 1 most significant).
+    The numerators have shape (|X|^n, M, M, |S|^n, |Y|^n) with blocks
+    indexed as in `indexing` (position 1 most significant); `entries` is
+    the same table as Fractions.
     """
 
     message_count: int
@@ -466,52 +521,118 @@ class SchemeTensor:
     x_size: int
     s_size: int
     y_size: int
-    entries: np.ndarray
+    numerators: np.ndarray
+    denominator: int
+
+    @classmethod
+    def from_entries(
+        cls, message_count: int, n: int, x_size: int, s_size: int, y_size: int, entries
+    ) -> "SchemeTensor":
+        """A tensor from an array of rationals, over the lcm of their denominators."""
+        values = [Fraction(v) for v in np.asarray(entries, dtype=object).flat]
+        den = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        dtype = _int_dtype(max(map(abs, nums), default=0), len(nums))
+        numerators = np.array(nums, dtype=dtype).reshape(np.shape(entries))
+        return cls(message_count, n, x_size, s_size, y_size, numerators, den)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The table as a read-only Fraction array, built on each access."""
+        return _fractions(self.numerators, self.denominator)
 
     def entry(self, xs, w_hat: int, w: int, ss, ys) -> Fraction:
-        return self.entries[
+        cell = self.numerators[
             seq_to_index(xs, self.x_size),
             w_hat,
             w,
             seq_to_index(ss, self.s_size),
             seq_to_index(ys, self.y_size),
         ]
+        return Fraction(int(cell), self.denominator)
 
     def validate(self) -> None:
         expected = (self.x_size**self.n, self.message_count, self.message_count,
                     self.s_size**self.n, self.y_size**self.n)
-        if self.entries.shape != expected:
-            raise ValueError(f"entry shape {self.entries.shape} does not match {expected}")
-        if (self.entries < 0).any():
+        if self.numerators.shape != expected:
+            raise ValueError(f"entry shape {self.numerators.shape} does not match {expected}")
+        if self.denominator < 1:
+            raise ValueError(f"denominator {self.denominator} is not positive")
+        if (self.numerators < 0).any():
             raise ValueError("negative tensor entry")
-        sums = self.entries.sum(axis=(0, 1))
-        bad = np.argwhere(sums != 1)
+        sums = self.numerators.sum(axis=(0, 1))
+        bad = np.argwhere(sums != self.denominator)
         if bad.size:
             w, si, yi = bad[0].tolist()
             raise ValueError(
                 f"entries for (w={w}, s_index={si}, y_index={yi}) sum to"
-                f" {sums[w, si, yi]}, not 1"
+                f" {Fraction(int(sums[w, si, yi]), self.denominator)}, not 1"
             )
 
     def message_marginals(self) -> np.ndarray:
-        """Z(w-hat | w, s^n, y^n): entries summed over the input block."""
-        return self.entries.sum(axis=0)
+        """Z(w-hat | w, s^n, y^n): entries summed over the input block, as Fractions."""
+        return _fractions(self.numerators.sum(axis=0), self.denominator)
 
 
-def _diagonal_tensor(m: int, n: int, sizes: tuple[int, int, int], weight, accept) -> SchemeTensor:
+def _diagonal_tensor(
+    m: int, n: int, sizes: tuple[int, int, int], weight: np.ndarray, accept, lam: Fraction
+) -> SchemeTensor:
     """Z = zeta * t on the diagonal w-hat = w and zeta * (1 - t) / (M - 1)
-    off it, from object tables zeta[x, s] and t[x, s, y]; just zeta at M = 1.
+    off it, where t = lam on the cells of the boolean table accept[x, s, y]
+    and 0 elsewhere; just zeta at M = 1 (`accept` is then unused).
 
-    All (w-hat, w) cells of one (x, s, y) share their Fraction objects.
+    `weight` holds the Fractions zeta[x, s].  The numerators are written
+    over D = lcm(den zeta) * den(lam) * (M - 1), so every division is exact.
     """
-    zeta = weight[:, None, None, :, None]
+    scale = math.lcm(*(f.denominator for f in weight.flat))
+    den = scale if m == 1 else scale * lam.denominator * (m - 1)
+    shape = (weight.shape[0], m, m, weight.shape[1], sizes[2] ** n)
+    dtype = _int_dtype(den, math.prod(shape))
+    zeta = np.array([f.numerator * (scale // f.denominator) for f in weight.flat], dtype=dtype)
+    zeta = zeta.reshape(weight.shape)[:, None, None, :, None]
     if m == 1:
-        entries = np.broadcast_to(zeta, (zeta.shape[0], 1, 1) + accept.shape[1:]).copy()
-    else:
-        t = accept[:, None, None]
-        diagonal = np.eye(m, dtype=bool)[:, :, None, None]
-        entries = np.where(diagonal, zeta * t, zeta * ((1 - t) / (m - 1)))
-    return SchemeTensor(m, n, *sizes, entries=entries)
+        return SchemeTensor(m, n, *sizes, np.broadcast_to(zeta, shape).copy(), den)
+    # (t * den(lam) * (M - 1), (1 - t) * den(lam)) by whether the test passes
+    on = np.array([0, lam.numerator * (m - 1)], dtype=dtype)
+    off = np.array([lam.denominator, lam.denominator - lam.numerator], dtype=dtype)
+    t = accept.astype(np.intp)[:, None, None]
+    diagonal = np.eye(m, dtype=bool)[:, :, None, None]
+    return SchemeTensor(m, n, *sizes, zeta * np.where(diagonal, on[t], off[t]), den)
+
+
+def _acceptance_table(scheme: AuthScheme) -> np.ndarray:
+    """Booleans t[x, s, y]: whether the block triple passes the test.
+
+    The kept sigma-block of an output block depends only on the outputs at
+    the positions the state mapping gave sigma, so each of the |Y|^n_sigma
+    possible sub-blocks is mapped once; the joint type counts of all
+    (x^n, y^n) at once are one integer matmul per (x, y) letter pair.
+    """
+    ch, n = scheme.channel, scheme.n
+    xs = np.array(list(all_sequences(ch.x_size, n))).reshape(-1, n)
+    ys = np.array(list(all_sequences(ch.y_size, n))).reshape(-1, n)
+    windows = _count_windows(scheme)
+    sub_outputs = {}
+    for s, _ in windows:
+        length = scheme.state_budgets.per_symbol[s]
+        sub_outputs[s] = np.array([
+            map_with_budgets(sub, scheme.y_budgets[s]).output
+            for sub in all_sequences(ch.y_size, length)
+        ]).reshape(-1, length)
+    table = np.ones((len(xs), ch.s_size**n, len(ys)), dtype=bool)
+    for si, ss in enumerate(all_sequences(ch.s_size, n)):
+        mapped = np.array(map_with_budgets(ss, scheme.state_budgets).output)
+        for s, (lo, hi) in windows:
+            positions = np.flatnonzero(mapped == s)
+            digits = ch.y_size ** np.arange(len(positions) - 1, -1, -1)
+            outputs = sub_outputs[s][ys[:, positions] @ digits]
+            for x in range(ch.x_size):
+                has_x = (xs[:, positions] == x).astype(np.int64)
+                for y in range(ch.y_size):
+                    counts = has_x @ (outputs == y).T.astype(np.int64)
+                    k = x * ch.y_size + y
+                    table[:, si] &= (lo[k] <= counts) & (counts <= hi[k])
+    return table
 
 
 def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
@@ -522,18 +643,18 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     total = nx * m * m * ns * ny
     if total > TENSOR_ENTRY_CAP:
         raise ValueError(f"{total} tensor entries exceed the cap {TENSOR_ENTRY_CAP}")
-    weight = np.empty((nx, ns), dtype=object)
-    accept = np.full((nx, ns, ny), ZERO, dtype=object)
-    for si, ss in enumerate(all_sequences(ch.s_size, n)):
-        mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-        for xi, xs in enumerate(all_sequences(ch.x_size, n)):
-            weight[xi, si] = _input_weight(scheme, xs, mapped_states)
-            if m == 1 or not weight[xi, si]:
-                continue
-            for yi, ys in enumerate(all_sequences(ch.y_size, n)):
-                if _accepts(scheme, xs, ys, mapped_states):
-                    accept[xi, si, yi] = scheme.acceptance
-    return _diagonal_tensor(m, n, (ch.x_size, ch.s_size, ch.y_size), weight, accept)
+    mapped_states = [
+        map_with_budgets(ss, scheme.state_budgets).output for ss in all_sequences(ch.s_size, n)
+    ]
+    weight = np.array(
+        [[_input_weight(scheme, xs, ms) for ms in mapped_states]
+         for xs in all_sequences(ch.x_size, n)],
+        dtype=object,
+    )
+    accept = _acceptance_table(scheme) if m > 1 else None
+    return _diagonal_tensor(
+        m, n, (ch.x_size, ch.s_size, ch.y_size), weight, accept, scheme.acceptance
+    )
 
 
 # -- condition checks -------------------------------------------------------
@@ -574,8 +695,11 @@ def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
     the state block.  The third, for every split point i: the law of the
     first i inputs may not react to states after the split — and,
     combined with the second, not to the outputs either.
+
+    Every check compares sums of cells for equality, which is the same
+    on the integer numerators as on the rationals they stand for.
     """
-    z = tensor.entries
+    z = tensor.numerators
     n, m, ny = tensor.n, tensor.message_count, z.shape[4]
     xk, sk = tensor.x_size, tensor.s_size
 
@@ -607,14 +731,15 @@ def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
 
 def _tensor_success(tensor: SchemeTensor, ch: ChannelWithState) -> Fraction:
     n, m = tensor.n, tensor.message_count
+    diagonal = np.trace(tensor.numerators, axis1=1, axis2=2)  # (x, s, y), summed over w
     total = ZERO
     for si, ss, p_s in state_blocks(ch, n):
         for xi, xs in enumerate(all_sequences(ch.x_size, n)):
             for yi, p_y in block_outputs(ch, xs, ss):
-                cell = sum((tensor.entries[xi, w, w, si, yi] for w in range(m)), ZERO)
+                cell = int(diagonal[xi, si, yi])
                 if cell:
                     total += p_s * p_y * cell
-    return total / m
+    return total / (m * tensor.denominator)
 
 
 def _exact_walk(scheme: AuthScheme, ch: ChannelWithState):
@@ -643,9 +768,10 @@ def _scheme_success_exact(scheme: AuthScheme, ch: ChannelWithState) -> Fraction:
     walk = _exact_walk(scheme, ch)
     if scheme.message_count == 1:
         return sum((weight for weight, *_ in walk), ZERO)
+    windows = _count_windows(scheme)
     return scheme.acceptance * sum(
         (weight for weight, xs, ys, mapped in walk
-         if _accepts(scheme, xs, ys, mapped.output)),
+         if _accepts(scheme, windows, xs, _kept_pairs(scheme, ys, mapped.output)[0])),
         ZERO,
     )
 
@@ -670,6 +796,7 @@ def _scheme_success_monte_carlo(
     strat_w = [[float(p) for p in row] for row in scheme.strategy]
     kernel_w = [[[float(p) for p in row] for row in state_slice] for state_slice in ch.kernel]
     lam = float(scheme.acceptance)
+    windows = _count_windows(scheme)
     wins = 0
     for _ in range(samples):
         ss = _sample_states(ch, scheme.n, rng)
@@ -687,7 +814,8 @@ def _scheme_success_monte_carlo(
             for x, s in zip(xs, ss)
         ]
         wins += scheme.message_count == 1 or (
-            _accepts(scheme, xs, ys, mapped_states) and rng.random() < lam
+            _accepts(scheme, windows, xs, _kept_pairs(scheme, ys, mapped_states)[0])
+            and rng.random() < lam
         )
     p_hat = wins / samples
     return p_hat, _ci95(p_hat, samples)
@@ -751,10 +879,11 @@ def success_decomposition(
     p_flag = ZERO
     p_both = ZERO
     ch = replace(scheme.channel, block_state=block_state or scheme.channel.block_state)
+    windows = _count_windows(scheme)
     for weight, xs, ys, mapped in _exact_walk(scheme, ch):
-        _, y_flags = _kept_pairs(scheme, ys, mapped.output)
+        kept, y_flags = _kept_pairs(scheme, ys, mapped.output)
         flag = bool(mapped.flag) and all(y_flags)
-        accept = _accepts(scheme, xs, ys, mapped.output)
+        accept = _accepts(scheme, windows, xs, kept)
         if accept:
             p_accept += weight
         if flag:
@@ -795,9 +924,8 @@ def toy_product_scheme() -> SchemeTensor:
     n = 3
     blocks = list(all_sequences(2, n))
     accept = np.array(
-        [[[ONE if all(y == x for x, y, s in zip(xs, ys, _canonical_state_block(ss)) if s == 1)
-           else ZERO for ys in blocks] for ss in blocks] for xs in blocks],
-        dtype=object,
+        [[[all(y == x for x, y, s in zip(xs, ys, _canonical_state_block(ss)) if s == 1)
+           for ys in blocks] for ss in blocks] for xs in blocks]
     )
     weight = np.full((8, 8), Fraction(1, 8), dtype=object)
-    return _diagonal_tensor(4, n, (2, 2, 2), weight, accept)
+    return _diagonal_tensor(4, n, (2, 2, 2), weight, accept, ONE)

@@ -37,12 +37,18 @@ def placeholder(alphabet_size: int) -> int:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Output composition: per-symbol slot counts plus placeholder slots."""
+    """Output composition: per-symbol slot counts plus placeholder slots.
+
+    Checked once, at construction: an inconsistent `Budgets` cannot exist.
+    """
 
     n: int
     alphabet_size: int
     per_symbol: tuple[int, ...]
     extra: int
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.n < 1:
@@ -82,9 +88,7 @@ def budgets(n: int, alphabet_size: int, dist: Sequence[object], eps: object) -> 
     if any(p < 0 for p in probs) or sum(probs, Fraction(0)) != 1:
         raise ValueError(f"dist {probs} is not a probability distribution")
     per = tuple(rational_floor(n * (1 - eps) * p) for p in probs)
-    b = Budgets(n=n, alphabet_size=alphabet_size, per_symbol=per, extra=n - sum(per))
-    b.validate()
-    return b
+    return Budgets(n=n, alphabet_size=alphabet_size, per_symbol=per, extra=n - sum(per))
 
 
 def map_with_budgets(seq: Sequence[int], b: Budgets) -> MappedSequence:
@@ -94,7 +98,6 @@ def map_with_budgets(seq: Sequence[int], b: Budgets) -> MappedSequence:
     only on the first i inputs, so mapping a prefix reproduces the
     prefix of the full run.
     """
-    b.validate()
     if len(seq) > b.n:
         raise ValueError(f"input of length {len(seq)} exceeds block length n = {b.n}")
     phi = placeholder(b.alphabet_size)

@@ -5,6 +5,11 @@ every symbol count satisfies |N(a)/n - P(a)| <= eps * P(a).  All
 comparisons are done in Fraction arithmetic, so boundary cases are
 decided exactly.  Note the zero-probability clause this definition
 implies: a symbol with P(a) = 0 may not appear at all.
+
+`count_window` states the same test on integers: for a fixed length n
+the admissible counts of a symbol form one window [lo, hi], so code that
+tests many sequences of one length computes the windows once and then
+compares plain integer counts.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import as_rational
+from .rational import as_rational, rational_ceil, rational_floor
 
-__all__ = ["symbol_counts", "strongly_typical", "jointly_typical", "count_bounds"]
+__all__ = ["symbol_counts", "strongly_typical", "jointly_typical", "count_bounds", "count_window"]
 
 
 def symbol_counts(seq: Sequence[int], alphabet_size: int) -> tuple[int, ...]:
@@ -29,6 +34,13 @@ def symbol_counts(seq: Sequence[int], alphabet_size: int) -> tuple[int, ...]:
 def count_bounds(n: int, p: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     """Admissible range [n*p*(1-eps), n*p*(1+eps)] for a symbol count."""
     return n * p * (1 - eps), n * p * (1 + eps)
+
+
+def count_window(n: int, p: Fraction, eps: Fraction) -> tuple[int, int]:
+    """The integer counts inside `count_bounds`: lo <= c <= hi exactly when
+    a count c passes; the window is empty when lo > hi."""
+    lo, hi = count_bounds(n, p, eps)
+    return max(0, rational_ceil(lo)), rational_floor(hi)
 
 
 def strongly_typical(seq: Sequence[int], dist: Sequence[object], eps: object) -> bool:

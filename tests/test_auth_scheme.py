@@ -32,7 +32,8 @@ from nscoding.auth_scheme import (
     zeta,
 )
 from nscoding.channels import builtin_z0z1, make_channel
-from nscoding.type_mapping import map_with_budgets
+from nscoding.type_mapping import map_with_budgets, placeholder
+from nscoding.typicality import jointly_typical
 
 F = Fraction
 HALF = F(1, 2)
@@ -233,6 +234,15 @@ def test_t_function_rejects_monotone_output_block():
     assert t_function(scheme, xs, xs, (0,) * 8) == 0
 
 
+def test_t_function_rejects_out_of_range_inputs():
+    # Pair counts are indexed by x * |Y| + y: an input outside the
+    # alphabet must be refused, not counted as another pair.
+    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="x-sequence"):
+            t_function(scheme, (bad,) + (0,) * 7, (0, 1) + (0,) * 6, (0,) * 8)
+
+
 def test_t_function_vacuous_scheme_accepts_everything():
     ch = builtin_z0z1()
     scheme = build_auth_scheme(ch, [[HALF, HALF]] * 2, 4, HALF, message_count=2)
@@ -327,7 +337,7 @@ def routed_tensor():
                 for w in range(2):
                     for yi in range(4):
                         entries[xi, wh, w, si, yi] = F(1, 4)
-    return SchemeTensor(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    return SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
 
 
 def test_state_routing_trips_only_the_stepwise_condition():
@@ -342,7 +352,7 @@ def test_state_routing_trips_only_the_stepwise_condition():
 
 def test_fully_uniform_tensor_passes_everything():
     entries = np.full((4, 2, 2, 4, 4), F(1, 8), dtype=object)
-    tensor = SchemeTensor(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    tensor = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     tensor.validate()
     assert verify_conditions(tensor).all_pass()
 
@@ -350,11 +360,11 @@ def test_fully_uniform_tensor_passes_everything():
 def test_tensor_validation_catches_bad_tables():
     entries = np.full((4, 2, 2, 4, 4), F(1, 8), dtype=object)
     entries[0, 0, 0, 0, 0] = F(-1, 8)
-    bad = SchemeTensor(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    bad = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     with pytest.raises(ValueError, match="negative"):
         bad.validate()
     entries = np.full((4, 2, 2, 4, 4), F(1, 4), dtype=object)
-    bad = SchemeTensor(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    bad = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     with pytest.raises(ValueError, match="sum"):
         bad.validate()
 
@@ -487,7 +497,7 @@ def test_condition_labels_and_messages_match_the_cell_loops():
             xi, w, si, yi = (rng.randrange(entries.shape[k]) for k in (0, 2, 3, 4))
             entries[xi, 0, w, si, yi] += F(1, 64)
             entries[xi, 1, w, si, yi] -= F(1, 64)
-        cases.append(SchemeTensor(2, 3, 2, 2, 2, entries))
+        cases.append(SchemeTensor.from_entries(2, 3, 2, 2, 2, entries))
 
     def fields(label):
         return tuple(int(v) for v in re.findall(r"=(\d+)", label))
@@ -507,18 +517,132 @@ def test_condition_labels_and_messages_match_the_cell_loops():
     assert any(m and m.endswith("not 1") for m in messages)
 
 
+def test_object_numerators_check_like_the_cell_loops():
+    # A perturbation over a denominator near 2^62 pushes the common
+    # denominator past what int64 cells can sum: Python ints take over.
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 3, HALF, message_count=2)
+    base = materialize_tensor(scheme)
+    assert base.numerators.dtype == np.int64
+    base = base.entries
+    tiny = F(1, 2**62 - 57)
+    cases = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        entries = base.copy()
+        xi, w, si, yi = (rng.randrange(entries.shape[k]) for k in (0, 2, 3, 4))
+        entries[xi, 0, w, si, yi] += tiny  # moved between guesses: sums survive
+        entries[xi, 1, w, si, yi] -= tiny
+        if seed % 2:
+            cell = tuple(rng.randrange(d) for d in entries.shape)
+            entries[cell] += tiny * rng.randint(-3, 3)
+        cases.append(SchemeTensor.from_entries(2, 3, 2, 2, 2, entries))
+    assert all(t.numerators.dtype == object for t in cases)
+    for tensor in cases:
+        report = verify_conditions(tensor)
+        assert (report.c1, report.c2, report.c3, report.combined) == reference_conditions(tensor)
+        assert validate_message(tensor) == reference_validate_message(tensor)
+    assert any(validate_message(t) is None for t in cases)
+    assert any(not verify_conditions(t).all_pass() for t in cases)
+
+
+# -- acceptance table against the per-sequence test --------------------------------
+
+
+def reference_accepts(scheme, xs, ss, ys):
+    """The test for one block triple, straight from the definitions: map
+    the states, map each sigma-block of outputs, and ask `jointly_typical`
+    about the kept (input, output) pairs."""
+    phi_y = placeholder(scheme.channel.y_size)
+    mapped_states = map_with_budgets(ss, scheme.state_budgets).output
+    for s, b in enumerate(scheme.y_budgets):
+        if b is None:
+            continue
+        block = [i for i, v in enumerate(mapped_states) if v == s]
+        outputs = map_with_budgets([ys[i] for i in block], b).output
+        kept = [(xs[i], y) for i, y in zip(block, outputs) if y != phi_y]
+        kept_x, kept_y = [x for x, _ in kept], [y for _, y in kept]
+        if not jointly_typical(kept_x, kept_y, scheme.p_xy_given_s[s], scheme.eps):
+            return False
+    return True
+
+
+def random_two_state_cases(count, eps=F(1, 8)):
+    """Scheme inputs at n = 3 and 4 on random binary two-state channels,
+    drawn until `count` channels give a nondegenerate scheme at both
+    lengths and a nonempty test at one of them at least."""
+    rng = random.Random(2)
+
+    def dist(den):
+        cut = rng.randint(0, den)
+        return [F(cut, den), F(den - cut, den)]
+
+    cases = []
+    for _ in range(200):
+        ch = make_channel([[dist(4) for _ in range(2)] for _ in range(2)], dist(4))
+        strategy = [dist(2) for _ in range(2)]
+        try:
+            pair = [build_auth_scheme(ch, strategy, n, eps) for n in (3, 4)]
+        except DegenerateSchemeError:
+            continue
+        if any(any(s.kept_block_lengths()) for s in pair):
+            k = len(cases) // 2
+            cases += [(f"random{k}-n{n}", ch, strategy, n, eps, None) for n in (3, 4)]
+        if len(cases) == 2 * count:
+            return cases
+    raise AssertionError(f"fewer than {count} usable random channels in 200 draws")
+
+
+# (label, channel, strategy, n, eps, message count).  z0z1 keeps one
+# position per state at n <= 3, which leaves every test empty: those two
+# cases pin the all-pass corner.  The one-output channel tests only the
+# input composition of a kept block of four, with the window [1, 1] from
+# bounds 2/3 and 4/3 for input 0 and [2, 4] for input 1.
+ACCEPTANCE_CASES = [
+    (f"z0z1-n{n}", builtin_z0z1(), [[F(1, 4), F(3, 4)], [HALF, HALF]], n, F(1, 4), 2) for n in (2, 3)
+] + [
+    (f"identity-n{n}", identity_channel(), UNIFORM2, n, F(1, 4), 4) for n in (4, 5)
+] + random_two_state_cases(6) + [
+    ("one-output-n10", make_channel(kernel=[[[1], [1]]], state_dist=[1]), [[F(1, 4), F(3, 4)]],
+     10, F(1, 3), None),
+]
+
+
+@pytest.mark.parametrize(
+    "ch, strategy, n, eps, m", [case[1:] for case in ACCEPTANCE_CASES],
+    ids=[case[0] for case in ACCEPTANCE_CASES],
+)
+def test_acceptance_table_matches_the_per_sequence_test(ch, strategy, n, eps, m):
+    scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
+    table = auth_scheme._acceptance_table(scheme)
+    expected = np.array([
+        [[reference_accepts(scheme, xs, ss, ys) for ys in itertools.product(range(ch.y_size), repeat=n)]
+         for ss in itertools.product(range(ch.s_size), repeat=n)]
+        for xs in itertools.product(range(ch.x_size), repeat=n)
+    ])
+    assert table.shape == expected.shape
+    assert (table == expected).all()
+
+
+def test_acceptance_comparisons_bite():
+    tables = [
+        auth_scheme._acceptance_table(build_auth_scheme(ch, strategy, n, eps, message_count=m))
+        for _label, ch, strategy, n, eps, m in ACCEPTANCE_CASES
+    ]
+    assert sum(t.any() and not t.all() for t in tables) >= 11
+
+
 # -- success probability ----------------------------------------------------------
 
 
 def test_blind_guessing_succeeds_one_in_m():
     entries = np.full((4, 2, 2, 4, 4), F(1, 8), dtype=object)
-    tensor = SchemeTensor(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    tensor = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     assert success_probability(tensor, channel=builtin_z0z1()) == HALF
 
 
 def test_bare_tensor_requires_channel():
     entries = np.full((4, 2, 2, 4, 4), F(1, 8), dtype=object)
-    tensor = SchemeTensor(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    tensor = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     with pytest.raises(ValueError, match="channel"):
         success_probability(tensor)
 

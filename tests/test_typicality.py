@@ -1,7 +1,15 @@
 import random
 from fractions import Fraction
 
-from nscoding.typicality import count_bounds, jointly_typical, strongly_typical, symbol_counts
+from hypothesis import example, given, strategies as st
+
+from nscoding.typicality import (
+    count_bounds,
+    count_window,
+    jointly_typical,
+    strongly_typical,
+    symbol_counts,
+)
 
 H = Fraction(1, 2)
 
@@ -65,3 +73,26 @@ def test_joint_typicality_flattens_pairs():
     assert jointly_typical((1, 0), (1, 0), joint, H)
     assert not jointly_typical((0, 0), (0, 0), joint, H)  # count 2 > upper bound 3/2
     assert not jointly_typical((0, 1), (0, 0), joint, H)  # hits a zero-probability cell
+
+
+@st.composite
+def small_fractions(draw, positive_below_one=False):
+    den = draw(st.integers(2 if positive_below_one else 1, 8))
+    lo, hi = (1, den - 1) if positive_below_one else (0, den)
+    return Fraction(draw(st.integers(lo, hi)), den)
+
+
+# Each example puts n * p * (1 - eps) and n * p * (1 + eps) on integers.
+@example(n=8, p=Fraction(1, 4), eps=Fraction(1, 2))
+@example(n=12, p=Fraction(1, 3), eps=Fraction(1, 4))
+@example(n=4, p=Fraction(1, 2), eps=Fraction(1, 2))
+@example(n=6, p=Fraction(0), eps=Fraction(1, 3))
+@given(st.integers(0, 12), small_fractions(), small_fractions(positive_below_one=True))
+def test_count_windows_decide_strong_typicality(n, p, eps):
+    # A binary block with c zeros is typical exactly when both symbol
+    # counts lie in their integer windows, for every c in 0..n.
+    windows = [count_window(n, p, eps), count_window(n, 1 - p, eps)]
+    for c in range(n + 1):
+        seq = (0,) * c + (1,) * (n - c)
+        in_windows = all(lo <= k <= hi for (lo, hi), k in zip(windows, (c, n - c)))
+        assert strongly_typical(seq, (p, 1 - p), eps) == in_windows
