@@ -10,6 +10,7 @@ probability one — and the scheme tensor still satisfies every
 non-signaling and causality condition cell by cell.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from nscoding import (
@@ -48,4 +49,4 @@ skew = BlockStateSource(
     n=3,
     atoms=(((0, 1, 1), Fraction(1, 2)), ((0, 0, 1), Fraction(1, 2))),
 )
-print(f"success under a mismatched source = {success_probability(tensor, channel=ch, block_state=skew)}")
+print(f"success under a mismatched source = {success_probability(tensor, channel=replace(ch, block_state=skew))}")

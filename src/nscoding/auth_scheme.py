@@ -26,18 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import (
-    BlockStateSource,
-    ChannelWithState,
-    block_outputs,
-    state_blocks,
-)
+from .channels import ChannelWithState, block_outputs, state_blocks
 from .indexing import all_sequences, index_to_seq, seq_to_index
 from .rational import as_rational, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
@@ -126,7 +121,6 @@ class AuthScheme:
     eps: Fraction
     state_budgets: Budgets
     y_budgets: tuple[Optional[Budgets], ...]
-    p_y_given_s: tuple[tuple[Fraction, ...], ...]
     p_xy_given_s: tuple[tuple[tuple[Fraction, ...], ...], ...]
     mu: Fraction
     message_count: int
@@ -156,10 +150,10 @@ def _pair_windows(p_xy: Sequence[Sequence[Fraction]], n_tilde: int, eps: Fractio
     return [lo for lo, _ in bounds], [hi for _, hi in bounds]
 
 
-def _pairs_typical(window: Window, y_size: int, xs: Sequence[int], ys: Sequence[int]) -> bool:
+def _pairs_typical(window: Window, y_size: int, pairs) -> bool:
     lo, hi = window
     counts = [0] * len(lo)
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         counts[x * y_size + y] += 1
     return all(a <= c <= b for a, c, b in zip(lo, counts, hi))
 
@@ -274,7 +268,7 @@ def _scheme_tables(ch: ChannelWithState, strategy: InputStrategy, n: int, eps: F
     for s in range(ch.s_size):
         n_s = state_b.per_symbol[s]
         y_b.append(budgets(n_s, ch.y_size, p_y[s], eps) if n_s > 0 else None)
-    return state_b, tuple(y_b), p_y, p_xy
+    return state_b, tuple(y_b), p_xy
 
 
 def _mu(strat: InputStrategy, y_b, p_xy, eps: Fraction, method: str = "types") -> Fraction:
@@ -295,7 +289,6 @@ def compute_mu(
     strategy: Sequence[Sequence[object]],
     n: int,
     eps: object,
-    method: str = "types",
 ) -> Fraction:
     """The reciprocal of the probability that an independent input block
     passes every per-state typicality test; always >= 1.
@@ -305,8 +298,8 @@ def compute_mu(
     """
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
-    _, y_b, _, p_xy = _scheme_tables(ch, strat, n, eps)
-    return _mu(strat, y_b, p_xy, eps, method)
+    _, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
+    return _mu(strat, y_b, p_xy, eps)
 
 
 def mu_by_enumeration(
@@ -314,7 +307,17 @@ def mu_by_enumeration(
 ) -> Fraction:
     """compute_mu with every per-state factor found by brute-force input
     enumeration instead of type counting; for cross-checks on small blocks."""
-    return compute_mu(ch, strategy, n, eps, method="enumerate")
+    eps = as_rational(eps)
+    strat = _clean_strategy(ch, strategy)
+    _, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
+    return _mu(strat, y_b, p_xy, eps, "enumerate")
+
+
+def _cumulative(probs) -> list[float]:
+    """Cumulative float weights for `random.choices(cum_weights=...)`: the
+    very list `choices(weights=...)` builds on every call, so a draw is
+    the same either way."""
+    return list(itertools.accumulate(float(p) for p in probs))
 
 
 def _ci95(p_hat: float, samples: int) -> tuple[float, float]:
@@ -341,7 +344,7 @@ def estimate_mu(
         raise ValueError(f"samples must be >= 1, got {samples}")
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
-    _, y_b, _, p_xy = _scheme_tables(ch, strat, n, eps)
+    _, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
     blocks = []
     for s in range(ch.s_size):
         if y_b[s] is None:
@@ -349,17 +352,17 @@ def estimate_mu(
         counts = y_b[s].per_symbol
         canonical = [y for y in range(ch.y_size) for _ in range(counts[y])]
         if canonical:
-            weights = [float(p) for p in strat[s]]
-            blocks.append((canonical, weights, _pair_windows(p_xy[s], len(canonical), eps)))
+            window = _pair_windows(p_xy[s], len(canonical), eps)
+            blocks.append((canonical, _cumulative(strat[s]), window))
     if not blocks:
         return 1.0, (1.0, 1.0)
     rng = random.Random(seed)
     wins = 0
     for _ in range(samples):
         ok = True
-        for canonical, weights, window in blocks:
-            xs = rng.choices(range(ch.x_size), weights=weights, k=len(canonical))
-            if not _pairs_typical(window, ch.y_size, xs, canonical):
+        for canonical, cum, window in blocks:
+            xs = rng.choices(range(ch.x_size), cum_weights=cum, k=len(canonical))
+            if not _pairs_typical(window, ch.y_size, zip(xs, canonical)):
                 ok = False
                 break
         wins += ok
@@ -387,7 +390,7 @@ def build_auth_scheme(
     """
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
-    state_b, y_b, p_y, p_xy = _scheme_tables(ch, strat, n, eps)
+    state_b, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
     mu = _mu(strat, y_b, p_xy, eps)
     minimum = rational_ceil(mu)
     if message_count is None:
@@ -403,7 +406,6 @@ def build_auth_scheme(
         eps=eps,
         state_budgets=state_b,
         y_budgets=y_b,
-        p_y_given_s=tuple(tuple(row) for row in p_y),
         p_xy_given_s=tuple(tuple(tuple(r) for r in rows) for rows in p_xy),
         mu=mu,
         message_count=message_count,
@@ -441,50 +443,42 @@ def _input_weight(scheme: AuthScheme, xs: Sequence[int], mapped_states: Sequence
     return w
 
 
-def _kept_pairs(scheme: AuthScheme, ys: Sequence[int], mapped_states: Sequence[int]):
-    """Per tested state sigma, in `_count_windows` order: positions whose
-    mapped output survives, with that output value; plus the output-mapper
-    flags."""
+Block = tuple[int, Window, Sequence[int]]
+
+
+def _sigma_blocks(windows: list[tuple[int, Window]], mapped_states: Sequence[int]) -> list[Block]:
+    """(sigma, window, positions the state mapping gave sigma) for every
+    tested state; there are always state_budgets.per_symbol[sigma] positions."""
+    return [(s, window, [i for i, v in enumerate(mapped_states) if v == s]) for s, window in windows]
+
+
+def _block_test(scheme: AuthScheme, block: Block, xs: Sequence[int], ys: Sequence[int]):
+    """The typicality test on one sigma-block: map the outputs at its
+    positions with `y_budgets[sigma]` and count the kept (input, mapped
+    output) pairs against its window.  Returns (passes, output-mapper flag)."""
+    s, window, positions = block
     phi_y = placeholder(scheme.channel.y_size)
-    result = []
-    flags = []
-    for s, b in enumerate(scheme.y_budgets):
-        if b is None:
-            continue
-        block = [i for i, v in enumerate(mapped_states) if v == s]
-        mapped = map_with_budgets([ys[i] for i in block], b)
-        flags.append(mapped.flag)
-        kept_positions = []
-        kept_outputs = []
-        for j, v in enumerate(mapped.output):
-            if v != phi_y:
-                kept_positions.append(block[j])
-                kept_outputs.append(v)
-        result.append((kept_positions, kept_outputs))
-    return result, flags
+    mapped = map_with_budgets([ys[i] for i in positions], scheme.y_budgets[s])
+    pairs = ((xs[i], y) for i, y in zip(positions, mapped.output) if y != phi_y)
+    return _pairs_typical(window, scheme.channel.y_size, pairs), mapped.flag
 
 
-def _accepts(scheme: AuthScheme, windows, xs: Sequence[int], kept) -> bool:
-    """The typicality test on the kept pairs `_kept_pairs` found."""
-    y_size = scheme.channel.y_size
-    return all(
-        _pairs_typical(window, y_size, [xs[i] for i in positions], outputs)
-        for (_s, window), (positions, outputs) in zip(windows, kept)
-    )
+def _accepts(scheme: AuthScheme, blocks: list[Block], xs: Sequence[int], ys: Sequence[int]) -> bool:
+    return all(_block_test(scheme, block, xs, ys)[0] for block in blocks)
 
 
 def t_function(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], ss: Sequence[int]) -> Fraction:
     """The acceptance weight: `acceptance` if every per-state block of kept
     (input, mapped output) pairs is jointly typical, else 0."""
-    for name, seq in (("x", xs), ("y", ys), ("s", ss)):
+    ch = scheme.channel
+    for name, seq, size in (("x", xs, ch.x_size), ("y", ys, ch.y_size), ("s", ss, ch.s_size)):
         if len(seq) != scheme.n:
             raise ValueError(f"{name}-sequence has length {len(seq)}, expected {scheme.n}")
-    x_size = scheme.channel.x_size
-    if not all(0 <= x < x_size for x in xs):
-        raise ValueError(f"x-sequence {tuple(xs)} has a symbol outside 0..{x_size - 1}")
+        if not all(0 <= v < size for v in seq):
+            raise ValueError(f"{name}-sequence {tuple(seq)} has a symbol outside 0..{size - 1}")
     mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-    kept, _ = _kept_pairs(scheme, ys, mapped_states)
-    return scheme.acceptance if _accepts(scheme, _count_windows(scheme), xs, kept) else ZERO
+    blocks = _sigma_blocks(_count_windows(scheme), mapped_states)
+    return scheme.acceptance if _accepts(scheme, blocks, xs, ys) else ZERO
 
 
 # -- dense tensor -----------------------------------------------------------
@@ -603,35 +597,32 @@ def _diagonal_tensor(
 def _acceptance_table(scheme: AuthScheme) -> np.ndarray:
     """Booleans t[x, s, y]: whether the block triple passes the test.
 
-    The kept sigma-block of an output block depends only on the outputs at
-    the positions the state mapping gave sigma, so each of the |Y|^n_sigma
-    possible sub-blocks is mapped once; the joint type counts of all
-    (x^n, y^n) at once are one integer matmul per (x, y) letter pair.
+    The test on sigma reads only the n_sigma positions the state mapping
+    gave sigma, so `_block_test` fills one table per tested sigma over all
+    |X|^n_sigma x |Y|^n_sigma sub-blocks, and every state block looks its
+    sigma-blocks up there by the sub-block indices of each x^n and y^n.
     """
     ch, n = scheme.channel, scheme.n
-    xs = np.array(list(all_sequences(ch.x_size, n))).reshape(-1, n)
-    ys = np.array(list(all_sequences(ch.y_size, n))).reshape(-1, n)
+    sequences = {k: np.array(list(all_sequences(k, n))).reshape(-1, n) for k in {ch.x_size, ch.y_size}}
     windows = _count_windows(scheme)
-    sub_outputs = {}
-    for s, _ in windows:
+    sub_tables = {}
+    for s, window in windows:
         length = scheme.state_budgets.per_symbol[s]
-        sub_outputs[s] = np.array([
-            map_with_budgets(sub, scheme.y_budgets[s]).output
-            for sub in all_sequences(ch.y_size, length)
-        ]).reshape(-1, length)
-    table = np.ones((len(xs), ch.s_size**n, len(ys)), dtype=bool)
+        block = (s, window, range(length))
+        sub_tables[s] = np.array([
+            [_block_test(scheme, block, sub_x, sub_y)[0] for sub_y in all_sequences(ch.y_size, length)]
+            for sub_x in all_sequences(ch.x_size, length)
+        ])
+
+    def sub_index(size, positions):
+        return sequences[size][:, positions] @ size ** np.arange(len(positions) - 1, -1, -1)
+
+    table = np.ones((ch.x_size**n, ch.s_size**n, ch.y_size**n), dtype=bool)
     for si, ss in enumerate(all_sequences(ch.s_size, n)):
-        mapped = np.array(map_with_budgets(ss, scheme.state_budgets).output)
-        for s, (lo, hi) in windows:
-            positions = np.flatnonzero(mapped == s)
-            digits = ch.y_size ** np.arange(len(positions) - 1, -1, -1)
-            outputs = sub_outputs[s][ys[:, positions] @ digits]
-            for x in range(ch.x_size):
-                has_x = (xs[:, positions] == x).astype(np.int64)
-                for y in range(ch.y_size):
-                    counts = has_x @ (outputs == y).T.astype(np.int64)
-                    k = x * ch.y_size + y
-                    table[:, si] &= (lo[k] <= counts) & (counts <= hi[k])
+        mapped = map_with_budgets(ss, scheme.state_budgets).output
+        for s, _window, positions in _sigma_blocks(windows, mapped):
+            rows = sub_index(ch.x_size, positions)
+            table[:, si] &= sub_tables[s][np.ix_(rows, sub_index(ch.y_size, positions))]
     return table
 
 
@@ -742,79 +733,69 @@ def _tensor_success(tensor: SchemeTensor, ch: ChannelWithState) -> Fraction:
     return total / (m * tensor.denominator)
 
 
-def _exact_walk(scheme: AuthScheme, ch: ChannelWithState):
-    """Yield (weight, x^n, y^n, mapped states) for every block triple of
-    positive weight P(s^n) * zeta(x^n|s^n) * N^n(y^n|x^n,s^n).
+def _exact_walk(scheme: AuthScheme):
+    """Yield (weight, x^n, y^n, state-mapper flag, sigma blocks) for every
+    block triple of positive weight P(s^n) * zeta(x^n|s^n) * N^n(y^n|x^n,s^n).
 
     The terms are counted against EXACT_SUCCESS_CAP before the walk starts.
     """
-    n = scheme.n
+    ch, n = scheme.channel, scheme.n
     y_max = max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
     terms = sum(1 for _ in state_blocks(ch, n)) * ch.x_size**n * y_max**n
     if terms > EXACT_SUCCESS_CAP:
         raise ValueError(
             f"about {terms} terms exceed the exact cap {EXACT_SUCCESS_CAP}; use monte_carlo mode"
         )
+    windows = _count_windows(scheme)
     for _si, ss, p_s in state_blocks(ch, n):
         mapped = map_with_budgets(ss, scheme.state_budgets)
+        blocks = _sigma_blocks(windows, mapped.output)
         for xs in all_sequences(ch.x_size, n):
             w_in = _input_weight(scheme, xs, mapped.output)
             if w_in:
                 for yi, p_y in block_outputs(ch, xs, ss):
-                    yield p_s * w_in * p_y, xs, index_to_seq(yi, ch.y_size, n), mapped
+                    yield p_s * w_in * p_y, xs, index_to_seq(yi, ch.y_size, n), mapped.flag, blocks
 
 
-def _scheme_success_exact(scheme: AuthScheme, ch: ChannelWithState) -> Fraction:
-    walk = _exact_walk(scheme, ch)
+def _scheme_success_exact(scheme: AuthScheme) -> Fraction:
+    walk = _exact_walk(scheme)
     if scheme.message_count == 1:
         return sum((weight for weight, *_ in walk), ZERO)
-    windows = _count_windows(scheme)
     return scheme.acceptance * sum(
-        (weight for weight, xs, ys, mapped in walk
-         if _accepts(scheme, windows, xs, _kept_pairs(scheme, ys, mapped.output)[0])),
-        ZERO,
+        (weight for weight, xs, ys, _flag, blocks in walk if _accepts(scheme, blocks, xs, ys)), ZERO
     )
 
 
-def _sample_states(ch, n, rng):
-    if ch.block_state is not None:
-        atoms = [list(ss) for ss, _ in ch.block_state.atoms]
-        weights = [float(p) for _, p in ch.block_state.atoms]
-        return atoms[rng.choices(range(len(atoms)), weights=weights, k=1)[0]]
-    weights = [float(p) for p in ch.state_dist]
-    return rng.choices(range(ch.s_size), weights=weights, k=n)
-
-
 def _scheme_success_monte_carlo(
-    scheme: AuthScheme, ch: ChannelWithState, samples: int, seed: int
+    scheme: AuthScheme, samples: int, seed: int
 ) -> tuple[float, tuple[float, float]]:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    ch, n = scheme.channel, scheme.n
     rng = random.Random(seed)
-    phi = placeholder(ch.s_size)
-    uniform = [1.0] * ch.x_size
-    strat_w = [[float(p) for p in row] for row in scheme.strategy]
-    kernel_w = [[[float(p) for p in row] for row in state_slice] for state_slice in ch.kernel]
+    source = ch.block_state
+    if source is None:
+        state_cum = _cumulative(ch.state_dist)
+    else:
+        atoms = [ss for ss, _ in source.atoms]
+        state_cum = _cumulative(p for _, p in source.atoms)
+    # indexed by mapped state; the placeholder (index |S|) gets uniform inputs
+    input_cum = [_cumulative(row) for row in scheme.strategy] + [_cumulative([1] * ch.x_size)]
+    output_cum = [[_cumulative(row) for row in state_slice] for state_slice in ch.kernel]
+    x_range, y_range = range(ch.x_size), range(ch.y_size)
     lam = float(scheme.acceptance)
     windows = _count_windows(scheme)
     wins = 0
     for _ in range(samples):
-        ss = _sample_states(ch, scheme.n, rng)
+        if source is None:
+            ss = rng.choices(range(ch.s_size), cum_weights=state_cum, k=n)
+        else:
+            ss = rng.choices(atoms, cum_weights=state_cum)[0]
         mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-        xs = [
-            rng.choices(
-                range(ch.x_size),
-                weights=uniform if ms == phi else strat_w[ms],
-                k=1,
-            )[0]
-            for ms in mapped_states
-        ]
-        ys = [
-            rng.choices(range(ch.y_size), weights=kernel_w[s][x], k=1)[0]
-            for x, s in zip(xs, ss)
-        ]
+        xs = [rng.choices(x_range, cum_weights=input_cum[ms])[0] for ms in mapped_states]
+        ys = [rng.choices(y_range, cum_weights=output_cum[s][x])[0] for x, s in zip(xs, ss)]
         wins += scheme.message_count == 1 or (
-            _accepts(scheme, windows, xs, _kept_pairs(scheme, ys, mapped_states)[0])
+            _accepts(scheme, _sigma_blocks(windows, mapped_states), xs, ys)
             and rng.random() < lam
         )
     p_hat = wins / samples
@@ -824,12 +805,15 @@ def _scheme_success_monte_carlo(
 def success_probability(
     target: Union[AuthScheme, SchemeTensor],
     channel: Optional[ChannelWithState] = None,
-    block_state: Optional[BlockStateSource] = None,
     mode: str = "exact",
     samples: int = 100_000,
     seed: int = 0,
 ):
     """Probability that the decoded message equals the sent one.
+
+    A scheme is evaluated on its own channel; a bare tensor on `channel`,
+    whose alphabets must match it.  To weigh state blocks by another
+    source, pass `dataclasses.replace(channel, block_state=...)`.
 
     Exact mode returns a Fraction: the average over messages of the
     diagonal tensor entries weighted by the state source and the channel
@@ -841,16 +825,20 @@ def success_probability(
             raise ValueError("a channel is required to evaluate a bare tensor")
         if mode != "exact":
             raise ValueError("bare tensors only support exact evaluation")
-        return _tensor_success(
-            target, replace(channel, block_state=block_state or channel.block_state)
-        )
-    ch = channel if channel is not None else target.channel
-    ch = replace(ch, block_state=block_state or ch.block_state)
-    state_blocks(ch, target.n)  # rejects a block source of another length up front
+        sizes = (target.x_size, target.s_size, target.y_size)
+        if sizes != (channel.x_size, channel.s_size, channel.y_size):
+            raise ValueError(
+                f"tensor alphabets (|X|, |S|, |Y|) = {sizes} do not match the channel's"
+                f" {(channel.x_size, channel.s_size, channel.y_size)}"
+            )
+        return _tensor_success(target, channel)
+    if channel is not None:
+        raise ValueError("a scheme is evaluated on its own channel; channel is for bare tensors")
+    state_blocks(target.channel, target.n)  # rejects a block source of another length up front
     if mode == "exact":
-        return _scheme_success_exact(target, ch)
+        return _scheme_success_exact(target)
     if mode == "monte_carlo":
-        return _scheme_success_monte_carlo(target, ch, samples, seed)
+        return _scheme_success_monte_carlo(target, samples, seed)
     raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
 
 
@@ -868,22 +856,17 @@ class SuccessDecomposition:
         return self.acceptance * self.p_flag * self.p_accept_given_flag
 
 
-def success_decomposition(
-    scheme: AuthScheme,
-    block_state: Optional[BlockStateSource] = None,
-) -> SuccessDecomposition:
+def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
     """One exact pass computing the success probability together with the
     flag probability and the conditional acceptance rate, so that
     success >= acceptance * P(F=1) * P(accept | F=1) can be checked."""
     p_accept = ZERO
     p_flag = ZERO
     p_both = ZERO
-    ch = replace(scheme.channel, block_state=block_state or scheme.channel.block_state)
-    windows = _count_windows(scheme)
-    for weight, xs, ys, mapped in _exact_walk(scheme, ch):
-        kept, y_flags = _kept_pairs(scheme, ys, mapped.output)
-        flag = bool(mapped.flag) and all(y_flags)
-        accept = _accepts(scheme, windows, xs, kept)
+    for weight, xs, ys, state_flag, blocks in _exact_walk(scheme):
+        tests = [_block_test(scheme, block, xs, ys) for block in blocks]
+        accept = all(ok for ok, _ in tests)
+        flag = bool(state_flag) and all(y_flag for _, y_flag in tests)
         if accept:
             p_accept += weight
         if flag:

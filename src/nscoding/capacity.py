@@ -212,7 +212,6 @@ def _gp_ascend(
     W: np.ndarray,
     ps: np.ndarray,
     tol: float,
-    inner_iter: int = 2000,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Alternating ascent from one starting point; returns (value, P_{U|S}, xmap)."""
     s_size, x_size, y_size = W.shape
@@ -222,7 +221,7 @@ def _gp_ascend(
     for _round in range(60):
         # --- coordinate ascent in P_{U|S} with the decoder as the dual block
         prev = -np.inf
-        for _ in range(inner_iter):
+        for _ in range(2000):
             w_uy = W[np.arange(s_size)[:, None], xm.T, :]  # (s, u, y)
             joint = ps[:, None, None] * p[:, :, None] * w_uy  # (s, u, y)
             p_uy = joint.sum(axis=0)  # (u, y)

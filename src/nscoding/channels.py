@@ -90,9 +90,6 @@ class ChannelWithState:
         """N(y|x,s)."""
         return self.kernel[s][x][y]
 
-    def state_prob(self, s: int) -> Fraction:
-        return self.state_dist[s]
-
     def kernel_array(self) -> np.ndarray:
         """Float view of the kernel, shape (s_size, x_size, y_size)."""
         return np.array(

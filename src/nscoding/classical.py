@@ -142,12 +142,12 @@ def _branch_weights_plain(ch, branch, n, blocks, path_tables) -> tuple[Fraction,
     return tuple(out)
 
 
-def _combine(branch0, branch1, x_size: int, s_size: int, n: int, m: int = 2) -> DeterministicEncoder:
+def _combine(branch0, branch1, x_size: int, s_size: int, n: int) -> DeterministicEncoder:
     tables = []
     for j in range(n):
         tables.append(tuple(branch0[j]) + tuple(branch1[j]))
     return DeterministicEncoder(
-        message_count=m, n=n, x_size=x_size, s_size=s_size, tables=tuple(tables)
+        message_count=2, n=n, x_size=x_size, s_size=s_size, tables=tuple(tables)
     )
 
 

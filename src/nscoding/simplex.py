@@ -85,9 +85,6 @@ class LinearProgram:
             self.objective[idx] = c
         return idx
 
-    def var_index(self, name: str) -> int:
-        return self._index[name]
-
     def set_objective(self, coeffs: Mapping[int, object]) -> None:
         self.objective = {j: as_rational(c) for j, c in coeffs.items() if as_rational(c)}
 

@@ -243,6 +243,15 @@ def test_t_function_rejects_out_of_range_inputs():
             t_function(scheme, (bad,) + (0,) * 7, (0, 1) + (0,) * 6, (0,) * 8)
 
 
+def test_t_function_rejects_out_of_range_outputs():
+    # Position 4 is a placeholder state there, so its output is never
+    # mapped; position 1 is a tested sigma position.
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 4, HALF)
+    for ys in ((0, 0, 0, 7), (7, 0, 0, 0), (0, 0, -1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"y-sequence {ys} has a symbol outside 0..1")):
+            t_function(scheme, (0, 0, 0, 0), ys, (0, 1, 0, 1))
+
+
 def test_t_function_vacuous_scheme_accepts_everything():
     ch = builtin_z0z1()
     scheme = build_auth_scheme(ch, [[HALF, HALF]] * 2, 4, HALF, message_count=2)
@@ -652,6 +661,33 @@ def test_scheme_and_tensor_paths_agree():
     direct = success_probability(scheme)
     via_tensor = success_probability(materialize_tensor(scheme), channel=scheme.channel)
     assert direct == via_tensor == F(1, 4)
+
+
+@pytest.mark.parametrize(
+    "ch, strategy, n, eps, m", [case[1:] for case in ACCEPTANCE_CASES],
+    ids=[case[0] for case in ACCEPTANCE_CASES],
+)
+def test_exact_walk_and_tensor_sum_agree(ch, strategy, n, eps, m):
+    scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
+    via_tensor = success_probability(materialize_tensor(scheme), channel=scheme.channel)
+    assert success_probability(scheme) == via_tensor
+
+
+@pytest.mark.parametrize("kernel, states", [
+    ([[[1, 0], [0, 1]]], [1]),
+    ([[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 1, 0]]], [HALF, HALF]),
+])
+def test_tensor_on_channel_with_other_alphabets_is_refused(kernel, states):
+    ch = make_channel(kernel, states)
+    sizes = f"({ch.x_size}, {ch.s_size}, {ch.y_size})"
+    with pytest.raises(ValueError, match=re.escape(f"(2, 2, 2) do not match the channel's {sizes}")):
+        success_probability(auth_scheme.toy_product_scheme(), channel=ch)
+
+
+def test_scheme_is_evaluated_on_its_own_channel():
+    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 4, HALF)
+    with pytest.raises(ValueError, match="own channel"):
+        success_probability(scheme, channel=scheme.channel)
 
 
 def test_identity_family_success_values_and_monotonicity():

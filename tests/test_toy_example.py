@@ -58,9 +58,7 @@ def test_toy_prefix_sums_match_across_the_state_fork():
 
 def test_toy_scheme_never_misses_on_its_source():
     channel = builtin_product_xs()
-    value = success_probability(
-        toy_product_scheme(), channel=channel, block_state=channel.block_state
-    )
+    value = success_probability(toy_product_scheme(), channel=channel)
     assert value == 1
 
 
