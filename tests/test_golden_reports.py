@@ -66,6 +66,9 @@ CLI_CASES = {
         "identity.json", "--n", "8", "--eps", "1/4", "--strategy-file", "strategy-quarter.json",
         *MC, "--seed", "11",
     ],
+    "classical-z0z1-n1-csir": ["classical", "--channel", "z0z1", "--M", "2", "--n", "1", "--csir"],
+    "classical-z0z1-n2": ["classical", "--channel", "z0z1", "--M", "2", "--n", "2"],
+    "classical-z0z1-n2-csir": ["classical", "--channel", "z0z1", "--M", "2", "--n", "2", "--csir"],
 }
 
 
