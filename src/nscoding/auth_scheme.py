@@ -32,9 +32,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import ChannelWithState, block_outputs, state_blocks
+from .channels import ChannelWithState, block_law, block_outputs, state_blocks
 from .indexing import all_sequences, index_to_seq, seq_to_index
-from .rational import as_rational, rational_ceil
+from .rational import as_rational, int_dtype, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window, jointly_typical
 
@@ -262,6 +262,7 @@ def typicality_pass_probability(
 
 
 def _scheme_tables(ch: ChannelWithState, strategy: InputStrategy, n: int, eps: Fraction):
+    state_blocks(ch, n)  # rejects a block source of another length up front
     state_b = budgets(n, ch.s_size, ch.state_dist, eps)
     p_y, p_xy = _output_tables(ch, strategy)
     y_b: list[Optional[Budgets]] = []
@@ -484,12 +485,6 @@ def t_function(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], ss: Seq
 # -- dense tensor -----------------------------------------------------------
 
 
-def _int_dtype(bound: int, cells: int):
-    """int64 when no sum over `cells` values of magnitude <= bound can
-    overflow it, else Python ints in an object array (same array code)."""
-    return np.int64 if bound * cells < 2**63 else object
-
-
 def _fractions(numerators: np.ndarray, denominator: int) -> np.ndarray:
     """Read-only Fraction array numerators / denominator, one Fraction
     object per distinct numerator."""
@@ -526,7 +521,7 @@ class SchemeTensor:
         values = [Fraction(v) for v in np.asarray(entries, dtype=object).flat]
         den = math.lcm(*(v.denominator for v in values))
         nums = [v.numerator * (den // v.denominator) for v in values]
-        dtype = _int_dtype(max(map(abs, nums), default=0), len(nums))
+        dtype = int_dtype(max(map(abs, nums), default=0), len(nums))
         numerators = np.array(nums, dtype=dtype).reshape(np.shape(entries))
         return cls(message_count, n, x_size, s_size, y_size, numerators, den)
 
@@ -581,7 +576,7 @@ def _diagonal_tensor(
     scale = math.lcm(*(f.denominator for f in weight.flat))
     den = scale if m == 1 else scale * lam.denominator * (m - 1)
     shape = (weight.shape[0], m, m, weight.shape[1], sizes[2] ** n)
-    dtype = _int_dtype(den, math.prod(shape))
+    dtype = int_dtype(den, math.prod(shape))
     zeta = np.array([f.numerator * (scale // f.denominator) for f in weight.flat], dtype=dtype)
     zeta = zeta.reshape(weight.shape)[:, None, None, :, None]
     if m == 1:
@@ -721,16 +716,9 @@ def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
 
 
 def _tensor_success(tensor: SchemeTensor, ch: ChannelWithState) -> Fraction:
-    n, m = tensor.n, tensor.message_count
     diagonal = np.trace(tensor.numerators, axis1=1, axis2=2)  # (x, s, y), summed over w
-    total = ZERO
-    for si, ss, p_s in state_blocks(ch, n):
-        for xi, xs in enumerate(all_sequences(ch.x_size, n)):
-            for yi, p_y in block_outputs(ch, xs, ss):
-                cell = int(diagonal[xi, si, yi])
-                if cell:
-                    total += p_s * p_y * cell
-    return total / (m * tensor.denominator)
+    total = sum((w * int(diagonal[cell]) for cell, w in block_law(ch, tensor.n).items()), ZERO)
+    return total / (tensor.message_count * tensor.denominator)
 
 
 def _exact_walk(scheme: AuthScheme):

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .indexing import seq_to_index
+from .indexing import all_sequences, seq_to_index
 from .rational import as_rational, format_rational, read_rational
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "lift_csir",
     "state_blocks",
     "block_outputs",
+    "block_law",
     "block_kernel",
     "builtin_z0z1",
     "builtin_product_xs",
@@ -203,7 +204,8 @@ def lift_csir(ch: ChannelWithState) -> ChannelWithState:
 #
 # Every exact number (LP objectives, the classical search, scheme success)
 # is a sum against P(s^n) * prod_i N(y_i|x_i,s_i); these two walks are the
-# only places that weigh state blocks and multiply kernel entries.
+# only places that weigh state blocks and multiply kernel entries, and
+# `block_law` is the one table of their products.
 
 
 def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
@@ -243,6 +245,18 @@ def block_outputs(
             continue
         for y, q in reversed(rows[depth]):
             stack.append((depth + 1, yi * ch.y_size + y, p * q))
+
+
+def block_law(ch: ChannelWithState, n: int) -> dict[tuple[int, int, int], Fraction]:
+    """{(x, s, y): P(s^n) * N^n(y^n|x^n,s^n)} over the cells of positive
+    weight, keyed by block indices, x-major."""
+    blocks = list(state_blocks(ch, n))
+    return {
+        (xi, si, yi): p_s * p_y
+        for xi, xs in enumerate(all_sequences(ch.x_size, n))
+        for si, ss, p_s in blocks
+        for yi, p_y in block_outputs(ch, xs, ss)
+    }
 
 
 def block_kernel(

@@ -9,22 +9,28 @@ with state information at the receiver the advantage decomposes over
 the state-prefix tree, which turns the inner maximization into an exact
 tree walk instead of a second exponential enumeration.
 
-Everything is Fraction arithmetic; ties break toward the smallest
-message, then the earliest enumerated encoder, so results are
-deterministic (and identical when the outer loop is chunked across
-processes).
+The search is exact integer arithmetic: the block law is held as
+numerators over one denominator (int64 when no sum can overflow it,
+Python ints otherwise), and the optimum leaves as a Fraction.  Ties
+break toward the smallest message, then the earliest enumerated
+encoder, so results are deterministic (and identical when the outer
+loop is chunked across processes).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .channels import ChannelWithState, block_outputs, builtin_z0z1, state_blocks
-from .indexing import all_sequences, index_to_seq, seq_to_index
+import numpy as np
+
+from .channels import ChannelWithState, block_law, block_outputs, builtin_z0z1, state_blocks
+from .indexing import index_to_seq, seq_to_index
+from .rational import int_dtype
 
 __all__ = [
     "DeterministicEncoder",
@@ -103,45 +109,6 @@ def _branch_from_index(index: int, x_size: int, s_size: int, n: int) -> tuple[tu
     return tuple(tables)
 
 
-def _branch_inputs(branch, ss: Sequence[int], s_size: int) -> tuple[int, ...]:
-    return tuple(
-        branch[j][seq_to_index(ss[: j + 1], s_size)] for j in range(len(ss))
-    )
-
-
-def _path_tables(ch, n, blocks):
-    """tab[si][x-block] = output-block weight vector P(s) * channel, computed once."""
-    ny = ch.y_size**n
-    tables = {}
-    for si, ss, p_s in blocks:
-        per_x = []
-        for xs in all_sequences(ch.x_size, n):
-            row = [ZERO] * ny
-            for yi, p_y in block_outputs(ch, xs, ss):
-                row[yi] = p_s * p_y
-            per_x.append(tuple(row))
-        tables[si] = per_x
-    return tables
-
-
-def _branch_rows(ch, branch, blocks, path_tables) -> dict[int, tuple[Fraction, ...]]:
-    """Per state block: the path-table row of the branch's input block on it."""
-    return {
-        si: path_tables[si][seq_to_index(_branch_inputs(branch, ss, ch.s_size), ch.x_size)]
-        for si, ss, _p in blocks
-    }
-
-
-def _branch_weights_plain(ch, branch, n, blocks, path_tables) -> tuple[Fraction, ...]:
-    """Weight of each output block: the branch's rows summed over the states."""
-    out = [ZERO] * ch.y_size**n
-    for row in _branch_rows(ch, branch, blocks, path_tables).values():
-        for yi, w in enumerate(row):
-            if w:
-                out[yi] += w
-    return tuple(out)
-
-
 def _combine(branch0, branch1, x_size: int, s_size: int, n: int) -> DeterministicEncoder:
     tables = []
     for j in range(n):
@@ -151,111 +118,103 @@ def _combine(branch0, branch1, x_size: int, s_size: int, n: int) -> Deterministi
     )
 
 
+@dataclass(frozen=True)
+class _Law:
+    """The block law as integers over one denominator, with the digit
+    places that read a branch's input block on every state block."""
+
+    law: np.ndarray  # (S^n, |X|^n, |Y|^n)
+    denominator: int
+    powers: np.ndarray  # (S^n, n): |X| ** (place of x_j on state block s in a branch index)
+    place: np.ndarray  # (n,): |X| ** (n - j)
+    x_size: int
+    s_size: int
+    n: int
+
+    def inputs(self, branches) -> np.ndarray:
+        """Input-block index of each branch (an int or an array of them) on every state block."""
+        return (np.asarray(branches)[..., None, None] // self.powers % self.x_size) @ self.place
+
+    def rows(self, branches) -> np.ndarray:
+        """law[s, inputs(branch) on s, y]: shape (..., S^n, |Y|^n)."""
+        return self.law[np.arange(self.law.shape[0]), self.inputs(branches)]
+
+
+def _block_law(ch: ChannelWithState, n: int) -> _Law:
+    """law[s, x, y] = D * P(s^n) * N^n(y^n|x^n,s^n) over the least common
+    denominator D, zero on state blocks of probability 0."""
+    weights = block_law(ch, n)
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    shape = (ch.s_size**n, ch.x_size**n, ch.y_size**n)
+    law = np.zeros(shape, dtype=int_dtype(den, math.prod(shape)))
+    for (xi, si, yi), w in weights.items():
+        law[si, xi, yi] = w.numerator * (den // w.denominator)
+    # a branch lists its position-j slots after those of positions 1..j-1
+    si = np.arange(shape[0])
+    offsets = np.cumsum([0] + _slot_sizes(ch.s_size, n)[:-1])
+    digits = np.stack([offsets[j] + si // ch.s_size ** (n - 1 - j) for j in range(n)], axis=1)
+    place = ch.x_size ** np.arange(n - 1, -1, -1)
+    return _Law(law, den, ch.x_size**digits, place, ch.x_size, ch.s_size, n)
+
+
 # -- two-message search: receiver without state information -------------------
 
 
-def _best_pair_plain(ch, n, branch_count, blocks):
-    path_tables = _path_tables(ch, n, blocks)
-    weights = [
-        _branch_weights_plain(
-            ch, _branch_from_index(i, ch.x_size, ch.s_size, n), n, blocks, path_tables
-        )
-        for i in range(branch_count)
-    ]
+def _best_pair_plain(law: _Law, branch_count: int) -> tuple[int, int, int]:
+    """(max over (i, k) of sum_y max(a_i, a_k), i, k), the first maximizer in
+    row-major order, where a_i is branch i's output weight summed over states."""
+    weights = law.rows(np.arange(branch_count)).sum(axis=1)
     best = None
-    for i, va in enumerate(weights):
-        for k, vb in enumerate(weights):
-            value = sum((max(a, b) for a, b in zip(va, vb)), ZERO)
-            if best is None or value > best[0]:
-                best = (value, i, k)
-    value, i, k = best
-    return value / 2, i, k
+    for i, row in enumerate(weights):
+        totals = np.maximum(row, weights).sum(axis=1)
+        k = int(np.argmax(totals))
+        if best is None or totals[k] > best[0]:
+            best = (totals[k], i, k)
+    return best
 
 
 # -- two-message search: receiver sees the states too --------------------------
 
 
-def _best_response_csir(ch, n, a_weights, path_tables, blocks):
-    """max over causal branches b of sum of (b - a)^+ over (y, s) cells.
+def _response_levels(law: _Law, i: int) -> list[np.ndarray]:
+    """Best responses of message 1 to branch i of message 0, level by level.
 
-    The sum splits per state block, and a branch's inputs on a block are
-    its decisions along the block's prefixes, so the maximization is a
-    walk over the state-prefix tree instead of a second enumeration.
+    The total positive advantage sum over (s, y) of (b - a)^+ splits per
+    state block, and a branch's inputs on a block are its decisions along
+    the block's prefixes, so the maximization is a walk over the
+    state-prefix tree: levels[j] has axes (s_1..s_j, x_1..x_j) and holds the
+    best advantage below s^j with x^j fixed, levels[0] the total.  Blocks
+    of probability 0 are all zero, so they add nothing.
     """
-    s_size, x_size = ch.s_size, ch.x_size
-    advantage = {}
-    for si, _ss, _p in blocks:
-        a_row = a_weights[si]
-        per_x = path_tables[si]
-        advantage[si] = [
-            sum((w - a for w, a in zip(per_x[xi], a_row) if w > a), ZERO)
-            for xi in range(x_size**n)
-        ]
-    live = set()
-    for _si, ss, _p in blocks:
-        for j in range(1, n + 1):
-            live.add(ss[:j])
+    a = law.rows(i)
+    advantage = np.maximum(law.law - a[:, None, :], 0).sum(axis=2)
+    levels = [advantage.reshape((law.s_size,) * law.n + (law.x_size,) * law.n)]
+    for j in range(law.n, 0, -1):
+        levels.append(levels[-1].max(axis=-1).sum(axis=j - 1))
+    return levels[::-1]
 
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
 
-    def value(prefix: tuple[int, ...], x_prefix: tuple[int, ...]) -> Fraction:
-        """Best advantage below `prefix`, its own decisions fixed to x_prefix."""
-        key = (prefix, x_prefix)
-        if key in memo:
-            return memo[key]
-        if len(prefix) == n:
-            row = advantage.get(seq_to_index(prefix, s_size))
-            v = row[seq_to_index(x_prefix, x_size)] if row is not None else ZERO
-        else:
-            v = ZERO
-            for s_next in range(s_size):
-                child = prefix + (s_next,)
-                if child in live:
-                    v += max(value(child, x_prefix + (x,)) for x in range(x_size))
-        memo[key] = v
-        return v
-
-    chosen: dict[tuple[int, ...], int] = {}
-
-    def pick(prefix: tuple[int, ...]) -> int:
-        """Deterministic argmax: the smallest symbol attaining the best value."""
-        x_prefix = tuple(chosen[prefix[:j]] for j in range(1, len(prefix)))
-        best_x, best_v = 0, None
-        for x in range(x_size):
-            v = value(prefix, x_prefix + (x,))
-            if best_v is None or v > best_v:
-                best_x, best_v = x, v
-        return best_x
-
-    total = ZERO
-    stack = [(s,) for s in range(s_size) if (s,) in live]
-    for prefix in stack:
-        if len(prefix) == 1:
-            total += max(value(prefix, (x,)) for x in range(x_size))
-        chosen[prefix] = pick(prefix)
-        if len(prefix) < n:
-            stack.extend(
-                prefix + (s,) for s in range(s_size) if prefix + (s,) in live
-            )
-    branch = []
-    for j in range(1, n + 1):
+def _best_response_branch(law: _Law, levels: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
+    """The response branch: along each prefix, the smallest best symbol."""
+    s_size, x_size = law.s_size, law.x_size
+    tables: list[tuple[int, ...]] = []
+    for j in range(1, law.n + 1):
         row = []
         for pi in range(s_size**j):
-            row.append(chosen.get(index_to_seq(pi, s_size, j), 0))
-        branch.append(tuple(row))
-    return total, tuple(branch)
+            prefix = index_to_seq(pi, s_size, j)
+            chosen = tuple(tables[k][pi // s_size ** (j - 1 - k)] for k in range(j - 1))
+            row.append(int(np.argmax(levels[j][prefix + chosen])))
+        tables.append(tuple(row))
+    return tuple(tables)
 
 
 def _csir_chunk(args):
-    ch, n, start, stop, blocks = args
-    path_tables = _path_tables(ch, n, blocks)
+    law, start, stop = args
     best = None
     for i in range(start, stop):
-        branch = _branch_from_index(i, ch.x_size, ch.s_size, n)
-        a_weights = _branch_rows(ch, branch, blocks, path_tables)
-        adv, b_branch = _best_response_csir(ch, n, a_weights, path_tables, blocks)
+        adv = _response_levels(law, i)[0]
         if best is None or adv > best[0]:
-            best = (adv, i, b_branch)
+            best = (adv, i)
     return best
 
 
@@ -286,41 +245,45 @@ def classical_opt_success(
         )
     if M != 2:
         raise ValueError(f"the exhaustive search supports M in {{1, 2}}, got {M}")
-    blocks = list(state_blocks(ch, n))
+    blocks = sum(1 for _ in state_blocks(ch, n))
     branch_count = _branch_count(ch.x_size, ch.s_size, n)
-    ny = ch.y_size**n
+    nx, ny = ch.x_size**n, ch.y_size**n
     if csir:
-        work = branch_count * len(blocks) * (ch.x_size**n) * ny
+        work = branch_count * blocks * nx * ny
     else:
         work = branch_count * branch_count * ny
+    # the law array spans every state block, so it must fit under the cap too
+    work = max(work, ch.s_size**n * nx * ny)
     if work > SEARCH_WORK_CAP:
         raise ValueError(
             f"estimated work {work} exceeds the cap {SEARCH_WORK_CAP} for this instance"
         )
+    law = _block_law(ch, n)
     if not csir:
-        value, i, k = _best_pair_plain(ch, n, branch_count, blocks)
+        value, i, k = _best_pair_plain(law, branch_count)
         encoder = _combine(
             _branch_from_index(i, ch.x_size, ch.s_size, n),
             _branch_from_index(k, ch.x_size, ch.s_size, n),
             ch.x_size, ch.s_size, n,
         )
-        return value, encoder
+        return Fraction(int(value), 2 * law.denominator), encoder
     chunks = min(workers, os.cpu_count() or 1)
     if chunks > 1:
         bounds = []
         step = (branch_count + chunks - 1) // chunks
         for start in range(0, branch_count, step):
-            bounds.append((ch, n, start, min(start + step, branch_count), blocks))
+            bounds.append((law, start, min(start + step, branch_count)))
         with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             candidates = [c for c in pool.map(_csir_chunk, bounds) if c is not None]
-        best = min(candidates, key=lambda c: (-c[0], c[1]))
+        adv, i = min(candidates, key=lambda c: (-c[0], c[1]))
     else:
-        best = _csir_chunk((ch, n, 0, branch_count, blocks))
-    adv, i, b_branch = best
+        adv, i = _csir_chunk((law, 0, branch_count))
     encoder = _combine(
-        _branch_from_index(i, ch.x_size, ch.s_size, n), b_branch, ch.x_size, ch.s_size, n
+        _branch_from_index(i, ch.x_size, ch.s_size, n),
+        _best_response_branch(law, _response_levels(law, i)),
+        ch.x_size, ch.s_size, n,
     )
-    return (1 + adv) / 2, encoder
+    return (1 + Fraction(int(adv), law.denominator)) / 2, encoder
 
 
 # -- direct evaluation of a given strategy -------------------------------------

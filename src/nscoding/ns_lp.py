@@ -28,8 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import ChannelWithState, block_outputs, builtin_z0z1, state_blocks
-from .indexing import all_sequences
+from .channels import ChannelWithState, block_law, builtin_z0z1
 from .rational import as_rational
 from .simplex import LinearProgram
 
@@ -57,17 +56,6 @@ def _check_var_budget(count: int, what: str) -> None:
         raise ValueError(
             f"{what} needs {count} variables, above the exact-solver budget {MAX_LP_VARIABLES}"
         )
-
-
-def _block_tables(ch: ChannelWithState, n: int) -> dict[tuple[int, int, int], Fraction]:
-    """Positive block-law weights P(s^n) * N^n(y^n|x^n,s^n), keyed (x, s, y)."""
-    blocks = list(state_blocks(ch, n))
-    return {
-        (xi, si, yi): p_s * p_y
-        for xi, xs in enumerate(all_sequences(ch.x_size, n))
-        for si, ss, p_s in blocks
-        for yi, p_y in block_outputs(ch, xs, ss)
-    }
 
 
 def _variables(lp: LinearProgram, stem: str, *shape: int) -> np.ndarray:
@@ -118,7 +106,7 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     inv_m = Fraction(1, M)
     lp.set_objective({
         int(z[xi, w, w, si, yi]): inv_m * weight
-        for (xi, si, yi), weight in _block_tables(ch, n).items()
+        for (xi, si, yi), weight in block_law(ch, n).items()
         for w in range(M)
     })
 
@@ -163,7 +151,7 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     q = _variables(lp, "q", nx, ns)
 
     lp.set_objective({
-        int(r[xi, yi, si]): weight for (xi, si, yi), weight in _block_tables(ch, n).items()
+        int(r[xi, yi, si]): weight for (xi, si, yi), weight in block_law(ch, n).items()
     })
 
     inv_m = Fraction(1, M)

@@ -2,15 +2,18 @@
 
 Probabilities, kernel entries, LP coefficients and tensor cells are all
 `fractions.Fraction` values, so every comparison downstream is exact.
-This module only adds the text conventions on top of the stdlib type:
+This module adds the text conventions on top of the stdlib type:
 parsing of "p/q" / decimal / integer literals and the canonical "p/q"
-rendering used by file formats and CLI reports.
+rendering used by file formats and CLI reports.  Arrays of rationals are
+integer numerators over one denominator; `int_dtype` picks their dtype.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
@@ -85,3 +88,9 @@ def rational_ceil(value: Fraction) -> int:
 def rational_floor(value: Fraction) -> int:
     """Exact floor of a rational."""
     return value.numerator // value.denominator
+
+
+def int_dtype(bound: int, cells: int):
+    """int64 when no sum over `cells` values of magnitude <= bound can
+    overflow it, else Python ints in an object array (same array code)."""
+    return np.int64 if bound * cells < 2**63 else object

@@ -31,7 +31,7 @@ from nscoding.auth_scheme import (
     verify_conditions,
     zeta,
 )
-from nscoding.channels import builtin_z0z1, make_channel
+from nscoding.channels import builtin_product_xs, builtin_z0z1, make_channel
 from nscoding.type_mapping import map_with_budgets, placeholder
 from nscoding.typicality import jointly_typical
 
@@ -156,6 +156,12 @@ def test_build_scheme_identity_n8():
     assert scheme.acceptance == 1
     assert scheme.kept_block_lengths() == (2,)
     assert scheme.message_count * scheme.acceptance == scheme.mu
+
+
+@pytest.mark.parametrize("calibrate", [build_auth_scheme, compute_mu, mu_by_enumeration, estimate_mu])
+def test_block_source_of_another_length_is_refused(calibrate):
+    with pytest.raises(ValueError, match="^block length 4 does not match block source length 3$"):
+        calibrate(builtin_product_xs(), UNIFORM2 * 2, 4, HALF)
 
 
 def test_message_count_override():

@@ -14,13 +14,21 @@ from fractions import Fraction as F
 import pytest
 
 from nscoding import classical
-from nscoding.channels import builtin_z0z1, lift_csir, make_channel
+from nscoding.channels import (
+    BlockStateSource,
+    block_outputs,
+    builtin_z0z1,
+    lift_csir,
+    make_channel,
+    state_blocks,
+)
 from nscoding.classical import (
     classical_opt_success,
     encoder_table_lines,
     evaluate_strategy,
     explicit_z0z1_strategy,
 )
+from nscoding.indexing import all_sequences, index_to_seq, seq_to_index
 from nscoding.ns_lp import build_lp2
 from nscoding.simplex import solve_exact
 
@@ -162,6 +170,11 @@ def test_work_cap_rejects_large_instances(monkeypatch):
     monkeypatch.setattr(classical, "SEARCH_WORK_CAP", 10)
     with pytest.raises(ValueError, match="exceeds the cap"):
         classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
+    # the law array spans all 2^5 state blocks, not just the one atom
+    atom = BlockStateSource(n=5, atoms=(((0,) * 5, F(1)),))
+    single = make_channel(kernel=[[[1]], [[1]]], state_dist=[F(1, 2), F(1, 2)], block_state=atom)
+    with pytest.raises(ValueError, match="estimated work 32 exceeds"):
+        classical_opt_success(single, 2, 5)
 
 
 def test_more_than_two_messages_rejected():
@@ -204,3 +217,157 @@ def test_state_info_never_hurts_on_random_channels():
         plain, _ = classical_opt_success(ch, 2, 2, csir=False)
         informed, _ = classical_opt_success(ch, 2, 2, csir=True)
         assert F(1, 2) <= plain <= informed <= F(1)
+
+
+# -- the Fraction search the integer one replaced, kept as the reference ------
+
+
+def _reference_search(ch, n, csir):
+    """Exhaustive M = 2 search on Fraction rows: per-branch output weights
+    for the plain decoder, and a memoized walk over the live state-prefix
+    tree for the informed one."""
+    blocks = list(state_blocks(ch, n))
+    ny, nx = ch.y_size**n, ch.x_size**n
+    tables = {}
+    for si, ss, p_s in blocks:
+        per_x = []
+        for xs in all_sequences(ch.x_size, n):
+            row = [F(0)] * ny
+            for yi, p_y in block_outputs(ch, xs, ss):
+                row[yi] = p_s * p_y
+            per_x.append(tuple(row))
+        tables[si] = per_x
+
+    def branch(i):
+        return classical._branch_from_index(i, ch.x_size, ch.s_size, n)
+
+    def rows(b):
+        return {
+            si: tables[si][seq_to_index(
+                tuple(b[j][seq_to_index(ss[: j + 1], ch.s_size)] for j in range(n)), ch.x_size
+            )]
+            for si, ss, _p in blocks
+        }
+
+    count = classical._branch_count(ch.x_size, ch.s_size, n)
+    if not csir:
+        weights = [[sum(col, F(0)) for col in zip(*rows(branch(i)).values())] for i in range(count)]
+        best = None
+        for i, va in enumerate(weights):
+            for k, vb in enumerate(weights):
+                value = sum((max(a, b) for a, b in zip(va, vb)), F(0))
+                if best is None or value > best[0]:
+                    best = (value, i, k)
+        value, i, k = best
+        return value / 2, classical._combine(branch(i), branch(k), ch.x_size, ch.s_size, n)
+
+    live = {ss[:j] for _si, ss, _p in blocks for j in range(1, n + 1)}
+    best = None
+    for i in range(count):
+        a_rows = rows(branch(i))
+        advantage = {
+            si: [sum((w - a for w, a in zip(tables[si][xi], a_rows[si]) if w > a), F(0)) for xi in range(nx)]
+            for si, _ss, _p in blocks
+        }
+        memo = {}
+
+        def value(prefix, x_prefix):
+            key = (prefix, x_prefix)
+            if key not in memo:
+                if len(prefix) == n:
+                    row = advantage.get(seq_to_index(prefix, ch.s_size))
+                    memo[key] = row[seq_to_index(x_prefix, ch.x_size)] if row is not None else F(0)
+                else:
+                    memo[key] = sum(
+                        (max(value(prefix + (s,), x_prefix + (x,)) for x in range(ch.x_size))
+                         for s in range(ch.s_size) if prefix + (s,) in live),
+                        F(0),
+                    )
+            return memo[key]
+
+        chosen = {}
+        total = F(0)
+        stack = [(s,) for s in range(ch.s_size) if (s,) in live]
+        for prefix in stack:
+            if len(prefix) == 1:
+                total += max(value(prefix, (x,)) for x in range(ch.x_size))
+            x_prefix = tuple(chosen[prefix[:j]] for j in range(1, len(prefix)))
+            options = [value(prefix, x_prefix + (x,)) for x in range(ch.x_size)]
+            chosen[prefix] = options.index(max(options))
+            if len(prefix) < n:
+                stack.extend(prefix + (s,) for s in range(ch.s_size) if prefix + (s,) in live)
+        if best is None or total > best[0]:
+            b = tuple(
+                tuple(chosen.get(index_to_seq(pi, ch.s_size, j), 0) for pi in range(ch.s_size**j))
+                for j in range(1, n + 1)
+            )
+            best = (total, i, b)
+    adv, i, b = best
+    return (1 + adv) / 2, classical._combine(branch(i), b, ch.x_size, ch.s_size, n)
+
+
+def _random_channel(seed, x_size, y_size, s_size, den=4):
+    rng = random.Random(seed)
+
+    def dist(size):
+        cuts = sorted(rng.randint(0, den) for _ in range(size - 1))
+        return [F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
+
+    return make_channel(
+        kernel=[[dist(y_size) for _x in range(x_size)] for _s in range(s_size)],
+        state_dist=dist(s_size),
+    )
+
+
+def _map_success(ch, encoder):
+    """evaluate_strategy of `encoder` with the MAP decoder on (y^n, s^n)."""
+    n = encoder.n
+    weight = {}
+    for si, ss, p_s in state_blocks(ch, n):
+        for w in range(2):
+            for yi, p_y in block_outputs(ch, encoder.input_block(w, ss), ss):
+                weight[(yi, si, w)] = p_s * p_y
+    decoder = {
+        (yi, si): int(weight.get((yi, si, 1), 0) > weight.get((yi, si, 0), 0))
+        for yi in range(ch.y_size**n) for si in range(ch.s_size**n)
+    }
+    return evaluate_strategy(ch, encoder, decoder, csir=True)[0]
+
+
+_BINARY_BLOCK_SOURCE = make_channel(
+    kernel=[[[F(1, 3), F(2, 3)], [1, 0]], [[0, 1], [F(1, 2), F(1, 2)]]],
+    state_dist=[F(1, 2), F(1, 2)],
+    block_state=BlockStateSource(n=2, atoms=(((0, 1), F(1, 4)), ((1, 1), F(3, 4)))),
+)
+# denominators near 10^6 at n = 2 push the common denominator past int64
+_HUGE_DENOMINATORS = make_channel(
+    kernel=[
+        [[F(1, 1000003), F(1000002, 1000003)], [F(999983, 1000033), F(50, 1000033)]],
+        [[F(7, 999983), F(999976, 999983)], [F(1, 2), F(1, 2)]],
+    ],
+    state_dist=[F(333331, 1000037), F(666706, 1000037)],
+)
+
+DIFFERENTIAL_CASES = [
+    *((f"two-state seed {seed}", _random_two_state_channel(seed), 2, (False, True)) for seed in range(8)),
+    *((f"(2,3,2) seed {seed}", _random_channel(seed, 2, 3, 2), 2, (False, True)) for seed in range(4)),
+    *((f"{shape} seed 0", _random_channel(0, *shape), 2, (True,)) for shape in [(3, 2, 2), (2, 2, 3), (3, 3, 2)]),
+    ("z0z1 n=1", builtin_z0z1(), 1, (False, True)),
+    ("binary block source", _BINARY_BLOCK_SOURCE, 2, (False, True)),
+    ("denominators past int64", _HUGE_DENOMINATORS, 2, (False, True)),
+]
+
+
+def test_huge_denominators_take_the_object_path():
+    assert classical._block_law(_HUGE_DENOMINATORS, 2).law.dtype == object
+
+
+@pytest.mark.parametrize("name, ch, n, modes", DIFFERENTIAL_CASES, ids=[c[0] for c in DIFFERENTIAL_CASES])
+def test_integer_search_matches_the_fraction_search(name, ch, n, modes):
+    for csir in modes:
+        value, witness = classical_opt_success(ch, 2, n, csir=csir)
+        ref_value, ref_witness = _reference_search(ch, n, csir)
+        assert value == ref_value
+        assert witness.tables == ref_witness.tables
+        if csir:
+            assert _map_success(ch, witness) == value

@@ -312,6 +312,12 @@ def test_oversize_tableau_is_one_error_line():
     assert text.count("\n") == 1
 
 
+@pytest.mark.parametrize("action", ["build", "verify", "simulate"])
+def test_block_source_of_another_length_is_one_error_line(action):
+    argv = ["scheme", action, "--channel", "product-xs", "--n", "4", "--eps", "1/2"]
+    assert run(argv) == (1, "error: block length 4 does not match block source length 3\n")
+
+
 # -- fuzzing the command line -------------------------------------------------
 #
 # Only cheap instances are drawn (n <= 2, M <= 3, at most 100 samples, at
