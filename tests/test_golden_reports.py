@@ -4,8 +4,9 @@ Each CLI case runs in-process from `tests/golden/` (so the channel and
 strategy files there are named by a fixed relative path and the echoed
 command stays stable) and must reproduce `tests/golden/<case>.txt`
 exactly.  `values.json` pins what the CLI does not print: seeded
-`estimate_mu` draws, and exact and seeded Monte Carlo successes on
-channels with a block state source.
+`estimate_mu` draws, exact and seeded Monte Carlo successes on
+channels with a block state source, and a seeded Monte Carlo success on
+a channel with zero state and kernel probabilities.
 
 The files record the program's output as it was when they were written;
 a change that alters any of them alters a report.  To rewrite them after
@@ -84,11 +85,22 @@ def xor_block_channel():
     )
 
 
+def zero_probability_channel():
+    """Three states, the middle one of probability 0, and kernel rows with
+    a zero entry: several cumulative weight tables repeat a value."""
+    return make_channel(
+        [[[1, 0], [F(1, 4), F(3, 4)]], [[HALF, HALF]] * 2, [[0, 1], [HALF, HALF]]], [HALF, 0, HALF]
+    )
+
+
 def golden_values() -> dict[str, str]:
     identity = make_channel([[[1, 0], [0, 1]]], [1])
     xor = build_auth_scheme(xor_block_channel(), [[HALF, HALF]] * 2, 8, F(1, 4))
     product = build_auth_scheme(builtin_product_xs(), [[HALF, HALF]] * 2, 3, HALF, message_count=2)
     skew = BlockStateSource(n=3, atoms=(((0, 1, 1), HALF), ((0, 0, 1), HALF)))
+    zero = build_auth_scheme(
+        zero_probability_channel(), [[1, 0], [HALF, HALF], [F(1, 4), F(3, 4)]], 16, F(1, 3), message_count=4
+    )
     dec = success_decomposition(xor)
     return {
         "estimate_mu identity quarter n8": repr(estimate_mu(identity, [[F(1, 4), F(3, 4)]], 8, F(1, 4), 3000, 2)),
@@ -100,6 +112,9 @@ def golden_values() -> dict[str, str]:
         "xor block source mc": repr(success_probability(xor, mode="monte_carlo", samples=2000, seed=1)),
         "product-xs M=2 exact": str(success_probability(product)),
         "product-xs M=2 mc": repr(success_probability(product, mode="monte_carlo", samples=2000, seed=5)),
+        "zero-probability channel M=4 mc": repr(
+            success_probability(zero, mode="monte_carlo", samples=3000, seed=6)
+        ),
         "toy on a skewed source": str(
             success_probability(toy_product_scheme(), channel=replace(builtin_product_xs(), block_state=skew))
         ),
