@@ -26,8 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -589,25 +591,43 @@ def _diagonal_tensor(
     return SchemeTensor(m, n, *sizes, zeta * np.where(diagonal, on[t], off[t]), den)
 
 
+def _sub_tables(scheme: AuthScheme) -> dict[int, np.ndarray]:
+    """{sigma: booleans v[x, y]} over the sub-blocks x in X^n_sigma and
+    y in Y^n_sigma of every tested sigma: whether `_block_test` passes on a
+    sigma-block whose positions hold x and y (indexed as in `indexing`).
+
+    The test on sigma reads only the n_sigma positions the state mapping
+    gave sigma, so these tables decide it for every state block.  Each
+    output sub-block is mapped once, and its kept pairs are counted for
+    all input sub-blocks at once against the integer windows.
+    """
+    ch = scheme.channel
+    tables = {}
+    for s, (lo, hi) in _count_windows(scheme):
+        length = scheme.state_budgets.per_symbol[s]
+        # one_hot[i, k, x]: whether input sub-block i holds x at position k
+        one_hot = np.array(list(all_sequences(ch.x_size, length)))[:, :, None] == np.arange(ch.x_size)
+        table = np.empty((len(one_hot), ch.y_size**length), dtype=bool)
+        for yi, sub_y in enumerate(all_sequences(ch.y_size, length)):
+            mapped = np.array(map_with_budgets(sub_y, scheme.y_budgets[s]).output)
+            # counts[i, x, y]: kept pairs (x, y); placeholder outputs match no y
+            counts = np.stack([one_hot[:, mapped == y].sum(axis=1) for y in range(ch.y_size)], axis=2)
+            counts = counts.reshape(len(one_hot), -1)
+            table[:, yi] = ((lo <= counts) & (counts <= hi)).all(axis=1)
+        tables[s] = table
+    return tables
+
+
 def _acceptance_table(scheme: AuthScheme) -> np.ndarray:
     """Booleans t[x, s, y]: whether the block triple passes the test.
 
-    The test on sigma reads only the n_sigma positions the state mapping
-    gave sigma, so `_block_test` fills one table per tested sigma over all
-    |X|^n_sigma x |Y|^n_sigma sub-blocks, and every state block looks its
-    sigma-blocks up there by the sub-block indices of each x^n and y^n.
+    Every state block looks its sigma-blocks up in `_sub_tables` by the
+    sub-block indices of each x^n and y^n.
     """
     ch, n = scheme.channel, scheme.n
     sequences = {k: np.array(list(all_sequences(k, n))).reshape(-1, n) for k in {ch.x_size, ch.y_size}}
     windows = _count_windows(scheme)
-    sub_tables = {}
-    for s, window in windows:
-        length = scheme.state_budgets.per_symbol[s]
-        block = (s, window, range(length))
-        sub_tables[s] = np.array([
-            [_block_test(scheme, block, sub_x, sub_y)[0] for sub_y in all_sequences(ch.y_size, length)]
-            for sub_x in all_sequences(ch.x_size, length)
-        ])
+    sub_tables = _sub_tables(scheme)
 
     def sub_index(size, positions):
         return sequences[size][:, positions] @ size ** np.arange(len(positions) - 1, -1, -1)
@@ -754,38 +774,74 @@ def _scheme_success_exact(scheme: AuthScheme) -> Fraction:
     )
 
 
+def _draw_table(probs) -> tuple[list[float], float, int]:
+    """(cum, total, hi) for drawing index i with probability probs[i] as
+    bisect(cum, random() * total, 0, hi).  That is the expression
+    `random.choices(range(len(probs)), cum_weights=cum)` evaluates on the
+    same `random()` value, so a draw is the same either way; the checks
+    it makes on every call are made here, once."""
+    cum = _cumulative(probs)
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("total of weights must be finite")
+    return cum, total, len(cum) - 1
+
+
 def _scheme_success_monte_carlo(
     scheme: AuthScheme, samples: int, seed: int
 ) -> tuple[float, tuple[float, float]]:
+    """Draw per sample, in this order: n states (or one block-source atom),
+    n inputs, n outputs and, when M > 1 and the test passes, the lambda
+    coin.  The test is looked up in `_sub_tables` when their cells, sum
+    over sigma of (|X||Y|)^n_sigma, are at most `samples`, and run with
+    `_block_test` otherwise."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     ch, n = scheme.channel, scheme.n
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     source = ch.block_state
     if source is None:
-        state_cum = _cumulative(ch.state_dist)
+        state_cum, state_total, state_hi = _draw_table(ch.state_dist)
     else:
         atoms = [ss for ss, _ in source.atoms]
-        state_cum = _cumulative(p for _, p in source.atoms)
+        state_cum, state_total, state_hi = _draw_table(p for _, p in source.atoms)
     # indexed by mapped state; the placeholder (index |S|) gets uniform inputs
-    input_cum = [_cumulative(row) for row in scheme.strategy] + [_cumulative([1] * ch.x_size)]
-    output_cum = [[_cumulative(row) for row in state_slice] for state_slice in ch.kernel]
-    x_range, y_range = range(ch.x_size), range(ch.y_size)
+    inputs = [_draw_table(row) for row in scheme.strategy] + [_draw_table([1] * ch.x_size)]
+    outputs = [[_draw_table(row) for row in state_slice] for state_slice in ch.kernel]
     lam = float(scheme.acceptance)
+    m, x_size, y_size = scheme.message_count, ch.x_size, ch.y_size
     windows = _count_windows(scheme)
+    cells = sum((x_size * y_size) ** scheme.state_budgets.per_symbol[s] for s, _ in windows)
+    verdicts = None
+    if m > 1 and cells <= samples:
+        # (sigma, table flattened x-major, number of y sub-blocks)
+        verdicts = [(s, table.tobytes(), table.shape[1]) for s, table in _sub_tables(scheme).items()]
     wins = 0
     for _ in range(samples):
         if source is None:
-            ss = rng.choices(range(ch.s_size), cum_weights=state_cum, k=n)
+            ss = [bisect(state_cum, draw() * state_total, 0, state_hi) for _ in range(n)]
         else:
-            ss = rng.choices(atoms, cum_weights=state_cum)[0]
+            ss = atoms[bisect(state_cum, draw() * state_total, 0, state_hi)]
         mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-        xs = [rng.choices(x_range, cum_weights=input_cum[ms])[0] for ms in mapped_states]
-        ys = [rng.choices(y_range, cum_weights=output_cum[s][x])[0] for x, s in zip(xs, ss)]
-        wins += scheme.message_count == 1 or (
-            _accepts(scheme, _sigma_blocks(windows, mapped_states), xs, ys)
-            and rng.random() < lam
-        )
+        xs = [bisect(c, draw() * t, 0, h) for c, t, h in map(inputs.__getitem__, mapped_states)]
+        # the table outputs[s][x] of every position
+        ys = [bisect(c, draw() * t, 0, h) for c, t, h in map(getitem, map(outputs.__getitem__, ss), xs)]
+        if m == 1:
+            wins += 1
+            continue
+        if verdicts is None:
+            passed = _accepts(scheme, _sigma_blocks(windows, mapped_states), xs, ys)
+        else:
+            # the x and y sub-block indices of every sigma-block (the
+            # placeholder's slot, index |S|, is never read)
+            sub_x, sub_y = [0] * (ch.s_size + 1), [0] * (ch.s_size + 1)
+            for v, x, y in zip(mapped_states, xs, ys):
+                sub_x[v] = sub_x[v] * x_size + x
+                sub_y[v] = sub_y[v] * y_size + y
+            passed = all(table[sub_x[s] * width + sub_y[s]] for s, table, width in verdicts)
+        wins += passed and draw() < lam
     p_hat = wins / samples
     return p_hat, _ci95(p_hat, samples)
 

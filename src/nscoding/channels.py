@@ -215,6 +215,8 @@ def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int,
     The weight comes from the attached block source, whose length must be
     n, and otherwise from the i.i.d. product over the letters with P(s) > 0.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     source = ch.block_state
     if source is not None:
         if source.n != n:

@@ -134,9 +134,10 @@ def map_sequence(
     eps: object,
 ) -> MappedSequence:
     """Map a full length-n sequence using budgets derived from (dist, eps)."""
+    b = budgets(n, alphabet_size, dist, eps)
     if len(seq) != n:
         raise ValueError(f"expected a length-{n} sequence, got length {len(seq)}")
-    return map_with_budgets(seq, budgets(n, alphabet_size, dist, eps))
+    return map_with_budgets(seq, b)
 
 
 def flag_predicate(seq: Sequence[int], b: Budgets) -> bool:

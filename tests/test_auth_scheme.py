@@ -7,6 +7,7 @@ exercises the degenerate corners.
 """
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -34,6 +35,7 @@ from nscoding.auth_scheme import (
 from nscoding.channels import builtin_product_xs, builtin_z0z1, make_channel
 from nscoding.type_mapping import map_with_budgets, placeholder
 from nscoding.typicality import jointly_typical
+from test_golden_reports import zero_probability_channel
 
 F = Fraction
 HALF = F(1, 2)
@@ -638,6 +640,41 @@ def test_acceptance_table_matches_the_per_sequence_test(ch, strategy, n, eps, m)
     assert (table == expected).all()
 
 
+# The constant-output channel tests only the input composition of a kept
+# block of seven positions, over 2^7 input sub-blocks per output sub-block.
+SUB_TABLE_CASES = ACCEPTANCE_CASES + [
+    (f"constant-output-n{n}", make_channel([[[1, 0], [1, 0]]], [1]), UNIFORM2, n, eps, 4)
+    for n, eps in ((9, F(1, 8)), (10, F(1, 4)))
+]
+
+
+@pytest.mark.parametrize(
+    "ch, strategy, n, eps, m", [case[1:] for case in SUB_TABLE_CASES],
+    ids=[case[0] for case in SUB_TABLE_CASES],
+)
+def test_sub_tables_match_the_block_test(ch, strategy, n, eps, m):
+    scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
+    tables = auth_scheme._sub_tables(scheme)
+    windows = dict(auth_scheme._count_windows(scheme))
+    assert tables.keys() == windows.keys()
+    for s, table in tables.items():
+        length = scheme.state_budgets.per_symbol[s]
+        block = (s, windows[s], range(length))
+        expected = np.array([
+            [auth_scheme._block_test(scheme, block, xs, ys)[0]
+             for ys in itertools.product(range(ch.y_size), repeat=length)]
+            for xs in itertools.product(range(ch.x_size), repeat=length)
+        ])
+        assert table.shape == expected.shape
+        assert (table == expected).all()
+
+
+def test_constant_output_sub_tables_bite():
+    ch, n, eps = make_channel([[[1, 0], [1, 0]]], [1]), 9, F(1, 8)
+    table = auth_scheme._sub_tables(build_auth_scheme(ch, UNIFORM2, n, eps, message_count=4))[0]
+    assert table.any() and not table.all()
+
+
 def test_acceptance_comparisons_bite():
     tables = [
         auth_scheme._acceptance_table(build_auth_scheme(ch, strategy, n, eps, message_count=m))
@@ -719,6 +756,106 @@ def test_monte_carlo_of_degenerate_message_count_one():
     assert success_probability(scheme) == 1
     estimate, _ = success_probability(scheme, mode="monte_carlo", samples=100, seed=0)
     assert estimate == 1.0
+
+
+# The Monte Carlo sampler as it was before its draws moved to `bisect` on
+# tables built once: one `random.choices` call per drawn letter, and the
+# test run on every sample.  The current sampler must report the same,
+# draw for draw.
+
+
+def reference_monte_carlo(scheme, samples, seed):
+    ch, n = scheme.channel, scheme.n
+
+    def cumulative(probs):
+        return list(itertools.accumulate(float(p) for p in probs))
+
+    rng = random.Random(seed)
+    source = ch.block_state
+    if source is None:
+        state_cum = cumulative(ch.state_dist)
+    else:
+        atoms = [ss for ss, _ in source.atoms]
+        state_cum = cumulative(p for _, p in source.atoms)
+    input_cum = [cumulative(row) for row in scheme.strategy] + [cumulative([1] * ch.x_size)]
+    output_cum = [[cumulative(row) for row in state_slice] for state_slice in ch.kernel]
+    x_range, y_range = range(ch.x_size), range(ch.y_size)
+    lam = float(scheme.acceptance)
+    windows = auth_scheme._count_windows(scheme)
+    wins = 0
+    for _ in range(samples):
+        if source is None:
+            ss = rng.choices(range(ch.s_size), cum_weights=state_cum, k=n)
+        else:
+            ss = rng.choices(atoms, cum_weights=state_cum)[0]
+        mapped_states = map_with_budgets(ss, scheme.state_budgets).output
+        xs = [rng.choices(x_range, cum_weights=input_cum[ms])[0] for ms in mapped_states]
+        ys = [rng.choices(y_range, cum_weights=output_cum[s][x])[0] for x, s in zip(xs, ss)]
+        wins += scheme.message_count == 1 or (
+            auth_scheme._accepts(scheme, auth_scheme._sigma_blocks(windows, mapped_states), xs, ys)
+            and rng.random() < lam
+        )
+    p_hat = wins / samples
+    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
+    return p_hat, (max(p_hat - half, 0.0), min(p_hat + half, 1.0))
+
+
+def with_two_messages_at_least(label, ch, strategy, n, eps, m):
+    """The case with its message count raised to 2 when it would be 1, so
+    that the sampler runs the test and the lambda coin."""
+    if m is None:
+        m = max(2, build_auth_scheme(ch, strategy, n, eps).message_count)
+    return label, ch, strategy, n, eps, m
+
+
+# (label, channel, strategy, n, eps, message count)
+MONTE_CARLO_CASES = [with_two_messages_at_least(*case) for case in ACCEPTANCE_CASES] + [
+    ("product-xs-block-source", builtin_product_xs(), [[HALF, HALF]] * 2, 3, HALF, 2),
+    ("z0z1-n4-one-message", builtin_z0z1(), [[HALF, HALF]] * 2, 4, HALF, None),
+    ("zero-probability-n16", zero_probability_channel(), [[1, 0], [HALF, HALF], [F(1, 4), F(3, 4)]],
+     16, F(1, 3), 4),
+]
+
+
+def verdict_cells(scheme):
+    sizes = scheme.channel.x_size * scheme.channel.y_size
+    return sum(sizes ** scheme.state_budgets.per_symbol[s] for s, _ in auth_scheme._count_windows(scheme))
+
+
+@pytest.mark.parametrize(
+    "ch, strategy, n, eps, m", [case[1:] for case in MONTE_CARLO_CASES],
+    ids=[case[0] for case in MONTE_CARLO_CASES],
+)
+def test_monte_carlo_draws_as_the_reference_sampler(ch, strategy, n, eps, m):
+    scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
+    for samples in (50, 3000):
+        for seed in (0, 1):
+            expected = reference_monte_carlo(scheme, samples, seed)
+            assert success_probability(scheme, mode="monte_carlo", samples=samples, seed=seed) == expected
+
+
+def test_monte_carlo_cases_cover_both_verdict_paths_and_both_sources():
+    schemes = [build_auth_scheme(*case[1:-1], message_count=case[-1]) for case in MONTE_CARLO_CASES]
+    tested = [s for s in schemes if s.message_count > 1 and any(s.kept_block_lengths())]
+    assert any(verdict_cells(s) <= 50 for s in tested)
+    assert any(50 < verdict_cells(s) <= 3000 for s in tested)
+    assert any(s.message_count == 1 for s in schemes)
+    assert any(s.channel.block_state is not None and s.message_count > 1 for s in schemes)
+
+
+def test_sub_tables_are_built_only_within_the_sample_count(monkeypatch):
+    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF, message_count=4)
+    cells = verdict_cells(scheme)
+    assert cells == 4**4
+
+    def refuse(_scheme):
+        raise AssertionError("sub-tables built")
+
+    monkeypatch.setattr(auth_scheme, "_sub_tables", refuse)
+    expected = reference_monte_carlo(scheme, cells - 1, 5)
+    assert success_probability(scheme, mode="monte_carlo", samples=cells - 1, seed=5) == expected
+    with pytest.raises(AssertionError, match="sub-tables built"):
+        success_probability(scheme, mode="monte_carlo", samples=cells, seed=5)
 
 
 def test_exact_cap_points_to_sampling(monkeypatch):

@@ -318,6 +318,18 @@ def test_block_source_of_another_length_is_one_error_line(action):
     assert run(argv) == (1, "error: block length 4 does not match block source length 3\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["scheme", action, "--channel", "z0z1", "--n", "-1", "--eps", "1/2"]
+          for action in ("build", "verify", "simulate")),
+        ["typemap", "--n", "-1", "--dist", "1/2,1/2", "--eps", "1/2", "--seq", "0"],
+    ],
+)
+def test_negative_block_length_is_one_error_line(argv):
+    assert run(argv) == (1, "error: n must be >= 1, got -1\n")
+
+
 # -- fuzzing the command line -------------------------------------------------
 #
 # Only cheap instances are drawn (n <= 2, M <= 3, at most 100 samples, at
