@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law, block_outputs, state_blocks
+from .channels import ChannelWithState, block_law, block_outputs, state_block_count, state_blocks
 from .indexing import all_sequences, index_to_seq, seq_to_index
 from .rational import as_rational, int_dtype, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
@@ -316,13 +316,6 @@ def mu_by_enumeration(
     return _mu(strat, y_b, p_xy, eps, "enumerate")
 
 
-def _cumulative(probs) -> list[float]:
-    """Cumulative float weights for `random.choices(cum_weights=...)`: the
-    very list `choices(weights=...)` builds on every call, so a draw is
-    the same either way."""
-    return list(itertools.accumulate(float(p) for p in probs))
-
-
 def _ci95(p_hat: float, samples: int) -> tuple[float, float]:
     """Normal-approximation 95% interval for a frequency, clipped to [0, 1]."""
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
@@ -356,15 +349,15 @@ def estimate_mu(
         canonical = [y for y in range(ch.y_size) for _ in range(counts[y])]
         if canonical:
             window = _pair_windows(p_xy[s], len(canonical), eps)
-            blocks.append((canonical, _cumulative(strat[s]), window))
+            blocks.append((canonical, _draw_table(strat[s]), window))
     if not blocks:
         return 1.0, (1.0, 1.0)
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     wins = 0
     for _ in range(samples):
         ok = True
-        for canonical, cum, window in blocks:
-            xs = rng.choices(range(ch.x_size), cum_weights=cum, k=len(canonical))
+        for canonical, (cum, total, hi), window in blocks:
+            xs = [bisect(cum, draw() * total, 0, hi) for _ in canonical]
             if not _pairs_typical(window, ch.y_size, zip(xs, canonical)):
                 ok = False
                 break
@@ -436,14 +429,9 @@ def zeta(scheme: AuthScheme, i: int, x: int, s_prefix: Sequence[int]) -> Fractio
 
 
 def _input_weight(scheme: AuthScheme, xs: Sequence[int], mapped_states: Sequence[int]) -> Fraction:
-    phi = placeholder(scheme.channel.s_size)
-    uniform = Fraction(1, scheme.channel.x_size)
-    w = ONE
-    for x, s in zip(xs, mapped_states):
-        w *= uniform if s == phi else scheme.strategy[s][x]
-        if not w:
-            break
-    return w
+    # indexed by mapped state; the placeholder (index |S|) gets uniform inputs
+    rows = scheme.strategy + ((Fraction(1, scheme.channel.x_size),) * scheme.channel.x_size,)
+    return math.prod(rows[s][x] for x, s in zip(xs, mapped_states))
 
 
 Block = tuple[int, Window, Sequence[int]]
@@ -741,46 +729,14 @@ def _tensor_success(tensor: SchemeTensor, ch: ChannelWithState) -> Fraction:
     return total / (tensor.message_count * tensor.denominator)
 
 
-def _exact_walk(scheme: AuthScheme):
-    """Yield (weight, x^n, y^n, state-mapper flag, sigma blocks) for every
-    block triple of positive weight P(s^n) * zeta(x^n|s^n) * N^n(y^n|x^n,s^n).
-
-    The terms are counted against EXACT_SUCCESS_CAP before the walk starts.
-    """
-    ch, n = scheme.channel, scheme.n
-    y_max = max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
-    terms = sum(1 for _ in state_blocks(ch, n)) * ch.x_size**n * y_max**n
-    if terms > EXACT_SUCCESS_CAP:
-        raise ValueError(
-            f"about {terms} terms exceed the exact cap {EXACT_SUCCESS_CAP}; use monte_carlo mode"
-        )
-    windows = _count_windows(scheme)
-    for _si, ss, p_s in state_blocks(ch, n):
-        mapped = map_with_budgets(ss, scheme.state_budgets)
-        blocks = _sigma_blocks(windows, mapped.output)
-        for xs in all_sequences(ch.x_size, n):
-            w_in = _input_weight(scheme, xs, mapped.output)
-            if w_in:
-                for yi, p_y in block_outputs(ch, xs, ss):
-                    yield p_s * w_in * p_y, xs, index_to_seq(yi, ch.y_size, n), mapped.flag, blocks
-
-
-def _scheme_success_exact(scheme: AuthScheme) -> Fraction:
-    walk = _exact_walk(scheme)
-    if scheme.message_count == 1:
-        return sum((weight for weight, *_ in walk), ZERO)
-    return scheme.acceptance * sum(
-        (weight for weight, xs, ys, _flag, blocks in walk if _accepts(scheme, blocks, xs, ys)), ZERO
-    )
-
-
 def _draw_table(probs) -> tuple[list[float], float, int]:
     """(cum, total, hi) for drawing index i with probability probs[i] as
-    bisect(cum, random() * total, 0, hi).  That is the expression
-    `random.choices(range(len(probs)), cum_weights=cum)` evaluates on the
-    same `random()` value, so a draw is the same either way; the checks
-    it makes on every call are made here, once."""
-    cum = _cumulative(probs)
+    bisect(cum, random() * total, 0, hi).  `cum` is the list of cumulative
+    float weights `random.choices(weights=probs)` builds, and the draw is
+    the expression `random.choices(range(len(probs)), cum_weights=cum)`
+    evaluates on the same `random()` value, so it is the same either way;
+    the checks `choices` makes on every call are made here, once."""
+    cum = list(itertools.accumulate(float(p) for p in probs))
     total = cum[-1] + 0.0
     if total <= 0.0:
         raise ValueError("total of weights must be greater than zero")
@@ -859,10 +815,11 @@ def success_probability(
     whose alphabets must match it.  To weigh state blocks by another
     source, pass `dataclasses.replace(channel, block_state=...)`.
 
-    Exact mode returns a Fraction: the average over messages of the
-    diagonal tensor entries weighted by the state source and the channel
-    law.  Monte Carlo mode (schemes only) samples the whole pipeline
-    forward and returns (estimate, 95% confidence interval).
+    Exact mode returns a Fraction: for a tensor, the average over messages
+    of the diagonal entries weighted by the state source and the channel
+    law; for a scheme, the `success` of `success_decomposition`.  Monte
+    Carlo mode (schemes only) samples the whole pipeline forward and
+    returns (estimate, 95% confidence interval).
     """
     if isinstance(target, SchemeTensor):
         if channel is None:
@@ -880,7 +837,7 @@ def success_probability(
         raise ValueError("a scheme is evaluated on its own channel; channel is for bare tensors")
     state_blocks(target.channel, target.n)  # rejects a block source of another length up front
     if mode == "exact":
-        return _scheme_success_exact(target)
+        return success_decomposition(target).success
     if mode == "monte_carlo":
         return _scheme_success_monte_carlo(target, samples, seed)
     raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
@@ -900,29 +857,57 @@ class SuccessDecomposition:
         return self.acceptance * self.p_flag * self.p_accept_given_flag
 
 
+def _sigma_sums(scheme: AuthScheme, block: Block, ss: Sequence[int]) -> tuple[Fraction, ...]:
+    """Sums of prod_i strategy[sigma][x_i] * N(y_i|x_i,s_i) over the input
+    sub-blocks x of one sigma-block of s^n and their supported outputs y,
+    each position with its real state s_i: where `_block_test` passes,
+    where its output-mapper flag is set, and where both hold."""
+    s, window, positions = block
+    ch, k, states = scheme.channel, len(positions), [ss[i] for i in positions]
+    accept = flag = both = ZERO
+    for xs in all_sequences(ch.x_size, k):
+        w_in = math.prod(scheme.strategy[s][x] for x in xs)
+        for yi, p_y in block_outputs(ch, xs, states) if w_in else ():
+            ys = index_to_seq(yi, ch.y_size, k)
+            passes, y_flag = _block_test(scheme, (s, window, range(k)), xs, ys)
+            weight = w_in * p_y
+            accept += weight * passes
+            flag += weight * y_flag
+            both += weight * (passes and y_flag)
+    return accept, flag, both
+
+
 def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
     """One exact pass computing the success probability together with the
     flag probability and the conditional acceptance rate, so that
-    success >= acceptance * P(F=1) * P(accept | F=1) can be checked."""
-    p_accept = ZERO
-    p_flag = ZERO
-    p_both = ZERO
-    for weight, xs, ys, state_flag, blocks in _exact_walk(scheme):
-        tests = [_block_test(scheme, block, xs, ys) for block in blocks]
-        accept = all(ok for ok, _ in tests)
-        flag = bool(state_flag) and all(y_flag for _, y_flag in tests)
-        if accept:
-            p_accept += weight
-        if flag:
-            p_flag += weight
-            if accept:
-                p_both += weight
-    given = p_both / p_flag if p_flag else ZERO
+    success >= acceptance * P(F=1) * P(accept | F=1) can be checked.
+
+    Given s^n, placeholder positions (uniform inputs, no test) sum to 1,
+    and the rest factors over the sigma-blocks: each probability is the
+    sum over s^n of P(s^n) times the product of `_sigma_sums` over tested
+    sigma.  Its (state blocks) * (1 + sum over sigma of (|X| y_max)^n_sigma)
+    terms are counted against EXACT_SUCCESS_CAP before the pass starts.
+    """
+    ch, n = scheme.channel, scheme.n
+    windows = _count_windows(scheme)
+    y_max = max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
+    lengths = scheme.state_budgets.per_symbol
+    terms = state_block_count(ch, n) * (1 + sum((ch.x_size * y_max) ** lengths[s] for s, _ in windows))
+    if terms > EXACT_SUCCESS_CAP:
+        raise ValueError(f"about {terms} terms exceed the exact cap {EXACT_SUCCESS_CAP}; use monte_carlo mode")
+    totals = [ZERO] * 3  # P(accept), P(F), P(accept and F)
+    for _si, ss, p_s in state_blocks(ch, n):
+        mapped = map_with_budgets(ss, scheme.state_budgets)
+        parts = [p_s, p_s * mapped.flag, p_s * mapped.flag]
+        for block in _sigma_blocks(windows, mapped.output):
+            parts = [p * q for p, q in zip(parts, _sigma_sums(scheme, block, ss))]
+        totals = [t + p for t, p in zip(totals, parts)]
+    p_accept, p_flag, p_both = totals
     return SuccessDecomposition(
         success=scheme.acceptance * p_accept,
         acceptance=scheme.acceptance,
         p_flag=p_flag,
-        p_accept_given_flag=given,
+        p_accept_given_flag=p_both / p_flag if p_flag else ZERO,
     )
 
 

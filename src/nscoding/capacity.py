@@ -11,7 +11,7 @@ ordinary double precision with 0*log(0) = 0 conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -313,14 +313,13 @@ def gp_noncausal_capacity(
     xm2 = np.array([[maps[i][s] for s in range(s_size)] for i in order], dtype=int)
     starts.append((p2, xm2))
 
-    rng = np.random.default_rng(seed)
-    while len(starts) < restarts:
-        p = rng.dirichlet(np.ones(n_u), size=s_size)
-        xm = rng.integers(0, x_size, size=(n_u, s_size))
-        starts.append((p, xm))
+    def random_starts():  # each drawn just before its ascent, which draws nothing
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts - len(starts)):
+            yield rng.dirichlet(np.ones(n_u), size=s_size), rng.integers(0, x_size, size=(n_u, s_size))
 
     best = 0.0  # a constant U achieves 0, so the bound is never negative
-    for p0, xm0 in starts:
+    for p0, xm0 in chain(starts, random_starts()):
         value, _, _ = _gp_ascend(p0, xm0, W, ps, tol=tol)
         best = max(best, value)
     return best

@@ -25,6 +25,7 @@ __all__ = [
     "make_channel",
     "lift_csir",
     "state_blocks",
+    "state_block_count",
     "block_outputs",
     "block_law",
     "block_kernel",
@@ -227,6 +228,13 @@ def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int,
         (seq_to_index(ss, ch.s_size), ss, ch.iid_block_prob(ss))
         for ss in product(support, repeat=n)
     )
+
+
+def state_block_count(ch: ChannelWithState, n: int) -> int:
+    """How many blocks `state_blocks` yields, counted without walking them."""
+    state_blocks(ch, n)  # rejects n < 1 and a block source of another length
+    source = ch.block_state
+    return len(source.support()) if source is not None else sum(1 for p in ch.state_dist if p) ** n
 
 
 def block_outputs(

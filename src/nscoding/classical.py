@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law, block_outputs, builtin_z0z1, state_blocks
+from .channels import ChannelWithState, block_law, block_outputs, builtin_z0z1, state_block_count, state_blocks
 from .indexing import index_to_seq, seq_to_index
 from .rational import int_dtype
 
@@ -218,6 +218,17 @@ def _csir_chunk(args):
     return best
 
 
+def _check_work(*factors: tuple[int, int]) -> None:
+    """Refuse an instance whose estimated work, the product of base ** exponent
+    over `factors`, exceeds SEARCH_WORK_CAP.  The product is built only when
+    it may be within the cap; a larger one is reported by its power of two."""
+    log2 = sum(exponent * math.log2(base) for base, exponent in factors)
+    big = log2 > SEARCH_WORK_CAP.bit_length() + 1
+    work = f"about 2^{round(log2)}" if big else math.prod(b**e for b, e in factors)
+    if big or work > SEARCH_WORK_CAP:
+        raise ValueError(f"estimated work {work} exceeds the cap {SEARCH_WORK_CAP} for this instance")
+
+
 def classical_opt_success(
     ch: ChannelWithState,
     M: int,
@@ -245,19 +256,15 @@ def classical_opt_success(
         )
     if M != 2:
         raise ValueError(f"the exhaustive search supports M in {{1, 2}}, got {M}")
-    blocks = sum(1 for _ in state_blocks(ch, n))
+    blocks = state_block_count(ch, n)
+    # the law array spans every state block, so it must fit under the cap first
+    _check_work((ch.s_size, n), (ch.x_size, n), (ch.y_size, n))
+    digits = sum(_slot_sizes(ch.s_size, n))  # there are |X| ** digits branches
+    if csir:  # branches * state blocks * |X|^n * |Y|^n
+        _check_work((ch.x_size, digits), (blocks, 1), (ch.x_size, n), (ch.y_size, n))
+    else:  # branches^2 * |Y|^n
+        _check_work((ch.x_size, 2 * digits), (ch.y_size, n))
     branch_count = _branch_count(ch.x_size, ch.s_size, n)
-    nx, ny = ch.x_size**n, ch.y_size**n
-    if csir:
-        work = branch_count * blocks * nx * ny
-    else:
-        work = branch_count * branch_count * ny
-    # the law array spans every state block, so it must fit under the cap too
-    work = max(work, ch.s_size**n * nx * ny)
-    if work > SEARCH_WORK_CAP:
-        raise ValueError(
-            f"estimated work {work} exceeds the cap {SEARCH_WORK_CAP} for this instance"
-        )
     law = _block_law(ch, n)
     if not csir:
         value, i, k = _best_pair_plain(law, branch_count)

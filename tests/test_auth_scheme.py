@@ -10,7 +10,9 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from nscoding import auth_scheme
 from nscoding.auth_scheme import (
     DegenerateSchemeError,
     SchemeTensor,
+    SuccessDecomposition,
     build_auth_scheme,
     compute_mu,
     estimate_mu,
@@ -32,7 +35,10 @@ from nscoding.auth_scheme import (
     verify_conditions,
     zeta,
 )
-from nscoding.channels import builtin_product_xs, builtin_z0z1, make_channel
+from nscoding.channels import (
+    block_outputs, builtin_product_xs, builtin_z0z1, load_channel_file, make_channel, state_blocks,
+)
+from nscoding.indexing import index_to_seq
 from nscoding.type_mapping import map_with_budgets, placeholder
 from nscoding.typicality import jointly_typical
 from test_golden_reports import zero_probability_channel
@@ -883,3 +889,172 @@ def test_success_decomposition_inequality():
     assert dec.p_accept_given_flag == 1
     assert dec.success >= dec.lower_bound()
     assert dec.success == success_probability(scheme)
+
+
+# -- the exact pass against the per-triple walk -----------------------------------
+
+
+def reference_decomposition(scheme):
+    """(decomposition, exact success) as they were found before the exact
+    pass factored over sigma-blocks: a walk over every (s^n, x^n, y^n)
+    triple of positive weight that runs every sigma test on each, with the
+    success at M = 1 read as the total weight."""
+    ch, n = scheme.channel, scheme.n
+    phi = placeholder(ch.s_size)
+    windows = auth_scheme._count_windows(scheme)
+    total = p_accept = p_flag = p_both = F(0)
+    for _si, ss, p_s in state_blocks(ch, n):
+        mapped = map_with_budgets(ss, scheme.state_budgets)
+        blocks = auth_scheme._sigma_blocks(windows, mapped.output)
+        for xs in itertools.product(range(ch.x_size), repeat=n):
+            w_in = math.prod(
+                F(1, ch.x_size) if v == phi else scheme.strategy[v][x] for x, v in zip(xs, mapped.output)
+            )
+            for yi, p_y in block_outputs(ch, xs, ss) if w_in else ():
+                tests = [auth_scheme._block_test(scheme, block, xs, index_to_seq(yi, ch.y_size, n))
+                         for block in blocks]
+                accept = all(ok for ok, _ in tests)
+                flag = mapped.flag == 1 and all(y_flag for _, y_flag in tests)
+                weight = p_s * w_in * p_y
+                total += weight
+                p_accept += weight if accept else 0
+                p_flag += weight if flag else 0
+                p_both += weight if accept and flag else 0
+    decomposition = SuccessDecomposition(
+        success=scheme.acceptance * p_accept,
+        acceptance=scheme.acceptance,
+        p_flag=p_flag,
+        p_accept_given_flag=p_both / p_flag if p_flag else F(0),
+    )
+    return decomposition, total if scheme.message_count == 1 else decomposition.success
+
+
+def random_three_letter_cases(count, eps=F(1, 8)):
+    """Scheme inputs at n = 3 on random channels with one alphabet of three
+    letters, cycling through (|X|, |Y|, |S|) = (3, 2, 2), (2, 3, 2),
+    (2, 2, 3), drawn until `count` give a nondegenerate scheme."""
+    rng = random.Random(5)
+
+    def dist(k, den):
+        cuts = sorted(rng.randint(0, den) for _ in range(k - 1))
+        return [F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
+
+    shapes = [(3, 2, 2), (2, 3, 2), (2, 2, 3)]
+    cases = []
+    for _ in range(200):
+        x_size, y_size, s_size = shapes[len(cases) % 3]
+        ch = make_channel([[dist(y_size, 4) for _ in range(x_size)] for _ in range(s_size)], dist(s_size, 4))
+        strategy = [dist(x_size, 2) for _ in range(s_size)]
+        try:
+            m = build_auth_scheme(ch, strategy, 3, eps).message_count
+        except DegenerateSchemeError:
+            continue
+        cases.append((f"random3-{len(cases)}", ch, strategy, 3, eps, m + len(cases) % 2))
+        if len(cases) == count:
+            return cases
+    raise AssertionError(f"fewer than {count} usable random channels in 200 draws")
+
+
+GOLDEN_IDENTITY = load_channel_file(str(Path(__file__).parent / "golden" / "identity.json"))
+
+# (label, channel, strategy, n, eps, message count)
+DECOMPOSITION_CASES = ACCEPTANCE_CASES + [
+    ("product-xs-block-source", builtin_product_xs(), [[HALF, HALF]] * 2, 3, HALF, 2),
+    *((f"z0z1-skewed-n{n}", builtin_z0z1(), [[F(1, 4), F(3, 4)], [F(3, 4), F(1, 4)]], n, F(1, 4), 2)
+      for n in (4, 5, 6)),
+    ("golden-identity-n8", GOLDEN_IDENTITY, [[F(1, 4), F(3, 4)]], 8, F(1, 4), None),
+    ("identity-and-flip-n7", make_channel([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [HALF, HALF]),
+     [[HALF, HALF]] * 2, 7, F(1, 8), None),
+] + random_three_letter_cases(20)
+
+
+@pytest.mark.parametrize(
+    "ch, strategy, n, eps, m", [case[1:] for case in DECOMPOSITION_CASES],
+    ids=[case[0] for case in DECOMPOSITION_CASES],
+)
+def test_exact_pass_matches_the_per_triple_walk(ch, strategy, n, eps, m):
+    scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
+    decomposition, success = reference_decomposition(scheme)
+    assert success_decomposition(scheme) == decomposition
+    assert success_probability(scheme) == success
+
+
+def test_decomposition_cases_cover_tested_states_and_fallback_positions():
+    schemes = [build_auth_scheme(*case[1:-1], message_count=case[-1]) for case in DECOMPOSITION_CASES]
+    assert any(sum(1 for k in s.kept_block_lengths() if k) >= 2 for s in schemes)
+    assert any(s.message_count == 1 for s in schemes)
+    assert any(s.channel.block_state is not None for s in schemes)
+    assert sum(3 in (s.channel.x_size, s.channel.y_size, s.channel.s_size) for s in schemes) >= 20
+
+    def fallback_blocks(scheme):
+        """State blocks with state flag 0 on which a tested sigma's
+        positions hold another state."""
+        tested = {s for s, _ in auth_scheme._count_windows(scheme)}
+        for _si, ss, _p in state_blocks(scheme.channel, scheme.n):
+            mapped = map_with_budgets(ss, scheme.state_budgets)
+            if mapped.flag == 0 and any(v in tested and v != s for v, s in zip(mapped.output, ss)):
+                yield ss
+
+    assert any(any(fallback_blocks(s)) for s in schemes)
+    assert any(success_decomposition(s).p_accept_given_flag not in (0, 1) for s in schemes)
+
+
+@pytest.mark.parametrize("eps", [F(1, 4), F(39, 40)])
+def test_exact_pass_refuses_z0z1_at_n40_without_walking_the_state_blocks(eps):
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 40, eps)
+    if eps == F(39, 40):
+        assert not auth_scheme._count_windows(scheme) and scheme.message_count == 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^about \d+ terms exceed the exact cap 4000000; use monte_carlo mode$"):
+        success_decomposition(scheme)
+    with pytest.raises(ValueError, match="exceed the exact cap"):
+        success_probability(scheme)
+    assert time.perf_counter() - start < 1
+
+
+# estimate_mu as it was before its draws moved to `bisect`: one
+# `random.choices` call per kept block and sample, and the test straight
+# from `jointly_typical`.
+
+
+def reference_estimate_mu(ch, strategy, n, eps, samples, seed):
+    eps = F(eps)
+    strat = auth_scheme._clean_strategy(ch, strategy)
+    _, y_b, p_xy = auth_scheme._scheme_tables(ch, strat, n, eps)
+    blocks = []
+    for s, b in enumerate(y_b):
+        canonical = [] if b is None else [y for y in range(ch.y_size) for _ in range(b.per_symbol[y])]
+        if canonical:
+            blocks.append((canonical, list(itertools.accumulate(float(p) for p in strat[s])), p_xy[s]))
+    if not blocks:
+        return 1.0, (1.0, 1.0)
+    rng = random.Random(seed)
+    wins = 0
+    for _ in range(samples):
+        ok = True
+        for canonical, cum, joint in blocks:
+            xs = rng.choices(range(ch.x_size), cum_weights=cum, k=len(canonical))
+            if not jointly_typical(xs, canonical, joint, eps):
+                ok = False
+                break
+        wins += ok
+    p_hat = wins / samples
+    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
+    lo_p, hi_p = max(p_hat - half, 0.0), min(p_hat + half, 1.0)
+    return (math.inf if p_hat == 0 else 1 / p_hat), (
+        1 / hi_p if hi_p > 0 else math.inf, math.inf if lo_p == 0 else 1 / lo_p
+    )
+
+
+@pytest.mark.parametrize("ch, strategy, n, eps", [
+    (identity_channel(), UNIFORM2, 8, HALF),
+    (identity_channel(), [[F(1, 4), F(3, 4)]], 8, F(1, 4)),
+    (zero_probability_channel(), [[1, 0], [HALF, HALF], [F(1, 4), F(3, 4)]], 16, F(1, 3)),
+], ids=["identity-uniform", "identity-quarter", "zero-entry"])
+def test_estimate_mu_draws_as_the_reference_sampler(ch, strategy, n, eps):
+    estimates = set()
+    for seed in (0, 1, 2, 7):
+        expected = reference_estimate_mu(ch, strategy, n, eps, 2000, seed)
+        assert estimate_mu(ch, strategy, n, eps, samples=2000, seed=seed) == expected
+        estimates.add(expected[0])
+    assert len(estimates) > 1

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -216,3 +218,19 @@ def test_capacity_cells_stay_finite_when_input_weights_underflow():
     assert all(np.isfinite(v) and -tol <= v <= top + tol for v in cells.values()), cells
     assert cells["classical_causal"] <= cells["ns_causal"] + tol
     assert cells["classical_noncausal"] <= cells["ns_noncausal"] + tol
+
+
+def test_gp_random_starts_are_drawn_one_ascent_at_a_time(monkeypatch):
+    calls = []
+
+    def ascend(p0, xm0, W, ps, tol):
+        calls.append(p0)
+        if len(calls) == 3:
+            raise RuntimeError("third ascent")
+        return 0.0, p0, xm0
+
+    monkeypatch.setattr(capacity, "_gp_ascend", ascend)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="third ascent"):
+        gp_noncausal_capacity(builtin_z0z1(), restarts=10**9)
+    assert time.perf_counter() - start < 1

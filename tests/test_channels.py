@@ -15,6 +15,8 @@ from nscoding.channels import (
     load_channel_file,
     make_channel,
     save_channel_file,
+    state_block_count,
+    state_blocks,
 )
 
 H = Fraction(1, 2)
@@ -208,3 +210,22 @@ def test_any_channel_file_loads_or_is_a_value_error(fuzz_dir, doc):
     except ValueError:
         return
     assert isinstance(ch, ChannelWithState)
+
+
+@pytest.mark.parametrize("ch, n", [
+    (builtin_z0z1(), 1),
+    (builtin_z0z1(), 6),
+    (builtin_product_xs(), 3),
+    (make_channel([[[1]], [[1]], [[1]]], [H, 0, H]), 5),
+    (make_channel([[[1]], [[1]]], [H, H], BlockStateSource(2, (((0, 1), H), ((1, 1), 0), ((1, 0), H)))), 2),
+])
+def test_state_block_count_matches_the_walk(ch, n):
+    assert state_block_count(ch, n) == sum(1 for _ in state_blocks(ch, n))
+
+
+def test_state_block_count_is_arithmetic_and_checks_the_length():
+    assert state_block_count(builtin_z0z1(), 10**4) == 2**10**4
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        state_block_count(builtin_z0z1(), 0)
+    with pytest.raises(ValueError, match="does not match block source length 3"):
+        state_block_count(builtin_product_xs(), 4)

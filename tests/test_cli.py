@@ -6,9 +6,11 @@ sure the packaging entry point resolves.
 """
 
 import json
+import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -406,3 +408,35 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert "certificate objective = 13/16" in proc.stdout
     assert sys.version_info >= (3, 9)
+
+
+@pytest.mark.parametrize("channel, n, mode", [
+    ("z0z1", 12, []),
+    ("z0z1", 12, ["--csir"]),
+    ("one-output", 12, []),
+    ("one-output", 12, ["--csir"]),
+    ("z0z1", 40, []),
+    ("z0z1", 40, ["--csir"]),
+])
+def test_oversize_search_is_one_error_line_within_a_second(tmp_path, channel, n, mode):
+    # the one-output channel passes the law-array check with 2^24 cells;
+    # its 2^8190 branches must still never be built or printed
+    if channel == "one-output":
+        channel = str(tmp_path / "one-output.json")
+        with open(channel, "w", encoding="utf-8") as fh:
+            json.dump({"x_size": 2, "y_size": 1, "s_size": 2, "kernel": [[["1"], ["1"]], [["1"], ["1"]]],
+                       "state_dist": ["1/2", "1/2"]}, fh)
+    start = time.perf_counter()
+    code, text = run(["classical", "--channel", channel, "--M", "2", "--n", str(n), *mode])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert re.fullmatch(r"error: estimated work about 2\^\d+ exceeds the cap 20000000 for this instance\n", text)
+
+
+@pytest.mark.parametrize("eps", ["1/4", "39/40"])
+def test_oversize_exact_success_is_one_error_line_within_a_second(eps):
+    start = time.perf_counter()
+    code, text = run(["scheme", "simulate", "--channel", "z0z1", "--n", "40", "--eps", eps])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert re.fullmatch(r"error: about \d+ terms exceed the exact cap 4000000; use monte_carlo mode\n", text)
