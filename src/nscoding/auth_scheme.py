@@ -34,8 +34,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law, block_outputs, state_block_count, state_blocks
-from .indexing import all_sequences, index_to_seq, seq_to_index
+from .channels import ChannelWithState, block_law, state_block_count, state_blocks
+from .indexing import all_sequences, seq_to_index
 from .rational import as_rational, int_dtype, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window, jointly_typical
@@ -230,35 +230,15 @@ def typicality_pass_probability(
     result = ONE
     for y in range(y_size):
         m = counts[y]
-        column = [joint[x][y] for x in range(x_size)]
-        if m == 0:
-            # A pair cell with positive probability must appear at least
-            # n_tilde * p * (1 - eps) > 0 times, but this group is empty.
-            if any(column):
-                return ZERO
-            continue
         windows = []
         for x in range(x_size):
-            lo, hi = count_window(n_tilde, column[x], eps)
-            hi = min(m, hi)
-            if lo > hi:
-                return ZERO
-            windows.append(range(lo, hi + 1))
+            lo, hi = count_window(n_tilde, joint[x][y], eps)
+            windows.append(range(lo, min(m, hi) + 1))
         factor = ZERO
         for combo in itertools.product(*windows):
             if sum(combo) != m:
                 continue
-            term = Fraction(math.factorial(m))
-            for x, k in enumerate(combo):
-                if k:
-                    if px[x] == 0:
-                        term = ZERO
-                        break
-                    term *= px[x] ** k
-                term /= math.factorial(k)
-            factor += term
-        if factor == 0:
-            return ZERO
+            factor += math.factorial(m) * math.prod(px[x] ** k / math.factorial(k) for x, k in enumerate(combo))
         result *= factor
     return result
 
@@ -857,24 +837,32 @@ class SuccessDecomposition:
         return self.acceptance * self.p_flag * self.p_accept_given_flag
 
 
-def _sigma_sums(scheme: AuthScheme, block: Block, ss: Sequence[int]) -> tuple[Fraction, ...]:
-    """Sums of prod_i strategy[sigma][x_i] * N(y_i|x_i,s_i) over the input
-    sub-blocks x of one sigma-block of s^n and their supported outputs y,
-    each position with its real state s_i: where `_block_test` passes,
-    where its output-mapper flag is set, and where both hold."""
-    s, window, positions = block
-    ch, k, states = scheme.channel, len(positions), [ss[i] for i in positions]
-    accept = flag = both = ZERO
-    for xs in all_sequences(ch.x_size, k):
-        w_in = math.prod(scheme.strategy[s][x] for x in xs)
-        for yi, p_y in block_outputs(ch, xs, states) if w_in else ():
-            ys = index_to_seq(yi, ch.y_size, k)
-            passes, y_flag = _block_test(scheme, (s, window, range(k)), xs, ys)
-            weight = w_in * p_y
-            accept += weight * passes
-            flag += weight * y_flag
-            both += weight * (passes and y_flag)
-    return accept, flag, both
+def _sigma_sums(scheme: AuthScheme, block: Block, ss: Sequence[int], moves: list) -> tuple[int, ...]:
+    """Sums of prod_i strategy[sigma][x_i] * N(y_i|x_i,s_i), as the integer
+    weights `moves[s_i]` of each position's real state s_i, over the input
+    and output sub-blocks of one sigma-block of s^n: where `_block_test`
+    passes, where its output-mapper flag is set, and where both hold.  A DP
+    over the positions on the kept (x, y) pair counts and the flag, all that
+    the mapper and the test read (the other positions are placeholders)."""
+    s, (lo, hi), positions = block
+    ch, b = scheme.channel, scheme.y_budgets[s]
+    layer = {((0,) * len(lo), 1): 1}  # (pair counts flat at x * |Y| + y, flag): integer weight
+    for step, i in enumerate(positions):
+        prev, layer = layer, {}
+        for (counts, flag), weight in prev.items():
+            kept = [sum(counts[y::ch.y_size]) for y in range(ch.y_size)]
+            spare = flag and step - sum(kept) < b.extra
+            fill = next((y for y, c in enumerate(kept) if c < b.per_symbol[y]), None)
+            for row, y, w in moves[ss[i]]:
+                # keep y while its budget lasts, else a placeholder while slots last, else fill
+                j, f = (row + y, 1) if flag and kept[y] < b.per_symbol[y] else (None, 1) if spare else (row + fill, 0)
+                key = counts if j is None else counts[:j] + (counts[j] + 1,) + counts[j + 1:]
+                layer[key, f] = layer.get((key, f), 0) + weight * w
+    sums = [0] * 3
+    for (counts, f), weight in layer.items():
+        passes = all(a <= c <= h for a, c, h in zip(lo, counts, hi))
+        sums = [t + weight * v for t, v in zip(sums, (passes, f, passes and f))]
+    return tuple(sums)
 
 
 def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
@@ -885,24 +873,36 @@ def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
     Given s^n, placeholder positions (uniform inputs, no test) sum to 1,
     and the rest factors over the sigma-blocks: each probability is the
     sum over s^n of P(s^n) times the product of `_sigma_sums` over tested
-    sigma.  Its (state blocks) * (1 + sum over sigma of (|X| y_max)^n_sigma)
-    terms are counted against EXACT_SUCCESS_CAP before the pass starts.
+    sigma.  With q = |X| * y_max, a sigma-DP makes q moves per position from
+    each of its 2 * prod_y C(b_y + |X|, |X|) states (no y is kept past its
+    budget b_y), and fewer than 2 * q^n_sigma in all (it has q^i states at
+    most after i positions): (state blocks) * (1 + the sum over sigma of the
+    smaller) terms are checked against EXACT_SUCCESS_CAP before the pass.
     """
     ch, n = scheme.channel, scheme.n
     windows = _count_windows(scheme)
-    y_max = max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
-    lengths = scheme.state_budgets.per_symbol
-    terms = state_block_count(ch, n) * (1 + sum((ch.x_size * y_max) ** lengths[s] for s, _ in windows))
+    q = ch.x_size * max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
+    steps = sum(min(b.n * q * 2 * math.prod(math.comb(t + ch.x_size, ch.x_size) for t in b.per_symbol), q**b.n)
+                for b in scheme.y_budgets if b is not None)  # b.n is n_sigma
+    terms = state_block_count(ch, n) * (1 + steps)
     if terms > EXACT_SUCCESS_CAP:
-        raise ValueError(f"about {terms} terms exceed the exact cap {EXACT_SUCCESS_CAP}; use monte_carlo mode")
-    totals = [ZERO] * 3  # P(accept), P(F), P(accept and F)
+        count = f"2^{terms.bit_length() - 1}" if terms.bit_length() > 64 else terms
+        raise ValueError(f"about {count} terms exceed the exact cap {EXACT_SUCCESS_CAP}; use monte_carlo mode")
+    d = math.lcm(*(p.denominator for px in scheme.strategy for p in px),
+                 *(k.denominator for rows in ch.kernel for row in rows for k in row))
+    # moves[sigma][r]: (x * |Y|, y, d^2 * weight) of each (x, y) of positive weight in real state r
+    moves = [[[(x * ch.y_size, y, p.numerator * k.numerator * (d // p.denominator) * (d // k.denominator))
+               for x, (p, row) in enumerate(zip(px, rows)) for y, k in enumerate(row) if p and k]
+              for rows in ch.kernel] for px in scheme.strategy]
+    totals = [ZERO] * 3  # P(accept), P(F), P(accept and F), times d^(2 * tested positions)
     for _si, ss, p_s in state_blocks(ch, n):
         mapped = map_with_budgets(ss, scheme.state_budgets)
-        parts = [p_s, p_s * mapped.flag, p_s * mapped.flag]
+        parts = [1, mapped.flag, mapped.flag]
         for block in _sigma_blocks(windows, mapped.output):
-            parts = [p * q for p, q in zip(parts, _sigma_sums(scheme, block, ss))]
-        totals = [t + p for t, p in zip(totals, parts)]
-    p_accept, p_flag, p_both = totals
+            parts = [p * v for p, v in zip(parts, _sigma_sums(scheme, block, ss, moves[block[0]]))]
+        totals = [t + p_s * p for t, p in zip(totals, parts)]
+    scale = d ** (2 * sum(scheme.state_budgets.per_symbol[s] for s, _ in windows))
+    p_accept, p_flag, p_both = (t / scale for t in totals)
     return SuccessDecomposition(
         success=scheme.acceptance * p_accept,
         acceptance=scheme.acceptance,

@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if action == "simulate":
             pa.add_argument("--mode", choices=("exact", "mc"), default="exact")
             pa.add_argument("--samples", type=int, default=100_000)
-        pa.add_argument("--seed", type=int, default=0)
+            pa.add_argument("--seed", type=int, default=0)
         add_json(pa)
 
     p = sub.add_parser("typemap", help="map one sequence to the fixed output type")

@@ -36,7 +36,8 @@ from nscoding.auth_scheme import (
     zeta,
 )
 from nscoding.channels import (
-    block_outputs, builtin_product_xs, builtin_z0z1, load_channel_file, make_channel, state_blocks,
+    block_outputs, builtin_product_xs, builtin_z0z1, load_channel_file, make_channel, state_block_count,
+    state_blocks,
 )
 from nscoding.indexing import index_to_seq
 from nscoding.type_mapping import map_with_budgets, placeholder
@@ -87,6 +88,27 @@ def test_pass_probability_positive_cell_in_empty_group_kills_everything():
     px = [HALF, HALF]
     pxy = [[F(1, 4), F(1, 4)], [F(1, 4), F(1, 4)]]
     assert typicality_pass_probability(px, pxy, (2, 0), HALF) == 0
+
+
+# (p_x, p_xy, output composition, eps, pass probability).  Column 1 of the
+# first two gets no slots: a zero column passes with count 0, a positive
+# one fails every block.  Input 0 has probability 0 in the next two: beside
+# a zero joint row it may not appear, beside a positive cell nothing
+# passes.  In the last, the pair windows of output 0 admit no count that
+# sums to its three slots, so that factor is 0 before a factor of 1/2.
+PASS_PROBABILITY_CASES = [
+    ([HALF, HALF], [[HALF, F(0)], [HALF, F(0)]], (3, 0), HALF, F(3, 4)),
+    ([HALF, HALF], [[F(1, 4), F(1, 4)], [F(1, 4), F(1, 4)]], (2, 0), HALF, F(0)),
+    ([F(0), F(1)], [[F(0), F(0)], [HALF, HALF]], (2, 2), HALF, F(1)),
+    ([F(0), F(1)], [[F(1, 4), F(0)], [F(1, 4), HALF]], (2, 2), HALF, F(0)),
+    ([HALF, HALF], [[F(1, 4), F(0)], [F(1, 4), HALF]], (3, 1), HALF, F(0)),
+]
+
+
+@pytest.mark.parametrize("p_x, p_xy, y_type, eps, expected", PASS_PROBABILITY_CASES)
+def test_pass_probability_types_match_enumeration_on_empty_and_zero_corners(p_x, p_xy, y_type, eps, expected):
+    assert typicality_pass_probability(p_x, p_xy, y_type, eps) == expected
+    assert typicality_pass_probability(p_x, p_xy, y_type, eps, method="enumerate") == expected
 
 
 def test_pass_probability_method_validation():
@@ -963,6 +985,7 @@ DECOMPOSITION_CASES = ACCEPTANCE_CASES + [
     *((f"z0z1-skewed-n{n}", builtin_z0z1(), [[F(1, 4), F(3, 4)], [F(3, 4), F(1, 4)]], n, F(1, 4), 2)
       for n in (4, 5, 6)),
     ("golden-identity-n8", GOLDEN_IDENTITY, [[F(1, 4), F(3, 4)]], 8, F(1, 4), None),
+    ("golden-identity-n12", GOLDEN_IDENTITY, UNIFORM2, 12, F(1, 4), None),
     ("identity-and-flip-n7", make_channel([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [HALF, HALF]),
      [[HALF, HALF]] * 2, 7, F(1, 8), None),
 ] + random_three_letter_cases(20)
@@ -1010,6 +1033,148 @@ def test_exact_pass_refuses_z0z1_at_n40_without_walking_the_state_blocks(eps):
     with pytest.raises(ValueError, match="exceed the exact cap"):
         success_probability(scheme)
     assert time.perf_counter() - start < 1
+
+
+# -- the sigma-block DP against the sub-block enumeration ------------------------
+
+
+def reference_sigma_sums(scheme, s, window, states):
+    """The (accept, flag, both) sums of `_sigma_sums` on a sigma-block whose
+    positions hold the real states `states`, as they were found before the
+    DP: every input sub-block and each of its supported output sub-blocks,
+    run through `_block_test`."""
+    ch, k = scheme.channel, len(states)
+    sums = [F(0)] * 3
+    for xs in itertools.product(range(ch.x_size), repeat=k):
+        w_in = math.prod(scheme.strategy[s][x] for x in xs)
+        for yi, p_y in block_outputs(ch, xs, states) if w_in else ():
+            ys = index_to_seq(yi, ch.y_size, k)
+            passes, y_flag = auth_scheme._block_test(scheme, (s, window, range(k)), xs, ys)
+            sums = [t + w_in * p_y * v for t, v in zip(sums, (passes, y_flag, passes and y_flag))]
+    return tuple(sums)
+
+
+def reference_term_count(scheme):
+    """The exact pass's term count before the DP: (state blocks) * (1 + the
+    sum over tested sigma of (|X| y_max)^n_sigma)."""
+    ch = scheme.channel
+    y_max = max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
+    lengths = scheme.state_budgets.per_symbol
+    tested = auth_scheme._count_windows(scheme)
+    return state_block_count(ch, scheme.n) * (1 + sum((ch.x_size * y_max) ** lengths[s] for s, _ in tested))
+
+
+IDENTITY_AND_FLIP = make_channel([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [HALF, HALF])
+BSC = make_channel([[[F(7, 8), F(1, 8)], [F(1, 8), F(7, 8)]]], [1])
+
+# Past the per-triple walk.  z0z1 at n = 8 is degenerate but at eps = 1/2,
+# where it keeps no outputs, so its tests are empty.  At eps = 1/8 few
+# placeholder slots are left: a state block of identity-and-flip at n = 10
+# maps 0.48 positions on average to the tested sigma they do not hold.
+# The two-state channel keeps a block of four outputs of state 0 at n = 9.
+LARGER_DECOMPOSITION_CASES = [
+    ("z0z1-n8", builtin_z0z1(), [[HALF, HALF]] * 2, 8, HALF, None),
+    *((f"identity-and-flip-n{n}", IDENTITY_AND_FLIP, [[HALF, HALF]] * 2, n, F(1, 8), None) for n in (9, 10, 11)),
+    ("two-state-kept4-n9", make_channel([[[HALF, HALF], [0, 1]], [[1, 0], [HALF, HALF]]], [F(3, 4), F(1, 4)]),
+     [[HALF, HALF], [0, 1]], 9, F(1, 8), None),
+]
+
+
+def reference_sigma_decomposition(scheme):
+    """The decomposition as the exact pass found it before the DP: per state
+    block, the product over tested sigma of `reference_sigma_sums`, cached
+    by sigma and the real states of its positions."""
+    windows = auth_scheme._count_windows(scheme)
+    cache, totals = {}, [F(0)] * 3
+    for _si, ss, p_s in state_blocks(scheme.channel, scheme.n):
+        mapped = map_with_budgets(ss, scheme.state_budgets)
+        parts = [p_s, p_s * mapped.flag, p_s * mapped.flag]
+        for s, window, positions in auth_scheme._sigma_blocks(windows, mapped.output):
+            key = s, tuple(ss[i] for i in positions)
+            if key not in cache:
+                cache[key] = reference_sigma_sums(scheme, s, window, key[1])
+            parts = [p * q for p, q in zip(parts, cache[key])]
+        totals = [t + p for t, p in zip(totals, parts)]
+    p_accept, p_flag, p_both = totals
+    return SuccessDecomposition(
+        success=scheme.acceptance * p_accept,
+        acceptance=scheme.acceptance,
+        p_flag=p_flag,
+        p_accept_given_flag=p_both / p_flag if p_flag else F(0),
+    )
+
+
+@pytest.mark.parametrize(
+    "ch, strategy, n, eps, m", [case[1:] for case in LARGER_DECOMPOSITION_CASES],
+    ids=[case[0] for case in LARGER_DECOMPOSITION_CASES],
+)
+def test_exact_pass_matches_the_sub_block_enumeration(ch, strategy, n, eps, m):
+    scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
+    assert success_decomposition(scheme) == reference_sigma_decomposition(scheme)
+
+
+def test_larger_cases_keep_outputs_and_fall_back():
+    schemes = {case[0]: build_auth_scheme(*case[1:-1], message_count=case[-1]) for case in LARGER_DECOMPOSITION_CASES}
+    assert schemes["z0z1-n8"].kept_block_lengths() == (0, 0)
+    assert schemes["two-state-kept4-n9"].kept_block_lengths() == (4, 0)
+    assert schemes["two-state-kept4-n9"].message_count == 6
+    flip = schemes["identity-and-flip-n10"]
+    assert flip.kept_block_lengths() == (2, 2) and flip.message_count == 16
+    # mean number of positions mapped to a tested sigma that hold the other state
+    phi = placeholder(flip.channel.s_size)
+    fallback = sum(
+        p * sum(v != s for v, s in zip(map_with_budgets(ss, flip.state_budgets).output, ss) if v != phi)
+        for _si, ss, p in state_blocks(flip.channel, flip.n)
+    )
+    assert fallback > F(2, 5)
+
+
+def test_exact_pass_answers_bsc_at_n48_within_a_second():
+    # the first n >= 8 at which the scheme on BSC(1/8) is not degenerate
+    scheme = build_auth_scheme(BSC, UNIFORM2, 48, HALF)
+    assert scheme.message_count == 114 and scheme.kept_block_lengths() == (12,)
+    start = time.perf_counter()
+    decomposition = success_decomposition(scheme)
+    assert time.perf_counter() - start < 1
+    assert decomposition.success == F(148151893793645, 1002754604531712)
+    assert decomposition.success >= decomposition.lower_bound()
+    estimate, _ = success_probability(scheme, mode="monte_carlo", samples=20_000, seed=1)
+    p = float(decomposition.success)
+    assert abs(estimate - p) < 5 * math.sqrt(p * (1 - p) / 20_000)
+
+
+def test_exact_cap_admits_every_scheme_the_term_count_admitted(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def admitted(*_args):
+        raise Admitted
+
+    noisy_two_state = make_channel(
+        [[[F(7, 8), F(1, 8)], [F(1, 8), F(7, 8)]], [[1, 0], [F(1, 4), F(3, 4)]]], [HALF, HALF]
+    )
+    channels = [builtin_z0z1(), GOLDEN_IDENTITY, IDENTITY_AND_FLIP, BSC, noisy_two_state, zero_probability_channel()]
+    schemes = []
+    for ch in channels:
+        for n in range(1, 41):
+            for eps in (F(1, 8), F(1, 4), F(1, 3), HALF, F(3, 4)):
+                try:
+                    schemes.append(build_auth_scheme(ch, [[HALF, HALF]] * ch.s_size, n, eps))
+                except DegenerateSchemeError:
+                    pass
+    # the walk over state blocks starts only past the cap check
+    monkeypatch.setattr(auth_scheme, "state_blocks", admitted)
+    verdicts = []
+    for scheme in schemes:
+        try:
+            success_decomposition(scheme)
+        except Admitted:
+            verdicts.append((reference_term_count(scheme) <= 4_000_000, True))
+        except ValueError:
+            verdicts.append((reference_term_count(scheme) <= 4_000_000, False))
+    assert (True, False) not in verdicts
+    # 423 schemes were admitted before the DP and are still; 68 more are now
+    assert verdicts.count((True, True)) >= 400 and verdicts.count((False, True)) >= 60
 
 
 # estimate_mu as it was before its draws moved to `bisect`: one

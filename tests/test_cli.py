@@ -440,3 +440,19 @@ def test_oversize_exact_success_is_one_error_line_within_a_second(eps):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert re.fullmatch(r"error: about \d+ terms exceed the exact cap 4000000; use monte_carlo mode\n", text)
+
+
+def test_oversize_exact_success_prints_a_count_past_64_bits_as_a_power_of_two():
+    # 2^15000 state blocks and no tested state: the count has 15001 bits
+    start = time.perf_counter()
+    code, text = run(["scheme", "simulate", "--channel", "z0z1", "--n", "15000", "--eps", "9999/10000"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert text == "error: about 2^15000 terms exceed the exact cap 4000000; use monte_carlo mode\n"
+
+
+@pytest.mark.parametrize("action", ["build", "verify"])
+def test_seed_is_an_option_of_simulate_only(action):
+    with pytest.raises(SystemExit) as err:
+        run(["scheme", action, "--channel", "z0z1", "--n", "2", "--eps", "1/2", "--seed", "1"])
+    assert err.value.code == 2
