@@ -29,13 +29,12 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .channels import ChannelWithState, block_law, state_block_count, state_blocks
-from .indexing import all_sequences, seq_to_index
+from .indexing import all_sequences, index_to_seq, seq_to_index
 from .rational import as_rational, int_dtype, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window, jointly_typical
@@ -69,6 +68,7 @@ ONE = Fraction(1)
 
 TENSOR_ENTRY_CAP = 10_000_000
 EXACT_SUCCESS_CAP = 4_000_000
+MC_CHUNK = 4096  # floats the Monte Carlo sampler reads from its stream at a time
 MU_TYPE_ENUM_CAP = 64
 MU_BRUTE_FORCE_CAP = 2**16
 
@@ -161,13 +161,14 @@ def _pairs_typical(window: Window, y_size: int, pairs) -> bool:
 
 
 def _count_windows(scheme: AuthScheme) -> list[tuple[int, Window]]:
-    """(sigma, pair windows) for every tested state sigma.  Its kept block
-    always has the fixed length n-tilde_sigma, so one window per pair
-    decides the test for every block."""
+    """(sigma, pair windows) for every tested state sigma, one whose kept
+    block is not empty (an empty one keeps no pair, so its test always
+    passes).  The kept block always has the fixed length n-tilde_sigma, so
+    one window per pair decides the test for every block."""
     return [
         (s, _pair_windows(scheme.p_xy_given_s[s], sum(b.per_symbol), scheme.eps))
         for s, b in enumerate(scheme.y_budgets)
-        if b is not None
+        if b is not None and any(b.per_symbol)
     ]
 
 
@@ -408,12 +409,6 @@ def zeta(scheme: AuthScheme, i: int, x: int, s_prefix: Sequence[int]) -> Fractio
     return scheme.strategy[kept][x]
 
 
-def _input_weight(scheme: AuthScheme, xs: Sequence[int], mapped_states: Sequence[int]) -> Fraction:
-    # indexed by mapped state; the placeholder (index |S|) gets uniform inputs
-    rows = scheme.strategy + ((Fraction(1, scheme.channel.x_size),) * scheme.channel.x_size,)
-    return math.prod(rows[s][x] for x, s in zip(xs, mapped_states))
-
-
 Block = tuple[int, Window, Sequence[int]]
 
 
@@ -534,21 +529,19 @@ class SchemeTensor:
 
 
 def _diagonal_tensor(
-    m: int, n: int, sizes: tuple[int, int, int], weight: np.ndarray, accept, lam: Fraction
+    m: int, n: int, sizes: tuple[int, int, int], weight: list[list[int]], scale: int, accept, lam: Fraction
 ) -> SchemeTensor:
     """Z = zeta * t on the diagonal w-hat = w and zeta * (1 - t) / (M - 1)
     off it, where t = lam on the cells of the boolean table accept[x, s, y]
     and 0 elsewhere; just zeta at M = 1 (`accept` is then unused).
 
-    `weight` holds the Fractions zeta[x, s].  The numerators are written
-    over D = lcm(den zeta) * den(lam) * (M - 1), so every division is exact.
+    `weight` holds the integers zeta[x, s] * scale.  The numerators are
+    written over D = scale * den(lam) * (M - 1), so every division is exact.
     """
-    scale = math.lcm(*(f.denominator for f in weight.flat))
     den = scale if m == 1 else scale * lam.denominator * (m - 1)
-    shape = (weight.shape[0], m, m, weight.shape[1], sizes[2] ** n)
+    shape = (len(weight), m, m, len(weight[0]), sizes[2] ** n)
     dtype = int_dtype(den, math.prod(shape))
-    zeta = np.array([f.numerator * (scale // f.denominator) for f in weight.flat], dtype=dtype)
-    zeta = zeta.reshape(weight.shape)[:, None, None, :, None]
+    zeta = np.array(weight, dtype=dtype)[:, None, None, :, None]
     if m == 1:
         return SchemeTensor(m, n, *sizes, np.broadcast_to(zeta, shape).copy(), den)
     # (t * den(lam) * (M - 1), (1 - t) * den(lam)) by whether the test passes
@@ -620,14 +613,19 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     mapped_states = [
         map_with_budgets(ss, scheme.state_budgets).output for ss in all_sequences(ch.s_size, n)
     ]
-    weight = np.array(
-        [[_input_weight(scheme, xs, ms) for ms in mapped_states]
-         for xs in all_sequences(ch.x_size, n)],
-        dtype=object,
-    )
+    # zeta[x, s] * d^n as a product of integers, indexed by mapped state;
+    # the placeholder (index |S|) gets uniform inputs
+    d = math.lcm(ch.x_size, *(p.denominator for row in scheme.strategy for p in row))
+    rows = [[p.numerator * (d // p.denominator) for p in row] for row in scheme.strategy]
+    rows.append([d // ch.x_size] * ch.x_size)
+    weight = [[math.prod(rows[s][x] for x, s in zip(xs, ms)) for ms in mapped_states]
+              for xs in all_sequences(ch.x_size, n)]
+    # over the lcm of the reduced denominators of zeta
+    g = math.gcd(d**n, *(w for row in weight for w in row))
+    weight = [[w // g for w in row] for row in weight]
     accept = _acceptance_table(scheme) if m > 1 else None
     return _diagonal_tensor(
-        m, n, (ch.x_size, ch.s_size, ch.y_size), weight, accept, scheme.acceptance
+        m, n, (ch.x_size, ch.s_size, ch.y_size), weight, d**n // g, accept, scheme.acceptance
     )
 
 
@@ -728,56 +726,90 @@ def _draw_table(probs) -> tuple[list[float], float, int]:
 def _scheme_success_monte_carlo(
     scheme: AuthScheme, samples: int, seed: int
 ) -> tuple[float, tuple[float, float]]:
-    """Draw per sample, in this order: n states (or one block-source atom),
-    n inputs, n outputs and, when M > 1 and the test passes, the lambda
-    coin.  The test is looked up in `_sub_tables` when their cells, sum
-    over sigma of (|X||Y|)^n_sigma, are at most `samples`, and run with
-    `_block_test` otherwise."""
+    """Sample the pipeline forward on the stream of `random.Random(seed)`.
+
+    Each sample reads, in this order, n state floats (or one block-source
+    atom float), n input floats, n output floats and, when the test passes,
+    the lambda coin; a letter is `bisect(cum, u * total, 0, hi)` on its
+    float u, the draw `random.choices` makes.  Only the letters the test
+    reads are drawn: the states when some sigma is tested, and the input
+    and output at each position the state mapping gives a tested sigma; the
+    other floats are skipped.  The stream is read in chunks of MC_CHUNK
+    floats into one list, whose unread tail is carried into the next.  The
+    verdict is looked up in `_sub_tables` when their cells, the sum over
+    sigma of (|X||Y|)^n_sigma, are at most `samples`, and taken from
+    `_block_test` otherwise.  At M = 1 every sample succeeds, and nothing
+    is drawn."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if scheme.message_count == 1:
+        return 1.0, _ci95(1.0, samples)
     ch, n = scheme.channel, scheme.n
-    draw = random.Random(seed).random
+    x_size, y_size = ch.x_size, ch.y_size
     source = ch.block_state
+    windows = _count_windows(scheme)
+    tested = [any(s == sigma for sigma, _ in windows) for s in range(ch.s_size)]
     if source is None:
         state_cum, state_total, state_hi = _draw_table(ch.state_dist)
     else:
         atoms = [ss for ss, _ in source.atoms]
         state_cum, state_total, state_hi = _draw_table(p for _, p in source.atoms)
-    # indexed by mapped state; the placeholder (index |S|) gets uniform inputs
-    inputs = [_draw_table(row) for row in scheme.strategy] + [_draw_table([1] * ch.x_size)]
+    inputs = [_draw_table(row) for row in scheme.strategy]
     outputs = [[_draw_table(row) for row in state_slice] for state_slice in ch.kernel]
-    lam = float(scheme.acceptance)
-    m, x_size, y_size = scheme.message_count, ch.x_size, ch.y_size
-    windows = _count_windows(scheme)
-    cells = sum((x_size * y_size) ** scheme.state_budgets.per_symbol[s] for s, _ in windows)
-    verdicts = None
-    if m > 1 and cells <= samples:
+    lengths, extra = scheme.state_budgets.per_symbol, scheme.state_budgets.extra
+    if sum((x_size * y_size) ** lengths[s] for s, _ in windows) <= samples:
         # (sigma, table flattened x-major, number of y sub-blocks)
-        verdicts = [(s, table.tobytes(), table.shape[1]) for s, table in _sub_tables(scheme).items()]
-    wins = 0
+        tables = [(s, table.tobytes(), table.shape[1]) for s, table in _sub_tables(scheme).items()]
+
+        def passes(sub_x, sub_y):
+            return all(table[sub_x[s] * width + sub_y[s]] for s, table, width in tables)
+    else:
+
+        def passes(sub_x, sub_y):
+            return all(
+                _block_test(scheme, (s, window, range(lengths[s])), index_to_seq(sub_x[s], x_size, lengths[s]),
+                            index_to_seq(sub_y[s], y_size, lengths[s]))[0]
+                for s, window in windows
+            )
+    lam = float(scheme.acceptance)
+    x_start = 1 if source is not None else n  # offsets in a sample's floats
+    y_start = x_start + n
+    coin = y_start + n
+    rng, fresh = random.Random(seed), random.Random.random
+    buf, at, wins = [], 0, 0
     for _ in range(samples):
-        if source is None:
-            ss = [bisect(state_cum, draw() * state_total, 0, state_hi) for _ in range(n)]
-        else:
-            ss = atoms[bisect(state_cum, draw() * state_total, 0, state_hi)]
-        mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-        xs = [bisect(c, draw() * t, 0, h) for c, t, h in map(inputs.__getitem__, mapped_states)]
-        # the table outputs[s][x] of every position
-        ys = [bisect(c, draw() * t, 0, h) for c, t, h in map(getitem, map(outputs.__getitem__, ss), xs)]
-        if m == 1:
-            wins += 1
-            continue
-        if verdicts is None:
-            passed = _accepts(scheme, _sigma_blocks(windows, mapped_states), xs, ys)
-        else:
-            # the x and y sub-block indices of every sigma-block (the
-            # placeholder's slot, index |S|, is never read)
-            sub_x, sub_y = [0] * (ch.s_size + 1), [0] * (ch.s_size + 1)
-            for v, x, y in zip(mapped_states, xs, ys):
-                sub_x[v] = sub_x[v] * x_size + x
-                sub_y[v] = sub_y[v] * y_size + y
-            passed = all(table[sub_x[s] * width + sub_y[s]] for s, table, width in verdicts)
-        wins += passed and draw() < lam
+        while at + coin >= len(buf):
+            buf, at = buf[at:] + list(map(fresh, itertools.repeat(rng, MC_CHUNK))), 0
+        if windows:
+            if source is None:
+                ss = [bisect(state_cum, u * state_total, 0, state_hi) for u in buf[at:at + n]]
+            else:
+                ss = atoms[bisect(state_cum, buf[at] * state_total, 0, state_hi)]
+            # the state mapper, run inline, and the x and y sub-block
+            # indices of every tested sigma-block
+            counts, spare, flag = [0] * ch.s_size, extra, True
+            sub_x, sub_y = [0] * ch.s_size, [0] * ch.s_size
+            for a, x_float, y_float in zip(ss, buf[at + x_start:at + y_start], buf[at + y_start:at + coin]):
+                if flag and counts[a] < lengths[a]:
+                    v = a
+                elif flag and spare:
+                    spare -= 1
+                    continue
+                else:
+                    flag = False
+                    v = next(alt for alt, c in enumerate(counts) if c < lengths[alt])
+                counts[v] += 1
+                if tested[v]:
+                    cum, total, hi = inputs[v]
+                    x = bisect(cum, x_float * total, 0, hi)
+                    cum, total, hi = outputs[a][x]
+                    sub_x[v] = sub_x[v] * x_size + x
+                    sub_y[v] = sub_y[v] * y_size + bisect(cum, y_float * total, 0, hi)
+            if not passes(sub_x, sub_y):
+                at += coin
+                continue
+        wins += buf[at + coin] < lam
+        at += coin + 1
     p_hat = wins / samples
     return p_hat, _ci95(p_hat, samples)
 
@@ -870,8 +902,9 @@ def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
     flag probability and the conditional acceptance rate, so that
     success >= acceptance * P(F=1) * P(accept | F=1) can be checked.
 
-    Given s^n, placeholder positions (uniform inputs, no test) sum to 1,
-    and the rest factors over the sigma-blocks: each probability is the
+    Given s^n, placeholder positions (uniform inputs, no test) and the
+    positions of an untested sigma (no kept pair) sum to 1, and the rest
+    factors over the sigma-blocks: each probability is the
     sum over s^n of P(s^n) times the product of `_sigma_sums` over tested
     sigma.  With q = |X| * y_max, a sigma-DP makes q moves per position from
     each of its 2 * prod_y C(b_y + |X|, |X|) states (no y is kept past its
@@ -883,7 +916,7 @@ def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
     windows = _count_windows(scheme)
     q = ch.x_size * max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
     steps = sum(min(b.n * q * 2 * math.prod(math.comb(t + ch.x_size, ch.x_size) for t in b.per_symbol), q**b.n)
-                for b in scheme.y_budgets if b is not None)  # b.n is n_sigma
+                for b in (scheme.y_budgets[s] for s, _ in windows))  # b.n is n_sigma
     terms = state_block_count(ch, n) * (1 + steps)
     if terms > EXACT_SUCCESS_CAP:
         count = f"2^{terms.bit_length() - 1}" if terms.bit_length() > 64 else terms
@@ -939,5 +972,4 @@ def toy_product_scheme() -> SchemeTensor:
         [[[all(y == x for x, y, s in zip(xs, ys, _canonical_state_block(ss)) if s == 1)
            for ys in blocks] for ss in blocks] for xs in blocks]
     )
-    weight = np.full((8, 8), Fraction(1, 8), dtype=object)
-    return _diagonal_tensor(4, n, (2, 2, 2), weight, accept, ONE)
+    return _diagonal_tensor(4, n, (2, 2, 2), [[1] * 8] * 8, 8, accept, ONE)

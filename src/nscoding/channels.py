@@ -142,9 +142,15 @@ class ChannelWithState:
         return p
 
     def state_block_prob(self, ss: Sequence[int]) -> Fraction:
-        """P(S^n = ss), as `state_blocks` weighs it."""
+        """P(S^n = ss), as `state_blocks` weighs it: the block source's atom,
+        or the i.i.d. product; 0 for a block `state_blocks` does not yield."""
         ss = tuple(ss)
-        return next((p for _, seq, p in state_blocks(self, len(ss)) if seq == ss), ZERO)
+        state_blocks(self, len(ss))  # rejects n < 1 and a block source of another length
+        if self.block_state is not None:
+            return dict(self.block_state.atoms).get(ss, ZERO)
+        if not all(0 <= s < self.s_size for s in ss):
+            return ZERO
+        return self.iid_block_prob(ss)
 
 
 def make_channel(
@@ -215,6 +221,8 @@ def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int,
 
     The weight comes from the attached block source, whose length must be
     n, and otherwise from the i.i.d. product over the letters with P(s) > 0.
+    That product depends only on how often each letter occurs, so it is
+    computed once per count vector.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -224,10 +232,15 @@ def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int,
             raise ValueError(f"block length {n} does not match block source length {source.n}")
         return ((seq_to_index(ss, ch.s_size), ss, p) for ss, p in sorted(source.atoms) if p)
     support = [s for s in range(ch.s_size) if ch.state_dist[s]]
-    return (
-        (seq_to_index(ss, ch.s_size), ss, ch.iid_block_prob(ss))
-        for ss in product(support, repeat=n)
-    )
+    weights: dict[tuple[int, ...], Fraction] = {}
+
+    def weigh(ss: tuple[int, ...]) -> Fraction:
+        counts = tuple(map(ss.count, support))
+        if counts not in weights:
+            weights[counts] = ch.iid_block_prob(ss)
+        return weights[counts]
+
+    return ((seq_to_index(ss, ch.s_size), ss, weigh(ss)) for ss in product(support, repeat=n))
 
 
 def state_block_count(ch: ChannelWithState, n: int) -> int:

@@ -10,7 +10,9 @@ import itertools
 import math
 import random
 import re
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -792,13 +794,25 @@ def test_monte_carlo_of_degenerate_message_count_one():
 # draw for draw.
 
 
-def reference_monte_carlo(scheme, samples, seed):
+class CountingRandom(random.Random):
+    """`random.Random` that counts the floats it has handed out."""
+
+    drawn = 0
+
+    def random(self):
+        self.drawn += 1
+        return super().random()
+
+
+def reference_monte_carlo(scheme, samples, seed, coins=None):
+    """The reference estimate; `coins`, if given, collects the offset in the
+    stream of every lambda coin."""
     ch, n = scheme.channel, scheme.n
 
     def cumulative(probs):
         return list(itertools.accumulate(float(p) for p in probs))
 
-    rng = random.Random(seed)
+    rng = CountingRandom(seed)
     source = ch.block_state
     if source is None:
         state_cum = cumulative(ch.state_dist)
@@ -821,6 +835,7 @@ def reference_monte_carlo(scheme, samples, seed):
         ys = [rng.choices(y_range, cum_weights=output_cum[s][x])[0] for x, s in zip(xs, ss)]
         wins += scheme.message_count == 1 or (
             auth_scheme._accepts(scheme, auth_scheme._sigma_blocks(windows, mapped_states), xs, ys)
+            and (coins is None or coins.append(rng.drawn) is None)
             and rng.random() < lam
         )
     p_hat = wins / samples
@@ -842,6 +857,13 @@ MONTE_CARLO_CASES = [with_two_messages_at_least(*case) for case in ACCEPTANCE_CA
     ("z0z1-n4-one-message", builtin_z0z1(), [[HALF, HALF]] * 2, 4, HALF, None),
     ("zero-probability-n16", zero_probability_channel(), [[1, 0], [HALF, HALF], [F(1, 4), F(3, 4)]],
      16, F(1, 3), 4),
+    # 3000 samples read 22 chunks of floats
+    ("identity-and-flip-n10-chunks", make_channel([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [HALF, HALF]),
+     [[HALF, HALF]] * 2, 10, F(1, 4), None),
+    # 4^6 verdict cells: the test runs per sample at both sample counts
+    ("z-and-flip-n12-block-test", make_channel([[[1, 0], [F(1, 4), F(3, 4)]], [[0, 1], [1, 0]]],
+                                               [F(1, 4), F(3, 4)]),
+     [[HALF, HALF], [F(1, 4), F(3, 4)]], 12, F(1, 3), None),
 ]
 
 
@@ -867,8 +889,47 @@ def test_monte_carlo_cases_cover_both_verdict_paths_and_both_sources():
     tested = [s for s in schemes if s.message_count > 1 and any(s.kept_block_lengths())]
     assert any(verdict_cells(s) <= 50 for s in tested)
     assert any(50 < verdict_cells(s) <= 3000 for s in tested)
+    assert any(verdict_cells(s) > 3000 and s.n >= 12 for s in tested)
     assert any(s.message_count == 1 for s in schemes)
     assert any(s.channel.block_state is not None and s.message_count > 1 for s in schemes)
+    # a case reads several chunks, and a coin is the last float of one and the first of another
+    coins = []
+    for seed in (0, 1):
+        reference_monte_carlo(schemes[-2], 3000, seed, coins)
+    chunk = auth_scheme.MC_CHUNK
+    assert max(coins) > 3 * chunk
+    assert any(c % chunk == chunk - 1 for c in coins) and any(c % chunk == 0 for c in coins)
+
+
+def test_monte_carlo_does_not_map_per_sample(monkeypatch):
+    """The sampler runs the state mapper inline; `map_with_budgets` only
+    fills the verdict sub-tables, which are built once, before sampling."""
+    cases = [case for case in MONTE_CARLO_CASES if not case[0].endswith("-block-test")]
+    schemes = [build_auth_scheme(*case[1:-1], message_count=case[-1]) for case in cases]
+    expected = [reference_monte_carlo(scheme, 3000, 2) for scheme in schemes]
+    tables = {id(scheme): auth_scheme._sub_tables(scheme) for scheme in schemes}
+
+    def refuse(*_args):
+        raise AssertionError("mapped per sample")
+
+    monkeypatch.setattr(auth_scheme, "_sub_tables", lambda scheme: tables[id(scheme)])
+    monkeypatch.setattr(auth_scheme, "map_with_budgets", refuse)
+    assert [success_probability(s, mode="monte_carlo", samples=3000, seed=2) for s in schemes] == expected
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    # no kept block: every sample reads its three floats and its coin
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 1, HALF, message_count=2)
+    assert not auth_scheme._count_windows(scheme)
+    peaks = []
+    for samples in (10_000, 100_000):
+        tracemalloc.start()
+        success_probability(scheme, mode="monte_carlo", samples=samples, seed=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # one list of MC_CHUNK floats, with the float objects it holds
+    chunk = sys.getsizeof([0.5] * auth_scheme.MC_CHUNK) + auth_scheme.MC_CHUNK * sys.getsizeof(0.5)
+    assert abs(peaks[1] - peaks[0]) <= chunk
 
 
 def test_sub_tables_are_built_only_within_the_sample_count(monkeypatch):

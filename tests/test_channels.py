@@ -104,6 +104,13 @@ def test_iid_block_prob():
     ch = builtin_z0z1()
     assert ch.iid_block_prob((0, 1, 0)) == Fraction(1, 8)
     assert ch.state_block_prob((0, 1)) == Fraction(1, 4)
+    # read off the block, not found among the 2^40 blocks of the walk
+    assert ch.state_block_prob((0, 1) * 20) == Fraction(1, 2**40)
+    assert ch.state_block_prob((0, 2)) == ch.state_block_prob((-1, 0)) == 0
+    assert make_channel([[[1]]] * 3, [H, 0, H]).state_block_prob((0, 1)) == 0
+    # one product per count vector weighs every block as its own product does
+    three = make_channel([[[1]]] * 3, [H, Fraction(1, 3), Fraction(1, 6)])
+    assert all(p == three.iid_block_prob(ss) for _, ss, p in state_blocks(three, 5))
 
 
 def test_file_round_trip(tmp_path):
