@@ -240,7 +240,15 @@ def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int,
             weights[counts] = ch.iid_block_prob(ss)
         return weights[counts]
 
-    return ((seq_to_index(ss, ch.s_size), ss, weigh(ss)) for ss in product(support, repeat=n))
+    def walk() -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
+        # the support's letters are in range, so a block's index is the
+        # plain sum of their place values, built alongside the blocks
+        places = [ch.s_size ** (n - 1 - i) for i in range(n)]
+        indices = map(sum, product(*([s * w for s in support] for w in places)))
+        for i, ss in zip(indices, product(support, repeat=n)):
+            yield i, ss, weigh(ss)
+
+    return walk()
 
 
 def state_block_count(ch: ChannelWithState, n: int) -> int:

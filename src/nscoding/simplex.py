@@ -1,21 +1,24 @@
 """Exact linear programming over the rationals.
 
-A small dense-tableau simplex: two phases, slack/artificial
+A small sparse-tableau simplex: two phases, slack/artificial
 initialization, Dantzig pricing that permanently falls back to Bland's
 anti-cycling rule after a run of degenerate pivots, and fully
 deterministic tie-breaking (lowest column index, then lowest basis
 index).  Optima are therefore exact rationals and reruns are
 bit-identical.
 
-Each tableau row, and the objective row, is a list of Python ints over
-one positive denominator of its own, divided by their gcd after every
-update.  Pricing compares the objective's integer numerators, the ratio
-test cross-multiplies (a row's denominator cancels in its ratio), and
-a pivot touches only the pivot row's nonzero columns.  `Fraction`
-appears only at the boundary: the program's coefficients going in, the
-optimum and the assignment coming out.
+Each tableau row, and the objective row, is a dict {column: numerator}
+of Python ints that stores no zeros, with the right-hand side under the
+key RHS, over one positive denominator of its own, divided by their gcd
+after every update.  Every tableau operation walks only stored entries:
+pricing compares the objective's integer numerators, the ratio test
+cross-multiplies (a row's denominator cancels in its ratio), and a pivot
+updates the rows that store the pivot column at the pivot row's stored
+columns.  `Fraction` appears only at the boundary: the program's
+coefficients going in, the optimum and the assignment coming out.
 
-Solutions are re-checked row by row against the original program
+Solutions are re-checked row by row against the original program, in
+integers (each row and the point over their own common denominators),
 before they are returned.
 """
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .rational import as_rational
 
@@ -44,9 +47,13 @@ _RELATIONS = (EQ, LE, GE)
 # pivots without objective progress tolerated before switching to Bland's rule
 _DEGENERATE_STREAK = 40
 
-# rows x columns of the largest tableau solve_exact builds (about 8 bytes
-# of list slot per cell before any nonzero numerator is stored)
+# rows x columns of the largest tableau solve_exact builds.  Rows store only
+# their nonzero entries, so this bounds work (a pivot's scan of the rows,
+# fill-in up to a dense tableau), not bytes allocated up front.
 MAX_TABLEAU_CELLS = 12_000_000
+
+# the key of the right-hand side in a sparse tableau row (columns are >= 0)
+RHS = -1
 
 
 class PivotLimitError(RuntimeError):
@@ -102,33 +109,45 @@ class LinearProgram:
 
     # -- exact evaluation --------------------------------------------------
 
-    def _vector(self, assignment: Mapping[str, object]) -> list[Fraction]:
+    def _point(self, assignment: Mapping[str, object]) -> tuple[list[int], int]:
+        """The point's coordinates as numerators over one common denominator."""
         vec = [ZERO] * len(self.var_names)
         for name, value in assignment.items():
             if name not in self._index:
                 raise ValueError(f"program {self.name!r} has no variable {name!r}")
             vec[self._index[name]] = as_rational(value)
-        return vec
+        d = math.lcm(*(v.denominator for v in vec))
+        return [v.numerator * (d // v.denominator) for v in vec], d
+
+    @staticmethod
+    def _scaled(coeffs: Mapping[int, Fraction], nums: list[int], rhs: Fraction = ZERO) -> tuple[int, int, int]:
+        """(Σ c_j·nums[j], rhs) both times L, and L: the lcm of the
+        denominators of the coefficients and of `rhs`."""
+        lcm = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        lhs = sum(c.numerator * (lcm // c.denominator) * nums[j] for j, c in coeffs.items())
+        return lhs, rhs.numerator * (lcm // rhs.denominator), lcm
 
     def objective_value(self, assignment: Mapping[str, object]) -> Fraction:
-        vec = self._vector(assignment)
-        return sum((c * vec[j] for j, c in self.objective.items()), ZERO)
+        nums, d = self._point(assignment)
+        total, _, lcm = self._scaled(self.objective, nums)
+        return Fraction(total, lcm * d)
 
     def violated_rows(self, assignment: Mapping[str, object]) -> list[str]:
-        """Labels of all rows (and sign constraints) the point violates."""
-        vec = self._vector(assignment)
+        """Labels of all rows (and sign constraints) the point violates.
+
+        Each row is checked in integers: both sides times the lcm of the
+        row's denominators and the point's common denominator.
+        """
+        nums, d = self._point(assignment)
         bad = []
         for row in self.rows:
-            lhs = sum((c * vec[j] for j, c in row.coeffs.items()), ZERO)
-            ok = (
-                lhs == row.rhs
-                if row.relation == EQ
-                else lhs <= row.rhs if row.relation == LE else lhs >= row.rhs
-            )
+            lhs, rhs, _ = self._scaled(row.coeffs, nums, row.rhs)
+            rhs *= d
+            ok = lhs == rhs if row.relation == EQ else lhs <= rhs if row.relation == LE else lhs >= rhs
             if not ok:
                 bad.append(row.label)
         for j, is_nonneg in enumerate(self.nonneg):
-            if is_nonneg and vec[j] < 0:
+            if is_nonneg and nums[j] < 0:
                 bad.append(f"nonneg({self.var_names[j]})")
         return bad
 
@@ -147,83 +166,88 @@ class SimplexSolution:
         return self.assignment.get(name, ZERO)
 
 
-def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+def _reduce(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """Divide a row and its positive denominator by their common factor."""
-    g = math.gcd(den, *row)
+    g = math.gcd(den, *row.values())
     if g == 1:
         return row, den
-    return [v // g for v in row], den // g
+    return {j: v // g for j, v in row.items()}, den // g
 
 
-def _eliminate(row: list[int], den: int, prow: list[int], nz: list[int], col: int) -> tuple[list[int], int]:
+def _eliminate(row: dict[int, int], den: int, prow: dict[int, int], col: int) -> tuple[dict[int, int], int]:
     """row/den minus row[col]/den times the pivot row prow/prow[col].
 
     The pivot row is normalized (its entry in `col` stands for 1, so
-    prow[col] is its denominator); only its nonzero columns `nz` change.
-    Mutates `row` when the denominator stays the same.
+    prow[col] is its denominator); only its stored columns change, and
+    entries that cancel are removed.  Mutates `row` when the denominator
+    stays the same.
     """
     q = prow[col]
     g = math.gcd(row[col], q)
     m, s = row[col] // g, q // g
     if s != 1:
-        row = [v * s for v in row]
+        row = {j: v * s for j, v in row.items()}
         den *= s
-    for j in nz:
-        row[j] -= m * prow[j]
-    if s == 1 and math.gcd(den, *[row[j] for j in nz]) == 1:
-        return row, den  # the entries left alone shared no factor with den
+    get = row.get
+    for j, p in prow.items():
+        v = get(j, 0) - m * p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
     return _reduce(row, den)
 
 
 class _Tableau:
-    """Rows of Python ints, each over its own positive denominator.
+    """Sparse rows of Python ints, each over its own positive denominator.
 
-    Row i stands for the rationals rows[i][j] / dens[i], and the last
-    entry is the right-hand side.  `obj` (over `obj_den`) holds reduced
-    costs, its last entry the *negated* objective value; storing -z keeps
-    the objective row consistent under the same row operations as the
-    constraint rows.
+    Row i stands for the rationals rows[i][j] / dens[i]; a column it does
+    not store is zero, and the right-hand side sits under the key RHS.
+    `obj` (over `obj_den`) holds reduced costs, under RHS the *negated*
+    objective value; storing -z keeps the objective row consistent under
+    the same row operations as the constraint rows.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int]) -> None:
+    def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int]) -> None:
         self.rows = rows
         self.dens = dens
         self.basis = basis
-        self.obj: list[int] = []
+        self.obj: dict[int, int] = {}
         self.obj_den = 1
 
-    def pivot(self, row: int, col: int) -> list[int]:
-        """Make `col` basic in `row`; returns the pivot row's nonzero columns."""
+    def pivot(self, row: int, col: int) -> None:
+        """Make `col` basic in `row`."""
         prow, den = self.rows[row], self.dens[row]
         piv = prow[col]
         if piv != den:  # the pivot element is not 1
             if piv < 0:  # phase-1 drive-out pivots may be negative
-                prow, piv = [-v for v in prow], -piv
+                prow, piv = {j: -v for j, v in prow.items()}, -piv
             prow, piv = _reduce(prow, piv)
             self.rows[row], self.dens[row] = prow, piv
-        nz = [j for j, v in enumerate(prow) if v]
         rows, dens = self.rows, self.dens
         for i, other in enumerate(rows):
-            if i != row and other[col]:
-                rows[i], dens[i] = _eliminate(other, dens[i], prow, nz, col)
+            if col in other and i != row:
+                rows[i], dens[i] = _eliminate(other, dens[i], prow, col)
         self.basis[row] = col
-        return nz
 
-    def set_objective(self, cost: list[int], den: int) -> None:
-        """Reduced costs of `cost`/`den` (one entry per column) for the basis."""
-        obj = cost + [0]
+    def set_objective(self, cost: dict[int, int], den: int) -> None:
+        """Reduced costs of `cost`/`den` (nonzero entries by column) for the basis."""
+        obj = dict(cost)
         for i, b in enumerate(self.basis):
-            if obj[b]:
-                prow = self.rows[i]
-                obj, den = _eliminate(obj, den, prow, [j for j, v in enumerate(prow) if v], b)
+            if b in obj:
+                obj, den = _eliminate(obj, den, self.rows[i], b)
         self.obj, self.obj_den = obj, den
 
     def entering(self, ncols: int, bland: bool) -> Optional[int]:
-        obj = self.obj
+        """The lowest column of largest positive reduced cost (Dantzig), or
+        with `bland` the lowest column of positive reduced cost."""
+        costs = [(j, v) for j, v in self.obj.items() if v > 0 and 0 <= j < ncols]
+        if not costs:
+            return None
         if bland:
-            return next((j for j in range(ncols) if obj[j] > 0), None)
-        best = max(obj[:ncols], default=0)
-        return obj.index(best) if best > 0 else None
+            return min(costs)[0]
+        best = max(v for _, v in costs)
+        return min(j for j, v in costs if v == best)
 
     def leaving(self, col: int) -> Optional[int]:
         """Minimum ratio rhs/a over a > 0, ties to the lowest basis index.
@@ -235,9 +259,9 @@ class _Tableau:
         best_row = None
         basis = self.basis
         for i, row in enumerate(self.rows):
-            a = row[col]
+            a = row.get(col, 0)
             if a > 0:
-                rhs = row[-1]
+                rhs = row.get(RHS, 0)
                 if best_row is None:
                     best_rhs, best_a, best_row = rhs, a, i
                     continue
@@ -251,7 +275,7 @@ class _Tableau:
         bland = False
         streak = 0
         while True:
-            if stop_at_zero and self.obj[-1] == 0:
+            if stop_at_zero and RHS not in self.obj:
                 return "optimal", pivots_done
             col = self.entering(ncols, bland)
             if col is None:
@@ -262,11 +286,11 @@ class _Tableau:
             pivots_done += 1
             if pivots_done > max_pivots:
                 raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
-            before, before_den = self.obj[-1], self.obj_den
-            nz = self.pivot(row, col)
-            if self.obj[col]:
-                self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, self.rows[row], nz, col)
-            if self.obj[-1] * before_den == before * self.obj_den:
+            before, before_den = self.obj.get(RHS, 0), self.obj_den
+            self.pivot(row, col)
+            if col in self.obj:
+                self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, self.rows[row], col)
+            if self.obj.get(RHS, 0) * before_den == before * self.obj_den:
                 streak += 1
                 if streak >= _DEGENERATE_STREAK:
                     bland = True
@@ -315,7 +339,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
             f"above the exact-solver budget {MAX_TABLEAU_CELLS}"
         )
 
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     dens: list[int] = []
     basis: list[int] = []
     s_idx = a_idx = 0
@@ -324,13 +348,14 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
         # with the relation so the right-hand side is nonnegative
         den = math.lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs.values()))
         scale = -den if flip else den
-        line = [0] * (total + 1)
+        line: dict[int, int] = {}
         for j, c in row.coeffs.items():
             plus, minus = col_of[j]
             line[plus] = v = c.numerator * (scale // c.denominator)
             if minus >= 0:
                 line[minus] = -v
-        line[-1] = row.rhs.numerator * (scale // row.rhs.denominator)
+        if row.rhs:
+            line[RHS] = row.rhs.numerator * (scale // row.rhs.denominator)
         if rel == LE:
             line[slack_base + s_idx] = den
             basis.append(slack_base + s_idx)
@@ -350,16 +375,15 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
 
     # -- phase 1: maximize minus the artificial mass -----------------------
     if n_art:
-        tab.set_objective([0] * art_base + [-1] * n_art, 1)
+        tab.set_objective(dict.fromkeys(range(art_base, total), -1), 1)
         status, pivots = tab.run(art_base, max_pivots, pivots, stop_at_zero=True)
-        if status != "optimal" or tab.obj[-1] != 0:
+        if status != "optimal" or RHS in tab.obj:
             return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=pivots)
         # drive surviving artificials out of the basis (or drop redundant rows)
         drop: list[int] = []
         for i in range(m):
             if basis[i] >= art_base:
-                row = tab.rows[i]
-                j = next((j for j in range(art_base) if row[j]), None)
+                j = min((j for j in tab.rows[i] if 0 <= j < art_base), default=None)
                 if j is None:
                     drop.append(i)
                 else:
@@ -367,13 +391,14 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
                     tab.pivot(i, j)
         for i in reversed(drop):
             del tab.rows[i], tab.dens[i], basis[i]
-        # strip artificial columns
-        tab.rows = [row[:art_base] + row[-1:] for row in tab.rows]
+        # strip artificial columns; a row may then share a factor with its denominator
+        for i, (row, den) in enumerate(zip(tab.rows, tab.dens)):
+            tab.rows[i], tab.dens[i] = _reduce({j: v for j, v in row.items() if j < art_base}, den)
         total = art_base
 
     # -- phase 2 ------------------------------------------------------------
     cost_den = math.lcm(*(c.denominator for c in lp.objective.values()))
-    cost = [0] * total
+    cost: dict[int, int] = {}
     for j, c in lp.objective.items():
         c = (-c if negate else c).numerator * (cost_den // c.denominator)
         plus, minus = col_of[j]
@@ -387,14 +412,14 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
 
     values = [ZERO] * total
     for row, den, b in zip(tab.rows, tab.dens, basis):
-        values[b] = Fraction(row[-1], den)
+        values[b] = Fraction(row.get(RHS, 0), den)
     assignment: dict[str, Fraction] = {}
     for j in range(n_orig):
         plus, minus = col_of[j]
         v = values[plus] - (values[minus] if minus >= 0 else ZERO)
         if v:
             assignment[lp.var_names[j]] = v
-    value = Fraction(-tab.obj[-1], tab.obj_den)
+    value = Fraction(-tab.obj.get(RHS, 0), tab.obj_den)
     if negate:
         value = -value
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from nscoding.channels import (
     state_block_count,
     state_blocks,
 )
+from nscoding.indexing import seq_to_index
 
 H = Fraction(1, 2)
 
@@ -228,6 +230,27 @@ def test_any_channel_file_loads_or_is_a_value_error(fuzz_dir, doc):
 ])
 def test_state_block_count_matches_the_walk(ch, n):
     assert state_block_count(ch, n) == sum(1 for _ in state_blocks(ch, n))
+
+
+def reference_state_blocks(ch, n):
+    """The state-block walk as it was: every block's index by the
+    range-checking `seq_to_index`, its weight by `iid_block_prob`."""
+    if ch.block_state is not None:
+        return [(seq_to_index(ss, ch.s_size), ss, p) for ss, p in sorted(ch.block_state.atoms) if p]
+    support = [s for s in range(ch.s_size) if ch.state_dist[s]]
+    return [(seq_to_index(ss, ch.s_size), ss, ch.iid_block_prob(ss)) for ss in product(support, repeat=n)]
+
+
+@pytest.mark.parametrize("ch, n", [
+    (builtin_z0z1(), 4),
+    (make_channel([[[1]]] * 3, [H, 0, H]), 4),  # a zero-probability state
+    (make_channel([[[1]]] * 4, [Fraction(1, 3), 0, Fraction(1, 6), H]), 3),
+    (make_channel([[[1]]] * 3, [0, 0, 1]), 2),  # one state of positive probability
+    (builtin_product_xs(), 3),  # a block state source
+    (make_channel([[[1]]] * 3, [H, 0, H], BlockStateSource(2, (((2, 1), H), ((0, 2), 0), ((1, 0), H)))), 2),
+])
+def test_state_blocks_yield_the_reference_triples(ch, n):
+    assert list(state_blocks(ch, n)) == reference_state_blocks(ch, n)
 
 
 def test_state_block_count_is_arithmetic_and_checks_the_length():

@@ -305,6 +305,14 @@ def test_too_few_gp_restarts_is_one_error_line(restarts):
     assert text.count("\n") == 1
 
 
+def test_lp_solve_answers_z0z1_at_n3():
+    # the largest causal LP2 on z0z1 within the tableau budget (n = 4 is
+    # refused below)
+    code, text = run(["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "3"])
+    assert code == 0
+    assert "optimum = 7/8\n" in text and "solved to optimality: pass\n" in text
+
+
 def test_oversize_tableau_is_one_error_line():
     # 4352 variables pass the builders' variable budget, but the tableau
     # would hold 6748 x 11100 cells; the solver refuses it before building.

@@ -1,5 +1,6 @@
 """Tests for the exact rational simplex solver."""
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -409,6 +410,35 @@ def test_assisted_programs_take_the_reference_pivots(build, ch, n, causal):
     assert_same_pivots(build(ch, M=2, n=n, causal=causal))
 
 
+def assert_sparse_form(tab) -> None:
+    """No row stores a zero, every denominator is positive, every row is
+    divided by its gcd with its denominator."""
+    lines = list(zip(tab.rows, tab.dens))
+    if tab.obj:
+        lines.append((tab.obj, tab.obj_den))
+    for row, den in lines:
+        assert den > 0
+        assert all(row.values())
+        assert math.gcd(den, *row.values()) == 1
+
+
+@pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
+def test_assisted_programs_keep_the_sparse_form(build, ch, n, causal, monkeypatch):
+    pivot = simplex._Tableau.pivot
+    pivots = 0
+
+    def checked_pivot(tab, row, col):
+        nonlocal pivots
+        assert_sparse_form(tab)  # the rows and the objective row left by the last step
+        pivot(tab, row, col)
+        assert_sparse_form(tab)
+        pivots += 1
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", checked_pivot)
+    sol = solve_exact(build(ch, M=2, n=n, causal=causal))
+    assert sol.status == "optimal" and pivots == sol.pivots
+
+
 def test_degenerate_program_takes_the_reference_pivots():
     assert_same_pivots(beale_cycling_program())
 
@@ -450,3 +480,86 @@ def test_small_programs_take_the_reference_pivots(spec):
     for coeffs, relation, rhs in rows:
         lp.add_row(coeffs, relation, rhs)
     assert_same_pivots(lp)
+
+
+# -- the integer row check against the Fraction one ---------------------------
+#
+# The reference below is the Fraction evaluation LinearProgram used before
+# its row check ran in integers.  Both must name the same rows, in the same
+# order, and agree on the objective.
+
+
+def _ref_vector(lp: LinearProgram, assignment) -> list:
+    vec = [ZERO] * len(lp.var_names)
+    for name, value in assignment.items():
+        vec[lp._index[name]] = F(value)
+    return vec
+
+
+def reference_objective_value(lp: LinearProgram, assignment) -> Fraction:
+    vec = _ref_vector(lp, assignment)
+    return sum((c * vec[j] for j, c in lp.objective.items()), ZERO)
+
+
+def reference_violated_rows(lp: LinearProgram, assignment) -> list:
+    vec = _ref_vector(lp, assignment)
+    bad = []
+    for row in lp.rows:
+        lhs = sum((c * vec[j] for j, c in row.coeffs.items()), ZERO)
+        ok = (
+            lhs == row.rhs
+            if row.relation == "=="
+            else lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs
+        )
+        if not ok:
+            bad.append(row.label)
+    for j, is_nonneg in enumerate(lp.nonneg):
+        if is_nonneg and vec[j] < 0:
+            bad.append(f"nonneg({lp.var_names[j]})")
+    return bad
+
+
+_VALUE = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.sampled_from([F(1, 10**12), F(-1, 10**12), 1 + F(1, 10**12), F(1, 2) - F(1, 10**12)]),
+)
+
+
+@st.composite
+def programs_and_points(draw):
+    """A program from `small_programs`, plus a point that is, at random,
+    one of its rows' solutions nudged by 1/10^12 or a free draw."""
+    sense, nonneg, objective, rows = draw(small_programs())
+    lp = LinearProgram(sense=sense)
+    for j, flag in enumerate(nonneg):
+        lp.add_var(f"x{j}", nonneg=flag, objective=objective.get(j, 0))
+    for coeffs, relation, rhs in rows:
+        lp.add_row(coeffs, relation, rhs)
+    point = {name: draw(_VALUE) for name in lp.var_names if draw(st.booleans())}
+    rows = [row for row in lp.rows if row.coeffs]
+    if rows and draw(st.booleans()):
+        # put the point on a row's boundary, then perhaps push it off by 1/10^12
+        row = draw(st.sampled_from(rows))
+        j, c = next(iter(row.coeffs.items()))
+        rest = sum((a * F(point.get(lp.var_names[k], 0)) for k, a in row.coeffs.items() if k != j), ZERO)
+        point[lp.var_names[j]] = (row.rhs - rest) / c + draw(st.sampled_from([ZERO, F(1, 10**12), F(-1, 10**12)]))
+    return lp, point
+
+
+@settings(deadline=None, max_examples=200)
+@given(programs_and_points())
+def test_integer_row_check_matches_the_fraction_one(case):
+    lp, point = case
+    assert lp.violated_rows(point) == reference_violated_rows(lp, point)
+    assert lp.objective_value(point) == reference_objective_value(lp, point)
+
+
+def test_integer_row_check_on_a_certificate_and_an_optimum():
+    lp = build_lp2(random_channel(1, 2, 3, 2), M=2, n=2, causal=True)
+    sol = solve_exact(lp)
+    assert lp.violated_rows(sol.assignment) == reference_violated_rows(lp, sol.assignment) == []
+    assert lp.objective_value(sol.assignment) == reference_objective_value(lp, sol.assignment) == sol.value
+    nudged = {name: v + F(1, 10**12) for name, v in sol.assignment.items()}
+    bad = lp.violated_rows(nudged)
+    assert bad and bad == reference_violated_rows(lp, nudged)
+    assert lp.objective_value(nudged) == reference_objective_value(lp, nudged)
