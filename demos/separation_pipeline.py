@@ -7,7 +7,8 @@ with two messages, reproduced end to end in exact arithmetic:
 
 * assisted (non-signaling) coding with causal state access at the
   encoder tops out at 13/16 — certified twice, by solving the exact
-  linear program and by a hand-checkable feasible point of its dual;
+  linear program and by a point of its dual, the dual's exact optimum,
+  checked row by row;
 * a plain deterministic code whose receiver also sees the states
   reaches 7/8, found both by exhaustive search and as an explicit
   two-line strategy.
@@ -33,6 +34,8 @@ sol = solve_exact(build_lp2(ch, M=2, n=2))
 print(f"assisted causal optimum (exact simplex): {sol.value}")
 
 # Upper bound, route 2: a feasible dual point with the same objective.
+# It is found by solving the dual exactly; weak duality then needs only
+# its feasibility, which is checked row by row in integers.
 verdict = verify_certificate(build_lp4_z0z1(), certificate_point_z0z1())
 print(f"dual point feasible: {verdict.feasible}, objective {verdict.objective}")
 

@@ -16,9 +16,10 @@ correctly with conditional probability exactly 1/M, which is what the
 non-signaling marginal condition requires.
 
 Everything here is exact rational arithmetic except the Monte Carlo
-estimators, which are explicitly estimators.  Dense tensors hold integer
-numerators over one positive denominator, and the typicality test is
-decided on integer pair counts against windows computed once per scheme.
+success estimate, which is explicitly an estimate.  Dense tensors hold
+integer numerators over one positive denominator, and the typicality
+test is decided on integer pair counts against windows computed once
+per scheme.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .channels import ChannelWithState, block_law, state_block_count, state_bloc
 from .indexing import all_sequences, index_to_seq, seq_to_index
 from .rational import as_rational, int_dtype, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
-from .typicality import count_window, jointly_typical
+from .typicality import count_window
 
 __all__ = [
     "AuthScheme",
@@ -47,8 +48,6 @@ __all__ = [
     "DegenerateSchemeError",
     "build_auth_scheme",
     "compute_mu",
-    "mu_by_enumeration",
-    "estimate_mu",
     "typicality_pass_probability",
     "zeta",
     "t_function",
@@ -60,7 +59,6 @@ __all__ = [
     "TENSOR_ENTRY_CAP",
     "EXACT_SUCCESS_CAP",
     "MU_TYPE_ENUM_CAP",
-    "MU_BRUTE_FORCE_CAP",
 ]
 
 ZERO = Fraction(0)
@@ -70,7 +68,6 @@ TENSOR_ENTRY_CAP = 10_000_000
 EXACT_SUCCESS_CAP = 4_000_000
 MC_CHUNK = 4096  # floats the Monte Carlo sampler reads from its stream at a time
 MU_TYPE_ENUM_CAP = 64
-MU_BRUTE_FORCE_CAP = 2**16
 
 
 class DegenerateSchemeError(ValueError):
@@ -180,7 +177,6 @@ def typicality_pass_probability(
     p_xy: Sequence[Sequence[object]],
     y_type: Sequence[int],
     eps: object,
-    method: str = "types",
 ) -> Fraction:
     """Probability that i.i.d. inputs drawn from `p_x`, paired with a fixed
     output block of composition `y_type`, land in the joint typical set.
@@ -188,9 +184,7 @@ def typicality_pass_probability(
     The pairs in distinct output-symbol groups are independent, and the
     typicality window constrains each pair count separately, so the
     probability is a product over output symbols of bounded multinomial
-    sums ("types").  The "enumerate" method instead walks every input
-    block against a canonical arrangement of `y_type` — exponential, but
-    an independent cross-check.
+    sums ("types").
     """
     eps = as_rational(eps)
     if not ZERO < eps < ONE:
@@ -205,29 +199,8 @@ def typicality_pass_probability(
     n_tilde = sum(counts)
     if n_tilde == 0:
         return ONE
-
-    if method == "enumerate":
-        if x_size**n_tilde > MU_BRUTE_FORCE_CAP:
-            raise ValueError(
-                f"{x_size}^{n_tilde} input blocks exceed the enumeration cap {MU_BRUTE_FORCE_CAP}"
-            )
-        canonical = [y for y in range(y_size) for _ in range(counts[y])]
-        total = ZERO
-        for xs in itertools.product(range(x_size), repeat=n_tilde):
-            prob = ONE
-            for x in xs:
-                prob *= px[x]
-            if prob and jointly_typical(xs, canonical, joint, eps):
-                total += prob
-        return total
-    if method != "types":
-        raise ValueError(f"method must be 'types' or 'enumerate', got {method!r}")
-
     if n_tilde > MU_TYPE_ENUM_CAP:
-        raise ValueError(
-            f"kept block length {n_tilde} exceeds the exact cap {MU_TYPE_ENUM_CAP};"
-            " use estimate_mu for a Monte Carlo estimate"
-        )
+        raise ValueError(f"kept block length {n_tilde} exceeds the exact cap {MU_TYPE_ENUM_CAP}")
     result = ONE
     for y in range(y_size):
         m = counts[y]
@@ -255,12 +228,12 @@ def _scheme_tables(ch: ChannelWithState, strategy: InputStrategy, n: int, eps: F
     return state_b, tuple(y_b), p_xy
 
 
-def _mu(strat: InputStrategy, y_b, p_xy, eps: Fraction, method: str = "types") -> Fraction:
+def _mu(strat: InputStrategy, y_b, p_xy, eps: Fraction) -> Fraction:
     """1 / (product over tested states of the pass probability)."""
     prob = ONE
     for s, b in enumerate(y_b):
         if b is not None:
-            prob *= typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps, method=method)
+            prob *= typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps)
     if prob == 0:
         raise DegenerateSchemeError(
             "no input block passes the typicality test for these parameters"
@@ -278,7 +251,8 @@ def compute_mu(
     passes every per-state typicality test; always >= 1.
 
     Raises DegenerateSchemeError when that probability is zero, and
-    ValueError past the exact-arithmetic caps (estimate_mu covers those).
+    ValueError past the exact cap on the kept block length, which
+    `build_auth_scheme` shares.
     """
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
@@ -286,69 +260,10 @@ def compute_mu(
     return _mu(strat, y_b, p_xy, eps)
 
 
-def mu_by_enumeration(
-    ch: ChannelWithState, strategy: Sequence[Sequence[object]], n: int, eps: object
-) -> Fraction:
-    """compute_mu with every per-state factor found by brute-force input
-    enumeration instead of type counting; for cross-checks on small blocks."""
-    eps = as_rational(eps)
-    strat = _clean_strategy(ch, strategy)
-    _, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
-    return _mu(strat, y_b, p_xy, eps, "enumerate")
-
-
 def _ci95(p_hat: float, samples: int) -> tuple[float, float]:
     """Normal-approximation 95% interval for a frequency, clipped to [0, 1]."""
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
     return max(p_hat - half, 0.0), min(p_hat + half, 1.0)
-
-
-def estimate_mu(
-    ch: ChannelWithState,
-    strategy: Sequence[Sequence[object]],
-    n: int,
-    eps: object,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> tuple[float, tuple[float, float]]:
-    """Monte Carlo estimate of mu with a 95% confidence interval.
-
-    Samples fresh input blocks against the fixed canonical output
-    compositions and inverts the estimated pass probability; the upper
-    endpoint is inf when the lower pass-frequency bound hits zero.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    eps = as_rational(eps)
-    strat = _clean_strategy(ch, strategy)
-    _, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
-    blocks = []
-    for s in range(ch.s_size):
-        if y_b[s] is None:
-            continue
-        counts = y_b[s].per_symbol
-        canonical = [y for y in range(ch.y_size) for _ in range(counts[y])]
-        if canonical:
-            window = _pair_windows(p_xy[s], len(canonical), eps)
-            blocks.append((canonical, _draw_table(strat[s]), window))
-    if not blocks:
-        return 1.0, (1.0, 1.0)
-    draw = random.Random(seed).random
-    wins = 0
-    for _ in range(samples):
-        ok = True
-        for canonical, (cum, total, hi), window in blocks:
-            xs = [bisect(cum, draw() * total, 0, hi) for _ in canonical]
-            if not _pairs_typical(window, ch.y_size, zip(xs, canonical)):
-                ok = False
-                break
-        wins += ok
-    p_hat = wins / samples
-    lo_p, hi_p = _ci95(p_hat, samples)
-    mu_est = math.inf if p_hat == 0 else 1 / p_hat
-    mu_hi = math.inf if lo_p == 0 else 1 / lo_p
-    mu_lo = 1 / hi_p if hi_p > 0 else math.inf
-    return mu_est, (mu_lo, mu_hi)
 
 
 def build_auth_scheme(
@@ -579,8 +494,15 @@ def _sub_tables(scheme: AuthScheme) -> dict[int, np.ndarray]:
     return tables
 
 
-def _acceptance_table(scheme: AuthScheme) -> np.ndarray:
-    """Booleans t[x, s, y]: whether the block triple passes the test.
+def _mapped_states(scheme: AuthScheme) -> list[tuple[int, ...]]:
+    """The state mapping's output on every state block, in index order."""
+    ch = scheme.channel
+    return [map_with_budgets(ss, scheme.state_budgets).output for ss in all_sequences(ch.s_size, scheme.n)]
+
+
+def _acceptance_table(scheme: AuthScheme, mapped_states: Sequence[Sequence[int]]) -> np.ndarray:
+    """Booleans t[x, s, y]: whether the block triple passes the test, given
+    the `_mapped_states` of the scheme.
 
     Every state block looks its sigma-blocks up in `_sub_tables` by the
     sub-block indices of each x^n and y^n.
@@ -594,8 +516,7 @@ def _acceptance_table(scheme: AuthScheme) -> np.ndarray:
         return sequences[size][:, positions] @ size ** np.arange(len(positions) - 1, -1, -1)
 
     table = np.ones((ch.x_size**n, ch.s_size**n, ch.y_size**n), dtype=bool)
-    for si, ss in enumerate(all_sequences(ch.s_size, n)):
-        mapped = map_with_budgets(ss, scheme.state_budgets).output
+    for si, mapped in enumerate(mapped_states):
         for s, _window, positions in _sigma_blocks(windows, mapped):
             rows = sub_index(ch.x_size, positions)
             table[:, si] &= sub_tables[s][np.ix_(rows, sub_index(ch.y_size, positions))]
@@ -610,9 +531,7 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     total = nx * m * m * ns * ny
     if total > TENSOR_ENTRY_CAP:
         raise ValueError(f"{total} tensor entries exceed the cap {TENSOR_ENTRY_CAP}")
-    mapped_states = [
-        map_with_budgets(ss, scheme.state_budgets).output for ss in all_sequences(ch.s_size, n)
-    ]
+    mapped_states = _mapped_states(scheme)
     # zeta[x, s] * d^n as a product of integers, indexed by mapped state;
     # the placeholder (index |S|) gets uniform inputs
     d = math.lcm(ch.x_size, *(p.denominator for row in scheme.strategy for p in row))
@@ -623,7 +542,7 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     # over the lcm of the reduced denominators of zeta
     g = math.gcd(d**n, *(w for row in weight for w in row))
     weight = [[w // g for w in row] for row in weight]
-    accept = _acceptance_table(scheme) if m > 1 else None
+    accept = _acceptance_table(scheme, mapped_states) if m > 1 else None
     return _diagonal_tensor(
         m, n, (ch.x_size, ch.s_size, ch.y_size), weight, d**n // g, accept, scheme.acceptance
     )

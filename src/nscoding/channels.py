@@ -9,6 +9,7 @@ file format uses — so every probability in the model is exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -221,8 +222,6 @@ def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int,
 
     The weight comes from the attached block source, whose length must be
     n, and otherwise from the i.i.d. product over the letters with P(s) > 0.
-    That product depends only on how often each letter occurs, so it is
-    computed once per count vector.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -232,21 +231,23 @@ def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int,
             raise ValueError(f"block length {n} does not match block source length {source.n}")
         return ((seq_to_index(ss, ch.s_size), ss, p) for ss, p in sorted(source.atoms) if p)
     support = [s for s in range(ch.s_size) if ch.state_dist[s]]
-    weights: dict[tuple[int, ...], Fraction] = {}
-
-    def weigh(ss: tuple[int, ...]) -> Fraction:
-        counts = tuple(map(ss.count, support))
-        if counts not in weights:
-            weights[counts] = ch.iid_block_prob(ss)
-        return weights[counts]
 
     def walk() -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
         # the support's letters are in range, so a block's index is the
         # plain sum of their place values, built alongside the blocks
         places = [ch.s_size ** (n - 1 - i) for i in range(n)]
         indices = map(sum, product(*([s * w for s in support] for w in places)))
-        for i, ss in zip(indices, product(support, repeat=n)):
-            yield i, ss, weigh(ss)
+        # P(s^n) is the product of the letters' numerators over their lcm d,
+        # divided by d^n: one Fraction per distinct product
+        d = math.lcm(*(ch.state_dist[s].denominator for s in support))
+        nums = [ch.state_dist[s].numerator * (d // ch.state_dist[s].denominator) for s in support]
+        keys = map(math.prod, product(nums, repeat=n))
+        weights: dict[int, Fraction] = {}
+        for i, ss, key in zip(indices, product(support, repeat=n), keys):
+            weight = weights.get(key)
+            if weight is None:
+                weight = weights[key] = Fraction(key, d**n)
+            yield i, ss, weight
 
     return walk()
 

@@ -13,7 +13,8 @@ length n with M messages:
 
 Both directions of the optimum-preserving variable mapping are exposed,
 together with a generic LP dual, the binary-alphabet relaxation whose
-dual certifies the 13/16 bound, and the published certificate point.
+dual certifies the 13/16 bound, and a certificate point derived by
+solving that dual exactly.
 
 Reference instances of invariance rows (the cell a row compares
 against) are tautologies and are not emitted.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .channels import ChannelWithState, block_law, builtin_z0z1
 from .rational import as_rational
-from .simplex import LinearProgram
+from .simplex import LinearProgram, solve_exact
 
 __all__ = [
     "MAX_LP_VARIABLES",
@@ -289,32 +290,14 @@ def build_lp4_z0z1() -> LinearProgram:
 
 
 def certificate_point_z0z1() -> dict[str, Fraction]:
-    """A feasible point of the dual with objective exactly 13/16.
+    """A feasible point of the dual with objective exactly 13/16: the
+    exact simplex optimum of `build_lp4_z0z1`, its nonzero entries keyed
+    by the relaxation's rows.
 
-    Keyed by the relaxation's rows: output-block normalization (rsum),
-    input-marginal normalization (qsum), diagonal-weight causality
-    (rcausal) and r <= q (rq).  Every unlisted variable is zero.
     Feasibility is machine-checkable with verify_certificate; by weak
     duality the point certifies that no causal assisted scheme for this
     instance succeeds with probability above 13/16."""
-    table = {
-        "rsum[s=1,y=0]": "3/16", "rsum[s=2,y=0]": "1/16", "rsum[s=1,y=1]": "3/16",
-        "rsum[s=1,y=2]": "1/16", "rsum[s=2,y=2]": "3/16", "rsum[s=2,y=3]": "3/16",
-        "qsum[s=0]": "1/8", "qsum[s=1]": "1/16", "qsum[s=2]": "1/8", "qsum[s=3]": "1/16",
-        "rcausal[i=1,px=0,s=1,y=0]": "-1/8", "rcausal[i=1,px=0,s=3,y=1]": "1/16",
-        "rcausal[i=1,px=0,s=1,y=2]": "-1/16", "rcausal[i=1,px=0,s=3,y=2]": "1/16",
-        "rcausal[i=1,px=0,s=3,y=3]": "1/8", "rcausal[i=1,px=1,s=1,y=0]": "-1/8",
-        "rcausal[i=1,px=1,s=3,y=0]": "1/16", "rcausal[i=1,px=1,s=1,y=1]": "-1/16",
-        "rcausal[i=1,px=1,s=1,y=2]": "-1/16", "rcausal[i=1,px=1,s=3,y=2]": "1/16",
-        "rcausal[i=1,px=1,s=1,y=3]": "1/16", "rcausal[i=1,px=1,s=3,y=3]": "3/16",
-        "rq[x=0,y=0,s=0]": "1/8", "rq[x=0,y=0,s=1]": "1/16", "rq[x=0,y=0,s=2]": "1/16",
-        "rq[x=0,y=0,s=3]": "1/16", "rq[x=0,y=1,s=2]": "1/16", "rq[x=1,y=1,s=0]": "1/8",
-        "rq[x=1,y=1,s=1]": "1/16", "rq[x=1,y=1,s=2]": "1/8", "rq[x=1,y=1,s=3]": "1/16",
-        "rq[x=2,y=2,s=0]": "1/16", "rq[x=2,y=2,s=1]": "1/16", "rq[x=2,y=2,s=2]": "1/8",
-        "rq[x=2,y=2,s=3]": "1/16", "rq[x=2,y=3,s=0]": "1/16", "rq[x=3,y=3,s=0]": "1/8",
-        "rq[x=3,y=3,s=1]": "1/16", "rq[x=3,y=3,s=2]": "1/8", "rq[x=3,y=3,s=3]": "1/16",
-    }
-    return {label: as_rational(v) for label, v in table.items()}
+    return solve_exact(build_lp4_z0z1()).assignment
 
 
 @dataclass

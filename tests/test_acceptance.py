@@ -16,7 +16,6 @@ from nscoding.auth_scheme import (
     build_auth_scheme,
     compute_mu,
     materialize_tensor,
-    mu_by_enumeration,
     success_decomposition,
     success_probability,
     toy_product_scheme,
@@ -38,6 +37,7 @@ from nscoding.ns_lp import (
 from nscoding.simplex import solve_exact
 from nscoding.type_mapping import Budgets, budgets, flag_predicate, map_with_budgets
 from nscoding.typicality import strongly_typical
+from test_auth_scheme import reference_mu
 
 CAUSAL_OPT = F(13, 16)
 CSIR_OPT = F(7, 8)
@@ -246,7 +246,7 @@ def test_criterion_10_asymptotic_property_suite():
                 by_types = compute_mu(ch, strategy, n, eps)
             except ValueError:
                 continue
-            assert by_types == mu_by_enumeration(ch, strategy, n, eps)
+            assert by_types == reference_mu(ch, strategy, n, eps)
             checked += 1
     assert checked >= 4
     _passed(10, "rate, decomposition, and mu agreement properties", t0)

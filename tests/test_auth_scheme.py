@@ -27,9 +27,7 @@ from nscoding.auth_scheme import (
     SuccessDecomposition,
     build_auth_scheme,
     compute_mu,
-    estimate_mu,
     materialize_tensor,
-    mu_by_enumeration,
     success_decomposition,
     success_probability,
     t_function,
@@ -62,13 +60,47 @@ def noise_channel():
 # -- pass probability over a fixed output composition ------------------------
 
 
+REFERENCE_ENUMERATION_CAP = 2**16  # input blocks the reference walks at most
+
+
+def reference_pass_probability(p_x, p_xy, y_type, eps):
+    """`typicality_pass_probability` by brute force: every input block of
+    positive probability against a canonical arrangement of `y_type`,
+    judged by `jointly_typical`."""
+    eps, px = F(eps), [F(p) for p in p_x]
+    joint = [[F(v) for v in row] for row in p_xy]
+    canonical = [y for y, m in enumerate(y_type) for _ in range(m)]
+    if len(px) ** len(canonical) > REFERENCE_ENUMERATION_CAP:
+        raise ValueError(f"{len(px)}^{len(canonical)} input blocks exceed the enumeration cap")
+    total = F(0)
+    for xs in itertools.product(range(len(px)), repeat=len(canonical)):
+        prob = math.prod((px[x] for x in xs), start=F(1))
+        if prob and jointly_typical(xs, canonical, joint, eps):
+            total += prob
+    return total
+
+
+def reference_mu(ch, strategy, n, eps):
+    """`compute_mu` with every per-state factor from `reference_pass_probability`."""
+    eps = F(eps)
+    strat = auth_scheme._clean_strategy(ch, strategy)
+    _, y_b, p_xy = auth_scheme._scheme_tables(ch, strat, n, eps)
+    prob = math.prod(
+        (reference_pass_probability(strat[s], p_xy[s], b.per_symbol, eps) for s, b in enumerate(y_b) if b is not None),
+        start=F(1),
+    )
+    if prob == 0:
+        raise DegenerateSchemeError("no input block passes the typicality test for these parameters")
+    return 1 / prob
+
+
 def test_pass_probability_uniform_pairs_is_zero_both_ways():
     # With independent uniform pairs, a block of two kept positions
     # admits no pair count inside the window [1/4, 3/4]: nothing passes.
     px = [HALF, HALF]
     pxy = [[F(1, 4), F(1, 4)], [F(1, 4), F(1, 4)]]
     assert typicality_pass_probability(px, pxy, (1, 1), HALF) == 0
-    assert typicality_pass_probability(px, pxy, (1, 1), HALF, method="enumerate") == 0
+    assert reference_pass_probability(px, pxy, (1, 1), HALF) == 0
 
 
 def test_pass_probability_identity_pairs():
@@ -77,7 +109,7 @@ def test_pass_probability_identity_pairs():
     px = [HALF, HALF]
     pxy = [[HALF, F(0)], [F(0), HALF]]
     assert typicality_pass_probability(px, pxy, (1, 1), HALF) == F(1, 4)
-    assert typicality_pass_probability(px, pxy, (1, 1), HALF, method="enumerate") == F(1, 4)
+    assert reference_pass_probability(px, pxy, (1, 1), HALF) == F(1, 4)
 
 
 def test_pass_probability_empty_block_is_one():
@@ -110,12 +142,7 @@ PASS_PROBABILITY_CASES = [
 @pytest.mark.parametrize("p_x, p_xy, y_type, eps, expected", PASS_PROBABILITY_CASES)
 def test_pass_probability_types_match_enumeration_on_empty_and_zero_corners(p_x, p_xy, y_type, eps, expected):
     assert typicality_pass_probability(p_x, p_xy, y_type, eps) == expected
-    assert typicality_pass_probability(p_x, p_xy, y_type, eps, method="enumerate") == expected
-
-
-def test_pass_probability_method_validation():
-    with pytest.raises(ValueError, match="method"):
-        typicality_pass_probability([1], [[1]], (1,), HALF, method="guess")
+    assert reference_pass_probability(p_x, p_xy, y_type, eps) == expected
 
 
 # -- mu -----------------------------------------------------------------------
@@ -125,7 +152,7 @@ def test_mu_identity_channel_n8():
     # floor(8/2) = 4 states kept; output budgets (1, 1) plus two extras
     # leave a two-position test that uniform inputs pass w.p. 1/4.
     assert compute_mu(identity_channel(), UNIFORM2, 8, HALF) == 4
-    assert mu_by_enumeration(identity_channel(), UNIFORM2, 8, HALF) == 4
+    assert reference_mu(identity_channel(), UNIFORM2, 8, HALF) == 4
 
 
 def test_mu_vacuous_when_no_output_slots_survive():
@@ -134,7 +161,7 @@ def test_mu_vacuous_when_no_output_slots_survive():
     ch = builtin_z0z1()
     strat = [[HALF, HALF], [HALF, HALF]]
     assert compute_mu(ch, strat, 4, HALF) == 1
-    assert mu_by_enumeration(ch, strat, 4, HALF) == 1
+    assert reference_mu(ch, strat, 4, HALF) == 1
     scheme = build_auth_scheme(ch, strat, 4, HALF)
     assert scheme.mu == 1 and scheme.message_count == 1 and scheme.acceptance == 1
 
@@ -159,23 +186,13 @@ def test_mu_type_counts_match_brute_force_on_random_channels():
             except DegenerateSchemeError:
                 by_types = None
             try:
-                by_brute = mu_by_enumeration(ch, UNIFORM2, n, eps)
+                by_brute = reference_mu(ch, UNIFORM2, n, eps)
             except DegenerateSchemeError:
                 by_brute = None
             assert by_types == by_brute
             if by_types not in (None, 1):
                 nontrivial += 1
     assert nontrivial >= 4  # the comparison actually bites
-
-
-def test_mu_monte_carlo_estimate_brackets_truth():
-    est, (lo, hi) = estimate_mu(identity_channel(), UNIFORM2, 8, HALF, samples=20_000, seed=1)
-    assert lo <= 4 <= hi
-    assert abs(est - 4) < 0.5
-
-
-def test_mu_estimate_of_vacuous_scheme_is_exact():
-    assert estimate_mu(builtin_z0z1(), [[HALF, HALF]] * 2, 4, HALF) == (1.0, (1.0, 1.0))
 
 
 # -- scheme construction -------------------------------------------------------
@@ -190,7 +207,7 @@ def test_build_scheme_identity_n8():
     assert scheme.message_count * scheme.acceptance == scheme.mu
 
 
-@pytest.mark.parametrize("calibrate", [build_auth_scheme, compute_mu, mu_by_enumeration, estimate_mu])
+@pytest.mark.parametrize("calibrate", [build_auth_scheme, compute_mu])
 def test_block_source_of_another_length_is_refused(calibrate):
     with pytest.raises(ValueError, match="^block length 4 does not match block source length 3$"):
         calibrate(builtin_product_xs(), UNIFORM2 * 2, 4, HALF)
@@ -660,7 +677,7 @@ ACCEPTANCE_CASES = [
 )
 def test_acceptance_table_matches_the_per_sequence_test(ch, strategy, n, eps, m):
     scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
-    table = auth_scheme._acceptance_table(scheme)
+    table = auth_scheme._acceptance_table(scheme, auth_scheme._mapped_states(scheme))
     expected = np.array([
         [[reference_accepts(scheme, xs, ss, ys) for ys in itertools.product(range(ch.y_size), repeat=n)]
          for ss in itertools.product(range(ch.s_size), repeat=n)]
@@ -707,8 +724,8 @@ def test_constant_output_sub_tables_bite():
 
 def test_acceptance_comparisons_bite():
     tables = [
-        auth_scheme._acceptance_table(build_auth_scheme(ch, strategy, n, eps, message_count=m))
-        for _label, ch, strategy, n, eps, m in ACCEPTANCE_CASES
+        auth_scheme._acceptance_table(scheme, auth_scheme._mapped_states(scheme))
+        for scheme in (build_auth_scheme(*case[1:5], message_count=case[5]) for case in ACCEPTANCE_CASES)
     ]
     assert sum(t.any() and not t.all() for t in tables) >= 11
 
@@ -959,8 +976,6 @@ def test_sample_count_must_be_positive(samples):
     scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 2, HALF)
     with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
         success_probability(scheme, mode="monte_carlo", samples=samples)
-    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
-        estimate_mu(builtin_z0z1(), [[HALF, HALF]] * 2, 2, HALF, samples=samples)
 
 
 def test_success_decomposition_inequality():
@@ -1237,50 +1252,3 @@ def test_exact_cap_admits_every_scheme_the_term_count_admitted(monkeypatch):
     # 423 schemes were admitted before the DP and are still; 68 more are now
     assert verdicts.count((True, True)) >= 400 and verdicts.count((False, True)) >= 60
 
-
-# estimate_mu as it was before its draws moved to `bisect`: one
-# `random.choices` call per kept block and sample, and the test straight
-# from `jointly_typical`.
-
-
-def reference_estimate_mu(ch, strategy, n, eps, samples, seed):
-    eps = F(eps)
-    strat = auth_scheme._clean_strategy(ch, strategy)
-    _, y_b, p_xy = auth_scheme._scheme_tables(ch, strat, n, eps)
-    blocks = []
-    for s, b in enumerate(y_b):
-        canonical = [] if b is None else [y for y in range(ch.y_size) for _ in range(b.per_symbol[y])]
-        if canonical:
-            blocks.append((canonical, list(itertools.accumulate(float(p) for p in strat[s])), p_xy[s]))
-    if not blocks:
-        return 1.0, (1.0, 1.0)
-    rng = random.Random(seed)
-    wins = 0
-    for _ in range(samples):
-        ok = True
-        for canonical, cum, joint in blocks:
-            xs = rng.choices(range(ch.x_size), cum_weights=cum, k=len(canonical))
-            if not jointly_typical(xs, canonical, joint, eps):
-                ok = False
-                break
-        wins += ok
-    p_hat = wins / samples
-    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
-    lo_p, hi_p = max(p_hat - half, 0.0), min(p_hat + half, 1.0)
-    return (math.inf if p_hat == 0 else 1 / p_hat), (
-        1 / hi_p if hi_p > 0 else math.inf, math.inf if lo_p == 0 else 1 / lo_p
-    )
-
-
-@pytest.mark.parametrize("ch, strategy, n, eps", [
-    (identity_channel(), UNIFORM2, 8, HALF),
-    (identity_channel(), [[F(1, 4), F(3, 4)]], 8, F(1, 4)),
-    (zero_probability_channel(), [[1, 0], [HALF, HALF], [F(1, 4), F(3, 4)]], 16, F(1, 3)),
-], ids=["identity-uniform", "identity-quarter", "zero-entry"])
-def test_estimate_mu_draws_as_the_reference_sampler(ch, strategy, n, eps):
-    estimates = set()
-    for seed in (0, 1, 2, 7):
-        expected = reference_estimate_mu(ch, strategy, n, eps, 2000, seed)
-        assert estimate_mu(ch, strategy, n, eps, samples=2000, seed=seed) == expected
-        estimates.add(expected[0])
-    assert len(estimates) > 1

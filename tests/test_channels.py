@@ -248,6 +248,8 @@ def reference_state_blocks(ch, n):
     (make_channel([[[1]]] * 3, [0, 0, 1]), 2),  # one state of positive probability
     (builtin_product_xs(), 3),  # a block state source
     (make_channel([[[1]]] * 3, [H, 0, H], BlockStateSource(2, (((2, 1), H), ((0, 2), 0), ((1, 0), H)))), 2),
+    # two letters share a probability: different count vectors weigh the same
+    (make_channel([[[1]]] * 3, [Fraction(1, 4), Fraction(1, 4), H]), 4),
 ])
 def test_state_blocks_yield_the_reference_triples(ch, n):
     assert list(state_blocks(ch, n)) == reference_state_blocks(ch, n)

@@ -3,10 +3,10 @@
 Each CLI case runs in-process from `tests/golden/` (so the channel and
 strategy files there are named by a fixed relative path and the echoed
 command stays stable) and must reproduce `tests/golden/<case>.txt`
-exactly.  `values.json` pins what the CLI does not print: seeded
-`estimate_mu` draws, exact and seeded Monte Carlo successes on
-channels with a block state source, and a seeded Monte Carlo success on
-a channel with zero state and kernel probabilities.
+exactly.  `values.json` pins what the CLI does not print: exact and
+seeded Monte Carlo successes on channels with a block state source, and
+a seeded Monte Carlo success on a channel with zero state and kernel
+probabilities.
 
 The files record the program's output as it was when they were written;
 a change that alters any of them alters a report.  To rewrite them after
@@ -23,12 +23,11 @@ import pytest
 
 from nscoding.auth_scheme import (
     build_auth_scheme,
-    estimate_mu,
     success_decomposition,
     success_probability,
     toy_product_scheme,
 )
-from nscoding.channels import BlockStateSource, builtin_product_xs, builtin_z0z1, make_channel
+from nscoding.channels import BlockStateSource, builtin_product_xs, make_channel
 from nscoding.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,7 +93,6 @@ def zero_probability_channel():
 
 
 def golden_values() -> dict[str, str]:
-    identity = make_channel([[[1, 0], [0, 1]]], [1])
     xor = build_auth_scheme(xor_block_channel(), [[HALF, HALF]] * 2, 8, F(1, 4))
     product = build_auth_scheme(builtin_product_xs(), [[HALF, HALF]] * 2, 3, HALF, message_count=2)
     skew = BlockStateSource(n=3, atoms=(((0, 1, 1), HALF), ((0, 0, 1), HALF)))
@@ -103,8 +101,6 @@ def golden_values() -> dict[str, str]:
     )
     dec = success_decomposition(xor)
     return {
-        "estimate_mu identity quarter n8": repr(estimate_mu(identity, [[F(1, 4), F(3, 4)]], 8, F(1, 4), 3000, 2)),
-        "estimate_mu z0z1 n16": repr(estimate_mu(builtin_z0z1(), [[HALF, HALF]] * 2, 16, F(1, 4), 2000, 4)),
         "xor block source exact": str(success_probability(xor)),
         "xor block source decomposition": " ".join(
             str(v) for v in (dec.success, dec.acceptance, dec.p_flag, dec.p_accept_given_flag)

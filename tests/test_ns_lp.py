@@ -90,6 +90,30 @@ def test_reduced_program_shape_regression():
 # -- certificate ------------------------------------------------------------
 
 
+# The dual point published with the 13/16 bound, keyed by the relaxation's
+# rows: output-block normalization (rsum), input-marginal normalization
+# (qsum), diagonal-weight causality (rcausal) and r <= q (rq).  Every
+# unlisted variable is zero.  It is another optimum of the same dual than
+# the simplex vertex `certificate_point_z0z1` returns.
+PUBLISHED_CERTIFICATE = {label: F(v) for label, v in {
+    "rsum[s=1,y=0]": "3/16", "rsum[s=2,y=0]": "1/16", "rsum[s=1,y=1]": "3/16",
+    "rsum[s=1,y=2]": "1/16", "rsum[s=2,y=2]": "3/16", "rsum[s=2,y=3]": "3/16",
+    "qsum[s=0]": "1/8", "qsum[s=1]": "1/16", "qsum[s=2]": "1/8", "qsum[s=3]": "1/16",
+    "rcausal[i=1,px=0,s=1,y=0]": "-1/8", "rcausal[i=1,px=0,s=3,y=1]": "1/16",
+    "rcausal[i=1,px=0,s=1,y=2]": "-1/16", "rcausal[i=1,px=0,s=3,y=2]": "1/16",
+    "rcausal[i=1,px=0,s=3,y=3]": "1/8", "rcausal[i=1,px=1,s=1,y=0]": "-1/8",
+    "rcausal[i=1,px=1,s=3,y=0]": "1/16", "rcausal[i=1,px=1,s=1,y=1]": "-1/16",
+    "rcausal[i=1,px=1,s=1,y=2]": "-1/16", "rcausal[i=1,px=1,s=3,y=2]": "1/16",
+    "rcausal[i=1,px=1,s=1,y=3]": "1/16", "rcausal[i=1,px=1,s=3,y=3]": "3/16",
+    "rq[x=0,y=0,s=0]": "1/8", "rq[x=0,y=0,s=1]": "1/16", "rq[x=0,y=0,s=2]": "1/16",
+    "rq[x=0,y=0,s=3]": "1/16", "rq[x=0,y=1,s=2]": "1/16", "rq[x=1,y=1,s=0]": "1/8",
+    "rq[x=1,y=1,s=1]": "1/16", "rq[x=1,y=1,s=2]": "1/8", "rq[x=1,y=1,s=3]": "1/16",
+    "rq[x=2,y=2,s=0]": "1/16", "rq[x=2,y=2,s=1]": "1/16", "rq[x=2,y=2,s=2]": "1/8",
+    "rq[x=2,y=2,s=3]": "1/16", "rq[x=2,y=3,s=0]": "1/16", "rq[x=3,y=3,s=0]": "1/8",
+    "rq[x=3,y=3,s=1]": "1/16", "rq[x=3,y=3,s=2]": "1/8", "rq[x=3,y=3,s=3]": "1/16",
+}.items()}
+
+
 def test_certificate_is_feasible_with_objective_13_16():
     report = verify_certificate(build_lp4_z0z1(), certificate_point_z0z1())
     assert report.feasible
@@ -97,8 +121,24 @@ def test_certificate_is_feasible_with_objective_13_16():
     assert report.objective == OPT_CAUSAL
 
 
+def test_certificate_is_the_simplex_optimum_of_the_dual():
+    lp4 = build_lp4_z0z1()
+    point = certificate_point_z0z1()
+    assert point == solve_exact(lp4).assignment
+    assert lp4.violated_rows(point) == []
+    assert lp4.objective_value(point) == OPT_CAUSAL
+    assert point != PUBLISHED_CERTIFICATE
+
+
+def test_published_certificate_is_feasible_with_objective_13_16():
+    report = verify_certificate(build_lp4_z0z1(), PUBLISHED_CERTIFICATE)
+    assert report.feasible and report.violated == []
+    assert report.objective == OPT_CAUSAL
+    assert len(PUBLISHED_CERTIFICATE) == 40
+
+
 def test_certificate_mu_entry_cannot_be_lowered():
-    point = dict(certificate_point_z0z1())
+    point = dict(PUBLISHED_CERTIFICATE)
     point["qsum[s=0]"] = F(1, 16)
     report = verify_certificate(build_lp4_z0z1(), point)
     assert not report.feasible
