@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .indexing import all_sequences, seq_to_index
+from .indexing import seq_to_index
 from .rational import as_rational, format_rational, read_rational
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "state_block_count",
     "block_outputs",
     "block_law",
+    "block_law_array",
     "block_kernel",
     "builtin_z0z1",
     "builtin_product_xs",
@@ -211,9 +212,11 @@ def lift_csir(ch: ChannelWithState) -> ChannelWithState:
 # -- the block law ----------------------------------------------------------
 #
 # Every exact number (LP objectives, the classical search, scheme success)
-# is a sum against P(s^n) * prod_i N(y_i|x_i,s_i); these two walks are the
-# only places that weigh state blocks and multiply kernel entries, and
-# `block_law` is the one table of their products.
+# is a sum against P(s^n) * prod_i N(y_i|x_i,s_i).  `block_law_array` is
+# the one table of those products: integer numerators over one reduced
+# denominator, built by per-position outer products.  `block_law` reads its
+# Fraction dict off that table; the two walks below weigh one block at a
+# time where a caller needs only a few.
 
 
 def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
@@ -279,16 +282,56 @@ def block_outputs(
             stack.append((depth + 1, yi * ch.y_size + y, p * q))
 
 
+def block_law_array(ch: ChannelWithState, n: int) -> tuple[np.ndarray, int]:
+    """(law, D): law[s, x, y] = D * P(s^n) * N^n(y^n|x^n,s^n) as integers
+    over the least common denominator D of the nonzero cells, indexed by
+    block indices, zero on state blocks of probability 0.
+
+    The table is the outer product over positions of the integer kernel
+    numerators (times the state numerators for an i.i.d. state; a block
+    source weighs its atoms once at the end), held as int64 when the
+    unreduced denominator fits and as Python ints otherwise, then divided
+    by the gcd of that denominator and every entry.
+    """
+    state_blocks(ch, n)  # rejects n < 1 and a block source of another length
+    kd = math.lcm(*(p.denominator for sl in ch.kernel for row in sl for p in row))
+    kernel = [[[p.numerator * (kd // p.denominator) for p in row] for row in sl] for sl in ch.kernel]
+    source = ch.block_state
+    if source is None:
+        sd = math.lcm(*(p.denominator for p in ch.state_dist))
+        letter = [p.numerator * (sd // p.denominator) for p in ch.state_dist]
+        den = (sd * kd) ** n
+    else:
+        sd = math.lcm(*(p.denominator for _seq, p in source.atoms))
+        letter = [1] * ch.s_size  # the atoms weigh whole blocks below
+        den = sd * kd**n
+    dtype = np.int64 if den < 2**63 else object
+    step = np.array(kernel, dtype=dtype) * np.array(letter, dtype=dtype)[:, None, None]
+    law = np.ones((1, 1, 1), dtype=dtype)
+    for _ in range(n):
+        law = (law[:, None, :, None, :, None] * step[None, :, None, :, None, :]).reshape(
+            law.shape[0] * ch.s_size, law.shape[1] * ch.x_size, law.shape[2] * ch.y_size
+        )
+    if source is not None:
+        weights = np.zeros(law.shape[0], dtype=dtype)
+        for seq, p in source.atoms:
+            weights[seq_to_index(seq, ch.s_size)] = p.numerator * (sd // p.denominator)
+        law *= weights[:, None, None]
+    g = math.gcd(den, int(np.gcd.reduce(law, axis=None)))
+    law //= g
+    return law, den // g
+
+
 def block_law(ch: ChannelWithState, n: int) -> dict[tuple[int, int, int], Fraction]:
     """{(x, s, y): P(s^n) * N^n(y^n|x^n,s^n)} over the cells of positive
-    weight, keyed by block indices, x-major."""
-    blocks = list(state_blocks(ch, n))
-    return {
-        (xi, si, yi): p_s * p_y
-        for xi, xs in enumerate(all_sequences(ch.x_size, n))
-        for si, ss, p_s in blocks
-        for yi, p_y in block_outputs(ch, xs, ss)
-    }
+    weight, keyed by block indices, x-major: the nonzero cells of
+    `block_law_array`."""
+    law, den = block_law_array(ch, n)
+    by_x = law.transpose(1, 0, 2)
+    cells = np.nonzero(by_x)  # in (x, s, y) index order
+    values = by_x[cells].tolist()
+    xs, ss, ys = (c.tolist() for c in cells)
+    return {(x, s, y): Fraction(v, den) for x, s, y, v in zip(xs, ss, ys, values)}
 
 
 def block_kernel(

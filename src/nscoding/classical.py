@@ -9,12 +9,14 @@ with state information at the receiver the advantage decomposes over
 the state-prefix tree, which turns the inner maximization into an exact
 tree walk instead of a second exponential enumeration.
 
-The search is exact integer arithmetic: the block law is held as
+The search is exact integer arithmetic on `channels.block_law_array`:
 numerators over one denominator (int64 when no sum can overflow it,
-Python ints otherwise), and the optimum leaves as a Fraction.  Ties
-break toward the smallest message, then the earliest enumerated
-encoder, so results are deterministic (and identical when the outer
-loop is chunked across processes).
+Python ints otherwise), and the optimum leaves as a Fraction.  Message-0
+branches are scored in array batches of at most _BATCH_CELLS cells, so
+numpy does the per-branch work and memory stays flat in the branch
+count.  Ties break toward the smallest message, then the earliest
+enumerated encoder, so results are deterministic (and identical for any
+batch size, and when the outer loop is chunked across processes).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law, block_outputs, builtin_z0z1, state_block_count, state_blocks
+from .channels import ChannelWithState, block_law_array, block_outputs, builtin_z0z1, state_block_count, state_blocks
 from .indexing import index_to_seq, seq_to_index
 from .rational import int_dtype
 
@@ -46,6 +48,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 SEARCH_WORK_CAP = 20_000_000
+# array cells one batch of branches may span: large enough that numpy,
+# not Python, does the work, small enough that peak memory stays flat
+_BATCH_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -141,20 +146,22 @@ class _Law:
 
 
 def _block_law(ch: ChannelWithState, n: int) -> _Law:
-    """law[s, x, y] = D * P(s^n) * N^n(y^n|x^n,s^n) over the least common
-    denominator D, zero on state blocks of probability 0."""
-    weights = block_law(ch, n)
-    den = math.lcm(*(w.denominator for w in weights.values()))
-    shape = (ch.s_size**n, ch.x_size**n, ch.y_size**n)
-    law = np.zeros(shape, dtype=int_dtype(den, math.prod(shape)))
-    for (xi, si, yi), w in weights.items():
-        law[si, xi, yi] = w.numerator * (den // w.denominator)
+    """`block_law_array` in the dtype its sums need, with the digit places."""
+    law, den = block_law_array(ch, n)
+    law = law.astype(int_dtype(den, law.size), copy=False)
     # a branch lists its position-j slots after those of positions 1..j-1
-    si = np.arange(shape[0])
+    si = np.arange(law.shape[0])
     offsets = np.cumsum([0] + _slot_sizes(ch.s_size, n)[:-1])
     digits = np.stack([offsets[j] + si // ch.s_size ** (n - 1 - j) for j in range(n)], axis=1)
     place = ch.x_size ** np.arange(n - 1, -1, -1)
     return _Law(law, den, ch.x_size**digits, place, ch.x_size, ch.s_size, n)
+
+
+def _batches(start: int, stop: int, cells: int):
+    """[lo, hi) blocks covering [start, stop), each as many items as fit
+    _BATCH_CELLS array cells at `cells` per item (at least one)."""
+    step = max(1, _BATCH_CELLS // cells)
+    return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
 
 
 # -- two-message search: receiver without state information -------------------
@@ -162,22 +169,24 @@ def _block_law(ch: ChannelWithState, n: int) -> _Law:
 
 def _best_pair_plain(law: _Law, branch_count: int) -> tuple[int, int, int]:
     """(max over (i, k) of sum_y max(a_i, a_k), i, k), the first maximizer in
-    row-major order, where a_i is branch i's output weight summed over states."""
+    row-major order, where a_i is branch i's output weight summed over states.
+    Rows i run in blocks, each scored against every k at once."""
     weights = law.rows(np.arange(branch_count)).sum(axis=1)
     best = None
-    for i, row in enumerate(weights):
-        totals = np.maximum(row, weights).sum(axis=1)
-        k = int(np.argmax(totals))
-        if best is None or totals[k] > best[0]:
-            best = (totals[k], i, k)
+    for lo, hi in _batches(0, branch_count, weights.size):
+        totals = np.maximum(weights[lo:hi, None, :], weights).sum(axis=2)
+        i, k = np.unravel_index(np.argmax(totals), totals.shape)
+        if best is None or totals[i, k] > best[0]:
+            best = (totals[i, k], lo + int(i), int(k))
     return best
 
 
 # -- two-message search: receiver sees the states too --------------------------
 
 
-def _response_levels(law: _Law, i: int) -> list[np.ndarray]:
-    """Best responses of message 1 to branch i of message 0, level by level.
+def _response_levels(law: _Law, branches) -> list[np.ndarray]:
+    """Best responses of message 1 to message-0 branches (an int or an
+    array of them, whose shape leads every level), level by level.
 
     The total positive advantage sum over (s, y) of (b - a)^+ splits per
     state block, and a branch's inputs on a block are its decisions along
@@ -186,11 +195,12 @@ def _response_levels(law: _Law, i: int) -> list[np.ndarray]:
     best advantage below s^j with x^j fixed, levels[0] the total.  Blocks
     of probability 0 are all zero, so they add nothing.
     """
-    a = law.rows(i)
-    advantage = np.maximum(law.law - a[:, None, :], 0).sum(axis=2)
-    levels = [advantage.reshape((law.s_size,) * law.n + (law.x_size,) * law.n)]
+    a = law.rows(branches)
+    advantage = np.maximum(law.law - a[..., None, :], 0).sum(axis=-1)
+    levels = [advantage.reshape(a.shape[:-2] + (law.s_size,) * law.n + (law.x_size,) * law.n)]
     for j in range(law.n, 0, -1):
-        levels.append(levels[-1].max(axis=-1).sum(axis=j - 1))
+        # once x_j is maxed out, s_j is followed by the j - 1 axes x_1..x_{j-1}
+        levels.append(levels[-1].max(axis=-1).sum(axis=-j))
     return levels[::-1]
 
 
@@ -209,12 +219,15 @@ def _best_response_branch(law: _Law, levels: list[np.ndarray]) -> tuple[tuple[in
 
 
 def _csir_chunk(args):
+    """(best total advantage, first branch reaching it) over [start, stop),
+    scored a batch of branches at a time."""
     law, start, stop = args
     best = None
-    for i in range(start, stop):
-        adv = _response_levels(law, i)[0]
-        if best is None or adv > best[0]:
-            best = (adv, i)
+    for lo, hi in _batches(start, stop, law.law.size):
+        totals = _response_levels(law, np.arange(lo, hi))[0]
+        k = int(np.argmax(totals))
+        if best is None or totals[k] > best[0]:
+            best = (totals[k], lo + k)
     return best
 
 

@@ -139,7 +139,7 @@ def _cmd_lp(args) -> ReportDocument:
     if args.lp_action == "certificate":
         report = ReportDocument(command=f"lp certificate --builtin {args.builtin}")
         lp = ns_lp.build_lp4_z0z1()
-        point = ns_lp.certificate_point_z0z1()
+        point = ns_lp.certificate_point_z0z1(lp)
         verdict = ns_lp.verify_certificate(lp, point)
         report.add("certificate objective", verdict.objective)
         for row in verdict.violated:
@@ -262,7 +262,7 @@ def _cmd_theorem2(args) -> ReportDocument:
         command="theorem2", channel=f"z0z1 sha256:{channel_digest(ch)}"
     )
     lp4 = ns_lp.build_lp4_z0z1()
-    verdict = ns_lp.verify_certificate(lp4, ns_lp.certificate_point_z0z1())
+    verdict = ns_lp.verify_certificate(lp4, ns_lp.certificate_point_z0z1(lp4))
     report.add("certificate objective", verdict.objective)
     report.check("certificate feasible", verdict.feasible)
 

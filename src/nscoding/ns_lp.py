@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -289,15 +289,16 @@ def build_lp4_z0z1() -> LinearProgram:
     return dual_of(build_lp3_z0z1())
 
 
-def certificate_point_z0z1() -> dict[str, Fraction]:
+def certificate_point_z0z1(lp: Optional[LinearProgram] = None) -> dict[str, Fraction]:
     """A feasible point of the dual with objective exactly 13/16: the
     exact simplex optimum of `build_lp4_z0z1`, its nonzero entries keyed
-    by the relaxation's rows.
+    by the relaxation's rows.  A caller that already holds that program
+    passes it as `lp`, so it is not built twice.
 
     Feasibility is machine-checkable with verify_certificate; by weak
     duality the point certifies that no causal assisted scheme for this
     instance succeeds with probability above 13/16."""
-    return solve_exact(build_lp4_z0z1()).assignment
+    return solve_exact(build_lp4_z0z1() if lp is None else lp).assignment
 
 
 @dataclass

@@ -8,14 +8,20 @@ optimum drops to 3/4 — below the assisted causal value 13/16, as it
 must be.
 """
 
+import functools
+import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from nscoding import classical
 from nscoding.channels import (
     BlockStateSource,
+    block_law,
+    block_law_array,
     block_outputs,
     builtin_z0z1,
     lift_csir,
@@ -30,6 +36,7 @@ from nscoding.classical import (
 )
 from nscoding.indexing import all_sequences, index_to_seq, seq_to_index
 from nscoding.ns_lp import build_lp2
+from nscoding.rational import int_dtype
 from nscoding.simplex import solve_exact
 
 CSIR_OPT = F(7, 8)
@@ -130,10 +137,9 @@ def test_parallel_chunks_match_sequential():
     assert (par_value, par_enc) == (seq_value, seq_enc)
 
 
-def test_worker_count_is_bounded_by_the_cpu_count(monkeypatch):
-    # A serial stand-in for the pool records how many processes would
-    # start; no real process is spawned for the huge request.
-    started = []
+def serial_pool(started):
+    """A serial stand-in for the process pool that appends to `started`
+    how many processes would start; no real process is spawned."""
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -148,7 +154,12 @@ def test_worker_count_is_bounded_by_the_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(classical, "ProcessPoolExecutor", SerialPool)
+    return SerialPool
+
+
+def test_worker_count_is_bounded_by_the_cpu_count(monkeypatch):
+    started = []
+    monkeypatch.setattr(classical, "ProcessPoolExecutor", serial_pool(started))
     monkeypatch.setattr(classical.os, "cpu_count", lambda: 3)
     serial = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
     assert classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=10**6) == serial
@@ -222,6 +233,7 @@ def test_state_info_never_hurts_on_random_channels():
 # -- the Fraction search the integer one replaced, kept as the reference ------
 
 
+@functools.cache
 def _reference_search(ch, n, csir):
     """Exhaustive M = 2 search on Fraction rows: per-branch output weights
     for the plain decoder, and a memoized walk over the live state-prefix
@@ -371,3 +383,148 @@ def test_integer_search_matches_the_fraction_search(name, ch, n, modes):
         assert witness.tables == ref_witness.tables
         if csir:
             assert _map_success(ch, witness) == value
+
+
+# -- batch boundaries ----------------------------------------------------------
+
+
+def _batch_cells(ch, n, csir, per_batch):
+    """A `_BATCH_CELLS` under which one batch holds `per_batch` message-0
+    branches: law[s, x, y] cells each with CSIR, every branch's output
+    weights per row of the plain search."""
+    if csir:
+        cells = (ch.s_size * ch.x_size * ch.y_size) ** n
+    else:
+        cells = classical._branch_count(ch.x_size, ch.s_size, n) * ch.y_size**n
+    return per_batch * cells
+
+
+@pytest.mark.parametrize("per_batch", [1, 3])
+@pytest.mark.parametrize("name, ch, n, modes", DIFFERENTIAL_CASES, ids=[c[0] for c in DIFFERENTIAL_CASES])
+def test_batch_size_does_not_move_the_witness(monkeypatch, per_batch, name, ch, n, modes):
+    # 3 divides no power of 2, so the last batch is short on binary inputs
+    for csir in modes:
+        monkeypatch.setattr(classical, "_BATCH_CELLS", _batch_cells(ch, n, csir, per_batch))
+        value, witness = classical_opt_success(ch, 2, n, csir=csir)
+        ref_value, ref_witness = _reference_search(ch, n, csir)
+        assert value == ref_value
+        assert witness.tables == ref_witness.tables
+
+
+_CONSTANT_TWO_STATE = make_channel(
+    kernel=[[[1, 0], [1, 0]], [[0, 1], [0, 1]]], state_dist=[F(1, 2), F(1, 2)]
+)
+
+
+@pytest.mark.parametrize("per_batch", [1, 3, None])
+def test_all_ties_go_to_branch_zero(monkeypatch, per_batch):
+    # the output ignores the input, so every branch pair ties at 1/2
+    for csir in (False, True):
+        if per_batch is not None:
+            monkeypatch.setattr(classical, "_BATCH_CELLS", _batch_cells(_CONSTANT_TWO_STATE, 2, csir, per_batch))
+        value, witness = classical_opt_success(_CONSTANT_TWO_STATE, 2, 2, csir=csir)
+        assert value == F(1, 2)
+        assert all(x == 0 for table in witness.tables for x in table)
+
+
+@pytest.mark.parametrize("ch", [builtin_z0z1(), _CONSTANT_TWO_STATE, _random_channel(0, 2, 2, 3)])
+def test_chunks_of_short_batches_match_one_worker(monkeypatch, ch):
+    monkeypatch.setattr(classical, "_BATCH_CELLS", _batch_cells(ch, 2, True, 3))
+    serial = classical_opt_success(ch, 2, 2, csir=True)
+    started = []
+    monkeypatch.setattr(classical, "ProcessPoolExecutor", serial_pool(started))
+    monkeypatch.setattr(classical.os, "cpu_count", lambda: 2)
+    assert classical_opt_success(ch, 2, 2, csir=True, workers=2) == serial
+    assert started == [2]
+
+
+def test_csir_search_memory_does_not_grow_with_the_branch_count():
+    ch, n = _random_channel(0, 2, 2, 3), 2
+    assert classical._branch_count(ch.x_size, ch.s_size, n) == 4096
+    law = classical._block_law(ch, n).law
+    bound = law.nbytes + 4 * classical._BATCH_CELLS * law.itemsize
+    # scoring every branch at once would take a law-sized array per branch
+    assert 4096 * law.nbytes > 8 * bound
+    tracemalloc.start()
+    try:
+        classical_opt_success(ch, 2, n, csir=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+# -- the block law -------------------------------------------------------------
+
+
+def reference_block_law(ch, n):
+    """{(x, s, y): P(s^n) * N^n(y^n|x^n,s^n)} by walking every input block,
+    state block and supported output block in index order."""
+    blocks = list(state_blocks(ch, n))
+    return {
+        (xi, si, yi): p_s * p_y
+        for xi, xs in enumerate(all_sequences(ch.x_size, n))
+        for si, ss, p_s in blocks
+        for yi, p_y in block_outputs(ch, xs, ss)
+    }
+
+
+def _reference_law_array(ch, n):
+    """The reference law filled into law[s, x, y] over the lcm of its
+    denominators, in the dtype `int_dtype` gives that denominator."""
+    weights = reference_block_law(ch, n)
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    shape = (ch.s_size**n, ch.x_size**n, ch.y_size**n)
+    law = np.zeros(shape, dtype=int_dtype(den, math.prod(shape)))
+    for (xi, si, yi), w in weights.items():
+        law[si, xi, yi] = w.numerator * (den // w.denominator)
+    return law, den
+
+
+_BLOCK_SOURCE_WITH_ZERO_ATOM = make_channel(
+    kernel=[[[F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)]], [[F(1, 4), F(3, 4)], [0, 1]]],
+    state_dist=[F(1, 2), F(1, 2)],
+    block_state=BlockStateSource(
+        n=2, atoms=(((1, 0), F(2, 5)), ((0, 0), F(0)), ((1, 1), F(3, 5)))
+    ),
+)
+_LAW_CHANNELS = [
+    *((name, ch) for name, ch, _n, _modes in DIFFERENTIAL_CASES if name != "z0z1 n=1"),
+    ("z0z1", builtin_z0z1()),
+    ("lift_csir(z0z1)", lift_csir(builtin_z0z1())),
+    ("zero-probability state letter", make_channel(
+        kernel=[[[F(1, 2), F(1, 2)], [1, 0]], [[0, 1], [F(1, 6), F(5, 6)]], [[1, 0], [0, 1]]],
+        state_dist=[F(1, 3), 0, F(2, 3)],
+    )),
+    ("block source with a zero atom", _BLOCK_SOURCE_WITH_ZERO_ATOM),
+]
+_LAW_CASES = [
+    (name, ch, n)
+    for name, ch in _LAW_CHANNELS
+    for n in ((ch.block_state.n,) if ch.block_state is not None else (1, 2, 3))
+]
+
+
+@pytest.mark.parametrize("name, ch, n", _LAW_CASES, ids=[f"{c[0]} n={c[2]}" for c in _LAW_CASES])
+def test_block_law_equals_the_reference_walk(name, ch, n):
+    law = block_law(ch, n)
+    assert list(law.items()) == list(reference_block_law(ch, n).items())
+    assert all(type(k) is int for key in law for k in key)
+
+
+@pytest.mark.parametrize("name, ch, n", _LAW_CASES, ids=[f"{c[0]} n={c[2]}" for c in _LAW_CASES])
+def test_search_law_keeps_its_denominator_and_dtype(name, ch, n):
+    expected, den = _reference_law_array(ch, n)
+    law = classical._block_law(ch, n)
+    assert law.denominator == den
+    assert law.law.dtype == expected.dtype
+    assert np.array_equal(law.law, expected)
+    table, table_den = block_law_array(ch, n)
+    assert table_den == den and np.array_equal(table, expected)
+
+
+def test_block_law_array_checks_the_block_length():
+    with pytest.raises(ValueError, match="block length 3"):
+        block_law_array(_BLOCK_SOURCE_WITH_ZERO_ATOM, 3)
+    with pytest.raises(ValueError, match="n must be"):
+        block_law_array(builtin_z0z1(), 0)

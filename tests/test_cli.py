@@ -65,6 +65,21 @@ def test_certificate_subcommand():
     assert "FAIL" not in text
 
 
+@pytest.mark.parametrize("argv", [["theorem2"], ["lp", "certificate", "--builtin", "z0z1"]])
+def test_certificate_pipelines_build_lp4_once(monkeypatch, argv):
+    built = []
+    build = cli.ns_lp.build_lp4_z0z1
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli.ns_lp, "build_lp4_z0z1", counting_build)
+    code, text = run(argv)
+    assert code == 0 and "certificate objective = 13/16" in text
+    assert len(built) == 1
+
+
 def test_lp_solve_reports_exact_optimum():
     code, text = run(["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "2"])
     assert code == 0
