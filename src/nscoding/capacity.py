@@ -262,9 +262,11 @@ def _gp_ascend(
     return _gp_objective(p, xm, W, ps), p, xm
 
 
-def _check_restarts(restarts: int) -> None:
+def _check_starts(restarts: int, seed: int) -> None:
     if restarts < 2:
         raise ValueError(f"restarts must be >= 2 (the two informed starts), got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def gp_noncausal_capacity(
@@ -284,7 +286,7 @@ def gp_noncausal_capacity(
     the bound at least the causal capacity) plus seeded random starts.
     `restarts` counts all starts and must be at least 2.
     """
-    _check_restarts(restarts)
+    _check_starts(restarts, seed)
     W = ch.kernel_array()
     ps = ch.state_array()
     s_size, x_size = ch.s_size, ch.x_size
@@ -357,7 +359,7 @@ def capacity_table(
     max I(X;Y|S); the classical non-causal cell is an approximate lower
     bound (see gp_noncausal_capacity).
     """
-    _check_restarts(gp_restarts)
+    _check_starts(gp_restarts, seed)
     ns = ns_capacity(ch, tol=tol)
     causal = shannon_causal_capacity(ch, tol=tol)
     gp = gp_noncausal_capacity(ch, restarts=gp_restarts, tol=max(tol, 1e-11), seed=seed)

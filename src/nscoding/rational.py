@@ -61,8 +61,11 @@ def read_rational(value: RationalLike) -> Fraction:
     """as_rational for a value read from a file or the command line.
 
     A zero denominator there is bad input, not an arithmetic fault, so
-    it is a ValueError naming the literal.
+    it is a ValueError naming the literal.  JSON true and false load as
+    bool, a subclass of int, and are refused rather than read as 1 and 0.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{str(value).lower()} is a boolean, not a rational")
     try:
         return as_rational(value)
     except ZeroDivisionError:

@@ -909,6 +909,11 @@ def test_monte_carlo_cases_cover_both_verdict_paths_and_both_sources():
     assert any(verdict_cells(s) > 3000 and s.n >= 12 for s in tested)
     assert any(s.message_count == 1 for s in schemes)
     assert any(s.channel.block_state is not None and s.message_count > 1 for s in schemes)
+    # the sampler's no-test branch, which only skips letters and draws coins,
+    # on an i.i.d. source and on a block source
+    untested = [s for s in schemes if s.message_count > 1 and not auth_scheme._count_windows(s)]
+    assert any(s.channel.block_state is None for s in untested)
+    assert any(s.channel.block_state is not None for s in untested)
     # a case reads several chunks, and a coin is the last float of one and the first of another
     coins = []
     for seed in (0, 1):
@@ -934,12 +939,9 @@ def test_monte_carlo_does_not_map_per_sample(monkeypatch):
     assert [success_probability(s, mode="monte_carlo", samples=3000, seed=2) for s in schemes] == expected
 
 
-def test_monte_carlo_memory_does_not_grow_with_samples():
-    # no kept block: every sample reads its three floats and its coin
-    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 1, HALF, message_count=2)
-    assert not auth_scheme._count_windows(scheme)
+def assert_monte_carlo_peak_is_flat(scheme, sample_counts):
     peaks = []
-    for samples in (10_000, 100_000):
+    for samples in sample_counts:
         tracemalloc.start()
         success_probability(scheme, mode="monte_carlo", samples=samples, seed=0)
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -947,6 +949,22 @@ def test_monte_carlo_memory_does_not_grow_with_samples():
     # one list of MC_CHUNK floats, with the float objects it holds
     chunk = sys.getsizeof([0.5] * auth_scheme.MC_CHUNK) + auth_scheme.MC_CHUNK * sys.getsizeof(0.5)
     assert abs(peaks[1] - peaks[0]) <= chunk
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    # no kept block: every sample skips its three letter floats and reads its coin
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 1, HALF, message_count=2)
+    assert not auth_scheme._count_windows(scheme)
+    assert_monte_carlo_peak_is_flat(scheme, (10_000, 100_000))
+
+
+def test_monte_carlo_chunk_buffer_does_not_grow_with_samples():
+    # a tested sigma: each sample reads its 12 letter floats, and its coin
+    # when it passes, through the MC_CHUNK buffer: about 3 chunks at the
+    # first count and 30 at the second
+    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 4, F(1, 4), message_count=4)
+    assert auth_scheme._count_windows(scheme)
+    assert_monte_carlo_peak_is_flat(scheme, (1_000, 10_000))
 
 
 def test_sub_tables_are_built_only_within_the_sample_count(monkeypatch):
@@ -976,6 +994,14 @@ def test_sample_count_must_be_positive(samples):
     scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 2, HALF)
     with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
         success_probability(scheme, mode="monte_carlo", samples=samples)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_seed_must_not_be_negative(m):
+    # random.Random seeds from abs(seed), so -3 would repeat the estimate of 3
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 2, HALF, message_count=m)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+        success_probability(scheme, mode="monte_carlo", samples=10, seed=-3)
 
 
 def test_success_decomposition_inequality():

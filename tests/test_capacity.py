@@ -131,6 +131,20 @@ def test_gp_restarts_below_two_rejected_before_any_work(monkeypatch, restarts):
         capacity_table(builtin_z0z1(), gp_restarts=restarts)
 
 
+@pytest.mark.parametrize("seed", [-1, -7])
+def test_negative_seed_rejected_before_any_work(monkeypatch, seed):
+    # numpy refuses a negative seed only once the random starts are drawn
+    def no_work(*args, **kwargs):
+        raise AssertionError("a capacity was computed before the seed was checked")
+
+    monkeypatch.setattr(capacity, "ns_capacity", no_work)
+    message = f"^seed must be >= 0, got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        gp_noncausal_capacity(builtin_z0z1(), seed=seed)
+    with pytest.raises(ValueError, match=message):
+        capacity_table(builtin_z0z1(), seed=seed)
+
+
 def test_ns_capacity_z0z1_grid_oracle():
     ch = builtin_z0z1()
     res = ns_capacity(ch)

@@ -157,6 +157,16 @@ def test_scheme_simulate_mc_is_seeded(tmp_path):
     assert run(argv) == (code, text)
 
 
+@pytest.mark.parametrize("argv", [
+    ["scheme", "simulate", "--channel", "z0z1", "--n", "16", "--eps", "1/4", "--mode", "mc", "--samples", "30"],
+    ["capacity", "z0z1", "--gp-restarts", "2"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_negative_seed_is_one_error_line(argv, seed):
+    # random.Random seeds from abs(seed): -3 would print the estimate of 3
+    assert run(argv + [f"--seed={seed}"]) == (1, f"error: seed must be >= 0, got {seed}\n")
+
+
 def test_typemap_subcommand_mirrors_the_library():
     code, text = run(
         ["typemap", "--n", "6", "--dist", "1/2,1/2", "--eps", "1/3", "--seq", "0,1,1,1,0,1"]
@@ -240,6 +250,26 @@ def test_malformed_strategy_file_is_one_error_line(tmp_path, content):
     assert code == 1
     assert text.startswith("error:") and "strategy" in text
     assert text.count("\n") == 1
+
+
+def test_boolean_strategy_entries_are_one_error_line(tmp_path):
+    path = tmp_path / "strategy.json"
+    path.write_text("[[true, false], [false, true]]")
+    argv = ["scheme", "simulate", "--channel", "z0z1", "--n", "2", "--eps", "1/2"]
+    assert run(argv + ["--strategy-file", str(path)]) == (1, "error: true is a boolean, not a rational\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kernel", [[[True, "0"], ["0", "1"]]]),
+    ("state_dist", [True]),
+])
+def test_boolean_channel_entries_are_one_error_line(tmp_path, field, value):
+    doc = json.loads(open(write_identity_channel(tmp_path)).read())
+    doc[field] = value
+    path = tmp_path / "bool_entry.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["lp", "solve", "--channel", str(path), "--M", "2", "--n", "1"])
+    assert (code, text) == (1, "error: true is a boolean, not a rational\n")
 
 
 @pytest.mark.parametrize(
@@ -362,6 +392,7 @@ def test_negative_block_length_is_one_error_line(argv):
 
 _INTS = st.integers(-1, 2).map(str)
 _MESSAGES = st.integers(-1, 3).map(str)
+_SEEDS = st.integers(-3, 3).map(str)
 _RATIONALS = st.sampled_from(["1/2", "1/4", "0", "1", "2", "-1/3", "0.25", "1/0", "0/0", "x", ""])
 _LISTS = st.lists(_RATIONALS, max_size=3).map(",".join)
 
@@ -372,7 +403,7 @@ def _argv(draw, channels):
     kind = draw(st.sampled_from(["capacity", "lp", "certificate", "classical", "scheme", "typemap", "theorem2", "toy"]))
     if kind == "capacity":
         argv = ["capacity", channel, "--gp-restarts", draw(_INTS)]
-        argv += ["--tol", draw(st.sampled_from(["1e-9", "1e-6", "0", "-1", "nan", "inf"]))]
+        argv += ["--tol", draw(st.sampled_from(["1e-9", "1e-6", "0", "-1", "nan", "inf"])), "--seed", draw(_SEEDS)]
     elif kind == "lp":
         argv = ["lp", "solve", "--channel", channel, "--M", draw(_MESSAGES), "--n", draw(_INTS)]
         argv += draw(st.sampled_from([[], ["--form", "lp1"], ["--noncausal", "--solution"]]))
@@ -385,7 +416,7 @@ def _argv(draw, channels):
         action = draw(st.sampled_from(["build", "verify", "simulate"]))
         argv = ["scheme", action, "--channel", channel, "--n", draw(_INTS), "--eps", draw(_RATIONALS)]
         if action == "simulate" and draw(st.booleans()):
-            argv += ["--mode", "mc", "--samples", draw(st.integers(-1, 100).map(str))]
+            argv += ["--mode", "mc", "--samples", draw(st.integers(-1, 100).map(str)), "--seed", draw(_SEEDS)]
     elif kind == "typemap":
         argv = ["typemap", "--n", draw(_INTS), "--dist", draw(_LISTS), "--eps", draw(_RATIONALS)]
         argv += ["--seq", draw(st.lists(st.integers(-1, 3).map(str), max_size=4).map(",".join))]

@@ -10,6 +10,7 @@ from nscoding.rational import (
     parse_rational,
     rational_ceil,
     rational_floor,
+    read_rational,
     to_float,
 )
 
@@ -45,6 +46,14 @@ def test_zero_denominator_is_division_error():
 def test_as_rational_rejects_float():
     with pytest.raises(ValueError):
         as_rational(0.5)
+
+
+@pytest.mark.parametrize("value, word", [(True, "true"), (False, "false")])
+def test_read_rational_rejects_booleans(value, word):
+    # JSON true/false load as bool, a subclass of int
+    with pytest.raises(ValueError, match=f"^{word} is a boolean, not a rational$"):
+        read_rational(value)
+    assert read_rational(1) == 1 and read_rational(0) == 0
 
 
 def test_format():
