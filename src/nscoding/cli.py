@@ -199,6 +199,9 @@ def _load_strategy(path: Optional[str], ch: ChannelWithState):
 
 
 def _cmd_scheme(args) -> ReportDocument:
+    if args.scheme_action == "simulate" and args.seed < 0:
+        # refused in exact mode too, whose report echoes the seed
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     label, ch = _load_channel(args.channel)
     report = ReportDocument(
         command=f"scheme {args.scheme_action} {args.channel} n={args.n} eps={args.eps}",

@@ -43,14 +43,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, strings and Fractions to Fraction (floats are rejected).
+    """Coerce ints, strings and Fractions to Fraction (floats and bools
+    are rejected).
 
     Floats are deliberately not accepted: a float argument is almost
-    always a bug in code that promises exact arithmetic.
+    always a bug in code that promises exact arithmetic.  Nor is a bool,
+    although it is an int: True as a kernel entry or coefficient is a
+    mistake, not the number 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)

@@ -17,6 +17,20 @@ updates the rows that store the pivot column at the pivot row's stored
 columns.  `Fraction` appears only at the boundary: the program's
 coefficients going in, the optimum and the assignment coming out.
 
+Phase 1 (the run, the drive-out of artificials, the drop of redundant
+rows and the strip of artificial columns) never reads the objective, and
+programs that differ only in their objective, such as one LP over the
+channels of one shape, share it.  Its outcome is kept in a least-recently-
+used memo keyed by the complete standard-form constraint system: the
+integer rows with their right-hand sides, slack and artificial columns,
+the row denominators and the first artificial column.  Phase 2 runs on a
+copy, and the pivot count includes phase 1's, so pivots, vertices and
+values are those of a cold solve, and PivotLimitError is raised exactly
+when a cold solve would raise it.  The memo holds at most
+_PHASE_ONE_CELLS (column, value) pairs, keys included (100k, a few MB); a
+larger system is solved but not stored.  A one-shot run solves each
+system once and gains nothing from it.
+
 Solutions are re-checked row by row against the original program, in
 integers (each row and the point over their own common denominators),
 before they are returned.
@@ -25,8 +39,10 @@ before they are returned.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Optional
 
 from .rational import as_rational
@@ -83,11 +99,11 @@ class LinearProgram:
     def add_var(self, name: str, nonneg: bool = True, objective: object = 0) -> int:
         if name in self._index:
             raise ValueError(f"duplicate variable name {name!r}")
+        c = as_rational(objective)
         idx = len(self.var_names)
         self.var_names.append(name)
         self.nonneg.append(nonneg)
         self._index[name] = idx
-        c = as_rational(objective)
         if c:
             self.objective[idx] = c
         return idx
@@ -298,6 +314,108 @@ class _Tableau:
                 streak = 0
 
 
+@dataclass
+class _PhaseOne:
+    """A phase-1 outcome: the pivots of its run (the count `max_pivots`
+    bounds), all its pivots (with the drive-out), and, when the program is
+    feasible, the tableau in a feasible basis without artificial columns."""
+
+    run_pivots: int
+    pivots: int
+    rows: Optional[list[dict[int, int]]] = None
+    dens: Optional[list[int]] = None
+    basis: Optional[list[int]] = None
+
+
+def _phase_one(tab: _Tableau, art_base: int, total: int, max_pivots: int) -> _PhaseOne:
+    """Maximize minus the artificial mass, drive surviving artificials out
+    of the basis (or drop their redundant rows), strip the artificials."""
+    tab.set_objective(dict.fromkeys(range(art_base, total), -1), 1)
+    status, run_pivots = tab.run(art_base, max_pivots, 0, stop_at_zero=True)
+    if status != "optimal" or RHS in tab.obj:
+        return _PhaseOne(run_pivots, run_pivots)
+    pivots = run_pivots
+    drop: list[int] = []
+    for i, b in enumerate(tab.basis):
+        if b >= art_base:
+            j = min((j for j in tab.rows[i] if 0 <= j < art_base), default=None)
+            if j is None:
+                drop.append(i)
+            else:
+                pivots += 1
+                tab.pivot(i, j)
+    for i in reversed(drop):
+        del tab.rows[i], tab.dens[i], tab.basis[i]
+    # a row may share a factor with its denominator once its artificials are gone
+    for i, (row, den) in enumerate(zip(tab.rows, tab.dens)):
+        tab.rows[i], tab.dens[i] = _reduce({j: v for j, v in row.items() if j < art_base}, den)
+    return _PhaseOne(run_pivots, pivots, tab.rows, tab.dens, tab.basis)
+
+
+# (column, value) pairs the phase-1 memo holds, in its keys and its tableaux
+# together, at 60-85 bytes each: the `lp` benchmark's 19 constraint systems
+# take 31k, LP2 on z0z1 at n = 3 takes 9k (causal) and 6k (non-causal).  A
+# system above the bound is not stored.
+_PHASE_ONE_CELLS = 100_000
+
+
+class _PhaseOneMemo:
+    """Phase-1 outcomes by standard-form constraint system, least recently
+    used first, evicted beyond _PHASE_ONE_CELLS."""
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[tuple, tuple[int, _PhaseOne]] = OrderedDict()
+        self.cells = 0
+
+    def get(self, key: tuple) -> Optional[_PhaseOne]:
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        self.entries.move_to_end(key)
+        return entry[1]
+
+    def put(self, key: tuple, found: _PhaseOne) -> bool:
+        """Store `found`; False when it alone is above the bound."""
+        cells = sum(map(len, key[-1])) // 2 + sum(map(len, found.rows or ()))
+        if cells > _PHASE_ONE_CELLS:
+            return False
+        self.entries[key] = (cells, found)
+        self.cells += cells
+        while self.cells > _PHASE_ONE_CELLS:
+            self.cells -= self.entries.popitem(last=False)[1][0]
+        return True
+
+
+_PHASE_ONE = _PhaseOneMemo()
+
+
+def _feasible_tableau(tab: _Tableau, art_base: int, total: int, max_pivots: int) -> tuple[int, Optional[_Tableau]]:
+    """(pivots so far, tableau in a feasible basis or None if there is
+    none) of the initial tableau `tab`, whose artificial columns are
+    art_base..total-1.
+
+    Phase 1 never reads the objective, so its outcome is memoized by the
+    constraint system alone: art_base, total, the row denominators and
+    the rows, right-hand sides, slack and artificial columns included.  A
+    hit returns a copy, as phase 2 updates rows in place, and raises
+    PivotLimitError whenever the cold run would have.
+    """
+    key = (art_base, total, tuple(tab.dens), tuple(tuple(chain.from_iterable(row.items())) for row in tab.rows))
+    found = _PHASE_ONE.get(key)
+    if found is None:
+        found = _phase_one(tab, art_base, total, max_pivots)
+        stored = _PHASE_ONE.put(key, found)
+    elif found.run_pivots > max_pivots:
+        raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
+    else:
+        stored = True
+    if found.rows is None:
+        return found.pivots, None
+    if stored:
+        tab = _Tableau([dict(row) for row in found.rows], list(found.dens), list(found.basis))
+    return found.pivots, tab
+
+
 def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
     """Solve to exact rational optimality (or report infeasible/unbounded).
 
@@ -370,30 +488,11 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
         rows.append(line)
         dens.append(den)
     tab = _Tableau(rows, dens, basis)
-
     pivots = 0
-
-    # -- phase 1: maximize minus the artificial mass -----------------------
     if n_art:
-        tab.set_objective(dict.fromkeys(range(art_base, total), -1), 1)
-        status, pivots = tab.run(art_base, max_pivots, pivots, stop_at_zero=True)
-        if status != "optimal" or RHS in tab.obj:
+        pivots, tab = _feasible_tableau(tab, art_base, total, max_pivots)
+        if tab is None:
             return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=pivots)
-        # drive surviving artificials out of the basis (or drop redundant rows)
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] >= art_base:
-                j = min((j for j in tab.rows[i] if 0 <= j < art_base), default=None)
-                if j is None:
-                    drop.append(i)
-                else:
-                    pivots += 1
-                    tab.pivot(i, j)
-        for i in reversed(drop):
-            del tab.rows[i], tab.dens[i], basis[i]
-        # strip artificial columns; a row may then share a factor with its denominator
-        for i, (row, den) in enumerate(zip(tab.rows, tab.dens)):
-            tab.rows[i], tab.dens[i] = _reduce({j: v for j, v in row.items() if j < art_base}, den)
         total = art_base
 
     # -- phase 2 ------------------------------------------------------------
@@ -411,7 +510,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
         return SimplexSolution(status="unbounded", value=None, assignment={}, pivots=pivots)
 
     values = [ZERO] * total
-    for row, den, b in zip(tab.rows, tab.dens, basis):
+    for row, den, b in zip(tab.rows, tab.dens, tab.basis):
         values[b] = Fraction(row.get(RHS, 0), den)
     assignment: dict[str, Fraction] = {}
     for j in range(n_orig):

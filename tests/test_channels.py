@@ -64,6 +64,14 @@ def test_validation_names_offending_row():
         make_channel([[[2, -1], [H, H]]], [1])
 
 
+def test_boolean_entries_are_refused():
+    # True is an int, but a kernel of booleans is a mistake, not the identity channel
+    with pytest.raises(ValueError, match="cannot use bool as an exact rational"):
+        make_channel([[[True, False], [False, True]]], [True])
+    with pytest.raises(ValueError, match="cannot use bool as an exact rational"):
+        make_channel([[[1, 0], [0, 1]]], [True])
+
+
 def test_block_source_validation():
     bad = BlockStateSource(n=2, atoms=(((0, 1), H),))
     with pytest.raises(ValueError, match="sum"):

@@ -160,10 +160,13 @@ def test_scheme_simulate_mc_is_seeded(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["scheme", "simulate", "--channel", "z0z1", "--n", "16", "--eps", "1/4", "--mode", "mc", "--samples", "30"],
     ["capacity", "z0z1", "--gp-restarts", "2"],
+    ["scheme", "simulate", "--channel", "z0z1", "--n", "2", "--eps", "1/2"],
+    ["scheme", "simulate", "--channel", "z0z1", "--n", "2", "--eps", "1/2", "--mode", "exact"],
 ])
 @pytest.mark.parametrize("seed", ["-1", "-3"])
 def test_negative_seed_is_one_error_line(argv, seed):
-    # random.Random seeds from abs(seed): -3 would print the estimate of 3
+    # random.Random seeds from abs(seed): -3 would print the estimate of 3;
+    # the exact report, whose numbers ignore the seed, would echo it
     assert run(argv + [f"--seed={seed}"]) == (1, f"error: seed must be >= 0, got {seed}\n")
 
 

@@ -48,6 +48,13 @@ def test_as_rational_rejects_float():
         as_rational(0.5)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_as_rational_rejects_booleans(value):
+    with pytest.raises(ValueError, match="^cannot use bool as an exact rational$"):
+        as_rational(value)
+    assert as_rational(1) == 1 and as_rational(0) == 0
+
+
 @pytest.mark.parametrize("value, word", [(True, "true"), (False, "false")])
 def test_read_rational_rejects_booleans(value, word):
     # JSON true/false load as bool, a subclass of int

@@ -1,6 +1,7 @@
 """Tests for the exact rational simplex solver."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -156,6 +157,18 @@ def test_row_with_unknown_index_rejected():
     lp.add_var("x")
     with pytest.raises(ValueError, match="unknown variable index"):
         lp.add_row({7: 1}, "<=", 0, label="oops")
+
+
+def test_boolean_coefficients_are_refused():
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    with pytest.raises(ValueError, match="cannot use bool"):
+        lp.add_row({x: True}, "<=", 1)
+    with pytest.raises(ValueError, match="cannot use bool"):
+        lp.add_row({x: 1}, "<=", True)
+    with pytest.raises(ValueError, match="cannot use bool"):
+        lp.add_var("y", objective=True)
+    assert lp.rows == [] and lp.var_names == ["x"]
 
 
 def test_tableau_cell_budget_counts_every_column(monkeypatch):
@@ -422,21 +435,52 @@ def assert_sparse_form(tab) -> None:
         assert math.gcd(den, *row.values()) == 1
 
 
-@pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
-def test_assisted_programs_keep_the_sparse_form(build, ch, n, causal, monkeypatch):
+@contextmanager
+def fresh_memo():
+    """An empty phase-1 memo for the block, the module's own restored after."""
+    saved = simplex._PHASE_ONE
+    simplex._PHASE_ONE = memo = simplex._PhaseOneMemo()
+    try:
+        yield memo
+    finally:
+        simplex._PHASE_ONE = saved
+
+
+def count_checked_pivots(monkeypatch) -> list[int]:
+    """Check the sparse form around every pivot; the returned list holds
+    the count of pivots taken so far."""
     pivot = simplex._Tableau.pivot
-    pivots = 0
+    pivots = [0]
 
     def checked_pivot(tab, row, col):
-        nonlocal pivots
         assert_sparse_form(tab)  # the rows and the objective row left by the last step
         pivot(tab, row, col)
         assert_sparse_form(tab)
-        pivots += 1
+        pivots[0] += 1
 
     monkeypatch.setattr(simplex._Tableau, "pivot", checked_pivot)
-    sol = solve_exact(build(ch, M=2, n=n, causal=causal))
-    assert sol.status == "optimal" and pivots == sol.pivots
+    return pivots
+
+
+@pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
+def test_assisted_programs_keep_the_sparse_form(build, ch, n, causal, monkeypatch):
+    # cold: every phase-1, drive-out and phase-2 pivot is taken and checked
+    with fresh_memo():
+        pivots = count_checked_pivots(monkeypatch)
+        sol = solve_exact(build(ch, M=2, n=n, causal=causal))
+    assert sol.status == "optimal" and pivots[0] == sol.pivots
+
+
+@pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
+def test_assisted_programs_keep_the_sparse_form_after_a_memo_hit(build, ch, n, causal, monkeypatch):
+    lp = build(ch, M=2, n=n, causal=causal)
+    with fresh_memo() as memo:
+        cold = solve_exact(lp)
+        ((_, found),) = memo.entries.values()
+        pivots = count_checked_pivots(monkeypatch)
+        warm = solve_exact(lp)
+    # warm: only phase 2 pivots, and the count goes on from phase 1's
+    assert warm == cold and pivots[0] == warm.pivots - found.pivots
 
 
 def test_degenerate_program_takes_the_reference_pivots():
@@ -563,3 +607,194 @@ def test_integer_row_check_on_a_certificate_and_an_optimum():
     bad = lp.violated_rows(nudged)
     assert bad and bad == reference_violated_rows(lp, nudged)
     assert lp.objective_value(nudged) == reference_objective_value(lp, nudged)
+
+
+# -- the phase-1 memo ---------------------------------------------------------
+#
+# Phase 1 depends on the constraint system alone, so solve_exact keeps its
+# outcome by system.  A hit must reproduce the cold solve exactly: status,
+# value, vertex and every pivot counted.
+
+
+def outcome(sol: SimplexSolution) -> tuple:
+    return sol.status, sol.value, sol.pivots, sol.assignment
+
+
+def solve_cold(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
+    with fresh_memo():
+        return solve_exact(lp, max_pivots=max_pivots)
+
+
+def with_objective(lp: LinearProgram, objective: dict) -> LinearProgram:
+    """The program's rows and variables under another objective."""
+    other = LinearProgram(name=lp.name, sense=lp.sense, rows=lp.rows)
+    for name, flag in zip(lp.var_names, lp.nonneg):
+        other.add_var(name, nonneg=flag)
+    other.set_objective(objective)
+    return other
+
+
+def assert_warm_matches_cold(a: LinearProgram, b: LinearProgram) -> None:
+    """a and b share their rows; each order of solving them hits the memo
+    on the second solve and must give the cold results."""
+    cold_a, cold_b = outcome(solve_cold(a)), outcome(solve_cold(b))
+    for first, second, cold in ((a, b, cold_b), (b, a, cold_a)):
+        with fresh_memo() as memo:
+            solve_exact(first)
+            held = len(memo.entries)
+            assert outcome(solve_exact(second)) == cold
+            assert len(memo.entries) == held  # the second solve found the first's entry
+
+
+@pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
+def test_assisted_programs_solve_alike_cold_and_warm(build, ch, n, causal):
+    lp = build(ch, M=2, n=n, causal=causal)
+    # the same rows, another objective: each coefficient times 1, 2 or 3
+    other = with_objective(lp, {j: c * (j % 3 + 1) for j, c in lp.objective.items()})
+    assert_warm_matches_cold(lp, other)
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_programs(), st.dictionaries(st.integers(0, 3), _COEFF, max_size=4))
+@example(("max", [True], {0: 1}, [({0: 1}, "<=", -1)]), {0: -1})  # infeasible
+@example(("min", [True, False], {0: 1, 1: F(1, 2)}, [  # a redundant equality row
+    ({0: 1, 1: 1}, "==", F(-3, 2)), ({0: 1, 1: 1}, "==", F(-3, 2)), ({1: 2}, ">=", -5),
+]), {1: -1})
+def test_small_programs_solve_alike_cold_and_warm(spec, objective):
+    sense, nonneg, first, rows = spec
+    lp = LinearProgram(sense=sense)
+    for j, flag in enumerate(nonneg):
+        lp.add_var(f"x{j}", nonneg=flag, objective=first.get(j, 0))
+    for coeffs, relation, rhs in rows:
+        lp.add_row(coeffs, relation, rhs)
+    assert_warm_matches_cold(lp, with_objective(lp, {j: c for j, c in objective.items() if j < len(nonneg)}))
+
+
+def equality_program(coeff, rhs) -> LinearProgram:
+    # max x + 2y  s.t.  x + coeff*y == rhs,  x <= 1: the equality needs an
+    # artificial, so phase 1 runs
+    lp = LinearProgram(sense="max")
+    x = lp.add_var("x", objective=1)
+    y = lp.add_var("y", objective=2)
+    lp.add_row({x: 1, y: coeff}, "==", rhs)
+    lp.add_row({x: 1}, "<=", 1)
+    return lp
+
+
+@pytest.mark.parametrize("a, b", [
+    # only a right-hand side differs, over the same row denominators
+    (equality_program(1, 1), equality_program(1, 2)),
+    (equality_program(1, F(1, 3)), equality_program(1, F(2, 3))),
+    # only one coefficient differs
+    (equality_program(1, 1), equality_program(2, 1)),
+    (equality_program(F(1, 2), 1), equality_program(F(3, 2), 1)),
+    # LP2 at M = 2 and M = 3: the right-hand sides 1/2 and 1/3
+    (build_lp2(builtin_z0z1(), M=2, n=1), build_lp2(builtin_z0z1(), M=3, n=1)),
+], ids=["rhs", "rhs-thirds", "coefficient", "coefficient-halves", "lp2-M2-M3"])
+def test_programs_with_different_rows_never_share_an_entry(a, b):
+    cold_a, cold_b = outcome(solve_cold(a)), outcome(solve_cold(b))
+    assert cold_a != cold_b
+    for first, second, cold in ((a, b, cold_b), (b, a, cold_a)):
+        with fresh_memo() as memo:
+            solve_exact(first)
+            assert outcome(solve_exact(second)) == cold
+            assert len(memo.entries) == 2
+
+
+def test_a_hit_leaves_the_memo_as_it_was():
+    lp = build_lp2(random_channel(1, 2, 3, 2), M=2, n=2, causal=True)
+    def snapshot(found):
+        return [dict(row) for row in found.rows], list(found.dens), list(found.basis)
+
+    with fresh_memo() as memo:
+        sols = [outcome(solve_exact(lp))]
+        ((_, found),) = memo.entries.values()
+        stored = snapshot(found)
+        sols += [outcome(solve_exact(lp)) for _ in range(2)]
+        assert snapshot(found) == stored
+    assert sols[0][2] > found.pivots  # phase 2 pivots, on a copy
+    assert sols == [sols[0]] * 3
+
+
+@pytest.mark.parametrize("lp", [
+    build_lp1(builtin_z0z1(), M=2, n=1),
+    build_lp1(random_binary_channel(2), M=2, n=1),
+    # no phase-2 pivot: only the limit check on the hit itself can raise
+    with_objective(build_lp1(builtin_z0z1(), M=2, n=1), {}),
+], ids=["lp1-z0z1-n1", "lp1-binary#2-n1", "lp1-z0z1-n1-no-objective"])
+def test_a_hit_hits_the_pivot_limit_where_a_cold_solve_does(lp):
+    with fresh_memo() as memo:
+        full = solve_exact(lp)
+        ((_, found),) = memo.entries.values()
+
+    def attempt(max_pivots: int):
+        try:
+            return outcome(solve_exact(lp, max_pivots=max_pivots))
+        except PivotLimitError:
+            return "limit"
+
+    limits = range(full.pivots + 1)
+    cold = []
+    for max_pivots in limits:
+        with fresh_memo() as memo:
+            cold.append(attempt(max_pivots))
+            # a phase-1 run that raised is not memoized
+            assert len(memo.entries) == (max_pivots >= found.run_pivots)
+    with fresh_memo():
+        solve_exact(lp)
+        warm = [attempt(max_pivots) for max_pivots in limits]
+    assert warm == cold
+    assert cold[0] == "limit" and cold[-1] == outcome(full)
+    assert 0 < found.run_pivots < found.pivots <= full.pivots  # limits in phase 1, in the drive-out (unchecked) and in phase 2
+
+
+def test_an_infeasible_program_stays_infeasible_on_a_hit():
+    # x + y == 1 and x + y == 2 after one phase-1 pivot or more
+    lp = LinearProgram(sense="max")
+    x = lp.add_var("x", objective=1)
+    y = lp.add_var("y", objective=1)
+    lp.add_row({x: 1, y: 1}, "==", 1)
+    lp.add_row({x: 1, y: 1}, "==", 2)
+    cold = solve_cold(lp)
+    assert cold.status == "infeasible" and cold.pivots > 0
+    with fresh_memo() as memo:
+        solve_exact(lp)
+        assert len(memo.entries) == 1
+        assert outcome(solve_exact(lp)) == outcome(solve_exact(with_objective(lp, {y: -1}))) == outcome(cold)
+
+
+def test_memo_stays_within_its_cell_bound(monkeypatch):
+    bound = 3000
+    monkeypatch.setattr(simplex, "_PHASE_ONE_CELLS", bound)
+    programs = [build(ch, M=2, n=n, causal=causal) for build, ch, n, causal in
+                (param.values for param in _assisted_programs())][:12]
+    stored, held = set(), 0
+    with fresh_memo() as memo:
+        for lp in programs:
+            assert outcome(solve_exact(lp)) == outcome(solve_cold(lp))
+            assert memo.cells == sum(cells for cells, _ in memo.entries.values()) <= bound
+            stored.update(memo.entries)
+            held = max(held, len(memo.entries))
+        assert 1 < held < len(stored)  # several systems at once, and evictions
+
+
+def test_memo_evicts_the_least_recently_used_system(monkeypatch):
+    a, b, c = (build_lp2(builtin_z0z1(), M=M, n=1) for M in (2, 3, 4))
+    with fresh_memo() as memo:
+        for lp in (a, b, c):
+            solve_exact(lp)
+        (key_a, (cells_a, _)), (key_b, (cells_b, _)), (key_c, (cells_c, _)) = memo.entries.items()
+    # room for any two of the three systems, not for all three
+    monkeypatch.setattr(simplex, "_PHASE_ONE_CELLS", cells_a + cells_b + cells_c - 1)
+    with fresh_memo() as memo:
+        for lp in (a, b, a, c):  # a is used again after b, so b goes
+            solve_exact(lp)
+        assert list(memo.entries) == [key_a, key_c]
+
+
+def test_a_system_above_the_bound_is_solved_but_not_stored(monkeypatch):
+    monkeypatch.setattr(simplex, "_PHASE_ONE_CELLS", 10)
+    lp = build_lp2(builtin_z0z1(), M=2, n=1)
+    with fresh_memo() as memo:
+        assert outcome(solve_exact(lp)) == outcome(solve_exact(lp))
+        assert not memo.entries and memo.cells == 0
