@@ -30,12 +30,13 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .channels import ChannelWithState, block_law, state_block_count, state_blocks
-from .indexing import all_sequences, index_to_seq, seq_to_index
+from .indexing import all_sequences, seq_to_index
 from .rational import as_rational, int_dtype, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window
@@ -653,14 +654,13 @@ def _scheme_success_monte_carlo(
     float u, the draw `random.choices` makes.  When no sigma is tested the
     test always passes: each sample skips its letter floats with one
     `getrandbits(64 * k)`, which reads the 2k words k `random()` calls read,
-    and draws its coin; no draw table is built.  Otherwise only the letters
-    the test reads are drawn: the states, and the input and output at each
-    position the state mapping gives a tested sigma; the other floats are
-    skipped.  The stream is then read in chunks of MC_CHUNK floats into one
-    list, whose unread tail is carried into the next.  The verdict is looked
-    up in `_sub_tables` when their cells, the sum over sigma of
-    (|X||Y|)^n_sigma, are at most `samples`, and taken from `_block_test`
-    otherwise.  At M = 1 every sample succeeds, and nothing is drawn."""
+    and draws its coin; no draw table is built.  Otherwise the stream is
+    read in chunks of MC_CHUNK floats into one list, whose unread tail is
+    carried into the next.  The states are drawn, the state mapper and each
+    tested sigma's output mapper run inline, inputs and outputs are drawn
+    only where the state mapping gives a tested sigma, and the kept (x, y)
+    pair counts meet the `_count_windows` windows once per sample.  At M = 1
+    every sample succeeds, and nothing is drawn."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
@@ -686,7 +686,12 @@ def _scheme_success_monte_carlo(
         p_hat = wins / samples
         return p_hat, _ci95(p_hat, samples)
     x_size, y_size = ch.x_size, ch.y_size
-    tested = [any(s == sigma for sigma, _ in windows) for s in range(ch.s_size)]
+    # per-sample counts in flat lists: kept y at sigma * |Y| + y, and kept (x, y)
+    # at (sigma * |X| + x) * |Y| + y, whose window is [0, 0] for an untested sigma
+    bounds, zero = dict(windows), [0] * (x_size * y_size)
+    least, most = ([c for s in range(ch.s_size) for c in bounds.get(s, (zero, zero))[i]] for i in (0, 1))
+    rooms = [t for b in scheme.y_budgets for t in (b.per_symbol if b is not None else zero[:y_size])]
+    y_extra = [b.extra if b is not None else 0 for b in scheme.y_budgets]
     if source is None:
         state_cum, state_total, state_hi = _draw_table(ch.state_dist)
     else:
@@ -695,20 +700,6 @@ def _scheme_success_monte_carlo(
     inputs = [_draw_table(row) for row in scheme.strategy]
     outputs = [[_draw_table(row) for row in state_slice] for state_slice in ch.kernel]
     lengths, extra = scheme.state_budgets.per_symbol, scheme.state_budgets.extra
-    if sum((x_size * y_size) ** lengths[s] for s, _ in windows) <= samples:
-        # (sigma, table flattened x-major, number of y sub-blocks)
-        tables = [(s, table.tobytes(), table.shape[1]) for s, table in _sub_tables(scheme).items()]
-
-        def passes(sub_x, sub_y):
-            return all(table[sub_x[s] * width + sub_y[s]] for s, table, width in tables)
-    else:
-
-        def passes(sub_x, sub_y):
-            return all(
-                _block_test(scheme, (s, window, range(lengths[s])), index_to_seq(sub_x[s], x_size, lengths[s]),
-                            index_to_seq(sub_y[s], y_size, lengths[s]))[0]
-                for s, window in windows
-            )
     fresh = random.Random.random
     buf, at, wins = [], 0, 0
     for _ in range(samples):
@@ -718,10 +709,10 @@ def _scheme_success_monte_carlo(
             ss = [bisect(state_cum, u * state_total, 0, state_hi) for u in buf[at:at + n]]
         else:
             ss = atoms[bisect(state_cum, buf[at] * state_total, 0, state_hi)]
-        # the state mapper, run inline, and the x and y sub-block
-        # indices of every tested sigma-block
+        # the state mapper and every tested sigma's output mapper, run
+        # inline; an output mapper's spare slots read -1 once its flag drops
         counts, spare, flag = [0] * ch.s_size, extra, True
-        sub_x, sub_y = [0] * ch.s_size, [0] * ch.s_size
+        kept, y_spare, pairs = [0] * len(rooms), y_extra[:], [0] * len(least)
         for a, x_float, y_float in zip(ss, buf[at + x_start:at + y_start], buf[at + y_start:at + coin]):
             if flag and counts[a] < lengths[a]:
                 v = a
@@ -732,13 +723,21 @@ def _scheme_success_monte_carlo(
                 flag = False
                 v = next(alt for alt, c in enumerate(counts) if c < lengths[alt])
             counts[v] += 1
-            if tested[v]:
+            if v in bounds:
                 cum, total, hi = inputs[v]
                 x = bisect(cum, x_float * total, 0, hi)
                 cum, total, hi = outputs[a][x]
-                sub_x[v] = sub_x[v] * x_size + x
-                sub_y[v] = sub_y[v] * y_size + bisect(cum, y_float * total, 0, hi)
-        if not passes(sub_x, sub_y):
+                k = v * y_size
+                y = k + bisect(cum, y_float * total, 0, hi)
+                if y_spare[v] < 0 or kept[y] == rooms[y]:
+                    if y_spare[v] > 0:  # a placeholder output: no pair
+                        y_spare[v] -= 1
+                        continue
+                    y_spare[v] = -1
+                    y = next(alt for alt in range(k, k + y_size) if kept[alt] < rooms[alt])
+                kept[y] += 1
+                pairs[(v * x_size + x) * y_size + y - k] += 1
+        if not (all(map(le, least, pairs)) and all(map(le, pairs, most))):
             at += coin
             continue
         wins += buf[at + coin] < lam

@@ -81,11 +81,6 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def to_float(value: RationalLike) -> float:
-    """Nearest-double conversion, for display and float-mode consumers."""
-    return float(as_rational(value))
-
-
 def rational_ceil(value: Fraction) -> int:
     """Exact ceiling of a rational."""
     return -((-value.numerator) // value.denominator)

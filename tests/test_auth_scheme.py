@@ -821,9 +821,10 @@ class CountingRandom(random.Random):
         return super().random()
 
 
-def reference_monte_carlo(scheme, samples, seed, coins=None):
+def reference_monte_carlo(scheme, samples, seed, coins=None, y_maps=None):
     """The reference estimate; `coins`, if given, collects the offset in the
-    stream of every lambda coin."""
+    stream of every lambda coin, and `y_maps` the output mapper's run on
+    every tested sigma-block."""
     ch, n = scheme.channel, scheme.n
 
     def cumulative(probs):
@@ -850,6 +851,9 @@ def reference_monte_carlo(scheme, samples, seed, coins=None):
         mapped_states = map_with_budgets(ss, scheme.state_budgets).output
         xs = [rng.choices(x_range, cum_weights=input_cum[ms])[0] for ms in mapped_states]
         ys = [rng.choices(y_range, cum_weights=output_cum[s][x])[0] for x, s in zip(xs, ss)]
+        if y_maps is not None:
+            y_maps += [map_with_budgets([ys[i] for i in positions], scheme.y_budgets[s])
+                       for s, _window, positions in auth_scheme._sigma_blocks(windows, mapped_states)]
         wins += scheme.message_count == 1 or (
             auth_scheme._accepts(scheme, auth_scheme._sigma_blocks(windows, mapped_states), xs, ys)
             and (coins is None or coins.append(rng.drawn) is None)
@@ -877,16 +881,15 @@ MONTE_CARLO_CASES = [with_two_messages_at_least(*case) for case in ACCEPTANCE_CA
     # 3000 samples read 22 chunks of floats
     ("identity-and-flip-n10-chunks", make_channel([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [HALF, HALF]),
      [[HALF, HALF]] * 2, 10, F(1, 4), None),
-    # 4^6 verdict cells: the test runs per sample at both sample counts
+    # six positions in its one tested sigma-block
     ("z-and-flip-n12-block-test", make_channel([[[1, 0], [F(1, 4), F(3, 4)]], [[0, 1], [1, 0]]],
                                                [F(1, 4), F(3, 4)]),
      [[HALF, HALF], [F(1, 4), F(3, 4)]], 12, F(1, 3), None),
+    # three outputs: once the output mapper has dropped its flag it fills
+    # the first output with room, which need not be the one drawn
+    ("three-outputs-n14", make_channel([[[HALF, F(1, 4), F(1, 4)], [F(1, 4), F(1, 4), HALF]]], [1]),
+     [[HALF, HALF]], 14, F(1, 6), None),
 ]
-
-
-def verdict_cells(scheme):
-    sizes = scheme.channel.x_size * scheme.channel.y_size
-    return sum(sizes ** scheme.state_budgets.per_symbol[s] for s, _ in auth_scheme._count_windows(scheme))
 
 
 @pytest.mark.parametrize(
@@ -901,12 +904,20 @@ def test_monte_carlo_draws_as_the_reference_sampler(ch, strategy, n, eps, m):
             assert success_probability(scheme, mode="monte_carlo", samples=samples, seed=seed) == expected
 
 
-def test_monte_carlo_cases_cover_both_verdict_paths_and_both_sources():
+def test_monte_carlo_cases_cover_the_output_mapper_branches_and_both_sources():
+    labels = [case[0] for case in MONTE_CARLO_CASES]
     schemes = [build_auth_scheme(*case[1:-1], message_count=case[-1]) for case in MONTE_CARLO_CASES]
-    tested = [s for s in schemes if s.message_count > 1 and any(s.kept_block_lengths())]
-    assert any(verdict_cells(s) <= 50 for s in tested)
-    assert any(50 < verdict_cells(s) <= 3000 for s in tested)
-    assert any(verdict_cells(s) > 3000 and s.n >= 12 for s in tested)
+    tested = [s for s in schemes if s.message_count > 1 and auth_scheme._count_windows(s)]
+
+    def reaches_placeholder_and_flag_drop(scheme):
+        y_maps = []
+        reference_monte_carlo(scheme, 3000, 0, y_maps=y_maps)
+        phi_y = placeholder(scheme.channel.y_size)
+        return any(phi_y in mapped.output for mapped in y_maps) and any(not mapped.flag for mapped in y_maps)
+
+    # on the reference draws, a tested case's output mapper emits a
+    # placeholder on some block and drops its flag on another
+    assert any(map(reaches_placeholder_and_flag_drop, tested))
     assert any(s.message_count == 1 for s in schemes)
     assert any(s.channel.block_state is not None and s.message_count > 1 for s in schemes)
     # the sampler's no-test branch, which only skips letters and draws coins,
@@ -917,25 +928,23 @@ def test_monte_carlo_cases_cover_both_verdict_paths_and_both_sources():
     # a case reads several chunks, and a coin is the last float of one and the first of another
     coins = []
     for seed in (0, 1):
-        reference_monte_carlo(schemes[-2], 3000, seed, coins)
+        reference_monte_carlo(schemes[labels.index("identity-and-flip-n10-chunks")], 3000, seed, coins)
     chunk = auth_scheme.MC_CHUNK
     assert max(coins) > 3 * chunk
     assert any(c % chunk == chunk - 1 for c in coins) and any(c % chunk == 0 for c in coins)
 
 
 def test_monte_carlo_does_not_map_per_sample(monkeypatch):
-    """The sampler runs the state mapper inline; `map_with_budgets` only
-    fills the verdict sub-tables, which are built once, before sampling."""
-    cases = [case for case in MONTE_CARLO_CASES if not case[0].endswith("-block-test")]
-    schemes = [build_auth_scheme(*case[1:-1], message_count=case[-1]) for case in cases]
+    """The sampler runs the state mapper and the output mappers inline, and
+    builds no verdict table."""
+    schemes = [build_auth_scheme(*case[1:-1], message_count=case[-1]) for case in MONTE_CARLO_CASES]
     expected = [reference_monte_carlo(scheme, 3000, 2) for scheme in schemes]
-    tables = {id(scheme): auth_scheme._sub_tables(scheme) for scheme in schemes}
 
     def refuse(*_args):
-        raise AssertionError("mapped per sample")
+        raise AssertionError("a mapper or verdict table ran outside the sampling loop")
 
-    monkeypatch.setattr(auth_scheme, "_sub_tables", lambda scheme: tables[id(scheme)])
-    monkeypatch.setattr(auth_scheme, "map_with_budgets", refuse)
+    for name in ("map_with_budgets", "_sub_tables", "_block_test"):
+        monkeypatch.setattr(auth_scheme, name, refuse)
     assert [success_probability(s, mode="monte_carlo", samples=3000, seed=2) for s in schemes] == expected
 
 
@@ -965,21 +974,6 @@ def test_monte_carlo_chunk_buffer_does_not_grow_with_samples():
     scheme = build_auth_scheme(identity_channel(), UNIFORM2, 4, F(1, 4), message_count=4)
     assert auth_scheme._count_windows(scheme)
     assert_monte_carlo_peak_is_flat(scheme, (1_000, 10_000))
-
-
-def test_sub_tables_are_built_only_within_the_sample_count(monkeypatch):
-    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF, message_count=4)
-    cells = verdict_cells(scheme)
-    assert cells == 4**4
-
-    def refuse(_scheme):
-        raise AssertionError("sub-tables built")
-
-    monkeypatch.setattr(auth_scheme, "_sub_tables", refuse)
-    expected = reference_monte_carlo(scheme, cells - 1, 5)
-    assert success_probability(scheme, mode="monte_carlo", samples=cells - 1, seed=5) == expected
-    with pytest.raises(AssertionError, match="sub-tables built"):
-        success_probability(scheme, mode="monte_carlo", samples=cells, seed=5)
 
 
 def test_exact_cap_points_to_sampling(monkeypatch):

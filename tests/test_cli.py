@@ -5,12 +5,14 @@ are cheap; one test goes through the installed console script to make
 sure the packaging entry point resolves.
 """
 
+import itertools
 import json
 import re
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -108,6 +110,29 @@ def test_classical_subcommand_prints_witness_table():
     assert "optimum = 7/8" in text
     witness = [line for line in text.splitlines() if line.startswith("witness = ")]
     assert len(witness) == 2 * 2 + 2 * 4
+
+
+def test_classical_single_message_report():
+    # one all-zero entry per state prefix of length 1, 2 and 3
+    witness = [f"witness = x_{len(p)}(w=0, s^{len(p)}={''.join(map(str, p))}) = 0"
+               for j in (1, 2, 3) for p in itertools.product((0, 1), repeat=j)]
+    expected = ["command = classical z0z1 M=1 n=3 no-csir", "channel = z0z1 sha256:ab0241477e03", "optimum = 1"]
+    assert run(["classical", "--channel", "z0z1", "--M", "1", "--n", "3"]) == (0, "\n".join(expected + witness) + "\n")
+
+
+def test_classical_single_message_refuses_a_witness_over_the_cap():
+    tracemalloc.start()
+    code, text = run(["classical", "--channel", "z0z1", "--M", "1", "--n", "40"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (code, text) == (1, "error: the M = 1 witness of 2199023255550 table entries exceeds the cap 20000000\n")
+    assert peak < 2**22  # the 2^41-entry witness is counted, not built
+
+
+def test_classical_single_message_checks_the_block_source_length():
+    expected = (1, "error: block length 2 does not match block source length 3\n")
+    for m in ("1", "2"):
+        assert run(["classical", "--channel", "product-xs", "--M", m, "--n", "2"]) == expected
 
 
 def test_capacity_subcommand_matches_library_values():

@@ -11,7 +11,6 @@ from nscoding.rational import (
     rational_ceil,
     rational_floor,
     read_rational,
-    to_float,
 )
 
 rationals = st.fractions(max_denominator=10**6)
@@ -95,8 +94,3 @@ def test_field_axioms_sample(a, b, c):
 @given(rationals)
 def test_render_parse_round_trip(r):
     assert parse_rational(format_rational(r)) == r
-
-
-@given(rationals)
-def test_to_float_is_nearest_double(r):
-    assert to_float(r) == float(r)
