@@ -42,12 +42,19 @@ __all__ = [
     "explicit_z0z1_strategy",
     "encoder_table_lines",
     "SEARCH_WORK_CAP",
+    "WITNESS_ENTRY_CAP",
 ]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 SEARCH_WORK_CAP = 20_000_000
+# table entries of the largest witness returned; the CLI prints one line
+# per entry (65,534 of them, z0z1 at M = 1 and n = 15, take about a
+# second).  Only an M = 1 witness comes near it: an M = 2 witness of e
+# entries takes a search over |X|^e branch pairs, which reaches
+# SEARCH_WORK_CAP first.
+WITNESS_ENTRY_CAP = 2**16
 # array cells one batch of branches may span: large enough that numpy,
 # not Python, does the work, small enough that peak memory stays flat
 _BATCH_CELLS = 2**14
@@ -268,6 +275,8 @@ def classical_opt_success(
         if entries > SEARCH_WORK_CAP:
             count = f"about 2^{entries.bit_length() - 1}" if entries.bit_length() > 64 else entries
             raise ValueError(f"the M = 1 witness of {count} table entries exceeds the cap {SEARCH_WORK_CAP}")
+        if entries > WITNESS_ENTRY_CAP:
+            raise ValueError(f"the M = 1 witness of {entries} table entries exceeds the witness cap {WITNESS_ENTRY_CAP}")
         tables = tuple((0,) * size for size in _slot_sizes(s, n))
         return ONE, DeterministicEncoder(
             message_count=1, n=n, x_size=ch.x_size, s_size=ch.s_size, tables=tables

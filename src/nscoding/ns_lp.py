@@ -18,6 +18,14 @@ solving that dual exactly.
 
 Reference instances of invariance rows (the cell a row compares
 against) are tautologies and are not emitted.
+
+Only the objective depends on the channel.  The variables and rows of
+each program depend on (form, |X|, |Y|, |S|, M, n, causal) alone, are
+built from those fields and nothing else, and are shared, with their
+integer standard form, by every program of that shape
+(`simplex.shared_program`); they are kept in the simplex memo under its
+one bound, `_PHASE_ONE_CELLS`.  A program over the variable budget is
+refused before anything is built or kept.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 
 from .channels import ChannelWithState, block_law, builtin_z0z1
 from .rational import as_rational
-from .simplex import LinearProgram, solve_exact
+from .simplex import LinearProgram, shared_program, solve_exact
 
 __all__ = [
     "MAX_LP_VARIABLES",
@@ -49,7 +57,8 @@ __all__ = [
 
 MAX_LP_VARIABLES = 10_000
 
-ZERO = Fraction(0)
+# the coefficients of the assisted programs' rows, shared by all of them
+ZERO, ONE, MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 def _check_var_budget(count: int, what: str) -> None:
@@ -70,13 +79,13 @@ def _variables(lp: LinearProgram, stem: str, *shape: int) -> np.ndarray:
 def _same_sums(lp: LinearProgram, rows) -> None:
     """Add `sum(cells) - sum(refs) == 0` for each (label, cells, refs) of 1-D index arrays."""
     for label, cells, refs in rows:
-        coeffs = dict.fromkeys(cells.tolist(), 1)
+        coeffs = dict.fromkeys(cells.tolist(), ONE)
         for j in refs.tolist():
-            coeffs[j] = coeffs.get(j, 0) - 1
-        lp.add_row(coeffs, "==", 0, label)
+            coeffs[j] = ZERO if j in coeffs else MINUS_ONE
+        lp.add_row(coeffs, "==", ZERO, label)
 
 
-def _prefixes(ch: ChannelWithState, n: int):
+def _prefixes(x_size: int, s_size: int, n: int):
     """Yield (i, px, x blocks, state pairs) for each prefix length 0 < i < n.
 
     The x blocks are the slice of blocks that start with the x-prefix px.
@@ -85,38 +94,31 @@ def _prefixes(ch: ChannelWithState, n: int):
     blocks themselves are skipped.
     """
     for i in range(1, n):
-        sx, ss = ch.x_size ** (n - i), ch.s_size ** (n - i)
-        states = [(si, si - si % ss) for si in range(ch.s_size**n) if si % ss]
-        for px in range(ch.x_size**i):
+        sx, ss = x_size ** (n - i), s_size ** (n - i)
+        states = [(si, si - si % ss) for si in range(s_size**n) if si % ss]
+        for px in range(x_size**i):
             yield i, px, slice(px * sx, (px + 1) * sx), states
 
 
-def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> LinearProgram:
-    """Full program over z[x,wh,w,s,y] (packed indices, x-major order).
-
-    With causal=False the per-prefix rows are dropped, leaving the
-    non-causal program.
-    """
+def _checked_shape(ch: ChannelWithState, M: int, n: int) -> tuple[int, int, int]:
+    """(|X|^n, |S|^n, |Y|^n), once M and n are known to be positive."""
     if M < 1 or n < 1:
         raise ValueError(f"M and n must be >= 1, got M={M}, n={n}")
-    nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
-    _check_var_budget(nx * M * M * ns * ny, f"lp1(M={M}, n={n})")
-    lp = LinearProgram(name=f"lp1[M={M},n={n},causal={causal}]", sense="max")
-    z = _variables(lp, "z", nx, M, M, ns, ny)
+    return ch.x_size**n, ch.s_size**n, ch.y_size**n
 
-    inv_m = Fraction(1, M)
-    lp.set_objective({
-        int(z[xi, w, w, si, yi]): inv_m * weight
-        for (xi, si, yi), weight in block_law(ch, n).items()
-        for w in range(M)
-    })
+
+def _lp1_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: bool) -> LinearProgram:
+    """The full program's variables and rows (no objective)."""
+    nx, ns, ny = x_size**n, s_size**n, y_size**n
+    lp = LinearProgram()
+    z = _variables(lp, "z", nx, M, M, ns, ny)
 
     # normalization: sum over (x, wh) equals one in every conditioning cell
     for w in range(M):
         for si in range(ns):
             for yi in range(ny):
                 cells = z[:, :, w, si, yi].ravel().tolist()
-                lp.add_row(dict.fromkeys(cells, 1), "==", 1, f"norm[w={w},s={si},y={yi}]")
+                lp.add_row(dict.fromkeys(cells, ONE), "==", ONE, f"norm[w={w},s={si},y={yi}]")
 
     # C1: the (x, w)-marginal over wh may not depend on y
     _same_sums(lp, (
@@ -135,37 +137,52 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
         _same_sums(lp, (
             (f"c3[i={i},px={px},wh={wh},w={w},s={si},y={yi}]",
              z[xs, wh, w, si, yi], z[xs, wh, w, ref, yi])
-            for i, px, xs, states in _prefixes(ch, n)
+            for i, px, xs, states in _prefixes(x_size, s_size, n)
             for wh in range(M) for w in range(M) for si, ref in states for yi in range(ny)
         ))
     return lp
 
 
-def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> LinearProgram:
-    """Reduced program over r[x,y,s] and q[x,s]; same optimum as the full one."""
-    if M < 1 or n < 1:
-        raise ValueError(f"M and n must be >= 1, got M={M}, n={n}")
-    nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
-    _check_var_budget(nx * ny * ns + nx * ns, f"lp2(M={M}, n={n})")
-    lp = LinearProgram(name=f"lp2[M={M},n={n},causal={causal}]", sense="max")
+def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> LinearProgram:
+    """Full program over z[x,wh,w,s,y] (packed indices, x-major order).
+
+    With causal=False the per-prefix rows are dropped, leaving the
+    non-causal program.  Its variables and rows depend on the channel's
+    alphabet sizes, M, n and causal alone and are shared by every program
+    of that shape (`shared_program`); the objective is the channel's.
+    """
+    nx, ns, ny = _checked_shape(ch, M, n)
+    _check_var_budget(nx * M * M * ns * ny, f"lp1(M={M}, n={n})")
+    law = block_law(ch, n)
+    lp = shared_program(
+        f"lp1[M={M},n={n},causal={causal}]", _lp1_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal
+    )
+    z = np.arange(len(lp.var_names)).reshape(nx, M, M, ns, ny)
+    inv_m = Fraction(1, M)
+    lp.set_objective({
+        int(z[xi, w, w, si, yi]): inv_m * weight for (xi, si, yi), weight in law.items() for w in range(M)
+    })
+    return lp
+
+
+def _lp2_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: bool) -> LinearProgram:
+    """The reduced program's variables and rows (no objective)."""
+    nx, ns, ny = x_size**n, s_size**n, y_size**n
+    lp = LinearProgram()
     r = _variables(lp, "r", nx, ny, ns)
     q = _variables(lp, "q", nx, ns)
-
-    lp.set_objective({
-        int(r[xi, yi, si]): weight for (xi, si, yi), weight in block_law(ch, n).items()
-    })
 
     inv_m = Fraction(1, M)
     for si in range(ns):
         for yi in range(ny):
-            lp.add_row(dict.fromkeys(r[:, yi, si].tolist(), 1), "==", inv_m, f"rsum[s={si},y={yi}]")
+            lp.add_row(dict.fromkeys(r[:, yi, si].tolist(), ONE), "==", inv_m, f"rsum[s={si},y={yi}]")
     for si in range(ns):
-        lp.add_row(dict.fromkeys(q[:, si].tolist(), 1), "==", 1, f"qsum[s={si}]")
+        lp.add_row(dict.fromkeys(q[:, si].tolist(), ONE), "==", ONE, f"qsum[s={si}]")
     for xi in range(nx):
         for yi in range(ny):
             for si in range(ns):
-                coeffs = {int(r[xi, yi, si]): 1, int(q[xi, si]): -1}
-                lp.add_row(coeffs, "<=", 0, f"rq[x={xi},y={yi},s={si}]")
+                coeffs = {int(r[xi, yi, si]): ONE, int(q[xi, si]): MINUS_ONE}
+                lp.add_row(coeffs, "<=", ZERO, f"rq[x={xi},y={yi},s={si}]")
 
     # causality of the diagonal weight and of the input marginal; both row
     # families descend from the per-prefix condition of the full program,
@@ -173,7 +190,7 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     if causal:
         _same_sums(lp, (
             row
-            for i, px, xs, states in _prefixes(ch, n)
+            for i, px, xs, states in _prefixes(x_size, s_size, n)
             for si, ref in states
             for row in [
                 *((f"rcausal[i={i},px={px},s={si},y={yi}]", r[xs, yi, si], r[xs, yi, ref])
@@ -181,6 +198,21 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
                 (f"qcausal[i={i},px={px},s={si}]", q[xs, si], q[xs, ref]),
             ]
         ))
+    return lp
+
+
+def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> LinearProgram:
+    """Reduced program over r[x,y,s] and q[x,s]; same optimum as the full
+    one.  Like `build_lp1`, it shares its variables and rows with every
+    program of its shape and takes its objective from the channel."""
+    nx, ns, ny = _checked_shape(ch, M, n)
+    _check_var_budget(nx * ny * ns + nx * ns, f"lp2(M={M}, n={n})")
+    law = block_law(ch, n)
+    lp = shared_program(
+        f"lp2[M={M},n={n},causal={causal}]", _lp2_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal
+    )
+    r = np.arange(nx * ny * ns).reshape(nx, ny, ns)
+    lp.set_objective({int(r[xi, yi, si]): weight for (xi, si, yi), weight in law.items()})
     return lp
 
 

@@ -17,23 +17,33 @@ updates the rows that store the pivot column at the pivot row's stored
 columns.  `Fraction` appears only at the boundary: the program's
 coefficients going in, the optimum and the assignment coming out.
 
+A program's integer standard form (free variables split, right-hand
+sides made nonnegative, slack and artificial columns, each row over its
+own denominator) is derived once per constraint system.  Programs from
+`shared_program`, such as one LP over the channels of one shape, share
+one system: its variables, its immutable rows and their standard form,
+built once from the builder's arguments; they differ in name and
+objective.  A program whose rows were changed, or that was built row by
+row, is put in standard form when it is solved or checked.
+
 Phase 1 (the run, the drive-out of artificials, the drop of redundant
-rows and the strip of artificial columns) never reads the objective, and
-programs that differ only in their objective, such as one LP over the
-channels of one shape, share it.  Its outcome is kept in a least-recently-
-used memo keyed by the complete standard-form constraint system: the
-integer rows with their right-hand sides, slack and artificial columns,
-the row denominators and the first artificial column.  Phase 2 runs on a
+rows and the strip of artificial columns) never reads the objective, so
+programs that differ only in their objective share it.  Its outcome is
+kept in a least-recently-used memo keyed by the complete standard form:
+the integer rows with their right-hand sides, slack and artificial
+columns, the row denominators and the first artificial column.  That key
+is also the only stored copy of the standard form.  Phase 2 runs on a
 copy, and the pivot count includes phase 1's, so pivots, vertices and
 values are those of a cold solve, and PivotLimitError is raised exactly
-when a cold solve would raise it.  The memo holds at most
-_PHASE_ONE_CELLS (column, value) pairs, keys included (100k, a few MB); a
-larger system is solved but not stored.  A one-shot run solves each
-system once and gains nothing from it.
+when a cold solve would raise it.  The same memo keeps the shared
+systems, and everything it holds counts against one bound,
+_PHASE_ONE_CELLS (column, value) pairs (100k, a few MB); an entry above
+it is used but not stored.  A one-shot run builds and solves each system
+once and gains nothing from it.
 
 Solutions are re-checked row by row against the original program, in
-integers (each row and the point over their own common denominators),
-before they are returned.
+integers (each row of the standard form against the point over its
+common denominator), before they are returned.
 """
 
 from __future__ import annotations
@@ -43,7 +53,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Optional
+from operator import mul
+from typing import Callable, Hashable, Mapping, NamedTuple, Optional
 
 from .rational import as_rational
 
@@ -76,7 +87,7 @@ class PivotLimitError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class _Row:
     coeffs: dict[int, Fraction]
     relation: str
@@ -86,7 +97,12 @@ class _Row:
 
 @dataclass
 class LinearProgram:
-    """Named variables, sparse rows, and a linear objective."""
+    """Named variables, sparse rows, and a linear objective.
+
+    A program from `shared_program` also refers to its constraint system
+    (`_system`), whose standard form it is solved and checked with while
+    its rows and sign constraints are still the system's.
+    """
 
     name: str = "lp"
     sense: str = "max"
@@ -95,6 +111,7 @@ class LinearProgram:
     rows: list[_Row] = field(default_factory=list)
     nonneg: list[bool] = field(default_factory=list)
     _index: dict[str, int] = field(default_factory=dict, repr=False)
+    _system: Optional[_System] = field(default=None, repr=False, compare=False)
 
     def add_var(self, name: str, nonneg: bool = True, objective: object = 0) -> int:
         if name in self._index:
@@ -108,20 +125,35 @@ class LinearProgram:
             self.objective[idx] = c
         return idx
 
-    def set_objective(self, coeffs: Mapping[int, object]) -> None:
-        self.objective = {j: as_rational(c) for j, c in coeffs.items() if as_rational(c)}
-
-    def add_row(self, coeffs: Mapping[int, object], relation: str, rhs: object, label: str = "") -> None:
-        if relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}, got {relation!r}")
+    def _coefficients(self, coeffs: Mapping[int, object], label: Optional[str] = None) -> dict[int, Fraction]:
+        """The nonzero coefficients as Fractions; ValueError for an index
+        outside the program, naming the row `label` or the objective."""
         clean = {}
         for j, c in coeffs.items():
             c = as_rational(c)
             if not 0 <= j < len(self.var_names):
-                raise ValueError(f"row {label!r} references unknown variable index {j}")
+                what = "objective" if label is None else f"row {label!r}"
+                raise ValueError(f"{what} references unknown variable index {j}")
             if c:
                 clean[j] = c
+        return clean
+
+    def set_objective(self, coeffs: Mapping[int, object]) -> None:
+        self.objective = self._coefficients(coeffs)
+
+    def add_row(self, coeffs: Mapping[int, object], relation: str, rhs: object, label: str = "") -> None:
+        if relation not in _RELATIONS:
+            raise ValueError(f"relation must be one of {_RELATIONS}, got {relation!r}")
+        clean = self._coefficients(coeffs, label)
         self.rows.append(_Row(coeffs=clean, relation=relation, rhs=as_rational(rhs), label=label or f"row{len(self.rows)}"))
+
+    def _form(self) -> _StandardForm:
+        """The standard form: the system's while the program still has the
+        system's rows and sign constraints, else derived from its own."""
+        system = self._system
+        if system is not None and self.rows == system.program.rows and self.nonneg == system.program.nonneg:
+            return system.form
+        return _standard_form(self.rows, self.nonneg)
 
     # -- exact evaluation --------------------------------------------------
 
@@ -135,31 +167,33 @@ class LinearProgram:
         d = math.lcm(*(v.denominator for v in vec))
         return [v.numerator * (d // v.denominator) for v in vec], d
 
-    @staticmethod
-    def _scaled(coeffs: Mapping[int, Fraction], nums: list[int], rhs: Fraction = ZERO) -> tuple[int, int, int]:
-        """(Σ c_j·nums[j], rhs) both times L, and L: the lcm of the
-        denominators of the coefficients and of `rhs`."""
-        lcm = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        lhs = sum(c.numerator * (lcm // c.denominator) * nums[j] for j, c in coeffs.items())
-        return lhs, rhs.numerator * (lcm // rhs.denominator), lcm
-
     def objective_value(self, assignment: Mapping[str, object]) -> Fraction:
         nums, d = self._point(assignment)
-        total, _, lcm = self._scaled(self.objective, nums)
+        lcm = math.lcm(*(c.denominator for c in self.objective.values()))
+        total = sum(c.numerator * (lcm // c.denominator) * nums[j] for j, c in self.objective.items())
         return Fraction(total, lcm * d)
 
     def violated_rows(self, assignment: Mapping[str, object]) -> list[str]:
         """Labels of all rows (and sign constraints) the point violates.
 
-        Each row is checked in integers: both sides times the lcm of the
-        row's denominators and the point's common denominator.
+        Each row is checked in integers, in its standard form: the point's
+        numerators in the structural columns, zero in the slack and
+        artificial ones, and minus its common denominator against the
+        right-hand side give the row's residual times a positive factor.
         """
+        return self._violated_rows(assignment, self._form())
+
+    def _violated_rows(self, assignment: Mapping[str, object], form: _StandardForm) -> list[str]:
         nums, d = self._point(assignment)
+        _, total, _, lines = form.key
+        point = [0] * (total + 1)  # point[RHS] is the last entry
+        for (plus, _), v in zip(form.col_of, nums):
+            point[plus] = v  # a free variable's minus column stays zero
+        point[RHS] = -d
         bad = []
-        for row in self.rows:
-            lhs, rhs, _ = self._scaled(row.coeffs, nums, row.rhs)
-            rhs *= d
-            ok = lhs == rhs if row.relation == EQ else lhs <= rhs if row.relation == LE else lhs >= rhs
+        for row, line, relation in zip(self.rows, lines, form.relations):
+            residual = sum(map(mul, line[1::2], map(point.__getitem__, line[::2])))
+            ok = residual == 0 if relation == EQ else residual <= 0 if relation == LE else residual >= 0
             if not ok:
                 bad.append(row.label)
         for j, is_nonneg in enumerate(self.nonneg):
@@ -352,86 +386,36 @@ def _phase_one(tab: _Tableau, art_base: int, total: int, max_pivots: int) -> _Ph
     return _PhaseOne(run_pivots, pivots, tab.rows, tab.dens, tab.basis)
 
 
-# (column, value) pairs the phase-1 memo holds, in its keys and its tableaux
-# together, at 60-85 bytes each: the `lp` benchmark's 19 constraint systems
-# take 31k, LP2 on z0z1 at n = 3 takes 9k (causal) and 6k (non-causal).  A
-# system above the bound is not stored.
-_PHASE_ONE_CELLS = 100_000
+class _StandardForm(NamedTuple):
+    """A constraint system in integers: free variables split, right-hand
+    sides made nonnegative, a slack column for each <= and >= row and an
+    artificial column for each == and >= row.
 
-
-class _PhaseOneMemo:
-    """Phase-1 outcomes by standard-form constraint system, least recently
-    used first, evicted beyond _PHASE_ONE_CELLS."""
-
-    def __init__(self) -> None:
-        self.entries: OrderedDict[tuple, tuple[int, _PhaseOne]] = OrderedDict()
-        self.cells = 0
-
-    def get(self, key: tuple) -> Optional[_PhaseOne]:
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        self.entries.move_to_end(key)
-        return entry[1]
-
-    def put(self, key: tuple, found: _PhaseOne) -> bool:
-        """Store `found`; False when it alone is above the bound."""
-        cells = sum(map(len, key[-1])) // 2 + sum(map(len, found.rows or ()))
-        if cells > _PHASE_ONE_CELLS:
-            return False
-        self.entries[key] = (cells, found)
-        self.cells += cells
-        while self.cells > _PHASE_ONE_CELLS:
-            self.cells -= self.entries.popitem(last=False)[1][0]
-        return True
-
-
-_PHASE_ONE = _PhaseOneMemo()
-
-
-def _feasible_tableau(tab: _Tableau, art_base: int, total: int, max_pivots: int) -> tuple[int, Optional[_Tableau]]:
-    """(pivots so far, tableau in a feasible basis or None if there is
-    none) of the initial tableau `tab`, whose artificial columns are
-    art_base..total-1.
-
-    Phase 1 never reads the objective, so its outcome is memoized by the
-    constraint system alone: art_base, total, the row denominators and
-    the rows, right-hand sides, slack and artificial columns included.  A
-    hit returns a copy, as phase 2 updates rows in place, and raises
-    PivotLimitError whenever the cold run would have.
+    `key` is (first artificial column, column count, row denominators,
+    rows), each row a flat tuple (column, numerator, column, ...) over its
+    denominator with the right-hand side under RHS: the phase-1 memo's key
+    and the only copy of the rows.
     """
-    key = (art_base, total, tuple(tab.dens), tuple(tuple(chain.from_iterable(row.items())) for row in tab.rows))
-    found = _PHASE_ONE.get(key)
-    if found is None:
-        found = _phase_one(tab, art_base, total, max_pivots)
-        stored = _PHASE_ONE.put(key, found)
-    elif found.run_pivots > max_pivots:
-        raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
-    else:
-        stored = True
-    if found.rows is None:
-        return found.pivots, None
-    if stored:
-        tab = _Tableau([dict(row) for row in found.rows], list(found.dens), list(found.basis))
-    return found.pivots, tab
+
+    col_of: tuple[tuple[int, int], ...]  # (plus column, minus column or -1) per variable
+    relations: tuple[str, ...]  # per row, after the sign flip
+    basis: tuple[int, ...]  # the slack or artificial column of each row
+    key: tuple
+
+    def tableau(self) -> _Tableau:
+        _, _, dens, lines = self.key
+        return _Tableau([dict(zip(line[::2], line[1::2])) for line in lines], list(dens), list(self.basis))
+
+    def cells(self) -> int:
+        """The (column, value) pairs of its rows."""
+        return sum(map(len, self.key[-1])) // 2
 
 
-def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
-    """Solve to exact rational optimality (or report infeasible/unbounded).
-
-    Raises ValueError before building anything when the tableau would
-    exceed MAX_TABLEAU_CELLS.
-    """
-    if lp.sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
-    negate = lp.sense == "min"
-
-    # -- standard form: split free variables, normalize rhs signs ---------
-    n_orig = len(lp.var_names)
-    col_of: list[tuple[int, int]] = []  # (plus_col, minus_col or -1) per original var
+def _standard_form(rows: list[_Row], nonneg: list[bool]) -> _StandardForm:
+    col_of: list[tuple[int, int]] = []
     ncols = 0
-    for j in range(n_orig):
-        if lp.nonneg[j]:
+    for flag in nonneg:
+        if flag:
             col_of.append((ncols, -1))
             ncols += 1
         else:
@@ -439,29 +423,21 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
             ncols += 2
     n_struct = ncols
 
-    flips = [row.rhs < 0 for row in lp.rows]
-    relations = [
+    flips = [row.rhs < 0 for row in rows]
+    relations = tuple(
         {LE: GE, GE: LE, EQ: EQ}[row.relation] if flip else row.relation
-        for row, flip in zip(lp.rows, flips)
-    ]
-    m = len(relations)
+        for row, flip in zip(rows, flips)
+    )
     n_slack = sum(1 for r in relations if r in (LE, GE))
     slack_base = n_struct
     art_base = n_struct + n_slack
-    n_art = sum(1 for r in relations if r in (EQ, GE))
-    total = art_base + n_art
-    cells = m * total
-    if cells > MAX_TABLEAU_CELLS:
-        raise ValueError(
-            f"program {lp.name!r} needs a {m} x {total} tableau ({cells} cells), "
-            f"above the exact-solver budget {MAX_TABLEAU_CELLS}"
-        )
+    total = art_base + sum(1 for r in relations if r in (EQ, GE))
 
-    rows: list[dict[int, int]] = []
+    lines: list[tuple[int, ...]] = []
     dens: list[int] = []
     basis: list[int] = []
     s_idx = a_idx = 0
-    for row, flip, rel in zip(lp.rows, flips, relations):
+    for row, flip, rel in zip(rows, flips, relations):
         # numerators over the lcm of the row's denominators, sign-flipped
         # with the relation so the right-hand side is nonnegative
         den = math.lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs.values()))
@@ -485,15 +461,145 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
             line[art_base + a_idx] = den
             basis.append(art_base + a_idx)
             a_idx += 1
-        rows.append(line)
+        lines.append(tuple(chain.from_iterable(line.items())))
         dens.append(den)
-    tab = _Tableau(rows, dens, basis)
-    pivots = 0
-    if n_art:
-        pivots, tab = _feasible_tableau(tab, art_base, total, max_pivots)
+    return _StandardForm(tuple(col_of), relations, tuple(basis), (art_base, total, tuple(dens), tuple(lines)))
+
+
+class _System(NamedTuple):
+    """A constraint system shared by programs that differ only in name and
+    objective: the program it was built as, never handed out, and its
+    standard form."""
+
+    program: LinearProgram
+    form: _StandardForm
+
+
+# (column, value) pairs the memo holds, at 60-85 bytes each: the rows of its
+# shared constraint systems (as Fractions and in standard form) and the keys
+# and tableaux of its phase-1 outcomes.  A key that is also a system's
+# standard form counts in both entries.  The `lp` benchmark's 18 systems
+# take 22k and its 19 phase-1 outcomes 31k; LP2 on z0z1 at n = 3 takes 7k +
+# 9k (causal) and 4k + 6k (non-causal).  An entry above the bound is not
+# stored.
+_PHASE_ONE_CELLS = 100_000
+
+
+class _PhaseOneMemo:
+    """Shared constraint systems by their builder and its arguments, and
+    phase-1 outcomes by standard-form constraint system: least recently
+    used first, evicted beyond _PHASE_ONE_CELLS."""
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[tuple, tuple[int, object]] = OrderedDict()
+        self.cells = 0
+
+    def get(self, key: tuple) -> Optional[object]:
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        self.entries.move_to_end(key)
+        return entry[1]
+
+    def put(self, key: tuple, value: object, cells: int) -> bool:
+        """Store `value`; False when it alone is above the bound."""
+        if cells > _PHASE_ONE_CELLS:
+            return False
+        self.entries[key] = (cells, value)
+        self.cells += cells
+        while self.cells > _PHASE_ONE_CELLS:
+            self.cells -= self.entries.popitem(last=False)[1][0]
+        return True
+
+
+_PHASE_ONE = _PhaseOneMemo()
+
+
+def shared_program(name: str, build: Callable[..., LinearProgram], *fields: Hashable) -> LinearProgram:
+    """A program named `name`, without objective, over the constraint
+    system of build(*fields), which it shares with every other program of
+    the same (build, *fields).
+
+    `build` must depend on its fields alone: the variables and rows of the
+    program it returns (not its name or objective) and their standard form
+    are made once and kept in the memo.  The program returned gets its own
+    variable, sign and row lists over the shared rows, which nothing
+    changes in place: add_var, add_row, set_objective or a new `rows`
+    change that program alone, and solve_exact and violated_rows use the
+    system's standard form only while the program's rows and sign
+    constraints are still the system's.
+    """
+    key = (build, *fields)
+    system = _PHASE_ONE.get(key)
+    if system is None:
+        template = build(*fields)
+        form = _standard_form(template.rows, template.nonneg)
+        system = _System(template, form)
+        _PHASE_ONE.put(key, system, sum(len(row.coeffs) for row in template.rows) + form.cells())
+    template = system.program
+    return LinearProgram(
+        name=name,
+        sense=template.sense,
+        var_names=list(template.var_names),
+        rows=list(template.rows),
+        nonneg=list(template.nonneg),
+        _index=dict(template._index),
+        _system=system,
+    )
+
+
+def _feasible_tableau(form: _StandardForm, max_pivots: int) -> tuple[int, Optional[_Tableau]]:
+    """(pivots so far, tableau in a feasible basis or None if there is
+    none) of the standard form `form`.
+
+    Phase 1 never reads the objective, so its outcome is memoized by the
+    constraint system alone: form.key.  A hit returns a copy, as phase 2
+    updates rows in place, and raises PivotLimitError whenever the cold
+    run would have.
+    """
+    key = form.key
+    found = _PHASE_ONE.get(key)
+    if found is None:
+        tab = form.tableau()
+        found = _phase_one(tab, key[0], key[1], max_pivots)
+        stored = _PHASE_ONE.put(key, found, form.cells() + sum(map(len, found.rows or ())))
+    elif found.run_pivots > max_pivots:
+        raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
+    else:
+        stored = True
+    if found.rows is None:
+        return found.pivots, None
+    if stored:
+        tab = _Tableau([dict(row) for row in found.rows], list(found.dens), list(found.basis))
+    return found.pivots, tab
+
+
+def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
+    """Solve to exact rational optimality (or report infeasible/unbounded).
+
+    Raises ValueError before the first pivot when the tableau would
+    exceed MAX_TABLEAU_CELLS.
+    """
+    if lp.sense not in ("max", "min"):
+        raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
+    negate = lp.sense == "min"
+
+    form = lp._form()
+    art_base, total, _, lines = form.key
+    cells = len(lines) * total
+    if cells > MAX_TABLEAU_CELLS:
+        raise ValueError(
+            f"program {lp.name!r} needs a {len(lines)} x {total} tableau ({cells} cells), "
+            f"above the exact-solver budget {MAX_TABLEAU_CELLS}"
+        )
+    if art_base == total:  # no artificial column: the slack basis is feasible
+        pivots, tab = 0, form.tableau()
+    else:
+        pivots, tab = _feasible_tableau(form, max_pivots)
         if tab is None:
             return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=pivots)
         total = art_base
+    col_of = form.col_of
 
     # -- phase 2 ------------------------------------------------------------
     cost_den = math.lcm(*(c.denominator for c in lp.objective.values()))
@@ -513,8 +619,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
     for row, den, b in zip(tab.rows, tab.dens, tab.basis):
         values[b] = Fraction(row.get(RHS, 0), den)
     assignment: dict[str, Fraction] = {}
-    for j in range(n_orig):
-        plus, minus = col_of[j]
+    for j, (plus, minus) in enumerate(col_of):
         v = values[plus] - (values[minus] if minus >= 0 else ZERO)
         if v:
             assignment[lp.var_names[j]] = v
@@ -522,7 +627,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
     if negate:
         value = -value
 
-    bad = lp.violated_rows(assignment)
+    bad = lp._violated_rows(assignment, form)
     if bad:  # pragma: no cover - solver self-check
         raise AssertionError(f"solver returned an infeasible point; violated rows: {bad[:5]}")
     expected = lp.objective_value(assignment)

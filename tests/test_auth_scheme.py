@@ -889,6 +889,11 @@ MONTE_CARLO_CASES = [with_two_messages_at_least(*case) for case in ACCEPTANCE_CA
     # the first output with room, which need not be the one drawn
     ("three-outputs-n14", make_channel([[[HALF, F(1, 4), F(1, 4)], [F(1, 4), F(1, 4), HALF]]], [1]),
      [[HALF, HALF]], 14, F(1, 6), None),
+    # three occurring states: once the state mapper has dropped its flag it
+    # fills the first state with room, which need not be the one drawn
+    ("three-states-n12-flag-drop",
+     make_channel([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], [F(1, 4), HALF, F(1, 4)]),
+     [[HALF, HALF]] * 3, 12, F(1, 4), None),
 ]
 
 

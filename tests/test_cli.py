@@ -129,6 +129,18 @@ def test_classical_single_message_refuses_a_witness_over_the_cap():
     assert peak < 2**22  # the 2^41-entry witness is counted, not built
 
 
+def test_classical_single_message_report_is_bounded():
+    # the largest z0z1 witness under the cap prints within seconds; at
+    # n = 23, under SEARCH_WORK_CAP, 16.7M lines would take minutes
+    start = time.perf_counter()
+    code, text = run(["classical", "--channel", "z0z1", "--M", "1", "--n", "15"])
+    assert code == 0 and text.count("\nwitness = ") == 2**16 - 2
+    assert run(["classical", "--channel", "z0z1", "--M", "1", "--n", "23"]) == (
+        1, "error: the M = 1 witness of 16777214 table entries exceeds the witness cap 65536\n"
+    )
+    assert time.perf_counter() - start < 20
+
+
 def test_classical_single_message_checks_the_block_source_length():
     expected = (1, "error: block length 2 does not match block source length 3\n")
     for m in ("1", "2"):

@@ -11,6 +11,7 @@ not change when the receiver is handed the state sequence.
 import hashlib
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from nscoding.channels import (
     make_channel,
     state_blocks,
 )
+from nscoding import ns_lp, simplex
 from nscoding.classical import classical_opt_success
 from nscoding.ns_lp import (
     MAX_LP_VARIABLES,
@@ -36,7 +38,7 @@ from nscoding.ns_lp import (
     lp2_to_lp1,
     verify_certificate,
 )
-from nscoding.simplex import solve_exact
+from nscoding.simplex import LinearProgram, SimplexSolution, solve_exact
 
 F = Fraction
 OPT_CAUSAL = F(13, 16)
@@ -362,3 +364,150 @@ def test_point_violating_only_the_stepwise_rows():
     bad = lp.violated_rows(point)
     assert bad
     assert all(label.startswith("c3") for label in bad)
+
+
+# -- one constraint system per shape ----------------------------------------
+#
+# build_lp1 and build_lp2 share the variables, rows and standard form of one
+# constraint system per (form, |X|, |Y|, |S|, M, n, causal); the programs
+# differ only in name and objective, and solve as if built row by row.
+
+
+@contextmanager
+def fresh_memo():
+    """An empty memo (no shared system, no phase-1 outcome) for the block,
+    the module's own restored after."""
+    saved = simplex._PHASE_ONE
+    simplex._PHASE_ONE = memo = simplex._PhaseOneMemo()
+    try:
+        yield memo
+    finally:
+        simplex._PHASE_ONE = saved
+
+
+def hand_built(lp: LinearProgram) -> LinearProgram:
+    """A copy of `lp` built variable by variable and row by row, sharing no
+    constraint system."""
+    copy = LinearProgram(name=lp.name, sense=lp.sense)
+    for name, flag in zip(lp.var_names, lp.nonneg):
+        copy.add_var(name, nonneg=flag)
+    copy.set_objective(lp.objective)
+    for row in lp.rows:
+        copy.add_row(row.coeffs, row.relation, row.rhs, row.label)
+    return copy
+
+
+def outcome(sol: SimplexSolution) -> tuple:
+    return sol.status, sol.value, sol.pivots, sol.assignment
+
+
+def solve_cold(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
+    with fresh_memo():
+        return solve_exact(lp, max_pivots=max_pivots)
+
+
+def _shared_families():
+    """(build, channel of a seed, n, causal) over the random families above."""
+    shapes = {
+        "binary": random_binary_channel,
+        "x2y3s2": lambda seed: random_channel(seed, 2, 3, 2),
+        "x3y2s2": lambda seed: random_channel(seed, 3, 2, 2),
+        "x2y2s3": lambda seed: random_channel(seed, 2, 2, 3),
+    }
+    for name, channel in shapes.items():
+        for causal in (True, False):
+            mode = "causal" if causal else "noncausal"
+            yield pytest.param(build_lp1, channel, 1, causal, id=f"lp1-{name}-n1-{mode}")
+            for n in (1, 2):
+                yield pytest.param(build_lp2, channel, n, causal, id=f"lp2-{name}-n{n}-{mode}")
+    yield pytest.param(build_lp1, random_binary_channel, 2, True, id="lp1-binary-n2-causal")
+
+
+@pytest.mark.parametrize("build, channel, n, causal", _shared_families())
+def test_shared_programs_solve_as_hand_built_copies_cold_and_warm(build, channel, n, causal):
+    with fresh_memo():
+        first, second = (build(channel(seed), M=2, n=n, causal=causal) for seed in (1, 2))
+    assert first._system is second._system
+    assert all(a is b for a, b in zip(first.rows, second.rows)) and len(first.rows) == len(second.rows)
+    expected = [outcome(solve_cold(hand_built(lp))) for lp in (first, second)]
+    assert [outcome(solve_cold(lp)) for lp in (first, second)] == expected
+    with fresh_memo() as memo:
+        # the second program, and a hand-built copy of it, hit the first's phase 1
+        warm = [outcome(solve_exact(lp)) for lp in (first, second, hand_built(second))]
+        assert warm == [*expected, expected[1]]
+        assert len(memo.entries) == 1
+
+
+def test_changing_one_shared_program_leaves_the_others_and_the_system():
+    def snapshot(lp):
+        rows = [(dict(row.coeffs), row.relation, row.rhs, row.label) for row in lp.rows]
+        return rows, list(lp.var_names), list(lp.nonneg), dict(lp.objective)
+
+    with fresh_memo():
+        grown, relaxed, other = (build_lp2(ch, M=2, n=2) for ch in (
+            builtin_z0z1(), builtin_z0z1(), random_binary_channel(1)))
+        system = other._system
+        rows, form, before = list(system.program.rows), system.form, snapshot(other)
+        grown.add_var("t")
+        grown.add_row({0: 1, len(grown.var_names) - 1: -1}, "<=", 0, "extra")
+        grown.set_objective({0: 1})
+        # as build_lp3_z0z1 does
+        relaxed.rows = [row for row in relaxed.rows if not row.label.startswith("qcausal")]
+        assert snapshot(other) == before
+        assert system.program.rows == rows and all(map(lambda a, b: a is b, system.program.rows, rows))
+        assert system.form is form and system.program.var_names == other.var_names
+        fresh = build_lp2(random_binary_channel(1), M=2, n=2)
+        assert fresh._system is system and snapshot(fresh) == before
+    # each changed program is solved from its own rows
+    for lp in (grown, relaxed):
+        assert lp._form() is not form
+        assert outcome(solve_cold(lp)) == outcome(solve_cold(hand_built(lp)))
+    assert solve_exact(relaxed).value == solve_exact(build_lp3_z0z1()).value == OPT_CAUSAL
+    assert outcome(solve_cold(other)) == outcome(solve_cold(hand_built(other)))
+
+
+def test_systems_and_phase_one_outcomes_share_one_bound(monkeypatch):
+    ch = builtin_z0z1()
+
+    def sweep(memo, bound):
+        """Build and solve M = 2, build and solve M = 3, build M = 2 again,
+        build and solve M = 4; return the memo's keys after each step."""
+        steps = []
+        for M, solve in ((2, True), (3, True), (2, False), (4, True)):
+            lp = build_lp2(ch, M=M, n=1)
+            steps.append(list(memo.entries))
+            if solve:
+                solve_exact(lp)
+                steps.append(list(memo.entries))
+            assert memo.cells == sum(cells for cells, _ in memo.entries.values()) <= bound
+        return steps
+
+    with fresh_memo() as memo:
+        sweep(memo, simplex._PHASE_ONE_CELLS)
+        cells = {key: cells for key, (cells, _) in memo.entries.items()}
+    systems = {M: (ns_lp._lp2_system, 2, 2, 2, M, 1, True) for M in (2, 3, 4)}
+    phase_one = {M: cells_key for M in (2, 3, 4) for cells_key in cells
+                 if cells_key not in systems.values() and cells_key[2][0] == M}
+    assert set(cells) == {*systems.values(), *phase_one.values()}
+    # room for all but one cell: the last phase-1 outcome evicts the least
+    # recently used entry, M = 2's phase 1 (its system was used again)
+    bound = sum(cells.values()) - 1
+    monkeypatch.setattr(simplex, "_PHASE_ONE_CELLS", bound)
+    with fresh_memo() as memo:
+        steps = sweep(memo, bound)
+    assert steps[-1] == [systems[3], phase_one[3], systems[2], systems[4], phase_one[4]]
+    assert steps[-2] == [phase_one[2], systems[3], phase_one[3], systems[2], systems[4]]
+
+
+def test_an_over_budget_program_is_refused_before_anything_is_built(monkeypatch):
+    def refuse(*_fields):
+        raise AssertionError("a constraint system was built")
+
+    monkeypatch.setattr(ns_lp, "_lp1_system", refuse)
+    monkeypatch.setattr(ns_lp, "_lp2_system", refuse)
+    with fresh_memo() as memo:
+        with pytest.raises(ValueError, match=str(MAX_LP_VARIABLES)):
+            build_lp1(builtin_z0z1(), M=4, n=4)
+        with pytest.raises(ValueError, match=str(MAX_LP_VARIABLES)):
+            build_lp2(builtin_z0z1(), M=2, n=5)
+        assert not memo.entries and memo.cells == 0

@@ -1,7 +1,6 @@
 """Tests for the exact rational simplex solver."""
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -12,7 +11,7 @@ from nscoding import simplex
 from nscoding.channels import builtin_z0z1, lift_csir
 from nscoding.ns_lp import build_lp1, build_lp2
 from nscoding.simplex import LinearProgram, PivotLimitError, SimplexSolution, solve_exact
-from test_ns_lp import random_binary_channel, random_channel
+from test_ns_lp import fresh_memo, outcome, random_binary_channel, random_channel, solve_cold
 
 F = Fraction
 
@@ -157,6 +156,24 @@ def test_row_with_unknown_index_rejected():
     lp.add_var("x")
     with pytest.raises(ValueError, match="unknown variable index"):
         lp.add_row({7: 1}, "<=", 0, label="oops")
+
+
+def test_objective_with_an_index_past_the_last_variable_rejected():
+    lp = LinearProgram()
+    x = lp.add_var("x", objective=1)
+    with pytest.raises(ValueError, match="objective references unknown variable index 5"):
+        lp.set_objective({5: 1})
+    assert lp.objective == {x: 1} and solve_exact(lp).status == "unbounded"
+
+
+def test_objective_with_a_negative_index_rejected():
+    # -1 must not wrap around to the last variable
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    lp.add_row({x: 1}, "<=", 1)
+    with pytest.raises(ValueError, match="objective references unknown variable index -1"):
+        lp.set_objective({-1: 1})
+    assert lp.objective == {} and solve_exact(lp).value == 0
 
 
 def test_boolean_coefficients_are_refused():
@@ -435,17 +452,6 @@ def assert_sparse_form(tab) -> None:
         assert math.gcd(den, *row.values()) == 1
 
 
-@contextmanager
-def fresh_memo():
-    """An empty phase-1 memo for the block, the module's own restored after."""
-    saved = simplex._PHASE_ONE
-    simplex._PHASE_ONE = memo = simplex._PhaseOneMemo()
-    try:
-        yield memo
-    finally:
-        simplex._PHASE_ONE = saved
-
-
 def count_checked_pivots(monkeypatch) -> list[int]:
     """Check the sparse form around every pivot; the returned list holds
     the count of pivots taken so far."""
@@ -614,15 +620,6 @@ def test_integer_row_check_on_a_certificate_and_an_optimum():
 # Phase 1 depends on the constraint system alone, so solve_exact keeps its
 # outcome by system.  A hit must reproduce the cold solve exactly: status,
 # value, vertex and every pivot counted.
-
-
-def outcome(sol: SimplexSolution) -> tuple:
-    return sol.status, sol.value, sol.pivots, sol.assignment
-
-
-def solve_cold(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
-    with fresh_memo():
-        return solve_exact(lp, max_pivots=max_pivots)
 
 
 def with_objective(lp: LinearProgram, objective: dict) -> LinearProgram:
