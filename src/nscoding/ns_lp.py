@@ -22,10 +22,10 @@ against) are tautologies and are not emitted.
 Only the objective depends on the channel.  The variables and rows of
 each program depend on (form, |X|, |Y|, |S|, M, n, causal) alone, are
 built from those fields and nothing else, and are shared, with their
-integer standard form, by every program of that shape
-(`simplex.shared_program`); they are kept in the simplex memo under its
-one bound, `_PHASE_ONE_CELLS`.  A program over the variable budget is
-refused before anything is built or kept.
+integer standard form and phase 1, by every program of that shape
+(`simplex.shared_program`); the simplex memo keeps each such system
+under that key and one bound, `_SYSTEM_CELLS`.  A program over the
+variable budget is refused before anything is built or kept.
 """
 
 from __future__ import annotations

@@ -28,18 +28,14 @@ row, is put in standard form when it is solved or checked.
 
 Phase 1 (the run, the drive-out of artificials, the drop of redundant
 rows and the strip of artificial columns) never reads the objective, so
-programs that differ only in their objective share it.  Its outcome is
-kept in a least-recently-used memo keyed by the complete standard form:
-the integer rows with their right-hand sides, slack and artificial
-columns, the row denominators and the first artificial column.  That key
-is also the only stored copy of the standard form.  Phase 2 runs on a
-copy, and the pivot count includes phase 1's, so pivots, vertices and
-values are those of a cold solve, and PivotLimitError is raised exactly
-when a cold solve would raise it.  The same memo keeps the shared
-systems, and everything it holds counts against one bound,
-_PHASE_ONE_CELLS (column, value) pairs (100k, a few MB); an entry above
-it is used but not stored.  A one-shot run builds and solves each system
-once and gains nothing from it.
+a shared system keeps its outcome once a solve has run it; any other
+program runs phase 1 cold and keeps nothing.  Phase 2 runs on a copy,
+and the pivot count includes phase 1's, so pivots, vertices and values
+are those of a cold solve, and PivotLimitError is raised exactly when a
+cold solve would raise it.  The systems live in one least-recently-used
+memo keyed by (build, *fields) under one bound, _SYSTEM_CELLS (column,
+value) pairs.  A one-shot run builds and solves each system once and
+gains nothing from it.
 
 Solutions are re-checked row by row against the original program, in
 integers (each row of the standard form against the point over its
@@ -147,13 +143,14 @@ class LinearProgram:
         clean = self._coefficients(coeffs, label)
         self.rows.append(_Row(coeffs=clean, relation=relation, rhs=as_rational(rhs), label=label or f"row{len(self.rows)}"))
 
-    def _form(self) -> _StandardForm:
-        """The standard form: the system's while the program still has the
-        system's rows and sign constraints, else derived from its own."""
+    def _form(self) -> tuple[_StandardForm, Optional[_System]]:
+        """The standard form and the shared system it is from: the
+        system's while the program still has the system's rows and sign
+        constraints, else one derived from its own, with no system."""
         system = self._system
         if system is not None and self.rows == system.program.rows and self.nonneg == system.program.nonneg:
-            return system.form
-        return _standard_form(self.rows, self.nonneg)
+            return system.form, system
+        return _standard_form(self.rows, self.nonneg), None
 
     # -- exact evaluation --------------------------------------------------
 
@@ -181,17 +178,16 @@ class LinearProgram:
         artificial ones, and minus its common denominator against the
         right-hand side give the row's residual times a positive factor.
         """
-        return self._violated_rows(assignment, self._form())
+        return self._violated_rows(assignment, self._form()[0])
 
     def _violated_rows(self, assignment: Mapping[str, object], form: _StandardForm) -> list[str]:
         nums, d = self._point(assignment)
-        _, total, _, lines = form.key
-        point = [0] * (total + 1)  # point[RHS] is the last entry
+        point = [0] * (form.total + 1)  # point[RHS] is the last entry
         for (plus, _), v in zip(form.col_of, nums):
             point[plus] = v  # a free variable's minus column stays zero
         point[RHS] = -d
         bad = []
-        for row, line, relation in zip(self.rows, lines, form.relations):
+        for row, line, relation in zip(self.rows, form.lines, form.relations):
             residual = sum(map(mul, line[1::2], map(point.__getitem__, line[::2])))
             ok = residual == 0 if relation == EQ else residual <= 0 if relation == LE else residual >= 0
             if not ok:
@@ -264,6 +260,10 @@ class _Tableau:
         self.basis = basis
         self.obj: dict[int, int] = {}
         self.obj_den = 1
+
+    def copy(self) -> _Tableau:
+        """Its rows, denominators and basis, copied for a phase 2 of its own."""
+        return _Tableau([dict(row) for row in self.rows], list(self.dens), list(self.basis))
 
     def pivot(self, row: int, col: int) -> None:
         """Make `col` basic in `row`."""
@@ -356,9 +356,7 @@ class _PhaseOne:
 
     run_pivots: int
     pivots: int
-    rows: Optional[list[dict[int, int]]] = None
-    dens: Optional[list[int]] = None
-    basis: Optional[list[int]] = None
+    tab: Optional[_Tableau] = None
 
 
 def _phase_one(tab: _Tableau, art_base: int, total: int, max_pivots: int) -> _PhaseOne:
@@ -383,32 +381,29 @@ def _phase_one(tab: _Tableau, art_base: int, total: int, max_pivots: int) -> _Ph
     # a row may share a factor with its denominator once its artificials are gone
     for i, (row, den) in enumerate(zip(tab.rows, tab.dens)):
         tab.rows[i], tab.dens[i] = _reduce({j: v for j, v in row.items() if j < art_base}, den)
-    return _PhaseOne(run_pivots, pivots, tab.rows, tab.dens, tab.basis)
+    return _PhaseOne(run_pivots, pivots, _Tableau(tab.rows, tab.dens, tab.basis))
 
 
 class _StandardForm(NamedTuple):
     """A constraint system in integers: free variables split, right-hand
     sides made nonnegative, a slack column for each <= and >= row and an
     artificial column for each == and >= row.
-
-    `key` is (first artificial column, column count, row denominators,
-    rows), each row a flat tuple (column, numerator, column, ...) over its
-    denominator with the right-hand side under RHS: the phase-1 memo's key
-    and the only copy of the rows.
     """
 
     col_of: tuple[tuple[int, int], ...]  # (plus column, minus column or -1) per variable
     relations: tuple[str, ...]  # per row, after the sign flip
     basis: tuple[int, ...]  # the slack or artificial column of each row
-    key: tuple
+    art_base: int  # the first artificial column
+    total: int  # the column count
+    dens: tuple[int, ...]  # the positive denominator of each row
+    lines: tuple[tuple[int, ...], ...]  # each row as (column, numerator, ...), its right-hand side under RHS
 
     def tableau(self) -> _Tableau:
-        _, _, dens, lines = self.key
-        return _Tableau([dict(zip(line[::2], line[1::2])) for line in lines], list(dens), list(self.basis))
+        return _Tableau([dict(zip(line[::2], line[1::2])) for line in self.lines], list(self.dens), list(self.basis))
 
     def cells(self) -> int:
         """The (column, value) pairs of its rows."""
-        return sum(map(len, self.key[-1])) // 2
+        return sum(map(len, self.lines)) // 2
 
 
 def _standard_form(rows: list[_Row], nonneg: list[bool]) -> _StandardForm:
@@ -463,56 +458,62 @@ def _standard_form(rows: list[_Row], nonneg: list[bool]) -> _StandardForm:
             a_idx += 1
         lines.append(tuple(chain.from_iterable(line.items())))
         dens.append(den)
-    return _StandardForm(tuple(col_of), relations, tuple(basis), (art_base, total, tuple(dens), tuple(lines)))
+    return _StandardForm(tuple(col_of), relations, tuple(basis), art_base, total, tuple(dens), tuple(lines))
 
 
-class _System(NamedTuple):
+@dataclass(slots=True, eq=False)
+class _System:
     """A constraint system shared by programs that differ only in name and
-    objective: the program it was built as, never handed out, and its
-    standard form."""
+    objective: its memo key (build, *fields), the program it was built as,
+    never handed out, its standard form, the (column, value) pairs the
+    memo counts for it, and phase 1's outcome once a solve has kept it."""
 
+    key: tuple
     program: LinearProgram
     form: _StandardForm
+    cells: int = 0
+    phase_one: Optional[_PhaseOne] = None
 
 
 # (column, value) pairs the memo holds, at 60-85 bytes each: the rows of its
-# shared constraint systems (as Fractions and in standard form) and the keys
-# and tableaux of its phase-1 outcomes.  A key that is also a system's
-# standard form counts in both entries.  The `lp` benchmark's 18 systems
-# take 22k and its 19 phase-1 outcomes 31k; LP2 on z0z1 at n = 3 takes 7k +
-# 9k (causal) and 4k + 6k (non-causal).  An entry above the bound is not
-# stored.
-_PHASE_ONE_CELLS = 100_000
+# shared constraint systems, as Fractions and in standard form, and the
+# tableaux of their phase-1 outcomes.  The `lp` benchmark's 18 systems take
+# 22k and their phase-1 tableaux 17k; LP2 on z0z1 at n = 3 takes 7k + 5k
+# (causal) and 4k + 4k (non-causal).
+_SYSTEM_CELLS = 100_000
 
 
-class _PhaseOneMemo:
-    """Shared constraint systems by their builder and its arguments, and
-    phase-1 outcomes by standard-form constraint system: least recently
-    used first, evicted beyond _PHASE_ONE_CELLS."""
+class _SystemMemo:
+    """Shared constraint systems by (build, *fields), each with its phase-1
+    outcome once kept: least recently used first, evicted beyond
+    _SYSTEM_CELLS, and none stored that is above it alone."""
 
     def __init__(self) -> None:
-        self.entries: OrderedDict[tuple, tuple[int, object]] = OrderedDict()
+        self.entries: OrderedDict[tuple, _System] = OrderedDict()
         self.cells = 0
 
-    def get(self, key: tuple) -> Optional[object]:
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        self.entries.move_to_end(key)
-        return entry[1]
+    def get(self, key: tuple) -> Optional[_System]:
+        system = self.entries.get(key)
+        if system is not None:
+            self.entries.move_to_end(key)
+        return system
 
-    def put(self, key: tuple, value: object, cells: int) -> bool:
-        """Store `value`; False when it alone is above the bound."""
-        if cells > _PHASE_ONE_CELLS:
+    def put(self, system: _System, cells: int) -> bool:
+        """Count `cells` more pairs for `system`, new or stored, and store
+        it as the most recently used entry; False, with nothing stored or
+        counted, when it would go above the bound."""
+        if system.cells + cells > _SYSTEM_CELLS:
             return False
-        self.entries[key] = (cells, value)
+        system.cells += cells
         self.cells += cells
-        while self.cells > _PHASE_ONE_CELLS:
-            self.cells -= self.entries.popitem(last=False)[1][0]
+        self.entries[system.key] = system
+        self.entries.move_to_end(system.key)
+        while self.cells > _SYSTEM_CELLS:
+            self.cells -= self.entries.popitem(last=False)[1].cells
         return True
 
 
-_PHASE_ONE = _PhaseOneMemo()
+_SYSTEMS = _SystemMemo()
 
 
 def shared_program(name: str, build: Callable[..., LinearProgram], *fields: Hashable) -> LinearProgram:
@@ -526,16 +527,16 @@ def shared_program(name: str, build: Callable[..., LinearProgram], *fields: Hash
     variable, sign and row lists over the shared rows, which nothing
     changes in place: add_var, add_row, set_objective or a new `rows`
     change that program alone, and solve_exact and violated_rows use the
-    system's standard form only while the program's rows and sign
-    constraints are still the system's.
+    system's standard form and phase 1 only while the program's rows and
+    sign constraints are still the system's.
     """
     key = (build, *fields)
-    system = _PHASE_ONE.get(key)
+    system = _SYSTEMS.get(key)
     if system is None:
         template = build(*fields)
         form = _standard_form(template.rows, template.nonneg)
-        system = _System(template, form)
-        _PHASE_ONE.put(key, system, sum(len(row.coeffs) for row in template.rows) + form.cells())
+        system = _System(key, template, form)
+        _SYSTEMS.put(system, sum(len(row.coeffs) for row in template.rows) + form.cells())
     template = system.program
     return LinearProgram(
         name=name,
@@ -548,54 +549,52 @@ def shared_program(name: str, build: Callable[..., LinearProgram], *fields: Hash
     )
 
 
-def _feasible_tableau(form: _StandardForm, max_pivots: int) -> tuple[int, Optional[_Tableau]]:
+def _feasible_tableau(form: _StandardForm, system: Optional[_System], max_pivots: int) -> tuple[int, Optional[_Tableau]]:
     """(pivots so far, tableau in a feasible basis or None if there is
-    none) of the standard form `form`.
+    none) of `form`, the standard form of `system` or of no shared system.
 
-    Phase 1 never reads the objective, so its outcome is memoized by the
-    constraint system alone: form.key.  A hit returns a copy, as phase 2
-    updates rows in place, and raises PivotLimitError whenever the cold
-    run would have.
+    The phase 1 of a system is kept, and used, only while the memo stores
+    the system.  A hit returns a copy, as phase 2 updates rows in place,
+    and raises PivotLimitError whenever the cold run would have.
     """
-    key = form.key
-    found = _PHASE_ONE.get(key)
+    stored = system is not None and _SYSTEMS.get(system.key) is system
+    found = system.phase_one if stored else None
     if found is None:
-        tab = form.tableau()
-        found = _phase_one(tab, key[0], key[1], max_pivots)
-        stored = _PHASE_ONE.put(key, found, form.cells() + sum(map(len, found.rows or ())))
+        found = _phase_one(form.tableau(), form.art_base, form.total, max_pivots)
+        cells = sum(map(len, found.tab.rows)) if found.tab else 0
+        if not stored or not _SYSTEMS.put(system, cells):
+            return found.pivots, found.tab  # phase 2 goes on in phase 1's tableau
+        system.phase_one = found
     elif found.run_pivots > max_pivots:
         raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
-    else:
-        stored = True
-    if found.rows is None:
-        return found.pivots, None
-    if stored:
-        tab = _Tableau([dict(row) for row in found.rows], list(found.dens), list(found.basis))
-    return found.pivots, tab
+    return found.pivots, found.tab and found.tab.copy()
 
 
 def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
     """Solve to exact rational optimality (or report infeasible/unbounded).
 
-    Raises ValueError before the first pivot when the tableau would
-    exceed MAX_TABLEAU_CELLS.
+    Raises ValueError before any work for a negative `max_pivots`, and
+    before the first pivot when the tableau would exceed
+    MAX_TABLEAU_CELLS.
     """
     if lp.sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
+    if max_pivots < 0:
+        raise ValueError(f"max_pivots must be >= 0, got {max_pivots}")
     negate = lp.sense == "min"
 
-    form = lp._form()
-    art_base, total, _, lines = form.key
-    cells = len(lines) * total
+    form, system = lp._form()
+    art_base, total = form.art_base, form.total
+    cells = len(form.lines) * total
     if cells > MAX_TABLEAU_CELLS:
         raise ValueError(
-            f"program {lp.name!r} needs a {len(lines)} x {total} tableau ({cells} cells), "
+            f"program {lp.name!r} needs a {len(form.lines)} x {total} tableau ({cells} cells), "
             f"above the exact-solver budget {MAX_TABLEAU_CELLS}"
         )
     if art_base == total:  # no artificial column: the slack basis is feasible
         pivots, tab = 0, form.tableau()
     else:
-        pivots, tab = _feasible_tableau(form, max_pivots)
+        pivots, tab = _feasible_tableau(form, system, max_pivots)
         if tab is None:
             return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=pivots)
         total = art_base

@@ -368,21 +368,40 @@ def test_point_violating_only_the_stepwise_rows():
 
 # -- one constraint system per shape ----------------------------------------
 #
-# build_lp1 and build_lp2 share the variables, rows and standard form of one
-# constraint system per (form, |X|, |Y|, |S|, M, n, causal); the programs
-# differ only in name and objective, and solve as if built row by row.
+# build_lp1 and build_lp2 share the variables, rows, standard form and phase
+# 1 of one constraint system per (form, |X|, |Y|, |S|, M, n, causal); the
+# programs differ only in name and objective, and solve as if built row by
+# row.
 
 
 @contextmanager
 def fresh_memo():
-    """An empty memo (no shared system, no phase-1 outcome) for the block,
-    the module's own restored after."""
-    saved = simplex._PHASE_ONE
-    simplex._PHASE_ONE = memo = simplex._PhaseOneMemo()
+    """An empty memo (no shared system) for the block, the module's own
+    restored after.  A system stored in another memo is not stored in this
+    one, so its programs solve cold here and keep nothing."""
+    saved = simplex._SYSTEMS
+    simplex._SYSTEMS = memo = simplex._SystemMemo()
     try:
         yield memo
     finally:
-        simplex._PHASE_ONE = saved
+        simplex._SYSTEMS = saved
+
+
+@contextmanager
+def phase_one_runs():
+    """A list that grows by one entry per phase-1 run in the block."""
+    runs = []
+    run = simplex._phase_one
+
+    def counted(*args):
+        runs.append(args)
+        return run(*args)
+
+    simplex._phase_one = counted
+    try:
+        yield runs
+    finally:
+        simplex._phase_one = run
 
 
 def hand_built(lp: LinearProgram) -> LinearProgram:
@@ -431,11 +450,13 @@ def test_shared_programs_solve_as_hand_built_copies_cold_and_warm(build, channel
     assert all(a is b for a, b in zip(first.rows, second.rows)) and len(first.rows) == len(second.rows)
     expected = [outcome(solve_cold(hand_built(lp))) for lp in (first, second)]
     assert [outcome(solve_cold(lp)) for lp in (first, second)] == expected
-    with fresh_memo() as memo:
-        # the second program, and a hand-built copy of it, hit the first's phase 1
+    with fresh_memo() as memo, phase_one_runs() as runs:
+        first, second = (build(channel(seed), M=2, n=n, causal=causal) for seed in (1, 2))
+        # the second program hits the first's phase 1; a hand-built copy of
+        # it runs its own and keeps nothing
         warm = [outcome(solve_exact(lp)) for lp in (first, second, hand_built(second))]
         assert warm == [*expected, expected[1]]
-        assert len(memo.entries) == 1
+        assert len(runs) == 2 and list(memo.entries) == [first._system.key]
 
 
 def test_changing_one_shared_program_leaves_the_others_and_the_system():
@@ -460,7 +481,7 @@ def test_changing_one_shared_program_leaves_the_others_and_the_system():
         assert fresh._system is system and snapshot(fresh) == before
     # each changed program is solved from its own rows
     for lp in (grown, relaxed):
-        assert lp._form() is not form
+        assert lp._form()[0] is not form and lp._form()[1] is None
         assert outcome(solve_cold(lp)) == outcome(solve_cold(hand_built(lp)))
     assert solve_exact(relaxed).value == solve_exact(build_lp3_z0z1()).value == OPT_CAUSAL
     assert outcome(solve_cold(other)) == outcome(solve_cold(hand_built(other)))
@@ -479,24 +500,41 @@ def test_systems_and_phase_one_outcomes_share_one_bound(monkeypatch):
             if solve:
                 solve_exact(lp)
                 steps.append(list(memo.entries))
-            assert memo.cells == sum(cells for cells, _ in memo.entries.values()) <= bound
+            assert memo.cells == sum(system.cells for system in memo.entries.values()) <= bound
         return steps
 
-    with fresh_memo() as memo:
-        sweep(memo, simplex._PHASE_ONE_CELLS)
-        cells = {key: cells for key, (cells, _) in memo.entries.items()}
     systems = {M: (ns_lp._lp2_system, 2, 2, 2, M, 1, True) for M in (2, 3, 4)}
-    phase_one = {M: cells_key for M in (2, 3, 4) for cells_key in cells
-                 if cells_key not in systems.values() and cells_key[2][0] == M}
-    assert set(cells) == {*systems.values(), *phase_one.values()}
-    # room for all but one cell: the last phase-1 outcome evicts the least
-    # recently used entry, M = 2's phase 1 (its system was used again)
+    with fresh_memo() as memo:
+        sweep(memo, simplex._SYSTEM_CELLS)
+        # one entry per system, keyed by its builder and fields alone
+        assert list(memo.entries) == [systems[3], systems[2], systems[4]]
+        cells = {key: system.cells for key, system in memo.entries.items()}
+        for system in memo.entries.values():
+            template, tab = system.program, system.phase_one.tab
+            rows = sum(len(row.coeffs) for row in template.rows) + system.form.cells()
+            assert system.cells == rows + sum(map(len, tab.rows)) > rows
+    # room for all but one cell: keeping M = 4's phase 1 evicts the least
+    # recently used system, M = 3 (M = 2 was built again)
     bound = sum(cells.values()) - 1
-    monkeypatch.setattr(simplex, "_PHASE_ONE_CELLS", bound)
+    monkeypatch.setattr(simplex, "_SYSTEM_CELLS", bound)
     with fresh_memo() as memo:
         steps = sweep(memo, bound)
-    assert steps[-1] == [systems[3], phase_one[3], systems[2], systems[4], phase_one[4]]
-    assert steps[-2] == [phase_one[2], systems[3], phase_one[3], systems[2], systems[4]]
+    assert steps[-1] == [systems[2], systems[4]]
+    assert steps[-2] == [systems[3], systems[2], systems[4]]
+
+
+@pytest.mark.parametrize("make", [
+    build_lp4_z0z1,
+    lambda: dual_of(build_lp2(random_channel(1, 2, 3, 2), M=2, n=2)),
+    # a shared program whose rows changed
+    build_lp3_z0z1,
+], ids=["lp4", "dual-of-lp2", "lp3"])
+def test_hand_built_and_changed_programs_never_enter_the_memo(make):
+    lp = make()
+    with fresh_memo() as memo, phase_one_runs() as runs:
+        first, second = solve_exact(lp), solve_exact(lp)
+        assert not memo.entries and memo.cells == 0
+    assert outcome(first) == outcome(second) and len(runs) == 2
 
 
 def test_an_over_budget_program_is_refused_before_anything_is_built(monkeypatch):

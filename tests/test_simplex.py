@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from nscoding import simplex
 from nscoding.channels import builtin_z0z1, lift_csir
 from nscoding.ns_lp import build_lp1, build_lp2
-from nscoding.simplex import LinearProgram, PivotLimitError, SimplexSolution, solve_exact
-from test_ns_lp import fresh_memo, outcome, random_binary_channel, random_channel, solve_cold
+from nscoding.simplex import LinearProgram, PivotLimitError, SimplexSolution, shared_program, solve_exact
+from test_ns_lp import fresh_memo, outcome, phase_one_runs, random_binary_channel, random_channel, solve_cold
 
 F = Fraction
 
@@ -102,6 +103,13 @@ def test_degenerate_program_terminates_at_optimum():
 def test_pivot_limit_raises():
     with pytest.raises(PivotLimitError):
         solve_exact(beale_cycling_program(), max_pivots=1)
+
+
+@pytest.mark.parametrize("lp", [beale_cycling_program(), LinearProgram()], ids=["pivots", "no-pivot"])
+def test_a_negative_pivot_limit_is_refused_before_any_work(lp, monkeypatch):
+    monkeypatch.setattr(LinearProgram, "_form", None)  # no standard form is made
+    with pytest.raises(ValueError, match="max_pivots must be >= 0, got -1"):
+        solve_exact(lp, max_pivots=-1)
 
 
 def test_reruns_are_identical():
@@ -479,10 +487,10 @@ def test_assisted_programs_keep_the_sparse_form(build, ch, n, causal, monkeypatc
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_keep_the_sparse_form_after_a_memo_hit(build, ch, n, causal, monkeypatch):
-    lp = build(ch, M=2, n=n, causal=causal)
-    with fresh_memo() as memo:
+    with fresh_memo():
+        lp = build(ch, M=2, n=n, causal=causal)
         cold = solve_exact(lp)
-        ((_, found),) = memo.entries.values()
+        found = lp._system.phase_one
         pivots = count_checked_pivots(monkeypatch)
         warm = solve_exact(lp)
     # warm: only phase 2 pivots, and the count goes on from phase 1's
@@ -617,38 +625,61 @@ def test_integer_row_check_on_a_certificate_and_an_optimum():
 
 # -- the phase-1 memo ---------------------------------------------------------
 #
-# Phase 1 depends on the constraint system alone, so solve_exact keeps its
-# outcome by system.  A hit must reproduce the cold solve exactly: status,
-# value, vertex and every pivot counted.
+# Phase 1 depends on the constraint system alone, so a shared system keeps
+# its outcome.  A hit must reproduce the cold solve exactly: status, value,
+# vertex and every pivot counted.  Programs are built inside the memo under
+# test: a system stored in another memo solves cold in it.
+
+
+def spec_system(sense: str, nonneg: tuple, rows: tuple) -> LinearProgram:
+    """The variables and rows of a `small_programs` spec, rows given as
+    (coefficient items, relation, right-hand side)."""
+    lp = LinearProgram(sense=sense)
+    for j, flag in enumerate(nonneg):
+        lp.add_var(f"x{j}", nonneg=flag)
+    for coeffs, relation, rhs in rows:
+        lp.add_row(dict(coeffs), relation, rhs)
+    return lp
+
+
+def shared_spec_program(spec, objective: dict) -> LinearProgram:
+    """The program of a `small_programs` spec over the shared system of its
+    rows, under `objective` (indices outside the program dropped)."""
+    sense, nonneg, _, rows = spec
+    rows = tuple((tuple(coeffs.items()), relation, rhs) for coeffs, relation, rhs in rows)
+    lp = shared_program("spec", spec_system, sense, tuple(nonneg), rows)
+    return with_objective(lp, {j: c for j, c in objective.items() if j < len(nonneg)})
 
 
 def with_objective(lp: LinearProgram, objective: dict) -> LinearProgram:
-    """The program's rows and variables under another objective."""
-    other = LinearProgram(name=lp.name, sense=lp.sense, rows=lp.rows)
-    for name, flag in zip(lp.var_names, lp.nonneg):
-        other.add_var(name, nonneg=flag)
-    other.set_objective(objective)
-    return other
+    """`lp` under `objective` in place of its own."""
+    lp.set_objective(objective)
+    return lp
 
 
-def assert_warm_matches_cold(a: LinearProgram, b: LinearProgram) -> None:
-    """a and b share their rows; each order of solving them hits the memo
-    on the second solve and must give the cold results."""
-    cold_a, cold_b = outcome(solve_cold(a)), outcome(solve_cold(b))
-    for first, second, cold in ((a, b, cold_b), (b, a, cold_a)):
-        with fresh_memo() as memo:
-            solve_exact(first)
-            held = len(memo.entries)
-            assert outcome(solve_exact(second)) == cold
-            assert len(memo.entries) == held  # the second solve found the first's entry
+def assert_warm_matches_cold(make_a, make_b) -> None:
+    """make_a() and make_b() build programs of one shared system; in each
+    order of solving them the second solve hits the first's phase 1, when
+    there is one, and must give the cold results."""
+    cold_a, cold_b = outcome(solve_cold(make_a())), outcome(solve_cold(make_b()))
+    for first, second, cold in ((make_a, make_b, cold_b), (make_b, make_a, cold_a)):
+        with fresh_memo() as memo, phase_one_runs() as runs:
+            a, b = first(), second()
+            assert a._system is b._system and list(memo.entries) == [a._system.key]
+            solve_exact(a)
+            assert outcome(solve_exact(b)) == cold
+        form = a._system.form
+        assert len(runs) == (form.art_base < form.total)  # one run at most: the second solve hit
 
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_solve_alike_cold_and_warm(build, ch, n, causal):
-    lp = build(ch, M=2, n=n, causal=causal)
-    # the same rows, another objective: each coefficient times 1, 2 or 3
-    other = with_objective(lp, {j: c * (j % 3 + 1) for j, c in lp.objective.items()})
-    assert_warm_matches_cold(lp, other)
+    def other():
+        # the same rows, another objective: each coefficient times 1, 2 or 3
+        lp = build(ch, M=2, n=n, causal=causal)
+        return with_objective(lp, {j: c * (j % 3 + 1) for j, c in lp.objective.items()})
+
+    assert_warm_matches_cold(partial(build, ch, M=2, n=n, causal=causal), other)
 
 
 @settings(deadline=None, max_examples=150)
@@ -658,73 +689,77 @@ def test_assisted_programs_solve_alike_cold_and_warm(build, ch, n, causal):
     ({0: 1, 1: 1}, "==", F(-3, 2)), ({0: 1, 1: 1}, "==", F(-3, 2)), ({1: 2}, ">=", -5),
 ]), {1: -1})
 def test_small_programs_solve_alike_cold_and_warm(spec, objective):
-    sense, nonneg, first, rows = spec
-    lp = LinearProgram(sense=sense)
-    for j, flag in enumerate(nonneg):
-        lp.add_var(f"x{j}", nonneg=flag, objective=first.get(j, 0))
-    for coeffs, relation, rhs in rows:
-        lp.add_row(coeffs, relation, rhs)
-    assert_warm_matches_cold(lp, with_objective(lp, {j: c for j, c in objective.items() if j < len(nonneg)}))
+    assert_warm_matches_cold(lambda: shared_spec_program(spec, spec[2]), lambda: shared_spec_program(spec, objective))
 
 
-def equality_program(coeff, rhs) -> LinearProgram:
-    # max x + 2y  s.t.  x + coeff*y == rhs,  x <= 1: the equality needs an
-    # artificial, so phase 1 runs
+def _equality_system(coeff, rhs) -> LinearProgram:
+    # x + coeff*y == rhs,  x <= 1: the equality needs an artificial, so
+    # phase 1 runs
     lp = LinearProgram(sense="max")
-    x = lp.add_var("x", objective=1)
-    y = lp.add_var("y", objective=2)
+    x = lp.add_var("x")
+    y = lp.add_var("y")
     lp.add_row({x: 1, y: coeff}, "==", rhs)
     lp.add_row({x: 1}, "<=", 1)
     return lp
 
 
+def equality_program(coeff, rhs) -> LinearProgram:
+    """max x + 2y over the shared system of (coeff, rhs)."""
+    return with_objective(shared_program("eq", _equality_system, coeff, rhs), {0: 1, 1: 2})
+
+
 @pytest.mark.parametrize("a, b", [
     # only a right-hand side differs, over the same row denominators
-    (equality_program(1, 1), equality_program(1, 2)),
-    (equality_program(1, F(1, 3)), equality_program(1, F(2, 3))),
+    (partial(equality_program, 1, 1), partial(equality_program, 1, 2)),
+    (partial(equality_program, 1, F(1, 3)), partial(equality_program, 1, F(2, 3))),
     # only one coefficient differs
-    (equality_program(1, 1), equality_program(2, 1)),
-    (equality_program(F(1, 2), 1), equality_program(F(3, 2), 1)),
+    (partial(equality_program, 1, 1), partial(equality_program, 2, 1)),
+    (partial(equality_program, F(1, 2), 1), partial(equality_program, F(3, 2), 1)),
     # LP2 at M = 2 and M = 3: the right-hand sides 1/2 and 1/3
-    (build_lp2(builtin_z0z1(), M=2, n=1), build_lp2(builtin_z0z1(), M=3, n=1)),
+    (partial(build_lp2, builtin_z0z1(), M=2, n=1), partial(build_lp2, builtin_z0z1(), M=3, n=1)),
 ], ids=["rhs", "rhs-thirds", "coefficient", "coefficient-halves", "lp2-M2-M3"])
 def test_programs_with_different_rows_never_share_an_entry(a, b):
-    cold_a, cold_b = outcome(solve_cold(a)), outcome(solve_cold(b))
+    # a and b build their programs inside the memo under test
+    cold_a, cold_b = outcome(solve_cold(a())), outcome(solve_cold(b()))
     assert cold_a != cold_b
     for first, second, cold in ((a, b, cold_b), (b, a, cold_a)):
-        with fresh_memo() as memo:
-            solve_exact(first)
-            assert outcome(solve_exact(second)) == cold
-            assert len(memo.entries) == 2
+        with fresh_memo() as memo, phase_one_runs() as runs:
+            solve_exact(first())
+            assert outcome(solve_exact(second())) == cold
+            assert len(memo.entries) == 2 == len(runs)
 
 
 def test_a_hit_leaves_the_memo_as_it_was():
-    lp = build_lp2(random_channel(1, 2, 3, 2), M=2, n=2, causal=True)
-    def snapshot(found):
-        return [dict(row) for row in found.rows], list(found.dens), list(found.basis)
+    def snapshot(tab):
+        return [dict(row) for row in tab.rows], list(tab.dens), list(tab.basis)
 
-    with fresh_memo() as memo:
+    with fresh_memo() as memo, phase_one_runs() as runs:
+        lp = build_lp2(random_channel(1, 2, 3, 2), M=2, n=2, causal=True)
         sols = [outcome(solve_exact(lp))]
-        ((_, found),) = memo.entries.values()
-        stored = snapshot(found)
+        (system,) = memo.entries.values()
+        found, cells = system.phase_one, memo.cells
+        stored = snapshot(found.tab)
         sols += [outcome(solve_exact(lp)) for _ in range(2)]
-        assert snapshot(found) == stored
+        assert snapshot(found.tab) == stored
+        assert system.phase_one is found and memo.cells == cells == system.cells
+    assert len(runs) == 1  # both later solves hit
     assert sols[0][2] > found.pivots  # phase 2 pivots, on a copy
     assert sols == [sols[0]] * 3
 
 
-@pytest.mark.parametrize("lp", [
-    build_lp1(builtin_z0z1(), M=2, n=1),
-    build_lp1(random_binary_channel(2), M=2, n=1),
+@pytest.mark.parametrize("program", [
+    partial(build_lp1, builtin_z0z1(), M=2, n=1),
+    partial(build_lp1, random_binary_channel(2), M=2, n=1),
     # no phase-2 pivot: only the limit check on the hit itself can raise
-    with_objective(build_lp1(builtin_z0z1(), M=2, n=1), {}),
+    lambda: with_objective(build_lp1(builtin_z0z1(), M=2, n=1), {}),
 ], ids=["lp1-z0z1-n1", "lp1-binary#2-n1", "lp1-z0z1-n1-no-objective"])
-def test_a_hit_hits_the_pivot_limit_where_a_cold_solve_does(lp):
-    with fresh_memo() as memo:
+def test_a_hit_hits_the_pivot_limit_where_a_cold_solve_does(program):
+    with fresh_memo():
+        lp = program()
         full = solve_exact(lp)
-        ((_, found),) = memo.entries.values()
+        found = lp._system.phase_one
 
-    def attempt(max_pivots: int):
+    def attempt(lp, max_pivots: int):
         try:
             return outcome(solve_exact(lp, max_pivots=max_pivots))
         except PivotLimitError:
@@ -733,13 +768,16 @@ def test_a_hit_hits_the_pivot_limit_where_a_cold_solve_does(lp):
     limits = range(full.pivots + 1)
     cold = []
     for max_pivots in limits:
-        with fresh_memo() as memo:
-            cold.append(attempt(max_pivots))
-            # a phase-1 run that raised is not memoized
-            assert len(memo.entries) == (max_pivots >= found.run_pivots)
-    with fresh_memo():
+        with fresh_memo():
+            lp = program()
+            cold.append(attempt(lp, max_pivots))
+            # a phase-1 run that raised is not kept
+            assert (lp._system.phase_one is not None) == (max_pivots >= found.run_pivots)
+    with fresh_memo(), phase_one_runs() as runs:
+        lp = program()
         solve_exact(lp)
-        warm = [attempt(max_pivots) for max_pivots in limits]
+        warm = [attempt(lp, max_pivots) for max_pivots in limits]
+    assert len(runs) == 1  # every attempt hit
     assert warm == cold
     assert cold[0] == "limit" and cold[-1] == outcome(full)
     assert 0 < found.run_pivots < found.pivots <= full.pivots  # limits in phase 1, in the drive-out (unchecked) and in phase 2
@@ -747,51 +785,62 @@ def test_a_hit_hits_the_pivot_limit_where_a_cold_solve_does(lp):
 
 def test_an_infeasible_program_stays_infeasible_on_a_hit():
     # x + y == 1 and x + y == 2 after one phase-1 pivot or more
-    lp = LinearProgram(sense="max")
-    x = lp.add_var("x", objective=1)
-    y = lp.add_var("y", objective=1)
-    lp.add_row({x: 1, y: 1}, "==", 1)
-    lp.add_row({x: 1, y: 1}, "==", 2)
-    cold = solve_cold(lp)
+    spec = ("max", [True, True], {0: 1, 1: 1}, [({0: 1, 1: 1}, "==", 1), ({0: 1, 1: 1}, "==", 2)])
+    cold = solve_cold(shared_spec_program(spec, spec[2]))
     assert cold.status == "infeasible" and cold.pivots > 0
-    with fresh_memo() as memo:
+    with fresh_memo() as memo, phase_one_runs() as runs:
+        lp = shared_spec_program(spec, spec[2])
         solve_exact(lp)
-        assert len(memo.entries) == 1
-        assert outcome(solve_exact(lp)) == outcome(solve_exact(with_objective(lp, {y: -1}))) == outcome(cold)
+        assert len(memo.entries) == 1 and lp._system.phase_one.tab is None
+        other = shared_spec_program(spec, {1: -1})
+        assert outcome(solve_exact(lp)) == outcome(solve_exact(other)) == outcome(cold)
+    assert len(runs) == 1
 
 
 def test_memo_stays_within_its_cell_bound(monkeypatch):
     bound = 3000
-    monkeypatch.setattr(simplex, "_PHASE_ONE_CELLS", bound)
-    programs = [build(ch, M=2, n=n, causal=causal) for build, ch, n, causal in
-                (param.values for param in _assisted_programs())][:12]
+    monkeypatch.setattr(simplex, "_SYSTEM_CELLS", bound)
     stored, held = set(), 0
     with fresh_memo() as memo:
-        for lp in programs:
+        for build, ch, n, causal in [param.values for param in _assisted_programs()][:12]:
+            lp = build(ch, M=2, n=n, causal=causal)
             assert outcome(solve_exact(lp)) == outcome(solve_cold(lp))
-            assert memo.cells == sum(cells for cells, _ in memo.entries.values()) <= bound
+            assert memo.cells == sum(system.cells for system in memo.entries.values()) <= bound
             stored.update(memo.entries)
             held = max(held, len(memo.entries))
         assert 1 < held < len(stored)  # several systems at once, and evictions
 
 
 def test_memo_evicts_the_least_recently_used_system(monkeypatch):
-    a, b, c = (build_lp2(builtin_z0z1(), M=M, n=1) for M in (2, 3, 4))
+    def solve(M):
+        solve_exact(build_lp2(builtin_z0z1(), M=M, n=1))
+
     with fresh_memo() as memo:
-        for lp in (a, b, c):
-            solve_exact(lp)
-        (key_a, (cells_a, _)), (key_b, (cells_b, _)), (key_c, (cells_c, _)) = memo.entries.items()
+        for M in (2, 3, 4):
+            solve(M)
+        (key_a, a), (key_b, b), (key_c, c) = memo.entries.items()
     # room for any two of the three systems, not for all three
-    monkeypatch.setattr(simplex, "_PHASE_ONE_CELLS", cells_a + cells_b + cells_c - 1)
+    monkeypatch.setattr(simplex, "_SYSTEM_CELLS", a.cells + b.cells + c.cells - 1)
     with fresh_memo() as memo:
-        for lp in (a, b, a, c):  # a is used again after b, so b goes
-            solve_exact(lp)
+        for M in (2, 3, 2, 4):  # M = 2 is used again after M = 3, so M = 3 goes
+            solve(M)
         assert list(memo.entries) == [key_a, key_c]
 
 
 def test_a_system_above_the_bound_is_solved_but_not_stored(monkeypatch):
-    monkeypatch.setattr(simplex, "_PHASE_ONE_CELLS", 10)
-    lp = build_lp2(builtin_z0z1(), M=2, n=1)
+    def build():
+        return build_lp2(builtin_z0z1(), M=2, n=1)
+
     with fresh_memo() as memo:
-        assert outcome(solve_exact(lp)) == outcome(solve_exact(lp))
-        assert not memo.entries and memo.cells == 0
+        build()
+        (system,) = memo.entries.values()
+        rows = system.cells  # the system without its phase 1
+    # the system alone above the bound, then the system and its phase 1
+    for bound in (10, rows):
+        monkeypatch.setattr(simplex, "_SYSTEM_CELLS", bound)
+        with fresh_memo() as memo, phase_one_runs() as runs:
+            lp = build()
+            assert len(memo.entries) == (bound == rows)
+            assert outcome(solve_exact(lp)) == outcome(solve_exact(lp))
+            assert len(runs) == 2 and memo.cells == (rows if bound == rows else 0)
+            assert lp._system.phase_one is None
