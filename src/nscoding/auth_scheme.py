@@ -37,6 +37,7 @@ import numpy as np
 
 from .channels import ChannelWithState, block_law, state_block_count, state_blocks
 from .indexing import all_sequences, seq_to_index
+from .ns_lp import CONDITIONS, S_TAIL, X_TAIL, condition_views
 from .rational import as_rational, int_dtype, rational_ceil
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window
@@ -565,57 +566,41 @@ class ConditionReport:
         return not (self.c1 or self.c2 or self.c3 or self.combined)
 
 
-def _violations(head: str, names: Sequence[str], mask: np.ndarray, walk=None) -> list[str]:
-    """One label `head` + "name=index,..." + "]" per set cell of `mask`.
+# the condition axes as reports name them below i = n
+REPORT_AXES = ("x^i", "x tail", "wh", "w", "s^i", "tail", "y")
 
-    Cells are listed in lexicographic order over the axes taken in the
-    order `walk` (default: as stored); labels name the axes as stored.
-    """
-    walk = tuple(range(mask.ndim)) if walk is None else walk
-    cells = np.argwhere(mask.transpose(walk))[:, np.argsort(walk)]
-    return [
-        head + ",".join(f"{k}={v}" for k, v in zip(names, cell)) + "]"
-        for cell in cells.tolist()
-    ]
+
+def _violations(family: str, i: int, n: int, mask: np.ndarray) -> list[str]:
+    """One label per set cell of `mask`, `family`'s condition view at prefix
+    length i with its summed axes kept at size 1, listed with the compared
+    axes varying fastest.  Labels name the other axes in view order, the
+    prefixes as the whole blocks x and s (and no tails) at i = n."""
+    summed, compared, _ = CONDITIONS[family]
+    axes = [a for a in range(7) if a not in summed and (i < n or a not in (X_TAIL, S_TAIL))]
+    walk = sorted(range(len(axes)), key=lambda k: axes[k] in compared)
+    cells = np.argwhere(mask.reshape([mask.shape[a] for a in axes]).transpose(walk))[:, np.argsort(walk)]
+    head = f"{family}[" + (f"i={i}," if i < n else "")
+    names = [REPORT_AXES[a].removesuffix("^i") if i == n else REPORT_AXES[a] for a in axes]
+    return [head + ",".join(f"{k}={v}" for k, v in zip(names, cell)) + "]" for cell in cells.tolist()]
 
 
 def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
-    """Check the three invariance conditions exactly, on every cell.
-
-    The first: the guess marginal may not react to the output block.
-    The second: the input-block marginal may not react to the message or
-    the state block.  The third, for every split point i: the law of the
-    first i inputs may not react to states after the split — and,
-    combined with the second, not to the outputs either.
+    """Check the four families of `ns_lp.CONDITIONS` exactly, on every cell
+    at each of their prefix lengths (`combined` is implied by c1 and c3).
 
     Every check compares sums of cells for equality, which is the same
     on the integer numerators as on the rationals they stand for.
     """
-    z = tensor.numerators
-    n, m, ny = tensor.n, tensor.message_count, z.shape[4]
-    xk, sk = tensor.x_size, tensor.s_size
-
-    guess = z.sum(axis=1)  # (x, w, s, y)
-    c1 = _violations("c1[", ("x", "w", "s", "y"), guess != guess[..., :1])
-    inputs = z.sum(axis=0)  # (wh, w, s, y)
-    c2 = _violations(
-        "c2[", ("wh", "w", "s", "y"), inputs != inputs[:, :1, :1], walk=(0, 3, 1, 2)
-    )
-    c3, combined = [], []
-    for i in range(1, n):
-        head_x, tail_x = xk**i, xk ** (n - i)
-        head_s, tail_s = sk**i, sk ** (n - i)
-        # law of the first i inputs, jointly with the guess
-        g = z.reshape(head_x, tail_x, m, m, head_s, tail_s, ny).sum(axis=1)
-        c3 += _violations(
-            f"c3[i={i},", ("x^i", "wh", "w", "s^i", "tail", "y"),
-            g != g[:, :, :, :, :1], walk=(0, 1, 2, 3, 5, 4),
-        )
-        h = g.sum(axis=1)  # (head_x, w, head_s, tail_s, y)
-        combined += _violations(
-            f"combined[i={i},", ("x^i", "w", "s^i", "tail", "y"), h != h[:, :, :, :1, :1]
-        )
-    return ConditionReport(c1=c1, c2=c2, c3=c3, combined=combined)
+    found = {family: [] for family in CONDITIONS}
+    for family, (summed, _, _) in CONDITIONS.items():
+        for i, view, reference in condition_views(
+            family, tensor.numerators, tensor.n, tensor.x_size, tensor.s_size
+        ):
+            sums = view.sum(axis=summed, keepdims=True)
+            mask = sums != sums[reference]
+            if mask.any():
+                found[family] += _violations(family, i, tensor.n, mask)
+    return ConditionReport(**found)
 
 
 # -- success probability ----------------------------------------------------

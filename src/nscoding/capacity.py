@@ -329,13 +329,12 @@ def gp_noncausal_capacity(
 
 @dataclass
 class CapacityReport:
-    """The four assistance/causality cells, plus approximation flags."""
+    """The four assistance/causality cells and the assisted input law."""
 
     classical_causal: float
     classical_noncausal: float
     ns_causal: float
     ns_noncausal: float
-    classical_noncausal_is_lower_bound: bool = True
     ns_strategy: Optional[np.ndarray] = None
 
     def cells(self) -> dict[str, float]:

@@ -5,9 +5,8 @@ probability of assisted coding over a channel with state at block
 length n with M messages:
 
 * the full correlation program over variables z[x,wh,w,s,y]
-  (normalization, two marginal-invariance conditions, and — in the
-  causal case — per-prefix invariance of the input marginal under
-  future states), and
+  (normalization and the non-signaling conditions c1, c2 and, in the
+  causal case, c3), and
 * the reduced program over r[x,y,s] (diagonal weight) and q[x|s]
   (input marginal), which reaches the same optimum and is much smaller.
 
@@ -16,8 +15,11 @@ together with a generic LP dual, the binary-alphabet relaxation whose
 dual certifies the 13/16 bound, and a certificate point derived by
 solving that dual exactly.
 
-Reference instances of invariance rows (the cell a row compares
-against) are tautologies and are not emitted.
+The conditions are stated once, in `CONDITIONS`: per family, the axes of
+z summed and the axes along which the sums must equal their value at
+index 0.  The full program's rows, the reduced program's causality rows
+and `auth_scheme.verify_conditions` all read that table; a row against
+its own reference cell is a tautology and is not emitted.
 
 Only the objective depends on the channel.  The variables and rows of
 each program depend on (form, |X|, |Y|, |S|, M, n, causal) alone, are
@@ -76,28 +78,60 @@ def _variables(lp: LinearProgram, stem: str, *shape: int) -> np.ndarray:
     return np.arange(first, len(lp.var_names)).reshape(shape)
 
 
-def _same_sums(lp: LinearProgram, rows) -> None:
-    """Add `sum(cells) - sum(refs) == 0` for each (label, cells, refs) of 1-D index arrays."""
-    for label, cells, refs in rows:
-        coeffs = dict.fromkeys(cells.tolist(), ONE)
-        for j in refs.tolist():
-            coeffs[j] = ZERO if j in coeffs else MINUS_ONE
-        lp.add_row(coeffs, "==", ZERO, label)
+# -- the non-signaling conditions ---------------------------------------------
+
+# The axes of z[x, wh, w, s, y] with the input and state blocks split after
+# position i into a prefix and a tail (empty at i = n).
+X, X_TAIL, WH, W, S, S_TAIL, Y = range(7)
+
+# family: (summed axes, compared axes, at each 0 < i < n rather than at
+# i = n).  The sums of z over the summed axes must equal, in every cell,
+# the sum at index 0 along the compared axes.
+CONDITIONS = {
+    "c1": ((WH,), (Y,), False),  # the guess may not signal the output
+    "c2": ((X, X_TAIL), (W, S, S_TAIL), False),  # the input may not signal the message or the state
+    "c3": ((X_TAIL,), (S_TAIL,), True),  # the first i inputs may not see later states
+    "combined": ((X_TAIL, WH), (S_TAIL, Y), True),  # implied by c1 and c3; no LP row
+}
 
 
-def _prefixes(x_size: int, s_size: int, n: int):
-    """Yield (i, px, x blocks, state pairs) for each prefix length 0 < i < n.
+def condition_views(family: str, a: np.ndarray, n: int, x_size: int, s_size: int):
+    """Yield (i, view, reference) for each prefix length i of `family`: `a`,
+    shaped like z, viewed over the axes above, and the index that slices
+    its reference cells (index 0 along the compared axes) out at size 1."""
+    _summed, compared, per_prefix = CONDITIONS[family]
+    reference = tuple(slice(0, 1) if axis in compared else slice(None) for axis in range(7))
+    nx, m_hat, m, ns, ny = a.shape
+    for i in range(1, n) if per_prefix else (n,):
+        yield i, a.reshape(x_size**i, nx // x_size**i, m_hat, m, s_size**i, ns // s_size**i, ny), reference
 
-    The x blocks are the slice of blocks that start with the x-prefix px.
-    Each state pair (si, ref) couples a state block with the block that
-    shares its first i states and has the all-zero suffix; reference
-    blocks themselves are skipped.
-    """
-    for i in range(1, n):
-        sx, ss = x_size ** (n - i), s_size ** (n - i)
-        states = [(si, si - si % ss) for si in range(s_size**n) if si % ss]
-        for px in range(x_size**i):
-            yield i, px, slice(px * sx, (px + 1) * sx), states
+
+def _add_conditions(lp: LinearProgram, family: str, index: np.ndarray, n: int, x_size: int, s_size: int, label) -> None:
+    """Add `sum(cells) - sum(refs) == 0`, labelled `label(fields)`, for each
+    cell of `family` on the index array `index` (shaped like z) but the
+    reference cells, by prefix length, then row-major.  `fields` names the
+    cell: i and the input prefix px below i = n, else the input block x;
+    then wh, w, the whole state block s and y, where not summed."""
+    summed = CONDITIONS[family][0]
+    kept = [axis for axis in range(7) if axis not in summed]
+    for i, view, reference in condition_views(family, index, n, x_size, s_size):
+        at = dict(zip(kept, np.indices([view.shape[a] for a in kept]).reshape(len(kept), -1).tolist()))
+        if S in at:
+            at[S] = [s * view.shape[S_TAIL] + tail for s, tail in zip(at[S], at[S_TAIL])]
+        names = {X: "px" if i < n else "x", WH: "wh", W: "w", S: "s", Y: "y"}
+        columns = [(names[a], at[a]) for a in kept if a in names]
+        rows = zip(*(
+            v.transpose(*kept, *summed).reshape(len(at[kept[0]]), -1).tolist()
+            for v in (view, np.broadcast_to(view[reference], view.shape))
+        ))
+        for k, (cells, refs) in enumerate(rows):
+            if cells == refs:  # a cell is its own reference exactly when it has the same variables
+                continue
+            coeffs = dict.fromkeys(cells, ONE)
+            for j in refs:
+                coeffs[j] = ZERO if j in coeffs else MINUS_ONE
+            fields = {**({"i": i} if i < n else {}), **{name: v[k] for name, v in columns}}
+            lp.add_row(coeffs, "==", ZERO, label(fields))
 
 
 def _checked_shape(ch: ChannelWithState, M: int, n: int) -> tuple[int, int, int]:
@@ -120,26 +154,10 @@ def _lp1_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: b
                 cells = z[:, :, w, si, yi].ravel().tolist()
                 lp.add_row(dict.fromkeys(cells, ONE), "==", ONE, f"norm[w={w},s={si},y={yi}]")
 
-    # C1: the (x, w)-marginal over wh may not depend on y
-    _same_sums(lp, (
-        (f"c1[x={xi},w={w},s={si},y={yi}]", z[xi, :, w, si, yi], z[xi, :, w, si, 0])
-        for xi in range(nx) for w in range(M) for si in range(ns) for yi in range(1, ny)
-    ))
-    # C2: the wh-marginal over x may not depend on (w, s)
-    _same_sums(lp, (
-        (f"c2[wh={wh},w={w},s={si},y={yi}]", z[:, wh, w, si, yi], z[:, wh, 0, 0, yi])
-        for wh in range(M) for w in range(M) for si in range(ns) if (w, si) != (0, 0)
-        for yi in range(ny)
-    ))
-    # C3: for each prefix length i, the x-prefix marginal may not depend on
-    # the states after position i
-    if causal:
-        _same_sums(lp, (
-            (f"c3[i={i},px={px},wh={wh},w={w},s={si},y={yi}]",
-             z[xs, wh, w, si, yi], z[xs, wh, w, ref, yi])
-            for i, px, xs, states in _prefixes(x_size, s_size, n)
-            for wh in range(M) for w in range(M) for si, ref in states for yi in range(ny)
-        ))
+    # the non-signaling conditions; the causal program adds c3
+    for family in ("c1", "c2", "c3") if causal else ("c1", "c2"):
+        _add_conditions(lp, family, z, n, x_size, s_size,
+                        lambda f: f"{family}[{','.join(f'{k}={v}' for k, v in f.items())}]")
     return lp
 
 
@@ -184,19 +202,15 @@ def _lp2_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: b
                 coeffs = {int(r[xi, yi, si]): ONE, int(q[xi, si]): MINUS_ONE}
                 lp.add_row(coeffs, "<=", ZERO, f"rq[x={xi},y={yi},s={si}]")
 
-    # causality of the diagonal weight and of the input marginal; both row
-    # families descend from the per-prefix condition of the full program,
-    # so the non-causal variant drops both
+    # causality of the diagonal weight and of the input marginal: c3 on r
+    # and q read as z with one guess and one message.  q rides as one more
+    # output after r's, so each state's rcausal rows and its qcausal row come
+    # together; the non-causal variant drops both families
     if causal:
-        _same_sums(lp, (
-            row
-            for i, px, xs, states in _prefixes(x_size, s_size, n)
-            for si, ref in states
-            for row in [
-                *((f"rcausal[i={i},px={px},s={si},y={yi}]", r[xs, yi, si], r[xs, yi, ref])
-                  for yi in range(ny)),
-                (f"qcausal[i={i},px={px},s={si}]", q[xs, si], q[xs, ref]),
-            ]
+        rq = np.concatenate([r.transpose(0, 2, 1), q[:, :, None]], axis=2)[:, None, None]
+        _add_conditions(lp, "c3", rq, n, x_size, s_size, lambda f: (
+            f"rcausal[i={f['i']},px={f['px']},s={f['s']},y={f['y']}]" if f["y"] < ny
+            else f"qcausal[i={f['i']},px={f['px']},s={f['s']}]"
         ))
     return lp
 

@@ -40,6 +40,7 @@ from nscoding.channels import (
     state_blocks,
 )
 from nscoding.indexing import index_to_seq
+from nscoding.ns_lp import build_lp1
 from nscoding.type_mapping import map_with_budgets, placeholder
 from nscoding.typicality import jointly_typical
 from test_golden_reports import zero_probability_channel
@@ -607,6 +608,81 @@ def test_object_numerators_check_like_the_cell_loops():
         assert validate_message(tensor) == reference_validate_message(tensor)
     assert any(validate_message(t) is None for t in cases)
     assert any(not verify_conditions(t).all_pass() for t in cases)
+
+
+# -- scheme tensors as points of the full program --------------------------------
+
+
+def lp1_point(lp, tensor):
+    """The tensor's entries named as the full program's variables z[x,wh,w,s,y]."""
+    return dict(zip(lp.var_names, tensor.entries.flat))
+
+
+@pytest.mark.parametrize(
+    "ch, strategy, n, eps, m, expected",
+    [
+        (builtin_z0z1(), [[HALF, HALF]] * 2, 2, HALF, 2, (2, HALF)),
+        (builtin_z0z1(), [[HALF, HALF]] * 2, 3, HALF, 2, (2, HALF)),
+        (identity_channel(), UNIFORM2, 4, F(1, 4), None, (4, F(3, 4))),
+        (identity_channel(), UNIFORM2, 4, F(1, 4), 5, (5, F(3, 5))),  # lambda = 4/5
+    ],
+    ids=["z0z1-n2", "z0z1-n3", "identity-n4", "identity-n4-m5"],
+)
+def test_scheme_tensor_is_a_point_of_the_causal_full_program(ch, strategy, n, eps, m, expected):
+    scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
+    tensor = materialize_tensor(scheme)
+    lp = build_lp1(ch, tensor.message_count, n, causal=True)
+    point = lp1_point(lp, tensor)
+    assert lp.violated_rows(point) == []
+    value = lp.objective_value(point)
+    assert value == success_decomposition(scheme).success == success_probability(tensor, ch)
+    assert (tensor.message_count, value) == expected
+
+
+def test_toy_tensor_is_a_point_of_the_causal_full_program():
+    ch, tensor = builtin_product_xs(), auth_scheme.toy_product_scheme()
+    lp = build_lp1(ch, tensor.message_count, tensor.n, causal=True)
+    point = lp1_point(lp, tensor)
+    assert lp.violated_rows(point) == []
+    assert lp.objective_value(point) == success_probability(tensor, ch) == 1
+
+
+def test_mutated_tensors_fail_the_same_cells_in_the_program_and_the_checks():
+    # Mass moved between inputs or between guesses within one (wh, w, s, y)
+    # keeps every normalization sum but may go negative.
+    ch, n = builtin_z0z1(), 3
+    base = materialize_tensor(build_auth_scheme(ch, [[HALF, HALF]] * 2, n, HALF, message_count=2)).entries
+    lp = build_lp1(ch, 2, n, causal=True)
+
+    def program_c3(label):  # a report's c3 cell as the program labels it
+        i, hx, wh, w, hs, tail, y = map(int, re.findall(r"=(\d+)", label))
+        return f"c3[i={i},px={hx},wh={wh},w={w},s={hs * 2 ** (n - i) + tail},y={y}]"
+
+    seen = dict.fromkeys(("c1", "c2", "c3", "combined", "invalid", "pass"), 0)
+    for seed in range(100):
+        rng = random.Random(seed)
+        entries = base.copy()
+        for _ in range(rng.randint(1, 3)):
+            cell = [rng.randrange(d) for d in entries.shape]
+            other = list(cell)
+            axis = rng.choice((0, 1))
+            other[axis] = rng.randrange(entries.shape[axis])
+            mass = F(rng.randint(1, 6), 64)  # the entries are all 1/16
+            entries[tuple(cell)] += mass
+            entries[tuple(other)] -= mass
+        tensor = SchemeTensor.from_entries(2, n, 2, 2, 2, entries)
+        violated = lp.violated_rows(lp1_point(lp, tensor))
+        report = verify_conditions(tensor)
+        rows = {family: {v for v in violated if v.startswith(family + "[")} for family in ("c1", "c2", "c3")}
+        assert rows == {"c1": set(report.c1), "c2": set(report.c2), "c3": set(map(program_c3, report.c3))}
+        invalid = any(v.startswith(("norm[", "nonneg(")) for v in violated)
+        assert invalid == (validate_message(tensor) is not None)
+        assert not report.combined or report.c1 or report.c3  # combined never fails alone
+        for family in ("c1", "c2", "c3", "combined"):
+            seen[family] += bool(getattr(report, family))
+        seen["invalid"] += invalid
+        seen["pass"] += not violated
+    assert all(seen.values()), seen
 
 
 # -- acceptance table against the per-sequence test --------------------------------

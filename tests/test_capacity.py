@@ -205,7 +205,6 @@ def test_capacity_table_csir_lift_collapses():
     for v in cells:
         assert v == pytest.approx(log2(5 / 4), abs=1e-3)
     assert rep.ns_causal == rep.ns_noncausal
-    assert rep.classical_noncausal_is_lower_bound
 
 
 def test_capacity_table_ordering_z0z1():
