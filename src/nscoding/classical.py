@@ -11,12 +11,15 @@ tree walk instead of a second exponential enumeration.
 
 The search is exact integer arithmetic on `channels.block_law_array`:
 numerators over one denominator (int64 when no sum can overflow it,
-Python ints otherwise), and the optimum leaves as a Fraction.  Message-0
-branches are scored in array batches of at most _BATCH_CELLS cells, so
-numpy does the per-branch work and memory stays flat in the branch
-count.  Ties break toward the smallest message, then the earliest
-enumerated encoder, so results are deterministic (and identical for any
-batch size, and when the outer loop is chunked across processes).
+Python ints otherwise), and the optimum leaves as a Fraction.  Each piece
+of work is done once: the plain search scores each unordered pair of
+branches once, and the CSIR search reads every branch's advantages off
+one gain table built per (channel, n).  Message-0 branches are scored in
+array batches of at most _BATCH_CELLS cells, so numpy does the work and
+memory stays flat in the branch count.  Ties break toward the smallest
+message, then the earliest enumerated encoder, so results are
+deterministic (and identical for any batch size, and when the outer loop
+is chunked across processes).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -133,7 +136,8 @@ def _combine(branch0, branch1, x_size: int, s_size: int, n: int) -> Deterministi
 @dataclass(frozen=True)
 class _Law:
     """The block law as integers over one denominator, with the digit
-    places that read a branch's input block on every state block."""
+    places that read a branch's input block on every state block, and for
+    the CSIR search the gain table."""
 
     law: np.ndarray  # (S^n, |X|^n, |Y|^n)
     denominator: int
@@ -142,6 +146,7 @@ class _Law:
     x_size: int
     s_size: int
     n: int
+    gain: Optional[np.ndarray] = None  # (S^n, |X|^n, |X|^n): gain[s, x, x']
 
     def inputs(self, branches) -> np.ndarray:
         """Input-block index of each branch (an int or an array of them) on every state block."""
@@ -152,8 +157,23 @@ class _Law:
         return self.law[np.arange(self.law.shape[0]), self.inputs(branches)]
 
 
-def _block_law(ch: ChannelWithState, n: int) -> _Law:
-    """`block_law_array` in the dtype its sums need, with the digit places."""
+def _block_law(ch: ChannelWithState, n: int, csir: bool = False) -> _Law:
+    """`block_law_array` in the dtype its sums need, with the digit places;
+    with `csir`, also the gain table
+
+        gain[s, x, x'] = sum_y (law[s, x, y] - law[s, x', y])^+,
+
+    message 1's advantage on state block s when it sends x where message 0
+    sends x'.  It is built in slices of x', each intermediate of at most
+    max(_BATCH_CELLS, law cells) cells, in the law's dtype: an entry is at
+    most the denominator, so the law's overflow rule covers it.
+
+    It needs no cap of its own: its S^n |X|^2n cells are at most the CSIR
+    work estimate over |Y|^n, branches * state blocks * |X|^n.  With
+    |X| >= 2 there are |X|^(sum_j |S|^j) >= |X|^(|S|^n + n - 1) >= S^n |X|^n
+    branches, for block sources too; with |X| = 1 its S^n cells are the
+    law's over |Y|^n.
+    """
     law, den = block_law_array(ch, n)
     law = law.astype(int_dtype(den, law.size), copy=False)
     # a branch lists its position-j slots after those of positions 1..j-1
@@ -161,7 +181,12 @@ def _block_law(ch: ChannelWithState, n: int) -> _Law:
     offsets = np.cumsum([0] + _slot_sizes(ch.s_size, n)[:-1])
     digits = np.stack([offsets[j] + si // ch.s_size ** (n - 1 - j) for j in range(n)], axis=1)
     place = ch.x_size ** np.arange(n - 1, -1, -1)
-    return _Law(law, den, ch.x_size**digits, place, ch.x_size, ch.s_size, n)
+    gain = None
+    if csir:
+        gain = np.empty(law.shape[:2] + law.shape[1:2], dtype=law.dtype)
+        for lo, hi in _batches(0, law.shape[1], law.size):
+            gain[:, :, lo:hi] = np.maximum(law[:, :, None] - law[:, None, lo:hi], 0).sum(axis=-1)
+    return _Law(law, den, ch.x_size**digits, place, ch.x_size, ch.s_size, n, gain)
 
 
 def _batches(start: int, stop: int, cells: int):
@@ -177,14 +202,17 @@ def _batches(start: int, stop: int, cells: int):
 def _best_pair_plain(law: _Law, branch_count: int) -> tuple[int, int, int]:
     """(max over (i, k) of sum_y max(a_i, a_k), i, k), the first maximizer in
     row-major order, where a_i is branch i's output weight summed over states.
-    Rows i run in blocks, each scored against every k at once."""
-    weights = law.rows(np.arange(branch_count)).sum(axis=1)
+    The sum is symmetric in (i, k), so the first maximizer has i <= k: rows
+    i run in blocks [lo, hi), each scored against every k >= lo at once.
+    The weights are laid out y-major, so the max and the sum over y run on
+    whole (i, k) planes rather than along a short last axis."""
+    weights = np.ascontiguousarray(law.rows(np.arange(branch_count)).sum(axis=1).T)
     best = None
     for lo, hi in _batches(0, branch_count, weights.size):
-        totals = np.maximum(weights[lo:hi, None, :], weights).sum(axis=2)
+        totals = np.maximum(weights[:, lo:hi, None], weights[:, None, lo:]).sum(axis=0)
         i, k = np.unravel_index(np.argmax(totals), totals.shape)
         if best is None or totals[i, k] > best[0]:
-            best = (totals[i, k], lo + int(i), int(k))
+            best = (totals[i, k], lo + int(i), lo + int(k))
     return best
 
 
@@ -193,21 +221,25 @@ def _best_pair_plain(law: _Law, branch_count: int) -> tuple[int, int, int]:
 
 def _response_levels(law: _Law, branches) -> list[np.ndarray]:
     """Best responses of message 1 to message-0 branches (an int or an
-    array of them, whose shape leads every level), level by level.
+    array of them, whose shape trails every level), level by level.
 
     The total positive advantage sum over (s, y) of (b - a)^+ splits per
     state block, and a branch's inputs on a block are its decisions along
     the block's prefixes, so the maximization is a walk over the
     state-prefix tree: levels[j] has axes (s_1..s_j, x_1..x_j) and holds the
-    best advantage below s^j with x^j fixed, levels[0] the total.  Blocks
-    of probability 0 are all zero, so they add nothing.
+    best advantage below s^j with x^j fixed, levels[0] the total.  The
+    leaves gather the gain table's columns at the branch's inputs, with
+    the branches last, so each reduction runs on whole planes of them.
+    Blocks of probability 0 are all zero, so they add nothing.
     """
-    a = law.rows(branches)
-    advantage = np.maximum(law.law - a[..., None, :], 0).sum(axis=-1)
-    levels = [advantage.reshape(a.shape[:-2] + (law.s_size,) * law.n + (law.x_size,) * law.n)]
+    inputs = law.inputs(branches)
+    blocks, x_blocks = law.gain.shape[:2]
+    columns = inputs.reshape(-1, blocks).T[:, None]  # (S^n, 1, branches)
+    advantage = law.gain[np.arange(blocks)[:, None, None], np.arange(x_blocks)[:, None], columns]
+    levels = [advantage.reshape((law.s_size,) * law.n + (law.x_size,) * law.n + inputs.shape[:-1])]
     for j in range(law.n, 0, -1):
-        # once x_j is maxed out, s_j is followed by the j - 1 axes x_1..x_{j-1}
-        levels.append(levels[-1].max(axis=-1).sum(axis=-j))
+        # max out x_j (axis 2j - 1), then sum over s_j (axis j - 1)
+        levels.append(levels[-1].max(axis=2 * j - 1).sum(axis=j - 1))
     return levels[::-1]
 
 
@@ -227,10 +259,10 @@ def _best_response_branch(law: _Law, levels: list[np.ndarray]) -> tuple[tuple[in
 
 def _csir_chunk(args):
     """(best total advantage, first branch reaching it) over [start, stop),
-    scored a batch of branches at a time."""
+    scored a batch of branches at a time, S^n |X|^n gain cells each."""
     law, start, stop = args
     best = None
-    for lo, hi in _batches(start, stop, law.law.size):
+    for lo, hi in _batches(start, stop, law.gain[:, :, 0].size):
         totals = _response_levels(law, np.arange(lo, hi))[0]
         k = int(np.argmax(totals))
         if best is None or totals[k] > best[0]:
@@ -238,13 +270,13 @@ def _csir_chunk(args):
     return best
 
 
-def _check_work(*factors: tuple[int, int]) -> None:
-    """Refuse an instance whose estimated work, the product of base ** exponent
-    over `factors`, exceeds SEARCH_WORK_CAP.  The product is built only when
-    it may be within the cap; a larger one is reported by its power of two."""
-    log2 = sum(exponent * math.log2(base) for base, exponent in factors)
+def _check_work(log2: float, count: Callable[[], int]) -> None:
+    """Refuse an instance whose estimated work exceeds SEARCH_WORK_CAP.
+    `log2` is the work's base-2 logarithm and `count()` the work itself,
+    called only when it may be within the cap; a larger work is reported
+    by its power of two."""
     big = log2 > SEARCH_WORK_CAP.bit_length() + 1
-    work = f"about 2^{round(log2)}" if big else math.prod(b**e for b, e in factors)
+    work = f"about 2^{round(log2)}" if big else count()
     if big or work > SEARCH_WORK_CAP:
         raise ValueError(f"estimated work {work} exceeds the cap {SEARCH_WORK_CAP} for this instance")
 
@@ -284,15 +316,19 @@ def classical_opt_success(
     if M != 2:
         raise ValueError(f"the exhaustive search supports M in {{1, 2}}, got {M}")
     blocks = state_block_count(ch, n)
+    log_x, log_y = math.log2(ch.x_size), math.log2(ch.y_size)
     # the law array spans every state block, so it must fit under the cap first
-    _check_work((ch.s_size, n), (ch.x_size, n), (ch.y_size, n))
+    cells = ch.s_size * ch.x_size * ch.y_size
+    _check_work(n * math.log2(cells), lambda: cells**n)
     digits = sum(_slot_sizes(ch.s_size, n))  # there are |X| ** digits branches
     if csir:  # branches * state blocks * |X|^n * |Y|^n
-        _check_work((ch.x_size, digits), (blocks, 1), (ch.x_size, n), (ch.y_size, n))
-    else:  # branches^2 * |Y|^n
-        _check_work((ch.x_size, 2 * digits), (ch.y_size, n))
+        _check_work((digits + n) * log_x + math.log2(blocks) + n * log_y,
+                    lambda: ch.x_size ** (digits + n) * blocks * ch.y_size**n)
+    else:  # the pairs i <= k of the b branches, b (b + 1) / 2, times |Y|^n
+        _check_work(2 * digits * log_x - 1 + n * log_y,
+                    lambda: ch.x_size**digits * (ch.x_size**digits + 1) // 2 * ch.y_size**n)
     branch_count = _branch_count(ch.x_size, ch.s_size, n)
-    law = _block_law(ch, n)
+    law = _block_law(ch, n, csir)
     if not csir:
         value, i, k = _best_pair_plain(law, branch_count)
         encoder = _combine(

@@ -260,24 +260,32 @@ class _Tableau:
         self.basis = basis
         self.obj: dict[int, int] = {}
         self.obj_den = 1
+        # (column, the rows that store it), left by `leaving` for the next pivot
+        self.column_rows: Optional[tuple[int, list[int]]] = None
 
     def copy(self) -> _Tableau:
         """Its rows, denominators and basis, copied for a phase 2 of its own."""
         return _Tableau([dict(row) for row in self.rows], list(self.dens), list(self.basis))
 
     def pivot(self, row: int, col: int) -> None:
-        """Make `col` basic in `row`."""
-        prow, den = self.rows[row], self.dens[row]
+        """Make `col` basic in `row`, eliminating it from the rows that store
+        it: those `leaving(col)` found, or, for a drive-out pivot, a scan."""
+        rows, dens = self.rows, self.dens
+        found, self.column_rows = self.column_rows, None
+        if found is not None and found[0] == col:
+            hits = found[1]
+        else:
+            hits = [i for i, other in enumerate(rows) if col in other]
+        prow, den = rows[row], dens[row]
         piv = prow[col]
         if piv != den:  # the pivot element is not 1
             if piv < 0:  # phase-1 drive-out pivots may be negative
                 prow, piv = {j: -v for j, v in prow.items()}, -piv
             prow, piv = _reduce(prow, piv)
-            self.rows[row], self.dens[row] = prow, piv
-        rows, dens = self.rows, self.dens
-        for i, other in enumerate(rows):
-            if col in other and i != row:
-                rows[i], dens[i] = _eliminate(other, dens[i], prow, col)
+            rows[row], dens[row] = prow, piv
+        for i in hits:
+            if i != row:
+                rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, col)
         self.basis[row] = col
 
     def set_objective(self, cost: dict[int, int], den: int) -> None:
@@ -303,13 +311,18 @@ class _Tableau:
         """Minimum ratio rhs/a over a > 0, ties to the lowest basis index.
 
         A row's denominator cancels in its ratio, and the ratios compare
-        by cross-multiplication.
+        by cross-multiplication.  The rows that store `col` are kept in
+        `column_rows` for the pivot that follows.
         """
         best_rhs = best_a = 0
         best_row = None
         basis = self.basis
+        hits = []
         for i, row in enumerate(self.rows):
-            a = row.get(col, 0)
+            a = row.get(col)
+            if a is None:
+                continue
+            hits.append(i)
             if a > 0:
                 rhs = row.get(RHS, 0)
                 if best_row is None:
@@ -318,6 +331,7 @@ class _Tableau:
                 cross, best_cross = rhs * best_a, best_rhs * a  # rhs/a against best_rhs/best_a
                 if cross < best_cross or (cross == best_cross and basis[i] < basis[best_row]):
                     best_rhs, best_a, best_row = rhs, a, i
+        self.column_rows = (col, hits)
         return best_row
 
     def run(self, ncols: int, max_pivots: int, pivots_done: int, stop_at_zero: bool = False) -> tuple[str, int]:

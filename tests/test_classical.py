@@ -26,6 +26,7 @@ from nscoding.channels import (
     builtin_z0z1,
     lift_csir,
     make_channel,
+    state_block_count,
     state_blocks,
 )
 from nscoding.classical import (
@@ -186,6 +187,16 @@ def test_work_cap_rejects_large_instances(monkeypatch):
     single = make_channel(kernel=[[[1]], [[1]]], state_dist=[F(1, 2), F(1, 2)], block_state=atom)
     with pytest.raises(ValueError, match="estimated work 32 exceeds"):
         classical_opt_success(single, 2, 5)
+
+
+def test_plain_work_counts_the_pairs_i_at_most_k(monkeypatch):
+    # z0z1 at n = 1: b = 4 branches, so 4 * 5 / 2 = 10 pairs of 2 outputs
+    # (the law array has 8 cells)
+    monkeypatch.setattr(classical, "SEARCH_WORK_CAP", 19)
+    with pytest.raises(ValueError, match="estimated work 20 exceeds"):
+        classical_opt_success(builtin_z0z1(), 2, 1)
+    monkeypatch.setattr(classical, "SEARCH_WORK_CAP", 20)
+    assert classical_opt_success(builtin_z0z1(), 2, 1)[0] == F(1, 2) + F(1, 4)
 
 
 def test_more_than_two_messages_rejected():
@@ -390,10 +401,10 @@ def test_integer_search_matches_the_fraction_search(name, ch, n, modes):
 
 def _batch_cells(ch, n, csir, per_batch):
     """A `_BATCH_CELLS` under which one batch holds `per_batch` message-0
-    branches: law[s, x, y] cells each with CSIR, every branch's output
-    weights per row of the plain search."""
+    branches: gain[s, x, x'] cells of one x' per state block each with
+    CSIR, every branch's output weights per row of the plain search."""
     if csir:
-        cells = (ch.s_size * ch.x_size * ch.y_size) ** n
+        cells = (ch.s_size * ch.x_size) ** n
     else:
         cells = classical._branch_count(ch.x_size, ch.s_size, n) * ch.y_size**n
     return per_batch * cells
@@ -409,6 +420,13 @@ def test_batch_size_does_not_move_the_witness(monkeypatch, per_batch, name, ch, 
         ref_value, ref_witness = _reference_search(ch, n, csir)
         assert value == ref_value
         assert witness.tables == ref_witness.tables
+        if csir:  # two chunks, each handed the gain table with the law
+            started = []
+            with monkeypatch.context() as m:
+                m.setattr(classical, "ProcessPoolExecutor", serial_pool(started))
+                m.setattr(classical.os, "cpu_count", lambda: 2)
+                assert classical_opt_success(ch, 2, n, csir=csir, workers=2) == (value, witness)
+            assert started == [2]
 
 
 _CONSTANT_TWO_STATE = make_channel(
@@ -441,8 +459,9 @@ def test_chunks_of_short_batches_match_one_worker(monkeypatch, ch):
 def test_csir_search_memory_does_not_grow_with_the_branch_count():
     ch, n = _random_channel(0, 2, 2, 3), 2
     assert classical._branch_count(ch.x_size, ch.s_size, n) == 4096
-    law = classical._block_law(ch, n).law
-    bound = law.nbytes + 4 * classical._BATCH_CELLS * law.itemsize
+    tables = classical._block_law(ch, n, csir=True)
+    law = tables.law
+    bound = law.nbytes + tables.gain.nbytes + 4 * classical._BATCH_CELLS * law.itemsize
     # scoring every branch at once would take a law-sized array per branch
     assert 4096 * law.nbytes > 8 * bound
     tracemalloc.start()
@@ -528,3 +547,85 @@ def test_block_law_array_checks_the_block_length():
         block_law_array(_BLOCK_SOURCE_WITH_ZERO_ATOM, 3)
     with pytest.raises(ValueError, match="n must be"):
         block_law_array(builtin_z0z1(), 0)
+
+
+# -- the gain table and the pair scan, against the direct formulas --------------
+
+
+def reference_response_levels(law, branches):
+    """The levels of `_response_levels` from sum_y (law[s, x, y] - a[s, y])^+
+    over the whole law, a being the branch's rows, scored with the branch
+    axes first and then moved last."""
+    a = law.rows(branches)
+    advantage = np.maximum(law.law - a[..., None, :], 0).sum(axis=-1)
+    levels = [advantage.reshape(a.shape[:-2] + (law.s_size,) * law.n + (law.x_size,) * law.n)]
+    for j in range(law.n, 0, -1):
+        levels.append(levels[-1].max(axis=-1).sum(axis=-j))
+    lead = a.ndim - 2
+    return [np.moveaxis(np.asarray(level), range(lead), range(-lead, 0)) for level in levels[::-1]]
+
+
+_ZERO_STATE_LETTER = dict(_LAW_CHANNELS)["zero-probability state letter"]
+_GAIN_CASES = [
+    *((name, ch, n) for name, ch, n, _modes in DIFFERENTIAL_CASES),
+    *((f"zero-probability state letter n={n}", _ZERO_STATE_LETTER, n) for n in (1, 2)),
+    ("block source with a zero atom", _BLOCK_SOURCE_WITH_ZERO_ATOM, 2),
+]
+
+
+@pytest.mark.parametrize("name, ch, n", _GAIN_CASES, ids=[c[0] for c in _GAIN_CASES])
+def test_gain_table_levels_equal_the_direct_formula(name, ch, n):
+    law = classical._block_law(ch, n, csir=True)
+    assert law.gain.dtype == law.law.dtype
+    count = classical._branch_count(ch.x_size, ch.s_size, n)
+    for branches in (np.arange(count), count - 1, np.array([[0, count - 1], [count // 2, 1]])):
+        levels = classical._response_levels(law, branches)
+        expected = reference_response_levels(law, branches)
+        assert len(levels) == len(expected) == n + 1
+        for level, ref in zip(levels, expected):
+            level, ref = np.asarray(level), np.asarray(ref)  # the total of one branch is a scalar
+            assert level.shape == ref.shape and level.dtype == ref.dtype
+            assert np.array_equal(level, ref)
+
+
+@pytest.mark.parametrize("name, ch, n", _LAW_CASES, ids=[f"{c[0]} n={c[2]}" for c in _LAW_CASES])
+def test_gain_table_stays_within_the_csir_work_over_the_outputs(name, ch, n):
+    # gain[s, x, x'] has S^n |X|^2n cells; the search admits branches *
+    # state blocks * |X|^n * |Y|^n of work
+    gain = classical._block_law(ch, n, csir=True).gain
+    work = (
+        classical._branch_count(ch.x_size, ch.s_size, n)
+        * state_block_count(ch, n)
+        * (ch.x_size * ch.y_size) ** n
+    )
+    assert gain.shape == (ch.s_size**n, ch.x_size**n, ch.x_size**n)
+    assert gain.size <= work // ch.y_size**n
+
+
+def reference_best_pair(law, branch_count):
+    """(value, i, k) of the first row-major maximizer of sum_y max(a_i, a_k)
+    over the full square of branch pairs."""
+    weights = law.rows(np.arange(branch_count)).sum(axis=1)
+    totals = np.maximum(weights[:, None, :], weights).sum(axis=2)
+    i, k = np.unravel_index(np.argmax(totals), totals.shape)
+    return totals[i, k], int(i), int(k)
+
+
+_PAIR_CASES = [
+    *((name, ch, n) for name, ch, n, modes in DIFFERENTIAL_CASES if False in modes),
+    ("constant two-state", _CONSTANT_TWO_STATE, 2),
+]
+
+
+@pytest.mark.parametrize("per_batch", [1, 3, None])
+@pytest.mark.parametrize("name, ch, n", _PAIR_CASES, ids=[c[0] for c in _PAIR_CASES])
+def test_pair_scan_over_k_at_least_i_matches_the_full_square(monkeypatch, per_batch, name, ch, n):
+    if per_batch is not None:
+        monkeypatch.setattr(classical, "_BATCH_CELLS", _batch_cells(ch, n, False, per_batch))
+    law = classical._block_law(ch, n)
+    count = classical._branch_count(ch.x_size, ch.s_size, n)
+    value, i, k = classical._best_pair_plain(law, count)
+    assert (value, i, k) == reference_best_pair(law, count)
+    assert i <= k
+    if name == "constant two-state":  # every pair ties
+        assert (i, k) == (0, 0)

@@ -511,6 +511,7 @@ def test_console_script_entry_point():
     ("one-output", 12, ["--csir"]),
     ("z0z1", 40, []),
     ("z0z1", 40, ["--csir"]),
+    ("z0z1", 3, []),
 ])
 def test_oversize_search_is_one_error_line_within_a_second(tmp_path, channel, n, mode):
     # the one-output channel passes the law-array check with 2^24 cells;

@@ -211,6 +211,24 @@ def test_tableau_cell_budget_counts_every_column(monkeypatch):
         solve_exact(lp)
 
 
+def test_a_pivot_eliminates_in_the_rows_leaving_found_for_its_column():
+    # x sits in all three rows, y in the first two; column 0 is x
+    lp = two_var_max()
+    lp.add_row({0: 1}, "<=", 5, label="cap3")
+    form = simplex._standard_form(lp.rows, lp.nonneg)
+    found, scanned, stale = form.tableau(), form.tableau(), form.tableau()
+    row = found.leaving(0)
+    assert (row, found.column_rows) == (0, (0, [0, 1, 2]))
+    stale.leaving(1)  # the rows of another column: the pivot scans for its own
+    assert stale.column_rows == (1, [0, 1])
+    for tab in (found, scanned, stale):
+        tab.pivot(row, 0)
+        assert tab.column_rows is None
+        assert all(0 not in r for i, r in enumerate(tab.rows) if i != row)
+    assert found.rows == scanned.rows == stale.rows
+    assert found.dens == scanned.dens == stale.dens and found.basis == scanned.basis == stale.basis == [0, 3, 4]
+
+
 # -- differential test: the integer-row tableau against the Fraction one -----
 #
 # The reference below is the dense Fraction tableau the solver used before
