@@ -35,6 +35,7 @@ HALF = F(1, 2)
 
 SIMULATE = ["scheme", "simulate", "--channel"]
 MC = ["--mode", "mc", "--samples", "2000"]
+LP_SOLVE = ["lp", "solve", "--channel", "z0z1", "--solution"]
 
 CLI_CASES = {
     "toy": ["toy"],
@@ -69,6 +70,10 @@ CLI_CASES = {
     "classical-z0z1-n1-csir": ["classical", "--channel", "z0z1", "--M", "2", "--n", "1", "--csir"],
     "classical-z0z1-n2": ["classical", "--channel", "z0z1", "--M", "2", "--n", "2"],
     "classical-z0z1-n2-csir": ["classical", "--channel", "z0z1", "--M", "2", "--n", "2", "--csir"],
+    "lp-z0z1-M2-n2": LP_SOLVE + ["--M", "2", "--n", "2"],
+    "lp-z0z1-M3-n2": LP_SOLVE + ["--M", "3", "--n", "2"],
+    "lp1-z0z1-M2-n2": LP_SOLVE + ["--form", "lp1", "--M", "2", "--n", "2"],
+    "lp-z0z1-M2-n3-noncausal": LP_SOLVE + ["--M", "2", "--n", "3", "--noncausal"],
 }
 
 
