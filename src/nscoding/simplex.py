@@ -10,12 +10,16 @@ bit-identical.
 Each tableau row, and the objective row, is a dict {column: numerator}
 of Python ints that stores no zeros, with the right-hand side under the
 key RHS, over one positive denominator of its own, divided by their gcd
-after every update.  Every tableau operation walks only stored entries:
-pricing compares the objective's integer numerators, the ratio test
-cross-multiplies (a row's denominator cancels in its ratio), and a pivot
-updates the rows that store the pivot column at the pivot row's stored
-columns.  `Fraction` appears only at the boundary: the program's
-coefficients going in, the optimum and the assignment coming out.
+after every update (a row over denominator 1 is reduced already, and
+most rows of the assisted-success programs are).  Every tableau
+operation walks only stored entries: pricing makes one pass over the
+objective's integer numerators, the ratio test cross-multiplies (a row's
+denominator cancels in its ratio), and a pivot reads the pivot row's
+stored entries once and updates, with them, the rows that store the
+pivot column and the objective row; one row update, `_eliminate`, serves
+pivots, the objective row and the pricing of a new objective.
+`Fraction` appears only at the boundary: the program's coefficients
+going in, the optimum and the assignment coming out.
 
 A program's integer standard form (free variables split, right-hand
 sides made nonnegative, slack and artificial columns, each row over its
@@ -37,9 +41,13 @@ memo keyed by (build, *fields) under one bound, _SYSTEM_CELLS (column,
 value) pairs.  A one-shot run builds and solves each system once and
 gains nothing from it.
 
-Solutions are re-checked row by row against the original program, in
-integers (each row of the standard form against the point over its
-common denominator), before they are returned.
+The optimum is read off the final tableau as integers over one common
+denominator, reduced, which is the point `violated_rows` makes of the
+returned assignment.  Before anything is returned it is checked in those
+integers by the row check `violated_rows` uses: every row of the
+standard form, every sign constraint, and the objective row's value
+against the objective at the point.  `Fraction`s are built only for the
+value and the nonzero variables returned.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import Callable, Hashable, Mapping, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from .rational import as_rational
 
@@ -171,30 +179,37 @@ class LinearProgram:
         return Fraction(total, lcm * d)
 
     def violated_rows(self, assignment: Mapping[str, object]) -> list[str]:
-        """Labels of all rows (and sign constraints) the point violates.
+        """Labels of all rows (and sign constraints) the point violates."""
+        return self._violations(self._form()[0], *self._point(assignment))
 
-        Each row is checked in integers, in its standard form: the point's
-        numerators in the structural columns, zero in the slack and
-        artificial ones, and minus its common denominator against the
-        right-hand side give the row's residual times a positive factor.
+    def _violations(
+        self, form: _StandardForm, nums: list[int], d: int, objective: Optional[tuple[int, ...]] = None
+    ) -> list[str]:
+        """Labels of the rows and sign constraints that the point nums/d
+        (numerators by variable, common denominator d > 0) violates, then
+        "objective" if the point is off `objective`, a line over the
+        standard-form columns read as an equality.
+
+        Each row is checked in integers, in its standard form `form`: the
+        point's numerators in the structural columns, zero in the slack
+        and artificial ones, and minus d against the right-hand side give
+        the row's residual times a positive factor.
         """
-        return self._violated_rows(assignment, self._form()[0])
-
-    def _violated_rows(self, assignment: Mapping[str, object], form: _StandardForm) -> list[str]:
-        nums, d = self._point(assignment)
         point = [0] * (form.total + 1)  # point[RHS] is the last entry
         for (plus, _), v in zip(form.col_of, nums):
             point[plus] = v  # a free variable's minus column stays zero
         point[RHS] = -d
+        at = point.__getitem__
         bad = []
         for row, line, relation in zip(self.rows, form.lines, form.relations):
-            residual = sum(map(mul, line[1::2], map(point.__getitem__, line[::2])))
-            ok = residual == 0 if relation == EQ else residual <= 0 if relation == LE else residual >= 0
-            if not ok:
+            residual = sum(map(mul, line[1::2], map(at, line[::2])))
+            if not (residual == 0 if relation == EQ else residual <= 0 if relation == LE else residual >= 0):
                 bad.append(row.label)
         for j, is_nonneg in enumerate(self.nonneg):
             if is_nonneg and nums[j] < 0:
                 bad.append(f"nonneg({self.var_names[j]})")
+        if objective is not None and sum(map(mul, objective[1::2], map(at, objective[::2]))):
+            bad.append("objective")
         return bad
 
     def size(self) -> tuple[int, int]:
@@ -220,28 +235,33 @@ def _reduce(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     return {j: v // g for j, v in row.items()}, den // g
 
 
-def _eliminate(row: dict[int, int], den: int, prow: dict[int, int], col: int) -> tuple[dict[int, int], int]:
-    """row/den minus row[col]/den times the pivot row prow/prow[col].
+def _eliminate(
+    row: dict[int, int], den: int, items: Iterable[tuple[int, int]], q: int, col: int
+) -> tuple[dict[int, int], int]:
+    """row/den minus row[col]/den times the pivot row, whose stored
+    (column, numerator) pairs are `items` over its denominator q, the
+    numerator of its entry 1 in `col`.
 
-    The pivot row is normalized (its entry in `col` stands for 1, so
-    prow[col] is its denominator); only its stored columns change, and
-    entries that cancel are removed.  Mutates `row` when the denominator
-    stays the same.
+    Only the pivot row's stored columns change, and entries that cancel
+    are removed.  Mutates `row` when the denominator stays the same; a
+    row over denominator 1 is already reduced.
     """
-    q = prow[col]
-    g = math.gcd(row[col], q)
-    m, s = row[col] // g, q // g
-    if s != 1:
-        row = {j: v * s for j, v in row.items()}
-        den *= s
+    m = row[col]
+    if q != 1:  # row gets m/g times the pivot row, both scaled by s = q/g
+        g = math.gcd(m, q)
+        if g != q:
+            s = q // g
+            row = {j: v * s for j, v in row.items()}
+            den *= s
+        m //= g
     get = row.get
-    for j, p in prow.items():
+    for j, p in items:
         v = get(j, 0) - m * p
         if v:
             row[j] = v
         else:
             del row[j]
-    return _reduce(row, den)
+    return (row, 1) if den == 1 else _reduce(row, den)
 
 
 class _Tableau:
@@ -269,43 +289,50 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         """Make `col` basic in `row`, eliminating it from the rows that store
-        it: those `leaving(col)` found, or, for a drive-out pivot, a scan."""
+        it (those `leaving(col)` found, or, for a drive-out pivot, a scan)
+        and from the objective row."""
         rows, dens = self.rows, self.dens
         found, self.column_rows = self.column_rows, None
         if found is not None and found[0] == col:
             hits = found[1]
         else:
             hits = [i for i, other in enumerate(rows) if col in other]
-        prow, den = rows[row], dens[row]
+        prow, q = rows[row], dens[row]
         piv = prow[col]
-        if piv != den:  # the pivot element is not 1
+        if piv != q:  # the pivot element is not 1
             if piv < 0:  # phase-1 drive-out pivots may be negative
                 prow, piv = {j: -v for j, v in prow.items()}, -piv
-            prow, piv = _reduce(prow, piv)
-            rows[row], dens[row] = prow, piv
+            prow, q = _reduce(prow, piv)
+            rows[row], dens[row] = prow, q
+        items = list(prow.items())
         for i in hits:
             if i != row:
-                rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, col)
+                rows[i], dens[i] = _eliminate(rows[i], dens[i], items, q, col)
+        if col in self.obj:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, items, q, col)
         self.basis[row] = col
 
     def set_objective(self, cost: dict[int, int], den: int) -> None:
         """Reduced costs of `cost`/`den` (nonzero entries by column) for the basis."""
         obj = dict(cost)
-        for i, b in enumerate(self.basis):
+        for prow, q, b in zip(self.rows, self.dens, self.basis):
             if b in obj:
-                obj, den = _eliminate(obj, den, self.rows[i], b)
+                obj, den = _eliminate(obj, den, prow.items(), q, b)
         self.obj, self.obj_den = obj, den
 
     def entering(self, ncols: int, bland: bool) -> Optional[int]:
         """The lowest column of largest positive reduced cost (Dantzig), or
         with `bland` the lowest column of positive reduced cost."""
-        costs = [(j, v) for j, v in self.obj.items() if v > 0 and 0 <= j < ncols]
-        if not costs:
-            return None
+        best_j, best = ncols, 0
         if bland:
-            return min(costs)[0]
-        best = max(v for _, v in costs)
-        return min(j for j, v in costs if v == best)
+            for j, v in self.obj.items():
+                if v > 0 and 0 <= j < best_j:
+                    best_j = j
+        else:
+            for j, v in self.obj.items():
+                if v > 0 and 0 <= j < ncols and (v > best or v == best and j < best_j):
+                    best_j, best = j, v
+        return best_j if best_j < ncols else None
 
     def leaving(self, col: int) -> Optional[int]:
         """Minimum ratio rhs/a over a > 0, ties to the lowest basis index.
@@ -314,15 +341,14 @@ class _Tableau:
         by cross-multiplication.  The rows that store `col` are kept in
         `column_rows` for the pivot that follows.
         """
+        rows, basis = self.rows, self.basis
+        hits = [i for i, row in enumerate(rows) if col in row]
+        self.column_rows = (col, hits)
         best_rhs = best_a = 0
         best_row = None
-        basis = self.basis
-        hits = []
-        for i, row in enumerate(self.rows):
-            a = row.get(col)
-            if a is None:
-                continue
-            hits.append(i)
+        for i in hits:
+            row = rows[i]
+            a = row[col]
             if a > 0:
                 rhs = row.get(RHS, 0)
                 if best_row is None:
@@ -331,7 +357,6 @@ class _Tableau:
                 cross, best_cross = rhs * best_a, best_rhs * a  # rhs/a against best_rhs/best_a
                 if cross < best_cross or (cross == best_cross and basis[i] < basis[best_row]):
                     best_rhs, best_a, best_row = rhs, a, i
-        self.column_rows = (col, hits)
         return best_row
 
     def run(self, ncols: int, max_pivots: int, pivots_done: int, stop_at_zero: bool = False) -> tuple[str, int]:
@@ -352,8 +377,6 @@ class _Tableau:
                 raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
             before, before_den = self.obj.get(RHS, 0), self.obj_den
             self.pivot(row, col)
-            if col in self.obj:
-                self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, self.rows[row], col)
             if self.obj.get(RHS, 0) * before_den == before * self.obj_den:
                 streak += 1
                 if streak >= _DEGENERATE_STREAK:
@@ -628,22 +651,26 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
     if status == "unbounded":
         return SimplexSolution(status="unbounded", value=None, assignment={}, pivots=pivots)
 
-    values = [ZERO] * total
+    # the optimum as integers over one common denominator, reduced so that
+    # it is the point `_point` makes of the returned assignment
+    rhs = [0] * total
+    dens = [1] * total
     for row, den, b in zip(tab.rows, tab.dens, tab.basis):
-        values[b] = Fraction(row.get(RHS, 0), den)
-    assignment: dict[str, Fraction] = {}
-    for j, (plus, minus) in enumerate(col_of):
-        v = values[plus] - (values[minus] if minus >= 0 else ZERO)
-        if v:
-            assignment[lp.var_names[j]] = v
-    value = Fraction(-tab.obj.get(RHS, 0), tab.obj_den)
-    if negate:
-        value = -value
-
-    bad = lp._violated_rows(assignment, form)
-    if bad:  # pragma: no cover - solver self-check
-        raise AssertionError(f"solver returned an infeasible point; violated rows: {bad[:5]}")
-    expected = lp.objective_value(assignment)
-    if expected != value:  # pragma: no cover - solver self-check
-        raise AssertionError(f"objective mismatch: tableau {value}, recomputed {expected}")
+        rhs[b], dens[b] = row.get(RHS, 0), den
+    d = math.lcm(*(den for v, den in zip(rhs, dens) if v))
+    nums = [
+        rhs[plus] * (d // dens[plus]) - (rhs[minus] * (d // dens[minus]) if minus >= 0 else 0)
+        for plus, minus in col_of
+    ]
+    g = math.gcd(d, *nums)
+    if g != 1:
+        nums, d = [v // g for v in nums], d // g
+    # z = -obj[RHS]/obj_den, checked as cost . x = z times cost_den * obj_den
+    z = -tab.obj.get(RHS, 0)
+    objective = (*chain.from_iterable((j, c * tab.obj_den) for j, c in cost.items()), RHS, z * cost_den)
+    bad = lp._violations(form, nums, d, objective)
+    if bad:
+        raise AssertionError(f"solver returned an infeasible or mismatched point; violated: {bad[:5]}")
+    assignment = {name: Fraction(v, d) for name, v in zip(lp.var_names, nums) if v}
+    value = Fraction(-z if negate else z, tab.obj_den)
     return SimplexSolution(status="optimal", value=value, assignment=assignment, pivots=pivots)

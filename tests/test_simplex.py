@@ -641,6 +641,78 @@ def test_integer_row_check_on_a_certificate_and_an_optimum():
     assert lp.objective_value(nudged) == reference_objective_value(lp, nudged)
 
 
+# -- the post-solve self-check ------------------------------------------------
+#
+# solve_exact reads the optimum off the tableau as integers over one common
+# denominator and checks every row, sign constraint and the objective with
+# the integer row check that violated_rows also uses.
+
+
+def checked_points(monkeypatch) -> list:
+    """Record (form, numerators, denominator, objective line) of every row check."""
+    check = LinearProgram._violations
+    seen = []
+
+    def recording(lp, form, nums, d, objective=None):
+        seen.append((form, list(nums), d, objective))
+        return check(lp, form, nums, d, objective)
+
+    monkeypatch.setattr(LinearProgram, "_violations", recording)
+    return seen
+
+
+@pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
+def test_the_self_check_checks_the_returned_point(build, ch, n, causal, monkeypatch):
+    lp = build(ch, M=2, n=n, causal=causal)
+    seen = checked_points(monkeypatch)
+    sol = solve_exact(lp)
+    [(form, nums, d, objective)] = seen
+    assert (nums, d) == lp._point(sol.assignment)
+    assert objective is not None
+    # one coordinate nudged by 1/d, up on a nonzero one and down on a zero
+    # one: the integer check names the rows the Fraction point violates
+    up = next(j for j, v in enumerate(nums) if v)
+    down = next(j for j, v in enumerate(nums) if not v)
+    for j, step in ((up, 1), (down, -1)):
+        nudged = list(nums)
+        nudged[j] += step
+        point = {name: F(v, d) for name, v in zip(lp.var_names, nudged) if v}
+        bad = lp._violations(form, nudged, d)
+        assert bad and bad == lp.violated_rows(point) == reference_violated_rows(lp, point)
+
+
+def corrupted_optimum(monkeypatch, corrupt) -> None:
+    """Apply `corrupt` to the tableau of every phase-2 run once it ends."""
+    run = simplex._Tableau.run
+
+    def corrupting(tab, ncols, max_pivots, pivots_done, stop_at_zero=False):
+        result = run(tab, ncols, max_pivots, pivots_done, stop_at_zero)
+        if not stop_at_zero:
+            corrupt(tab)
+        return result
+
+    monkeypatch.setattr(simplex._Tableau, "run", corrupting)
+
+
+def test_the_self_check_refuses_a_point_off_the_rows(monkeypatch):
+    def move_x(tab):  # x = 4 + 1, above cap1; the objective row still says 12
+        i = tab.basis.index(0)
+        tab.rows[i][simplex.RHS] += tab.dens[i]
+
+    corrupted_optimum(monkeypatch, move_x)
+    with pytest.raises(AssertionError, match=r"\['cap1', 'objective'\]"):
+        solve_exact(two_var_max())
+
+
+def test_the_self_check_refuses_a_value_off_the_point(monkeypatch):
+    def lower_z(tab):  # the point stays (4, 0), the value reads 13
+        tab.obj[simplex.RHS] -= tab.obj_den
+
+    corrupted_optimum(monkeypatch, lower_z)
+    with pytest.raises(AssertionError, match=r"\['objective'\]"):
+        solve_exact(two_var_max())
+
+
 # -- the phase-1 memo ---------------------------------------------------------
 #
 # Phase 1 depends on the constraint system alone, so a shared system keeps
