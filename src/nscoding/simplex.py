@@ -665,7 +665,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
     g = math.gcd(d, *nums)
     if g != 1:
         nums, d = [v // g for v in nums], d // g
-    # z = -obj[RHS]/obj_den, checked as cost . x = z times cost_den * obj_den
+    # the objective row stores -z over obj_den, and cost . x / cost_den must be z / obj_den
     z = -tab.obj.get(RHS, 0)
     objective = (*chain.from_iterable((j, c * tab.obj_den) for j, c in cost.items()), RHS, z * cost_den)
     bad = lp._violations(form, nums, d, objective)
