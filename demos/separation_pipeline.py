@@ -36,7 +36,8 @@ print(f"assisted causal optimum (exact simplex): {sol.value}")
 # Upper bound, route 2: a feasible dual point with the same objective.
 # It is found by solving the dual exactly; weak duality then needs only
 # its feasibility, which is checked row by row in integers.
-verdict = verify_certificate(build_lp4_z0z1(), certificate_point_z0z1())
+lp4 = build_lp4_z0z1()
+verdict = verify_certificate(lp4, certificate_point_z0z1(lp4))
 print(f"dual point feasible: {verdict.feasible}, objective {verdict.objective}")
 
 # Lower bound, route 1: brute force over all deterministic causal

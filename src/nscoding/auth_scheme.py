@@ -38,7 +38,7 @@ import numpy as np
 from .channels import ChannelWithState, block_law, state_block_count, state_blocks
 from .indexing import all_sequences, seq_to_index
 from .ns_lp import CONDITIONS, S_TAIL, X_TAIL, condition_views
-from .rational import as_rational, int_dtype, rational_ceil
+from .rational import as_rational, int_dtype
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window
 
@@ -151,14 +151,6 @@ def _pair_windows(p_xy: Sequence[Sequence[Fraction]], n_tilde: int, eps: Fractio
     return [lo for lo, _ in bounds], [hi for _, hi in bounds]
 
 
-def _pairs_typical(window: Window, y_size: int, pairs) -> bool:
-    lo, hi = window
-    counts = [0] * len(lo)
-    for x, y in pairs:
-        counts[x * y_size + y] += 1
-    return all(a <= c <= b for a, c, b in zip(lo, counts, hi))
-
-
 def _count_windows(scheme: AuthScheme) -> list[tuple[int, Window]]:
     """(sigma, pair windows) for every tested state sigma, one whose kept
     block is not empty (an empty one keeps no pair, so its test always
@@ -230,36 +222,20 @@ def _scheme_tables(ch: ChannelWithState, strategy: InputStrategy, n: int, eps: F
     return state_b, tuple(y_b), p_xy
 
 
-def _mu(strat: InputStrategy, y_b, p_xy, eps: Fraction) -> Fraction:
-    """1 / (product over tested states of the pass probability)."""
-    prob = ONE
-    for s, b in enumerate(y_b):
-        if b is not None:
-            prob *= typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps)
-    if prob == 0:
-        raise DegenerateSchemeError(
-            "no input block passes the typicality test for these parameters"
-        )
-    return 1 / prob
-
-
 def compute_mu(
     ch: ChannelWithState,
     strategy: Sequence[Sequence[object]],
     n: int,
     eps: object,
 ) -> Fraction:
-    """The reciprocal of the probability that an independent input block
-    passes every per-state typicality test; always >= 1.
+    """The mu of `build_auth_scheme`: the reciprocal of the probability that
+    an independent input block passes every per-state typicality test;
+    always >= 1.
 
     Raises DegenerateSchemeError when that probability is zero, and
-    ValueError past the exact cap on the kept block length, which
-    `build_auth_scheme` shares.
+    ValueError past the exact cap on the kept block length.
     """
-    eps = as_rational(eps)
-    strat = _clean_strategy(ch, strategy)
-    _, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
-    return _mu(strat, y_b, p_xy, eps)
+    return build_auth_scheme(ch, strategy, n, eps).mu
 
 
 def _ci95(p_hat: float, samples: int) -> tuple[float, float]:
@@ -285,8 +261,15 @@ def build_auth_scheme(
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
     state_b, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
-    mu = _mu(strat, y_b, p_xy, eps)
-    minimum = rational_ceil(mu)
+    # mu is 1 / (the product over tested states of the pass probability)
+    prob = math.prod(
+        (typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps) for s, b in enumerate(y_b) if b is not None),
+        start=ONE,
+    )
+    if prob == 0:
+        raise DegenerateSchemeError("no input block passes the typicality test for these parameters")
+    mu = 1 / prob
+    minimum = math.ceil(mu)
     if message_count is None:
         message_count = minimum
     elif message_count < minimum:
@@ -339,15 +322,14 @@ def _block_test(scheme: AuthScheme, block: Block, xs: Sequence[int], ys: Sequenc
     """The typicality test on one sigma-block: map the outputs at its
     positions with `y_budgets[sigma]` and count the kept (input, mapped
     output) pairs against its window.  Returns (passes, output-mapper flag)."""
-    s, window, positions = block
-    phi_y = placeholder(scheme.channel.y_size)
+    s, (lo, hi), positions = block
+    y_size = scheme.channel.y_size
     mapped = map_with_budgets([ys[i] for i in positions], scheme.y_budgets[s])
-    pairs = ((xs[i], y) for i, y in zip(positions, mapped.output) if y != phi_y)
-    return _pairs_typical(window, scheme.channel.y_size, pairs), mapped.flag
-
-
-def _accepts(scheme: AuthScheme, blocks: list[Block], xs: Sequence[int], ys: Sequence[int]) -> bool:
-    return all(_block_test(scheme, block, xs, ys)[0] for block in blocks)
+    counts = [0] * len(lo)
+    for i, y in zip(positions, mapped.output):
+        if y < y_size:  # the placeholder output keeps no pair
+            counts[xs[i] * y_size + y] += 1
+    return all(a <= c <= b for a, c, b in zip(lo, counts, hi)), mapped.flag
 
 
 def t_function(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], ss: Sequence[int]) -> Fraction:
@@ -361,7 +343,7 @@ def t_function(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], ss: Seq
             raise ValueError(f"{name}-sequence {tuple(seq)} has a symbol outside 0..{size - 1}")
     mapped_states = map_with_budgets(ss, scheme.state_budgets).output
     blocks = _sigma_blocks(_count_windows(scheme), mapped_states)
-    return scheme.acceptance if _accepts(scheme, blocks, xs, ys) else ZERO
+    return scheme.acceptance if all(_block_test(scheme, block, xs, ys)[0] for block in blocks) else ZERO
 
 
 # -- dense tensor -----------------------------------------------------------
@@ -413,6 +395,8 @@ class SchemeTensor:
         return _fractions(self.numerators, self.denominator)
 
     def entry(self, xs, w_hat: int, w: int, ss, ys) -> Fraction:
+        if not (0 <= w_hat < self.message_count and 0 <= w < self.message_count):
+            raise ValueError(f"message pair (w_hat, w) = ({w_hat}, {w}) outside 0..{self.message_count - 1}")
         cell = self.numerators[
             seq_to_index(xs, self.x_size),
             w_hat,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -140,7 +140,6 @@ def conditional_mi(ch: ChannelWithState, p_x_given_s: Sequence[Sequence[float]])
 class NsCapacityResult:
     value: float
     p_x_given_s: np.ndarray
-    per_state: list[BlahutArimotoResult] = field(repr=False)
 
 
 def ns_capacity(ch: ChannelWithState, tol: float = 1e-9) -> NsCapacityResult:
@@ -152,15 +151,13 @@ def ns_capacity(ch: ChannelWithState, tol: float = 1e-9) -> NsCapacityResult:
     W = ch.kernel_array()
     ps = ch.state_array()
     value = 0.0
-    rows = np.full((ch.s_size, ch.x_size), 1.0 / ch.x_size)
-    per_state: list[BlahutArimotoResult] = []
+    rows = []
     for s in range(ch.s_size):
         res = blahut_arimoto(W[s], tol=tol)
-        per_state.append(res)
-        rows[s] = res.input_dist
+        rows.append(res.input_dist)
         if ps[s] > 0:
             value += ps[s] * res.value
-    return NsCapacityResult(value=value, p_x_given_s=rows, per_state=per_state)
+    return NsCapacityResult(value=value, p_x_given_s=np.array(rows))
 
 
 def strategy_channel(ch: ChannelWithState) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -329,13 +326,12 @@ def gp_noncausal_capacity(
 
 @dataclass
 class CapacityReport:
-    """The four assistance/causality cells and the assisted input law."""
+    """The four assistance/causality cells."""
 
     classical_causal: float
     classical_noncausal: float
     ns_causal: float
     ns_noncausal: float
-    ns_strategy: Optional[np.ndarray] = None
 
     def cells(self) -> dict[str, float]:
         return {
@@ -367,5 +363,4 @@ def capacity_table(
         classical_noncausal=gp,
         ns_causal=ns.value,
         ns_noncausal=ns.value,
-        ns_strategy=ns.p_x_given_s,
     )

@@ -343,8 +343,9 @@ def block_kernel(
     """N^{(x)n}(ys|xs,ss) = prod_i N(y_i|x_i,s_i) for a memoryless block."""
     if not len(xs) == len(ss) == len(ys):
         raise ValueError(f"sequence lengths differ: {len(xs)}, {len(ss)}, {len(ys)}")
-    target = seq_to_index(ys, ch.y_size)
-    return next((p for yi, p in block_outputs(ch, xs, ss) if yi == target), ZERO)
+    for seq, size in ((xs, ch.x_size), (ss, ch.s_size), (ys, ch.y_size)):
+        seq_to_index(seq, size)  # rejects a symbol outside the alphabet
+    return math.prod((ch.kernel[s][x][y] for x, s, y in zip(xs, ss, ys)), start=ONE)
 
 
 # -- builtins -------------------------------------------------------------

@@ -304,11 +304,9 @@ def classical_opt_success(
         state_blocks(ch, n)  # rejects a block source of another length up front
         s = ch.s_size  # the witness has sum_j |S|^j table entries
         entries = n if s == 1 else (s ** (n + 1) - s) // (s - 1)
-        if entries > SEARCH_WORK_CAP:
-            count = f"about 2^{entries.bit_length() - 1}" if entries.bit_length() > 64 else entries
-            raise ValueError(f"the M = 1 witness of {count} table entries exceeds the cap {SEARCH_WORK_CAP}")
         if entries > WITNESS_ENTRY_CAP:
-            raise ValueError(f"the M = 1 witness of {entries} table entries exceeds the witness cap {WITNESS_ENTRY_CAP}")
+            count = f"about 2^{entries.bit_length() - 1}" if entries.bit_length() > 64 else entries
+            raise ValueError(f"the M = 1 witness of {count} table entries exceeds the witness cap {WITNESS_ENTRY_CAP}")
         tables = tuple((0,) * size for size in _slot_sizes(s, n))
         return ONE, DeterministicEncoder(
             message_count=1, n=n, x_size=ch.x_size, s_size=ch.s_size, tables=tables

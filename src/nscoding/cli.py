@@ -135,19 +135,33 @@ def _cmd_capacity(args) -> ReportDocument:
     return report
 
 
+def _add_certificate(report: ReportDocument) -> ns_lp.CertificateReport:
+    """Verify the z0z1 dual point on LP4 and report its objective, any
+    violated rows and its feasibility; returns the verdict."""
+    lp4 = ns_lp.build_lp4_z0z1()
+    verdict = ns_lp.verify_certificate(lp4, ns_lp.certificate_point_z0z1(lp4))
+    report.add("certificate objective", verdict.objective)
+    for row in verdict.violated:
+        report.add("violated", row)
+    report.check("certificate feasible", verdict.feasible)
+    return verdict
+
+
+def _add_tensor_checks(report: ReportDocument, tensor: auth_scheme.SchemeTensor, marginal_check: str) -> None:
+    """Validate a scheme tensor, report the uniform message marginal 1/M,
+    and check its conditions and that every message marginal equals 1/M."""
+    tensor.validate()
+    uniform = Fraction(1, tensor.message_count)
+    report.add("marginal", uniform)
+    report.check("C1/C2/C3", auth_scheme.verify_conditions(tensor).all_pass())
+    report.check(marginal_check, bool((tensor.message_marginals() == uniform).all()))
+
+
 def _cmd_lp(args) -> ReportDocument:
     if args.lp_action == "certificate":
         report = ReportDocument(command=f"lp certificate --builtin {args.builtin}")
-        lp = ns_lp.build_lp4_z0z1()
-        point = ns_lp.certificate_point_z0z1(lp)
-        verdict = ns_lp.verify_certificate(lp, point)
-        report.add("certificate objective", verdict.objective)
-        for row in verdict.violated:
-            report.add("violated", row)
-        report.check("certificate feasible", verdict.feasible)
-        report.check(
-            "certificate objective = 13/16", verdict.objective == Fraction(13, 16)
-        )
+        verdict = _add_certificate(report)
+        report.check("certificate objective = 13/16", verdict.objective == Fraction(13, 16))
         return report
     label, ch = _load_channel(args.channel)
     causal = not args.noncausal
@@ -220,16 +234,7 @@ def _cmd_scheme(args) -> ReportDocument:
         ",".join(str(v) for v in scheme.kept_block_lengths()),
     )
     if args.scheme_action == "verify":
-        tensor = auth_scheme.materialize_tensor(scheme)
-        tensor.validate()
-        verdict = auth_scheme.verify_conditions(tensor)
-        uniform = Fraction(1, scheme.message_count)
-        marginals_ok = bool(
-            (tensor.message_marginals() == uniform).all()
-        )
-        report.add("marginal", uniform)
-        report.check("C1/C2/C3", verdict.all_pass())
-        report.check("marginal uniform", marginals_ok)
+        _add_tensor_checks(report, auth_scheme.materialize_tensor(scheme), "marginal uniform")
     elif args.scheme_action == "simulate":
         if args.mode == "exact":
             value = auth_scheme.success_probability(scheme, mode="exact")
@@ -264,10 +269,7 @@ def _cmd_theorem2(args) -> ReportDocument:
     report = ReportDocument(
         command="theorem2", channel=f"z0z1 sha256:{channel_digest(ch)}"
     )
-    lp4 = ns_lp.build_lp4_z0z1()
-    verdict = ns_lp.verify_certificate(lp4, ns_lp.certificate_point_z0z1(lp4))
-    report.add("certificate objective", verdict.objective)
-    report.check("certificate feasible", verdict.feasible)
+    _add_certificate(report)
 
     sol = solve_exact(ns_lp.build_lp2(ch, M=2, n=2))
     report.add("assisted causal optimum (LP2)", sol.value)
@@ -303,18 +305,12 @@ def _cmd_toy(args) -> ReportDocument:
         command="toy", channel=f"product-xs sha256:{channel_digest(ch)}"
     )
     tensor = auth_scheme.toy_product_scheme()
-    tensor.validate()
     report.add("message_count", tensor.message_count)
     report.add("n", tensor.n)
-    verdict = auth_scheme.verify_conditions(tensor)
-    quarter = Fraction(1, 4)
-    marginals_ok = bool((tensor.message_marginals() == quarter).all())
-    report.add("marginal", quarter)
+    report.check("tensor well-formed", True)  # a malformed one ends the report in an error
+    _add_tensor_checks(report, tensor, "marginal uniform 1/4")
     success = auth_scheme.success_probability(tensor, channel=ch)
     report.add("success", success)
-    report.check("tensor well-formed", True)
-    report.check("C1/C2/C3", verdict.all_pass())
-    report.check("marginal uniform 1/4", marginals_ok)
     report.check("success equals 1", success == 1)
     return report
 

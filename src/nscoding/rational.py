@@ -81,16 +81,6 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def rational_ceil(value: Fraction) -> int:
-    """Exact ceiling of a rational."""
-    return -((-value.numerator) // value.denominator)
-
-
-def rational_floor(value: Fraction) -> int:
-    """Exact floor of a rational."""
-    return value.numerator // value.denominator
-
-
 def int_dtype(bound: int, cells: int):
     """int64 when no sum over `cells` values of magnitude <= bound can
     overflow it, else Python ints in an object array (same array code)."""

@@ -280,22 +280,17 @@ class _Tableau:
         self.basis = basis
         self.obj: dict[int, int] = {}
         self.obj_den = 1
-        # (column, the rows that store it), left by `leaving` for the next pivot
-        self.column_rows: Optional[tuple[int, list[int]]] = None
 
     def copy(self) -> _Tableau:
         """Its rows, denominators and basis, copied for a phase 2 of its own."""
         return _Tableau([dict(row) for row in self.rows], list(self.dens), list(self.basis))
 
-    def pivot(self, row: int, col: int) -> None:
+    def pivot(self, row: int, col: int, hits: Optional[list[int]] = None) -> None:
         """Make `col` basic in `row`, eliminating it from the rows that store
-        it (those `leaving(col)` found, or, for a drive-out pivot, a scan)
-        and from the objective row."""
+        it (`hits`, as `leaving(col)` returns them, or else a scan) and from
+        the objective row."""
         rows, dens = self.rows, self.dens
-        found, self.column_rows = self.column_rows, None
-        if found is not None and found[0] == col:
-            hits = found[1]
-        else:
+        if hits is None:
             hits = [i for i, other in enumerate(rows) if col in other]
         prow, q = rows[row], dens[row]
         piv = prow[col]
@@ -334,16 +329,15 @@ class _Tableau:
                     best_j, best = j, v
         return best_j if best_j < ncols else None
 
-    def leaving(self, col: int) -> Optional[int]:
-        """Minimum ratio rhs/a over a > 0, ties to the lowest basis index.
+    def leaving(self, col: int) -> tuple[Optional[int], list[int]]:
+        """(row, hits): the minimum ratio rhs/a over a > 0, ties to the
+        lowest basis index, and the rows that store `col`, for the pivot.
 
         A row's denominator cancels in its ratio, and the ratios compare
-        by cross-multiplication.  The rows that store `col` are kept in
-        `column_rows` for the pivot that follows.
+        by cross-multiplication.
         """
         rows, basis = self.rows, self.basis
         hits = [i for i, row in enumerate(rows) if col in row]
-        self.column_rows = (col, hits)
         best_rhs = best_a = 0
         best_row = None
         for i in hits:
@@ -357,7 +351,7 @@ class _Tableau:
                 cross, best_cross = rhs * best_a, best_rhs * a  # rhs/a against best_rhs/best_a
                 if cross < best_cross or (cross == best_cross and basis[i] < basis[best_row]):
                     best_rhs, best_a, best_row = rhs, a, i
-        return best_row
+        return best_row, hits
 
     def run(self, ncols: int, max_pivots: int, pivots_done: int, stop_at_zero: bool = False) -> tuple[str, int]:
         """Maximize over the first `ncols` columns."""
@@ -369,14 +363,14 @@ class _Tableau:
             col = self.entering(ncols, bland)
             if col is None:
                 return "optimal", pivots_done
-            row = self.leaving(col)
+            row, hits = self.leaving(col)
             if row is None:
                 return "unbounded", pivots_done
             pivots_done += 1
             if pivots_done > max_pivots:
                 raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
             before, before_den = self.obj.get(RHS, 0), self.obj_den
-            self.pivot(row, col)
+            self.pivot(row, col, hits)
             if self.obj.get(RHS, 0) * before_den == before * self.obj_den:
                 streak += 1
                 if streak >= _DEGENERATE_STREAK:

@@ -13,11 +13,12 @@ The placeholder symbol is encoded as index ``alphabet_size``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import as_rational, rational_floor
+from .rational import as_rational
 
 __all__ = [
     "Budgets",
@@ -87,7 +88,7 @@ def budgets(n: int, alphabet_size: int, dist: Sequence[object], eps: object) -> 
         raise ValueError(f"{len(probs)} probabilities for alphabet of size {alphabet_size}")
     if any(p < 0 for p in probs) or sum(probs, Fraction(0)) != 1:
         raise ValueError(f"dist {probs} is not a probability distribution")
-    per = tuple(rational_floor(n * (1 - eps) * p) for p in probs)
+    per = tuple(math.floor(n * (1 - eps) * p) for p in probs)
     return Budgets(n=n, alphabet_size=alphabet_size, per_symbol=per, extra=n - sum(per))
 
 

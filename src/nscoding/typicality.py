@@ -14,10 +14,11 @@ compares plain integer counts.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import as_rational, rational_ceil, rational_floor
+from .rational import as_rational
 
 __all__ = ["symbol_counts", "strongly_typical", "jointly_typical", "count_bounds", "count_window"]
 
@@ -40,7 +41,7 @@ def count_window(n: int, p: Fraction, eps: Fraction) -> tuple[int, int]:
     """The integer counts inside `count_bounds`: lo <= c <= hi exactly when
     a count c passes; the window is empty when lo > hi."""
     lo, hi = count_bounds(n, p, eps)
-    return max(0, rational_ceil(lo)), rational_floor(hi)
+    return max(0, math.ceil(lo)), math.floor(hi)
 
 
 def strongly_typical(seq: Sequence[int], dist: Sequence[object], eps: object) -> bool:

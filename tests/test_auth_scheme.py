@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 
 from nscoding import auth_scheme
 from nscoding.auth_scheme import (
+    MU_TYPE_ENUM_CAP,
     DegenerateSchemeError,
     SchemeTensor,
     SuccessDecomposition,
@@ -167,9 +168,19 @@ def test_mu_vacuous_when_no_output_slots_survive():
     assert scheme.mu == 1 and scheme.message_count == 1 and scheme.acceptance == 1
 
 
-def test_mu_infinite_raises():
+@pytest.mark.parametrize("calibrate", [build_auth_scheme, compute_mu])
+def test_mu_infinite_raises(calibrate):
     with pytest.raises(DegenerateSchemeError):
-        compute_mu(noise_channel(), UNIFORM2, 8, HALF)
+        calibrate(noise_channel(), UNIFORM2, 8, HALF)
+
+
+@pytest.mark.parametrize("calibrate", [build_auth_scheme, compute_mu])
+def test_kept_block_over_the_type_cap_is_refused(calibrate):
+    # at eps = 1/2 the identity channel keeps 132 of 264 states and tests
+    # 33 + 33 of their outputs, two past the cap
+    assert MU_TYPE_ENUM_CAP == 64
+    with pytest.raises(ValueError, match="^kept block length 66 exceeds the exact cap 64$"):
+        calibrate(identity_channel(), UNIFORM2, 264, HALF)
 
 
 def test_mu_type_counts_match_brute_force_on_random_channels():
@@ -927,11 +938,12 @@ def reference_monte_carlo(scheme, samples, seed, coins=None, y_maps=None):
         mapped_states = map_with_budgets(ss, scheme.state_budgets).output
         xs = [rng.choices(x_range, cum_weights=input_cum[ms])[0] for ms in mapped_states]
         ys = [rng.choices(y_range, cum_weights=output_cum[s][x])[0] for x, s in zip(xs, ss)]
+        blocks = auth_scheme._sigma_blocks(windows, mapped_states)
         if y_maps is not None:
             y_maps += [map_with_budgets([ys[i] for i in positions], scheme.y_budgets[s])
-                       for s, _window, positions in auth_scheme._sigma_blocks(windows, mapped_states)]
+                       for s, _window, positions in blocks]
         wins += scheme.message_count == 1 or (
-            auth_scheme._accepts(scheme, auth_scheme._sigma_blocks(windows, mapped_states), xs, ys)
+            all(auth_scheme._block_test(scheme, block, xs, ys)[0] for block in blocks)
             and (coins is None or coins.append(rng.drawn) is None)
             and rng.random() < lam
         )

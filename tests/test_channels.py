@@ -108,6 +108,14 @@ def test_block_kernel_product():
     assert block_kernel(ch, (0,), (0,), (1,)) == 0
     with pytest.raises(ValueError):
         block_kernel(ch, (0, 0), (0,), (0, 0))
+    # a symbol outside its alphabet, in any of the three blocks
+    for xs, ss, ys in [((-1,), (0,), (0,)), ((2,), (0,), (0,)), ((0,), (-1,), (0,)),
+                       ((0,), (2,), (0,)), ((0,), (0,), (2,))]:
+        with pytest.raises(ValueError, match="out of range"):
+            block_kernel(ch, xs, ss, ys)
+    # a product over positions, not a walk over the 2^64 output blocks
+    # of positive probability: x = 1 in state 0 has two outputs
+    assert block_kernel(ch, (1,) * 64, (0,) * 64, (1,) * 64) == Fraction(1, 2**64)
 
 
 def test_iid_block_prob():

@@ -125,13 +125,17 @@ def test_classical_single_message_refuses_a_witness_over_the_cap():
     code, text = run(["classical", "--channel", "z0z1", "--M", "1", "--n", "40"])
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert (code, text) == (1, "error: the M = 1 witness of 2199023255550 table entries exceeds the cap 20000000\n")
+    assert (code, text) == (1, "error: the M = 1 witness of 2199023255550 table entries exceeds the witness cap 65536\n")
     assert peak < 2**22  # the 2^41-entry witness is counted, not built
+    # a count past 64 bits is reported by its power of two
+    assert run(["classical", "--channel", "z0z1", "--M", "1", "--n", "64"]) == (
+        1, "error: the M = 1 witness of about 2^64 table entries exceeds the witness cap 65536\n"
+    )
 
 
 def test_classical_single_message_report_is_bounded():
     # the largest z0z1 witness under the cap prints within seconds; at
-    # n = 23, under SEARCH_WORK_CAP, 16.7M lines would take minutes
+    # n = 23, 16.7M lines would take minutes
     start = time.perf_counter()
     code, text = run(["classical", "--channel", "z0z1", "--M", "1", "--n", "15"])
     assert code == 0 and text.count("\nwitness = ") == 2**16 - 2

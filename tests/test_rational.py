@@ -8,8 +8,6 @@ from nscoding.rational import (
     as_rational,
     format_rational,
     parse_rational,
-    rational_ceil,
-    rational_floor,
     read_rational,
 )
 
@@ -74,14 +72,6 @@ def test_canonical_form():
     assert (r.numerator, r.denominator) == (3, 4)
     assert parse_rational("-2/4") == Fraction(-1, 2)
     assert parse_rational("-2/4").denominator == 2  # denominator normalized positive
-
-
-def test_floor_ceil():
-    assert rational_floor(Fraction(7, 2)) == 3
-    assert rational_ceil(Fraction(7, 2)) == 4
-    assert rational_floor(Fraction(-7, 2)) == -4
-    assert rational_ceil(Fraction(-7, 2)) == -3
-    assert rational_ceil(Fraction(4)) == rational_floor(Fraction(4)) == 4
 
 
 @given(rationals, rationals, rationals)

@@ -216,17 +216,18 @@ def test_a_pivot_eliminates_in_the_rows_leaving_found_for_its_column():
     lp = two_var_max()
     lp.add_row({0: 1}, "<=", 5, label="cap3")
     form = simplex._standard_form(lp.rows, lp.nonneg)
-    found, scanned, stale = form.tableau(), form.tableau(), form.tableau()
-    row = found.leaving(0)
-    assert (row, found.column_rows) == (0, (0, [0, 1, 2]))
-    stale.leaving(1)  # the rows of another column: the pivot scans for its own
-    assert stale.column_rows == (1, [0, 1])
-    for tab in (found, scanned, stale):
-        tab.pivot(row, 0)
-        assert tab.column_rows is None
+    found, scanned, partial = form.tableau(), form.tableau(), form.tableau()
+    row, hits = found.leaving(0)
+    assert (row, hits) == (0, [0, 1, 2])
+    assert found.leaving(1) == (1, [0, 1])  # leaving changes nothing
+    found.pivot(row, 0, hits)
+    scanned.pivot(row, 0)  # as a drive-out pivot does, it scans for the rows
+    for tab in (found, scanned):
         assert all(0 not in r for i, r in enumerate(tab.rows) if i != row)
-    assert found.rows == scanned.rows == stale.rows
-    assert found.dens == scanned.dens == stale.dens and found.basis == scanned.basis == stale.basis == [0, 3, 4]
+    assert found.rows == scanned.rows
+    assert found.dens == scanned.dens and found.basis == scanned.basis == [0, 3, 4]
+    partial.pivot(row, 0, [0, 1])  # the rows it is given are the rows it reads
+    assert 0 in partial.rows[2] and partial.rows[1] == found.rows[1]
 
 
 # -- differential test: the integer-row tableau against the Fraction one -----
@@ -484,9 +485,9 @@ def count_checked_pivots(monkeypatch) -> list[int]:
     pivot = simplex._Tableau.pivot
     pivots = [0]
 
-    def checked_pivot(tab, row, col):
+    def checked_pivot(tab, row, col, hits=None):
         assert_sparse_form(tab)  # the rows and the objective row left by the last step
-        pivot(tab, row, col)
+        pivot(tab, row, col, hits)
         assert_sparse_form(tab)
         pivots[0] += 1
 

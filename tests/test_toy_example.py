@@ -10,6 +10,8 @@ conditions once extended off the source support.
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from nscoding.auth_scheme import success_probability, toy_product_scheme, verify_conditions
 from nscoding.channels import builtin_product_xs
 from nscoding.indexing import seq_to_index
@@ -73,6 +75,13 @@ def test_toy_diagonal_entries_on_support():
         assert value == F(1, 8)
         # and a wrong guess in the same cell carries nothing
         assert tensor.entry(xs, 1, 2, ss, ys) == 0
+
+
+@pytest.mark.parametrize("w_hat, w", [(-1, 0), (4, 0), (0, -1), (0, 4)])
+def test_toy_entry_refuses_a_message_outside_the_range(w_hat, w):
+    # a negative index would read the last message and 4 the end of the axis
+    with pytest.raises(ValueError, match=r"outside 0\.\.3$"):
+        toy_product_scheme().entry((0, 0, 0), w_hat, w, (0, 1, 1), (0, 0, 0))
 
 
 def test_toy_off_support_blocks_reuse_a_supported_pattern():
