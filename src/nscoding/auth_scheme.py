@@ -38,7 +38,7 @@ import numpy as np
 from .channels import ChannelWithState, block_law, state_block_count, state_blocks
 from .indexing import all_sequences, seq_to_index
 from .ns_lp import CONDITIONS, S_TAIL, X_TAIL, condition_views
-from .rational import as_rational, int_dtype
+from .rational import as_rational, check_cap, int_dtype
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window
 
@@ -178,36 +178,30 @@ def typicality_pass_probability(
     The pairs in distinct output-symbol groups are independent, and the
     typicality window constrains each pair count separately, so the
     probability is a product over output symbols of bounded multinomial
-    sums ("types").
+    sums ("types"), each a DP over the input letters keyed by the count
+    taken so far.
     """
     eps = as_rational(eps)
     if not ZERO < eps < ONE:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     px = [as_rational(p) for p in p_x]
     joint = [[as_rational(v) for v in row] for row in p_xy]
-    x_size = len(px)
     y_size = len(joint[0]) if joint else 0
     counts = list(y_type)
     if len(counts) != y_size:
         raise ValueError(f"{len(counts)} output counts for {y_size} output symbols")
     n_tilde = sum(counts)
-    if n_tilde == 0:
-        return ONE
-    if n_tilde > MU_TYPE_ENUM_CAP:
-        raise ValueError(f"kept block length {n_tilde} exceeds the exact cap {MU_TYPE_ENUM_CAP}")
+    check_cap(MU_TYPE_ENUM_CAP, 0, lambda: n_tilde, "mu's typicality test", "kept positions")
     result = ONE
-    for y in range(y_size):
-        m = counts[y]
-        windows = []
-        for x in range(x_size):
+    for y, m in enumerate(counts):
+        # sums[t]: over the letters so far, the sum of prod p^k / k! at window counts k totalling t
+        sums = {0: ONE}
+        for x, p in enumerate(px):
             lo, hi = count_window(n_tilde, joint[x][y], eps)
-            windows.append(range(lo, min(m, hi) + 1))
-        factor = ZERO
-        for combo in itertools.product(*windows):
-            if sum(combo) != m:
-                continue
-            factor += math.factorial(m) * math.prod(px[x] ** k / math.factorial(k) for x, k in enumerate(combo))
-        result *= factor
+            weights = {k: p**k / math.factorial(k) for k in range(lo, min(m, hi) + 1)}
+            sums = {t: sum((sums[t - k] * w for k, w in weights.items() if t - k in sums), ZERO)
+                    for t in ([m] if x == len(px) - 1 else range(m + 1))}
+        result *= math.factorial(m) * sums[m]
     return result
 
 
@@ -513,10 +507,9 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     """Write the scheme out as a dense tensor (small blocks only)."""
     ch = scheme.channel
     n, m = scheme.n, scheme.message_count
-    nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
-    total = nx * m * m * ns * ny
-    if total > TENSOR_ENTRY_CAP:
-        raise ValueError(f"{total} tensor entries exceed the cap {TENSOR_ENTRY_CAP}")
+    cells = ch.x_size * ch.s_size * ch.y_size
+    check_cap(TENSOR_ENTRY_CAP, n * math.log2(cells) + 2 * math.log2(m), lambda: cells**n * m * m,
+              f"the scheme tensor (M={m}, n={n})", "entries")
     mapped_states = _mapped_states(scheme)
     # zeta[x, s] * d^n as a product of integers, indexed by mapped state;
     # the placeholder (index |S|) gets uniform inputs
@@ -816,12 +809,13 @@ def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
     ch, n = scheme.channel, scheme.n
     windows = _count_windows(scheme)
     q = ch.x_size * max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
-    steps = sum(min(b.n * q * 2 * math.prod(math.comb(t + ch.x_size, ch.x_size) for t in b.per_symbol), q**b.n)
-                for b in (scheme.y_budgets[s] for s, _ in windows))  # b.n is n_sigma
-    terms = state_block_count(ch, n) * (1 + steps)
-    if terms > EXACT_SUCCESS_CAP:
-        count = f"2^{terms.bit_length() - 1}" if terms.bit_length() > 64 else terms
-        raise ValueError(f"about {count} terms exceed the exact cap {EXACT_SUCCESS_CAP}; use monte_carlo mode")
+    # b.n is n_sigma; q^n_sigma is not built past the bit length of p, where it is the larger (q >= 2)
+    steps = sum(min(p, q ** min(b.n, p.bit_length())) for b in (scheme.y_budgets[s] for s, _ in windows)
+                for p in [b.n * q * 2 * math.prod(math.comb(t + ch.x_size, ch.x_size) for t in b.per_symbol)])
+    # an i.i.d. source has (states of positive probability)^n blocks, a block source its few atoms
+    blocks_log2 = n * math.log2(sum(1 for p in ch.state_dist if p)) if ch.block_state is None else 0
+    check_cap(EXACT_SUCCESS_CAP, blocks_log2 + math.log2(1 + steps), lambda: state_block_count(ch, n) * (1 + steps),
+              "the exact success pass", "terms", "; use monte_carlo mode")
     d = math.lcm(*(p.denominator for px in scheme.strategy for p in px),
                  *(k.denominator for rows in ch.kernel for row in rows for k in row))
     # moves[sigma][r]: (x * |Y|, y, d^2 * weight) of each (x, y) of positive weight in real state r

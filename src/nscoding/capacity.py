@@ -10,6 +10,7 @@ ordinary double precision with 0*log(0) = 0 conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Sequence
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import ChannelWithState
+from .rational import check_cap
 
 __all__ = [
     "BlahutArimotoResult",
@@ -167,16 +169,12 @@ def strategy_channel(ch: ChannelWithState) -> tuple[np.ndarray, list[tuple[int, 
     W(y|u) = sum_s P_S(s) N(y|u(s), s) and the list of maps, ordered
     lexicographically by (u(0), u(1), ...).
     """
-    letters = ch.x_size**ch.s_size
-    if letters > MAX_STRATEGY_LETTERS:
-        raise ValueError(
-            f"strategy alphabet has {letters} letters, above the supported cap "
-            f"{MAX_STRATEGY_LETTERS}"
-        )
+    check_cap(MAX_STRATEGY_LETTERS, ch.s_size * math.log2(ch.x_size), lambda: ch.x_size**ch.s_size,
+              "the strategy alphabet", "letters")
     W = ch.kernel_array()
     ps = ch.state_array()
     maps = list(product(range(ch.x_size), repeat=ch.s_size))
-    rows = np.zeros((letters, ch.y_size))
+    rows = np.zeros((len(maps), ch.y_size))
     for i, u in enumerate(maps):
         for s in range(ch.s_size):
             rows[i] += ps[s] * W[s, u[s]]

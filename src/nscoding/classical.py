@@ -29,13 +29,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .channels import ChannelWithState, block_law_array, block_outputs, builtin_z0z1, state_block_count, state_blocks
 from .indexing import index_to_seq, seq_to_index
-from .rational import int_dtype
+from .rational import check_cap, int_dtype
 
 __all__ = [
     "DeterministicEncoder",
@@ -270,17 +270,6 @@ def _csir_chunk(args):
     return best
 
 
-def _check_work(log2: float, count: Callable[[], int]) -> None:
-    """Refuse an instance whose estimated work exceeds SEARCH_WORK_CAP.
-    `log2` is the work's base-2 logarithm and `count()` the work itself,
-    called only when it may be within the cap; a larger work is reported
-    by its power of two."""
-    big = log2 > SEARCH_WORK_CAP.bit_length() + 1
-    work = f"about 2^{round(log2)}" if big else count()
-    if big or work > SEARCH_WORK_CAP:
-        raise ValueError(f"estimated work {work} exceeds the cap {SEARCH_WORK_CAP} for this instance")
-
-
 def classical_opt_success(
     ch: ChannelWithState,
     M: int,
@@ -302,29 +291,28 @@ def classical_opt_success(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if M == 1:
         state_blocks(ch, n)  # rejects a block source of another length up front
-        s = ch.s_size  # the witness has sum_j |S|^j table entries
-        entries = n if s == 1 else (s ** (n + 1) - s) // (s - 1)
-        if entries > WITNESS_ENTRY_CAP:
-            count = f"about 2^{entries.bit_length() - 1}" if entries.bit_length() > 64 else entries
-            raise ValueError(f"the M = 1 witness of {count} table entries exceeds the witness cap {WITNESS_ENTRY_CAP}")
+        s = ch.s_size  # the witness has sum_j |S|^j table entries, at least |S|^n and n
+        check_cap(WITNESS_ENTRY_CAP, max(n * math.log2(s), math.log2(n)),
+                  lambda: n if s == 1 else (s ** (n + 1) - s) // (s - 1), f"the M = 1 witness (n={n})", "table entries")
         tables = tuple((0,) * size for size in _slot_sizes(s, n))
         return ONE, DeterministicEncoder(
             message_count=1, n=n, x_size=ch.x_size, s_size=ch.s_size, tables=tables
         )
     if M != 2:
         raise ValueError(f"the exhaustive search supports M in {{1, 2}}, got {M}")
-    blocks = state_block_count(ch, n)
-    log_x, log_y = math.log2(ch.x_size), math.log2(ch.y_size)
+    what = f"the {'CSIR ' if csir else ''}encoder search (M=2, n={n})"
     # the law array spans every state block, so it must fit under the cap first
     cells = ch.s_size * ch.x_size * ch.y_size
-    _check_work(n * math.log2(cells), lambda: cells**n)
+    check_cap(SEARCH_WORK_CAP, n * math.log2(cells), lambda: cells**n, what, "block law cells")
+    blocks = state_block_count(ch, n)
+    log_x, log_y = math.log2(ch.x_size), math.log2(ch.y_size)
     digits = sum(_slot_sizes(ch.s_size, n))  # there are |X| ** digits branches
     if csir:  # branches * state blocks * |X|^n * |Y|^n
-        _check_work((digits + n) * log_x + math.log2(blocks) + n * log_y,
-                    lambda: ch.x_size ** (digits + n) * blocks * ch.y_size**n)
+        check_cap(SEARCH_WORK_CAP, (digits + n) * log_x + math.log2(blocks) + n * log_y,
+                  lambda: ch.x_size ** (digits + n) * blocks * ch.y_size**n, what, "steps")
     else:  # the pairs i <= k of the b branches, b (b + 1) / 2, times |Y|^n
-        _check_work(2 * digits * log_x - 1 + n * log_y,
-                    lambda: ch.x_size**digits * (ch.x_size**digits + 1) // 2 * ch.y_size**n)
+        check_cap(SEARCH_WORK_CAP, 2 * digits * log_x - 1 + n * log_y,
+                  lambda: ch.x_size**digits * (ch.x_size**digits + 1) // 2 * ch.y_size**n, what, "steps")
     branch_count = _branch_count(ch.x_size, ch.s_size, n)
     law = _block_law(ch, n, csir)
     if not csir:

@@ -159,7 +159,7 @@ def _add_tensor_checks(report: ReportDocument, tensor: auth_scheme.SchemeTensor,
 
 def _cmd_lp(args) -> ReportDocument:
     if args.lp_action == "certificate":
-        report = ReportDocument(command=f"lp certificate --builtin {args.builtin}")
+        report = ReportDocument(command="lp certificate")
         verdict = _add_certificate(report)
         report.check("certificate objective = 13/16", verdict.objective == Fraction(13, 16))
         return report
@@ -226,8 +226,7 @@ def _cmd_scheme(args) -> ReportDocument:
     scheme = auth_scheme.build_auth_scheme(ch, strategy, args.n, read_rational(args.eps))
     report.add("mu", scheme.mu)
     report.add("message_count", scheme.message_count)
-    report.add("lambda", scheme.mu / scheme.message_count)
-    report.add("acceptance", scheme.acceptance)
+    report.add("lambda", scheme.acceptance)
     report.add("rate", scheme.rate())
     report.add(
         "kept_block_lengths",
@@ -349,9 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--solution", action="store_true", help="print nonzero solution entries"
     )
     add_json(ps)
-    pc = lp_sub.add_parser("certificate", help="verify the dual feasible point")
-    pc.add_argument("--builtin", choices=("z0z1",), default="z0z1")
-    add_json(pc)
+    add_json(lp_sub.add_parser("certificate", help="verify the z0z1 dual feasible point"))
 
     p = sub.add_parser("classical", help="exhaustive classical encoder search")
     p.add_argument("--channel", required=True)

@@ -27,12 +27,13 @@ built from those fields and nothing else, and are shared, with their
 integer standard form and phase 1, by every program of that shape
 (`simplex.shared_program`); the simplex memo keeps each such system
 under that key and one bound, `_SYSTEM_CELLS`.  A program over the
-variable budget is refused before anything is built or kept.
+variable cap is refused before anything is built or kept.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -40,7 +41,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .channels import ChannelWithState, block_law, builtin_z0z1
-from .rational import as_rational
+from .rational import as_rational, check_cap
 from .simplex import LinearProgram, shared_program, solve_exact
 
 __all__ = [
@@ -61,13 +62,6 @@ MAX_LP_VARIABLES = 10_000
 
 # the coefficients of the assisted programs' rows, shared by all of them
 ZERO, ONE, MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-
-
-def _check_var_budget(count: int, what: str) -> None:
-    if count > MAX_LP_VARIABLES:
-        raise ValueError(
-            f"{what} needs {count} variables, above the exact-solver budget {MAX_LP_VARIABLES}"
-        )
 
 
 def _variables(lp: LinearProgram, stem: str, *shape: int) -> np.ndarray:
@@ -134,11 +128,16 @@ def _add_conditions(lp: LinearProgram, family: str, index: np.ndarray, n: int, x
             lp.add_row(coeffs, "==", ZERO, label(fields))
 
 
-def _checked_shape(ch: ChannelWithState, M: int, n: int) -> tuple[int, int, int]:
-    """(|X|^n, |S|^n, |Y|^n), once M and n are known to be positive."""
+def _checked_shape(ch: ChannelWithState, M: int, n: int, form: str) -> tuple[int, int, int]:
+    """(|X|^n, |S|^n, |Y|^n), once M and n are positive and the variables of
+    `form`, |X|^n M^2 |S|^n |Y|^n in lp1 and |X|^n |S|^n (|Y|^n + 1) in lp2, within MAX_LP_VARIABLES."""
     if M < 1 or n < 1:
         raise ValueError(f"M and n must be >= 1, got M={M}, n={n}")
-    return ch.x_size**n, ch.s_size**n, ch.y_size**n
+    x, s, y = ch.x_size, ch.s_size, ch.y_size
+    lp1 = form == "lp1"
+    check_cap(MAX_LP_VARIABLES, n * math.log2(x * s * y) + 2 * lp1 * math.log2(M),
+              lambda: (x * s) ** n * (M * M * y**n if lp1 else y**n + 1), f"{form}(M={M}, n={n})", "variables")
+    return x**n, s**n, y**n
 
 
 def _lp1_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: bool) -> LinearProgram:
@@ -169,8 +168,7 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     alphabet sizes, M, n and causal alone and are shared by every program
     of that shape (`shared_program`); the objective is the channel's.
     """
-    nx, ns, ny = _checked_shape(ch, M, n)
-    _check_var_budget(nx * M * M * ns * ny, f"lp1(M={M}, n={n})")
+    nx, ns, ny = _checked_shape(ch, M, n, "lp1")
     law = block_law(ch, n)
     lp = shared_program(
         f"lp1[M={M},n={n},causal={causal}]", _lp1_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal
@@ -219,8 +217,7 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     """Reduced program over r[x,y,s] and q[x,s]; same optimum as the full
     one.  Like `build_lp1`, it shares its variables and rows with every
     program of its shape and takes its objective from the channel."""
-    nx, ns, ny = _checked_shape(ch, M, n)
-    _check_var_budget(nx * ny * ns + nx * ns, f"lp2(M={M}, n={n})")
+    nx, ns, ny = _checked_shape(ch, M, n, "lp2")
     law = block_law(ch, n)
     lp = shared_program(
         f"lp2[M={M},n={n},causal={causal}]", _lp2_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal

@@ -6,12 +6,14 @@ This module adds the text conventions on top of the stdlib type:
 parsing of "p/q" / decimal / integer literals and the canonical "p/q"
 rendering used by file formats and CLI reports.  Arrays of rationals are
 integer numerators over one denominator; `int_dtype` picks their dtype.
+`check_cap` is the one refusal of every size cap in the package.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -85,3 +87,17 @@ def int_dtype(bound: int, cells: int):
     """int64 when no sum over `cells` values of magnitude <= bound can
     overflow it, else Python ints in an object array (same array code)."""
     return np.int64 if bound * cells < 2**63 else object
+
+
+def check_cap(cap: int, log2: float, count: Callable[[], int], what: str, unit: str, hint: str = "") -> None:
+    """Refuse a count above `cap` with ValueError("<what> needs <count> <unit>,
+    above the cap <cap><hint>"), the one wording of every size cap.  `log2`
+    is the count's base-2 logarithm, or a lower bound on it, from the
+    instance's sizes; `count()`, the exact count, is called only when `log2`
+    is at most 64, so a count past every cap (all are below 2^64) is never
+    built.  A count past 64 bits reads `about 2^k`."""
+    value = count() if log2 <= 64 else None
+    if value is None or value > cap:
+        if value is None or value.bit_length() > 64:
+            value = f"about 2^{round(log2 if value is None else math.log2(value))}"
+        raise ValueError(f"{what} needs {value} {unit}, above the cap {cap}{hint}")

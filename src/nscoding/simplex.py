@@ -60,7 +60,7 @@ from itertools import chain
 from operator import mul
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
-from .rational import as_rational
+from .rational import as_rational, check_cap
 
 __all__ = [
     "LinearProgram",
@@ -605,8 +605,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
     """Solve to exact rational optimality (or report infeasible/unbounded).
 
     Raises ValueError before any work for a negative `max_pivots`, and
-    before the first pivot when the tableau would exceed
-    MAX_TABLEAU_CELLS.
+    before the first pivot for a tableau past MAX_TABLEAU_CELLS.
     """
     if lp.sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
@@ -617,11 +616,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
     form, system = lp._form()
     art_base, total = form.art_base, form.total
     cells = len(form.lines) * total
-    if cells > MAX_TABLEAU_CELLS:
-        raise ValueError(
-            f"program {lp.name!r} needs a {len(form.lines)} x {total} tableau ({cells} cells), "
-            f"above the exact-solver budget {MAX_TABLEAU_CELLS}"
-        )
+    check_cap(MAX_TABLEAU_CELLS, 0, lambda: cells, f"the {len(form.lines)} x {total} tableau of {lp.name!r}", "cells")
     if art_base == total:  # no artificial column: the slack basis is feasible
         pivots, tab = 0, form.tableau()
     else:

@@ -53,7 +53,7 @@ def _passed(num: int, label: str, t0: float, bound: float = None) -> None:
 
 def test_criterion_01_certificate_reproduction():
     t0 = time.perf_counter()
-    code, text = run(["lp", "certificate", "--builtin", "z0z1"])
+    code, text = run(["lp", "certificate"])
     assert code == 0
     assert "certificate objective = 13/16" in text
     verdict = verify_certificate(build_lp4_z0z1(), certificate_point_z0z1())

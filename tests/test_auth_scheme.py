@@ -179,8 +179,19 @@ def test_kept_block_over_the_type_cap_is_refused(calibrate):
     # at eps = 1/2 the identity channel keeps 132 of 264 states and tests
     # 33 + 33 of their outputs, two past the cap
     assert MU_TYPE_ENUM_CAP == 64
-    with pytest.raises(ValueError, match="^kept block length 66 exceeds the exact cap 64$"):
+    with pytest.raises(ValueError, match="^mu's typicality test needs 66 kept positions, above the cap 64$"):
         calibrate(identity_channel(), UNIFORM2, 264, HALF)
+
+
+def test_mu_of_sixteen_inputs_at_the_type_cap_within_a_second():
+    # each of the 16 input letters has a window of three pair counts, so
+    # the 64 kept positions admit 3^16 count vectors per output symbol;
+    # the DP over the input letters keeps one sum per total count
+    ch = make_channel([[[HALF, HALF]] * 16], [1])
+    start = time.perf_counter()
+    scheme = build_auth_scheme(ch, [[F(1, 16)] * 16], 256, HALF)
+    assert time.perf_counter() - start < 1
+    assert scheme.kept_block_lengths() == (MU_TYPE_ENUM_CAP,) and scheme.mu > 1
 
 
 def test_mu_type_counts_match_brute_force_on_random_channels():
@@ -1217,9 +1228,9 @@ def test_exact_pass_refuses_z0z1_at_n40_without_walking_the_state_blocks(eps):
     if eps == F(39, 40):
         assert not auth_scheme._count_windows(scheme) and scheme.message_count == 1
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"^about \d+ terms exceed the exact cap 4000000; use monte_carlo mode$"):
+    with pytest.raises(ValueError, match=r"^the exact success pass needs \d+ terms, above the cap 4000000; use monte_carlo mode$"):
         success_decomposition(scheme)
-    with pytest.raises(ValueError, match="exceed the exact cap"):
+    with pytest.raises(ValueError, match="above the cap 4000000"):
         success_probability(scheme)
     assert time.perf_counter() - start < 1
 

@@ -177,15 +177,15 @@ def test_nonpositive_worker_count_rejected():
 
 
 def test_work_cap_rejects_large_instances(monkeypatch):
-    with pytest.raises(ValueError, match="exceeds the cap"):
+    with pytest.raises(ValueError, match="above the cap 20000000"):
         classical_opt_success(builtin_z0z1(), 2, 3, csir=False)
     monkeypatch.setattr(classical, "SEARCH_WORK_CAP", 10)
-    with pytest.raises(ValueError, match="exceeds the cap"):
+    with pytest.raises(ValueError, match="above the cap 10"):
         classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
     # the law array spans all 2^5 state blocks, not just the one atom
     atom = BlockStateSource(n=5, atoms=(((0,) * 5, F(1)),))
     single = make_channel(kernel=[[[1]], [[1]]], state_dist=[F(1, 2), F(1, 2)], block_state=atom)
-    with pytest.raises(ValueError, match="estimated work 32 exceeds"):
+    with pytest.raises(ValueError, match=r"^the encoder search \(M=2, n=5\) needs 32 block law cells, above the cap 10$"):
         classical_opt_success(single, 2, 5)
 
 
@@ -193,7 +193,7 @@ def test_plain_work_counts_the_pairs_i_at_most_k(monkeypatch):
     # z0z1 at n = 1: b = 4 branches, so 4 * 5 / 2 = 10 pairs of 2 outputs
     # (the law array has 8 cells)
     monkeypatch.setattr(classical, "SEARCH_WORK_CAP", 19)
-    with pytest.raises(ValueError, match="estimated work 20 exceeds"):
+    with pytest.raises(ValueError, match=r"^the encoder search \(M=2, n=1\) needs 20 steps, above the cap 19$"):
         classical_opt_success(builtin_z0z1(), 2, 1)
     monkeypatch.setattr(classical, "SEARCH_WORK_CAP", 20)
     assert classical_opt_success(builtin_z0z1(), 2, 1)[0] == F(1, 2) + F(1, 4)

@@ -14,11 +14,12 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nscoding import capacity, cli
+from nscoding import auth_scheme, capacity, classical, cli, ns_lp, simplex
 from nscoding.capacity import ConvergenceError, capacity_table
 from nscoding.channels import builtin_z0z1
 from nscoding.cli import channel_digest, run
@@ -61,13 +62,13 @@ def test_theorem2_pipeline_exhibits_the_gap():
 
 
 def test_certificate_subcommand():
-    code, text = run(["lp", "certificate", "--builtin", "z0z1"])
+    code, text = run(["lp", "certificate"])
     assert code == 0
     assert "certificate objective = 13/16" in text
     assert "FAIL" not in text
 
 
-@pytest.mark.parametrize("argv", [["theorem2"], ["lp", "certificate", "--builtin", "z0z1"]])
+@pytest.mark.parametrize("argv", [["theorem2"], ["lp", "certificate"]])
 def test_certificate_pipelines_build_lp4_once(monkeypatch, argv):
     built = []
     build = cli.ns_lp.build_lp4_z0z1
@@ -125,11 +126,11 @@ def test_classical_single_message_refuses_a_witness_over_the_cap():
     code, text = run(["classical", "--channel", "z0z1", "--M", "1", "--n", "40"])
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert (code, text) == (1, "error: the M = 1 witness of 2199023255550 table entries exceeds the witness cap 65536\n")
+    assert (code, text) == (1, "error: the M = 1 witness (n=40) needs 2199023255550 table entries, above the cap 65536\n")
     assert peak < 2**22  # the 2^41-entry witness is counted, not built
     # a count past 64 bits is reported by its power of two
     assert run(["classical", "--channel", "z0z1", "--M", "1", "--n", "64"]) == (
-        1, "error: the M = 1 witness of about 2^64 table entries exceeds the witness cap 65536\n"
+        1, "error: the M = 1 witness (n=64) needs about 2^65 table entries, above the cap 65536\n"
     )
 
 
@@ -140,7 +141,7 @@ def test_classical_single_message_report_is_bounded():
     code, text = run(["classical", "--channel", "z0z1", "--M", "1", "--n", "15"])
     assert code == 0 and text.count("\nwitness = ") == 2**16 - 2
     assert run(["classical", "--channel", "z0z1", "--M", "1", "--n", "23"]) == (
-        1, "error: the M = 1 witness of 16777214 table entries exceeds the witness cap 65536\n"
+        1, "error: the M = 1 witness (n=23) needs 16777214 table entries, above the cap 65536\n"
     )
     assert time.perf_counter() - start < 20
 
@@ -308,7 +309,7 @@ def test_boolean_strategy_entries_are_one_error_line(tmp_path):
     ("state_dist", [True]),
 ])
 def test_boolean_channel_entries_are_one_error_line(tmp_path, field, value):
-    doc = json.loads(open(write_identity_channel(tmp_path)).read())
+    doc = json.loads(Path(write_identity_channel(tmp_path)).read_text())
     doc[field] = value
     path = tmp_path / "bool_entry.json"
     path.write_text(json.dumps(doc))
@@ -320,7 +321,7 @@ def test_boolean_channel_entries_are_one_error_line(tmp_path, field, value):
     "field, value", [("kernel", 5), ("state_dist", 5), ("x_size", [2])]
 )
 def test_malformed_channel_field_is_one_error_line(tmp_path, field, value):
-    doc = json.loads(open(write_identity_channel(tmp_path)).read())
+    doc = json.loads(Path(write_identity_channel(tmp_path)).read_text())
     doc[field] = value
     path = tmp_path / "bad_field.json"
     path.write_text(json.dumps(doc))
@@ -377,7 +378,7 @@ def test_capacity_nonconvergence_is_one_error_line(monkeypatch):
     ],
 )
 def test_zero_denominator_is_one_error_line(tmp_path, argv):
-    doc = json.loads(open(write_identity_channel(tmp_path)).read())
+    doc = json.loads(Path(write_identity_channel(tmp_path)).read_text())
     doc["kernel"][0][1] = ["1/0", "1"]
     path = tmp_path / "zero_den.json"
     path.write_text(json.dumps(doc))
@@ -407,7 +408,7 @@ def test_oversize_tableau_is_one_error_line():
     # would hold 6748 x 11100 cells; the solver refuses it before building.
     code, text = run(["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "4"])
     assert code == 1
-    assert text.startswith("error:") and "6748 x 11100 tableau (74902800 cells)" in text
+    assert text.startswith("error:") and "the 6748 x 11100 tableau of 'lp2[M=2,n=4,causal=True]' needs 74902800 cells" in text
     assert text.count("\n") == 1
 
 
@@ -473,7 +474,7 @@ def _argv(draw, channels):
 def fuzz_channels(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
     good = write_identity_channel(tmp)
-    doc = json.loads(open(good).read())
+    doc = json.loads(Path(good).read_text())
     doc["state_dist"] = ["1/0"]
     bad = tmp / "zero_den.json"
     bad.write_text(json.dumps(doc))
@@ -499,7 +500,7 @@ def test_console_script_entry_point():
     if exe is None:
         pytest.skip("package not installed with scripts")
     proc = subprocess.run(
-        [exe, "lp", "certificate", "--builtin", "z0z1"],
+        [exe, "lp", "certificate"],
         capture_output=True,
         text=True,
     )
@@ -529,7 +530,8 @@ def test_oversize_search_is_one_error_line_within_a_second(tmp_path, channel, n,
     code, text = run(["classical", "--channel", channel, "--M", "2", "--n", str(n), *mode])
     assert time.perf_counter() - start < 1
     assert code == 1
-    assert re.fullmatch(r"error: estimated work about 2\^\d+ exceeds the cap 20000000 for this instance\n", text)
+    assert re.fullmatch(rf"error: the (CSIR )?encoder search \(M=2, n={n}\) needs (\d+|about 2\^\d+) "
+                        r"(block law cells|steps), above the cap 20000000\n", text)
 
 
 @pytest.mark.parametrize("eps", ["1/4", "39/40"])
@@ -538,7 +540,7 @@ def test_oversize_exact_success_is_one_error_line_within_a_second(eps):
     code, text = run(["scheme", "simulate", "--channel", "z0z1", "--n", "40", "--eps", eps])
     assert time.perf_counter() - start < 1
     assert code == 1
-    assert re.fullmatch(r"error: about \d+ terms exceed the exact cap 4000000; use monte_carlo mode\n", text)
+    assert re.fullmatch(r"error: the exact success pass needs \d+ terms, above the cap 4000000; use monte_carlo mode\n", text)
 
 
 def test_oversize_exact_success_prints_a_count_past_64_bits_as_a_power_of_two():
@@ -547,7 +549,45 @@ def test_oversize_exact_success_prints_a_count_past_64_bits_as_a_power_of_two():
     code, text = run(["scheme", "simulate", "--channel", "z0z1", "--n", "15000", "--eps", "9999/10000"])
     assert time.perf_counter() - start < 1
     assert code == 1
-    assert text == "error: about 2^15000 terms exceed the exact cap 4000000; use monte_carlo mode\n"
+    assert text == "error: the exact success pass needs about 2^15000 terms, above the cap 4000000; use monte_carlo mode\n"
+
+
+CAP_CHANNELS = {
+    # binary inputs and outputs over three states: at n = 10^7 each count
+    # below has millions of digits, so only its logarithm may be formed
+    "three.json": {
+        "x_size": 2, "y_size": 2, "s_size": 3,
+        "kernel": [[["1", "0"], ["0", "1"]], [["1/2", "1/2"], ["1/2", "1/2"]], [["3/4", "1/4"], ["1/4", "3/4"]]],
+        "state_dist": ["1/3", "1/3", "1/3"],
+    },
+    "identity.json": {"x_size": 2, "y_size": 2, "s_size": 1, "kernel": [[["1", "0"], ["0", "1"]]], "state_dist": ["1"]},
+    # 8 inputs over 5 states: 8^5 = 32768 strategy letters
+    "wide.json": {"x_size": 8, "y_size": 2, "s_size": 5, "kernel": [[["1", "0"]] * 8] * 5, "state_dist": ["1/5"] * 5},
+}
+BIG_N = str(10**7)
+NEAR_ONE = f"{10**7 - 1}/{10**7}"
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["lp", "solve", "--channel", "three.json", "--M", "2", "--n", BIG_N], "MAX_LP_VARIABLES"),
+    (["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "4"], "MAX_TABLEAU_CELLS"),
+    (["scheme", "verify", "--channel", "three.json", "--n", BIG_N, "--eps", NEAR_ONE], "TENSOR_ENTRY_CAP"),
+    (["scheme", "simulate", "--channel", "three.json", "--n", BIG_N, "--eps", NEAR_ONE], "EXACT_SUCCESS_CAP"),
+    (["scheme", "build", "--channel", "identity.json", "--n", "264", "--eps", "1/2"], "MU_TYPE_ENUM_CAP"),
+    (["classical", "--channel", "three.json", "--M", "2", "--n", BIG_N, "--csir"], "SEARCH_WORK_CAP"),
+    (["classical", "--channel", "three.json", "--M", "1", "--n", BIG_N], "WITNESS_ENTRY_CAP"),
+    (["capacity", "wide.json"], "MAX_STRATEGY_LETTERS"),
+])
+def test_every_size_cap_refuses_in_one_error_line_within_a_second(tmp_path, argv, cap):
+    for name, doc in CAP_CHANNELS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in CAP_CHANNELS else a for a in argv]
+    value = next(getattr(m, cap) for m in (auth_scheme, capacity, classical, ns_lp, simplex) if hasattr(m, cap))
+    start = time.perf_counter()
+    code, text = run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert re.fullmatch(rf"error: .+ needs (\d+|about 2\^\d+) [a-z ]+, above the cap {value}(; use monte_carlo mode)?\n", text)
 
 
 @pytest.mark.parametrize("action", ["build", "verify"])
