@@ -191,6 +191,8 @@ def typicality_pass_probability(
     if len(counts) != y_size:
         raise ValueError(f"{len(counts)} output counts for {y_size} output symbols")
     n_tilde = sum(counts)
+    if n_tilde == 0:
+        return ONE
     check_cap(MU_TYPE_ENUM_CAP, 0, lambda: n_tilde, "mu's typicality test", "kept positions")
     result = ONE
     for y, m in enumerate(counts):
@@ -199,9 +201,9 @@ def typicality_pass_probability(
         for x, p in enumerate(px):
             lo, hi = count_window(n_tilde, joint[x][y], eps)
             weights = {k: p**k / math.factorial(k) for k in range(lo, min(m, hi) + 1)}
-            sums = {t: sum((sums[t - k] * w for k, w in weights.items() if t - k in sums), ZERO)
-                    for t in ([m] if x == len(px) - 1 else range(m + 1))}
-        result *= math.factorial(m) * sums[m]
+            sums = {t: v for t in ([m] if x == len(px) - 1 else range(m + 1))
+                    if (v := sum((sums[t - k] * w for k, w in weights.items() if t - k in sums), ZERO))}
+        result *= math.factorial(m) * sums.get(m, ZERO)
     return result
 
 

@@ -10,7 +10,6 @@ ordinary double precision with 0*log(0) = 0 conventions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Sequence
@@ -169,7 +168,7 @@ def strategy_channel(ch: ChannelWithState) -> tuple[np.ndarray, list[tuple[int, 
     W(y|u) = sum_s P_S(s) N(y|u(s), s) and the list of maps, ordered
     lexicographically by (u(0), u(1), ...).
     """
-    check_cap(MAX_STRATEGY_LETTERS, ch.s_size * math.log2(ch.x_size), lambda: ch.x_size**ch.s_size,
+    check_cap(MAX_STRATEGY_LETTERS, ch.s_size * np.log2(ch.x_size), lambda: ch.x_size**ch.s_size,
               "the strategy alphabet", "letters")
     W = ch.kernel_array()
     ps = ch.state_array()
