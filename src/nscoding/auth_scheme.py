@@ -37,7 +37,7 @@ import numpy as np
 
 from .channels import ChannelWithState, block_law, state_block_count, state_blocks
 from .indexing import all_sequences, seq_to_index
-from .ns_lp import CONDITIONS, S_TAIL, X_TAIL, condition_views
+from .ns_lp import CONDITIONS, S_TAIL, X_TAIL, _lift, condition_views
 from .rational import as_rational, check_cap, int_dtype
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window
@@ -60,7 +60,7 @@ __all__ = [
     "toy_product_scheme",
     "TENSOR_ENTRY_CAP",
     "EXACT_SUCCESS_CAP",
-    "MU_TYPE_ENUM_CAP",
+    "MU_WORK_CAP",
 ]
 
 ZERO = Fraction(0)
@@ -69,7 +69,7 @@ ONE = Fraction(1)
 TENSOR_ENTRY_CAP = 10_000_000
 EXACT_SUCCESS_CAP = 4_000_000
 MC_CHUNK = 4096  # floats the Monte Carlo sampler reads from its stream at a time
-MU_TYPE_ENUM_CAP = 64
+MU_WORK_CAP = 20_000_000  # mu DP steps: 15-43 ns each on a 2-vCPU x86-64 VM, Python 3.11
 
 
 class DegenerateSchemeError(ValueError):
@@ -193,14 +193,24 @@ def typicality_pass_probability(
     n_tilde = sum(counts)
     if n_tilde == 0:
         return ONE
-    check_cap(MU_TYPE_ENUM_CAP, 0, lambda: n_tilde, "mu's typicality test", "kept positions")
+    # windows[y][x]: the passing counts lo..hi of the pair (x, y), at most m_y
+    windows = [[(lo, min(m, hi)) for lo, hi in (count_window(n_tilde, row[y], eps) for row in joint)]
+               for y, m in enumerate(counts)]
+    # the DP's steps, on numbers of about n-tilde bits: per output symbol and letter, its
+    # weights and the (total so far, count) pairs it combines, one total at the last letter
+    work = 0
+    for y, m in enumerate(counts):
+        lo_sum = hi_sum = 0
+        for x, (lo, hi) in enumerate(windows[y]):
+            work += max(0, hi - lo + 1) * (1 + (1 if x == len(px) - 1 else max(0, hi_sum - lo_sum + 1)))
+            lo_sum, hi_sum = lo_sum + lo, min(m, hi_sum + hi)
+    check_cap(MU_WORK_CAP, 0, lambda: n_tilde * work, "mu's typicality test", "steps")
     result = ONE
     for y, m in enumerate(counts):
         # sums[t]: over the letters so far, the sum of prod p^k / k! at window counts k totalling t
         sums = {0: ONE}
-        for x, p in enumerate(px):
-            lo, hi = count_window(n_tilde, joint[x][y], eps)
-            weights = {k: p**k / math.factorial(k) for k in range(lo, min(m, hi) + 1)}
+        for x, (p, (lo, hi)) in enumerate(zip(px, windows[y])):
+            weights = {k: p**k / math.factorial(k) for k in range(lo, hi + 1)}
             sums = {t: v for t in ([m] if x == len(px) - 1 else range(m + 1))
                     if (v := sum((sums[t - k] * w for k, w in weights.items() if t - k in sums), ZERO))}
         result *= math.factorial(m) * sums.get(m, ZERO)
@@ -229,7 +239,8 @@ def compute_mu(
     always >= 1.
 
     Raises DegenerateSchemeError when that probability is zero, and
-    ValueError past the exact cap on the kept block length.
+    ValueError when a typicality test's DP would take more than
+    MU_WORK_CAP steps.
     """
     return build_auth_scheme(ch, strategy, n, eps).mu
 
@@ -360,9 +371,11 @@ class SchemeTensor:
     """Dense table Z(x^n, w-hat | w, s^n, y^n), exact rationals stored as
     integer `numerators` over one positive `denominator`.
 
-    The numerators have shape (|X|^n, M, M, |S|^n, |Y|^n) with blocks
-    indexed as in `indexing` (position 1 most significant); `entries` is
-    the same table as Fractions.
+    The numerators have shape (|X|^n, M, M, |S|^n, |Y|^n), the layout of
+    the full program's z[x, wh, w, s, y], with blocks indexed as in
+    `indexing` (position 1 most significant); `entries` is the same table
+    as Fractions.  A scheme's tensor is the lift `ns_lp._lift` of the
+    reduced point (zeta * t, zeta).
     """
 
     message_count: int
@@ -425,30 +438,6 @@ class SchemeTensor:
         return _fractions(self.numerators.sum(axis=0), self.denominator)
 
 
-def _diagonal_tensor(
-    m: int, n: int, sizes: tuple[int, int, int], weight: list[list[int]], scale: int, accept, lam: Fraction
-) -> SchemeTensor:
-    """Z = zeta * t on the diagonal w-hat = w and zeta * (1 - t) / (M - 1)
-    off it, where t = lam on the cells of the boolean table accept[x, s, y]
-    and 0 elsewhere; just zeta at M = 1 (`accept` is then unused).
-
-    `weight` holds the integers zeta[x, s] * scale.  The numerators are
-    written over D = scale * den(lam) * (M - 1), so every division is exact.
-    """
-    den = scale if m == 1 else scale * lam.denominator * (m - 1)
-    shape = (len(weight), m, m, len(weight[0]), sizes[2] ** n)
-    dtype = int_dtype(den, math.prod(shape))
-    zeta = np.array(weight, dtype=dtype)[:, None, None, :, None]
-    if m == 1:
-        return SchemeTensor(m, n, *sizes, np.broadcast_to(zeta, shape).copy(), den)
-    # (t * den(lam) * (M - 1), (1 - t) * den(lam)) by whether the test passes
-    on = np.array([0, lam.numerator * (m - 1)], dtype=dtype)
-    off = np.array([lam.denominator, lam.denominator - lam.numerator], dtype=dtype)
-    t = accept.astype(np.intp)[:, None, None]
-    diagonal = np.eye(m, dtype=bool)[:, :, None, None]
-    return SchemeTensor(m, n, *sizes, zeta * np.where(diagonal, on[t], off[t]), den)
-
-
 def _sub_tables(scheme: AuthScheme) -> dict[int, np.ndarray]:
     """{sigma: booleans v[x, y]} over the sub-blocks x in X^n_sigma and
     y in Y^n_sigma of every tested sigma: whether `_block_test` passes on a
@@ -506,9 +495,13 @@ def _acceptance_table(scheme: AuthScheme, mapped_states: Sequence[Sequence[int]]
 
 
 def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
-    """Write the scheme out as a dense tensor (small blocks only)."""
+    """Write the scheme out as a dense tensor (small blocks only): Z is
+    `ns_lp._lift` of the reduced point (zeta * t, zeta), in the full
+    program's layout z[x, w-hat, w, s, y].  So Z = zeta * t where
+    w-hat = w and zeta * (1 - t) / (M - 1) elsewhere, with t = lambda
+    where the test passes and 0 elsewhere; Z = zeta at M = 1."""
     ch = scheme.channel
-    n, m = scheme.n, scheme.message_count
+    n, m, lam = scheme.n, scheme.message_count, scheme.acceptance
     cells = ch.x_size * ch.s_size * ch.y_size
     check_cap(TENSOR_ENTRY_CAP, n * math.log2(cells) + 2 * math.log2(m), lambda: cells**n * m * m,
               f"the scheme tensor (M={m}, n={n})", "entries")
@@ -520,13 +513,14 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     rows.append([d // ch.x_size] * ch.x_size)
     weight = [[math.prod(rows[s][x] for x, s in zip(xs, ms)) for ms in mapped_states]
               for xs in all_sequences(ch.x_size, n)]
-    # over the lcm of the reduced denominators of zeta
+    # zeta over the lcm D of its reduced denominators, and Z over D * den(lambda) * (M - 1)
     g = math.gcd(d**n, *(w for row in weight for w in row))
-    weight = [[w // g for w in row] for row in weight]
-    accept = _acceptance_table(scheme, mapped_states) if m > 1 else None
-    return _diagonal_tensor(
-        m, n, (ch.x_size, ch.s_size, ch.y_size), weight, d**n // g, accept, scheme.acceptance
-    )
+    den = d**n // g * lam.denominator * max(m - 1, 1)
+    zeta = np.array([[w // g for w in row] for row in weight], dtype=int_dtype(den, cells**n * m * m))
+    # at M = 1, lambda = 1 and the test is not read: t = 1 everywhere
+    accept = _acceptance_table(scheme, mapped_states) if m > 1 else np.ones(ch.y_size**n, dtype=bool)
+    z = _lift(zeta[..., None] * lam.numerator * accept, zeta * lam.denominator, m)
+    return SchemeTensor(m, n, ch.x_size, ch.s_size, ch.y_size, z, den)
 
 
 # -- condition checks -------------------------------------------------------
@@ -869,4 +863,5 @@ def toy_product_scheme() -> SchemeTensor:
         [[[all(y == x for x, y, s in zip(xs, ys, _canonical_state_block(ss)) if s == 1)
            for ys in blocks] for ss in blocks] for xs in blocks]
     )
-    return _diagonal_tensor(4, n, (2, 2, 2), [[1] * 8] * 8, 8, accept, ONE)
+    # the reduced point (r, q) = (t, zeta) over 8, t = 1 where the test passes
+    return SchemeTensor(4, n, 2, 2, 2, _lift(accept.astype(np.int64), np.ones((8, 8), dtype=np.int64), 4), 8 * 3)

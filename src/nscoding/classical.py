@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -325,6 +324,7 @@ def classical_opt_success(
         return Fraction(int(value), 2 * law.denominator), encoder
     chunks = min(workers, os.cpu_count() or 1)
     if chunks > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, as it loads multiprocessing
         bounds = []
         step = (branch_count + chunks - 1) // chunks
         for start in range(0, branch_count, step):

@@ -10,10 +10,13 @@ length n with M messages:
 * the reduced program over r[x,y,s] (diagonal weight) and q[x|s]
   (input marginal), which reaches the same optimum and is much smaller.
 
-Both directions of the optimum-preserving variable mapping are exposed,
-together with a generic LP dual, the binary-alphabet relaxation whose
-dual certifies the 13/16 bound, and a certificate point derived by
-solving that dual exactly.
+Both directions of the optimum-preserving variable mapping are exposed
+as array maps over integer numerators, refused past the full program's
+variable cap.  The lift from (r, q) to z, `_lift`, also builds every
+scheme tensor of `auth_scheme`, so each is the full-program point of a
+reduced point by construction.  Also here: a generic LP dual, the
+binary-alphabet relaxation whose dual certifies the 13/16 bound, and a
+certificate point derived by solving that dual exactly.
 
 The conditions are stated once, in `CONDITIONS`: per family, the axes of
 z summed and the axes along which the sums must equal their value at
@@ -41,7 +44,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .channels import ChannelWithState, block_law, builtin_z0z1
-from .rational import as_rational, check_cap
+from .rational import check_cap, int_dtype
 from .simplex import LinearProgram, shared_program, solve_exact
 
 __all__ = [
@@ -140,11 +143,16 @@ def _checked_shape(ch: ChannelWithState, M: int, n: int, form: str) -> tuple[int
     return x**n, s**n, y**n
 
 
+def _lp1_variables(x_size: int, y_size: int, s_size: int, M: int, n: int) -> tuple[LinearProgram, np.ndarray]:
+    """A program holding only the full program's variables z[x,wh,w,s,y], and their indices."""
+    lp = LinearProgram()
+    return lp, _variables(lp, "z", x_size**n, M, M, s_size**n, y_size**n)
+
+
 def _lp1_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: bool) -> LinearProgram:
     """The full program's variables and rows (no objective)."""
-    nx, ns, ny = x_size**n, s_size**n, y_size**n
-    lp = LinearProgram()
-    z = _variables(lp, "z", nx, M, M, ns, ny)
+    lp, z = _lp1_variables(x_size, y_size, s_size, M, n)
+    ns, ny = z.shape[3:]
 
     # normalization: sum over (x, wh) equals one in every conditioning cell
     for w in range(M):
@@ -181,12 +189,17 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     return lp
 
 
-def _lp2_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: bool) -> LinearProgram:
-    """The reduced program's variables and rows (no objective)."""
+def _lp2_variables(x_size: int, y_size: int, s_size: int, n: int) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+    """A program holding only the reduced program's variables r[x,y,s] and q[x,s], and their indices."""
     nx, ns, ny = x_size**n, s_size**n, y_size**n
     lp = LinearProgram()
-    r = _variables(lp, "r", nx, ny, ns)
-    q = _variables(lp, "q", nx, ns)
+    return lp, _variables(lp, "r", nx, ny, ns), _variables(lp, "q", nx, ns)
+
+
+def _lp2_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: bool) -> LinearProgram:
+    """The reduced program's variables and rows (no objective)."""
+    lp, r, q = _lp2_variables(x_size, y_size, s_size, n)
+    nx, ny, ns = r.shape
 
     inv_m = Fraction(1, M)
     for si in range(ns):
@@ -227,60 +240,45 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     return lp
 
 
-def lp1_to_lp2(
-    ch: ChannelWithState, M: int, n: int, z_point: Mapping[str, object]
-) -> dict[str, Fraction]:
-    """Map a full-program point to the reduced variables.
-
-    r averages the diagonal (wh = w) cells over w; q additionally sums
-    over wh, evaluated at the reference output block (any output gives
-    the same number for points satisfying the invariance rows).
-    """
-    nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
-    z = {name: as_rational(v) for name, v in z_point.items()}
-
-    def zval(xi, wh, w, si, yi):
-        return z.get(f"z[{xi},{wh},{w},{si},{yi}]", ZERO)
-
-    out: dict[str, Fraction] = {}
-    inv_m = Fraction(1, M)
-    for xi in range(nx):
-        for si in range(ns):
-            for yi in range(ny):
-                val = inv_m * sum((zval(xi, w, w, si, yi) for w in range(M)), ZERO)
-                if val:
-                    out[f"r[{xi},{yi},{si}]"] = val
-            qval = inv_m * sum(
-                (zval(xi, wh, w, si, 0) for w in range(M) for wh in range(M)), ZERO
-            )
-            if qval:
-                out[f"q[{xi},{si}]"] = qval
-    return out
+def _lift(r: np.ndarray, q: np.ndarray, M: int) -> np.ndarray:
+    """The full-program point z[x,wh,w,s,y] of the reduced point (r[x,s,y],
+    q[x,s]), integer arrays over one denominator D: r * (M - 1) where wh = w
+    and q - r elsewhere, over D * (M - 1); just r, over D, at M = 1.  Its
+    dtype is `int_dtype` of the largest sum of |z| over (x, wh), which is
+    the denominator at a point of the reduced program."""
+    off = q[..., None] - r
+    diagonal = r * (M - 1) if M > 1 else r
+    bound = int((abs(diagonal) + abs(off) * (M - 1)).sum(axis=0).max())
+    z = np.empty((r.shape[0], M, M, *r.shape[1:]), dtype=int_dtype(bound, M * M * r.size))
+    z[:] = off[:, None, None]
+    z[:, range(M), range(M)] = diagonal[:, None]
+    return z
 
 
-def lp2_to_lp1(
-    ch: ChannelWithState, M: int, n: int, rq_point: Mapping[str, object]
-) -> dict[str, Fraction]:
-    """Map a reduced-program point back to the full variables.
+def lp1_to_lp2(ch: ChannelWithState, M: int, n: int, z_point: Mapping[str, object]) -> dict[str, Fraction]:
+    """Map a full-program point to the reduced variables: r averages the
+    diagonal (wh = w) cells over w, and q also sums over wh, at the reference
+    output block (any output gives the same number at a point that satisfies
+    the invariance rows).  A name the full program lacks is a ValueError."""
+    nx, ns, ny = _checked_shape(ch, M, n, "lp1")
+    nums, d = _lp1_variables(ch.x_size, ch.y_size, ch.s_size, M, n)[0]._point(z_point)
+    z = np.array(nums, dtype=object).reshape(nx, M, M, ns, ny)
+    r, q = np.trace(z, axis1=1, axis2=2).transpose(0, 2, 1), z[..., 0].sum(axis=(1, 2))  # r[x, y, s], q[x, s]
+    names = _lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0].var_names
+    return {name: Fraction(v, d * M) for name, v in zip(names, [*r.flat, *q.flat]) if v}
 
-    Diagonal cells carry r; off-diagonal cells split the leftover
-    (q - r) evenly over the M - 1 wrong guesses.
-    """
-    nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
-    point = {name: as_rational(v) for name, v in rq_point.items()}
-    out: dict[str, Fraction] = {}
-    for xi in range(nx):
-        for si in range(ns):
-            qv = point.get(f"q[{xi},{si}]", ZERO)
-            for yi in range(ny):
-                rv = point.get(f"r[{xi},{yi},{si}]", ZERO)
-                off = (qv - rv) / (M - 1) if M > 1 else None
-                for w in range(M):
-                    for wh in range(M):
-                        val = rv if wh == w else off
-                        if val:
-                            out[f"z[{xi},{wh},{w},{si},{yi}]"] = val
-    return out
+
+def lp2_to_lp1(ch: ChannelWithState, M: int, n: int, rq_point: Mapping[str, object]) -> dict[str, Fraction]:
+    """Map a reduced-program point back to the full variables by `_lift`:
+    diagonal cells carry r, and off-diagonal cells split the leftover q - r
+    evenly over the M - 1 wrong guesses.  A name the reduced program lacks
+    is a ValueError."""
+    nx, ns, ny = _checked_shape(ch, M, n, "lp1")
+    nums, d = _lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0]._point(rq_point)
+    r, q = np.split(np.array(nums, dtype=object), [nx * ny * ns])
+    z = _lift(r.reshape(nx, ny, ns).transpose(0, 2, 1), q.reshape(nx, ns), M)
+    names = _lp1_variables(ch.x_size, ch.y_size, ch.s_size, M, n)[0].var_names
+    return {name: Fraction(int(v), d * max(M - 1, 1)) for name, v in zip(names, z.flat) if v}
 
 
 # -- binary worked instance: relaxation and dual certificate ---------------

@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 
 from nscoding import auth_scheme
 from nscoding.auth_scheme import (
-    MU_TYPE_ENUM_CAP,
+    MU_WORK_CAP,
     DegenerateSchemeError,
     SchemeTensor,
     SuccessDecomposition,
@@ -41,7 +41,7 @@ from nscoding.channels import (
     state_blocks,
 )
 from nscoding.indexing import index_to_seq
-from nscoding.ns_lp import build_lp1
+from nscoding.ns_lp import build_lp1, build_lp2, lp1_to_lp2, lp2_to_lp1
 from nscoding.type_mapping import map_with_budgets, placeholder
 from nscoding.typicality import jointly_typical
 from test_golden_reports import zero_probability_channel
@@ -175,23 +175,31 @@ def test_mu_infinite_raises(calibrate):
 
 
 @pytest.mark.parametrize("calibrate", [build_auth_scheme, compute_mu])
-def test_kept_block_over_the_type_cap_is_refused(calibrate):
-    # at eps = 1/2 the identity channel keeps 132 of 264 states and tests
-    # 33 + 33 of their outputs, two past the cap
-    assert MU_TYPE_ENUM_CAP == 64
-    with pytest.raises(ValueError, match="^mu's typicality test needs 66 kept positions, above the cap 64$"):
-        calibrate(identity_channel(), UNIFORM2, 264, HALF)
+@pytest.mark.parametrize("letters, n, steps", [
+    # at eps = 1/2 the identity channel keeps 9000 of 18000 states and tests
+    # 2250 + 2250 of their outputs: 4500 * 4508 steps
+    (2, 18000, 20286000),
+    # 496 kept positions over 16 letters, whose DP combines each letter's
+    # window with every total the letters before it can reach
+    (16, 1984, 22998528),
+])
+def test_mu_dp_over_the_work_cap_is_refused(calibrate, letters, n, steps):
+    assert MU_WORK_CAP == 20_000_000
+    ch = identity_channel() if letters == 2 else make_channel([[[HALF, HALF]] * letters], [1])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^mu's typicality test needs {steps} steps, above the cap 20000000$"):
+        calibrate(ch, [[F(1, letters)] * letters], n, HALF)
+    assert time.perf_counter() - start < 1
 
 
-def test_mu_of_sixteen_inputs_at_the_type_cap_within_a_second():
-    # each of the 16 input letters has a window of three pair counts, so
-    # the 64 kept positions admit 3^16 count vectors per output symbol;
-    # the DP over the input letters keeps one sum per total count
+def test_mu_of_sixteen_inputs_just_below_the_work_cap_within_a_second():
+    # 480 kept positions over 16 input letters: 19,612,800 steps of the DP
+    # over the input letters, which keeps one sum per total count
     ch = make_channel([[[HALF, HALF]] * 16], [1])
     start = time.perf_counter()
-    scheme = build_auth_scheme(ch, [[F(1, 16)] * 16], 256, HALF)
+    scheme = build_auth_scheme(ch, [[F(1, 16)] * 16], 1920, HALF)
     assert time.perf_counter() - start < 1
-    assert scheme.kept_block_lengths() == (MU_TYPE_ENUM_CAP,) and scheme.mu > 1
+    assert scheme.kept_block_lengths() == (480,) and scheme.mu > 1
 
 
 def test_mu_type_counts_match_brute_force_on_random_channels():
@@ -640,6 +648,17 @@ def lp1_point(lp, tensor):
     return dict(zip(lp.var_names, tensor.entries.flat))
 
 
+def assert_lift_of_its_reduced_point(ch, tensor, point, value):
+    """The tensor's point maps to a point of the causal reduced program with
+    the same value, whose lift is exactly the tensor's nonzero entries."""
+    m, n = tensor.message_count, tensor.n
+    reduced = lp1_to_lp2(ch, m, n, point)
+    lp2 = build_lp2(ch, m, n, causal=True)
+    assert lp2.violated_rows(reduced) == []
+    assert lp2.objective_value(reduced) == value
+    assert lp2_to_lp1(ch, m, n, reduced) == {name: v for name, v in point.items() if v}
+
+
 @pytest.mark.parametrize(
     "ch, strategy, n, eps, m, expected",
     [
@@ -659,6 +678,7 @@ def test_scheme_tensor_is_a_point_of_the_causal_full_program(ch, strategy, n, ep
     value = lp.objective_value(point)
     assert value == success_decomposition(scheme).success == success_probability(tensor, ch)
     assert (tensor.message_count, value) == expected
+    assert_lift_of_its_reduced_point(ch, tensor, point, value)
 
 
 def test_toy_tensor_is_a_point_of_the_causal_full_program():
@@ -667,6 +687,7 @@ def test_toy_tensor_is_a_point_of_the_causal_full_program():
     point = lp1_point(lp, tensor)
     assert lp.violated_rows(point) == []
     assert lp.objective_value(point) == success_probability(tensor, ch) == 1
+    assert_lift_of_its_reduced_point(ch, tensor, point, 1)
 
 
 def test_mutated_tensors_fail_the_same_cells_in_the_program_and_the_checks():

@@ -8,6 +8,7 @@ optimum drops to 3/4 — below the assisted causal value 13/16, as it
 must be.
 """
 
+import concurrent.futures
 import functools
 import math
 import random
@@ -160,7 +161,7 @@ def serial_pool(started):
 
 def test_worker_count_is_bounded_by_the_cpu_count(monkeypatch):
     started = []
-    monkeypatch.setattr(classical, "ProcessPoolExecutor", serial_pool(started))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
     monkeypatch.setattr(classical.os, "cpu_count", lambda: 3)
     serial = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
     assert classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=10**6) == serial
@@ -423,7 +424,7 @@ def test_batch_size_does_not_move_the_witness(monkeypatch, per_batch, name, ch, 
         if csir:  # two chunks, each handed the gain table with the law
             started = []
             with monkeypatch.context() as m:
-                m.setattr(classical, "ProcessPoolExecutor", serial_pool(started))
+                m.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
                 m.setattr(classical.os, "cpu_count", lambda: 2)
                 assert classical_opt_success(ch, 2, n, csir=csir, workers=2) == (value, witness)
             assert started == [2]
@@ -450,7 +451,7 @@ def test_chunks_of_short_batches_match_one_worker(monkeypatch, ch):
     monkeypatch.setattr(classical, "_BATCH_CELLS", _batch_cells(ch, 2, True, 3))
     serial = classical_opt_success(ch, 2, 2, csir=True)
     started = []
-    monkeypatch.setattr(classical, "ProcessPoolExecutor", serial_pool(started))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
     monkeypatch.setattr(classical.os, "cpu_count", lambda: 2)
     assert classical_opt_success(ch, 2, 2, csir=True, workers=2) == serial
     assert started == [2]

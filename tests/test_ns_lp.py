@@ -11,9 +11,11 @@ not change when the receiver is handed the state sequence.
 import hashlib
 import itertools
 import random
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nscoding.channels import (
@@ -192,6 +194,28 @@ def test_single_message_programs_are_trivial():
     assert solve_exact(build_lp2(ch, M=1, n=1)).value == 1
     z_point = lp2_to_lp1(ch, 1, 1, {"r[0,0,0]": 1, "q[0,0]": 1})
     assert set(z_point) == {"z[0,0,0,0,0]"}
+
+
+@pytest.mark.parametrize("mapping", [lp1_to_lp2, lp2_to_lp1])
+def test_point_maps_refuse_oversize_programs_and_unknown_names(mapping):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^lp1\(M=2, n=30\) needs about 2\^92 variables, above the cap {MAX_LP_VARIABLES}$"):
+        mapping(builtin_z0z1(), 2, 30, {})
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match=r"has no variable 'w\[0\]'"):
+        mapping(builtin_z0z1(), 2, 1, {"w[0]": 1})
+
+
+@pytest.mark.parametrize("bits, dtype", [(57, np.int64), (58, object)])
+def test_lift_dtype_holds_every_sum_over_input_and_guess(bits, dtype):
+    # r = q over D = 2^bits at M = 3: z is 2 * r where wh = w and 0 elsewhere,
+    # and each of its sums over (x, wh) is 2 * D; int64 holds 18 of those
+    # up to bits = 57
+    q = np.array([[2 ** (bits - 1)], [2 ** (bits - 1)]], dtype=object)
+    z = ns_lp._lift(q[..., None], q, 3)
+    assert z.dtype == dtype
+    assert z.sum(axis=(0, 1)).tolist() == [[[2 ** (bits + 1)]]] * 3
+    assert z[:, [0, 1, 2], [0, 1, 2]].tolist() == [[[[2**bits]]] * 3] * 2 and not z[:, 0, 1].any()
 
 
 # -- formulations agree on random channels ----------------------------------
