@@ -206,13 +206,23 @@ def typicality_pass_probability(
             lo_sum, hi_sum = lo_sum + lo, min(m, hi_sum + hi)
     check_cap(MU_WORK_CAP, 0, lambda: n_tilde * work, "mu's typicality test", "steps")
     result = ONE
+    last = len(px) - 1
     for y, m in enumerate(counts):
-        # sums[t]: over the letters so far, the sum of prod p^k / k! at window counts k totalling t
+        # sums[t]: over the letters so far, the nonzero sum of prod p^k / k! at window counts k
+        # totalling t, each reachable total pushed forward by every count of the next letter
         sums = {0: ONE}
         for x, (p, (lo, hi)) in enumerate(zip(px, windows[y])):
-            weights = {k: p**k / math.factorial(k) for k in range(lo, hi + 1)}
-            sums = {t: v for t in ([m] if x == len(px) - 1 else range(m + 1))
-                    if (v := sum((sums[t - k] * w for k, w in weights.items() if t - k in sums), ZERO))}
+            weights = {k: w for k in range(lo, hi + 1) if (w := p**k / math.factorial(k))}
+            if x == last:  # only the total m is read
+                sums = {m: sum((v * weights[m - t] for t, v in sums.items() if m - t in weights), ZERO)}
+                continue
+            pushed: dict[int, Fraction] = {}
+            for t, v in sums.items():
+                for k, w in weights.items():
+                    if t + k > m:
+                        break
+                    pushed[t + k] = pushed.get(t + k, ZERO) + v * w
+            sums = pushed
         result *= math.factorial(m) * sums.get(m, ZERO)
     return result
 

@@ -30,7 +30,6 @@ __all__ = [
     "block_outputs",
     "block_law",
     "block_law_array",
-    "block_kernel",
     "builtin_z0z1",
     "builtin_product_xs",
     "builtin_channel",
@@ -332,20 +331,6 @@ def block_law(ch: ChannelWithState, n: int) -> dict[tuple[int, int, int], Fracti
     values = by_x[cells].tolist()
     xs, ss, ys = (c.tolist() for c in cells)
     return {(x, s, y): Fraction(v, den) for x, s, y, v in zip(xs, ss, ys, values)}
-
-
-def block_kernel(
-    ch: ChannelWithState,
-    xs: Sequence[int],
-    ss: Sequence[int],
-    ys: Sequence[int],
-) -> Fraction:
-    """N^{(x)n}(ys|xs,ss) = prod_i N(y_i|x_i,s_i) for a memoryless block."""
-    if not len(xs) == len(ss) == len(ys):
-        raise ValueError(f"sequence lengths differ: {len(xs)}, {len(ss)}, {len(ys)}")
-    for seq, size in ((xs, ch.x_size), (ss, ch.s_size), (ys, ch.y_size)):
-        seq_to_index(seq, size)  # rejects a symbol outside the alphabet
-    return math.prod((ch.kernel[s][x][y] for x, s, y in zip(xs, ss, ys)), start=ONE)
 
 
 # -- builtins -------------------------------------------------------------

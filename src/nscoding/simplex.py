@@ -35,11 +35,12 @@ rows and the strip of artificial columns) never reads the objective, so
 a shared system keeps its outcome once a solve has run it; any other
 program runs phase 1 cold and keeps nothing.  Phase 2 runs on a copy,
 and the pivot count includes phase 1's, so pivots, vertices and values
-are those of a cold solve, and PivotLimitError is raised exactly when a
-cold solve would raise it.  The systems live in one least-recently-used
-memo keyed by (build, *fields) under one bound, _SYSTEM_CELLS (column,
-value) pairs.  A one-shot run builds and solves each system once and
-gains nothing from it.
+are those of a cold solve.  Every solve runs under the one limit
+MAX_PIVOTS, so a kept phase 1 ran under the limit a later solve uses,
+and a hit raises PivotLimitError exactly when a cold solve would.  The
+systems live in one least-recently-used memo keyed by (build, *fields)
+under one bound, _SYSTEM_CELLS (column, value) pairs.  A one-shot run
+builds and solves each system once and gains nothing from it.
 
 The optimum is read off the final tableau as integers over one common
 denominator, reduced, which is the point `violated_rows` makes of the
@@ -67,6 +68,7 @@ __all__ = [
     "SimplexSolution",
     "solve_exact",
     "PivotLimitError",
+    "MAX_PIVOTS",
     "MAX_TABLEAU_CELLS",
 ]
 
@@ -77,6 +79,10 @@ _RELATIONS = (EQ, LE, GE)
 
 # pivots without objective progress tolerated before switching to Bland's rule
 _DEGENERATE_STREAK = 40
+
+# pivots of one solve, phases 1 and 2 together, read at each solve; a
+# phase 1 the memo kept under a larger limit is not run again
+MAX_PIVOTS = 200_000
 
 # rows x columns of the largest tableau solve_exact builds.  Rows store only
 # their nonzero entries, so this bounds work (a pivot's scan of the rows,
@@ -211,9 +217,6 @@ class LinearProgram:
         if objective is not None and sum(map(mul, objective[1::2], map(at, objective[::2]))):
             bad.append("objective")
         return bad
-
-    def size(self) -> tuple[int, int]:
-        return len(self.var_names), len(self.rows)
 
 
 @dataclass
@@ -353,8 +356,9 @@ class _Tableau:
                     best_rhs, best_a, best_row = rhs, a, i
         return best_row, hits
 
-    def run(self, ncols: int, max_pivots: int, pivots_done: int, stop_at_zero: bool = False) -> tuple[str, int]:
-        """Maximize over the first `ncols` columns."""
+    def run(self, ncols: int, pivots_done: int, stop_at_zero: bool = False) -> tuple[str, int]:
+        """Maximize over the first `ncols` columns, with `pivots_done` of
+        the solve's MAX_PIVOTS taken already."""
         bland = False
         streak = 0
         while True:
@@ -367,8 +371,8 @@ class _Tableau:
             if row is None:
                 return "unbounded", pivots_done
             pivots_done += 1
-            if pivots_done > max_pivots:
-                raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
+            if pivots_done > MAX_PIVOTS:
+                raise PivotLimitError(f"pivot limit {MAX_PIVOTS} exceeded")
             before, before_den = self.obj.get(RHS, 0), self.obj_den
             self.pivot(row, col, hits)
             if self.obj.get(RHS, 0) * before_den == before * self.obj_den:
@@ -381,23 +385,21 @@ class _Tableau:
 
 @dataclass
 class _PhaseOne:
-    """A phase-1 outcome: the pivots of its run (the count `max_pivots`
-    bounds), all its pivots (with the drive-out), and, when the program is
-    feasible, the tableau in a feasible basis without artificial columns."""
+    """A phase-1 outcome: its pivots (with the drive-out) and, when the
+    program is feasible, the tableau in a feasible basis without
+    artificial columns."""
 
-    run_pivots: int
     pivots: int
     tab: Optional[_Tableau] = None
 
 
-def _phase_one(tab: _Tableau, art_base: int, total: int, max_pivots: int) -> _PhaseOne:
+def _phase_one(tab: _Tableau, art_base: int, total: int) -> _PhaseOne:
     """Maximize minus the artificial mass, drive surviving artificials out
     of the basis (or drop their redundant rows), strip the artificials."""
     tab.set_objective(dict.fromkeys(range(art_base, total), -1), 1)
-    status, run_pivots = tab.run(art_base, max_pivots, 0, stop_at_zero=True)
+    status, pivots = tab.run(art_base, 0, stop_at_zero=True)
     if status != "optimal" or RHS in tab.obj:
-        return _PhaseOne(run_pivots, run_pivots)
-    pivots = run_pivots
+        return _PhaseOne(pivots)
     drop: list[int] = []
     for i, b in enumerate(tab.basis):
         if b >= art_base:
@@ -412,7 +414,7 @@ def _phase_one(tab: _Tableau, art_base: int, total: int, max_pivots: int) -> _Ph
     # a row may share a factor with its denominator once its artificials are gone
     for i, (row, den) in enumerate(zip(tab.rows, tab.dens)):
         tab.rows[i], tab.dens[i] = _reduce({j: v for j, v in row.items() if j < art_base}, den)
-    return _PhaseOne(run_pivots, pivots, _Tableau(tab.rows, tab.dens, tab.basis))
+    return _PhaseOne(pivots, _Tableau(tab.rows, tab.dens, tab.basis))
 
 
 class _StandardForm(NamedTuple):
@@ -580,37 +582,32 @@ def shared_program(name: str, build: Callable[..., LinearProgram], *fields: Hash
     )
 
 
-def _feasible_tableau(form: _StandardForm, system: Optional[_System], max_pivots: int) -> tuple[int, Optional[_Tableau]]:
+def _feasible_tableau(form: _StandardForm, system: Optional[_System]) -> tuple[int, Optional[_Tableau]]:
     """(pivots so far, tableau in a feasible basis or None if there is
     none) of `form`, the standard form of `system` or of no shared system.
 
     The phase 1 of a system is kept, and used, only while the memo stores
-    the system.  A hit returns a copy, as phase 2 updates rows in place,
-    and raises PivotLimitError whenever the cold run would have.
+    the system.  A hit returns a copy, as phase 2 updates rows in place.
     """
     stored = system is not None and _SYSTEMS.get(system.key) is system
     found = system.phase_one if stored else None
     if found is None:
-        found = _phase_one(form.tableau(), form.art_base, form.total, max_pivots)
+        found = _phase_one(form.tableau(), form.art_base, form.total)
         cells = sum(map(len, found.tab.rows)) if found.tab else 0
         if not stored or not _SYSTEMS.put(system, cells):
             return found.pivots, found.tab  # phase 2 goes on in phase 1's tableau
         system.phase_one = found
-    elif found.run_pivots > max_pivots:
-        raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
     return found.pivots, found.tab and found.tab.copy()
 
 
-def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
+def solve_exact(lp: LinearProgram) -> SimplexSolution:
     """Solve to exact rational optimality (or report infeasible/unbounded).
 
-    Raises ValueError before any work for a negative `max_pivots`, and
-    before the first pivot for a tableau past MAX_TABLEAU_CELLS.
+    Raises ValueError before the first pivot for a tableau past
+    MAX_TABLEAU_CELLS, and PivotLimitError past MAX_PIVOTS pivots.
     """
     if lp.sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
-    if max_pivots < 0:
-        raise ValueError(f"max_pivots must be >= 0, got {max_pivots}")
     negate = lp.sense == "min"
 
     form, system = lp._form()
@@ -620,7 +617,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
     if art_base == total:  # no artificial column: the slack basis is feasible
         pivots, tab = 0, form.tableau()
     else:
-        pivots, tab = _feasible_tableau(form, system, max_pivots)
+        pivots, tab = _feasible_tableau(form, system)
         if tab is None:
             return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=pivots)
         total = art_base
@@ -636,7 +633,7 @@ def solve_exact(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution
         if minus >= 0:
             cost[minus] = -c
     tab.set_objective(cost, cost_den)
-    status, pivots = tab.run(total, max_pivots, pivots)
+    status, pivots = tab.run(total, pivots)
     if status == "unbounded":
         return SimplexSolution(status="unbounded", value=None, assignment={}, pivots=pivots)
 

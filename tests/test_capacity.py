@@ -105,9 +105,10 @@ def test_blahut_arimoto_trace_monotone():
     assert res.trace[-1] >= res.trace[0]
 
 
-def test_blahut_arimoto_nonconvergence_reports_gap():
-    with pytest.raises(ConvergenceError, match="iterations"):
-        blahut_arimoto(np.array([[1.0, 0.0], [0.5, 0.5]]), tol=1e-15, max_iter=3)
+def test_blahut_arimoto_nonconvergence_reports_gap(monkeypatch):
+    monkeypatch.setattr(capacity, "MAX_BA_ITERATIONS", 3)
+    with pytest.raises(ConvergenceError, match="^no convergence after 3 iterations"):
+        blahut_arimoto(np.array([[1.0, 0.0], [0.5, 0.5]]), tol=1e-15)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
@@ -118,17 +119,25 @@ def test_tolerance_must_be_finite_and_positive(tol):
         capacity_table(builtin_z0z1(), tol=tol)
 
 
-@pytest.mark.parametrize("restarts", [-1, 0, 1])
-def test_gp_restarts_below_two_rejected_before_any_work(monkeypatch, restarts):
+CAP = capacity.MAX_GP_RESTARTS
+
+
+@pytest.mark.parametrize("restarts, message", [
+    *((r, f"restarts must be >= 2 .*got {r}$") for r in (-1, 0, 1)),
+    (CAP + 1, f"^the non-causal lower bound needs {CAP + 1} restarts, above the cap {CAP}$"),
+    (10**100, f"^the non-causal lower bound needs about 2\\^332 restarts, above the cap {CAP}$"),
+], ids=["-1", "0", "1", "cap+1", "10^100"])
+def test_gp_restarts_outside_two_to_the_cap_rejected_before_any_work(monkeypatch, restarts, message):
     def no_work(*args, **kwargs):
         raise AssertionError("a capacity was computed before the restart count was checked")
 
     monkeypatch.setattr(capacity, "ns_capacity", no_work)
-    message = f"restarts must be >= 2 .*got {restarts}$"
     with pytest.raises(ValueError, match=message):
         gp_noncausal_capacity(builtin_z0z1(), restarts=restarts)
     with pytest.raises(ValueError, match=message):
         capacity_table(builtin_z0z1(), gp_restarts=restarts)
+    for admitted in (2, 8, CAP):
+        capacity._check_starts(admitted, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, -7])
@@ -184,8 +193,22 @@ def test_strategy_channel_cap():
         strategy_channel(ch)
 
 
-def test_gp_bound_sandwich_z0z1():
-    ch = builtin_z0z1()
+# a kernel whose ascent, at P_S = (0, 1), once met a row of -inf scores for
+# the state of probability zero: NaN weights (a RuntimeWarning, an error
+# under the test settings) and a bound below the causal capacity; (1, 0) is
+# the mirror case
+DEAD_STATE_KERNEL = [
+    [["3/8", "1/8", "1/2"], ["1/8", "5/8", "1/4"], ["1/4", "5/8", "1/8"]],
+    [["1/8", "0", "7/8"], ["0", "3/4", "1/4"], ["1/2", "1/2", "0"]],
+]
+
+
+@pytest.mark.parametrize("ch", [
+    builtin_z0z1(),
+    make_channel(DEAD_STATE_KERNEL, ["0", "1"]),
+    make_channel(DEAD_STATE_KERNEL, ["1", "0"]),
+], ids=["z0z1", "dead-state-0", "dead-state-1"])
+def test_gp_bound_sandwich(ch):
     causal = shannon_causal_capacity(ch)
     ns = ns_capacity(ch).value
     gp = gp_noncausal_capacity(ch, restarts=8, seed=0)
@@ -243,6 +266,7 @@ def test_gp_random_starts_are_drawn_one_ascent_at_a_time(monkeypatch):
         return 0.0, p0, xm0
 
     monkeypatch.setattr(capacity, "_gp_ascend", ascend)
+    monkeypatch.setattr(capacity, "MAX_GP_RESTARTS", 10**9)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="third ascent"):
         gp_noncausal_capacity(builtin_z0z1(), restarts=10**9)

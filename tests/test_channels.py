@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from nscoding.channels import (
     BlockStateSource,
     ChannelWithState,
-    block_kernel,
     builtin_channel,
     builtin_product_xs,
     builtin_z0z1,
@@ -99,23 +98,6 @@ def test_lift_csir_rows_still_normalize():
     ch = lift_csir(builtin_product_xs())
     ch.validate()
     assert ch.block_state == builtin_product_xs().block_state
-
-
-def test_block_kernel_product():
-    ch = builtin_z0z1()
-    assert block_kernel(ch, (1, 1), (0, 0), (0, 0)) == Fraction(1, 4)
-    assert block_kernel(ch, (0, 0), (0, 0), (0, 0)) == 1
-    assert block_kernel(ch, (0,), (0,), (1,)) == 0
-    with pytest.raises(ValueError):
-        block_kernel(ch, (0, 0), (0,), (0, 0))
-    # a symbol outside its alphabet, in any of the three blocks
-    for xs, ss, ys in [((-1,), (0,), (0,)), ((2,), (0,), (0,)), ((0,), (-1,), (0,)),
-                       ((0,), (2,), (0,)), ((0,), (0,), (2,))]:
-        with pytest.raises(ValueError, match="out of range"):
-            block_kernel(ch, xs, ss, ys)
-    # a product over positions, not a walk over the 2^64 output blocks
-    # of positive probability: x = 1 in state 0 has two outputs
-    assert block_kernel(ch, (1,) * 64, (0,) * 64, (1,) * 64) == Fraction(1, 2**64)
 
 
 def test_iid_block_prob():

@@ -5,9 +5,11 @@ are cheap; one test goes through the installed console script to make
 sure the packaging entry point resolves.
 """
 
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nscoding
 from nscoding import auth_scheme, capacity, classical, cli, ns_lp, simplex
 from nscoding.capacity import ConvergenceError, capacity_table
 from nscoding.channels import builtin_z0z1
@@ -523,6 +526,21 @@ def test_import_loads_neither_multiprocessing_nor_numpy_random():
     assert proc.stdout == "[]\n"
 
 
+EXPORTING_MODULES = [
+    module.__name__
+    for module in map(importlib.import_module, ["nscoding", *(f"nscoding.{m.name}" for m in pkgutil.iter_modules(nscoding.__path__))])
+    if hasattr(module, "__all__")
+]
+
+
+@pytest.mark.parametrize("name", EXPORTING_MODULES)
+def test_every_exported_name_resolves(name):
+    # a deleted function must take its __all__ entry with it
+    module = importlib.import_module(name)
+    assert [export for export in module.__all__ if not hasattr(module, export)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
 @pytest.mark.parametrize("channel, n, mode", [
     ("z0z1", 12, []),
     ("z0z1", 12, ["--csir"]),
@@ -591,6 +609,7 @@ NEAR_ONE = f"{10**7 - 1}/{10**7}"
     (["classical", "--channel", "three.json", "--M", "2", "--n", BIG_N, "--csir"], "SEARCH_WORK_CAP"),
     (["classical", "--channel", "three.json", "--M", "1", "--n", BIG_N], "WITNESS_ENTRY_CAP"),
     (["capacity", "wide.json"], "MAX_STRATEGY_LETTERS"),
+    (["capacity", "z0z1", "--gp-restarts", "100000000"], "MAX_GP_RESTARTS"),
 ])
 def test_every_size_cap_refuses_in_one_error_line_within_a_second(tmp_path, argv, cap):
     for name, doc in CAP_CHANNELS.items():

@@ -88,7 +88,7 @@ def test_reduced_program_shape_regression():
     lp = build_lp2(builtin_z0z1(), M=2, n=2)
     # 64 r-cells + 16 q-cells; 16 output-normalization rows, 4
     # input-normalization rows, 64 dominance rows, 16 + 4 causality rows.
-    assert lp.size() == (80, 104)
+    assert (len(lp.var_names), len(lp.rows)) == (80, 104)
 
 
 # -- certificate ------------------------------------------------------------
@@ -399,16 +399,20 @@ def test_point_violating_only_the_stepwise_rows():
 
 
 @contextmanager
-def fresh_memo():
-    """An empty memo (no shared system) for the block, the module's own
+def fresh_memo(max_pivots=None):
+    """An empty memo (no shared system) for the block, and with
+    `max_pivots` that pivot limit in place of MAX_PIVOTS; the module's own
     restored after.  A system stored in another memo is not stored in this
-    one, so its programs solve cold here and keep nothing."""
-    saved = simplex._SYSTEMS
+    one, so its programs solve cold here and keep nothing, and no phase 1
+    kept under another limit is hit."""
+    saved = simplex._SYSTEMS, simplex.MAX_PIVOTS
     simplex._SYSTEMS = memo = simplex._SystemMemo()
+    if max_pivots is not None:
+        simplex.MAX_PIVOTS = max_pivots
     try:
         yield memo
     finally:
-        simplex._SYSTEMS = saved
+        simplex._SYSTEMS, simplex.MAX_PIVOTS = saved
 
 
 @contextmanager
@@ -444,9 +448,9 @@ def outcome(sol: SimplexSolution) -> tuple:
     return sol.status, sol.value, sol.pivots, sol.assignment
 
 
-def solve_cold(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
+def solve_cold(lp: LinearProgram) -> SimplexSolution:
     with fresh_memo():
-        return solve_exact(lp, max_pivots=max_pivots)
+        return solve_exact(lp)
 
 
 def _shared_families():

@@ -101,15 +101,8 @@ def test_degenerate_program_terminates_at_optimum():
 
 
 def test_pivot_limit_raises():
-    with pytest.raises(PivotLimitError):
-        solve_exact(beale_cycling_program(), max_pivots=1)
-
-
-@pytest.mark.parametrize("lp", [beale_cycling_program(), LinearProgram()], ids=["pivots", "no-pivot"])
-def test_a_negative_pivot_limit_is_refused_before_any_work(lp, monkeypatch):
-    monkeypatch.setattr(LinearProgram, "_form", None)  # no standard form is made
-    with pytest.raises(ValueError, match="max_pivots must be >= 0, got -1"):
-        solve_exact(lp, max_pivots=-1)
+    with fresh_memo(max_pivots=1), pytest.raises(PivotLimitError, match="pivot limit 1 exceeded"):
+        solve_exact(beale_cycling_program())
 
 
 def test_reruns_are_identical():
@@ -282,7 +275,7 @@ def _ref_choose_leaving(tableau, basis, col) -> Optional[int]:
     return best_row
 
 
-def _ref_run_simplex(tableau, obj, basis, allowed, max_pivots, pivots_done, stop_at_zero=False):
+def _ref_run_simplex(tableau, obj, basis, allowed, pivots_done, stop_at_zero=False):
     ncols = len(obj) - 1
     bland = False
     streak = 0
@@ -296,8 +289,8 @@ def _ref_run_simplex(tableau, obj, basis, allowed, max_pivots, pivots_done, stop
         if row is None:
             return "unbounded", pivots_done
         pivots_done += 1
-        if pivots_done > max_pivots:
-            raise PivotLimitError(f"pivot limit {max_pivots} exceeded")
+        if pivots_done > simplex.MAX_PIVOTS:
+            raise PivotLimitError(f"pivot limit {simplex.MAX_PIVOTS} exceeded")
         before = obj[-1]
         _ref_pivot(tableau, basis, row, col)
         m = obj[col]
@@ -314,7 +307,7 @@ def _ref_run_simplex(tableau, obj, basis, allowed, max_pivots, pivots_done, stop
             streak = 0
 
 
-def reference_solve(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolution:
+def reference_solve(lp: LinearProgram) -> SimplexSolution:
     negate = lp.sense == "min"
     n_orig = len(lp.var_names)
     col_of = []
@@ -383,7 +376,7 @@ def reference_solve(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolu
         for j in range(art_base, total):
             obj[j] = ZERO
         allowed = [True] * art_base + [False] * n_art
-        status, pivots = _ref_run_simplex(tableau, obj, basis, allowed, max_pivots, pivots, stop_at_zero=True)
+        status, pivots = _ref_run_simplex(tableau, obj, basis, allowed, pivots, stop_at_zero=True)
         if status != "optimal" or obj[-1] != 0:
             return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=pivots)
         drop = []
@@ -417,7 +410,7 @@ def reference_solve(lp: LinearProgram, max_pivots: int = 200_000) -> SimplexSolu
                 if row[j]:
                     obj[j] -= cb * row[j]
             obj[-1] -= cb * row[-1]
-    status, pivots = _ref_run_simplex(tableau, obj, basis, [True] * total, max_pivots, pivots)
+    status, pivots = _ref_run_simplex(tableau, obj, basis, [True] * total, pivots)
     if status == "unbounded":
         return SimplexSolution(status="unbounded", value=None, assignment={}, pivots=pivots)
     values = [ZERO] * total
@@ -686,8 +679,8 @@ def corrupted_optimum(monkeypatch, corrupt) -> None:
     """Apply `corrupt` to the tableau of every phase-2 run once it ends."""
     run = simplex._Tableau.run
 
-    def corrupting(tab, ncols, max_pivots, pivots_done, stop_at_zero=False):
-        result = run(tab, ncols, max_pivots, pivots_done, stop_at_zero)
+    def corrupting(tab, ncols, pivots_done, stop_at_zero=False):
+        result = run(tab, ncols, pivots_done, stop_at_zero)
         if not stop_at_zero:
             corrupt(tab)
         return result
@@ -844,34 +837,31 @@ def test_a_hit_leaves_the_memo_as_it_was():
     # no phase-2 pivot: only the limit check on the hit itself can raise
     lambda: with_objective(build_lp1(builtin_z0z1(), M=2, n=1), {}),
 ], ids=["lp1-z0z1-n1", "lp1-binary#2-n1", "lp1-z0z1-n1-no-objective"])
-def test_a_hit_hits_the_pivot_limit_where_a_cold_solve_does(program):
+def test_a_hit_under_a_small_pivot_limit_solves_as_the_cold_solve(program):
     with fresh_memo():
         lp = program()
         full = solve_exact(lp)
-        found = lp._system.phase_one
+        kept = lp._system.phase_one.pivots
 
-    def attempt(lp, max_pivots: int):
+    def attempt(lp):
         try:
-            return outcome(solve_exact(lp, max_pivots=max_pivots))
+            return outcome(solve_exact(lp))
         except PivotLimitError:
             return "limit"
 
-    limits = range(full.pivots + 1)
-    cold = []
-    for max_pivots in limits:
-        with fresh_memo():
+    cold, hit = [], []
+    for limit in range(full.pivots + 1):  # limits in phase 1, in the drive-out (unchecked) and in phase 2
+        with fresh_memo(max_pivots=limit), phase_one_runs() as runs:
             lp = program()
-            cold.append(attempt(lp, max_pivots))
-            # a phase-1 run that raised is not kept
-            assert (lp._system.phase_one is not None) == (max_pivots >= found.run_pivots)
-    with fresh_memo(), phase_one_runs() as runs:
-        lp = program()
-        solve_exact(lp)
-        warm = [attempt(lp, max_pivots) for max_pivots in limits]
-    assert len(runs) == 1  # every attempt hit
-    assert warm == cold
+            cold.append(attempt(lp))
+            assert attempt(lp) == cold[-1]
+        # a phase-1 run that raised is not kept, so the second solve ran it again
+        hit.append(lp._system.phase_one is not None)
+        assert len(runs) == 2 - hit[-1]
     assert cold[0] == "limit" and cold[-1] == outcome(full)
-    assert 0 < found.run_pivots < found.pivots <= full.pivots  # limits in phase 1, in the drive-out (unchecked) and in phase 2
+    assert not hit[0] and hit[-1]
+    # a hit raises in phase 2 wherever phase 2 pivots
+    assert any(h and c == "limit" for h, c in zip(hit, cold)) == (kept < full.pivots)
 
 
 def test_an_infeasible_program_stays_infeasible_on_a_hit():
