@@ -834,7 +834,7 @@ def test_a_hit_leaves_the_memo_as_it_was():
 @pytest.mark.parametrize("program", [
     partial(build_lp1, builtin_z0z1(), M=2, n=1),
     partial(build_lp1, random_binary_channel(2), M=2, n=1),
-    # no phase-2 pivot: only the limit check on the hit itself can raise
+    # no phase-2 pivot: only a phase-1 run can raise, so a hit never does
     lambda: with_objective(build_lp1(builtin_z0z1(), M=2, n=1), {}),
 ], ids=["lp1-z0z1-n1", "lp1-binary#2-n1", "lp1-z0z1-n1-no-objective"])
 def test_a_hit_under_a_small_pivot_limit_solves_as_the_cold_solve(program):
