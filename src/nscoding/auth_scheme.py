@@ -416,6 +416,9 @@ class SchemeTensor:
     def entry(self, xs, w_hat: int, w: int, ss, ys) -> Fraction:
         if not (0 <= w_hat < self.message_count and 0 <= w < self.message_count):
             raise ValueError(f"message pair (w_hat, w) = ({w_hat}, {w}) outside 0..{self.message_count - 1}")
+        for name, block in (("input", xs), ("state", ss), ("output", ys)):
+            if len(block) != self.n:
+                raise ValueError(f"{name} block {tuple(block)} has length {len(block)}, not n = {self.n}")
         cell = self.numerators[
             seq_to_index(xs, self.x_size),
             w_hat,

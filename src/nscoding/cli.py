@@ -106,12 +106,11 @@ def _load_channel(spec: str) -> tuple[str, ChannelWithState]:
     return f"{spec} sha256:{channel_digest(ch)}", ch
 
 
-def _parse_rational_list(text: str) -> list[Fraction]:
-    return [read_rational(part.strip()) for part in text.split(",") if part.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part.strip()) for part in text.split(",") if part.strip()]
+def _parse_list(option: str, text: str, parse) -> list:
+    fields = [part.strip() for part in text.split(",")]
+    if "" in fields:
+        raise ValueError(f"{option} {text!r} has an empty field")
+    return [parse(part) for part in fields]
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -119,12 +118,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _cmd_capacity(args) -> ReportDocument:
     label, ch = _load_channel(args.channel)
-    report = ReportDocument(
-        command=f"capacity {args.channel}", channel=label, seed=args.seed
-    )
-    table = capacity.capacity_table(
-        ch, tol=args.tol, gp_restarts=args.gp_restarts, seed=args.seed
-    )
+    report = ReportDocument(command=f"capacity {args.channel}", channel=label)
+    table = capacity.capacity_table(ch, tol=args.tol)
     for cell, value in table.cells().items():
         report.add(cell, value)
     report.add(
@@ -252,8 +247,8 @@ def _cmd_typemap(args) -> ReportDocument:
     report = ReportDocument(
         command=f"typemap n={args.n} dist={args.dist} eps={args.eps} seq={args.seq}"
     )
-    dist = _parse_rational_list(args.dist)
-    seq = _parse_int_list(args.seq)
+    dist = _parse_list("--dist", args.dist, read_rational)
+    seq = _parse_list("--seq", args.seq, int)
     mapped = type_mapping.map_sequence(
         args.n, len(dist), dist, seq, read_rational(args.eps)
     )
@@ -332,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="four-cell capacity table of a channel")
     p.add_argument("channel", help="builtin channel name or channel file path")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--gp-restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     add_json(p)
 
     p = sub.add_parser("lp", help="exact success-probability linear programs")

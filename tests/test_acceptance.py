@@ -209,7 +209,7 @@ def test_criterion_09_capacity_cells():
     trace = ba.trace
     assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
     # revealing the state flattens the whole table
-    table = capacity_table(lift_csir(builtin_z0z1()), gp_restarts=4, seed=0)
+    table = capacity_table(lift_csir(builtin_z0z1()))
     cells = list(table.cells().values())
     assert max(cells) - min(cells) < 1e-3
     _passed(9, "grid oracle, monotone iterates, flat lifted table", t0, 30)

@@ -1,4 +1,4 @@
-import time
+import itertools
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from nscoding.capacity import (
     strategy_channel,
 )
 from nscoding.capacity import ConvergenceError
-from nscoding.channels import builtin_z0z1, lift_csir, make_channel
+from nscoding.channels import builtin_product_xs, builtin_z0z1, lift_csir, make_channel
 
 H = Fraction(1, 2)
 
@@ -119,41 +119,6 @@ def test_tolerance_must_be_finite_and_positive(tol):
         capacity_table(builtin_z0z1(), tol=tol)
 
 
-CAP = capacity.MAX_GP_RESTARTS
-
-
-@pytest.mark.parametrize("restarts, message", [
-    *((r, f"restarts must be >= 2 .*got {r}$") for r in (-1, 0, 1)),
-    (CAP + 1, f"^the non-causal lower bound needs {CAP + 1} restarts, above the cap {CAP}$"),
-    (10**100, f"^the non-causal lower bound needs about 2\\^332 restarts, above the cap {CAP}$"),
-], ids=["-1", "0", "1", "cap+1", "10^100"])
-def test_gp_restarts_outside_two_to_the_cap_rejected_before_any_work(monkeypatch, restarts, message):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a capacity was computed before the restart count was checked")
-
-    monkeypatch.setattr(capacity, "ns_capacity", no_work)
-    with pytest.raises(ValueError, match=message):
-        gp_noncausal_capacity(builtin_z0z1(), restarts=restarts)
-    with pytest.raises(ValueError, match=message):
-        capacity_table(builtin_z0z1(), gp_restarts=restarts)
-    for admitted in (2, 8, CAP):
-        capacity._check_starts(admitted, 0)
-
-
-@pytest.mark.parametrize("seed", [-1, -7])
-def test_negative_seed_rejected_before_any_work(monkeypatch, seed):
-    # numpy refuses a negative seed only once the random starts are drawn
-    def no_work(*args, **kwargs):
-        raise AssertionError("a capacity was computed before the seed was checked")
-
-    monkeypatch.setattr(capacity, "ns_capacity", no_work)
-    message = f"^seed must be >= 0, got {seed}$"
-    with pytest.raises(ValueError, match=message):
-        gp_noncausal_capacity(builtin_z0z1(), seed=seed)
-    with pytest.raises(ValueError, match=message):
-        capacity_table(builtin_z0z1(), seed=seed)
-
-
 def test_ns_capacity_z0z1_grid_oracle():
     ch = builtin_z0z1()
     res = ns_capacity(ch)
@@ -205,20 +170,95 @@ DEAD_STATE_KERNEL = [
 
 @pytest.mark.parametrize("ch", [
     builtin_z0z1(),
+    lift_csir(builtin_z0z1()),
+    builtin_product_xs(),
     make_channel(DEAD_STATE_KERNEL, ["0", "1"]),
     make_channel(DEAD_STATE_KERNEL, ["1", "0"]),
-], ids=["z0z1", "dead-state-0", "dead-state-1"])
+], ids=["z0z1", "z0z1-csir", "product-xs", "dead-state-0", "dead-state-1"])
 def test_gp_bound_sandwich(ch):
     causal = shannon_causal_capacity(ch)
     ns = ns_capacity(ch).value
-    gp = gp_noncausal_capacity(ch, restarts=8, seed=0)
+    gp = gp_noncausal_capacity(ch)
     assert causal - 1e-9 <= gp <= ns + 1e-9
+
+
+def test_gp_causal_start_carries_the_causal_capacity(monkeypatch):
+    # the first start is the causal optimum over every strategy letter; a
+    # start truncated to |X|*|S| letters once read 0.77382 here against the
+    # causal 0.78610, and only the ascent lifted it back
+    ch = make_channel(DEAD_STATE_KERNEL, ["0", "1"])
+    starts = []
+    ascend = capacity._gp_ascend
+
+    def spy(p0, xmap, W, ps, tol):
+        starts.append(capacity._gp_objective(p0, xmap, W, ps))
+        return ascend(p0, xmap, W, ps, tol)
+
+    monkeypatch.setattr(capacity, "_gp_ascend", spy)
+    gp = gp_noncausal_capacity(ch)
+    causal = shannon_causal_capacity(ch)
+    assert len(starts) == 2
+    assert starts[0] == pytest.approx(causal, abs=1e-12)
+    assert causal == pytest.approx(0.786103869137, abs=1e-9)
+    assert gp >= max(starts) - 1e-12
+
+
+def reference_gp_ascents(ch, starts, iterations=100_000, tol=1e-12):
+    """I(T;Y) - I(T;S) after the alternating ascent over strategy letters
+    t (state -> input) from each start P(t|s) = starts[k, s], written out
+    apart from the library: W(y|t,s) from the exact kernel, q(t|y) by
+    Bayes, then P(t|s) proportional to 2^(sum_y W(y|t,s) log2 q(t|y)),
+    until no start gains `tol` in a step."""
+    maps = list(itertools.product(range(ch.x_size), repeat=ch.s_size))
+    ps = np.array([float(p) for p in ch.state_dist])
+    w = np.array([[[float(ch.prob(y, t[s], s)) for y in range(ch.y_size)] for t in maps]
+                  for s in range(ch.s_size)])
+    p = starts
+    previous = -np.inf
+    for _ in range(iterations):
+        p_ty = (ps[None, :, None, None] * p[..., None] * w[None]).sum(axis=1)  # (start, t, y)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0) is dropped
+            logq = np.log2(p_ty / p_ty.sum(axis=1, keepdims=True))
+            score = np.where(w[None] > 0, w[None] * logq[:, None], 0.0).sum(axis=3)
+        top = score.max(axis=2, keepdims=True)
+        p = np.exp2(score - top)
+        value = (np.log2(p.sum(axis=2)) + top[..., 0]) @ ps
+        p /= p.sum(axis=2, keepdims=True)
+        if np.all(value - previous < tol):
+            break
+        previous = value
+    return [mi_oracle((ps[:, None, None] * pk[:, :, None] * w).sum(axis=0)) - mi_oracle((ps[:, None] * pk).T)
+            for pk in p]
+
+
+RANDOM_SHAPES = [(2, 2, 2), (3, 3, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
+
+
+def random_channel(rng, x_size, y_size, s_size):
+    def row(size, low):
+        counts = rng.integers(low, 9, size=size)
+        while not counts.sum():
+            counts = rng.integers(low, 9, size=size)
+        return [Fraction(int(c), int(counts.sum())) for c in counts]
+
+    return make_channel([[row(y_size, 0) for _ in range(x_size)] for _ in range(s_size)], row(s_size, 1))
+
+
+def test_gp_bound_matches_the_best_of_five_random_start_ascents():
+    rng = np.random.default_rng(28)
+    for i in range(20):
+        ch = random_channel(rng, *RANDOM_SHAPES[i % len(RANDOM_SHAPES)])
+        starts = rng.dirichlet(np.ones(ch.x_size**ch.s_size), size=(5, ch.s_size))
+        best = max(reference_gp_ascents(ch, starts))
+        gp = gp_noncausal_capacity(ch)
+        assert gp == pytest.approx(best, abs=1e-6), (i, gp, best)
+        assert gp <= ns_capacity(ch).value + 1e-9
 
 
 def test_gp_state_independent_channel_recovers_capacity():
     bsc = [[Fraction(7, 8), Fraction(1, 8)], [Fraction(1, 8), Fraction(7, 8)]]
     ch = make_channel([bsc, bsc], [H, H])
-    gp = gp_noncausal_capacity(ch, restarts=4, seed=0)
+    gp = gp_noncausal_capacity(ch)
     assert gp == pytest.approx(1 - hb(0.125), abs=1e-3)
 
 
@@ -235,6 +275,35 @@ def test_capacity_table_ordering_z0z1():
     assert rep.classical_causal <= rep.classical_noncausal + 1e-9
     assert rep.classical_noncausal <= rep.ns_causal + 1e-9
     assert rep.ns_causal == rep.ns_noncausal
+
+
+def count_blahut_arimoto_runs(monkeypatch):
+    runs = []
+    solve = capacity.blahut_arimoto
+
+    def spy(*args, **kwargs):
+        runs.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "blahut_arimoto", spy)
+    return runs
+
+
+def test_capacity_table_refuses_the_strategy_cap_before_any_blahut_arimoto(monkeypatch):
+    # 2^13 = 8192 letters; the 13 per-state solves of the assisted cells once ran first
+    runs = count_blahut_arimoto_runs(monkeypatch)
+    ch = make_channel([[[1, 0], [0, 1]]] * 13, [Fraction(1, 13)] * 13)
+    with pytest.raises(ValueError, match="^the strategy alphabet needs 8192 letters, above the cap 4096$"):
+        capacity_table(ch)
+    assert runs == []
+
+
+def test_capacity_table_runs_each_blahut_arimoto_once(monkeypatch):
+    # one per state for the assisted cells and one on the strategy channel,
+    # whose optimum also starts the non-causal ascent: |S| + 1
+    runs = count_blahut_arimoto_runs(monkeypatch)
+    capacity_table(builtin_z0z1())
+    assert len(runs) == 3
 
 
 def test_capacity_cells_stay_finite_when_input_weights_underflow():
@@ -254,20 +323,3 @@ def test_capacity_cells_stay_finite_when_input_weights_underflow():
     assert all(np.isfinite(v) and -tol <= v <= top + tol for v in cells.values()), cells
     assert cells["classical_causal"] <= cells["ns_causal"] + tol
     assert cells["classical_noncausal"] <= cells["ns_noncausal"] + tol
-
-
-def test_gp_random_starts_are_drawn_one_ascent_at_a_time(monkeypatch):
-    calls = []
-
-    def ascend(p0, xm0, W, ps, tol):
-        calls.append(p0)
-        if len(calls) == 3:
-            raise RuntimeError("third ascent")
-        return 0.0, p0, xm0
-
-    monkeypatch.setattr(capacity, "_gp_ascend", ascend)
-    monkeypatch.setattr(capacity, "MAX_GP_RESTARTS", 10**9)
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="third ascent"):
-        gp_noncausal_capacity(builtin_z0z1(), restarts=10**9)
-    assert time.perf_counter() - start < 1

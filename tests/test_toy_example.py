@@ -84,6 +84,20 @@ def test_toy_entry_refuses_a_message_outside_the_range(w_hat, w):
         toy_product_scheme().entry((0, 0, 0), w_hat, w, (0, 1, 1), (0, 0, 0))
 
 
+@pytest.mark.parametrize("xs, ss, ys, message", [
+    ((0, 0, 0, 1), (0, 1, 1), (0, 0, 1), r"^input block \(0, 0, 0, 1\) has length 4, not n = 3$"),
+    ((0, 1), (0, 1, 1), (0, 0, 1), r"^input block \(0, 1\) has length 2, not n = 3$"),
+    ((1, 0, 0, 0), (0, 1, 1), (0, 0, 1), r"^input block \(1, 0, 0, 0\) has length 4, not n = 3$"),
+    ((0, 0, 1), (0, 1), (0, 0, 1), r"^state block \(0, 1\) has length 2, not n = 3$"),
+    ((0, 0, 1), (0, 1, 1), (0, 0, 1, 0), r"^output block \(0, 0, 1, 0\) has length 4, not n = 3$"),
+], ids=["x-long", "x-short", "x-past-the-axis", "s-short", "y-long"])
+def test_toy_entry_refuses_a_block_of_another_length(xs, ss, ys, message):
+    # a longer or shorter block once read another cell as a flat index, or
+    # ran past the axis into an IndexError
+    with pytest.raises(ValueError, match=message):
+        toy_product_scheme().entry(xs, 2, 2, ss, ys)
+
+
 def test_toy_off_support_blocks_reuse_a_supported_pattern():
     # Blocks outside the source support inherit the pattern of the
     # supported block they share their decisive prefix with, keeping the
