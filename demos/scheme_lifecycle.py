@@ -5,8 +5,9 @@ Building and checking an authentication-style scheme
 Pipeline on a noiseless binary channel: derive the calibration numbers
 (reciprocal typicality probability mu, message count M, coin bias
 lambda), materialize the scheme as a conditional-probability tensor,
-check the three invariance conditions exhaustively in exact rationals,
-and evaluate the success probability both exactly and by simulation.
+check the four condition families of `ns_lp.CONDITIONS` exhaustively
+in exact rationals, and evaluate the success probability both exactly
+and by simulation.
 """
 
 from fractions import Fraction
@@ -42,7 +43,7 @@ print(f"n=8 tensor: {tensor.numerators.size} cells over denominator {tensor.deno
       f" conditions pass = {report.all_pass()}")
 print(f"n=8 guess-marginal uniform at 1/4: {bool((tensor.message_marginals() == Fraction(1, 4)).all())}")
 
-# Exact success at n=8 (sparse walk over reachable outputs) ...
+# Exact success at n=8 (one pass of the sigma-block DP) ...
 exact = success_probability(scheme, mode="exact")
 print(f"n=8 exact success = {exact}")
 

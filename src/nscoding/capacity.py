@@ -6,6 +6,9 @@ channel, and an alternating-ascent lower bound for the non-causal
 classical capacity over the same strategy letters.  Everything exact-valued
 (LP bounds, scheme tensors) lives elsewhere; this module works in
 ordinary double precision with 0*log(0) = 0 conventions.
+
+The stopping rules, TOL and MAX_BA_ITERATIONS, are module constants
+read at each call, with no per-call knob.
 """
 
 from __future__ import annotations
@@ -31,11 +34,14 @@ __all__ = [
     "capacity_table",
     "MAX_STRATEGY_LETTERS",
     "MAX_BA_ITERATIONS",
+    "TOL",
 ]
 
 MAX_STRATEGY_LETTERS = 4096
 # Blahut-Arimoto iterations before ConvergenceError; read at each call
 MAX_BA_ITERATIONS = 100_000
+# Blahut-Arimoto's capacity bracket and an ascent step's gain stop below it
+TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -67,18 +73,16 @@ class BlahutArimotoResult:
     gap: float = 0.0
 
 
-def blahut_arimoto(p_y_x: np.ndarray, tol: float = 1e-9) -> BlahutArimotoResult:
+def blahut_arimoto(p_y_x: np.ndarray) -> BlahutArimotoResult:
     """Capacity of a DMC given as a row-stochastic (x, y) matrix.
 
     Stops when the standard per-iteration capacity bracket
-    max_x D(W(.|x)||p_Y) - log2(sum_x r(x) 2^{D_x}) drops below `tol`,
+    max_x D(W(.|x)||p_Y) - log2(sum_x r(x) 2^{D_x}) drops below TOL,
     or raises ConvergenceError after MAX_BA_ITERATIONS iterations.
     The mutual-information trace is asserted non-decreasing along the
     way (up to additive float noise), which is a theorem for these
     updates and a cheap self-check in practice.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     W = np.asarray(p_y_x, dtype=float)
     if W.ndim != 2:
         raise ValueError(f"kernel must be 2-D, got shape {W.shape}")
@@ -109,7 +113,7 @@ def blahut_arimoto(p_y_x: np.ndarray, tol: float = 1e-9) -> BlahutArimotoResult:
         upper = float(D.max())
         gap = upper - lower
         r = scaled / scaled.sum()
-        if gap < tol:
+        if gap < TOL:
             value = _mutual_information(r[:, None] * W)
             trace.append(value)
             return BlahutArimotoResult(value=value, input_dist=r, iterations=it, trace=trace, gap=gap)
@@ -140,7 +144,7 @@ class NsCapacityResult:
     p_x_given_s: np.ndarray
 
 
-def ns_capacity(ch: ChannelWithState, tol: float = 1e-9) -> NsCapacityResult:
+def ns_capacity(ch: ChannelWithState) -> NsCapacityResult:
     """max_{P_X|S} I(X;Y|S): the assisted capacity with or without causality.
 
     The maximization splits into an independent Blahut–Arimoto problem
@@ -151,7 +155,7 @@ def ns_capacity(ch: ChannelWithState, tol: float = 1e-9) -> NsCapacityResult:
     value = 0.0
     rows = []
     for s in range(ch.s_size):
-        res = blahut_arimoto(W[s], tol=tol)
+        res = blahut_arimoto(W[s])
         rows.append(res.input_dist)
         if ps[s] > 0:
             value += ps[s] * res.value
@@ -177,10 +181,10 @@ def strategy_channel(ch: ChannelWithState) -> tuple[np.ndarray, list[tuple[int, 
     return rows, maps
 
 
-def shannon_causal_capacity(ch: ChannelWithState, tol: float = 1e-9) -> float:
+def shannon_causal_capacity(ch: ChannelWithState) -> float:
     """Unassisted causal capacity: ordinary capacity of the strategy channel."""
     rows, _ = strategy_channel(ch)
-    return blahut_arimoto(rows, tol=tol).value
+    return blahut_arimoto(rows).value
 
 
 # -- non-causal lower bound ------------------------------------------------
@@ -197,13 +201,13 @@ def _gp_objective(p_u_given_s: np.ndarray, xmap: np.ndarray, W: np.ndarray, ps: 
     return i_uy - i_us
 
 
-def _gp_ascend(p_u_given_s: np.ndarray, xmap: np.ndarray, W: np.ndarray, ps: np.ndarray, tol: float) -> float:
+def _gp_ascend(p_u_given_s: np.ndarray, xmap: np.ndarray, W: np.ndarray, ps: np.ndarray) -> float:
     """Ascent in P_{U|S} for a fixed input map x(u, s), from one start.
 
     Alternates the decoder q(u|y) = P(u|y) with P(u|s) proportional to
     2^d(s,u), d(s,u) = sum_y W(y|x(u,s),s) log2 q(u|y); no step lowers
     I(U;Y) - I(U;S).  Stops at a step that gains nothing, or that gains
-    less than `tol` while the geometric tail of the gains is below `tol`
+    less than TOL while the geometric tail of the gains is below TOL
     too, or after MAX_BA_ITERATIONS steps, and returns the objective
     reached, which is achievable either way.
     """
@@ -229,16 +233,16 @@ def _gp_ascend(p_u_given_s: np.ndarray, xmap: np.ndarray, W: np.ndarray, ps: np.
         value = float(ps @ (np.log2(total) + shift[:, 0]))
         gain, last = value - prev, gain
         # the tail is gain * r / (1 - r), r = gain / last: an ascent slowed
-        # near a boundary optimum gains less than tol a step long before it
-        # is within tol; the step rule alone stopped 1.1e-6 short on a random
+        # near a boundary optimum gains less than TOL a step long before it
+        # is within TOL; the step rule alone stopped 1.1e-6 short on a random
         # (2, 3, 2) channel
-        if gain <= 0 or gain < tol and gain * gain < tol * (last - gain):
+        if gain <= 0 or gain < TOL and gain * gain < TOL * (last - gain):
             break
         prev = value
     return _gp_objective(p, xmap, W, ps)
 
 
-def _gp_bound(ch: ChannelWithState, maps: list[tuple[int, ...]], causal_dist: np.ndarray, tol: float) -> float:
+def _gp_bound(ch: ChannelWithState, maps: list[tuple[int, ...]], causal_dist: np.ndarray) -> float:
     """The ascent over the strategy letters `maps` from the causal optimum
     `causal_dist`, tiled over states, and from its even mix with the
     uniform distribution; the larger value."""
@@ -248,10 +252,10 @@ def _gp_bound(ch: ChannelWithState, maps: list[tuple[int, ...]], causal_dist: np
     tiled = np.tile(causal_dist, (len(ps), 1))
     starts = (tiled, (tiled + 1 / len(maps)) / 2)
     # a constant U achieves 0, so the bound is never negative
-    return max(0.0, *(_gp_ascend(p0, xmap, W, ps, tol) for p0 in starts))
+    return max(0.0, *(_gp_ascend(p0, xmap, W, ps) for p0 in starts))
 
 
-def gp_noncausal_capacity(ch: ChannelWithState, tol: float = 1e-9) -> float:
+def gp_noncausal_capacity(ch: ChannelWithState) -> float:
     """Lower bound on the unassisted non-causal (Gelfand-Pinsker) capacity.
 
     Maximizes I(T;Y) - I(T;S) over P_{T|S} on the strategy letters t of
@@ -265,7 +269,7 @@ def gp_noncausal_capacity(ch: ChannelWithState, tol: float = 1e-9) -> float:
     of the ascent.
     """
     rows, maps = strategy_channel(ch)
-    return _gp_bound(ch, maps, blahut_arimoto(rows, tol=tol).input_dist, tol)
+    return _gp_bound(ch, maps, blahut_arimoto(rows).input_dist)
 
 
 @dataclass
@@ -286,7 +290,7 @@ class CapacityReport:
         }
 
 
-def capacity_table(ch: ChannelWithState, tol: float = 1e-9) -> CapacityReport:
+def capacity_table(ch: ChannelWithState) -> CapacityReport:
     """All four capacity cells of a channel with state.
 
     Assistance removes the causal penalty, so both assisted cells equal
@@ -296,11 +300,11 @@ def capacity_table(ch: ChannelWithState, tol: float = 1e-9) -> CapacityReport:
     refused above its cap before any Blahut-Arimoto run.
     """
     rows, maps = strategy_channel(ch)
-    causal = blahut_arimoto(rows, tol=tol)
-    ns = ns_capacity(ch, tol=tol)
+    causal = blahut_arimoto(rows)
+    ns = ns_capacity(ch)
     return CapacityReport(
         classical_causal=causal.value,
-        classical_noncausal=_gp_bound(ch, maps, causal.input_dist, tol),
+        classical_noncausal=_gp_bound(ch, maps, causal.input_dist),
         ns_causal=ns.value,
         ns_noncausal=ns.value,
     )

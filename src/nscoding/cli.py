@@ -119,13 +119,13 @@ def _parse_list(option: str, text: str, parse) -> list:
 def _cmd_capacity(args) -> ReportDocument:
     label, ch = _load_channel(args.channel)
     report = ReportDocument(command=f"capacity {args.channel}", channel=label)
-    table = capacity.capacity_table(ch, tol=args.tol)
+    table = capacity.capacity_table(ch)
     for cell, value in table.cells().items():
         report.add(cell, value)
     report.add(
         "flags",
         "classical_noncausal is an approximate lower bound; other cells "
-        f"converged to tol {_fmt_float(args.tol)}",
+        f"converged to tol {_fmt_float(capacity.TOL)}",
     )
     return report
 
@@ -326,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="four-cell capacity table of a channel")
     p.add_argument("channel", help="builtin channel name or channel file path")
-    p.add_argument("--tol", type=float, default=1e-9)
     add_json(p)
 
     p = sub.add_parser("lp", help="exact success-probability linear programs")

@@ -33,12 +33,12 @@ row, is put in standard form when it is solved or checked.
 Phase 1 (the run, the drive-out of artificials, the drop of redundant
 rows and the strip of artificial columns) never reads the objective, so
 a shared system keeps its outcome once a solve has run it; any other
-program runs phase 1 cold and keeps nothing.  Phase 2 runs on a copy,
-and the pivot count includes phase 1's, so pivots, vertices and values
-are those of a cold solve.  Every solve runs under the one limit
-MAX_PIVOTS, so a kept phase 1 ran under the limit a later solve uses,
-and a hit raises PivotLimitError exactly when a cold solve would.  The
-systems live in one least-recently-used memo keyed by (build, *fields)
+program runs phase 1 cold and keeps nothing.  Phase 2 runs on a copy.
+The tableau counts every pivot of a solve (phase 1's run and drive-out,
+then phase 2) and raises PivotLimitError at the first past the one limit
+MAX_PIVOTS; a hit checks the kept phase 1's count once.  So pivots,
+vertices, values and the limit are those of a cold solve.  The systems
+live in one least-recently-used memo keyed by (build, *fields)
 under one bound, _SYSTEM_CELLS (column, value) pairs.  A one-shot run
 builds and solves each system once and gains nothing from it.
 
@@ -80,8 +80,8 @@ _RELATIONS = (EQ, LE, GE)
 # pivots without objective progress tolerated before switching to Bland's rule
 _DEGENERATE_STREAK = 40
 
-# pivots of one solve, phases 1 and 2 together, read at each solve; a
-# phase 1 the memo kept under a larger limit is not run again
+# pivots of one solve, phases 1 and 2 together, read at each pivot; a
+# phase 1 the memo kept under a larger limit is checked on reuse
 MAX_PIVOTS = 200_000
 
 # rows x columns of the largest tableau solve_exact builds.  Rows store only
@@ -274,7 +274,8 @@ class _Tableau:
     not store is zero, and the right-hand side sits under the key RHS.
     `obj` (over `obj_den`) holds reduced costs, under RHS the *negated*
     objective value; storing -z keeps the objective row consistent under
-    the same row operations as the constraint rows.
+    the same row operations as the constraint rows.  `pivots` counts the
+    solve's pivots so far, phase 1's included.
     """
 
     def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int]) -> None:
@@ -283,15 +284,22 @@ class _Tableau:
         self.basis = basis
         self.obj: dict[int, int] = {}
         self.obj_den = 1
+        self.pivots = 0
 
     def copy(self) -> _Tableau:
-        """Its rows, denominators and basis, copied for a phase 2 of its own."""
-        return _Tableau([dict(row) for row in self.rows], list(self.dens), list(self.basis))
+        """A copy, pivot count included, for a phase 2 of its own."""
+        tab = _Tableau([dict(row) for row in self.rows], list(self.dens), list(self.basis))
+        tab.obj, tab.obj_den, tab.pivots = dict(self.obj), self.obj_den, self.pivots
+        return tab
 
     def pivot(self, row: int, col: int, hits: Optional[list[int]] = None) -> None:
         """Make `col` basic in `row`, eliminating it from the rows that store
         it (`hits`, as `leaving(col)` returns them, or else a scan) and from
-        the objective row."""
+        the objective row.  PivotLimitError instead if the solve's pivots
+        would go past MAX_PIVOTS."""
+        self.pivots += 1
+        if self.pivots > MAX_PIVOTS:
+            raise PivotLimitError(f"pivot limit {MAX_PIVOTS} exceeded")
         rows, dens = self.rows, self.dens
         if hits is None:
             hits = [i for i, other in enumerate(rows) if col in other]
@@ -356,23 +364,19 @@ class _Tableau:
                     best_rhs, best_a, best_row = rhs, a, i
         return best_row, hits
 
-    def run(self, ncols: int, pivots_done: int, stop_at_zero: bool = False) -> tuple[str, int]:
-        """Maximize over the first `ncols` columns, with `pivots_done` of
-        the solve's MAX_PIVOTS taken already."""
+    def run(self, ncols: int, stop_at_zero: bool = False) -> str:
+        """Maximize over the first `ncols` columns: "optimal" or "unbounded"."""
         bland = False
         streak = 0
         while True:
             if stop_at_zero and RHS not in self.obj:
-                return "optimal", pivots_done
+                return "optimal"
             col = self.entering(ncols, bland)
             if col is None:
-                return "optimal", pivots_done
+                return "optimal"
             row, hits = self.leaving(col)
             if row is None:
-                return "unbounded", pivots_done
-            pivots_done += 1
-            if pivots_done > MAX_PIVOTS:
-                raise PivotLimitError(f"pivot limit {MAX_PIVOTS} exceeded")
+                return "unbounded"
             before, before_den = self.obj.get(RHS, 0), self.obj_den
             self.pivot(row, col, hits)
             if self.obj.get(RHS, 0) * before_den == before * self.obj_den:
@@ -383,23 +387,17 @@ class _Tableau:
                 streak = 0
 
 
-@dataclass
-class _PhaseOne:
-    """A phase-1 outcome: its pivots (with the drive-out) and, when the
-    program is feasible, the tableau in a feasible basis without
-    artificial columns."""
-
-    pivots: int
-    tab: Optional[_Tableau] = None
-
-
-def _phase_one(tab: _Tableau, art_base: int, total: int) -> _PhaseOne:
-    """Maximize minus the artificial mass, drive surviving artificials out
-    of the basis (or drop their redundant rows), strip the artificials."""
+def _phase_one(tab: _Tableau, art_base: int, total: int) -> None:
+    """Maximize minus the artificial mass (bounded above by zero, so never
+    unbounded).  With none left, drive surviving artificials out of the
+    basis (or drop their redundant rows) and strip the artificial columns;
+    else drop every row and keep the mass, the mark of an infeasible
+    program, alone in the objective row."""
     tab.set_objective(dict.fromkeys(range(art_base, total), -1), 1)
-    status, pivots = tab.run(art_base, 0, stop_at_zero=True)
-    if status != "optimal" or RHS in tab.obj:
-        return _PhaseOne(pivots)
+    tab.run(art_base, stop_at_zero=True)
+    if RHS in tab.obj:
+        tab.rows, tab.dens, tab.basis, tab.obj = [], [], [], {RHS: tab.obj[RHS]}
+        return
     drop: list[int] = []
     for i, b in enumerate(tab.basis):
         if b >= art_base:
@@ -407,14 +405,13 @@ def _phase_one(tab: _Tableau, art_base: int, total: int) -> _PhaseOne:
             if j is None:
                 drop.append(i)
             else:
-                pivots += 1
                 tab.pivot(i, j)
     for i in reversed(drop):
         del tab.rows[i], tab.dens[i], tab.basis[i]
     # a row may share a factor with its denominator once its artificials are gone
     for i, (row, den) in enumerate(zip(tab.rows, tab.dens)):
         tab.rows[i], tab.dens[i] = _reduce({j: v for j, v in row.items() if j < art_base}, den)
-    return _PhaseOne(pivots, _Tableau(tab.rows, tab.dens, tab.basis))
+    tab.obj, tab.obj_den = {}, 1
 
 
 class _StandardForm(NamedTuple):
@@ -505,7 +502,7 @@ class _System:
     program: LinearProgram
     form: _StandardForm
     cells: int = 0
-    phase_one: Optional[_PhaseOne] = None
+    phase_one: Optional[_Tableau] = None
 
 
 # (column, value) pairs the memo holds, at 60-85 bytes each: the rows of its
@@ -582,22 +579,25 @@ def shared_program(name: str, build: Callable[..., LinearProgram], *fields: Hash
     )
 
 
-def _feasible_tableau(form: _StandardForm, system: Optional[_System]) -> tuple[int, Optional[_Tableau]]:
-    """(pivots so far, tableau in a feasible basis or None if there is
-    none) of `form`, the standard form of `system` or of no shared system.
+def _phase_one_tableau(form: _StandardForm, system: Optional[_System]) -> _Tableau:
+    """The tableau `_phase_one` leaves for `form`, the standard form of
+    `system` or of no shared system.
 
     The phase 1 of a system is kept, and used, only while the memo stores
-    the system.  A hit returns a copy, as phase 2 updates rows in place.
+    the system.  A hit checks the kept pivots against MAX_PIVOTS and
+    returns a copy, as phase 2 updates rows in place.
     """
     stored = system is not None and _SYSTEMS.get(system.key) is system
-    found = system.phase_one if stored else None
-    if found is None:
-        found = _phase_one(form.tableau(), form.art_base, form.total)
-        cells = sum(map(len, found.tab.rows)) if found.tab else 0
-        if not stored or not _SYSTEMS.put(system, cells):
-            return found.pivots, found.tab  # phase 2 goes on in phase 1's tableau
-        system.phase_one = found
-    return found.pivots, found.tab and found.tab.copy()
+    tab = system.phase_one if stored else None
+    if tab is None:
+        tab = form.tableau()
+        _phase_one(tab, form.art_base, form.total)
+        if not stored or not _SYSTEMS.put(system, sum(map(len, tab.rows))):
+            return tab  # phase 2 goes on in phase 1's tableau
+        system.phase_one = tab
+    elif tab.pivots > MAX_PIVOTS:  # kept under a larger limit
+        raise PivotLimitError(f"pivot limit {MAX_PIVOTS} exceeded")
+    return tab.copy()
 
 
 def solve_exact(lp: LinearProgram) -> SimplexSolution:
@@ -611,17 +611,12 @@ def solve_exact(lp: LinearProgram) -> SimplexSolution:
     negate = lp.sense == "min"
 
     form, system = lp._form()
-    art_base, total = form.art_base, form.total
-    cells = len(form.lines) * total
-    check_cap(MAX_TABLEAU_CELLS, 0, lambda: cells, f"the {len(form.lines)} x {total} tableau of {lp.name!r}", "cells")
-    if art_base == total:  # no artificial column: the slack basis is feasible
-        pivots, tab = 0, form.tableau()
-    else:
-        pivots, tab = _feasible_tableau(form, system)
-        if tab is None:
-            return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=pivots)
-        total = art_base
-    col_of = form.col_of
+    cells = len(form.lines) * form.total
+    check_cap(MAX_TABLEAU_CELLS, 0, lambda: cells, f"the {len(form.lines)} x {form.total} tableau of {lp.name!r}", "cells")
+    tab = _phase_one_tableau(form, system)
+    if RHS in tab.obj:  # phase 1 left artificial mass
+        return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=tab.pivots)
+    total, col_of = form.art_base, form.col_of
 
     # -- phase 2 ------------------------------------------------------------
     cost_den = math.lcm(*(c.denominator for c in lp.objective.values()))
@@ -633,9 +628,8 @@ def solve_exact(lp: LinearProgram) -> SimplexSolution:
         if minus >= 0:
             cost[minus] = -c
     tab.set_objective(cost, cost_den)
-    status, pivots = tab.run(total, pivots)
-    if status == "unbounded":
-        return SimplexSolution(status="unbounded", value=None, assignment={}, pivots=pivots)
+    if tab.run(total) == "unbounded":
+        return SimplexSolution(status="unbounded", value=None, assignment={}, pivots=tab.pivots)
 
     # the optimum as integers over one common denominator, reduced so that
     # it is the point `_point` makes of the returned assignment
@@ -659,4 +653,4 @@ def solve_exact(lp: LinearProgram) -> SimplexSolution:
         raise AssertionError(f"solver returned an infeasible or mismatched point; violated: {bad[:5]}")
     assignment = {name: Fraction(v, d) for name, v in zip(lp.var_names, nums) if v}
     value = Fraction(-z if negate else z, tab.obj_den)
-    return SimplexSolution(status="optimal", value=value, assignment=assignment, pivots=pivots)
+    return SimplexSolution(status="optimal", value=value, assignment=assignment, pivots=tab.pivots)

@@ -108,15 +108,7 @@ def test_blahut_arimoto_trace_monotone():
 def test_blahut_arimoto_nonconvergence_reports_gap(monkeypatch):
     monkeypatch.setattr(capacity, "MAX_BA_ITERATIONS", 3)
     with pytest.raises(ConvergenceError, match="^no convergence after 3 iterations"):
-        blahut_arimoto(np.array([[1.0, 0.0], [0.5, 0.5]]), tol=1e-15)
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-def test_tolerance_must_be_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-        blahut_arimoto(np.array([[1.0, 0.0], [0.5, 0.5]]), tol=tol)
-    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-        capacity_table(builtin_z0z1(), tol=tol)
+        blahut_arimoto(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
 
 def test_ns_capacity_z0z1_grid_oracle():
@@ -190,9 +182,9 @@ def test_gp_causal_start_carries_the_causal_capacity(monkeypatch):
     starts = []
     ascend = capacity._gp_ascend
 
-    def spy(p0, xmap, W, ps, tol):
+    def spy(p0, xmap, W, ps):
         starts.append(capacity._gp_objective(p0, xmap, W, ps))
-        return ascend(p0, xmap, W, ps, tol)
+        return ascend(p0, xmap, W, ps)
 
     monkeypatch.setattr(capacity, "_gp_ascend", spy)
     gp = gp_noncausal_capacity(ch)

@@ -538,7 +538,7 @@ def test_systems_and_phase_one_outcomes_share_one_bound(monkeypatch):
         assert list(memo.entries) == [systems[3], systems[2], systems[4]]
         cells = {key: system.cells for key, system in memo.entries.items()}
         for system in memo.entries.values():
-            template, tab = system.program, system.phase_one.tab
+            template, tab = system.program, system.phase_one
             rows = sum(len(row.coeffs) for row in template.rows) + system.form.cells()
             assert system.cells == rows + sum(map(len, tab.rows)) > rows
     # room for all but one cell: keeping M = 4's phase 1 evicts the least

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nscoding import simplex
 from nscoding.channels import builtin_z0z1, lift_csir
-from nscoding.ns_lp import build_lp1, build_lp2
+from nscoding.ns_lp import build_lp1, build_lp2, build_lp4_z0z1
 from nscoding.simplex import LinearProgram, PivotLimitError, SimplexSolution, shared_program, solve_exact
 from test_ns_lp import fresh_memo, outcome, phase_one_runs, random_binary_channel, random_channel, solve_cold
 
@@ -103,6 +103,32 @@ def test_degenerate_program_terminates_at_optimum():
 def test_pivot_limit_raises():
     with fresh_memo(max_pivots=1), pytest.raises(PivotLimitError, match="pivot limit 1 exceeded"):
         solve_exact(beale_cycling_program())
+
+
+@pytest.mark.parametrize("make, limit, drive_outs", [
+    (partial(build_lp2, builtin_z0z1(), M=2, n=2), 50, 10),
+    (partial(build_lp1, builtin_z0z1(), M=2, n=1), 12, 6),
+    (build_lp4_z0z1, 62, 18),
+], ids=["lp2-z0z1-n2", "lp1-z0z1-n1", "lp4"])
+def test_drive_out_pivots_count_against_the_limit(make, limit, drive_outs):
+    # without an objective phase 2 takes no pivot; under the limit the
+    # phase-1 run ends, and the drive-out goes past it
+    with fresh_memo():
+        assert solve_exact(with_objective(make(), {})).pivots == limit + drive_outs
+    with fresh_memo(max_pivots=limit), pytest.raises(PivotLimitError, match=f"pivot limit {limit} exceeded"):
+        solve_exact(with_objective(make(), {}))
+
+
+def test_a_kept_phase_one_past_the_limit_raises_on_a_hit(monkeypatch):
+    with fresh_memo():
+        lp = with_objective(build_lp2(builtin_z0z1(), M=2, n=2), {})
+        assert solve_exact(lp).pivots == lp._system.phase_one.pivots == 60
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 5)
+        with pytest.raises(PivotLimitError, match="pivot limit 5 exceeded"):
+            solve_exact(lp)
+    # as a cold solve does
+    with fresh_memo(max_pivots=5), pytest.raises(PivotLimitError, match="pivot limit 5 exceeded"):
+        solve_exact(lp)
 
 
 def test_reruns_are_identical():
@@ -679,8 +705,8 @@ def corrupted_optimum(monkeypatch, corrupt) -> None:
     """Apply `corrupt` to the tableau of every phase-2 run once it ends."""
     run = simplex._Tableau.run
 
-    def corrupting(tab, ncols, pivots_done, stop_at_zero=False):
-        result = run(tab, ncols, pivots_done, stop_at_zero)
+    def corrupting(tab, ncols, stop_at_zero=False):
+        result = run(tab, ncols, stop_at_zero)
         if not stop_at_zero:
             corrupt(tab)
         return result
@@ -752,8 +778,7 @@ def assert_warm_matches_cold(make_a, make_b) -> None:
             assert a._system is b._system and list(memo.entries) == [a._system.key]
             solve_exact(a)
             assert outcome(solve_exact(b)) == cold
-        form = a._system.form
-        assert len(runs) == (form.art_base < form.total)  # one run at most: the second solve hit
+        assert len(runs) == 1  # the second solve hit
 
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
@@ -815,16 +840,16 @@ def test_programs_with_different_rows_never_share_an_entry(a, b):
 
 def test_a_hit_leaves_the_memo_as_it_was():
     def snapshot(tab):
-        return [dict(row) for row in tab.rows], list(tab.dens), list(tab.basis)
+        return [dict(row) for row in tab.rows], list(tab.dens), list(tab.basis), dict(tab.obj), tab.pivots
 
     with fresh_memo() as memo, phase_one_runs() as runs:
         lp = build_lp2(random_channel(1, 2, 3, 2), M=2, n=2, causal=True)
         sols = [outcome(solve_exact(lp))]
         (system,) = memo.entries.values()
         found, cells = system.phase_one, memo.cells
-        stored = snapshot(found.tab)
+        stored = snapshot(found)
         sols += [outcome(solve_exact(lp)) for _ in range(2)]
-        assert snapshot(found.tab) == stored
+        assert snapshot(found) == stored
         assert system.phase_one is found and memo.cells == cells == system.cells
     assert len(runs) == 1  # both later solves hit
     assert sols[0][2] > found.pivots  # phase 2 pivots, on a copy
@@ -850,7 +875,7 @@ def test_a_hit_under_a_small_pivot_limit_solves_as_the_cold_solve(program):
             return "limit"
 
     cold, hit = [], []
-    for limit in range(full.pivots + 1):  # limits in phase 1, in the drive-out (unchecked) and in phase 2
+    for limit in range(full.pivots + 1):  # limits in phase 1, in the drive-out and in phase 2
         with fresh_memo(max_pivots=limit), phase_one_runs() as runs:
             lp = program()
             cold.append(attempt(lp))
@@ -859,6 +884,8 @@ def test_a_hit_under_a_small_pivot_limit_solves_as_the_cold_solve(program):
         hit.append(lp._system.phase_one is not None)
         assert len(runs) == 2 - hit[-1]
     assert cold[0] == "limit" and cold[-1] == outcome(full)
+    # no solve returns more pivots than its limit
+    assert all(c == "limit" or c[2] <= limit for limit, c in enumerate(cold))
     assert not hit[0] and hit[-1]
     # a hit raises in phase 2 wherever phase 2 pivots
     assert any(h and c == "limit" for h, c in zip(hit, cold)) == (kept < full.pivots)
@@ -872,7 +899,10 @@ def test_an_infeasible_program_stays_infeasible_on_a_hit():
     with fresh_memo() as memo, phase_one_runs() as runs:
         lp = shared_spec_program(spec, spec[2])
         solve_exact(lp)
-        assert len(memo.entries) == 1 and lp._system.phase_one.tab is None
+        # the kept outcome holds no row, and the memo counts no cell for it
+        kept = lp._system.phase_one
+        assert len(memo.entries) == 1 and not kept.rows and simplex.RHS in kept.obj and kept.pivots == cold.pivots
+        assert memo.cells == lp._system.cells == sum(len(row.coeffs) for row in lp.rows) + lp._system.form.cells()
         other = shared_spec_program(spec, {1: -1})
         assert outcome(solve_exact(lp)) == outcome(solve_exact(other)) == outcome(cold)
     assert len(runs) == 1
