@@ -186,6 +186,8 @@ def typicality_pass_probability(
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     px = [as_rational(p) for p in p_x]
     joint = [[as_rational(v) for v in row] for row in p_xy]
+    if len(px) != len(joint) or any(p < 0 for p in px) or sum(px, ZERO) != 1:
+        raise ValueError(f"p_x {px} is not a probability distribution on the {len(joint)} inputs of p_xy")
     y_size = len(joint[0]) if joint else 0
     counts = list(y_type)
     if len(counts) != y_size:

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .indexing import seq_to_index
-from .rational import as_rational, format_rational, read_rational
+from .rational import as_rational, format_rational, int_dtype
 
 __all__ = [
     "ChannelWithState",
@@ -34,6 +34,7 @@ __all__ = [
     "builtin_product_xs",
     "builtin_channel",
     "load_channel_file",
+    "read_json",
     "save_channel_file",
     "BUILTIN_CHANNELS",
 ]
@@ -304,7 +305,7 @@ def block_law_array(ch: ChannelWithState, n: int) -> tuple[np.ndarray, int]:
         sd = math.lcm(*(p.denominator for _seq, p in source.atoms))
         letter = [1] * ch.s_size  # the atoms weigh whole blocks below
         den = sd * kd**n
-    dtype = np.int64 if den < 2**63 else object
+    dtype = int_dtype(den, 1)
     step = np.array(kernel, dtype=dtype) * np.array(letter, dtype=dtype)[:, None, None]
     law = np.ones((1, 1, 1), dtype=dtype)
     for _ in range(n):
@@ -410,24 +411,31 @@ def _block_state_from_json(path: str, raw: object) -> BlockStateSource:
             and isinstance(atom[0], list) and all(_is_int(s) for s in atom[0])
         ):
             raise ValueError(f"{path}: block_state atom {atom!r} is not a [sequence, probability] pair")
-        atoms.append((tuple(atom[0]), read_rational(atom[1])))
+        atoms.append((tuple(atom[0]), as_rational(atom[1])))
     return BlockStateSource(n=raw["n"], atoms=tuple(atoms))
 
 
+def read_json(path: str) -> object:
+    """The one reader of JSON input files: decimals read exactly through
+    `as_rational`; malformed JSON and nesting past the parser's recursion
+    limit are a ValueError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_float=as_rational)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: nested too deeply to read as JSON") from None
+
+
 def load_channel_file(path: str) -> ChannelWithState:
-    """Load a channel from a JSON file.
+    """Load a channel from a JSON file read by `read_json`.
 
     Fields: x_size, y_size, s_size, kernel ([s][x][y] nested arrays of
     rational strings or numbers), state_dist, and optionally
     block_state = {"n": ..., "atoms": [[sequence, probability], ...]}.
-    Decimal literals in the file convert to exact rationals (they are
-    parsed from the text directly, never through a binary float).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for field in ("x_size", "y_size", "s_size", "kernel", "state_dist"):
@@ -444,11 +452,9 @@ def load_channel_file(path: str) -> ChannelWithState:
         raise ValueError(f"{path}: kernel must be [s][x][y] nested lists")
     if not isinstance(doc["state_dist"], list):
         raise ValueError(f"{path}: state_dist must be a list")
-    kernel = [[[read_rational(p) for p in row] for row in sl] for sl in kernel]
-    state_dist = [read_rational(p) for p in doc["state_dist"]]
     raw = doc.get("block_state")
     block = None if raw is None else _block_state_from_json(path, raw)
-    ch = make_channel(kernel, state_dist, block_state=block)
+    ch = make_channel(kernel, doc["state_dist"], block_state=block)
     if declared != (ch.x_size, ch.y_size, ch.s_size):
         raise ValueError(
             f"{path}: declared sizes {declared} do not match kernel shape "

@@ -78,6 +78,8 @@ class DeterministicEncoder:
             raise ValueError(f"position {j} outside 1..{self.n}")
         if len(s_prefix) != j:
             raise ValueError(f"prefix of length {len(s_prefix)} at position {j}")
+        if not 0 <= w < self.message_count:
+            raise ValueError(f"message {w} outside 0..{self.message_count - 1}")
         prefix_index = seq_to_index(s_prefix, self.s_size)
         return self.tables[j - 1][w * self.s_size**j + prefix_index]
 

@@ -28,8 +28,9 @@ from .channels import (
     builtin_product_xs,
     builtin_z0z1,
     load_channel_file,
+    read_json,
 )
-from .rational import format_rational, read_rational
+from .rational import as_rational, format_rational
 from .simplex import PivotLimitError, solve_exact
 
 __all__ = ["ReportDocument", "run", "main"]
@@ -200,11 +201,10 @@ def _load_strategy(path: Optional[str], ch: ChannelWithState):
     if path is None:
         u = Fraction(1, ch.x_size)
         return [[u] * ch.x_size for _ in range(ch.s_size)]
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = json.load(fh, parse_float=Fraction)
+    rows = read_json(path)
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError(f"{path}: a strategy file must hold a list of per-state rows (lists)")
-    return [[read_rational(p) for p in row] for row in rows]
+    return rows
 
 
 def _cmd_scheme(args) -> ReportDocument:
@@ -218,7 +218,7 @@ def _cmd_scheme(args) -> ReportDocument:
         seed=args.seed if args.scheme_action == "simulate" else None,
     )
     strategy = _load_strategy(args.strategy_file, ch)
-    scheme = auth_scheme.build_auth_scheme(ch, strategy, args.n, read_rational(args.eps))
+    scheme = auth_scheme.build_auth_scheme(ch, strategy, args.n, args.eps)
     report.add("mu", scheme.mu)
     report.add("message_count", scheme.message_count)
     report.add("lambda", scheme.acceptance)
@@ -247,11 +247,9 @@ def _cmd_typemap(args) -> ReportDocument:
     report = ReportDocument(
         command=f"typemap n={args.n} dist={args.dist} eps={args.eps} seq={args.seq}"
     )
-    dist = _parse_list("--dist", args.dist, read_rational)
+    dist = _parse_list("--dist", args.dist, as_rational)
     seq = _parse_list("--seq", args.seq, int)
-    mapped = type_mapping.map_sequence(
-        args.n, len(dist), dist, seq, read_rational(args.eps)
-    )
+    mapped = type_mapping.map_sequence(args.n, len(dist), dist, seq, args.eps)
     report.add("output", ",".join(str(v) for v in mapped.output))
     report.add("flag", mapped.flag)
     report.add("placeholder_symbol", type_mapping.placeholder(len(dist)))

@@ -3,8 +3,9 @@
 Probabilities, kernel entries, LP coefficients and tensor cells are all
 `fractions.Fraction` values, so every comparison downstream is exact.
 This module adds the text conventions on top of the stdlib type:
-parsing of "p/q" / decimal / integer literals and the canonical "p/q"
-rendering used by file formats and CLI reports.  Arrays of rationals are
+`as_rational`, the one reader of every rational from outside the package
+("p/q", decimal and integer literals), and the canonical "p/q" rendering
+used by file formats and CLI reports.  Arrays of rationals are
 integer numerators over one denominator; `int_dtype` picks their dtype.
 `check_cap` is the one refusal of every size cap in the package.
 """
@@ -12,6 +13,8 @@ integer numerators over one denominator; `int_dtype` picks their dtype.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -20,61 +23,35 @@ import numpy as np
 RationalLike = Union[Fraction, int, str]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal.
-
-    Accepts "p/q" with integer p and positive integer q, plain integers
-    ("7", "-3") and decimal strings ("0.25"); decimals convert exactly
-    (the text never passes through binary floating point).
-
-    Raises
-    ------
-    ValueError
-        If the text is not a rational literal.
-    ZeroDivisionError
-        If the denominator is zero.
-    """
-    if not isinstance(text, str):
-        raise ValueError(f"expected a string, got {type(text).__name__}")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
-
-
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, strings and Fractions to Fraction (floats and bools
-    are rejected).
-
-    Floats are deliberately not accepted: a float argument is almost
-    always a bug in code that promises exact arithmetic.  Nor is a bool,
-    although it is an int: True as a kernel entry or coefficient is a
-    mistake, not the number 1.
-    """
+    """The one reader of exact rationals: a Fraction, an int, or a literal
+    string ("13/16", " 0.25 ", "1e-3") read from its text, never through a
+    binary float.  Anything else is a ValueError naming the value: a float,
+    a bool (JSON true is a mistake, not 1), a zero denominator, text that is
+    not a literal, or a decimal exponent past Python's digit limit for int
+    literals, refused before Fraction builds a power of ten that large."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise ValueError(f"cannot use {type(value).__name__} as an exact rational")
-
-
-def read_rational(value: RationalLike) -> Fraction:
-    """as_rational for a value read from a file or the command line.
-
-    A zero denominator there is bad input, not an arithmetic fault, so
-    it is a ValueError naming the literal.  JSON true and false load as
-    bool, a subclass of int, and are refused rather than read as 1 and 0.
-    """
     if isinstance(value, bool):
         raise ValueError(f"{str(value).lower()} is a boolean, not a rational")
+    if isinstance(value, int):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ValueError(f"{reprlib.repr(value)} is a {type(value).__name__}, not a rational")
+    limit = sys.int_info.default_max_str_digits
+    _, e, exponent = value.lower().rpartition("e")
     try:
-        return as_rational(value)
+        exponent = abs(int(exponent)) if e else 0
+    except ValueError:  # no exponent to bound: Fraction refuses the text below
+        exponent = 0
+    if exponent > limit:
+        raise ValueError(f"decimal exponent of rational literal {value!r} exceeds {limit}")
+    try:
+        return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal {value!r}") from None
+    except ValueError:
+        raise ValueError(f"not a rational literal: {value!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

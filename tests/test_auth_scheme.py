@@ -114,6 +114,14 @@ def test_pass_probability_identity_pairs():
     assert reference_pass_probability(px, pxy, (1, 1), HALF) == F(1, 4)
 
 
+@pytest.mark.parametrize("px", [[F(1)], [F(1), F(1)], [F(3, 2), -HALF]])
+def test_pass_probability_refuses_an_input_law_unfit_for_the_pairs(px):
+    # unchecked, [1] would give 0 and [1, 1] would give 1 beside these pairs
+    pxy = [[HALF, F(0)], [F(0), HALF]]
+    with pytest.raises(ValueError, match="is not a probability distribution on the 2 inputs of p_xy$"):
+        typicality_pass_probability(px, pxy, (1, 1), HALF)
+
+
 def test_pass_probability_empty_block_is_one():
     assert typicality_pass_probability([1], [[1]], (0,), HALF) == 1
 

@@ -1,4 +1,6 @@
 import json
+import re
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -65,10 +67,23 @@ def test_validation_names_offending_row():
 
 def test_boolean_entries_are_refused():
     # True is an int, but a kernel of booleans is a mistake, not the identity channel
-    with pytest.raises(ValueError, match="cannot use bool as an exact rational"):
+    with pytest.raises(ValueError, match="^true is a boolean, not a rational$"):
         make_channel([[[True, False], [False, True]]], [True])
-    with pytest.raises(ValueError, match="cannot use bool as an exact rational"):
+    with pytest.raises(ValueError, match="^true is a boolean, not a rational$"):
         make_channel([[[1, 0], [0, 1]]], [True])
+
+
+def test_huge_decimal_exponent_is_refused_at_once(tmp_path):
+    # Fraction would build a hundred-million-digit power of ten for this literal
+    message = re.escape("decimal exponent of rational literal '1e-99999999' exceeds 4300")
+    path = tmp_path / "tiny.json"
+    path.write_text('{"x_size": 1, "y_size": 1, "s_size": 1, "kernel": [[[1]]], "state_dist": [1e-99999999]}')
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        make_channel([[[1]]], ["1e-99999999"])
+    with pytest.raises(ValueError, match=message):
+        load_channel_file(str(path))
+    assert time.perf_counter() - start < 1
 
 
 def test_block_source_validation():

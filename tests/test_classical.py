@@ -69,6 +69,16 @@ def test_explicit_encoder_sends_state_xor_message():
     assert enc.input_symbol(2, 1, (1, 1)) == 0
 
 
+@pytest.mark.parametrize("w", [-1, 2])
+def test_encoder_refuses_a_message_outside_its_range(w):
+    # -1 would read message 1's table, and 2 would run off the table's end
+    enc = explicit_z0z1_strategy().encoder
+    with pytest.raises(ValueError, match=f"^message {w} outside 0..1$"):
+        enc.input_symbol(1, w, (0,))
+    with pytest.raises(ValueError, match=f"^message {w} outside 0..1$"):
+        enc.input_block(w, (0, 1))
+
+
 def test_enumeration_reaches_the_explicit_value():
     value, witness = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
     assert value == CSIR_OPT

@@ -394,6 +394,45 @@ def test_zero_denominator_is_one_error_line(tmp_path, argv):
     assert (code, text) == (1, "error: zero denominator in rational literal '1/0'\n")
 
 
+SCHEME_BUILD = ["scheme", "build", "--channel", "z0z1", "--n", "4", "--eps", "1/2"]
+TYPEMAP = ["typemap", "--n", "4", "--seq", "0,1,1,0"]
+
+
+@pytest.mark.parametrize("argv, literal", [
+    (["lp", "solve", "--channel", "NUMBER_FILE", "--M", "2", "--n", "1"], "1e-99999999"),
+    (["lp", "solve", "--channel", "STRING_FILE", "--M", "2", "--n", "1"], "1e-99999999"),
+    (SCHEME_BUILD + ["--strategy-file", "STRATEGY_FILE"], "1e-99999999"),
+    (SCHEME_BUILD + ["--eps", "1e99999999"], "1e99999999"),
+    (TYPEMAP + ["--dist", "1e-99999999,1", "--eps", "1/4"], "1e-99999999"),
+    (TYPEMAP + ["--dist", "1/2,1/2", "--eps", "1e-999999999"], "1e-999999999"),
+])
+def test_huge_decimal_exponent_is_one_error_line_at_once(tmp_path, argv, literal):
+    # a 12-byte literal once asked Fraction for a hundred-million-digit power of ten
+    text = Path(write_identity_channel(tmp_path)).read_text()
+    files = {
+        "NUMBER_FILE": text.replace('"state_dist": ["1"]', '"state_dist": [1e-99999999]'),
+        "STRING_FILE": text.replace('"state_dist": ["1"]', '"state_dist": ["1e-99999999"]'),
+        "STRATEGY_FILE": "[[1e-99999999, 1], [0.5, 0.5]]",
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    start = time.perf_counter()
+    result = run(argv)
+    assert time.perf_counter() - start < 1
+    assert result == (1, f"error: decimal exponent of rational literal '{literal}' exceeds 4300\n")
+
+
+@pytest.mark.parametrize("option", ["--channel", "--strategy-file"])
+def test_deeply_nested_file_is_one_error_line(tmp_path, option):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    start = time.perf_counter()
+    result = run(SCHEME_BUILD + [option, str(path)])
+    assert time.perf_counter() - start < 1
+    assert result == (1, f"error: {path}: nested too deeply to read as JSON\n")
+
+
 def test_lp_solve_answers_z0z1_at_n3():
     # the largest causal LP2 on z0z1 within the tableau budget (n = 4 is
     # refused below)
