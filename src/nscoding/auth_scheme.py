@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law, state_block_count, state_blocks
+from .channels import ChannelWithState, block_law_array, state_block_count, state_blocks
 from .indexing import all_sequences, seq_to_index
 from .ns_lp import CONDITIONS, S_TAIL, X_TAIL, _lift, condition_views
 from .rational import as_rational, check_cap, int_dtype
@@ -455,28 +455,17 @@ class SchemeTensor:
 
 def _sub_tables(scheme: AuthScheme) -> dict[int, np.ndarray]:
     """{sigma: booleans v[x, y]} over the sub-blocks x in X^n_sigma and
-    y in Y^n_sigma of every tested sigma: whether `_block_test` passes on a
+    y in Y^n_sigma of every tested sigma: `_block_test`'s verdict on a
     sigma-block whose positions hold x and y (indexed as in `indexing`).
-
     The test on sigma reads only the n_sigma positions the state mapping
-    gave sigma, so these tables decide it for every state block.  Each
-    output sub-block is mapped once, and its kept pairs are counted for
-    all input sub-blocks at once against the integer windows.
-    """
+    gave sigma, so these tables decide it for every state block."""
     ch = scheme.channel
     tables = {}
-    for s, (lo, hi) in _count_windows(scheme):
+    for s, window in _count_windows(scheme):
         length = scheme.state_budgets.per_symbol[s]
-        # one_hot[i, k, x]: whether input sub-block i holds x at position k
-        one_hot = np.array(list(all_sequences(ch.x_size, length)))[:, :, None] == np.arange(ch.x_size)
-        table = np.empty((len(one_hot), ch.y_size**length), dtype=bool)
-        for yi, sub_y in enumerate(all_sequences(ch.y_size, length)):
-            mapped = np.array(map_with_budgets(sub_y, scheme.y_budgets[s]).output)
-            # counts[i, x, y]: kept pairs (x, y); placeholder outputs match no y
-            counts = np.stack([one_hot[:, mapped == y].sum(axis=1) for y in range(ch.y_size)], axis=2)
-            counts = counts.reshape(len(one_hot), -1)
-            table[:, yi] = ((lo <= counts) & (counts <= hi)).all(axis=1)
-        tables[s] = table
+        block, sub_ys = (s, window, range(length)), list(all_sequences(ch.y_size, length))
+        tables[s] = np.array([[_block_test(scheme, block, sub_x, sub_y)[0] for sub_y in sub_ys]
+                              for sub_x in all_sequences(ch.x_size, length)])
     return tables
 
 
@@ -595,9 +584,12 @@ def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
 
 
 def _tensor_success(tensor: SchemeTensor, ch: ChannelWithState) -> Fraction:
-    diagonal = np.trace(tensor.numerators, axis1=1, axis2=2)  # (x, s, y), summed over w
-    total = sum((w * int(diagonal[cell]) for cell, w in block_law(ch, tensor.n).items()), ZERO)
-    return total / (tensor.message_count * tensor.denominator)
+    """The diagonal, summed over w, weighed by `block_law_array` in one integer sum."""
+    law, den = block_law_array(ch, tensor.n)
+    diagonal = np.trace(tensor.numerators, axis1=1, axis2=2).transpose(1, 0, 2)  # [s, x, y]
+    dtype = int_dtype(int(abs(law).max()) * int(abs(diagonal).max()), law.size)
+    total = int((law.astype(dtype) * diagonal.astype(dtype)).sum())
+    return Fraction(total, den * tensor.message_count * tensor.denominator)
 
 
 def _draw_table(probs) -> tuple[list[float], float, int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -18,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .indexing import seq_to_index
-from .rational import as_rational, format_rational, int_dtype
+from .rational import as_integer, as_rational, format_rational, int_dtype
 
 __all__ = [
     "ChannelWithState",
@@ -28,7 +29,6 @@ __all__ = [
     "state_blocks",
     "state_block_count",
     "block_outputs",
-    "block_law",
     "block_law_array",
     "builtin_z0z1",
     "builtin_product_xs",
@@ -214,9 +214,8 @@ def lift_csir(ch: ChannelWithState) -> ChannelWithState:
 # Every exact number (LP objectives, the classical search, scheme success)
 # is a sum against P(s^n) * prod_i N(y_i|x_i,s_i).  `block_law_array` is
 # the one table of those products: integer numerators over one reduced
-# denominator, built by per-position outer products.  `block_law` reads its
-# Fraction dict off that table; the two walks below weigh one block at a
-# time where a caller needs only a few.
+# denominator, built by per-position outer products.  The two walks below
+# weigh one block at a time where a caller needs only a few.
 
 
 def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
@@ -322,18 +321,6 @@ def block_law_array(ch: ChannelWithState, n: int) -> tuple[np.ndarray, int]:
     return law, den // g
 
 
-def block_law(ch: ChannelWithState, n: int) -> dict[tuple[int, int, int], Fraction]:
-    """{(x, s, y): P(s^n) * N^n(y^n|x^n,s^n)} over the cells of positive
-    weight, keyed by block indices, x-major: the nonzero cells of
-    `block_law_array`."""
-    law, den = block_law_array(ch, n)
-    by_x = law.transpose(1, 0, 2)
-    cells = np.nonzero(by_x)  # in (x, s, y) index order
-    values = by_x[cells].tolist()
-    xs, ss, ys = (c.tolist() for c in cells)
-    return {(x, s, y): Fraction(v, den) for x, s, y, v in zip(xs, ss, ys, values)}
-
-
 # -- builtins -------------------------------------------------------------
 
 
@@ -400,67 +387,71 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _block_state_from_json(path: str, raw: object) -> BlockStateSource:
+def _block_state_from_json(raw: object) -> BlockStateSource:
     """{"n": int, "atoms": [[sequence, probability], ...]}, or ValueError."""
     if not (isinstance(raw, dict) and _is_int(raw.get("n")) and isinstance(raw.get("atoms"), list)):
-        raise ValueError(f"{path}: block_state must be an object with an integer n and an atoms list")
+        raise ValueError("block_state must be an object with an integer n and an atoms list")
     atoms = []
     for atom in raw["atoms"]:
         if not (
             isinstance(atom, list) and len(atom) == 2
             and isinstance(atom[0], list) and all(_is_int(s) for s in atom[0])
         ):
-            raise ValueError(f"{path}: block_state atom {atom!r} is not a [sequence, probability] pair")
+            raise ValueError(f"block_state atom {reprlib.repr(atom)} is not a [sequence, probability] pair")
         atoms.append((tuple(atom[0]), as_rational(atom[1])))
     return BlockStateSource(n=raw["n"], atoms=tuple(atoms))
 
 
 def read_json(path: str) -> object:
     """The one reader of JSON input files: decimals read exactly through
-    `as_rational`; malformed JSON and nesting past the parser's recursion
-    limit are a ValueError naming the path."""
+    `as_rational` and integers through `as_integer`; malformed JSON, a
+    number either refuses and nesting past the parser's recursion limit are
+    a ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_float=as_rational)
+            return json.load(fh, parse_float=as_rational, parse_int=as_integer)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: nested too deeply to read as JSON") from None
 
 
 def load_channel_file(path: str) -> ChannelWithState:
-    """Load a channel from a JSON file read by `read_json`.
+    """Load a channel from a JSON file read by `read_json`; every refusal
+    is a ValueError naming the path.
 
     Fields: x_size, y_size, s_size, kernel ([s][x][y] nested arrays of
     rational strings or numbers), state_dist, and optionally
     block_state = {"n": ..., "atoms": [[sequence, probability], ...]}.
     """
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for field in ("x_size", "y_size", "s_size", "kernel", "state_dist"):
-        if field not in doc:
-            raise ValueError(f"{path}: missing field {field!r}")
-    declared = (doc["x_size"], doc["y_size"], doc["s_size"])
-    if not all(_is_int(v) for v in declared):
-        raise ValueError(f"{path}: x_size, y_size and s_size must be integers")
-    kernel = doc["kernel"]
-    if not (
-        isinstance(kernel, list)
-        and all(isinstance(sl, list) and all(isinstance(row, list) for row in sl) for sl in kernel)
-    ):
-        raise ValueError(f"{path}: kernel must be [s][x][y] nested lists")
-    if not isinstance(doc["state_dist"], list):
-        raise ValueError(f"{path}: state_dist must be a list")
-    raw = doc.get("block_state")
-    block = None if raw is None else _block_state_from_json(path, raw)
-    ch = make_channel(kernel, doc["state_dist"], block_state=block)
-    if declared != (ch.x_size, ch.y_size, ch.s_size):
-        raise ValueError(
-            f"{path}: declared sizes {declared} do not match kernel shape "
-            f"({ch.x_size}, {ch.y_size}, {ch.s_size})"
-        )
-    return ch
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        for field in ("x_size", "y_size", "s_size", "kernel", "state_dist"):
+            if field not in doc:
+                raise ValueError(f"missing field {field!r}")
+        declared = (doc["x_size"], doc["y_size"], doc["s_size"])
+        if not all(_is_int(v) for v in declared):
+            raise ValueError("x_size, y_size and s_size must be integers")
+        kernel = doc["kernel"]
+        if not (
+            isinstance(kernel, list)
+            and all(isinstance(sl, list) and all(isinstance(row, list) for row in sl) for sl in kernel)
+        ):
+            raise ValueError("kernel must be [s][x][y] nested lists")
+        if not isinstance(doc["state_dist"], list):
+            raise ValueError("state_dist must be a list")
+        raw = doc.get("block_state")
+        block = None if raw is None else _block_state_from_json(raw)
+        ch = make_channel(kernel, doc["state_dist"], block_state=block)
+        if declared != (ch.x_size, ch.y_size, ch.s_size):
+            raise ValueError(f"declared sizes {declared} do not match kernel shape {(ch.x_size, ch.y_size, ch.s_size)}")
+        return ch
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_channel_file(ch: ChannelWithState, path: str) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .channels import (
     load_channel_file,
     read_json,
 )
-from .rational import as_rational, format_rational
+from .rational import as_integer, as_rational, format_rational
 from .simplex import PivotLimitError, solve_exact
 
 __all__ = ["ReportDocument", "run", "main"]
@@ -107,11 +108,19 @@ def _load_channel(spec: str) -> tuple[str, ChannelWithState]:
     return f"{spec} sha256:{channel_digest(ch)}", ch
 
 
+def _parse(option: str, text: str, parse):
+    """parse(text), or its ValueError prefixed with the option."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _parse_list(option: str, text: str, parse) -> list:
     fields = [part.strip() for part in text.split(",")]
     if "" in fields:
-        raise ValueError(f"{option} {text!r} has an empty field")
-    return [parse(part) for part in fields]
+        raise ValueError(f"{option} {reprlib.repr(text)} has an empty field")
+    return [_parse(option, part, parse) for part in fields]
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -218,7 +227,7 @@ def _cmd_scheme(args) -> ReportDocument:
         seed=args.seed if args.scheme_action == "simulate" else None,
     )
     strategy = _load_strategy(args.strategy_file, ch)
-    scheme = auth_scheme.build_auth_scheme(ch, strategy, args.n, args.eps)
+    scheme = auth_scheme.build_auth_scheme(ch, strategy, args.n, _parse("--eps", args.eps, as_rational))
     report.add("mu", scheme.mu)
     report.add("message_count", scheme.message_count)
     report.add("lambda", scheme.acceptance)
@@ -248,8 +257,8 @@ def _cmd_typemap(args) -> ReportDocument:
         command=f"typemap n={args.n} dist={args.dist} eps={args.eps} seq={args.seq}"
     )
     dist = _parse_list("--dist", args.dist, as_rational)
-    seq = _parse_list("--seq", args.seq, int)
-    mapped = type_mapping.map_sequence(args.n, len(dist), dist, seq, args.eps)
+    seq = _parse_list("--seq", args.seq, as_integer)
+    mapped = type_mapping.map_sequence(args.n, len(dist), dist, seq, _parse("--eps", args.eps, as_rational))
     report.add("output", ",".join(str(v) for v in mapped.output))
     report.add("flag", mapped.flag)
     report.add("placeholder_symbol", type_mapping.placeholder(len(dist)))

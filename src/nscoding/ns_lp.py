@@ -43,7 +43,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law, builtin_z0z1
+from .channels import ChannelWithState, block_law_array, builtin_z0z1
 from .rational import check_cap, int_dtype
 from .simplex import LinearProgram, shared_program, solve_exact
 
@@ -177,15 +177,14 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     of that shape (`shared_program`); the objective is the channel's.
     """
     nx, ns, ny = _checked_shape(ch, M, n, "lp1")
-    law = block_law(ch, n)
+    law, den = block_law_array(ch, n)
+    x, s, y = np.nonzero(law.transpose(1, 0, 2))  # the nonzero cells, x-major
     lp = shared_program(
         f"lp1[M={M},n={n},causal={causal}]", _lp1_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal
     )
     z = np.arange(len(lp.var_names)).reshape(nx, M, M, ns, ny)
-    inv_m = Fraction(1, M)
-    lp.set_objective({
-        int(z[xi, w, w, si, yi]): inv_m * weight for (xi, si, yi), weight in law.items() for w in range(M)
-    })
+    diagonal = z[x[:, None], range(M), range(M), s[:, None], y[:, None]].tolist()  # [cell][w]
+    lp.set_objective({k: Fraction(v, M * den) for keys, v in zip(diagonal, law[s, x, y].tolist()) for k in keys})
     return lp
 
 
@@ -231,12 +230,13 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     one.  Like `build_lp1`, it shares its variables and rows with every
     program of its shape and takes its objective from the channel."""
     nx, ns, ny = _checked_shape(ch, M, n, "lp2")
-    law = block_law(ch, n)
+    law, den = block_law_array(ch, n)
+    x, s, y = np.nonzero(law.transpose(1, 0, 2))  # the nonzero cells, x-major
     lp = shared_program(
         f"lp2[M={M},n={n},causal={causal}]", _lp2_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal
     )
     r = np.arange(nx * ny * ns).reshape(nx, ny, ns)
-    lp.set_objective({int(r[xi, yi, si]): weight for (xi, si, yi), weight in law.items()})
+    lp.set_objective({k: Fraction(v, den) for k, v in zip(r[x, y, s].tolist(), law[s, x, y].tolist())})
     return lp
 
 

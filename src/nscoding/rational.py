@@ -45,13 +45,21 @@ def as_rational(value: RationalLike) -> Fraction:
     except ValueError:  # no exponent to bound: Fraction refuses the text below
         exponent = 0
     if exponent > limit:
-        raise ValueError(f"decimal exponent of rational literal {value!r} exceeds {limit}")
+        raise ValueError(f"decimal exponent of rational literal {reprlib.repr(value)} exceeds {limit}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal {value!r}") from None
+        raise ValueError(f"zero denominator in rational literal {reprlib.repr(value)}") from None
     except ValueError:
-        raise ValueError(f"not a rational literal: {value!r}") from None
+        raise ValueError(f"not a rational literal: {reprlib.repr(value)}") from None
+
+
+def as_integer(text: str) -> int:
+    """int(text), or a ValueError naming the text, shortened, and Python's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer of at most {sys.get_int_max_str_digits()} digits: {reprlib.repr(text)}") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -37,8 +37,8 @@ from nscoding.auth_scheme import (
     zeta,
 )
 from nscoding.channels import (
-    block_outputs, builtin_product_xs, builtin_z0z1, load_channel_file, make_channel, state_block_count,
-    state_blocks,
+    block_law_array, block_outputs, builtin_product_xs, builtin_z0z1, load_channel_file, make_channel,
+    state_block_count, state_blocks,
 )
 from nscoding.indexing import index_to_seq
 from nscoding.ns_lp import build_lp1, build_lp2, lp1_to_lp2, lp2_to_lp1
@@ -878,6 +878,20 @@ def test_scheme_and_tensor_paths_agree():
     direct = success_probability(scheme)
     via_tensor = success_probability(materialize_tensor(scheme), channel=scheme.channel)
     assert direct == via_tensor == F(1, 4)
+
+
+def test_tensor_success_sums_products_past_int64():
+    # z0z1 with the noisy input's flip at 1/2 + 1/262139: the law (57 bits)
+    # and the tensor are int64, but law * diagonal products pass 2^63
+    a = HALF + F(1, 262139)
+    ch = make_channel([[[1, 0], [a, 1 - a]], [[1 - a, a], [0, 1]]], [HALF, HALF])
+    scheme = build_auth_scheme(ch, [[F(7, 31), F(24, 31)], [F(15, 31), F(16, 31)]], 3, F(1, 4), message_count=2)
+    tensor = materialize_tensor(scheme)
+    law, _ = block_law_array(ch, 3)
+    diagonal = np.trace(tensor.numerators, axis1=1, axis2=2)
+    assert law.dtype == tensor.numerators.dtype == np.int64
+    assert int(law.max()) * int(diagonal.max()) >= 2**63
+    assert success_probability(tensor, ch) == success_decomposition(scheme).success == HALF
 
 
 @pytest.mark.parametrize(

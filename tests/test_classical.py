@@ -21,7 +21,6 @@ import pytest
 from nscoding import classical
 from nscoding.channels import (
     BlockStateSource,
-    block_law,
     block_law_array,
     block_outputs,
     builtin_z0z1,
@@ -37,7 +36,7 @@ from nscoding.classical import (
     explicit_z0z1_strategy,
 )
 from nscoding.indexing import all_sequences, index_to_seq, seq_to_index
-from nscoding.ns_lp import build_lp2
+from nscoding.ns_lp import MAX_LP_VARIABLES, build_lp1, build_lp2
 from nscoding.rational import int_dtype
 from nscoding.simplex import solve_exact
 
@@ -535,11 +534,22 @@ _LAW_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, ch, n", _LAW_CASES, ids=[f"{c[0]} n={c[2]}" for c in _LAW_CASES])
-def test_block_law_equals_the_reference_walk(name, ch, n):
-    law = block_law(ch, n)
-    assert list(law.items()) == list(reference_block_law(ch, n).items())
-    assert all(type(k) is int for key in law for k in key)
+_LP_LAW_CASES = [case for case in _LAW_CASES if (case[1].x_size * case[1].s_size * case[1].y_size) ** case[2] * 4
+                 <= MAX_LP_VARIABLES]
+
+
+@pytest.mark.parametrize("name, ch, n", _LP_LAW_CASES, ids=[f"{c[0]} n={c[2]}" for c in _LP_LAW_CASES])
+def test_lp_objectives_are_the_reference_weights(name, ch, n):
+    # r[x,y,s] weighs P(s^n) N^n(y^n|x^n,s^n), and each diagonal z[x,w,w,s,y]
+    # a 1/M of it, walked x-major (key order included)
+    weights = reference_block_law(ch, n).items()
+    for build, expected in [
+        (build_lp2, [(f"r[{x},{y},{s}]", w) for (x, s, y), w in weights]),
+        (build_lp1, [(f"z[{x},{v},{v},{s},{y}]", w / 2) for (x, s, y), w in weights for v in range(2)]),
+    ]:
+        lp = build(ch, M=2, n=n)
+        assert [(lp.var_names[j], c) for j, c in lp.objective.items()] == expected
+        assert all(type(j) is int for j in lp.objective)
 
 
 @pytest.mark.parametrize("name, ch, n", _LAW_CASES, ids=[f"{c[0]} n={c[2]}" for c in _LAW_CASES])

@@ -326,7 +326,7 @@ def test_boolean_channel_entries_are_one_error_line(tmp_path, field, value):
     path = tmp_path / "bool_entry.json"
     path.write_text(json.dumps(doc))
     code, text = run(["lp", "solve", "--channel", str(path), "--M", "2", "--n", "1"])
-    assert (code, text) == (1, "error: true is a boolean, not a rational\n")
+    assert (code, text) == (1, f"error: {path}: true is a boolean, not a rational\n")
 
 
 @pytest.mark.parametrize(
@@ -377,36 +377,37 @@ def test_capacity_nonconvergence_is_one_error_line(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, source",
     [
-        ["scheme", "verify", "--channel", "z0z1", "--n", "2", "--eps", "1/0"],
-        ["typemap", "--n", "4", "--dist", "1/0,1/2", "--eps", "1/4", "--seq", "0,1,1,0"],
-        ["lp", "solve", "--channel", "ZERO_DEN_FILE", "--M", "2", "--n", "1"],
+        (["scheme", "verify", "--channel", "z0z1", "--n", "2", "--eps", "1/0"], "--eps"),
+        (["typemap", "--n", "4", "--dist", "1/0,1/2", "--eps", "1/4", "--seq", "0,1,1,0"], "--dist"),
+        (["lp", "solve", "--channel", "ZERO_DEN_FILE", "--M", "2", "--n", "1"], "ZERO_DEN_FILE"),
     ],
 )
-def test_zero_denominator_is_one_error_line(tmp_path, argv):
+def test_zero_denominator_is_one_error_line(tmp_path, argv, source):
     doc = json.loads(Path(write_identity_channel(tmp_path)).read_text())
     doc["kernel"][0][1] = ["1/0", "1"]
     path = tmp_path / "zero_den.json"
     path.write_text(json.dumps(doc))
     argv = [str(path) if a == "ZERO_DEN_FILE" else a for a in argv]
+    source = str(path) if source == "ZERO_DEN_FILE" else source
     code, text = run(argv)
-    assert (code, text) == (1, "error: zero denominator in rational literal '1/0'\n")
+    assert (code, text) == (1, f"error: {source}: zero denominator in rational literal '1/0'\n")
 
 
 SCHEME_BUILD = ["scheme", "build", "--channel", "z0z1", "--n", "4", "--eps", "1/2"]
 TYPEMAP = ["typemap", "--n", "4", "--seq", "0,1,1,0"]
 
 
-@pytest.mark.parametrize("argv, literal", [
-    (["lp", "solve", "--channel", "NUMBER_FILE", "--M", "2", "--n", "1"], "1e-99999999"),
-    (["lp", "solve", "--channel", "STRING_FILE", "--M", "2", "--n", "1"], "1e-99999999"),
-    (SCHEME_BUILD + ["--strategy-file", "STRATEGY_FILE"], "1e-99999999"),
-    (SCHEME_BUILD + ["--eps", "1e99999999"], "1e99999999"),
-    (TYPEMAP + ["--dist", "1e-99999999,1", "--eps", "1/4"], "1e-99999999"),
-    (TYPEMAP + ["--dist", "1/2,1/2", "--eps", "1e-999999999"], "1e-999999999"),
+@pytest.mark.parametrize("argv, source, literal", [
+    (["lp", "solve", "--channel", "NUMBER_FILE", "--M", "2", "--n", "1"], "NUMBER_FILE", "1e-99999999"),
+    (["lp", "solve", "--channel", "STRING_FILE", "--M", "2", "--n", "1"], "STRING_FILE", "1e-99999999"),
+    (SCHEME_BUILD + ["--strategy-file", "STRATEGY_FILE"], "STRATEGY_FILE", "1e-99999999"),
+    (SCHEME_BUILD + ["--eps", "1e99999999"], "--eps", "1e99999999"),
+    (TYPEMAP + ["--dist", "1e-99999999,1", "--eps", "1/4"], "--dist", "1e-99999999"),
+    (TYPEMAP + ["--dist", "1/2,1/2", "--eps", "1e-999999999"], "--eps", "1e-999999999"),
 ])
-def test_huge_decimal_exponent_is_one_error_line_at_once(tmp_path, argv, literal):
+def test_huge_decimal_exponent_is_one_error_line_at_once(tmp_path, argv, source, literal):
     # a 12-byte literal once asked Fraction for a hundred-million-digit power of ten
     text = Path(write_identity_channel(tmp_path)).read_text()
     files = {
@@ -417,10 +418,39 @@ def test_huge_decimal_exponent_is_one_error_line_at_once(tmp_path, argv, literal
     for name, content in files.items():
         (tmp_path / name).write_text(content)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
+    source = str(tmp_path / source) if source in files else source
     start = time.perf_counter()
     result = run(argv)
     assert time.perf_counter() - start < 1
-    assert result == (1, f"error: decimal exponent of rational literal '{literal}' exceeds 4300\n")
+    assert result == (1, f"error: {source}: decimal exponent of rational literal '{literal}' exceeds 4300\n")
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["lp", "solve", "--channel", "STATE_DIST_FILE", "--M", "2", "--n", "1"], "STATE_DIST_FILE"),
+    (["lp", "solve", "--channel", "X_SIZE_FILE", "--M", "2", "--n", "1"], "X_SIZE_FILE"),
+    (["lp", "solve", "--channel", "KERNEL_FILE", "--M", "2", "--n", "1"], "KERNEL_FILE"),
+    (["scheme", "build", "--channel", "z0z1", "--n", "4", "--eps", "x" * 3000], "--eps"),
+    (["typemap", "--n", "2", "--dist", "1/2,1/2", "--eps", "1/4", "--seq", "1" * 5000 + ",0"], "--seq"),
+    (["typemap", "--n", "2", "--dist", "1/2,1/2", "--eps", "1/4", "--seq", "a,b"], "--seq"),
+    (["typemap", "--n", "2", "--dist", "1/2,1/2", "--eps", "1/4", "--seq", "x" * 3000], "--seq"),
+    (["typemap", "--n", "2", "--dist", "1/2,," + "x" * 3000, "--eps", "1/4", "--seq", "0,0"], "--dist"),
+], ids=["state_dist", "x_size", "kernel", "eps", "seq-digits", "seq-letters", "seq-long", "dist-empty"])
+def test_refused_input_is_one_short_error_line_naming_its_source(tmp_path, argv, source):
+    # a 5001-digit integer passes Python's digit limit, and a refused value
+    # is echoed shortened: the line names the file or option and stays short
+    text = Path(write_identity_channel(tmp_path)).read_text()
+    files = {
+        "STATE_DIST_FILE": text.replace('"state_dist": ["1"]', '"state_dist": [' + "1" * 5001 + "]"),
+        "X_SIZE_FILE": text.replace('"x_size": 2', '"x_size": ' + "1" * 5001),
+        "KERNEL_FILE": text.replace('["1", "0"]', '["' + "x" * 3000 + '", "0"]'),
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    source = str(tmp_path / source) if source in files else source
+    code, out = run(argv)
+    assert code == 1 and out.startswith(f"error: {source}") and out.count("\n") == 1
+    assert len(out.encode()) <= 200
 
 
 @pytest.mark.parametrize("option", ["--channel", "--strategy-file"])

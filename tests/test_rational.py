@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nscoding.rational import as_rational, format_rational
+from nscoding.rational import as_integer, as_rational, format_rational
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -36,6 +36,23 @@ def test_zero_denominator_is_division_error():
     # bad input, not an arithmetic fault: a ValueError naming the literal
     with pytest.raises(ValueError, match="^zero denominator in rational literal '1/0'$"):
         as_rational("1/0")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x" * 3000, "^not a rational literal: 'x{12}\\.\\.\\.x{13}'$"),
+    ("1/" + "0" * 3000, "^zero denominator in rational literal '1/0{10}\\.\\.\\.0{13}'$"),
+    ("1e-" + "9" * 3000, "^decimal exponent of rational literal '1e-9{9}\\.\\.\\.9{13}' exceeds 4300$"),
+])
+def test_a_refused_long_literal_is_echoed_shortened(text, message):
+    with pytest.raises(ValueError, match=message):
+        as_rational(text)
+
+
+def test_as_integer_reads_int_literals_and_names_the_digit_limit():
+    assert as_integer("-12") == -12 and as_integer(" 7 ") == 7
+    for text, shown in [("a", "'a'"), ("1/2", "'1/2'"), ("1" * 5001, "'1{12}\\.\\.\\.1{13}'")]:
+        with pytest.raises(ValueError, match=f"^not an integer of at most 4300 digits: {shown}$"):
+            as_integer(text)
 
 
 def test_as_rational_rejects_float():
