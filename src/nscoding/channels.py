@@ -405,8 +405,8 @@ def _block_state_from_json(raw: object) -> BlockStateSource:
 def read_json(path: str) -> object:
     """The one reader of JSON input files: decimals read exactly through
     `as_rational` and integers through `as_integer`; malformed JSON, a
-    number either refuses and nesting past the parser's recursion limit are
-    a ValueError naming the path."""
+    number either reader refuses, and nesting past the parser's recursion
+    limit are a ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_float=as_rational, parse_int=as_integer)

@@ -534,8 +534,9 @@ _LAW_CASES = [
 ]
 
 
-_LP_LAW_CASES = [case for case in _LAW_CASES if (case[1].x_size * case[1].s_size * case[1].y_size) ** case[2] * 4
-                 <= MAX_LP_VARIABLES]
+# the cases whose full program at M = 2, (|X| |S| |Y|)^n * 4 variables, is within the cap
+_LP_LAW_CASES = [(name, ch, n) for name, ch, n in _LAW_CASES
+                 if (ch.x_size * ch.s_size * ch.y_size) ** n * 4 <= MAX_LP_VARIABLES]
 
 
 @pytest.mark.parametrize("name, ch, n", _LP_LAW_CASES, ids=[f"{c[0]} n={c[2]}" for c in _LP_LAW_CASES])
