@@ -38,7 +38,7 @@ import numpy as np
 from .channels import ChannelWithState, block_law_array, state_block_count, state_blocks
 from .indexing import all_sequences, seq_to_index
 from .ns_lp import CONDITIONS, S_TAIL, X_TAIL, _lift, condition_views
-from .rational import as_rational, check_cap, int_dtype
+from .rational import as_distribution, as_rational, check_cap, int_dtype
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window
 
@@ -80,15 +80,12 @@ InputStrategy = tuple[tuple[Fraction, ...], ...]
 
 
 def _clean_strategy(ch: ChannelWithState, strategy: Sequence[Sequence[object]]) -> InputStrategy:
-    rows = tuple(tuple(as_rational(p) for p in row) for row in strategy)
-    if len(rows) != ch.s_size:
-        raise ValueError(f"{len(rows)} strategy rows for {ch.s_size} states")
-    for s, row in enumerate(rows):
+    if len(strategy) != ch.s_size:
+        raise ValueError(f"{len(strategy)} strategy rows for {ch.s_size} states")
+    for s, row in enumerate(strategy):
         if len(row) != ch.x_size:
             raise ValueError(f"strategy row {s} has {len(row)} entries for {ch.x_size} inputs")
-        if any(p < 0 for p in row) or sum(row, ZERO) != 1:
-            raise ValueError(f"strategy row {s} is not a probability distribution: {row}")
-    return rows
+    return tuple(as_distribution(row, f"strategy row {s}") for s, row in enumerate(strategy))
 
 
 def _output_tables(
@@ -184,10 +181,10 @@ def typicality_pass_probability(
     eps = as_rational(eps)
     if not ZERO < eps < ONE:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    px = [as_rational(p) for p in p_x]
     joint = [[as_rational(v) for v in row] for row in p_xy]
-    if len(px) != len(joint) or any(p < 0 for p in px) or sum(px, ZERO) != 1:
-        raise ValueError(f"p_x {px} is not a probability distribution on the {len(joint)} inputs of p_xy")
+    if len(p_x) != len(joint):
+        raise ValueError(f"p_x has {len(p_x)} entries for the {len(joint)} inputs of p_xy")
+    px = as_distribution(p_x, "p_x")
     y_size = len(joint[0]) if joint else 0
     counts = list(y_type)
     if len(counts) != y_size:

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .indexing import seq_to_index
-from .rational import as_integer, as_rational, format_rational, int_dtype
+from .rational import as_distribution, as_integer, as_rational, format_rational, int_dtype
 
 __all__ = [
     "ChannelWithState",
@@ -57,9 +57,8 @@ class BlockStateSource:
     def validate(self, s_size: int) -> None:
         if self.n < 1:
             raise ValueError(f"block length must be >= 1, got {self.n}")
-        total = Fraction(0)
         seen = set()
-        for seq, p in self.atoms:
+        for seq, _ in self.atoms:
             if len(seq) != self.n:
                 raise ValueError(f"state sequence {seq} does not have length {self.n}")
             if any(not 0 <= s < s_size for s in seq):
@@ -67,11 +66,7 @@ class BlockStateSource:
             if seq in seen:
                 raise ValueError(f"state sequence {seq} listed twice")
             seen.add(seq)
-            if p < 0 or p > 1:
-                raise ValueError(f"probability of state sequence {seq} is {p}, outside [0, 1]")
-            total += p
-        if total != ONE:
-            raise ValueError(f"block state probabilities sum to {total}, expected 1")
+        as_distribution((p for _, p in self.atoms), "block_state")
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(seq for seq, p in self.atoms if p > 0)
@@ -118,20 +113,10 @@ class ChannelWithState:
             for x, row in enumerate(state_slice):
                 if len(row) != self.y_size:
                     raise ValueError(f"kernel row s={s}, x={x} has {len(row)} entries, expected {self.y_size}")
-                total = Fraction(0)
-                for y, p in enumerate(row):
-                    if p < 0 or p > 1:
-                        raise ValueError(f"kernel entry N({y}|{x},{s}) = {p} outside [0, 1]")
-                    total += p
-                if total != ONE:
-                    raise ValueError(f"kernel row s={s}, x={x} sums to {total}, expected 1")
+                as_distribution(row, f"kernel row s={s}, x={x}")
         if len(self.state_dist) != self.s_size:
             raise ValueError(f"state_dist has {len(self.state_dist)} entries, expected {self.s_size}")
-        for s, p in enumerate(self.state_dist):
-            if p < 0 or p > 1:
-                raise ValueError(f"state_dist[{s}] = {p} outside [0, 1]")
-        if sum(self.state_dist, Fraction(0)) != ONE:
-            raise ValueError(f"state_dist sums to {sum(self.state_dist, Fraction(0))}, expected 1")
+        as_distribution(self.state_dist, "state_dist")
         if self.block_state is not None:
             self.block_state.validate(self.s_size)
 

@@ -31,7 +31,7 @@ from .channels import (
     load_channel_file,
     read_json,
 )
-from .rational import as_integer, as_rational, format_rational
+from .rational import as_distribution, as_integer, as_rational, format_rational
 from .simplex import PivotLimitError, solve_exact
 
 __all__ = ["ReportDocument", "run", "main"]
@@ -108,12 +108,12 @@ def _load_channel(spec: str) -> tuple[str, ChannelWithState]:
     return f"{spec} sha256:{channel_digest(ch)}", ch
 
 
-def _parse(option: str, text: str, parse):
-    """parse(text), or its ValueError prefixed with the option."""
+def _parse(source: str, text, parse):
+    """parse(text), or its ValueError prefixed with its source, an option or a file path."""
     try:
         return parse(text)
     except ValueError as exc:
-        raise ValueError(f"{option}: {exc}") from None
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _parse_list(option: str, text: str, parse) -> list:
@@ -213,7 +213,7 @@ def _load_strategy(path: Optional[str], ch: ChannelWithState):
     rows = read_json(path)
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError(f"{path}: a strategy file must hold a list of per-state rows (lists)")
-    return rows
+    return _parse(path, rows, lambda rows: auth_scheme._clean_strategy(ch, rows))
 
 
 def _cmd_scheme(args) -> ReportDocument:
@@ -256,7 +256,7 @@ def _cmd_typemap(args) -> ReportDocument:
     report = ReportDocument(
         command=f"typemap n={args.n} dist={args.dist} eps={args.eps} seq={args.seq}"
     )
-    dist = _parse_list("--dist", args.dist, as_rational)
+    dist = as_distribution(_parse_list("--dist", args.dist, as_rational), "--dist")
     seq = _parse_list("--seq", args.seq, as_integer)
     mapped = type_mapping.map_sequence(args.n, len(dist), dist, seq, _parse("--eps", args.eps, as_rational))
     report.add("output", ",".join(str(v) for v in mapped.output))

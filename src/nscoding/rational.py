@@ -4,19 +4,20 @@ Probabilities, kernel entries, LP coefficients and tensor cells are all
 `fractions.Fraction` values, so every comparison downstream is exact.
 This module adds the text conventions on top of the stdlib type:
 `as_rational`, the one reader of every rational from outside the package
-("p/q", decimal and integer literals), and the canonical "p/q" rendering
-used by file formats and CLI reports.  Arrays of rationals are
-integer numerators over one denominator; `int_dtype` picks their dtype.
-`check_cap` is the one refusal of every size cap in the package.
+("p/q", decimal and integer literals), `as_distribution`, the one check of
+a probability law, and the "p/q" rendering of file formats and reports.
+Arrays of rationals are integer numerators over one denominator, of the
+dtype `int_dtype` picks; `check_cap` is the one refusal of every size cap.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import reprlib
 import sys
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -28,8 +29,8 @@ def as_rational(value: RationalLike) -> Fraction:
     string ("13/16", " 0.25 ", "1e-3") read from its text, never through a
     binary float.  Anything else is a ValueError naming the value: a float,
     a bool (JSON true is a mistake, not 1), a zero denominator, text that is
-    not a literal, or a decimal exponent past Python's digit limit for int
-    literals, refused before Fraction builds a power of ten that large."""
+    not a literal, or a digit run or decimal exponent past Python's digit
+    limit, the exponent refused before Fraction builds its power of ten."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -51,7 +52,22 @@ def as_rational(value: RationalLike) -> Fraction:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal {reprlib.repr(value)}") from None
     except ValueError:
+        digits = sys.get_int_max_str_digits()
+        if digits and any(len(run) > digits for run in re.findall(r"\d+", value)):
+            raise ValueError(f"rational literal {reprlib.repr(value)} has a run of more than {digits} digits") from None
         raise ValueError(f"not a rational literal: {reprlib.repr(value)}") from None
+
+
+def as_distribution(values: Iterable[RationalLike], what: str) -> tuple[Fraction, ...]:
+    """The one check of a probability law: `values`, read by `as_rational`, lie in
+    [0, 1] and sum to 1, else one ValueError naming `what` and one entry or the sum."""
+    law = tuple(as_rational(p) for p in values)
+    total = sum(law, Fraction(0))
+    outside = [p for p in law if not 0 <= p <= 1]
+    if outside or total != 1:
+        why = f"{outside[0]} is outside [0, 1]" if outside else f"it sums to {total}"
+        raise ValueError(f"{what} is not a probability distribution: {why}")
+    return law
 
 
 def as_integer(text: str) -> int:

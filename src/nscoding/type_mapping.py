@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import as_rational
+from .rational import as_distribution, as_rational
 
 __all__ = [
     "Budgets",
@@ -83,11 +83,9 @@ def budgets(n: int, alphabet_size: int, dist: Sequence[object], eps: object) -> 
     eps = as_rational(eps)
     if not Fraction(0) < eps < Fraction(1):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    probs = [as_rational(p) for p in dist]
-    if len(probs) != alphabet_size:
-        raise ValueError(f"{len(probs)} probabilities for alphabet of size {alphabet_size}")
-    if any(p < 0 for p in probs) or sum(probs, Fraction(0)) != 1:
-        raise ValueError(f"dist {probs} is not a probability distribution")
+    if len(dist) != alphabet_size:
+        raise ValueError(f"{len(dist)} probabilities for alphabet of size {alphabet_size}")
+    probs = as_distribution(dist, "dist")
     per = tuple(math.floor(n * (1 - eps) * p) for p in probs)
     return Budgets(n=n, alphabet_size=alphabet_size, per_symbol=per, extra=n - sum(per))
 

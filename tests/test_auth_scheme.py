@@ -118,7 +118,7 @@ def test_pass_probability_identity_pairs():
 def test_pass_probability_refuses_an_input_law_unfit_for_the_pairs(px):
     # unchecked, [1] would give 0 and [1, 1] would give 1 beside these pairs
     pxy = [[HALF, F(0)], [F(0), HALF]]
-    with pytest.raises(ValueError, match="is not a probability distribution on the 2 inputs of p_xy$"):
+    with pytest.raises(ValueError, match="^p_x (has 1 entries for the 2 inputs of p_xy|is not a probability distribution: .+)$"):
         typicality_pass_probability(px, pxy, (1, 1), HALF)
 
 

@@ -313,7 +313,27 @@ def test_boolean_strategy_entries_are_one_error_line(tmp_path):
     path = tmp_path / "strategy.json"
     path.write_text("[[true, false], [false, true]]")
     argv = ["scheme", "simulate", "--channel", "z0z1", "--n", "2", "--eps", "1/2"]
-    assert run(argv + ["--strategy-file", str(path)]) == (1, "error: true is a boolean, not a rational\n")
+    assert run(argv + ["--strategy-file", str(path)]) == (1, f"error: {path}: true is a boolean, not a rational\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[[1]]", "1 strategy rows for 2 states"),
+    ('[["1/2", "1/2"], [1]]', "strategy row 1 has 1 entries for 2 inputs"),
+    ('[["1/2", "1/3"], ["1/2", "1/2"]]', "strategy row 0 is not a probability distribution: it sums to 5/6"),
+    ('[["1/2", "1/2"], ["3/2", "-1/2"]]', "strategy row 1 is not a probability distribution: 3/2 is outside [0, 1]"),
+])
+def test_refused_strategy_file_contents_name_the_file(tmp_path, content, message):
+    path = tmp_path / "strategy.json"
+    path.write_text(content)
+    argv = ["scheme", "build", "--channel", "z0z1", "--n", "2", "--eps", "1/2", "--strategy-file", str(path)]
+    assert run(argv) == (1, f"error: {path}: {message}\n")
+
+
+def test_a_long_dist_that_is_no_law_is_one_short_line_naming_the_option():
+    dist = ",".join(["1/3000"] * 2999)
+    code, text = run(["typemap", "--n", "4", "--dist", dist, "--eps", "1/4", "--seq", "0,1,0,1"])
+    assert (code, text) == (1, "error: --dist is not a probability distribution: it sums to 2999/3000\n")
+    assert len(text.encode()) < 200
 
 
 @pytest.mark.parametrize("field, value", [

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nscoding.rational import as_integer, as_rational, format_rational
+from nscoding.auth_scheme import build_auth_scheme, typicality_pass_probability
+from nscoding.channels import BlockStateSource, builtin_z0z1, make_channel
+from nscoding.rational import as_distribution, as_integer, as_rational, format_rational
+from nscoding.type_mapping import budgets
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -46,6 +49,63 @@ def test_zero_denominator_is_division_error():
 def test_a_refused_long_literal_is_echoed_shortened(text, message):
     with pytest.raises(ValueError, match=message):
         as_rational(text)
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("1" * 4301, "1{12}"),
+    ("0." + "1" * 4301, "0\\.1{10}"),
+    ("1/" + "3" * 5000, "1/3{10}"),
+])
+def test_a_digit_run_past_the_limit_names_the_limit(text, shown):
+    message = f"^rational literal '{shown}\\.\\.\\.{text[-1]}{{13}}' has a run of more than 4300 digits$"
+    with pytest.raises(ValueError, match=message):
+        as_rational(text)
+
+
+def test_digit_runs_up_to_the_limit_read():
+    # the limit bounds each run of digits, not the literal
+    run = "1" * 4300
+    assert as_rational(run + "." + run) == int(run) + Fraction(int(run), 10**4300)
+    assert as_rational("1/" + run) == Fraction(1, int(run))
+
+
+HALF = Fraction(1, 2)
+PAIRS = [[HALF, Fraction(0)], [Fraction(0), HALF]]
+
+# each exact-law check in the package, fed one two-entry law where it reads one
+LAW_CHECKS = {
+    "kernel row s=0, x=1": lambda law: make_channel([[[1, 0], law]], [1]),
+    "state_dist": lambda law: make_channel([[[1]], [[1]]], law),
+    "block_state": lambda law: BlockStateSource(1, (((0,), law[0]), ((1,), law[1]))).validate(2),
+    "dist": lambda law: budgets(10, 2, law, HALF),
+    "strategy row 0": lambda law: build_auth_scheme(builtin_z0z1(), [law, [HALF, HALF]], 2, HALF),
+    "p_x": lambda law: typicality_pass_probability(law, PAIRS, (1, 1), HALF),
+}
+
+
+@pytest.mark.parametrize("what", LAW_CHECKS)
+@pytest.mark.parametrize("law, problem", [
+    (["3/2", "-1/2"], "3/2 is outside \\[0, 1\\]"),
+    (["1/2", "1/3"], "it sums to 5/6"),
+])
+def test_every_law_check_is_as_distribution(what, law, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} is not a probability distribution: {problem}$"):
+        LAW_CHECKS[what](law)
+
+
+@pytest.mark.parametrize("law, problem", [
+    (["1/3000"] * 2999 + ["0"], "it sums to 2999/3000"),
+    (["1/2999"] * 2999 + ["-1/3000"], "-1/3000 is outside \\[0, 1\\]"),
+])
+def test_a_long_law_is_refused_in_a_short_message(law, problem):
+    # the message shows one entry or the sum, never the 3000 entries
+    with pytest.raises(ValueError, match=f"^state_dist is not a probability distribution: {problem}$") as info:
+        make_channel([[[1]]] * 3000, law)
+    assert len(str(info.value)) < 100
+
+
+def test_as_distribution_returns_the_law_read_exactly():
+    assert as_distribution(["1/4", "0.75", 0], "law") == (Fraction(1, 4), Fraction(3, 4), Fraction(0))
 
 
 def test_as_integer_reads_int_literals_and_names_the_digit_limit():
