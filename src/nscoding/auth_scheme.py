@@ -534,10 +534,10 @@ class ConditionReport:
     c1: list[str]
     c2: list[str]
     c3: list[str]
-    combined: list[str]
+    combined = property(lambda _self: [], doc="Always []: c1 and c3 imply it; read only by perfbench/workloads.py.")
 
     def all_pass(self) -> bool:
-        return not (self.c1 or self.c2 or self.c3 or self.combined)
+        return not (self.c1 or self.c2 or self.c3)
 
 
 # the condition axes as reports name them below i = n
@@ -559,11 +559,15 @@ def _violations(family: str, i: int, n: int, mask: np.ndarray) -> list[str]:
 
 
 def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
-    """Check the four families of `ns_lp.CONDITIONS` exactly, on every cell
-    at each of their prefix lengths (`combined` is implied by c1 and c3).
+    """Check the three families of `ns_lp.CONDITIONS` exactly, on every
+    cell at each of their prefix lengths.
 
     Every check compares sums of cells for equality, which is the same
-    on the integer numerators as on the rationals they stand for.
+    on the integer numerators as on the rationals they stand for.  No
+    check of the sums over (x tail, wh) against (s tail, y) = (0, 0) is
+    needed, for any array: by c1 summed over the x tail, such a sum at
+    (s tail, y) equals the same sum at y = 0, and by c3 at y = 0 for each
+    wh, that equals the sum at (s tail = 0, y = 0).
     """
     found = {family: [] for family in CONDITIONS}
     for family, (summed, _, _) in CONDITIONS.items():
@@ -818,10 +822,10 @@ def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
               "the exact success pass", "terms", "; use monte_carlo mode")
     d = math.lcm(*(p.denominator for px in scheme.strategy for p in px),
                  *(k.denominator for rows in ch.kernel for row in rows for k in row))
-    # moves[sigma][r]: (x * |Y|, y, d^2 * weight) of each (x, y) of positive weight in real state r
-    moves = [[[(x * ch.y_size, y, p.numerator * k.numerator * (d // p.denominator) * (d // k.denominator))
-               for x, (p, row) in enumerate(zip(px, rows)) for y, k in enumerate(row) if p and k]
-              for rows in ch.kernel] for px in scheme.strategy]
+    # moves[sigma][r], tested sigma only: (x * |Y|, y, d^2 * weight) of each (x, y) of positive weight in real state r
+    moves = {s: [[(x * ch.y_size, y, p.numerator * k.numerator * (d // p.denominator) * (d // k.denominator))
+                  for x, (p, row) in enumerate(zip(scheme.strategy[s], rows)) for y, k in enumerate(row) if p and k]
+                 for rows in ch.kernel] for s, _ in windows}
     totals = [ZERO] * 3  # P(accept), P(F), P(accept and F), times d^(2 * tested positions)
     for _si, ss, p_s in state_blocks(ch, n):
         mapped = map_with_budgets(ss, scheme.state_budgets)

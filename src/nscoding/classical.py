@@ -18,14 +18,12 @@ one gain table built per (channel, n).  Message-0 branches are scored in
 array batches of at most _BATCH_CELLS cells, so numpy does the work and
 memory stays flat in the branch count.  Ties break toward the smallest
 message, then the earliest enumerated encoder, so results are
-deterministic (and identical for any batch size, and when the outer loop
-is chunked across processes).
+deterministic and identical for any batch size.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -185,16 +183,16 @@ def _block_law(ch: ChannelWithState, n: int, csir: bool = False) -> _Law:
     gain = None
     if csir:
         gain = np.empty(law.shape[:2] + law.shape[1:2], dtype=law.dtype)
-        for lo, hi in _batches(0, law.shape[1], law.size):
+        for lo, hi in _batches(law.shape[1], law.size):
             gain[:, :, lo:hi] = np.maximum(law[:, :, None] - law[:, None, lo:hi], 0).sum(axis=-1)
     return _Law(law, den, ch.x_size**digits, place, ch.x_size, ch.s_size, n, gain)
 
 
-def _batches(start: int, stop: int, cells: int):
-    """[lo, hi) blocks covering [start, stop), each as many items as fit
+def _batches(stop: int, cells: int):
+    """[lo, hi) blocks covering [0, stop), each as many items as fit
     _BATCH_CELLS array cells at `cells` per item (at least one)."""
     step = max(1, _BATCH_CELLS // cells)
-    return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
+    return ((lo, min(lo + step, stop)) for lo in range(0, stop, step))
 
 
 # -- two-message search: receiver without state information -------------------
@@ -209,7 +207,7 @@ def _best_pair_plain(law: _Law, branch_count: int) -> tuple[int, int, int]:
     whole (i, k) planes rather than along a short last axis."""
     weights = np.ascontiguousarray(law.rows(np.arange(branch_count)).sum(axis=1).T)
     best = None
-    for lo, hi in _batches(0, branch_count, weights.size):
+    for lo, hi in _batches(branch_count, weights.size):
         totals = np.maximum(weights[:, lo:hi, None], weights[:, None, lo:]).sum(axis=0)
         i, k = np.unravel_index(np.argmax(totals), totals.shape)
         if best is None or totals[i, k] > best[0]:
@@ -258,12 +256,11 @@ def _best_response_branch(law: _Law, levels: list[np.ndarray]) -> tuple[tuple[in
     return tuple(tables)
 
 
-def _csir_chunk(args):
-    """(best total advantage, first branch reaching it) over [start, stop),
-    scored a batch of branches at a time, S^n |X|^n gain cells each."""
-    law, start, stop = args
+def _best_csir(law: _Law, branch_count: int) -> tuple[int, int]:
+    """(best total advantage, first branch reaching it) over every message-0
+    branch, scored a batch at a time, S^n |X|^n gain cells each."""
     best = None
-    for lo, hi in _batches(start, stop, law.gain[:, :, 0].size):
+    for lo, hi in _batches(branch_count, law.gain[:, :, 0].size):
         totals = _response_levels(law, np.arange(lo, hi))[0]
         k = int(np.argmax(totals))
         if best is None or totals[k] > best[0]:
@@ -282,14 +279,14 @@ def classical_opt_success(
 
     `csir` gives the decoder the state block alongside the outputs.
     Two messages at most: beyond that the coupled maximization has no
-    small closed form and the enumeration explodes.  With `csir`, the
-    search is split into at most min(workers, CPU count) chunks, one
-    worker process each.
+    small closed form and the enumeration explodes.  The search runs in
+    this process; `workers` must be 1, and is kept only because
+    `perfbench/workloads.py` passes it (ROADMAP item 3(a) removes both).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     if M == 1:
         state_blocks(ch, n)  # rejects a block source of another length up front
         s = ch.s_size  # the witness has sum_j |S|^j table entries, at least |S|^n and n
@@ -324,18 +321,7 @@ def classical_opt_success(
             ch.x_size, ch.s_size, n,
         )
         return Fraction(int(value), 2 * law.denominator), encoder
-    chunks = min(workers, os.cpu_count() or 1)
-    if chunks > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, as it loads multiprocessing
-        bounds = []
-        step = (branch_count + chunks - 1) // chunks
-        for start in range(0, branch_count, step):
-            bounds.append((law, start, min(start + step, branch_count)))
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            candidates = [c for c in pool.map(_csir_chunk, bounds) if c is not None]
-        adv, i = min(candidates, key=lambda c: (-c[0], c[1]))
-    else:
-        adv, i = _csir_chunk((law, 0, branch_count))
+    adv, i = _best_csir(law, branch_count)
     encoder = _combine(
         _branch_from_index(i, ch.x_size, ch.s_size, n),
         _best_response_branch(law, _response_levels(law, i)),

@@ -197,9 +197,7 @@ def _cmd_classical(args) -> ReportDocument:
         command=f"classical {args.channel} M={args.M} n={args.n} {mode}",
         channel=label,
     )
-    value, witness = classical.classical_opt_success(
-        ch, args.M, args.n, csir=args.csir, workers=args.workers
-    )
+    value, witness = classical.classical_opt_success(ch, args.M, args.n, csir=args.csir)
     report.add("optimum", value)
     for line in classical.encoder_table_lines(witness):
         report.add("witness", line)
@@ -354,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csir", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     add_json(p)
 
     p = sub.add_parser("scheme", help="authentication-style scheme pipeline")

@@ -88,7 +88,6 @@ CONDITIONS = {
     "c1": ((WH,), (Y,), False),  # the guess may not signal the output
     "c2": ((X, X_TAIL), (W, S, S_TAIL), False),  # the input may not signal the message or the state
     "c3": ((X_TAIL,), (S_TAIL,), True),  # the first i inputs may not see later states
-    "combined": ((X_TAIL, WH), (S_TAIL, Y), True),  # implied by c1 and c3; no LP row
 }
 
 

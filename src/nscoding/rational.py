@@ -65,9 +65,21 @@ def as_distribution(values: Iterable[RationalLike], what: str) -> tuple[Fraction
     total = sum(law, Fraction(0))
     outside = [p for p in law if not 0 <= p <= 1]
     if outside or total != 1:
-        why = f"{outside[0]} is outside [0, 1]" if outside else f"it sums to {total}"
+        p = outside[0] if outside else total
+        shown = _short(p.numerator) + (f"/{_short(p.denominator)}" if p.denominator > 1 else "")
+        why = f"{shown} is outside [0, 1]" if outside else f"it sums to {shown}"
         raise ValueError(f"{what} is not a probability distribution: {why}")
     return law
+
+
+def _short(value: int) -> str:
+    """`value` cut to 20 characters as reprlib cuts long values, or about 10^k past Python's digit limit."""
+    short = reprlib.Repr()
+    short.maxlong = 20
+    try:
+        return short.repr(value)
+    except ValueError:
+        return "about " + "-" * (value < 0) + f"10^{round(abs(value).bit_length() * math.log10(2))}"
 
 
 def as_integer(text: str) -> int:

@@ -44,7 +44,7 @@ from nscoding.indexing import index_to_seq
 from nscoding.ns_lp import build_lp1, build_lp2, lp1_to_lp2, lp2_to_lp1
 from nscoding.type_mapping import map_with_budgets, placeholder
 from nscoding.typicality import jointly_typical
-from test_golden_reports import zero_probability_channel
+from test_golden_reports import xor_block_channel, zero_probability_channel
 
 F = Fraction
 HALF = F(1, 2)
@@ -409,7 +409,7 @@ def test_materialized_tensor_passes_all_conditions():
     scheme = build_auth_scheme(ch, [[HALF, HALF]] * 2, 2, HALF, message_count=2)
     report = verify_conditions(materialize_tensor(scheme))
     assert report.all_pass()
-    assert report.c1 == report.c2 == report.c3 == report.combined == []
+    assert report.c1 == report.c2 == report.c3 == []
 
 
 def test_single_message_tensor_is_input_weight_only():
@@ -499,7 +499,9 @@ def reference_tensor(scheme):
 
 
 def reference_conditions(tensor):
-    """The condition checks as nested loops over every cell."""
+    """The condition checks as nested loops over every cell, with the
+    combined family that `verify_conditions` leaves out because c1 and c3
+    imply it."""
     z = tensor.entries
     nx, m, _, ns, ny = z.shape
     n, xk, sk = tensor.n, tensor.x_size, tensor.s_size
@@ -552,6 +554,16 @@ def reference_conditions(tensor):
                                     f"tail={ts},y={yi}]"
                                 )
     return c1, c2, c3, combined
+
+
+def assert_conditions_match_the_reference(tensor):
+    """`verify_conditions` lists the reference's c1, c2 and c3 cells, and
+    the reference's combined cells never come without a c1 or c3 cell."""
+    c1, c2, c3, combined = reference_conditions(tensor)
+    report = verify_conditions(tensor)
+    assert (report.c1, report.c2, report.c3) == (c1, c2, c3)
+    assert not combined or c1 or c3
+    return report, combined
 
 
 def reference_validate_message(tensor):
@@ -607,9 +619,8 @@ def test_condition_labels_and_messages_match_the_cell_loops():
 
     walk_order_seen = {1: False, 2: False}
     for tensor in cases:
-        expected = reference_conditions(tensor)
-        report = verify_conditions(tensor)
-        assert (report.c1, report.c2, report.c3, report.combined) == expected
+        report, _combined = assert_conditions_match_the_reference(tensor)
+        expected = (report.c1, report.c2, report.c3)
         assert validate_message(tensor) == reference_validate_message(tensor)
         for k in walk_order_seen:  # c2 and c3 list cells out of storage order
             walk_order_seen[k] |= expected[k] != sorted(expected[k], key=fields)
@@ -641,8 +652,7 @@ def test_object_numerators_check_like_the_cell_loops():
         cases.append(SchemeTensor.from_entries(2, 3, 2, 2, 2, entries))
     assert all(t.numerators.dtype == object for t in cases)
     for tensor in cases:
-        report = verify_conditions(tensor)
-        assert (report.c1, report.c2, report.c3, report.combined) == reference_conditions(tensor)
+        assert_conditions_match_the_reference(tensor)
         assert validate_message(tensor) == reference_validate_message(tensor)
     assert any(validate_message(t) is None for t in cases)
     assert any(not verify_conditions(t).all_pass() for t in cases)
@@ -723,14 +733,14 @@ def test_mutated_tensors_fail_the_same_cells_in_the_program_and_the_checks():
             entries[tuple(other)] -= mass
         tensor = SchemeTensor.from_entries(2, n, 2, 2, 2, entries)
         violated = lp.violated_rows(lp1_point(lp, tensor))
-        report = verify_conditions(tensor)
+        report, combined = assert_conditions_match_the_reference(tensor)
         rows = {family: {v for v in violated if v.startswith(family + "[")} for family in ("c1", "c2", "c3")}
         assert rows == {"c1": set(report.c1), "c2": set(report.c2), "c3": set(map(program_c3, report.c3))}
         invalid = any(v.startswith(("norm[", "nonneg(")) for v in violated)
         assert invalid == (validate_message(tensor) is not None)
-        assert not report.combined or report.c1 or report.c3  # combined never fails alone
-        for family in ("c1", "c2", "c3", "combined"):
+        for family in ("c1", "c2", "c3"):
             seen[family] += bool(getattr(report, family))
+        seen["combined"] += bool(combined)
         seen["invalid"] += invalid
         seen["pass"] += not violated
     assert all(seen.values()), seen
@@ -1036,6 +1046,8 @@ MONTE_CARLO_CASES = [with_two_messages_at_least(*case) for case in ACCEPTANCE_CA
     ("three-states-n12-flag-drop",
      make_channel([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], [F(1, 4), HALF, F(1, 4)]),
      [[HALF, HALF]] * 3, 12, F(1, 4), None),
+    # the golden block source, with a tested sigma
+    ("xor-block-source-n8-tested", xor_block_channel(), [[HALF, HALF]] * 2, 8, F(1, 4), 16),
 ]
 
 
@@ -1066,7 +1078,7 @@ def test_monte_carlo_cases_cover_the_output_mapper_branches_and_both_sources():
     # placeholder on some block and drops its flag on another
     assert any(map(reaches_placeholder_and_flag_drop, tested))
     assert any(s.message_count == 1 for s in schemes)
-    assert any(s.channel.block_state is not None and s.message_count > 1 for s in schemes)
+    assert any(s.channel.block_state is not None for s in tested)
     # the sampler's no-test branch, which only skips letters and draws coins,
     # on an i.i.d. source and on a block source
     untested = [s for s in schemes if s.message_count > 1 and not auth_scheme._count_windows(s)]
@@ -1320,6 +1332,10 @@ LARGER_DECOMPOSITION_CASES = [
     *((f"identity-and-flip-n{n}", IDENTITY_AND_FLIP, [[HALF, HALF]] * 2, n, F(1, 8), None) for n in (9, 10, 11)),
     ("two-state-kept4-n9", make_channel([[[HALF, HALF], [0, 1]], [[1, 0], [HALF, HALF]]], [F(3, 4), F(1, 4)]),
      [[HALF, HALF], [0, 1]], 9, F(1, 8), None),
+    # the same with its states swapped: the one tested sigma is 1, and its
+    # strategy row is not row 0
+    ("two-state-kept4-swapped-n8", make_channel([[[1, 0], [HALF, HALF]], [[HALF, HALF], [0, 1]]], [F(1, 4), F(3, 4)]),
+     [[0, 1], [HALF, HALF]], 8, F(1, 8), None),
 ]
 
 

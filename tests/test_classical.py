@@ -8,7 +8,6 @@ optimum drops to 3/4 — below the assisted causal value 13/16, as it
 must be.
 """
 
-import concurrent.futures
 import functools
 import math
 import random
@@ -140,49 +139,11 @@ def test_indistinguishable_messages_cap_at_a_coin_flip():
         assert value == F(1, 2)
 
 
-def test_parallel_chunks_match_sequential():
-    seq_value, seq_enc = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
-    par_value, par_enc = classical_opt_success(
-        builtin_z0z1(), 2, 2, csir=True, workers=3
-    )
-    assert (par_value, par_enc) == (seq_value, seq_enc)
-
-
-def serial_pool(started):
-    """A serial stand-in for the process pool that appends to `started`
-    how many processes would start; no real process is spawned."""
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return SerialPool
-
-
-def test_worker_count_is_bounded_by_the_cpu_count(monkeypatch):
-    started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
-    monkeypatch.setattr(classical.os, "cpu_count", lambda: 3)
-    serial = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
-    assert classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=10**6) == serial
-    assert started == [3]
-    monkeypatch.setattr(classical.os, "cpu_count", lambda: None)
-    assert classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=10**6) == serial
-    assert started == [3]
-
-
-def test_nonpositive_worker_count_rejected():
-    for workers in (0, -4):
-        with pytest.raises(ValueError, match="workers"):
+def test_a_worker_count_other_than_one_is_refused():
+    # the search runs in one process; the keyword stays only for the benchmark
+    assert classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=1)[0] == F(7, 8)
+    for workers in (0, -4, 2, 3):
+        with pytest.raises(ValueError, match=f"^workers must be 1, got {workers}$"):
             classical_opt_success(builtin_z0z1(), 2, 2, csir=True, workers=workers)
 
 
@@ -430,13 +391,6 @@ def test_batch_size_does_not_move_the_witness(monkeypatch, per_batch, name, ch, 
         ref_value, ref_witness = _reference_search(ch, n, csir)
         assert value == ref_value
         assert witness.tables == ref_witness.tables
-        if csir:  # two chunks, each handed the gain table with the law
-            started = []
-            with monkeypatch.context() as m:
-                m.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
-                m.setattr(classical.os, "cpu_count", lambda: 2)
-                assert classical_opt_success(ch, 2, n, csir=csir, workers=2) == (value, witness)
-            assert started == [2]
 
 
 _CONSTANT_TWO_STATE = make_channel(
@@ -453,17 +407,6 @@ def test_all_ties_go_to_branch_zero(monkeypatch, per_batch):
         value, witness = classical_opt_success(_CONSTANT_TWO_STATE, 2, 2, csir=csir)
         assert value == F(1, 2)
         assert all(x == 0 for table in witness.tables for x in table)
-
-
-@pytest.mark.parametrize("ch", [builtin_z0z1(), _CONSTANT_TWO_STATE, _random_channel(0, 2, 2, 3)])
-def test_chunks_of_short_batches_match_one_worker(monkeypatch, ch):
-    monkeypatch.setattr(classical, "_BATCH_CELLS", _batch_cells(ch, 2, True, 3))
-    serial = classical_opt_success(ch, 2, 2, csir=True)
-    started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
-    monkeypatch.setattr(classical.os, "cpu_count", lambda: 2)
-    assert classical_opt_success(ch, 2, 2, csir=True, workers=2) == serial
-    assert started == [2]
 
 
 def test_csir_search_memory_does_not_grow_with_the_branch_count():

@@ -29,6 +29,7 @@ from nscoding.channels import builtin_z0z1
 from nscoding.cli import channel_digest, run
 from nscoding.simplex import PivotLimitError
 from nscoding.type_mapping import map_sequence
+from test_rational import first_primes
 
 
 def write_identity_channel(tmp_path):
@@ -334,6 +335,12 @@ def test_a_long_dist_that_is_no_law_is_one_short_line_naming_the_option():
     code, text = run(["typemap", "--n", "4", "--dist", dist, "--eps", "1/4", "--seq", "0,1,0,1"])
     assert (code, text) == (1, "error: --dist is not a probability distribution: it sums to 2999/3000\n")
     assert len(text.encode()) < 200
+    # 1/p over the first 300 primes sums to a fraction of about 850 digits over 850
+    dist = ",".join(f"1/{p}" for p in first_primes(300))
+    code, text = run(["typemap", "--n", "4", "--dist", dist, "--eps", "1/4", "--seq", "0,1,0,1"])
+    assert code == 1
+    assert re.fullmatch(r"error: --dist is not a probability distribution: it sums to \d+\.\.\.\d+/\d+\.\.\.\d+\n", text)
+    assert len(text.encode()) < 120
 
 
 @pytest.mark.parametrize("field, value", [
@@ -363,11 +370,13 @@ def test_malformed_channel_field_is_one_error_line(tmp_path, field, value):
     assert text.count("\n") == 1
 
 
-@pytest.mark.parametrize("workers", ["0", "-4"])
-def test_nonpositive_worker_count_is_one_error_line(workers):
+@pytest.mark.parametrize("workers", ["0", "1", "2"])
+def test_worker_count_is_a_usage_error(workers):
+    # the search runs in one process, so `classical` has no --workers
     argv = ["classical", "--channel", "z0z1", "--M", "2", "--n", "1", "--csir"]
-    code, text = run(argv + ["--workers", workers])
-    assert (code, text) == (1, f"error: workers must be >= 1, got {workers}\n")
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["--workers", workers])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -543,7 +552,7 @@ def _argv(draw, channels):
         argv = ["lp", "certificate"]
     elif kind == "classical":
         argv = ["classical", "--channel", channel, "--M", draw(_MESSAGES), "--n", draw(_INTS)]
-        argv += draw(st.sampled_from([[], ["--csir"]])) + ["--workers", draw(st.integers(-1, 1).map(str))]
+        argv += draw(st.sampled_from([[], ["--csir"]]))
     elif kind == "scheme":
         action = draw(st.sampled_from(["build", "verify", "simulate"]))
         argv = ["scheme", action, "--channel", channel, "--n", draw(_INTS), "--eps", draw(_RATIONALS)]
@@ -597,16 +606,23 @@ def test_console_script_entry_point():
 
 
 def test_import_loads_neither_multiprocessing_nor_numpy_random():
-    # the classical search imports its worker pool, which loads
-    # multiprocessing, only when it starts one; the Monte Carlo sampler draws
-    # from random.Random, as numpy.random raised the scheme benchmark's peak
-    # RSS by 15%
+    # the classical search runs in the calling process, with and without
+    # CSIR, and loads no process pool; the Monte Carlo sampler draws from
+    # random.Random, as numpy.random raised the scheme benchmark's peak RSS
+    # by 15%
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, nscoding; print(sorted({'multiprocessing', 'numpy.random'} & set(sys.modules)))"
+    code = (
+        "import sys, nscoding\n"
+        "banned = {'multiprocessing', 'concurrent.futures', 'numpy.random'}\n"
+        "print(sorted(banned & set(sys.modules)))\n"
+        "for csir in (False, True):\n"
+        "    nscoding.classical_opt_success(nscoding.builtin_z0z1(), 2, 2, csir=csir)\n"
+        "print(sorted(banned & set(sys.modules)))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 EXPORTING_MODULES = [

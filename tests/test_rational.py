@@ -93,14 +93,30 @@ def test_every_law_check_is_as_distribution(what, law, problem):
         LAW_CHECKS[what](law)
 
 
+def first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 @pytest.mark.parametrize("law, problem", [
     (["1/3000"] * 2999 + ["0"], "it sums to 2999/3000"),
     (["1/2999"] * 2999 + ["-1/3000"], "-1/3000 is outside \\[0, 1\\]"),
+    # the sum's numerator and denominator have about 850 digits each
+    pytest.param([f"1/{p}" for p in first_primes(300)], r"it sums to \d{8}\.\.\.\d{9}/\d{8}\.\.\.\d{9}",
+                 id="300-primes"),
+    # past Python's digit limit the sum cannot be printed at all
+    pytest.param([f"1/{p}" for p in first_primes(2000)], r"it sums to about 10\^74\d\d/about 10\^74\d\d",
+                 id="2000-primes"),
 ])
 def test_a_long_law_is_refused_in_a_short_message(law, problem):
-    # the message shows one entry or the sum, never the 3000 entries
+    # the message shows one entry or the sum, shortened, never the entries
     with pytest.raises(ValueError, match=f"^state_dist is not a probability distribution: {problem}$") as info:
-        make_channel([[[1]]] * 3000, law)
+        make_channel([[[1]]] * len(law), law)
     assert len(str(info.value)) < 100
 
 
