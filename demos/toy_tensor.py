@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from nscoding import (
     builtin_product_xs,
-    success_probability,
+    tensor_success,
     toy_product_scheme,
     verify_conditions,
 )
@@ -38,7 +38,7 @@ print(f"guess marginal uniform at 1/4: {marginal_ok}")
 # On the matching channel and correlated state source, the decoder's
 # guess equals the sent message with probability exactly one.
 ch = builtin_product_xs()
-print(f"success probability = {success_probability(tensor, channel=ch)}")
+print(f"success probability = {tensor_success(tensor, ch)}")
 
 # The guarantee leans on the source: a block outside the supported set,
 # like (0,0,1), wipes a position the test checks, halving acceptance on
@@ -49,4 +49,4 @@ skew = BlockStateSource(
     n=3,
     atoms=(((0, 1, 1), Fraction(1, 2)), ((0, 0, 1), Fraction(1, 2))),
 )
-print(f"success under a mismatched source = {success_probability(tensor, channel=replace(ch, block_state=skew))}")
+print(f"success under a mismatched source = {tensor_success(tensor, replace(ch, block_state=skew))}")

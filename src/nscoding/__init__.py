@@ -43,6 +43,7 @@ from .auth_scheme import (
     compute_mu,
     materialize_tensor,
     success_probability,
+    tensor_success,
     toy_product_scheme,
     verify_conditions,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "compute_mu",
     "materialize_tensor",
     "success_probability",
+    "tensor_success",
     "toy_product_scheme",
     "verify_conditions",
     "DeterministicEncoder",

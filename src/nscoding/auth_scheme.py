@@ -31,14 +31,14 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .channels import ChannelWithState, block_law_array, state_block_count, state_blocks
 from .indexing import all_sequences, seq_to_index
-from .ns_lp import CONDITIONS, S_TAIL, X_TAIL, _lift, condition_views
-from .rational import as_distribution, as_rational, check_cap, int_dtype
+from .ns_lp import CONDITIONS, _lift, condition_labels, condition_views
+from .rational import as_distribution, as_rational, check_cap, check_int, int_dtype
 from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
 from .typicality import count_window
 
@@ -56,6 +56,7 @@ __all__ = [
     "materialize_tensor",
     "verify_conditions",
     "success_probability",
+    "tensor_success",
     "success_decomposition",
     "toy_product_scheme",
     "TENSOR_ENTRY_CAP",
@@ -274,6 +275,8 @@ def build_auth_scheme(
     block length too short to support two messages on its own is still
     given a meaningful multi-message scheme.
     """
+    if message_count is not None:
+        check_int(message_count, "message_count", 1)
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
     state_b, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
@@ -529,7 +532,9 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
 
 @dataclass
 class ConditionReport:
-    """Exhaustive exact check results; each list holds violated cells."""
+    """Exhaustive exact check results: each list holds the rows of its
+    family in the causal full program (`ns_lp.build_lp1`) that the tensor
+    violates, by their labels, in row order."""
 
     c1: list[str]
     c2: list[str]
@@ -538,24 +543,6 @@ class ConditionReport:
 
     def all_pass(self) -> bool:
         return not (self.c1 or self.c2 or self.c3)
-
-
-# the condition axes as reports name them below i = n
-REPORT_AXES = ("x^i", "x tail", "wh", "w", "s^i", "tail", "y")
-
-
-def _violations(family: str, i: int, n: int, mask: np.ndarray) -> list[str]:
-    """One label per set cell of `mask`, `family`'s condition view at prefix
-    length i with its summed axes kept at size 1, listed with the compared
-    axes varying fastest.  Labels name the other axes in view order, the
-    prefixes as the whole blocks x and s (and no tails) at i = n."""
-    summed, compared, _ = CONDITIONS[family]
-    axes = [a for a in range(7) if a not in summed and (i < n or a not in (X_TAIL, S_TAIL))]
-    walk = sorted(range(len(axes)), key=lambda k: axes[k] in compared)
-    cells = np.argwhere(mask.reshape([mask.shape[a] for a in axes]).transpose(walk))[:, np.argsort(walk)]
-    head = f"{family}[" + (f"i={i}," if i < n else "")
-    names = [REPORT_AXES[a].removesuffix("^i") if i == n else REPORT_AXES[a] for a in axes]
-    return [head + ",".join(f"{k}={v}" for k, v in zip(names, cell)) + "]" for cell in cells.tolist()]
 
 
 def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
@@ -577,16 +564,27 @@ def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
             sums = view.sum(axis=summed, keepdims=True)
             mask = sums != sums[reference]
             if mask.any():
-                found[family] += _violations(family, i, tensor.n, mask)
+                found[family] += condition_labels(family, i, view.shape, np.flatnonzero(mask))
     return ConditionReport(**found)
 
 
 # -- success probability ----------------------------------------------------
 
 
-def _tensor_success(tensor: SchemeTensor, ch: ChannelWithState) -> Fraction:
-    """The diagonal, summed over w, weighed by `block_law_array` in one integer sum."""
-    law, den = block_law_array(ch, tensor.n)
+def tensor_success(tensor: SchemeTensor, channel: ChannelWithState) -> Fraction:
+    """Probability that the decoded message equals the sent one when the
+    tensor runs on `channel`, whose alphabets must match it: the average
+    over messages of the diagonal entries weighted by the state source and
+    the channel law, the full program's objective at the tensor's point,
+    summed in integers against `block_law_array`.  To weigh state blocks by
+    another source, pass `dataclasses.replace(channel, block_state=...)`."""
+    sizes = (tensor.x_size, tensor.s_size, tensor.y_size)
+    if sizes != (channel.x_size, channel.s_size, channel.y_size):
+        raise ValueError(
+            f"tensor alphabets (|X|, |S|, |Y|) = {sizes} do not match the channel's"
+            f" {(channel.x_size, channel.s_size, channel.y_size)}"
+        )
+    law, den = block_law_array(channel, tensor.n)
     diagonal = np.trace(tensor.numerators, axis1=1, axis2=2).transpose(1, 0, 2)  # [s, x, y]
     dtype = int_dtype(int(abs(law).max()) * int(abs(diagonal).max()), law.size)
     total = int((law.astype(dtype) * diagonal.astype(dtype)).sum())
@@ -627,11 +625,8 @@ def _scheme_success_monte_carlo(
     only where the state mapping gives a tested sigma, and the kept (x, y)
     pair counts meet the `_count_windows` windows once per sample.  At M = 1
     every sample succeeds, and nothing is drawn."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        # random.Random seeds from abs(seed), so -3 would read the stream of 3
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_int(samples, "samples", 1)
+    check_int(seed, "seed", 0)  # random.Random seeds from abs(seed), so -3 would read the stream of 3
     if scheme.message_count == 1:
         return 1.0, _ci95(1.0, samples)
     ch, n = scheme.channel, scheme.n
@@ -712,44 +707,19 @@ def _scheme_success_monte_carlo(
     return p_hat, _ci95(p_hat, samples)
 
 
-def success_probability(
-    target: Union[AuthScheme, SchemeTensor],
-    channel: Optional[ChannelWithState] = None,
-    mode: str = "exact",
-    samples: int = 100_000,
-    seed: int = 0,
-):
-    """Probability that the decoded message equals the sent one.
+def success_probability(scheme: AuthScheme, mode: str = "exact", samples: int = 100_000, seed: int = 0):
+    """Probability that the decoded message equals the sent one, for a
+    scheme on its own channel (a bare tensor's is `tensor_success`).
 
-    A scheme is evaluated on its own channel; a bare tensor on `channel`,
-    whose alphabets must match it.  To weigh state blocks by another
-    source, pass `dataclasses.replace(channel, block_state=...)`.
-
-    Exact mode returns a Fraction: for a tensor, the average over messages
-    of the diagonal entries weighted by the state source and the channel
-    law; for a scheme, the `success` of `success_decomposition`.  Monte
-    Carlo mode (schemes only) samples the whole pipeline forward and
-    returns (estimate, 95% confidence interval).
+    Exact mode returns a Fraction, the `success` of `success_decomposition`.
+    Monte Carlo mode samples the whole pipeline forward and returns
+    (estimate, 95% confidence interval).
     """
-    if isinstance(target, SchemeTensor):
-        if channel is None:
-            raise ValueError("a channel is required to evaluate a bare tensor")
-        if mode != "exact":
-            raise ValueError("bare tensors only support exact evaluation")
-        sizes = (target.x_size, target.s_size, target.y_size)
-        if sizes != (channel.x_size, channel.s_size, channel.y_size):
-            raise ValueError(
-                f"tensor alphabets (|X|, |S|, |Y|) = {sizes} do not match the channel's"
-                f" {(channel.x_size, channel.s_size, channel.y_size)}"
-            )
-        return _tensor_success(target, channel)
-    if channel is not None:
-        raise ValueError("a scheme is evaluated on its own channel; channel is for bare tensors")
-    state_blocks(target.channel, target.n)  # rejects a block source of another length up front
+    state_blocks(scheme.channel, scheme.n)  # rejects a block source of another length up front
     if mode == "exact":
-        return success_decomposition(target).success
+        return success_decomposition(scheme).success
     if mode == "monte_carlo":
-        return _scheme_success_monte_carlo(target, samples, seed)
+        return _scheme_success_monte_carlo(scheme, samples, seed)
     raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
 
 

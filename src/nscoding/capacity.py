@@ -297,7 +297,8 @@ def capacity_table(ch: ChannelWithState) -> CapacityReport:
     max I(X;Y|S); the classical non-causal cell is an achievable lower
     bound (see gp_noncausal_capacity), whose ascent starts from the
     causal cell's Blahut-Arimoto optimum.  The strategy alphabet is
-    refused above its cap before any Blahut-Arimoto run.
+    refused above its cap before any Blahut-Arimoto run.  Every cell takes
+    the state i.i.d. from `state_dist`: an attached block source is not read.
     """
     rows, maps = strategy_channel(ch)
     causal = blahut_arimoto(rows)

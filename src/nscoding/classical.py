@@ -345,6 +345,9 @@ def evaluate_strategy(
     when `csir`) to messages; missing cells decode to message 0.
     Returns the average success and the per-message breakdown.
     """
+    sizes = (encoder.x_size, encoder.s_size)
+    if sizes != (ch.x_size, ch.s_size):
+        raise ValueError(f"encoder alphabets (|X|, |S|) = {sizes} do not match the channel's {(ch.x_size, ch.s_size)}")
     n, m = encoder.n, encoder.message_count
     per_message = []
     for w in range(m):

@@ -31,7 +31,7 @@ from .channels import (
     load_channel_file,
     read_json,
 )
-from .rational import as_distribution, as_integer, as_rational, format_rational
+from .rational import as_distribution, as_integer, as_rational, check_int, format_rational
 from .simplex import PivotLimitError, solve_exact
 
 __all__ = ["ReportDocument", "run", "main"]
@@ -215,9 +215,8 @@ def _load_strategy(path: Optional[str], ch: ChannelWithState):
 
 
 def _cmd_scheme(args) -> ReportDocument:
-    if args.scheme_action == "simulate" and args.seed < 0:
-        # refused in exact mode too, whose report echoes the seed
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    if args.scheme_action == "simulate":  # refused in exact mode too, whose report echoes the seed
+        check_int(args.seed, "seed", 0)
     label, ch = _load_channel(args.channel)
     report = ReportDocument(
         command=f"scheme {args.scheme_action} {args.channel} n={args.n} eps={args.eps}",
@@ -308,7 +307,7 @@ def _cmd_toy(args) -> ReportDocument:
     report.add("n", tensor.n)
     report.check("tensor well-formed", True)  # a malformed one ends the report in an error
     _add_tensor_checks(report, tensor, "marginal uniform 1/4")
-    success = auth_scheme.success_probability(tensor, channel=ch)
+    success = auth_scheme.tensor_success(tensor, ch)
     report.add("success", success)
     report.check("success equals 1", success == 1)
     return report

@@ -102,32 +102,43 @@ def condition_views(family: str, a: np.ndarray, n: int, x_size: int, s_size: int
         yield i, a.reshape(x_size**i, nx // x_size**i, m_hat, m, s_size**i, ns // s_size**i, ny), reference
 
 
-def _add_conditions(lp: LinearProgram, family: str, index: np.ndarray, n: int, x_size: int, s_size: int, label) -> None:
-    """Add `sum(cells) - sum(refs) == 0`, labelled `label(fields)`, for each
-    cell of `family` on the index array `index` (shaped like z) but the
-    reference cells, by prefix length, then row-major.  `fields` names the
-    cell: i and the input prefix px below i = n, else the input block x;
-    then wh, w, the whole state block s and y, where not summed."""
+def condition_labels(family: str, i: int, shape: tuple[int, ...], flat, label=None) -> list[str]:
+    """`label(fields)` for each cell at a flat index in `flat` of the
+    condition view of `family` at prefix length i, of shape `shape`, with
+    its summed axes at size 1.  `fields` names the cell: i and the input
+    prefix px in a per-prefix family, else the input block x; then wh, w,
+    the whole state block s and y, where not summed.  The default label is
+    the full program's, `family[k=v,...]`."""
+    summed, _compared, per_prefix = CONDITIONS[family]
+    dims = [1 if axis in summed else size for axis, size in enumerate(shape)]
+    at = [v.tolist() for v in np.unravel_index(np.asarray(flat, dtype=np.intp), dims)]
+    at[S] = [s * dims[S_TAIL] + tail for s, tail in zip(at[S], at[S_TAIL])]
+    names = {X: "px" if per_prefix else "x", WH: "wh", W: "w", S: "s", Y: "y"}
+    keys, columns = zip(*((name, at[axis]) for axis, name in names.items() if axis not in summed))
+    head = {"i": i} if per_prefix else {}
+    cells = ({**head, **dict(zip(keys, cell))} for cell in zip(*columns))
+    return [label(f) if label else f"{family}[{','.join(f'{k}={v}' for k, v in f.items())}]" for f in cells]
+
+
+def _add_conditions(lp: LinearProgram, family: str, index: np.ndarray, n: int, x_size: int, s_size: int,
+                    label=None) -> None:
+    """Add `sum(cells) - sum(refs) == 0`, named by `condition_labels` with
+    `label`, for each cell of `family` on the index array `index` (shaped
+    like z) but the reference cells, by prefix length, then row-major."""
     summed = CONDITIONS[family][0]
     kept = [axis for axis in range(7) if axis not in summed]
     for i, view, reference in condition_views(family, index, n, x_size, s_size):
-        at = dict(zip(kept, np.indices([view.shape[a] for a in kept]).reshape(len(kept), -1).tolist()))
-        if S in at:
-            at[S] = [s * view.shape[S_TAIL] + tail for s, tail in zip(at[S], at[S_TAIL])]
-        names = {X: "px" if i < n else "x", WH: "wh", W: "w", S: "s", Y: "y"}
-        columns = [(names[a], at[a]) for a in kept if a in names]
-        rows = zip(*(
-            v.transpose(*kept, *summed).reshape(len(at[kept[0]]), -1).tolist()
+        cells, refs = (
+            v.transpose(*kept, *summed).reshape(-1, math.prod(view.shape[a] for a in summed)).tolist()
             for v in (view, np.broadcast_to(view[reference], view.shape))
-        ))
-        for k, (cells, refs) in enumerate(rows):
-            if cells == refs:  # a cell is its own reference exactly when it has the same variables
-                continue
-            coeffs = dict.fromkeys(cells, ONE)
-            for j in refs:
+        )
+        # a cell is its own reference exactly when it has the same variables
+        rows = [k for k, (c, r) in enumerate(zip(cells, refs)) if c != r]
+        for k, name in zip(rows, condition_labels(family, i, view.shape, rows, label)):
+            coeffs = dict.fromkeys(cells[k], ONE)
+            for j in refs[k]:
                 coeffs[j] = ZERO if j in coeffs else MINUS_ONE
-            fields = {**({"i": i} if i < n else {}), **{name: v[k] for name, v in columns}}
-            lp.add_row(coeffs, "==", ZERO, label(fields))
+            lp.add_row(coeffs, "==", ZERO, name)
 
 
 def _checked_shape(ch: ChannelWithState, M: int, n: int, form: str) -> tuple[int, int, int]:
@@ -162,8 +173,7 @@ def _lp1_system(x_size: int, y_size: int, s_size: int, M: int, n: int, causal: b
 
     # the non-signaling conditions; the causal program adds c3
     for family in ("c1", "c2", "c3") if causal else ("c1", "c2"):
-        _add_conditions(lp, family, z, n, x_size, s_size,
-                        lambda f: f"{family}[{','.join(f'{k}={v}' for k, v in f.items())}]")
+        _add_conditions(lp, family, z, n, x_size, s_size)
     return lp
 
 

@@ -7,7 +7,8 @@ This module adds the text conventions on top of the stdlib type:
 ("p/q", decimal and integer literals), `as_distribution`, the one check of
 a probability law, and the "p/q" rendering of file formats and reports.
 Arrays of rationals are integer numerators over one denominator, of the
-dtype `int_dtype` picks; `check_cap` is the one refusal of every size cap.
+dtype `int_dtype` picks; `check_cap` is the one refusal of every size cap,
+and `check_int` of an integer parameter that is not an int or too small.
 """
 
 from __future__ import annotations
@@ -88,6 +89,14 @@ def as_integer(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"not an integer of at most {sys.get_int_max_str_digits()} digits: {reprlib.repr(text)}") from None
+
+
+def check_int(value: object, name: str, least: int) -> None:
+    """Refuse a value that is not an int (a bool too) or is below `least`, in one ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {reprlib.repr(value)}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def format_rational(value: Fraction) -> str:

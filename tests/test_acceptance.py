@@ -18,6 +18,7 @@ from nscoding.auth_scheme import (
     materialize_tensor,
     success_decomposition,
     success_probability,
+    tensor_success,
     toy_product_scheme,
     verify_conditions,
 )
@@ -177,7 +178,7 @@ def test_criterion_08_toy_scheme_end_to_end():
     report = verify_conditions(tensor)
     assert report.all_pass()
     assert (tensor.message_marginals() == F(1, 4)).all()
-    success = success_probability(tensor, channel=builtin_product_xs())
+    success = tensor_success(tensor, builtin_product_xs())
     assert success == F(1)
     _passed(8, "hand-built scheme verifies and succeeds surely", t0, 5)
 

@@ -11,6 +11,7 @@ must be.
 import functools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
 
@@ -188,6 +189,18 @@ def test_missing_decoder_cells_fall_back_to_message_zero():
     success, per_message = evaluate_strategy(noiseless, enc, {}, csir=False)
     assert per_message[0] == F(1)
     assert success == F(1, 2)
+
+
+@pytest.mark.parametrize("x_size, s_size, ch", [
+    (3, 2, builtin_z0z1()),
+    (2, 2, make_channel([[[1, 0], [0, 1]]] * 3, [F(1, 3)] * 3)),
+], ids=["three-inputs-on-z0z1", "two-states-on-three"])
+def test_encoder_on_a_channel_with_other_alphabets_is_refused(x_size, s_size, ch):
+    # one position, two messages, inputs 0 and x_size - 1 whatever the state
+    enc = classical.DeterministicEncoder(2, 1, x_size, s_size, ((0,) * s_size + (x_size - 1,) * s_size,))
+    sizes = f"({ch.x_size}, {ch.s_size})"
+    with pytest.raises(ValueError, match=re.escape(f"= ({x_size}, {s_size}) do not match the channel's {sizes}")):
+        evaluate_strategy(ch, enc, {}, csir=False)
 
 
 def _random_two_state_channel(seed):

@@ -25,6 +25,7 @@ from nscoding.auth_scheme import (
     build_auth_scheme,
     success_decomposition,
     success_probability,
+    tensor_success,
     toy_product_scheme,
 )
 from nscoding.channels import BlockStateSource, builtin_product_xs, make_channel
@@ -117,7 +118,7 @@ def golden_values() -> dict[str, str]:
             success_probability(zero, mode="monte_carlo", samples=3000, seed=6)
         ),
         "toy on a skewed source": str(
-            success_probability(toy_product_scheme(), channel=replace(builtin_product_xs(), block_state=skew))
+            tensor_success(toy_product_scheme(), replace(builtin_product_xs(), block_state=skew))
         ),
     }
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from nscoding.auth_scheme import success_probability, toy_product_scheme, verify_conditions
+from nscoding.auth_scheme import tensor_success, toy_product_scheme, verify_conditions
 from nscoding.channels import builtin_product_xs
 from nscoding.indexing import seq_to_index
 
@@ -60,7 +60,7 @@ def test_toy_prefix_sums_match_across_the_state_fork():
 
 def test_toy_scheme_never_misses_on_its_source():
     channel = builtin_product_xs()
-    value = success_probability(toy_product_scheme(), channel=channel)
+    value = tensor_success(toy_product_scheme(), channel)
     assert value == 1
 
 
