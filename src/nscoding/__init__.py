@@ -50,7 +50,7 @@ from .auth_scheme import (
 from .classical import (
     DeterministicEncoder,
     classical_opt_success,
-    evaluate_strategy,
+    code_tensor,
     explicit_z0z1_strategy,
 )
 
@@ -99,7 +99,7 @@ __all__ = [
     "verify_conditions",
     "DeterministicEncoder",
     "classical_opt_success",
-    "evaluate_strategy",
+    "code_tensor",
     "explicit_z0z1_strategy",
     "__version__",
 ]

@@ -57,6 +57,7 @@ __all__ = [
     "verify_conditions",
     "success_probability",
     "tensor_success",
+    "message_success",
     "success_decomposition",
     "toy_product_scheme",
     "TENSOR_ENTRY_CAP",
@@ -275,6 +276,7 @@ def build_auth_scheme(
     block length too short to support two messages on its own is still
     given a meaningful multi-message scheme.
     """
+    check_int(n, "n", 1)
     if message_count is not None:
         check_int(message_count, "message_count", 1)
     eps = as_rational(eps)
@@ -571,13 +573,13 @@ def verify_conditions(tensor: SchemeTensor) -> ConditionReport:
 # -- success probability ----------------------------------------------------
 
 
-def tensor_success(tensor: SchemeTensor, channel: ChannelWithState) -> Fraction:
-    """Probability that the decoded message equals the sent one when the
-    tensor runs on `channel`, whose alphabets must match it: the average
-    over messages of the diagonal entries weighted by the state source and
-    the channel law, the full program's objective at the tensor's point,
-    summed in integers against `block_law_array`.  To weigh state blocks by
-    another source, pass `dataclasses.replace(channel, block_state=...)`."""
+def message_success(tensor: SchemeTensor, channel: ChannelWithState) -> tuple[Fraction, ...]:
+    """Probability, for each message w, that the decoded message is w when
+    w is sent and the tensor runs on `channel`, whose alphabets must match
+    it: the diagonal entries of w weighted by the state source and the
+    channel law, summed in integers against `block_law_array`.  To weigh
+    state blocks by another source, pass `dataclasses.replace(channel,
+    block_state=...)`."""
     sizes = (tensor.x_size, tensor.s_size, tensor.y_size)
     if sizes != (channel.x_size, channel.s_size, channel.y_size):
         raise ValueError(
@@ -585,10 +587,17 @@ def tensor_success(tensor: SchemeTensor, channel: ChannelWithState) -> Fraction:
             f" {(channel.x_size, channel.s_size, channel.y_size)}"
         )
     law, den = block_law_array(channel, tensor.n)
-    diagonal = np.trace(tensor.numerators, axis1=1, axis2=2).transpose(1, 0, 2)  # [s, x, y]
+    diagonal = np.diagonal(tensor.numerators, axis1=1, axis2=2).transpose(1, 0, 2, 3)  # [s, x, y, w]
     dtype = int_dtype(int(abs(law).max()) * int(abs(diagonal).max()), law.size)
-    total = int((law.astype(dtype) * diagonal.astype(dtype)).sum())
-    return Fraction(total, den * tensor.message_count * tensor.denominator)
+    totals = (law.astype(dtype)[..., None] * diagonal.astype(dtype)).sum(axis=(0, 1, 2))
+    return tuple(Fraction(int(t), den * tensor.denominator) for t in totals)
+
+
+def tensor_success(tensor: SchemeTensor, channel: ChannelWithState) -> Fraction:
+    """Probability that the decoded message equals the sent one: the mean
+    over messages of `message_success`, the full program's objective at
+    the tensor's point."""
+    return sum(message_success(tensor, channel), ZERO) / tensor.message_count
 
 
 def _draw_table(probs) -> tuple[list[float], float, int]:

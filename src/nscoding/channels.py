@@ -28,7 +28,6 @@ __all__ = [
     "lift_csir",
     "state_blocks",
     "state_block_count",
-    "block_outputs",
     "block_law_array",
     "builtin_z0z1",
     "builtin_product_xs",
@@ -40,7 +39,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -199,8 +197,8 @@ def lift_csir(ch: ChannelWithState) -> ChannelWithState:
 # Every exact number (LP objectives, the classical search, scheme success)
 # is a sum against P(s^n) * prod_i N(y_i|x_i,s_i).  `block_law_array` is
 # the one table of those products: integer numerators over one reduced
-# denominator, built by per-position outer products.  The two walks below
-# weigh one block at a time where a caller needs only a few.
+# denominator, built by per-position outer products.  `state_blocks` below
+# weighs one state block at a time where a caller needs only a few.
 
 
 def state_blocks(ch: ChannelWithState, n: int) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
@@ -244,26 +242,6 @@ def state_block_count(ch: ChannelWithState, n: int) -> int:
     state_blocks(ch, n)  # rejects n < 1 and a block source of another length
     source = ch.block_state
     return len(source.support()) if source is not None else sum(1 for p in ch.state_dist if p) ** n
-
-
-def block_outputs(
-    ch: ChannelWithState, xs: Sequence[int], ss: Sequence[int]
-) -> Iterator[tuple[int, Fraction]]:
-    """(index, N^n(y^n|x^n,s^n)) for every output block of positive
-    probability, in index order.
-
-    A depth-first walk over the per-position output supports: it visits
-    only the supported blocks, sharing prefix products between them.
-    """
-    rows = [[(y, q) for y, q in enumerate(ch.kernel[s][x]) if q] for x, s in zip(xs, ss)]
-    stack = [(0, 0, ONE)]
-    while stack:
-        depth, yi, p = stack.pop()
-        if depth == len(rows):
-            yield yi, p
-            continue
-        for y, q in reversed(rows[depth]):
-            stack.append((depth + 1, yi * ch.y_size + y, p * q))
 
 
 def block_law_array(ch: ChannelWithState, n: int) -> tuple[np.ndarray, int]:

@@ -19,6 +19,11 @@ array batches of at most _BATCH_CELLS cells, so numpy does the work and
 memory stays flat in the branch count.  Ties break toward the smallest
 message, then the earliest enumerated encoder, so results are
 deterministic and identical for any batch size.
+
+A code is also a point of the full program: `code_tensor` writes an
+encoder and its MAP decoder as a `SchemeTensor`, which
+`auth_scheme.message_success` scores and `verify_conditions` checks like
+any scheme's tensor.  The explicit 7/8 strategy is scored that way.
 """
 
 from __future__ import annotations
@@ -26,26 +31,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law_array, block_outputs, builtin_z0z1, state_block_count, state_blocks
+from . import auth_scheme
+from .auth_scheme import SchemeTensor, message_success
+from .channels import ChannelWithState, block_law_array, builtin_z0z1, lift_csir, state_block_count, state_blocks
 from .indexing import index_to_seq, seq_to_index
-from .rational import check_cap, int_dtype
+from .rational import check_cap, check_int, int_dtype
 
 __all__ = [
     "DeterministicEncoder",
     "ExplicitStrategy",
     "classical_opt_success",
-    "evaluate_strategy",
+    "code_tensor",
     "explicit_z0z1_strategy",
     "encoder_table_lines",
     "SEARCH_WORK_CAP",
     "WITNESS_ENTRY_CAP",
 ]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 SEARCH_WORK_CAP = 20_000_000
@@ -283,8 +289,8 @@ def classical_opt_success(
     this process; `workers` must be 1, and is kept only because
     `perfbench/workloads.py` passes it (ROADMAP item 3(a) removes both).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_int(M, "M", 1)
+    check_int(n, "n", 1)
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
     if M == 1:
@@ -330,74 +336,61 @@ def classical_opt_success(
     return (1 + Fraction(int(adv), law.denominator)) / 2, encoder
 
 
-# -- direct evaluation of a given strategy -------------------------------------
+# -- a code as a point of the full program ------------------------------------
 
 
-def evaluate_strategy(
-    ch: ChannelWithState,
-    encoder: DeterministicEncoder,
-    decoder: Mapping,
-    csir: bool = False,
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Success probability of an explicit (encoder, decoder) pair.
+def code_tensor(ch: ChannelWithState, encoder: DeterministicEncoder) -> SchemeTensor:
+    """The code (encoder f, MAP decoder g) on `ch` as the full program's
+    point z[x, wh, w, s, y] = 1[x = f(w, s)] 1[wh = g(y)], scored by
+    `auth_scheme.message_success` and checked by `verify_conditions`.
 
-    `decoder` maps output-block indices (or (output, state) index pairs
-    when `csir`) to messages; missing cells decode to message 0.
-    Returns the average success and the per-message breakdown.
+    g(y) is the smallest w maximizing sum_s law[s, f(w, s), y] over
+    `block_law_array`, the search's tie rule.  For a receiver that sees
+    the states, pass `lift_csir(ch)`: only the true state's block weighs
+    its outputs there, so the same rule is the informed MAP decoder.
     """
     sizes = (encoder.x_size, encoder.s_size)
     if sizes != (ch.x_size, ch.s_size):
         raise ValueError(f"encoder alphabets (|X|, |S|) = {sizes} do not match the channel's {(ch.x_size, ch.s_size)}")
     n, m = encoder.n, encoder.message_count
-    per_message = []
-    for w in range(m):
-        hit = ZERO
-        for si, ss, p_s in state_blocks(ch, n):
-            for yi, p_y in block_outputs(ch, encoder.input_block(w, ss), ss):
-                if decoder.get((yi, si) if csir else yi, 0) == w:
-                    hit += p_s * p_y
-        per_message.append(hit)
-    return sum(per_message, ZERO) / m, tuple(per_message)
+    cells = ch.x_size * ch.s_size * ch.y_size
+    check_cap(auth_scheme.TENSOR_ENTRY_CAP, n * math.log2(cells) + 2 * math.log2(m), lambda: cells**n * m * m,
+              f"the code tensor (M={m}, n={n})", "entries")
+    law, _ = block_law_array(ch, n)
+    blocks, outputs = np.arange(law.shape[0]), np.arange(law.shape[2])
+    messages = np.arange(m)[:, None]
+    # f(w, s) as an input-block index: x_j reads its table at s's length-j prefix
+    inputs = sum(
+        np.asarray(encoder.tables[j - 1])[messages * ch.s_size**j + blocks // ch.s_size ** (n - j)]
+        * ch.x_size ** (n - j)
+        for j in range(1, n + 1)
+    )  # [w, s]
+    decoder = law[blocks, inputs].sum(axis=1).argmax(axis=0)  # [y]; argmax takes the first maximum
+    z = np.zeros((law.shape[1], m, m, len(blocks), len(outputs)), dtype=np.int64)
+    w, s, y = np.ix_(range(m), blocks, outputs)
+    z[inputs[w, s], decoder[y], w, s, y] = 1
+    return SchemeTensor(m, n, ch.x_size, ch.s_size, ch.y_size, z, 1)
 
 
 @dataclass(frozen=True)
 class ExplicitStrategy:
     encoder: DeterministicEncoder
-    decoder: dict
     success: Fraction
     per_message: tuple[Fraction, ...]
 
 
 def explicit_z0z1_strategy() -> ExplicitStrategy:
     """The state-correcting repetition strategy on the two-state builtin
-    with an informed receiver: send x_j = s_j XOR w, decode 0 exactly
-    when every corrected output y_j XOR s_j is 0.
+    with an informed receiver: send x_j = s_j XOR w.  Its MAP decoder
+    decodes 0 exactly when every corrected output y_j XOR s_j is 0.
 
     Message 0 rides the noiseless letter both times (corrected outputs
     always 0); message 1 rides the uniform letter, so its corrected
     outputs miss (0,0) with probability 3/4.  Average: 7/8.
     """
-    ch = builtin_z0z1()
-    n = 2
-    tables = []
-    for j in range(1, n + 1):
-        row = []
-        for w in range(2):
-            for pi in range(2**j):
-                prefix = index_to_seq(pi, 2, j)
-                row.append(prefix[-1] ^ w)
-        tables.append(tuple(row))
-    encoder = DeterministicEncoder(
-        message_count=2, n=n, x_size=2, s_size=2, tables=tuple(tables)
-    )
-    decoder = {}
-    for yi in range(4):
-        ys = index_to_seq(yi, 2, n)
-        for si in range(4):
-            ss = index_to_seq(si, 2, n)
-            corrected = [y ^ s for y, s in zip(ys, ss)]
-            decoder[(yi, si)] = 0 if corrected == [0, 0] else 1
-    success, per_message = evaluate_strategy(ch, encoder, decoder, csir=True)
-    return ExplicitStrategy(
-        encoder=encoder, decoder=decoder, success=success, per_message=per_message
-    )
+    # a length-j prefix's index is odd exactly when its last state s_j is 1
+    tables = tuple(tuple(pi % 2 ^ w for w in range(2) for pi in range(2**j)) for j in (1, 2))
+    encoder = DeterministicEncoder(message_count=2, n=2, x_size=2, s_size=2, tables=tables)
+    lifted = lift_csir(builtin_z0z1())
+    per_message = message_success(code_tensor(lifted, encoder), lifted)
+    return ExplicitStrategy(encoder=encoder, success=sum(per_message) / 2, per_message=per_message)

@@ -44,7 +44,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .channels import ChannelWithState, block_law_array, builtin_z0z1
-from .rational import check_cap, int_dtype
+from .rational import check_cap, check_int, int_dtype
 from .simplex import LinearProgram, shared_program, solve_exact
 
 __all__ = [
@@ -142,10 +142,10 @@ def _add_conditions(lp: LinearProgram, family: str, index: np.ndarray, n: int, x
 
 
 def _checked_shape(ch: ChannelWithState, M: int, n: int, form: str) -> tuple[int, int, int]:
-    """(|X|^n, |S|^n, |Y|^n), once M and n are positive and the variables of
+    """(|X|^n, |S|^n, |Y|^n), once M and n are ints >= 1 and the variables of
     `form`, |X|^n M^2 |S|^n |Y|^n in lp1 and |X|^n |S|^n (|Y|^n + 1) in lp2, within MAX_LP_VARIABLES."""
-    if M < 1 or n < 1:
-        raise ValueError(f"M and n must be >= 1, got M={M}, n={n}")
+    check_int(M, "M", 1)
+    check_int(n, "n", 1)
     x, s, y = ch.x_size, ch.s_size, ch.y_size
     lp1 = form == "lp1"
     check_cap(MAX_LP_VARIABLES, n * math.log2(x * s * y) + 2 * lp1 * math.log2(M),

@@ -32,19 +32,21 @@ from nscoding.auth_scheme import (
     success_decomposition,
     success_probability,
     t_function,
+    message_success,
     tensor_success,
     typicality_pass_probability,
     verify_conditions,
     zeta,
 )
 from nscoding.channels import (
-    block_law_array, block_outputs, builtin_product_xs, builtin_z0z1, load_channel_file, make_channel,
+    block_law_array, builtin_product_xs, builtin_z0z1, load_channel_file, make_channel,
     state_block_count, state_blocks,
 )
 from nscoding.indexing import index_to_seq
 from nscoding.ns_lp import build_lp1, build_lp2, lp1_to_lp2, lp2_to_lp1
 from nscoding.type_mapping import map_with_budgets, placeholder
 from nscoding.typicality import jointly_typical
+from test_channels import reference_block_outputs
 from test_golden_reports import xor_block_channel, zero_probability_channel
 
 F = Fraction
@@ -262,6 +264,14 @@ def test_message_count_override():
     for bad in (2.5, True, "3"):
         with pytest.raises(ValueError, match=f"^message_count must be an int, got {re.escape(repr(bad))}$"):
             build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF, message_count=bad)
+
+
+@pytest.mark.parametrize("n", [2.0, True, 0, -1])
+def test_block_length_must_be_a_positive_int(n):
+    # 2.0 used to build a scheme with n = 2.0
+    why = f"must be >= 1, got {n}" if type(n) is int else f"must be an int, got {n!r}"
+    with pytest.raises(ValueError, match=f"^n {re.escape(why)}$"):
+        build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, n, HALF)
 
 
 def test_fractional_mu_rounds_message_count_up():
@@ -863,6 +873,17 @@ def test_blind_guessing_succeeds_one_in_m():
     assert tensor_success(tensor, builtin_z0z1()) == HALF
 
 
+def test_message_success_is_kept_per_message():
+    # a decoder that always guesses message 0 is right on message 0 only
+    entries = np.zeros((4, 2, 2, 4, 4), dtype=object)
+    entries[:, 0] = F(1, 4)
+    tensor = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    assert message_success(tensor, builtin_z0z1()) == (1, 0)
+    assert tensor_success(tensor, builtin_z0z1()) == HALF
+    # the toy scheme never errs on its own source, whichever message is sent
+    assert message_success(auth_scheme.toy_product_scheme(), builtin_product_xs()) == (1,) * 4
+
+
 def test_scheme_and_tensor_paths_agree():
     scheme = build_auth_scheme(identity_channel(), UNIFORM2, 4, HALF, message_count=4)
     direct = success_probability(scheme)
@@ -1164,7 +1185,7 @@ def reference_decomposition(scheme):
             w_in = math.prod(
                 F(1, ch.x_size) if v == phi else scheme.strategy[v][x] for x, v in zip(xs, mapped.output)
             )
-            for yi, p_y in block_outputs(ch, xs, ss) if w_in else ():
+            for yi, p_y in reference_block_outputs(ch, xs, ss) if w_in else ():
                 tests = [auth_scheme._block_test(scheme, block, xs, index_to_seq(yi, ch.y_size, n))
                          for block in blocks]
                 accept = all(ok for ok, _ in tests)
@@ -1279,7 +1300,7 @@ def reference_sigma_sums(scheme, s, window, states):
     sums = [F(0)] * 3
     for xs in itertools.product(range(ch.x_size), repeat=k):
         w_in = math.prod(scheme.strategy[s][x] for x in xs)
-        for yi, p_y in block_outputs(ch, xs, states) if w_in else ():
+        for yi, p_y in reference_block_outputs(ch, xs, states) if w_in else ():
             ys = index_to_seq(yi, ch.y_size, k)
             passes, y_flag = auth_scheme._block_test(scheme, (s, window, range(k)), xs, ys)
             sums = [t + w_in * p_y * v for t, v in zip(sums, (passes, y_flag, passes and y_flag))]

@@ -268,6 +268,23 @@ def test_state_blocks_yield_the_reference_triples(ch, n):
     assert list(state_blocks(ch, n)) == reference_state_blocks(ch, n)
 
 
+def reference_block_outputs(ch, xs, ss):
+    """(index, N^n(y^n|x^n,s^n)) for every output block of positive
+    probability, in index order: a depth-first walk over the per-position
+    output supports, sharing prefix products between blocks.  The oracle
+    behind the tests' per-triple walks; `reference_block_law` in
+    `test_classical.py` checks it against `block_law_array`."""
+    rows = [[(y, q) for y, q in enumerate(ch.kernel[s][x]) if q] for x, s in zip(xs, ss)]
+    stack = [(0, 0, Fraction(1))]
+    while stack:
+        depth, yi, p = stack.pop()
+        if depth == len(rows):
+            yield yi, p
+            continue
+        for y, q in reversed(rows[depth]):
+            stack.append((depth + 1, yi * ch.y_size + y, p * q))
+
+
 def test_state_block_count_is_arithmetic_and_checks_the_length():
     assert state_block_count(builtin_z0z1(), 10**4) == 2**10**4
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):

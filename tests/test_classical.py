@@ -13,16 +13,17 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from nscoding import classical
+from nscoding import auth_scheme, classical
+from nscoding.auth_scheme import message_success, tensor_success, verify_conditions
 from nscoding.channels import (
     BlockStateSource,
     block_law_array,
-    block_outputs,
     builtin_z0z1,
     lift_csir,
     make_channel,
@@ -31,14 +32,16 @@ from nscoding.channels import (
 )
 from nscoding.classical import (
     classical_opt_success,
+    code_tensor,
     encoder_table_lines,
-    evaluate_strategy,
     explicit_z0z1_strategy,
 )
 from nscoding.indexing import all_sequences, index_to_seq, seq_to_index
 from nscoding.ns_lp import MAX_LP_VARIABLES, build_lp1, build_lp2
 from nscoding.rational import int_dtype
 from nscoding.simplex import solve_exact
+from test_auth_scheme import lp1_point
+from test_channels import reference_block_outputs
 
 CSIR_OPT = F(7, 8)
 PLAIN_OPT = F(3, 4)
@@ -51,14 +54,25 @@ def test_explicit_strategy_value_and_breakdown():
 
 
 def test_explicit_strategy_agrees_with_direct_evaluation():
-    # the success field is itself produced by the generic evaluator; force
-    # the comparison anyway so a refactor of either side gets caught
+    # the success field is itself read off the code tensor; force the
+    # comparison with the per-triple walk so a refactor of either side
+    # gets caught
     strat = explicit_z0z1_strategy()
-    success, per_message = evaluate_strategy(
-        builtin_z0z1(), strat.encoder, strat.decoder, csir=True
-    )
-    assert success == strat.success
+    per_message = reference_code_success(lift_csir(builtin_z0z1()), strat.encoder)
     assert per_message == strat.per_message
+    assert sum(per_message) / 2 == strat.success
+
+
+def test_explicit_decoder_is_the_state_correcting_rule():
+    # the MAP decoder decodes 0 exactly when every corrected output
+    # y_j XOR s_j is 0, on each state block with the receiver's copy of it
+    lifted = lift_csir(builtin_z0z1())
+    tensor = code_tensor(lifted, explicit_z0z1_strategy().encoder)
+    for si, ss in enumerate(all_sequences(2, 2)):
+        for ys in all_sequences(2, 2):
+            yi = seq_to_index([y * 2 + s for y, s in zip(ys, ss)], 4)
+            decoded = np.flatnonzero(tensor.numerators[:, :, 0, si, yi].sum(axis=0))
+            assert decoded.tolist() == [0 if ys == ss else 1]
 
 
 def test_explicit_encoder_sends_state_xor_message():
@@ -81,23 +95,10 @@ def test_encoder_refuses_a_message_outside_its_range(w):
 def test_enumeration_reaches_the_explicit_value():
     value, witness = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
     assert value == CSIR_OPT
-    # the witness must actually achieve the optimum when re-evaluated:
-    # decode by MAP is implicit, so rebuild a MAP decoder from weights
-    ch = builtin_z0z1()
-    decoder = {}
-    for yi in range(4):
-        for si in range(4):
-            weights = []
-            for w in range(2):
-                ss = (si >> 1, si & 1)
-                xs = witness.input_block(w, ss)
-                p = ch.state_block_prob(ss)
-                for x, s, y in zip(xs, ss, ((yi >> 1), yi & 1)):
-                    p *= ch.prob(y, x, s)
-                weights.append(p)
-            decoder[(yi, si)] = 0 if weights[0] >= weights[1] else 1
-    success, _ = evaluate_strategy(ch, witness, decoder, csir=True)
-    assert success == CSIR_OPT
+    # the witness must actually achieve the optimum when re-evaluated as
+    # a code with its MAP decoder
+    lifted = lift_csir(builtin_z0z1())
+    assert tensor_success(code_tensor(lifted, witness), lifted) == CSIR_OPT
 
 
 def test_receiver_state_info_is_worth_one_sixteenth():
@@ -171,6 +172,20 @@ def test_plain_work_counts_the_pairs_i_at_most_k(monkeypatch):
     assert classical_opt_success(builtin_z0z1(), 2, 1)[0] == F(1, 2) + F(1, 4)
 
 
+@pytest.mark.parametrize("M, n, name, why", [
+    (True, 2, "M", "must be an int, got True"),
+    (2.0, 2, "M", "must be an int, got 2.0"),
+    (0, 2, "M", "must be >= 1, got 0"),
+    (2, 2.0, "n", "must be an int, got 2.0"),
+    (2, True, "n", "must be an int, got True"),
+    (2, 0, "n", "must be >= 1, got 0"),
+])
+def test_message_count_and_block_length_must_be_positive_ints(M, n, name, why):
+    # M = True used to answer 1, and n = 2.0 to end in a TypeError
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(why)}$"):
+        classical_opt_success(builtin_z0z1(), M, n, csir=True)
+
+
 def test_more_than_two_messages_rejected():
     with pytest.raises(ValueError, match="M in"):
         classical_opt_success(builtin_z0z1(), 3, 2)
@@ -183,14 +198,6 @@ def test_witness_table_covers_every_cell():
     assert lines[0].startswith("x_1(w=0, s^1=0) = ")
 
 
-def test_missing_decoder_cells_fall_back_to_message_zero():
-    noiseless = make_channel(kernel=[[[1, 0], [0, 1]]], state_dist=[1])
-    enc = classical_opt_success(noiseless, 2, 1)[1]
-    success, per_message = evaluate_strategy(noiseless, enc, {}, csir=False)
-    assert per_message[0] == F(1)
-    assert success == F(1, 2)
-
-
 @pytest.mark.parametrize("x_size, s_size, ch", [
     (3, 2, builtin_z0z1()),
     (2, 2, make_channel([[[1, 0], [0, 1]]] * 3, [F(1, 3)] * 3)),
@@ -200,7 +207,7 @@ def test_encoder_on_a_channel_with_other_alphabets_is_refused(x_size, s_size, ch
     enc = classical.DeterministicEncoder(2, 1, x_size, s_size, ((0,) * s_size + (x_size - 1,) * s_size,))
     sizes = f"({ch.x_size}, {ch.s_size})"
     with pytest.raises(ValueError, match=re.escape(f"= ({x_size}, {s_size}) do not match the channel's {sizes}")):
-        evaluate_strategy(ch, enc, {}, csir=False)
+        code_tensor(ch, enc)
 
 
 def _random_two_state_channel(seed):
@@ -240,7 +247,7 @@ def _reference_search(ch, n, csir):
         per_x = []
         for xs in all_sequences(ch.x_size, n):
             row = [F(0)] * ny
-            for yi, p_y in block_outputs(ch, xs, ss):
+            for yi, p_y in reference_block_outputs(ch, xs, ss):
                 row[yi] = p_s * p_y
             per_x.append(tuple(row))
         tables[si] = per_x
@@ -326,19 +333,20 @@ def _random_channel(seed, x_size, y_size, s_size, den=4):
     )
 
 
-def _map_success(ch, encoder):
-    """evaluate_strategy of `encoder` with the MAP decoder on (y^n, s^n)."""
-    n = encoder.n
+def reference_code_success(ch, encoder):
+    """P(w-hat = w | w) for each message of `encoder` with the MAP decoder
+    on y^n (ties to the smaller message), by a walk over every state block
+    and each supported output block of every message's input block."""
+    n, m = encoder.n, encoder.message_count
     weight = {}
-    for si, ss, p_s in state_blocks(ch, n):
-        for w in range(2):
-            for yi, p_y in block_outputs(ch, encoder.input_block(w, ss), ss):
-                weight[(yi, si, w)] = p_s * p_y
-    decoder = {
-        (yi, si): int(weight.get((yi, si, 1), 0) > weight.get((yi, si, 0), 0))
-        for yi in range(ch.y_size**n) for si in range(ch.s_size**n)
+    for _si, ss, p_s in state_blocks(ch, n):
+        for w in range(m):
+            for yi, p_y in reference_block_outputs(ch, encoder.input_block(w, ss), ss):
+                weight[w, yi] = weight.get((w, yi), F(0)) + p_s * p_y
+    decoded = {
+        yi: max(range(m), key=lambda w: (weight.get((w, yi), 0), -w)) for _w, yi in weight
     }
-    return evaluate_strategy(ch, encoder, decoder, csir=True)[0]
+    return tuple(sum((p for (v, yi), p in weight.items() if v == w == decoded[yi]), F(0)) for w in range(m))
 
 
 _BINARY_BLOCK_SOURCE = make_channel(
@@ -376,8 +384,88 @@ def test_integer_search_matches_the_fraction_search(name, ch, n, modes):
         ref_value, ref_witness = _reference_search(ch, n, csir)
         assert value == ref_value
         assert witness.tables == ref_witness.tables
-        if csir:
-            assert _map_success(ch, witness) == value
+
+
+# -- a code as a point of the full program --------------------------------------
+
+
+_CODE_CASES = [
+    *DIFFERENTIAL_CASES,
+    *((f"two-state seed {seed} n=1", _random_two_state_channel(seed), 1, (False, True)) for seed in range(8)),
+    *((f"{shape} seed {seed} n=1", _random_channel(seed, *shape), 1, (False, True))
+      for shape in [(2, 3, 2), (3, 2, 2), (2, 2, 3)] for seed in range(4)),
+]
+
+
+@pytest.mark.parametrize("name, ch, n, modes", _CODE_CASES, ids=[c[0] for c in _CODE_CASES])
+def test_code_tensor_success_is_the_search_value_and_the_reference_walk(name, ch, n, modes):
+    # three routes to one value: the search, the code tensor's diagonal
+    # against the block law, and the per-triple walk with the MAP decoder
+    for csir in modes:
+        value, witness = classical_opt_success(ch, 2, n, csir=csir)
+        receiver = lift_csir(ch) if csir else ch
+        tensor = code_tensor(receiver, witness)
+        tensor.validate()
+        assert verify_conditions(tensor).all_pass()
+        per_message = message_success(tensor, receiver)
+        assert per_message == reference_code_success(receiver, witness)
+        assert tensor_success(tensor, receiver) == value
+        assert sum(per_message) == 2 * value
+
+
+def test_code_tensor_decodes_ties_to_the_smaller_message():
+    # the output ignores the input, so every output block ties and the
+    # MAP decoder gives each to message 0, as the search's tie rule does
+    for csir in (False, True):
+        value, witness = classical_opt_success(_CONSTANT_TWO_STATE, 2, 2, csir=csir)
+        receiver = lift_csir(_CONSTANT_TWO_STATE) if csir else _CONSTANT_TWO_STATE
+        assert message_success(code_tensor(receiver, witness), receiver) == (1, 0)
+        assert reference_code_success(receiver, witness) == (1, 0)
+
+
+def test_csir_witness_is_a_causal_point_at_the_csir_optimum():
+    # classical CSIR <= NS causal + CSIR, proved by a point: the witness's
+    # code tensor meets every row of causal LP1 on the lifted channel, and
+    # its objective there is the LP optimum
+    lifted = lift_csir(builtin_z0z1())
+    _, witness = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
+    tensor = code_tensor(lifted, witness)
+    assert verify_conditions(tensor).all_pass()
+    lp = build_lp1(lifted, 2, 2)
+    point = lp1_point(lp, tensor)
+    assert lp.violated_rows(point) == []
+    assert lp.objective_value(point) == tensor_success(tensor, lifted) == CSIR_OPT
+    assert solve_exact(build_lp2(lifted, 2, 2)).value == CSIR_OPT
+
+
+def test_an_input_that_reads_a_later_state_fails_c3():
+    # message 0 on s^2 = (0, 1) sends x^2 = (0, 1); sending (1, 1) instead
+    # makes x_1 depend on s_2, which only the per-prefix family c3 forbids
+    lifted = lift_csir(builtin_z0z1())
+    tensor = code_tensor(lifted, explicit_z0z1_strategy().encoder)
+    z = tensor.numerators.copy()
+    si, moved = seq_to_index((0, 1), 2), seq_to_index((1, 1), 2)
+    z[moved, :, 0, si], z[si, :, 0, si] = z[si, :, 0, si], 0
+    mutated = replace(tensor, numerators=z)
+    mutated.validate()
+    report = verify_conditions(mutated)
+    assert report.c1 == report.c2 == []
+    # both input prefixes x_1 = 0 and 1 change mass against s_2 = 0, at
+    # the decoded guess of each of the 16 outputs
+    assert len(report.c3) == 2 * 16
+    assert all(re.fullmatch(r"c3\[i=1,px=[01],wh=[01],w=0,s=1,y=\d+\]", label) for label in report.c3)
+    lp = build_lp1(lifted, 2, 2)
+    assert lp.violated_rows(lp1_point(lp, mutated)) == report.c3
+
+
+def test_code_tensor_refuses_past_the_tensor_cap(monkeypatch):
+    # the scheme tensors' cap: M^2 |X|^n |S|^n |Y|^n = 4 * 2^6 entries for z0z1 at n = 2
+    _, witness = classical_opt_success(builtin_z0z1(), 2, 2)
+    monkeypatch.setattr(auth_scheme, "TENSOR_ENTRY_CAP", 255)
+    with pytest.raises(ValueError, match=r"^the code tensor \(M=2, n=2\) needs 256 entries, above the cap 255$"):
+        code_tensor(builtin_z0z1(), witness)
+    monkeypatch.setattr(auth_scheme, "TENSOR_ENTRY_CAP", 256)
+    assert code_tensor(builtin_z0z1(), witness).numerators.size == 256
 
 
 # -- batch boundaries ----------------------------------------------------------
@@ -450,7 +538,7 @@ def reference_block_law(ch, n):
         (xi, si, yi): p_s * p_y
         for xi, xs in enumerate(all_sequences(ch.x_size, n))
         for si, ss, p_s in blocks
-        for yi, p_y in block_outputs(ch, xs, ss)
+        for yi, p_y in reference_block_outputs(ch, xs, ss)
     }
 
 

@@ -11,6 +11,7 @@ not change when the receiver is handed the state sequence.
 import hashlib
 import itertools
 import random
+import re
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -20,7 +21,6 @@ import pytest
 
 from nscoding.channels import (
     BlockStateSource,
-    block_outputs,
     builtin_z0z1,
     lift_csir,
     make_channel,
@@ -41,6 +41,7 @@ from nscoding.ns_lp import (
     verify_certificate,
 )
 from nscoding.simplex import LinearProgram, SimplexSolution, solve_exact
+from test_channels import reference_block_outputs
 
 F = Fraction
 OPT_CAUSAL = F(13, 16)
@@ -297,6 +298,21 @@ def test_formulations_agree_on_random_channels(seed):
     assert full.value == reduced.value
 
 
+@pytest.mark.parametrize("build", [build_lp1, build_lp2])
+@pytest.mark.parametrize("M, n, name, why", [
+    (2.0, 2, "M", "must be an int, got 2.0"),
+    (True, 2, "M", "must be an int, got True"),
+    (0, 2, "M", "must be >= 1, got 0"),
+    (2, 2.0, "n", "must be an int, got 2.0"),
+    (2, True, "n", "must be an int, got True"),
+    (2, 0, "n", "must be >= 1, got 0"),
+])
+def test_message_count_and_block_length_must_be_positive_ints(build, M, n, name, why):
+    # 2.0 used to end in a TypeError from Fraction, and True to build the M = 1 program
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(why)}$"):
+        build(builtin_z0z1(), M, n)
+
+
 # -- the block law -----------------------------------------------------------
 
 
@@ -324,7 +340,7 @@ def test_block_law_matches_direct_product(seed, n):
                     p *= ch.kernel[s][x][y]
                 if p:
                     expected.append((yi, p))
-            assert list(block_outputs(ch, xs, ss)) == expected
+            assert list(reference_block_outputs(ch, xs, ss)) == expected
 
 
 def product_channel_with_block_source():
