@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law_array, state_block_count, state_blocks
+from .channels import ChannelWithState, block_law_array, check_block_length, state_block_count, state_blocks
 from .indexing import all_sequences, seq_to_index
 from .ns_lp import CONDITIONS, _lift, condition_labels, condition_views
 from .rational import as_distribution, as_rational, check_cap, check_int, int_dtype
@@ -229,7 +229,7 @@ def typicality_pass_probability(
 
 
 def _scheme_tables(ch: ChannelWithState, strategy: InputStrategy, n: int, eps: Fraction):
-    state_blocks(ch, n)  # rejects a block source of another length up front
+    check_block_length(ch, n)
     state_b = budgets(n, ch.s_size, ch.state_dist, eps)
     p_y, p_xy = _output_tables(ch, strategy)
     y_b: list[Optional[Budgets]] = []
@@ -724,7 +724,7 @@ def success_probability(scheme: AuthScheme, mode: str = "exact", samples: int = 
     Monte Carlo mode samples the whole pipeline forward and returns
     (estimate, 95% confidence interval).
     """
-    state_blocks(scheme.channel, scheme.n)  # rejects a block source of another length up front
+    check_block_length(scheme.channel, scheme.n)
     if mode == "exact":
         return success_decomposition(scheme).success
     if mode == "monte_carlo":

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import auth_scheme
 from .auth_scheme import SchemeTensor, message_success
-from .channels import ChannelWithState, block_law_array, builtin_z0z1, lift_csir, state_block_count, state_blocks
+from .channels import ChannelWithState, block_law_array, builtin_z0z1, check_block_length, lift_csir, state_block_count
 from .indexing import index_to_seq, seq_to_index
 from .rational import check_cap, check_int, int_dtype
 
@@ -262,15 +262,18 @@ def _best_response_branch(law: _Law, levels: list[np.ndarray]) -> tuple[tuple[in
     return tuple(tables)
 
 
-def _best_csir(law: _Law, branch_count: int) -> tuple[int, int]:
-    """(best total advantage, first branch reaching it) over every message-0
-    branch, scored a batch at a time, S^n |X|^n gain cells each."""
+def _best_csir(law: _Law, branch_count: int) -> tuple[int, int, list[np.ndarray]]:
+    """(best total advantage, first branch reaching it, that branch's
+    response levels) over every message-0 branch, scored a batch at a time,
+    S^n |X|^n gain cells each.  The winner's levels are copied out of its
+    batch, and each batch is dropped before the next is scored."""
     best = None
     for lo, hi in _batches(branch_count, law.gain[:, :, 0].size):
-        totals = _response_levels(law, np.arange(lo, hi))[0]
-        k = int(np.argmax(totals))
-        if best is None or totals[k] > best[0]:
-            best = (totals[k], lo + k)
+        levels = _response_levels(law, np.arange(lo, hi))
+        k = int(np.argmax(levels[0]))
+        if best is None or levels[0][k] > best[0]:
+            best = (levels[0][k], lo + k, [level[..., k].copy() for level in levels])
+        del levels
     return best
 
 
@@ -294,7 +297,7 @@ def classical_opt_success(
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
     if M == 1:
-        state_blocks(ch, n)  # rejects a block source of another length up front
+        check_block_length(ch, n)
         s = ch.s_size  # the witness has sum_j |S|^j table entries, at least |S|^n and n
         check_cap(WITNESS_ENTRY_CAP, max(n * math.log2(s), math.log2(n)),
                   lambda: n if s == 1 else (s ** (n + 1) - s) // (s - 1), f"the M = 1 witness (n={n})", "table entries")
@@ -327,10 +330,10 @@ def classical_opt_success(
             ch.x_size, ch.s_size, n,
         )
         return Fraction(int(value), 2 * law.denominator), encoder
-    adv, i = _best_csir(law, branch_count)
+    adv, i, levels = _best_csir(law, branch_count)
     encoder = _combine(
         _branch_from_index(i, ch.x_size, ch.s_size, n),
-        _best_response_branch(law, _response_levels(law, i)),
+        _best_response_branch(law, levels),
         ch.x_size, ch.s_size, n,
     )
     return (1 + Fraction(int(adv), law.denominator)) / 2, encoder

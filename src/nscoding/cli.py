@@ -178,6 +178,14 @@ def _cmd_lp(args) -> ReportDocument:
     )
     build = ns_lp.build_lp1 if args.form == "lp1" else ns_lp.build_lp2
     lp = build(ch, M=args.M, n=args.n, causal=causal)
+    reduction = lp.reduction
+    if reduction is not None:
+        if reduction.group_order > 1:
+            report.add("group order", reduction.group_order)
+        shapes = [f"{len(program.var_names)} x {len(program.rows)}" for program in reduction.programs]
+        if len(shapes) > 1 and len(set(shapes)) == 1:
+            shapes = [f"{len(shapes)} programs of {shapes[0]}"]
+        report.add("reduced shape", ", ".join(shapes))
     sol = solve_exact(lp)
     report.add("status", sol.status)
     if sol.status == "optimal":

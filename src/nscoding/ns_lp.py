@@ -24,17 +24,27 @@ index 0.  The full program's rows, the reduced program's causality rows
 and `auth_scheme.verify_conditions` all read that table; a row against
 its own reference cell is a tautology and is not emitted.
 
-Only the objective depends on the channel.  The variables and rows of
-each program depend on (form, |X|, |Y|, |S|, M, n, causal) alone, are
-built from those fields and nothing else, and are shared, with their
-integer standard form and phase 1, by every program of that shape
+Only the objective depends on the channel, and so does the symmetry
+group the program is solved under.  The variables and rows of each
+program depend on (form, |X|, |Y|, |S|, M, n, causal) alone, are built
+from those fields and nothing else, and are shared, with their integer
+standard form and phase 1, by every program of that shape
 (`simplex.shared_program`); the simplex memo keeps each such system
 under that key and one bound, `_SYSTEM_CELLS`.  A program over the
 variable cap is refused before anything is built or kept.
+
+Each program carries an exact `simplex.Reduction`, which `solve_exact`
+solves it through (see "exact reductions" below): the orbits of the
+channel's per-position automorphisms, whose program is read from the
+shared system's rows and shared in turn under (system, orbits), or, for
+non-causal LP2, one program per state type over the shared system of a
+single-state block.  The lifted optimum is checked against every row of
+the program itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,9 +53,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law_array, builtin_z0z1
+from .channels import ChannelWithState, block_law_array, builtin_z0z1, state_blocks
+from .indexing import seq_to_index
 from .rational import check_cap, check_int, int_dtype
-from .simplex import LinearProgram, shared_program, solve_exact
+from .simplex import RHS, LinearProgram, Reduction, shared_program, solve_exact
 
 __all__ = [
     "MAX_LP_VARIABLES",
@@ -193,7 +204,9 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     )
     z = np.arange(len(lp.var_names)).reshape(nx, M, M, ns, ny)
     diagonal = z[x[:, None], range(M), range(M), s[:, None], y[:, None]].tolist()  # [cell][w]
-    lp.set_objective({k: Fraction(v, M * den) for keys, v in zip(diagonal, law[s, x, y].tolist()) for k in keys})
+    terms = [(k, v) for keys, v in zip(diagonal, law[s, x, y].tolist()) for k in keys]
+    lp.set_objective({k: Fraction(v, M * den) for k, v in terms})
+    _reduce_by_orbits(lp, ch, "lp1", M, n, causal, terms, M * den)
     return lp
 
 
@@ -245,8 +258,214 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
         f"lp2[M={M},n={n},causal={causal}]", _lp2_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal
     )
     r = np.arange(nx * ny * ns).reshape(nx, ny, ns)
-    lp.set_objective({k: Fraction(v, den) for k, v in zip(r[x, y, s].tolist(), law[s, x, y].tolist())})
+    terms = list(zip(r[x, y, s].tolist(), law[s, x, y].tolist()))
+    lp.set_objective({k: Fraction(v, den) for k, v in terms})
+    if causal:
+        _reduce_by_orbits(lp, ch, "lp2", M, n, causal, terms, den)
+    else:
+        _split_by_state_type(lp, ch, M, n)
     return lp
+
+
+# -- exact reductions -----------------------------------------------------------
+#
+# `solve_exact` solves a program from `build_lp1` or `build_lp2` through the
+# `Reduction` attached here, and checks the lifted optimum against every row
+# of the program itself.  Two reductions are exact:
+#
+# * orbits (Bödi, Herr, Joswig, Math. Program. 137, 2013).  A single-letter
+#   automorphism (pi_s, pi_x, pi_y) keeps N(y|x,s) and P(s); applied at one
+#   position of the blocks it maps the objective to itself and every row of
+#   either program to a row, or to a difference of two rows of its family
+#   (a c1, c2 or c3 row against a reference cell the map moves).  Averaging an
+#   optimum over the group of those maps, the per-position product, gives
+#   an optimum constant on each orbit of variables, so the program over one
+#   variable per orbit, with each row summed per orbit, has the same value.
+# * state types (Matthews, IEEE Trans. IT 58(12), 2012).  No row of
+#   non-causal LP2 couples two state blocks: it is one program over r[x, y]
+#   and q[x] per block s^n, the non-causal LP2 of the single-state channel
+#   N^n(.|., s^n), all over one system.  Blocks of one state type have the
+#   same program up to a permutation of positions, so an i.i.d. state needs
+#   one solve per type, lifted onto each block of it by its permutation; a
+#   block source needs one per atom.
+
+
+@functools.lru_cache(maxsize=64)
+def _letter_orbits(sizes: tuple[int, int, int], generators) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbit labels 0, 1, ... (by first cell) of the letter triples (x, y, s)
+    and of the pairs (x, s), row-major, under the generators, by union-find."""
+    X, Y, S = sizes
+    labels = []
+    for shape, image in (
+        ((X, Y, S), lambda g, x, y, s: (g[1][x] * Y + g[2][y]) * S + g[0][s]),
+        ((X, S), lambda g, x, s: g[1][x] * S + g[0][s]),
+    ):
+        cells = list(itertools.product(*map(range, shape)))
+        parent = list(range(len(cells)))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for g in generators:
+            for i, cell in enumerate(cells):
+                a, b = root(i), root(image(g, *cell))
+                parent[max(a, b)] = min(a, b)
+        first: dict[int, int] = {}
+        labels.append(tuple(first.setdefault(root(i), len(first)) for i in range(len(cells))))
+    return labels[0], labels[1]
+
+
+def _per_position(letter: np.ndarray, n: int) -> np.ndarray:
+    """The code sum_i letter[a_i, b_i, ...] * K^(n-i) of every cell (a, b, ...)
+    of block indices, K the number of letter labels: equal exactly when the
+    labels agree at every position."""
+    base, out = int(letter.max()) + 1, letter
+    for _ in range(n - 1):
+        out = (out.reshape([v for size in out.shape for v in (size, 1)]) * base
+               + letter.reshape([v for size in letter.shape for v in (1, size)])).reshape(
+            [a * b for a, b in zip(out.shape, letter.shape)])
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _variable_orbits(form: str, M: int, n: int, triples: tuple, pairs: tuple, sizes: tuple) -> tuple[tuple[int, ...], ...]:
+    """The orbit of each variable of `form` at (M, n), numbered in order of
+    their codes, and each orbit's size: per-position labels of (x, y, s) for
+    r and z (whose guess and message are kept), of (x, s) for q."""
+    X, Y, S = sizes
+    triple = np.array(triples).reshape(X, Y, S)
+    if form == "lp2":
+        r = _per_position(triple, n)
+        q = _per_position(np.array(pairs).reshape(X, S), n) + int(r.max()) + 1
+        codes = np.concatenate([r.ravel(), q.ravel()])
+    else:
+        cells = _per_position(triple.transpose(0, 2, 1), n)  # [x, s, y]
+        codes = (np.arange(M * M).reshape(1, M, M, 1, 1) * (int(cells.max()) + 1) + cells[:, None, None]).ravel()
+    _, orbit, size = np.unique(codes, return_inverse=True, return_counts=True)
+    return tuple(orbit.reshape(-1).tolist()), tuple(size.tolist())
+
+
+def _orbit_system(build, fields: tuple, form: str, triples: tuple, pairs: tuple) -> LinearProgram:
+    """The program over one variable per orbit of the system build(*fields),
+    whose variables are all nonnegative: each row with its coefficients
+    summed per orbit, in the integers of its standard form, and duplicates
+    and rows that every point meets dropped.  Variables are named after
+    their orbit's first member."""
+    full = shared_program("", build, *fields)
+    x_size, y_size, s_size, M, n, _causal = fields
+    orbit = _variable_orbits(form, M, n, triples, pairs, (x_size, y_size, s_size))[0]
+    first: dict[int, int] = {}
+    for j, o in enumerate(orbit):
+        first.setdefault(o, j)
+    lp = LinearProgram()
+    for o in range(len(first)):
+        lp.add_var(full.var_names[first[o]])
+    standard = full._system.form  # a variable's column is its index
+    seen = set()
+    for row, line, den, relation in zip(full.rows, standard.lines, standard.dens, standard.relations):
+        sums: dict[int, int] = {}
+        rhs = 0
+        for col, v in zip(line[::2], line[1::2]):
+            if col == RHS:
+                rhs = v
+            elif col < len(orbit):
+                sums[orbit[col]] = sums.get(orbit[col], 0) + v
+        sums = {o: v for o, v in sums.items() if v}
+        if not sums and (rhs == 0 or relation == "<="):
+            continue  # 0 == 0 or 0 <= rhs, with rhs >= 0, holds everywhere
+        key = (tuple(sorted(sums.items())), relation, rhs, den)
+        if key not in seen:
+            seen.add(key)
+            lp.add_row({o: Fraction(v, den) for o, v in sums.items()}, relation, Fraction(rhs, den), row.label)
+    return lp
+
+
+def _reduce_by_orbits(lp: LinearProgram, ch: ChannelWithState, form: str, M: int, n: int, causal: bool,
+                      terms: list[tuple[int, int]], den: int) -> None:
+    """Attach the orbit reduction to `lp`, whose objective is k: v / den over
+    `terms`, when the channel's group is nontrivial and the objective is
+    constant on every orbit of the per-position product of it.  The rows
+    of both programs map to rows, or differences of rows, under any
+    per-position permutation of the letters, so that is the whole
+    condition; with the kernel kept, it fails only for a block source the
+    group does not keep, whose program is solved unreduced."""
+    order, generators = ch.automorphisms
+    if order == 1:
+        return
+    sizes = (ch.x_size, ch.y_size, ch.s_size)
+    triples, pairs = _letter_orbits(sizes, generators)
+    orbit, size = _variable_orbits(form, M, n, triples, pairs, sizes)
+    values: dict[int, int] = {}
+    for k, v in terms:
+        if values.setdefault(orbit[k], v) != v:
+            return
+    if len(terms) != sum(size[o] for o in values):  # an orbit with a zero and a nonzero
+        return
+    build = _lp1_system if form == "lp1" else _lp2_system
+    reduced = shared_program(f"{lp.name}/orbits", _orbit_system, build, (*sizes, M, n, causal), form, triples, pairs)
+    reduced.objective = {o: Fraction(v * size[o], den) for o, v in values.items()}
+    lp._reduction = Reduction((reduced,), (1,), orbit, dict(lp.objective), order**n)
+
+
+@functools.lru_cache(maxsize=64)
+def _type_layout(x_size: int, y_size: int, s_size: int, n: int, blocks: tuple, by_type: bool):
+    """(keys, weights, lift) of the split of non-causal LP2 over the state
+    blocks `blocks` of positive probability: one key per program, its
+    type (the sorted block) with `by_type` and its block otherwise; how many
+    blocks each program stands for; and the lift, which gives each variable
+    of block s^n its variable in the program of s^n's key, with the
+    positions sorted, laid end to end (a block of probability 0 takes the
+    first program's point)."""
+    nx, ny, ns = x_size**n, y_size**n, s_size**n
+    size = nx * ny + nx  # variables of a block program, r[x, y] then q[x]
+    keys: dict[tuple[int, ...], int] = {}
+    weights = []
+    which = np.zeros(ns, dtype=np.intp)  # the program of each block
+    px, py = np.tile(np.arange(nx), (ns, 1)), np.tile(np.arange(ny), (ns, 1))
+    digits = {a: np.array(list(itertools.product(range(a), repeat=n))) for a in (x_size, y_size)}
+    for ss in blocks:
+        key = tuple(sorted(ss)) if by_type else ss
+        k = keys.setdefault(key, len(keys))
+        if k == len(weights):
+            weights.append(0)
+        weights[k] += 1
+        si = seq_to_index(ss, s_size)
+        which[si] = k
+        if key != ss:
+            # N^n(y|x, ss) = N^n(y'|x', key) where x' lists x in the order
+            # that sorts ss
+            order = sorted(range(n), key=ss.__getitem__)
+            for perm, a in ((px, x_size), (py, y_size)):
+                perm[si] = digits[a][:, order] @ (a ** np.arange(n - 1, -1, -1))
+    offset = (which * size)[None]
+    r = offset[:, None] + px.T[:, None, :] * ny + py.T[None, :, :]
+    q = offset + nx * ny + px.T
+    return tuple(keys), tuple(weights), tuple(np.concatenate([r.ravel(), q.ravel()]).tolist())
+
+
+def _split_by_state_type(lp: LinearProgram, ch: ChannelWithState, M: int, n: int) -> None:
+    """Attach the split of non-causal LP2, whose objective is
+    law[s^n, x, y] / D at r[x, y, s^n], into one block program per state type
+    (i.i.d. state) or atom (block source), each over the shared system of
+    the single-state non-causal LP2 of |X|^n inputs and |Y|^n outputs with
+    the objective law[key] / D at r[x, y] and a weight of its block count."""
+    blocks = tuple(ss for _si, ss, _p in state_blocks(ch, n))
+    keys, weights, lift = _type_layout(ch.x_size, ch.y_size, ch.s_size, n, blocks, ch.block_state is None)
+    nx, ny, ns = ch.x_size**n, ch.y_size**n, ch.s_size**n
+    program = {seq_to_index(key, ch.s_size): k for k, key in enumerate(keys)}
+    objectives: list[dict[int, Fraction]] = [{} for _ in keys]
+    for j, c in lp.objective.items():  # r[x, y, s^n] at j = (x * ny + y) * ns + s^n
+        xy, si = divmod(j, ns)
+        if si in program:
+            objectives[program[si]][xy] = c
+    programs = []
+    for key, objective in zip(keys, objectives):
+        block = shared_program(f"{lp.name}/s={''.join(map(str, key))}", _lp2_system, nx, ny, 1, M, 1, False)
+        block.objective = objective
+        programs.append(block)
+    lp._reduction = Reduction(tuple(programs), weights, lift, dict(lp.objective))
 
 
 def _lift(r: np.ndarray, q: np.ndarray, M: int) -> np.ndarray:

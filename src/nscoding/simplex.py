@@ -30,6 +30,16 @@ built once from the builder's arguments; they differ in name and
 objective.  A program whose rows were changed, or that was built row by
 row, is put in standard form when it is solved or checked.
 
+A program may carry a `Reduction`: smaller programs whose weighted
+optima sum to its optimum, and a lift of their vertices onto its
+variables.  `solve_exact` solves through it while the program's rows,
+sign constraints and objective are still those it was made for: it runs
+the two phases on each smaller program, lifts their vertices, and checks
+the lifted point against the program's own standard form as below, so a
+wrong lift raises rather than answers.  `MAX_TABLEAU_CELLS` and
+`MAX_PIVOTS` judge each program the phases run on, and the pivots
+reported are their sum.
+
 Phase 1 (the run, the drive-out of artificials, the drop of redundant
 rows and the strip of artificial columns) never reads the objective, so
 a shared system keeps its outcome once a solve has run it; any other
@@ -59,12 +69,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .rational import as_rational, check_cap
 
 __all__ = [
     "LinearProgram",
+    "Reduction",
     "SimplexSolution",
     "solve_exact",
     "PivotLimitError",
@@ -105,13 +116,34 @@ class _Row:
     label: str
 
 
+@dataclass(frozen=True, eq=False)
+class Reduction:
+    """An exact reduction of a program: smaller programs whose optima give
+    its optimum and an optimal point.
+
+    The program's optimum is the sum of each program's optimum times its
+    weight, and its point gives variable v the value of variable lift[v]
+    of the programs' variables laid end to end.  A reduction is exact for
+    one objective, `objective`; `group_order` is the order of the symmetry
+    group whose orbits the programs' variables are, 1 for none.
+    """
+
+    programs: tuple[LinearProgram, ...]
+    weights: tuple[int, ...]
+    lift: Sequence[int]
+    objective: Mapping[int, Fraction]
+    group_order: int = 1
+
+
 @dataclass
 class LinearProgram:
     """Named variables, sparse rows, and a linear objective.
 
     A program from `shared_program` also refers to its constraint system
     (`_system`), whose standard form it is solved and checked with while
-    its rows and sign constraints are still the system's.
+    its rows and sign constraints are still the system's, and may carry a
+    `Reduction` (`_reduction`), which it is solved through while, in
+    addition, its objective is still the reduction's.
     """
 
     name: str = "lp"
@@ -122,6 +154,7 @@ class LinearProgram:
     nonneg: list[bool] = field(default_factory=list)
     _index: dict[str, int] = field(default_factory=dict, repr=False)
     _system: Optional[_System] = field(default=None, repr=False, compare=False)
+    _reduction: Optional[Reduction] = field(default=None, repr=False, compare=False)
 
     def add_var(self, name: str, nonneg: bool = True, objective: object = 0) -> int:
         if name in self._index:
@@ -165,6 +198,16 @@ class LinearProgram:
         if system is not None and self.rows == system.program.rows and self.nonneg == system.program.nonneg:
             return system.form, system
         return _standard_form(self.rows, self.nonneg), None
+
+    @property
+    def reduction(self) -> Optional[Reduction]:
+        """The reduction `solve_exact` solves this program through: the one
+        it carries while its rows, sign constraints and objective are still
+        those the reduction was made for, else None."""
+        reduction, system = self._reduction, self._system
+        if reduction is None or system is None or self.objective != reduction.objective:
+            return None
+        return reduction if self.rows == system.program.rows and self.nonneg == system.program.nonneg else None
 
     # -- exact evaluation --------------------------------------------------
 
@@ -507,9 +550,11 @@ class _System:
 
 # (column, value) pairs the memo holds, at 60-85 bytes each: the rows of its
 # shared constraint systems, as Fractions and in standard form, and the
-# tableaux of their phase-1 outcomes.  The `lp` benchmark's 18 systems take
-# 22k and their phase-1 tableaux 17k; LP2 on z0z1 at n = 3 takes 7k + 5k
-# (causal) and 4k + 4k (non-causal).
+# tableaux of their phase-1 outcomes.  The `lp` benchmark's 31 systems, the
+# orbit and state-block systems included, take 29k and their phase-1
+# tableaux 16k; LP2 on z0z1 at n = 3 takes 9k + 1k (causal: the system and
+# its orbit system) and 4k + 0.5k (non-causal: the system and its block
+# system).  A system solved only through a reduction keeps no phase 1.
 _SYSTEM_CELLS = 100_000
 
 
@@ -600,25 +645,10 @@ def _phase_one_tableau(form: _StandardForm, system: Optional[_System]) -> _Table
     return tab.copy()
 
 
-def solve_exact(lp: LinearProgram) -> SimplexSolution:
-    """Solve to exact rational optimality (or report infeasible/unbounded).
-
-    Raises ValueError before the first pivot for a tableau past
-    MAX_TABLEAU_CELLS, and PivotLimitError past MAX_PIVOTS pivots.
-    """
-    if lp.sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
+def _cost(lp: LinearProgram, col_of: tuple[tuple[int, int], ...]) -> tuple[dict[int, int], int]:
+    """The objective to maximize (negated for a min program) as integer
+    numerators by standard-form column over one denominator."""
     negate = lp.sense == "min"
-
-    form, system = lp._form()
-    cells = len(form.lines) * form.total
-    check_cap(MAX_TABLEAU_CELLS, 0, lambda: cells, f"the {len(form.lines)} x {form.total} tableau of {lp.name!r}", "cells")
-    tab = _phase_one_tableau(form, system)
-    if RHS in tab.obj:  # phase 1 left artificial mass
-        return SimplexSolution(status="infeasible", value=None, assignment={}, pivots=tab.pivots)
-    total, col_of = form.art_base, form.col_of
-
-    # -- phase 2 ------------------------------------------------------------
     cost_den = math.lcm(*(c.denominator for c in lp.objective.values()))
     cost: dict[int, int] = {}
     for j, c in lp.objective.items():
@@ -627,9 +657,38 @@ def solve_exact(lp: LinearProgram) -> SimplexSolution:
         cost[plus] = c
         if minus >= 0:
             cost[minus] = -c
-    tab.set_objective(cost, cost_den)
+    return cost, cost_den
+
+
+class _Optimum(NamedTuple):
+    """A two-phase solve's outcome: its status and pivots and, when optimal,
+    the vertex as reduced integers over one common denominator d, the value
+    to maximize z (negated for a min program) and that objective's integer
+    form, `_cost`."""
+
+    status: str
+    pivots: int
+    nums: list[int] = []
+    d: int = 1
+    z: Fraction = ZERO
+    cost: tuple[dict[int, int], int] = ({}, 1)
+
+
+def _optimum(lp: LinearProgram, form: _StandardForm, system: Optional[_System]) -> _Optimum:
+    """The two phases on `lp` in its standard form `form`, that of `system`
+    or of no shared system."""
+    cells = len(form.lines) * form.total
+    check_cap(MAX_TABLEAU_CELLS, 0, lambda: cells, f"the {len(form.lines)} x {form.total} tableau of {lp.name!r}", "cells")
+    tab = _phase_one_tableau(form, system)
+    if RHS in tab.obj:  # phase 1 left artificial mass
+        return _Optimum("infeasible", tab.pivots)
+    total, col_of = form.art_base, form.col_of
+
+    # -- phase 2 ------------------------------------------------------------
+    cost = _cost(lp, col_of)
+    tab.set_objective(*cost)
     if tab.run(total) == "unbounded":
-        return SimplexSolution(status="unbounded", value=None, assignment={}, pivots=tab.pivots)
+        return _Optimum("unbounded", tab.pivots)
 
     # the optimum as integers over one common denominator, reduced so that
     # it is the point `_point` makes of the returned assignment
@@ -645,12 +704,54 @@ def solve_exact(lp: LinearProgram) -> SimplexSolution:
     g = math.gcd(d, *nums)
     if g != 1:
         nums, d = [v // g for v in nums], d // g
-    # the objective row stores -z over obj_den, and cost . x / cost_den must be z / obj_den
-    z = -tab.obj.get(RHS, 0)
-    objective = (*chain.from_iterable((j, c * tab.obj_den) for j, c in cost.items()), RHS, z * cost_den)
+    # the objective row stores -z over obj_den
+    return _Optimum("optimal", tab.pivots, nums, d, Fraction(-tab.obj.get(RHS, 0), tab.obj_den), cost)
+
+
+def solve_exact(lp: LinearProgram) -> SimplexSolution:
+    """Solve to exact rational optimality (or report infeasible/unbounded).
+
+    A program with a `reduction` is solved through it: each of its
+    programs is solved, the first that is not optimal gives the status,
+    and otherwise their vertices are lifted onto the program's variables
+    and the weighted sum of their optima is the value.  Either way the
+    point and the value are checked against every row, sign constraint
+    and the objective of the program's own standard form before they are
+    returned.
+
+    Raises ValueError before the first pivot for a tableau past
+    MAX_TABLEAU_CELLS (of any program solved), and PivotLimitError past
+    MAX_PIVOTS pivots in one of them.
+    """
+    if lp.sense not in ("max", "min"):
+        raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
+    reduction = lp.reduction
+    found = []
+    for program in (lp,) if reduction is None else reduction.programs:
+        form, system = program._form()
+        found.append(_optimum(program, form, system))
+        if found[-1].status != "optimal":
+            break
+    pivots = sum(part.pivots for part in found)
+    if found[-1].status != "optimal":
+        return SimplexSolution(status=found[-1].status, value=None, assignment={}, pivots=pivots)
+    if reduction is None:
+        [(_status, _pivots, nums, d, z, (cost, cost_den))] = found
+    else:
+        form = lp._system.form
+        d = math.lcm(*(part.d for part in found))
+        values = [v * (d // part.d) for part in found for v in part.nums]
+        nums = [values[i] for i in reduction.lift]
+        g = math.gcd(d, *nums)
+        if g != 1:
+            nums, d = [v // g for v in nums], d // g
+        z = sum(w * part.z for w, part in zip(reduction.weights, found))
+        cost, cost_den = _cost(lp, form.col_of)
+    # cost . x / cost_den must be z
+    objective = (*chain.from_iterable((j, c * z.denominator) for j, c in cost.items()), RHS, z.numerator * cost_den)
     bad = lp._violations(form, nums, d, objective)
     if bad:
         raise AssertionError(f"solver returned an infeasible or mismatched point; violated: {bad[:5]}")
     assignment = {name: Fraction(v, d) for name, v in zip(lp.var_names, nums) if v}
-    value = Fraction(-z if negate else z, tab.obj_den)
-    return SimplexSolution(status="optimal", value=value, assignment=assignment, pivots=tab.pivots)
+    value = -z if lp.sense == "min" else z
+    return SimplexSolution(status="optimal", value=value, assignment=assignment, pivots=pivots)

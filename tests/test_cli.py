@@ -500,13 +500,29 @@ def test_lp_solve_answers_z0z1_at_n3():
     assert "optimum = 7/8\n" in text and "solved to optimality: pass\n" in text
 
 
-def test_oversize_tableau_is_one_error_line():
+def test_oversize_tableau_is_one_error_line(tmp_path):
     # 4352 variables pass the builders' variable budget, but the tableau
     # would hold 6748 x 11100 cells; the solver refuses it before building.
-    code, text = run(["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "4"])
+    # The channel's automorphism group is trivial, so nothing reduces the
+    # program (z0z1's orbits solve it: see the test below).
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(CAP_CHANNELS["skew.json"]))
+    code, text = run(["lp", "solve", "--channel", str(path), "--M", "2", "--n", "4"])
     assert code == 1
     assert text.startswith("error:") and "the 6748 x 11100 tableau of 'lp2[M=2,n=4,causal=True]' needs 74902800 cells" in text
     assert text.count("\n") == 1
+
+
+@pytest.mark.parametrize("noncausal, group, shape, optimum", [
+    (False, ["group order = 16"], "272 x 817", "51/56"),
+    (True, [], "5 programs of 272 x 273", "31/32"),
+])
+def test_z0z1_at_n4_solves_through_its_reduction(noncausal, group, shape, optimum):
+    # the unreduced causal program is the one the tableau cap refuses above
+    argv = ["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "4"] + ["--noncausal"] * noncausal
+    code, text = run(argv)
+    assert code == 0
+    assert text.splitlines()[2:-1] == [*group, f"reduced shape = {shape}", "status = optimal", f"optimum = {optimum}"]
 
 
 @pytest.mark.parametrize("action", ["build", "verify", "simulate"])
@@ -694,6 +710,12 @@ CAP_CHANNELS = {
     "identity.json": {"x_size": 2, "y_size": 2, "s_size": 1, "kernel": [[["1", "0"], ["0", "1"]]], "state_dist": ["1"]},
     # 8 inputs over 5 states: 8^5 = 32768 strategy letters
     "wide.json": {"x_size": 8, "y_size": 2, "s_size": 5, "kernel": [[["1", "0"]] * 8] * 5, "state_dist": ["1/5"] * 5},
+    # binary, with no automorphism but the identity: its programs are not reduced
+    "skew.json": {
+        "x_size": 2, "y_size": 2, "s_size": 2,
+        "kernel": [[["1", "0"], ["1/2", "1/2"]], [["1/4", "3/4"], ["0", "1"]]],
+        "state_dist": ["1/3", "2/3"],
+    },
 }
 BIG_N = str(10**7)
 NEAR_ONE = f"{10**7 - 1}/{10**7}"
@@ -701,7 +723,7 @@ NEAR_ONE = f"{10**7 - 1}/{10**7}"
 
 @pytest.mark.parametrize("argv, cap", [
     (["lp", "solve", "--channel", "three.json", "--M", "2", "--n", BIG_N], "MAX_LP_VARIABLES"),
-    (["lp", "solve", "--channel", "z0z1", "--M", "2", "--n", "4"], "MAX_TABLEAU_CELLS"),
+    (["lp", "solve", "--channel", "skew.json", "--M", "2", "--n", "4"], "MAX_TABLEAU_CELLS"),
     (["scheme", "verify", "--channel", "three.json", "--n", BIG_N, "--eps", NEAR_ONE], "TENSOR_ENTRY_CAP"),
     (["scheme", "simulate", "--channel", "three.json", "--n", BIG_N, "--eps", NEAR_ONE], "EXACT_SUCCESS_CAP"),
     (["scheme", "build", "--channel", "identity.json", "--n", "18000", "--eps", "1/2"], "MU_WORK_CAP"),

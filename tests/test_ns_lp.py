@@ -8,6 +8,7 @@ number from both sides) and 7/8 for the non-causal programs, which must
 not change when the receiver is handed the state sequence.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -469,6 +470,12 @@ def solve_cold(lp: LinearProgram) -> SimplexSolution:
         return solve_exact(lp)
 
 
+def core_programs(lp: LinearProgram) -> list[LinearProgram]:
+    """The programs the simplex runs on when `lp` is solved: those of its
+    reduction, or `lp` itself."""
+    return list(lp.reduction.programs) if lp.reduction is not None else [lp]
+
+
 def _shared_families():
     """(build, channel of a seed, n, causal) over the random families above."""
     shapes = {
@@ -492,15 +499,22 @@ def test_shared_programs_solve_as_hand_built_copies_cold_and_warm(build, channel
         first, second = (build(channel(seed), M=2, n=n, causal=causal) for seed in (1, 2))
     assert first._system is second._system
     assert all(a is b for a, b in zip(first.rows, second.rows)) and len(first.rows) == len(second.rows)
-    expected = [outcome(solve_cold(hand_built(lp))) for lp in (first, second)]
-    assert [outcome(solve_cold(lp)) for lp in (first, second)] == expected
+    # a program solved through a reduction (non-causal LP2, split by state
+    # type) is checked on the programs the simplex runs on, which share one
+    # system too
+    pairs = list(zip(core_programs(first), core_programs(second)))
+    assert all(a._system is b._system for a, b in pairs) and len({a._system for a, _ in pairs}) == 1
+    expected = [outcome(solve_cold(hand_built(lp))) for pair in pairs for lp in pair]
+    assert [outcome(solve_cold(lp)) for pair in pairs for lp in pair] == expected
     with fresh_memo() as memo, phase_one_runs() as runs:
         first, second = (build(channel(seed), M=2, n=n, causal=causal) for seed in (1, 2))
-        # the second program hits the first's phase 1; a hand-built copy of
-        # it runs its own and keeps nothing
-        warm = [outcome(solve_exact(lp)) for lp in (first, second, hand_built(second))]
-        assert warm == [*expected, expected[1]]
-        assert len(runs) == 2 and list(memo.entries) == [first._system.key]
+        pairs = list(zip(core_programs(first), core_programs(second)))
+        # every program after the first hits its phase 1; a hand-built copy
+        # of the last runs its own and keeps nothing
+        warm = [outcome(solve_exact(lp)) for pair in pairs for lp in pair] + [outcome(solve_exact(hand_built(pairs[-1][1])))]
+        assert warm == [*expected, expected[-1]]
+        systems = [first] if first.reduction is None else [first, pairs[0][0]]
+        assert len(runs) == 2 and list(memo.entries) == [lp._system.key for lp in systems]
 
 
 def test_changing_one_shared_program_leaves_the_others_and_the_system():
@@ -532,7 +546,7 @@ def test_changing_one_shared_program_leaves_the_others_and_the_system():
 
 
 def test_systems_and_phase_one_outcomes_share_one_bound(monkeypatch):
-    ch = builtin_z0z1()
+    ch = random_binary_channel(1)  # its programs are solved without a reduction
 
     def sweep(memo, bound):
         """Build and solve M = 2, build and solve M = 3, build M = 2 again,
@@ -593,3 +607,267 @@ def test_an_over_budget_program_is_refused_before_anything_is_built(monkeypatch)
         with pytest.raises(ValueError, match=str(MAX_LP_VARIABLES)):
             build_lp2(builtin_z0z1(), M=2, n=5)
         assert not memo.entries and memo.cells == 0
+
+
+# -- exact reductions ----------------------------------------------------------
+#
+# build_lp1 and build_lp2 attach a reduction that solve_exact solves through:
+# the orbits of the channel's per-position automorphisms, and non-causal LP2
+# split into one block program per state type.  Each must give the value of
+# the program solved without it, at a point that meets every row of it.
+
+
+def identity_channel(size: int, states: int = 1):
+    """y = x over `size` letters; with two states, the second flips x."""
+    kernel = [[[F(int(y == x)) for y in range(size)] for x in range(size)]]
+    if states == 2:
+        kernel.append([[F(int(y == size - 1 - x)) for y in range(size)] for x in range(size)])
+    return make_channel(kernel=kernel, state_dist=[F(1, states)] * states)
+
+
+def mirrored_channel(seed: int, block: bool = False):
+    """A random binary kernel in state 0 and its mirror image (x, y flipped)
+    in state 1, states uniform: flipping all three letters is an
+    automorphism.  With `block`, the states come from a block source of
+    length 2 that is uniform, hence invariant under each position's flip."""
+    rng = random.Random(seed)
+    rows = [[F(a, 8), F(8 - a, 8)] for a in (rng.randint(0, 8), rng.randint(0, 8))]
+    mirror = [row[::-1] for row in rows[::-1]]
+    source = BlockStateSource(n=2, atoms=tuple((seq, F(1, 4)) for seq in itertools.product(range(2), repeat=2)))
+    return make_channel(kernel=[rows, mirror], state_dist=[F(1, 2)] * 2, block_state=source if block else None)
+
+
+def reference_automorphisms(ch) -> set:
+    """Every (pi_s, pi_x, pi_y) keeping the kernel and the state law, by
+    trying all permutation triples."""
+    perms = [list(itertools.permutations(range(k))) for k in (ch.s_size, ch.x_size, ch.y_size)]
+    return {
+        (ps, px, py) for ps, px, py in itertools.product(*perms)
+        if all(ch.state_dist[ps[s]] == ch.state_dist[s] for s in range(ch.s_size))
+        and all(ch.kernel[ps[s]][px[x]][py[y]] == ch.kernel[s][x][y]
+                for s in range(ch.s_size) for x in range(ch.x_size) for y in range(ch.y_size))
+    }
+
+
+def generated_group(generators, sizes) -> set:
+    """The closure of the generators under composition."""
+    identity = tuple(tuple(range(k)) for k in sizes)
+    group, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            gh = tuple(tuple(a[b[i]] for i in range(len(a))) for a, b in zip(g, h))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+REDUCTION_CHANNELS = {
+    "z0z1": builtin_z0z1,
+    "z0z1-csir": lambda: lift_csir(builtin_z0z1()),
+    "identity2": lambda: identity_channel(2),
+    "identity3": lambda: identity_channel(3),
+    "identity-and-flip": lambda: identity_channel(2, states=2),
+}
+
+
+@pytest.mark.parametrize("name", [*REDUCTION_CHANNELS, "binary#1", "mirrored#1", "random#1", "random#3"])
+def test_automorphisms_are_every_permutation_that_keeps_the_channel(name):
+    extra = {
+        "binary#1": lambda: random_binary_channel(1),
+        "mirrored#1": lambda: mirrored_channel(1),
+        "random#1": lambda: random_channel(1, 2, 3, 2),
+        "random#3": lambda: random_channel(3, 2, 2, 3),
+    }
+    ch = {**REDUCTION_CHANNELS, **extra}[name]()
+    order, generators = ch.automorphisms
+    expected = reference_automorphisms(ch)
+    assert generated_group(generators, (ch.s_size, ch.x_size, ch.y_size)) == expected
+    assert order == len(expected)
+
+
+def test_a_permutation_that_breaks_the_kernel_is_not_an_automorphism():
+    # flipping x alone on z0z1 maps the noiseless input of state 0 onto the
+    # noisy one; only flipping all three letters keeps the kernel
+    ch = builtin_z0z1()
+    flip, keep = (1, 0), (0, 1)
+    group = generated_group(ch.automorphisms[1], (2, 2, 2))
+    assert group == {(keep, keep, keep), (flip, flip, flip)}
+    assert (keep, flip, keep) not in group
+
+
+def _differential_cases():
+    for name in REDUCTION_CHANNELS:
+        for n in (1, 2, 3):
+            # the unreduced causal and non-causal LP2 of the CSIR lift at
+            # n = 3 are above the tableau cap
+            for causal in (True, False) if name != "z0z1-csir" or n < 3 else ():
+                yield pytest.param(name, build_lp2, n, causal, id=f"lp2-{name}-n{n}-{'causal' if causal else 'noncausal'}")
+        for n in (1, 2):
+            for causal in (True, False):
+                if not (name in ("z0z1-csir", "identity3") and n == 2):  # seconds to a minute unreduced
+                    yield pytest.param(name, build_lp1, n, causal, id=f"lp1-{name}-n{n}-{'causal' if causal else 'noncausal'}")
+
+
+@pytest.mark.parametrize("name, build, n, causal", _differential_cases())
+def test_reduced_programs_give_the_unreduced_value_at_a_feasible_point(name, build, n, causal):
+    lp = build(REDUCTION_CHANNELS[name](), M=2, n=n, causal=causal)
+    assert lp.reduction is not None
+    sol = solve_exact(lp)
+    assert sol.status == "optimal"
+    # a copy built row by row shares no system, so it carries no reduction
+    assert sol.value == solve_exact(hand_built(lp)).value
+    assert lp.violated_rows(sol.assignment) == [] and lp.objective_value(sol.assignment) == sol.value
+
+
+def _random_cases():
+    families = {
+        "binary": random_binary_channel,
+        "x2y3s2": lambda seed: random_channel(seed, 2, 3, 2),
+        "x3y2s2": lambda seed: random_channel(seed, 3, 2, 2),
+        "x2y2s3": lambda seed: random_channel(seed, 2, 2, 3),
+        "mirrored": mirrored_channel,
+        "mirrored-block": lambda seed: mirrored_channel(seed, block=True),
+        "product-block": lambda seed: product_channel_with_block_source(),
+    }
+    for name, family in families.items():
+        for n in (1, 2) if "block" not in name else (2,):
+            for causal in (True, False):
+                for build in (build_lp1, build_lp2) if n == 1 or "block" in name else (build_lp2,):
+                    mode = "causal" if causal else "noncausal"
+                    yield pytest.param(family, build, n, causal, id=f"{build.__name__}-{name}-n{n}-{mode}")
+
+
+@pytest.mark.parametrize("family, build, n, causal", _random_cases())
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reductions_on_random_channels_match_the_unreduced_program(family, build, n, causal, seed):
+    ch = family(seed)
+    lp = build(ch, M=2, n=n, causal=causal)
+    # non-causal LP2 is always split; the rest reduce when the group is not trivial
+    reduced = build is build_lp2 and not causal or ch.automorphisms[0] > 1
+    assert (lp.reduction is not None) == reduced
+    sol = solve_exact(lp)
+    assert sol.value == solve_exact(hand_built(lp)).value
+    assert lp.violated_rows(sol.assignment) == []
+
+
+def test_a_block_source_the_group_moves_is_not_reduced_by_orbits():
+    # the mirrored kernel has the flip, but a block source weighing (0, 1)
+    # above (1, 0) is not invariant under flipping one position
+    ch = mirrored_channel(1)
+    source = BlockStateSource(n=2, atoms=(((0, 1), F(3, 4)), ((1, 0), F(1, 4))))
+    skewed = make_channel(kernel=ch.kernel, state_dist=ch.state_dist, block_state=source)
+    assert skewed.automorphisms[0] == 2
+    assert build_lp2(skewed, M=2, n=2).reduction is None
+    assert build_lp2(mirrored_channel(1, block=True), M=2, n=2).reduction.group_order == 4
+
+
+def _variable_map(lp: LinearProgram, g, position: int, n: int, sizes) -> list[int]:
+    """The index each variable of `lp` goes to when the automorphism
+    g = (pi_s, pi_x, pi_y) acts on the letters at one position."""
+    ps, px, py = g
+    X, Y, S = sizes
+
+    def block(index: int, perm, size: int) -> int:
+        digits = list(np.unravel_index(index, (size,) * n))
+        digits[position] = perm[digits[position]]
+        return int(np.ravel_multi_index(digits, (size,) * n))
+
+    names = []
+    for name in lp.var_names:
+        stem, cells = name[0], list(map(int, name[2:-1].split(",")))
+        if stem == "z":  # z[x, wh, w, s, y]
+            x, wh, w, s, y = cells
+            cells = [block(x, px, X), wh, w, block(s, ps, S), block(y, py, Y)]
+        elif stem == "r":  # r[x, y, s]
+            x, y, s = cells
+            cells = [block(x, px, X), block(y, py, Y), block(s, ps, S)]
+        else:  # q[x, s]
+            x, s = cells
+            cells = [block(x, px, X), block(s, ps, S)]
+        names.append(f"{stem}[{','.join(map(str, cells))}]")
+    return [lp._index[name] for name in names]
+
+
+@pytest.mark.parametrize("name, build, n", [
+    pytest.param(name, build, n, id=f"{build.__name__}-{name}-n{n}")
+    for name in ("z0z1", "z0z1-csir", "identity3", "identity-and-flip")
+    for build, sizes in ((build_lp2, (1, 2, 3)), (build_lp1, (1, 2)))
+    # the larger programs take seconds here: LP2 of the CSIR lift at n = 3 and LP1 at n = 2 but on z0z1
+    for n in sizes if not (name == "z0z1-csir" and build is build_lp2 and n == 3 or
+                           name != "z0z1" and build is build_lp1 and n == 2)
+])
+def test_each_generator_maps_the_program_onto_itself(name, build, n):
+    ch = REDUCTION_CHANNELS[name]()
+    lp = build(ch, M=2, n=n)
+    rows = {(tuple(sorted(row.coeffs.items())), row.relation, row.rhs) for row in lp.rows}
+    # a row comparing a cell with its reference cell (c1, c2, c3, rcausal,
+    # qcausal) may map to one comparing two cells of its group: the
+    # difference of two rows against the same reference
+    group: dict[frozenset, frozenset] = {}
+    for row in lp.rows:
+        if row.label.split("[")[0] in ("c1", "c2", "c3", "rcausal", "qcausal"):
+            cells = [frozenset(j for j, c in row.coeffs.items() if c == sign) for sign in (1, -1)]
+            members = group.get(cells[1], frozenset([cells[1]])) | {cells[0]}
+            for cell in members:
+                group[cell] = members
+    for g in ch.automorphisms[1]:
+        for position in range(n):
+            image = _variable_map(lp, g, position, n, (ch.x_size, ch.y_size, ch.s_size))
+            assert sorted(image) == list(range(len(image)))
+            assert {image[j]: c for j, c in lp.objective.items()} == lp.objective
+            for row in lp.rows:
+                coeffs = {image[j]: c for j, c in row.coeffs.items()}
+                if (tuple(sorted(coeffs.items())), row.relation, row.rhs) in rows:
+                    continue
+                plus, minus = (frozenset(j for j, c in coeffs.items() if c == sign) for sign in (1, -1))
+                assert row.label.split("[")[0] in ("c1", "c2", "c3", "rcausal", "qcausal"), row.label
+                assert minus in group.get(plus, ()), row.label
+
+
+def test_a_point_off_the_lift_is_refused(monkeypatch):
+    lp = build_lp2(builtin_z0z1(), M=2, n=2)
+    optimum = simplex._optimum
+
+    def nudged(program, form, system):
+        found = optimum(program, form, system)
+        if program is lp.reduction.programs[0]:
+            up = next(j for j, v in enumerate(found.nums) if v)
+            nums = list(found.nums)
+            nums[up] += 1  # one orbit's value up by 1/D
+            found = found._replace(nums=nums)
+        return found
+
+    monkeypatch.setattr(simplex, "_optimum", nudged)
+    with pytest.raises(AssertionError, match="solver returned an infeasible or mismatched point"):
+        solve_exact(lp)
+
+
+def test_a_lift_onto_the_wrong_variable_is_refused():
+    lp = build_lp2(builtin_z0z1(), M=2, n=2, causal=False)
+    sol = solve_exact(lp)
+    # one variable of the first block takes another variable's value
+    lift = list(lp.reduction.lift)
+    j = lp.var_names.index(next(name for name in sol.assignment if name.startswith("r")))
+    lift[j] = lift[next(k for k, name in enumerate(lp.var_names) if name.startswith("q") and name not in sol.assignment)]
+    lp._reduction = dataclasses.replace(lp.reduction, lift=lift)
+    with pytest.raises(AssertionError, match="solver returned an infeasible or mismatched point"):
+        solve_exact(lp)
+
+
+def test_a_non_automorphism_forced_on_the_channel_reduces_nothing():
+    # flipping x alone is no automorphism of z0z1: the objective is not
+    # constant on its orbits, whose program would give 1/2
+    ch = builtin_z0z1()
+    keep, flip = (0, 1), (1, 0)
+    ch.__dict__["automorphisms"] = (2, ((keep, flip, keep),))
+    lp = build_lp2(ch, M=2, n=2)
+    assert lp.reduction is None and solve_exact(lp).value == OPT_CAUSAL
+
+
+def test_the_frontier_values():
+    # the causal value with the receiver told the states equals the
+    # non-causal one at n = 3 (15/16)
+    z0z1 = builtin_z0z1()
+    assert solve_exact(build_lp2(lift_csir(z0z1), 2, 3)).value == F(15, 16)

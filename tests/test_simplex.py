@@ -8,11 +8,13 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nscoding import simplex
+from nscoding import ns_lp, simplex
 from nscoding.channels import builtin_z0z1, lift_csir
 from nscoding.ns_lp import build_lp1, build_lp2, build_lp4_z0z1
 from nscoding.simplex import LinearProgram, PivotLimitError, SimplexSolution, shared_program, solve_exact
-from test_ns_lp import fresh_memo, outcome, phase_one_runs, random_binary_channel, random_channel, solve_cold
+from test_ns_lp import (
+    core_programs, fresh_memo, outcome, phase_one_runs, random_binary_channel, random_channel, solve_cold,
+)
 
 F = Fraction
 
@@ -483,7 +485,18 @@ def _assisted_programs():
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_take_the_reference_pivots(build, ch, n, causal):
-    assert_same_pivots(build(ch, M=2, n=n, causal=causal))
+    lp = build(ch, M=2, n=n, causal=causal)
+    if lp.reduction is None:
+        assert_same_pivots(lp)
+        return
+    # solved through a reduction (z0z1's orbits, non-causal LP2 by state
+    # type): the reference pivots on every program the simplex runs on, and
+    # the reference optimum of the program itself
+    for program in core_programs(lp):
+        assert_same_pivots(program)
+    sol = solve_exact(lp)
+    assert sol.value == reference_solve(lp).value
+    assert sol.pivots == sum(solve_exact(program).pivots for program in core_programs(lp))
 
 
 def assert_sparse_form(tab) -> None:
@@ -516,23 +529,32 @@ def count_checked_pivots(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_keep_the_sparse_form(build, ch, n, causal, monkeypatch):
-    # cold: every phase-1, drive-out and phase-2 pivot is taken and checked
+    # cold: every phase-1, drive-out and phase-2 pivot is taken and checked,
+    # on each program the simplex runs on
     with fresh_memo():
-        pivots = count_checked_pivots(monkeypatch)
-        sol = solve_exact(build(ch, M=2, n=n, causal=causal))
-    assert sol.status == "optimal" and pivots[0] == sol.pivots
+        programs = core_programs(build(ch, M=2, n=n, causal=causal))
+    pivots = count_checked_pivots(monkeypatch)
+    for program in programs:
+        with fresh_memo():
+            pivots[0] = 0
+            sol = solve_exact(program)
+        assert sol.status == "optimal" and pivots[0] == sol.pivots
 
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_keep_the_sparse_form_after_a_memo_hit(build, ch, n, causal, monkeypatch):
     with fresh_memo():
-        lp = build(ch, M=2, n=n, causal=causal)
-        cold = solve_exact(lp)
-        found = lp._system.phase_one
-        pivots = count_checked_pivots(monkeypatch)
-        warm = solve_exact(lp)
-    # warm: only phase 2 pivots, and the count goes on from phase 1's
-    assert warm == cold and pivots[0] == warm.pivots - found.pivots
+        count = len(core_programs(build(ch, M=2, n=n, causal=causal)))
+    pivots = count_checked_pivots(monkeypatch)
+    for k in range(count):
+        with fresh_memo():
+            program = core_programs(build(ch, M=2, n=n, causal=causal))[k]
+            cold = solve_exact(program)
+            found = program._system.phase_one
+            pivots[0] = 0
+            warm = solve_exact(program)
+        # warm: only phase 2 pivots, and the count goes on from phase 1's
+        assert warm == cold and pivots[0] == warm.pivots - found.pivots
 
 
 def test_degenerate_program_takes_the_reference_pivots():
@@ -768,14 +790,16 @@ def with_objective(lp: LinearProgram, objective: dict) -> LinearProgram:
 
 
 def assert_warm_matches_cold(make_a, make_b) -> None:
-    """make_a() and make_b() build programs of one shared system; in each
-    order of solving them the second solve hits the first's phase 1, when
-    there is one, and must give the cold results."""
+    """make_a() and make_b() build programs of one shared system, the last
+    the memo stores (an orbit system stores the system it is read from
+    first); in each order of solving them the second solve hits the first's
+    phase 1, when there is one, and must give the cold results."""
     cold_a, cold_b = outcome(solve_cold(make_a())), outcome(solve_cold(make_b()))
     for first, second, cold in ((make_a, make_b, cold_b), (make_b, make_a, cold_a)):
         with fresh_memo() as memo, phase_one_runs() as runs:
             a, b = first(), second()
-            assert a._system is b._system and list(memo.entries) == [a._system.key]
+            assert a._system is b._system and list(memo.entries)[-1] == a._system.key
+            assert len(memo.entries) == 1 + (a._system.key[0] is ns_lp._orbit_system)
             solve_exact(a)
             assert outcome(solve_exact(b)) == cold
         assert len(runs) == 1  # the second solve hit
@@ -783,12 +807,16 @@ def assert_warm_matches_cold(make_a, make_b) -> None:
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_solve_alike_cold_and_warm(build, ch, n, causal):
-    def other():
-        # the same rows, another objective: each coefficient times 1, 2 or 3
-        lp = build(ch, M=2, n=n, causal=causal)
-        return with_objective(lp, {j: c * (j % 3 + 1) for j, c in lp.objective.items()})
+    # on each program the simplex runs on, rebuilt from its system's key
+    with fresh_memo():
+        programs = core_programs(build(ch, M=2, n=n, causal=causal))
+    for program in programs:
+        def same(objective=program.objective):
+            return with_objective(shared_program(program.name, *program._system.key), objective)
 
-    assert_warm_matches_cold(partial(build, ch, M=2, n=n, causal=causal), other)
+        # the same rows, another objective: each coefficient times 1, 2 or 3
+        other = partial(same, {j: c * (j % 3 + 1) for j, c in program.objective.items()})
+        assert_warm_matches_cold(same, other)
 
 
 @settings(deadline=None, max_examples=150)
@@ -825,7 +853,7 @@ def equality_program(coeff, rhs) -> LinearProgram:
     (partial(equality_program, 1, 1), partial(equality_program, 2, 1)),
     (partial(equality_program, F(1, 2), 1), partial(equality_program, F(3, 2), 1)),
     # LP2 at M = 2 and M = 3: the right-hand sides 1/2 and 1/3
-    (partial(build_lp2, builtin_z0z1(), M=2, n=1), partial(build_lp2, builtin_z0z1(), M=3, n=1)),
+    (partial(build_lp2, random_binary_channel(1), M=2, n=1), partial(build_lp2, random_binary_channel(1), M=3, n=1)),
 ], ids=["rhs", "rhs-thirds", "coefficient", "coefficient-halves", "lp2-M2-M3"])
 def test_programs_with_different_rows_never_share_an_entry(a, b):
     # a and b build their programs inside the memo under test
@@ -857,11 +885,12 @@ def test_a_hit_leaves_the_memo_as_it_was():
 
 
 @pytest.mark.parametrize("program", [
-    partial(build_lp1, builtin_z0z1(), M=2, n=1),
+    # the program z0z1's LP1 is solved through: one variable per orbit
+    lambda: core_programs(build_lp1(builtin_z0z1(), M=2, n=1))[0],
     partial(build_lp1, random_binary_channel(2), M=2, n=1),
     # no phase-2 pivot: only a phase-1 run can raise, so a hit never does
     lambda: with_objective(build_lp1(builtin_z0z1(), M=2, n=1), {}),
-], ids=["lp1-z0z1-n1", "lp1-binary#2-n1", "lp1-z0z1-n1-no-objective"])
+], ids=["lp1-z0z1-n1-orbits", "lp1-binary#2-n1", "lp1-z0z1-n1-no-objective"])
 def test_a_hit_under_a_small_pivot_limit_solves_as_the_cold_solve(program):
     with fresh_memo():
         lp = program()
@@ -924,7 +953,7 @@ def test_memo_stays_within_its_cell_bound(monkeypatch):
 
 def test_memo_evicts_the_least_recently_used_system(monkeypatch):
     def solve(M):
-        solve_exact(build_lp2(builtin_z0z1(), M=M, n=1))
+        solve_exact(build_lp2(random_binary_channel(1), M=M, n=1))
 
     with fresh_memo() as memo:
         for M in (2, 3, 4):
@@ -940,7 +969,7 @@ def test_memo_evicts_the_least_recently_used_system(monkeypatch):
 
 def test_a_system_above_the_bound_is_solved_but_not_stored(monkeypatch):
     def build():
-        return build_lp2(builtin_z0z1(), M=2, n=1)
+        return build_lp2(random_binary_channel(1), M=2, n=1)
 
     with fresh_memo() as memo:
         build()
