@@ -8,6 +8,7 @@ file format uses — so every probability in the model is exact.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -129,93 +130,165 @@ class ChannelWithState:
         P(pi_s s) = P(s), each generator as its three permutation tuples.
         A block source is not consulted.  Kept on the channel once found.
 
-        A letter maps only into its class under one round of refinement by
-        the kernel's entries, so a channel whose letters the refinement
-        tells apart has the trivial group at once.  Otherwise a search along
-        the letters, states then inputs then outputs, finds for each letter
-        one map per image in its orbit under the maps that fix the letters
-        before it: the order is the product of those orbits' sizes, and the
-        maps generate the group.  The search backtracks: where neither the
-        refinement nor the columns over the inputs mapped so far tell the
-        letters apart, it can take long: on one state with 3 entries of 1/3
-        in every row and column, about a second for 24 letters and a minute
-        for 28 on a 2-vCPU machine.
+        The letters (states, then inputs, then outputs) are coloured by
+        refinement: a letter's colour is refined by the multiset of its
+        kernel entries with the colours of the two letters beside each,
+        until no class splits.  An automorphism keeps colours, so a channel
+        whose letters all get their own colour has the trivial group at
+        once.  Otherwise a stabilizer chain: with the base letters fixed
+        (each given a colour of its own), the orbit of a letter of a class
+        of several is the letters c of its class to which a search finds a
+        map fixing the base; a letter the maps found at that level already
+        reach needs no search.  The order is the product of the orbits'
+        sizes, and the maps found generate the group.  The search first
+        runs in letter order within a few steps a letter; past that, the
+        level compares the colours with the letter and c marked, and
+        searches only among letters whose marked colours agree.
         """
-        sizes = S, X, Y = self.s_size, self.x_size, self.y_size
+        S, X, Y = self.s_size, self.x_size, self.y_size
         flat = _numerators([p for sl in self.kernel for row in sl for p in row])
         kernel = [[flat[(s * X + x) * Y:(s * X + x + 1) * Y] for x in range(X)] for s in range(S)]
-        rows = [[tuple(sorted(row)) for row in sl] for sl in kernel]
         state = _numerators(self.state_dist)
-        s_class = _classes([(state[s], *sorted(rows[s])) for s in range(S)])
-        x_class = _classes([tuple(sorted((s_class[s], rows[s][x]) for s in range(S))) for x in range(X)])
-        y_class = _classes([
-            tuple(sorted((s_class[s], x_class[x], kernel[s][x][y]) for s in range(S) for x in range(X)))
-            for y in range(Y)
-        ])
-        classes = (s_class, x_class, y_class)
-        if len(set(s_class)) == S and len(set(x_class)) == X and len(set(y_class)) == Y:
+        letters = S + X + Y  # state s, input S + x, output S + X + y
+        triples = [(s, S + x, S + X + y, kernel[s][x][y]) for s in range(S) for x in range(X) for y in range(Y)]
+        start = [hash((0, p)) for p in state] + [hash(1)] * X + [hash(2)] * Y
+
+        def colours(marked: list[int]) -> list[int]:
+            """The refined colours with the letters `marked` given colours of
+            their own, by position: equal for two markings an automorphism
+            maps onto each other."""
+            colour = list(start)
+            for depth, letter in enumerate(marked):
+                colour[letter] = hash((colour[letter], depth))
+            count = len(set(colour))
+            while count < letters:
+                seen = [[] for _ in range(letters)]
+                for s, x, y, v in triples:
+                    seen[s].append((colour[x], colour[y], v))
+                    seen[x].append((colour[s], colour[y], v))
+                    seen[y].append((colour[s], colour[x], v))
+                refined = [hash((c, *sorted(entries))) for c, entries in zip(colour, seen)]
+                if len(set(refined)) == count:
+                    break
+                colour, count = refined, len(set(refined))
+            return colour
+
+        if len(set(colours([]))) == letters:
             return 1, ()
-        letters = [(kind, a) for kind, size in enumerate(sizes) for a in range(size)]
-        # each output's column over the inputs up to a (in every state), as a
+        # each output's column over the inputs up to x (in every state), as a
         # chain of hashes: sorted, the columns' multiset
         columns, chain = [], [0] * Y
-        for a in range(X):
-            chain = [hash((chain[y], *(kernel[s][a][y] for s in range(S)))) for y in range(Y)]
+        for x in range(X):
+            chain = [hash((chain[y], *(kernel[s][x][y] for s in range(S)))) for y in range(Y)]
             columns.append(sorted(chain))
-        images = [None] * X  # the same chain at the images, by the input last mapped
+        images: list = [None] * X  # the same chain at the images, by the input last mapped
 
-        def consistent(maps, kind: int, a: int) -> bool:
-            """Whether letter a of `kind`, mapped, keeps the kernel against
-            the letters before it (every state before an input, every state
-            and input before an output).  For an input only a necessary
-            condition is checked: the columns over the inputs up to a keep
-            their multiset, as they do when some output map keeps them."""
-            ps, px, py = maps
-            if kind == 1:
-                chain = images[a - 1] if a else [0] * Y
-                images[a] = [hash((chain[y], *(kernel[ps[s]][px[a]][y] for s in range(S)))) for y in range(Y)]
-                return sorted(images[a]) == columns[a]
-            if kind == 2:
-                b = py[a]
-                return all(kernel[ps[s]][px[x]][b] == kernel[s][x][a] for s in range(S) for x in range(X))
-            return True
+        def consistent(image: list[int], letter: int) -> bool:
+            """Whether `letter`, mapped, keeps the kernel against the letters
+            before it.  For an input only a necessary condition is checked:
+            the columns over the inputs up to it keep their multiset."""
+            if letter < S:
+                return state[image[letter]] == state[letter]
+            if letter < S + X:
+                x = letter - S
+                chain = images[x - 1] if x else [0] * Y
+                images[x] = [hash((chain[y], *(kernel[image[s]][image[letter] - S][y] for s in range(S))))
+                             for y in range(Y)]
+                return sorted(images[x]) == columns[x]
+            y, b = letter - S - X, image[letter] - S - X
+            return all(kernel[image[s]][image[S + x] - S][b] == kernel[s][x][y] for s in range(S) for x in range(X))
 
-        def extend(maps, k: int = 0):
-            """A full automorphism agreeing with the images set in `maps`
-            (-1 where unset), with letters k onward to choose; None if there
-            is none."""
-            if k == len(letters):
-                return tuple(map(tuple, maps))
-            kind, a = letters[k]
-            perm = maps[kind]
-            if perm[a] >= 0:
-                return extend(maps, k + 1) if consistent(maps, kind, a) else None
-            used = set(perm)
-            for c in range(sizes[kind]):
-                if classes[kind][c] == classes[kind][a] and c not in used:
-                    perm[a] = c
-                    if consistent(maps, kind, a):
-                        found = extend(maps, k + 1)
-                        if found is not None:
-                            return found
-                    perm[a] = -1
-            return None
+        too_long = object()
 
-        fixed = [[-1] * size for size in sizes]
+        def search(a: int, c: int, allowed, limit: float):
+            """A map fixing the base, sending a to c and each other letter l
+            into allowed[l] (ascending) that is an automorphism; None if there
+            is none, `too_long` once the search has taken `limit` steps.
+            Letters are chosen in order, depth first, each trying first the
+            letters after it: a symmetric class then comes out as one cycle,
+            whose powers reach all of it, not as a transposition."""
+            image = [-1] * letters
+            for b in base:
+                image[b] = b
+            image[a] = c
+            fixed = [m >= 0 for m in image]
+            taken = [False] * letters
+            for m in image:
+                if m >= 0:
+                    taken[m] = True
+            tried = [0] * letters  # how many of allowed[l] were tried
+            letter = 0
+            while letter < letters:
+                limit -= 1
+                if limit < 0:
+                    return too_long
+                if fixed[letter]:
+                    ok = consistent(image, letter)
+                else:
+                    if image[letter] >= 0:  # back here: drop the last choice
+                        taken[image[letter]], image[letter] = False, -1
+                    ok, options = False, allowed[letter]
+                    first = bisect.bisect_right(options, letter)
+                    while not ok and tried[letter] < len(options):
+                        m = options[(first + tried[letter]) % len(options)]
+                        tried[letter] += 1
+                        if not taken[m]:
+                            image[letter] = m
+                            ok = consistent(image, letter)
+                    if ok:
+                        taken[image[letter]] = True
+                    else:
+                        image[letter], tried[letter] = -1, 0
+                if ok:
+                    letter += 1
+                    continue
+                letter -= 1  # back to the last letter with a choice left
+                while letter >= 0 and fixed[letter]:
+                    letter -= 1
+                if letter < 0:
+                    return None
+            return image
+
+        base: list[int] = []
         order, generators = 1, []
-        for kind, a in letters:
-            orbit = 1
-            for c in range(sizes[kind]):
-                if c != a and classes[kind][c] == classes[kind][a] and c not in fixed[kind]:
-                    trial = [list(perm) for perm in fixed]
-                    trial[kind][a] = c
-                    found = extend(trial)
-                    if found is not None:
-                        orbit += 1
-                        generators.append(found)
-            order *= orbit
-            fixed[kind][a] = a
-        return order, tuple(generators)
+        while True:
+            colour = colours(base)
+            classes: dict[int, list[int]] = {}
+            for letter, c in enumerate(colour):
+                classes.setdefault(c, []).append(letter)
+            same = [classes[c] for c in colour]
+            a = next((letter for letter in range(letters) if len(same[letter]) > 1), None)
+            if a is None:  # every letter is fixed by the maps that fix the base
+                break
+            marked = None
+            orbit, found = {a}, []
+            for c in same[a]:
+                if c in orbit:
+                    continue
+                # a search in letter order maps most letters where they were
+                # and usually ends within a few steps a letter; once one at
+                # this level runs past that, the rest first compare the
+                # colours with a and c marked and search only among letters
+                # whose colours agree
+                g = too_long if marked else search(a, c, same, 2 * letters)
+                if g is too_long:
+                    marked = marked or colours(base + [a])
+                    other = colours(base + [c])
+                    if sorted(other) != sorted(marked):
+                        continue
+                    g = search(a, c, [[m for m in range(letters) if other[m] == want] for want in marked], math.inf)
+                if g is not None:
+                    found.append(tuple(g))
+                    while True:  # the orbit of a under the maps found at this level
+                        grown = orbit | {h[l] for h in found for l in orbit}
+                        if grown == orbit:
+                            break
+                        orbit = grown
+            order *= len(orbit)
+            generators += found
+            base.append(a)
+        return order, tuple((g[:S], tuple(l - S for l in g[S:S + X]), tuple(l - S - X for l in g[S + X:]))
+                            for g in generators)
 
     # -- block quantities --------------------------------------------------
 
@@ -235,13 +308,6 @@ class ChannelWithState:
         if not all(0 <= s < self.s_size for s in ss):
             return ZERO
         return self.iid_block_prob(ss)
-
-
-def _classes(signatures: list) -> list[int]:
-    """The class of each signature: its index among the distinct ones, in
-    order of first appearance."""
-    ids: dict = {}
-    return [ids.setdefault(sig, len(ids)) for sig in signatures]
 
 
 def _numerators(values) -> list[int]:

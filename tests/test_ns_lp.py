@@ -11,6 +11,7 @@ not change when the receiver is handed the state sequence.
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import re
 import time
@@ -685,6 +686,47 @@ def test_automorphisms_are_every_permutation_that_keeps_the_channel(name):
     expected = reference_automorphisms(ch)
     assert generated_group(generators, (ch.s_size, ch.x_size, ch.y_size)) == expected
     assert order == len(expected)
+
+
+def regular_pattern(size: int, seed: int):
+    """One state; each input row has 1/3 at three outputs, and each output
+    gets three: a pattern one round of refinement cannot split."""
+    rng = random.Random(seed)
+    while True:
+        cols = [y for y in range(size) for _ in range(3)]
+        rng.shuffle(cols)
+        rows = [cols[3 * x:3 * x + 3] for x in range(size)]
+        if all(len(set(row)) == 3 for row in rows):
+            return make_channel([[[F(1, 3) if y in row else 0 for y in range(size)] for row in rows]], [1])
+
+
+def identity_and_shift(size: int):
+    """y = x in state 0 and y = x + 1 (mod size) in state 1: the rotations,
+    and the maps that swap the states, form a group of order 2 size."""
+    return make_channel([[[F(int(y == x)) for y in range(size)] for x in range(size)],
+                         [[F(int(y == (x + 1) % size)) for y in range(size)] for x in range(size)]], [F(1, 2)] * 2)
+
+
+@pytest.mark.parametrize("ch, order", [
+    (identity_channel(12), math.factorial(12)),
+    (make_channel([[[1]] * 40], [1]), math.factorial(40)),
+    (identity_and_shift(10), 20),
+    (regular_pattern(16, 1), 4),
+    (regular_pattern(24, 1), 1),
+], ids=["identity12", "constant40", "identity-and-shift10", "regular16", "regular24"])
+def test_large_groups_and_regular_patterns_are_found_quickly(ch, order):
+    # a symmetric class is reached by one cycle per letter fixed, a
+    # rotation is pruned by the columns over the inputs mapped so far, and
+    # a regular pattern is split by marking a letter and refining
+    start = time.perf_counter()
+    found, generators = ch.automorphisms
+    assert time.perf_counter() - start < 2
+    assert found == order and len(generators) < ch.x_size
+    for ps, px, py in generators:
+        assert all(ch.kernel[ps[s]][px[x]][py[y]] == ch.kernel[s][x][y]
+                   for s in range(ch.s_size) for x in range(ch.x_size) for y in range(ch.y_size))
+    if order < 100:
+        assert len(generated_group(generators, (ch.s_size, ch.x_size, ch.y_size))) == order
 
 
 def test_a_permutation_that_breaks_the_kernel_is_not_an_automorphism():
