@@ -53,7 +53,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .channels import ChannelWithState, block_law_array, builtin_z0z1, state_blocks
+from .channels import ChannelWithState, block_law_array, builtin_z0z1
 from .indexing import seq_to_index
 from .rational import check_cap, check_int, int_dtype
 from .simplex import RHS, LinearProgram, Reduction, shared_program, solve_exact
@@ -410,14 +410,15 @@ def _reduce_by_orbits(lp: LinearProgram, ch: ChannelWithState, form: str, M: int
 
 
 @functools.lru_cache(maxsize=64)
-def _type_layout(x_size: int, y_size: int, s_size: int, n: int, blocks: tuple, by_type: bool):
+def _type_layout(x_size: int, y_size: int, s_size: int, n: int, support: tuple, atoms: Optional[tuple]):
     """(keys, weights, lift) of the split of non-causal LP2 over the state
-    blocks `blocks` of positive probability: one key per program, its
-    type (the sorted block) with `by_type` and its block otherwise; how many
-    blocks each program stands for; and the lift, which gives each variable
-    of block s^n its variable in the program of s^n's key, with the
-    positions sorted, laid end to end (a block of probability 0 takes the
-    first program's point)."""
+    blocks of positive probability, those over the letters `support` or,
+    with a block source, its `atoms` of positive weight: one key per
+    program, the type (the sorted block) of an i.i.d. block and the block
+    itself otherwise; how many blocks each program stands for; and the
+    lift, which gives each variable of block s^n its variable in the
+    program of s^n's key, with the positions sorted, laid end to end (a
+    block of probability 0 takes the first program's point)."""
     nx, ny, ns = x_size**n, y_size**n, s_size**n
     size = nx * ny + nx  # variables of a block program, r[x, y] then q[x]
     keys: dict[tuple[int, ...], int] = {}
@@ -425,8 +426,8 @@ def _type_layout(x_size: int, y_size: int, s_size: int, n: int, blocks: tuple, b
     which = np.zeros(ns, dtype=np.intp)  # the program of each block
     px, py = np.tile(np.arange(nx), (ns, 1)), np.tile(np.arange(ny), (ns, 1))
     digits = {a: np.array(list(itertools.product(range(a), repeat=n))) for a in (x_size, y_size)}
-    for ss in blocks:
-        key = tuple(sorted(ss)) if by_type else ss
+    for ss in itertools.product(support, repeat=n) if atoms is None else atoms:
+        key = tuple(sorted(ss)) if atoms is None else ss
         k = keys.setdefault(key, len(keys))
         if k == len(weights):
             weights.append(0)
@@ -451,8 +452,9 @@ def _split_by_state_type(lp: LinearProgram, ch: ChannelWithState, M: int, n: int
     (i.i.d. state) or atom (block source), each over the shared system of
     the single-state non-causal LP2 of |X|^n inputs and |Y|^n outputs with
     the objective law[key] / D at r[x, y] and a weight of its block count."""
-    blocks = tuple(ss for _si, ss, _p in state_blocks(ch, n))
-    keys, weights, lift = _type_layout(ch.x_size, ch.y_size, ch.s_size, n, blocks, ch.block_state is None)
+    support = tuple(s for s in range(ch.s_size) if ch.state_dist[s])
+    atoms = None if ch.block_state is None else tuple(sorted(ch.block_state.support()))
+    keys, weights, lift = _type_layout(ch.x_size, ch.y_size, ch.s_size, n, support, atoms)
     nx, ny, ns = ch.x_size**n, ch.y_size**n, ch.s_size**n
     program = {seq_to_index(key, ch.s_size): k for k, key in enumerate(keys)}
     objectives: list[dict[int, Fraction]] = [{} for _ in keys]
