@@ -375,7 +375,10 @@ def _orbit_system(build, fields: tuple, form: str, triples: tuple, pairs: tuple)
         sums = {o: v for o, v in sums.items() if v}
         if not sums and (rhs == 0 or relation == "<="):
             continue  # 0 == 0 or 0 <= rhs, with rhs >= 0, holds everywhere
-        key = (tuple(sorted(sums.items())), relation, rhs, den)
+        items = tuple(sorted(sums.items()))
+        if relation == "==" and items[0][1] < 0:  # an equality and its negation are one row
+            items, rhs = tuple((o, -v) for o, v in items), -rhs
+        key = (items, relation, rhs, den)
         if key not in seen:
             seen.add(key)
             lp.add_row({o: Fraction(v, den) for o, v in sums.items()}, relation, Fraction(rhs, den), row.label)
