@@ -136,19 +136,18 @@ class ChannelWithState:
         until no class splits.  An automorphism keeps colours, so a channel
         whose letters all get their own colour has the trivial group at
         once.  Otherwise a stabilizer chain: with the base letters fixed
-        (each given a colour of its own), the orbit of a letter of a class
+        (each given a colour of its own), the orbit of a letter a of a class
         of several is the letters c of its class to which a search finds a
         map fixing the base; a letter the maps found at that level already
-        reach needs no search.  The order is the product of the orbits'
-        sizes, and the maps found generate the group.  The search first
-        runs in letter order within a few steps a letter; past that, the
-        level compares the colours with the letter and c marked, and
-        searches only among letters whose marked colours agree.
+        reach needs no search.  The search refines the colours with a and c
+        marked, and maps each letter only onto the letters whose colours
+        agree.  The order is the product of the orbits' sizes, and the maps
+        found generate the group.
         """
         S, X, Y = self.s_size, self.x_size, self.y_size
-        flat = _numerators([p for sl in self.kernel for row in sl for p in row])
-        kernel = [[flat[(s * X + x) * Y:(s * X + x + 1) * Y] for x in range(X)] for s in range(S)]
-        state = _numerators(self.state_dist)
+        code: dict = {}  # each distinct probability as a small int, cheap to hash and compare
+        kernel = [[[code.setdefault(p.as_integer_ratio(), len(code)) for p in row] for row in sl] for sl in self.kernel]
+        state = [code.setdefault(p.as_integer_ratio(), len(code)) for p in self.state_dist]
         letters = S + X + Y  # state s, input S + x, output S + X + y
         triples = [(s, S + x, S + X + y, kernel[s][x][y]) for s in range(S) for x in range(X) for y in range(Y)]
         start = [hash((0, p)) for p in state] + [hash(1)] * X + [hash(2)] * Y
@@ -198,15 +197,12 @@ class ChannelWithState:
             y, b = letter - S - X, image[letter] - S - X
             return all(kernel[image[s]][image[S + x] - S][b] == kernel[s][x][y] for s in range(S) for x in range(X))
 
-        too_long = object()
-
-        def search(a: int, c: int, allowed, limit: float):
+        def search(a: int, c: int, allowed):
             """A map fixing the base, sending a to c and each other letter l
             into allowed[l] (ascending) that is an automorphism; None if there
-            is none, `too_long` once the search has taken `limit` steps.
-            Letters are chosen in order, depth first, each trying first the
-            letters after it: a symmetric class then comes out as one cycle,
-            whose powers reach all of it, not as a transposition."""
+            is none.  Letters are chosen in order, depth first, each trying
+            first the letters after it: a symmetric class then comes out as
+            one cycle, whose powers reach all of it, not as a transposition."""
             image = [-1] * letters
             for b in base:
                 image[b] = b
@@ -219,9 +215,6 @@ class ChannelWithState:
             tried = [0] * letters  # how many of allowed[l] were tried
             letter = 0
             while letter < letters:
-                limit -= 1
-                if limit < 0:
-                    return too_long
                 if fixed[letter]:
                     ok = consistent(image, letter)
                 else:
@@ -256,27 +249,18 @@ class ChannelWithState:
             classes: dict[int, list[int]] = {}
             for letter, c in enumerate(colour):
                 classes.setdefault(c, []).append(letter)
-            same = [classes[c] for c in colour]
-            a = next((letter for letter in range(letters) if len(same[letter]) > 1), None)
+            a = next((letter for letter in range(letters) if len(classes[colour[letter]]) > 1), None)
             if a is None:  # every letter is fixed by the maps that fix the base
                 break
-            marked = None
+            marked = colours(base + [a])
             orbit, found = {a}, []
-            for c in same[a]:
+            for c in classes[colour[a]]:
                 if c in orbit:
                     continue
-                # a search in letter order maps most letters where they were
-                # and usually ends within a few steps a letter; once one at
-                # this level runs past that, the rest first compare the
-                # colours with a and c marked and search only among letters
-                # whose colours agree
-                g = too_long if marked else search(a, c, same, 2 * letters)
-                if g is too_long:
-                    marked = marked or colours(base + [a])
-                    other = colours(base + [c])
-                    if sorted(other) != sorted(marked):
-                        continue
-                    g = search(a, c, [[m for m in range(letters) if other[m] == want] for want in marked], math.inf)
+                other = colours(base + [c])
+                if sorted(other) != sorted(marked):
+                    continue
+                g = search(a, c, [[m for m in range(letters) if other[m] == want] for want in marked])
                 if g is not None:
                     found.append(tuple(g))
                     while True:  # the orbit of a under the maps found at this level
@@ -308,12 +292,6 @@ class ChannelWithState:
         if not all(0 <= s < self.s_size for s in ss):
             return ZERO
         return self.iid_block_prob(ss)
-
-
-def _numerators(values) -> list[int]:
-    """Fractions as integer numerators over their least common denominator."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values]
 
 
 def make_channel(

@@ -13,7 +13,7 @@ from nscoding.channels import builtin_z0z1, lift_csir
 from nscoding.ns_lp import build_lp1, build_lp2, build_lp4_z0z1
 from nscoding.simplex import LinearProgram, PivotLimitError, SimplexSolution, shared_program, solve_exact
 from test_ns_lp import (
-    core_programs, fresh_memo, outcome, phase_one_runs, random_binary_channel, random_channel, solve_cold,
+    core_programs, fresh_memo, hand_built, outcome, phase_one_runs, random_binary_channel, random_channel, solve_cold,
 )
 
 F = Fraction
@@ -454,10 +454,11 @@ def reference_solve(lp: LinearProgram) -> SimplexSolution:
     return SimplexSolution(status="optimal", value=-value if negate else value, assignment=assignment, pivots=pivots)
 
 
-def assert_same_pivots(lp: LinearProgram) -> None:
+def assert_same_pivots(lp: LinearProgram) -> SimplexSolution:
     new, ref = solve_exact(lp), reference_solve(lp)
     assert (new.status, new.value, new.pivots) == (ref.status, ref.value, ref.pivots)
     assert new.assignment == ref.assignment
+    return ref
 
 
 def _assisted_programs():
@@ -491,11 +492,12 @@ def test_assisted_programs_take_the_reference_pivots(build, ch, n, causal):
         return
     # solved through a reduction (z0z1's orbits, non-causal LP2 by state
     # type): the reference pivots on every program the simplex runs on, and
-    # the reference optimum of the program itself
+    # on the program itself built row by row, which the simplex solves
+    # unreduced; the reduction gives the same optimum
     for program in core_programs(lp):
         assert_same_pivots(program)
     sol = solve_exact(lp)
-    assert sol.value == reference_solve(lp).value
+    assert sol.value == assert_same_pivots(hand_built(lp)).value
     assert sol.pivots == sum(solve_exact(program).pivots for program in core_programs(lp))
 
 
