@@ -13,7 +13,7 @@ read at each call, with no per-call knob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -282,12 +282,7 @@ class CapacityReport:
     ns_noncausal: float
 
     def cells(self) -> dict[str, float]:
-        return {
-            "classical_causal": self.classical_causal,
-            "classical_noncausal": self.classical_noncausal,
-            "ns_causal": self.ns_causal,
-            "ns_noncausal": self.ns_noncausal,
-        }
+        return asdict(self)
 
 
 def capacity_table(ch: ChannelWithState) -> CapacityReport:

@@ -131,28 +131,39 @@ class ChannelWithState:
         A block source is not consulted.  Kept on the channel once found.
 
         The letters (states, then inputs, then outputs) are coloured by
-        refinement: a letter's colour is refined by the multiset of its
-        kernel entries with the colours of the two letters beside each,
-        until no class splits.  An automorphism keeps colours, so a channel
-        whose letters all get their own colour has the trivial group at
-        once.  Otherwise a stabilizer chain: with the base letters fixed
-        (each given a colour of its own), the orbit of a letter a of a class
-        of several is the letters c of its class to which a search finds a
-        map fixing the base; a letter the maps found at that level already
-        reach needs no search.  The search refines the colours with a and c
-        marked, and maps each letter only onto the letters whose colours
-        agree.  The order is the product of the orbits' sizes, and the maps
-        found generate the group.
+        refinement on the nonzero kernel entries: a letter's colour is
+        refined by the multiset of its nonzero entries with the colours of
+        the two letters beside each, until no class splits.  A letter meets
+        every pair of letters of the other two roles, so its zero entries
+        follow from its nonzero ones and split no class.  An automorphism
+        keeps colours, so a channel whose letters all get their own colour
+        has the trivial group at once.  Otherwise a stabilizer chain: with
+        the base letters fixed (each given a colour of its own), the orbit
+        of the first letter a of a class of several is the letters c of its
+        class onto which `extend` finds a map fixing the base; a letter the
+        maps found at that level already reach needs no search.  The order
+        is the product of the orbits' sizes, and the maps found generate
+        the group.
+
+        `extend` is individualization-refinement: it refines both markings
+        and maps each class's letters in order onto the other side's, each
+        onto the first letter after it, cyclically, so that a symmetric
+        class comes out as one cycle, whose powers reach all of it.  If that
+        map is not an automorphism, it marks the first letter of a class of
+        several against each letter of its colour on the other side and
+        recurses; the recursion depth is the number of letters marked so on
+        one path.
         """
         S, X, Y = self.s_size, self.x_size, self.y_size
         code: dict = {}  # each distinct probability as a small int, cheap to hash and compare
-        kernel = [[[code.setdefault(p.as_integer_ratio(), len(code)) for p in row] for row in sl] for sl in self.kernel]
         state = [code.setdefault(p.as_integer_ratio(), len(code)) for p in self.state_dist]
         letters = S + X + Y  # state s, input S + x, output S + X + y
-        triples = [(s, S + x, S + X + y, kernel[s][x][y]) for s in range(S) for x in range(X) for y in range(Y)]
+        entries = {(s, S + x, S + X + y): code.setdefault(p.as_integer_ratio(), len(code))
+                   for s, sl in enumerate(self.kernel) for x, row in enumerate(sl) for y, p in enumerate(row) if p}
         start = [hash((0, p)) for p in state] + [hash(1)] * X + [hash(2)] * Y
 
-        def colours(marked: list[int]) -> list[int]:
+        @functools.cache
+        def colours(marked: tuple[int, ...]) -> list[int]:
             """The refined colours with the letters `marked` given colours of
             their own, by position: equal for two markings an automorphism
             maps onto each other."""
@@ -162,87 +173,44 @@ class ChannelWithState:
             count = len(set(colour))
             while count < letters:
                 seen = [[] for _ in range(letters)]
-                for s, x, y, v in triples:
+                for (s, x, y), v in entries.items():
                     seen[s].append((colour[x], colour[y], v))
                     seen[x].append((colour[s], colour[y], v))
                     seen[y].append((colour[s], colour[x], v))
-                refined = [hash((c, *sorted(entries))) for c, entries in zip(colour, seen)]
+                refined = [hash((c, *sorted(near))) for c, near in zip(colour, seen)]
                 if len(set(refined)) == count:
                     break
                 colour, count = refined, len(set(refined))
             return colour
 
-        if len(set(colours([]))) == letters:
-            return 1, ()
-        # each output's column over the inputs up to x (in every state), as a
-        # chain of hashes: sorted, the columns' multiset
-        columns, chain = [], [0] * Y
-        for x in range(X):
-            chain = [hash((chain[y], *(kernel[s][x][y] for s in range(S)))) for y in range(Y)]
-            columns.append(sorted(chain))
-        images: list = [None] * X  # the same chain at the images, by the input last mapped
+        def extend(left: tuple[int, ...], right: tuple[int, ...]):
+            """An automorphism taking the letters `left` onto `right` in
+            order; None if there is none."""
+            mine, theirs = colours(left), colours(right)
+            if sorted(mine) != sorted(theirs):
+                return None
+            classes: dict[int, tuple[list[int], list[int]]] = {}  # by colour: its letters on each side
+            for letter, c in enumerate(mine):
+                classes.setdefault(c, ([], []))[0].append(letter)
+            for letter, c in enumerate(theirs):
+                classes[c][1].append(letter)
+            image = [0] * letters
+            for ours, others in classes.values():
+                shift = bisect.bisect_right(others, ours[0])
+                others[:] = others[shift:] + others[:shift]  # from the first letter after ours[0], cyclically
+                for a, c in zip(ours, others):
+                    image[a] = c
+            if (all(state[image[s]] == state[s] for s in range(S))
+                    and all(entries.get((image[s], image[x], image[y])) == v for (s, x, y), v in entries.items())):
+                return image
+            ours, others = next((pair for pair in classes.values() if len(pair[0]) > 1), ((), ()))
+            for c in others:  # mark the first letter of a class of several against each of its colour
+                g = extend(left + (ours[0],), right + (c,))
+                if g is not None:
+                    return g
+            return None
 
-        def consistent(image: list[int], letter: int) -> bool:
-            """Whether `letter`, mapped, keeps the kernel against the letters
-            before it.  For an input only a necessary condition is checked:
-            the columns over the inputs up to it keep their multiset."""
-            if letter < S:
-                return state[image[letter]] == state[letter]
-            if letter < S + X:
-                x = letter - S
-                chain = images[x - 1] if x else [0] * Y
-                images[x] = [hash((chain[y], *(kernel[image[s]][image[letter] - S][y] for s in range(S))))
-                             for y in range(Y)]
-                return sorted(images[x]) == columns[x]
-            y, b = letter - S - X, image[letter] - S - X
-            return all(kernel[image[s]][image[S + x] - S][b] == kernel[s][x][y] for s in range(S) for x in range(X))
-
-        def search(a: int, c: int, allowed):
-            """A map fixing the base, sending a to c and each other letter l
-            into allowed[l] (ascending) that is an automorphism; None if there
-            is none.  Letters are chosen in order, depth first, each trying
-            first the letters after it: a symmetric class then comes out as
-            one cycle, whose powers reach all of it, not as a transposition."""
-            image = [-1] * letters
-            for b in base:
-                image[b] = b
-            image[a] = c
-            fixed = [m >= 0 for m in image]
-            taken = [False] * letters
-            for m in image:
-                if m >= 0:
-                    taken[m] = True
-            tried = [0] * letters  # how many of allowed[l] were tried
-            letter = 0
-            while letter < letters:
-                if fixed[letter]:
-                    ok = consistent(image, letter)
-                else:
-                    if image[letter] >= 0:  # back here: drop the last choice
-                        taken[image[letter]], image[letter] = False, -1
-                    ok, options = False, allowed[letter]
-                    first = bisect.bisect_right(options, letter)
-                    while not ok and tried[letter] < len(options):
-                        m = options[(first + tried[letter]) % len(options)]
-                        tried[letter] += 1
-                        if not taken[m]:
-                            image[letter] = m
-                            ok = consistent(image, letter)
-                    if ok:
-                        taken[image[letter]] = True
-                    else:
-                        image[letter], tried[letter] = -1, 0
-                if ok:
-                    letter += 1
-                    continue
-                letter -= 1  # back to the last letter with a choice left
-                while letter >= 0 and fixed[letter]:
-                    letter -= 1
-                if letter < 0:
-                    return None
-            return image
-
-        base: list[int] = []
+        base: tuple[int, ...] = ()
         order, generators = 1, []
         while True:
             colour = colours(base)
@@ -252,15 +220,11 @@ class ChannelWithState:
             a = next((letter for letter in range(letters) if len(classes[colour[letter]]) > 1), None)
             if a is None:  # every letter is fixed by the maps that fix the base
                 break
-            marked = colours(base + [a])
             orbit, found = {a}, []
             for c in classes[colour[a]]:
                 if c in orbit:
                     continue
-                other = colours(base + [c])
-                if sorted(other) != sorted(marked):
-                    continue
-                g = search(a, c, [[m for m in range(letters) if other[m] == want] for want in marked])
+                g = extend(base + (a,), base + (c,))
                 if g is not None:
                     found.append(tuple(g))
                     while True:  # the orbit of a under the maps found at this level
@@ -270,7 +234,7 @@ class ChannelWithState:
                         orbit = grown
             order *= len(orbit)
             generators += found
-            base.append(a)
+            base += (a,)
         return order, tuple((g[:S], tuple(l - S for l in g[S:S + X]), tuple(l - S - X for l in g[S + X:]))
                             for g in generators)
 

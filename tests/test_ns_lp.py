@@ -673,13 +673,38 @@ REDUCTION_CHANNELS = {
 }
 
 
-@pytest.mark.parametrize("name", [*REDUCTION_CHANNELS, "binary#1", "mirrored#1", "random#1", "random#3"])
+def symmetric_channel(seed: int):
+    """A random channel of at most 3 states, 4 inputs and 4 outputs; for an
+    even seed, its kernel and state law averaged over the powers of a
+    random permutation triple, which is then an automorphism."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, k) for k in (3, 4, 4)]
+    ch = random_channel(rng.randrange(2**32), sizes[1], sizes[2], sizes[0])
+    if seed % 2:
+        return ch
+    g = [rng.sample(range(k), k) for k in sizes]
+    powers, p = [], [list(range(k)) for k in sizes]
+    while p not in powers:
+        powers.append(p)
+        p = [[gi[i] for i in pi] for gi, pi in zip(g, p)]
+    kernel = [[[sum(ch.kernel[ps[s]][px[x]][py[y]] for ps, px, py in powers) / len(powers)
+                for y in range(ch.y_size)] for x in range(ch.x_size)] for s in range(ch.s_size)]
+    return make_channel(kernel, [sum(ch.state_dist[ps[s]] for ps, _, _ in powers) / len(powers)
+                                 for s in range(ch.s_size)])
+
+
+SYMMETRIC_SEEDS = range(150)
+
+
+@pytest.mark.parametrize("name", [*REDUCTION_CHANNELS, "binary#1", "mirrored#1", "random#1", "random#3",
+                                  *(f"symmetric#{seed}" for seed in SYMMETRIC_SEEDS)])
 def test_automorphisms_are_every_permutation_that_keeps_the_channel(name):
     extra = {
         "binary#1": lambda: random_binary_channel(1),
         "mirrored#1": lambda: mirrored_channel(1),
         "random#1": lambda: random_channel(1, 2, 3, 2),
         "random#3": lambda: random_channel(3, 2, 2, 3),
+        **{f"symmetric#{seed}": lambda seed=seed: symmetric_channel(seed) for seed in SYMMETRIC_SEEDS},
     }
     ch = {**REDUCTION_CHANNELS, **extra}[name]()
     order, generators = ch.automorphisms
@@ -707,17 +732,30 @@ def identity_and_shift(size: int):
                          [[F(int(y == (x + 1) % size)) for y in range(size)] for x in range(size)]], [F(1, 2)] * 2)
 
 
+def rotated_blocks(blocks: int):
+    """y = x in state 0 and y = the next letter of x's block of three in
+    state 1, states uniform: the maps that permute the blocks, rotate each
+    block, and swap the states form a group of order 2 3^blocks blocks!."""
+    size = 3 * blocks
+    return make_channel([[[F(int(y == x)) for y in range(size)] for x in range(size)],
+                         [[F(int(y == x - x % 3 + (x + 1) % 3)) for y in range(size)] for x in range(size)]],
+                        [F(1, 2)] * 2)
+
+
 @pytest.mark.parametrize("ch, order", [
     (identity_channel(12), math.factorial(12)),
     (make_channel([[[1]] * 40], [1]), math.factorial(40)),
     (identity_and_shift(10), 20),
     (regular_pattern(16, 1), 4),
     (regular_pattern(24, 1), 1),
-], ids=["identity12", "constant40", "identity-and-shift10", "regular16", "regular24"])
+    (regular_pattern(60, 2), 1),
+    (rotated_blocks(23), 2 * 3**23 * math.factorial(23)),
+], ids=["identity12", "constant40", "identity-and-shift10", "regular16", "regular24", "regular60",
+        "rotated-blocks23"])
 def test_large_groups_and_regular_patterns_are_found_quickly(ch, order):
-    # a symmetric class is reached by one cycle per letter fixed, a
-    # rotation is pruned by the columns over the inputs mapped so far, and
-    # a regular pattern is split by marking a letter and refining
+    # a symmetric class comes out as one cycle per letter fixed, and a
+    # rotation or a regular pattern is split by marking a letter and
+    # refining on the nonzero entries alone
     start = time.perf_counter()
     found, generators = ch.automorphisms
     assert time.perf_counter() - start < 2
