@@ -227,11 +227,15 @@ class ChannelWithState:
                 g = extend(base + (a,), base + (c,))
                 if g is not None:
                     found.append(tuple(g))
-                    while True:  # the orbit of a under the maps found at this level
-                        grown = orbit | {h[l] for h in found for l in orbit}
-                        if grown == orbit:
-                            break
-                        orbit = grown
+                    # the orbit of a under the maps found at this level: the new
+                    # map on each letter reached so far, then every map on each
+                    # letter newly reached
+                    frontier = [g[letter] for letter in orbit]
+                    while frontier:
+                        letter = frontier.pop()
+                        if letter not in orbit:
+                            orbit.add(letter)
+                            frontier += (h[letter] for h in found)
             order *= len(orbit)
             generators += found
             base += (a,)

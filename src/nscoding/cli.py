@@ -182,10 +182,7 @@ def _cmd_lp(args) -> ReportDocument:
     if reduction is not None:
         if reduction.group_order > 1:
             report.add("group order", reduction.group_order)
-        shapes = [f"{len(program.var_names)} x {len(program.rows)}" for program in reduction.programs]
-        if len(shapes) > 1 and len(set(shapes)) == 1:
-            shapes = [f"{len(shapes)} programs of {shapes[0]}"]
-        report.add("reduced shape", ", ".join(shapes))
+        report.add("reduced shape", f"{len(reduction.program.var_names)} x {len(reduction.program.rows)}")
     sol = solve_exact(lp)
     report.add("status", sol.status)
     if sol.status == "optimal":

@@ -33,13 +33,13 @@ standard form and phase 1, by every program of that shape
 under that key and one bound, `_SYSTEM_CELLS`.  A program over the
 variable cap is refused before anything is built or kept.
 
-Each program carries an exact `simplex.Reduction`, which `solve_exact`
-solves it through (see "exact reductions" below): the orbits of the
-channel's per-position automorphisms, whose program is read from the
-shared system's rows and shared in turn under (system, orbits), or, for
-non-causal LP2, one program per state type over the shared system of a
-single-state block.  The lifted optimum is checked against every row of
-the program itself.
+A program may carry an exact `simplex.Reduction`, which `solve_exact`
+solves it through (see "exact reductions" below): the program over the
+orbits of the channel's per-position automorphisms, joined in the
+non-causal programs by the permutations of the positions, where the state
+blocks of probability 0 are also folded into one.  It is read from the
+shared system's rows and shared in turn under (system, classes).  The
+lifted optimum is checked against every row of the program itself.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .channels import ChannelWithState, block_law_array, builtin_z0z1
-from .indexing import seq_to_index
 from .rational import check_cap, check_int, int_dtype
 from .simplex import RHS, LinearProgram, Reduction, shared_program, solve_exact
 
@@ -206,7 +205,7 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     diagonal = z[x[:, None], range(M), range(M), s[:, None], y[:, None]].tolist()  # [cell][w]
     terms = [(k, v) for keys, v in zip(diagonal, law[s, x, y].tolist()) for k in keys]
     lp.set_objective({k: Fraction(v, M * den) for k, v in terms})
-    _reduce_by_orbits(lp, ch, "lp1", M, n, causal, terms, M * den)
+    _reduce_by_orbits(lp, ch, "lp1", M, n, causal, terms, M * den, law)
     return lp
 
 
@@ -260,34 +259,42 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     r = np.arange(nx * ny * ns).reshape(nx, ny, ns)
     terms = list(zip(r[x, y, s].tolist(), law[s, x, y].tolist()))
     lp.set_objective({k: Fraction(v, den) for k, v in terms})
-    if causal:
-        _reduce_by_orbits(lp, ch, "lp2", M, n, causal, terms, den)
-    else:
-        _split_by_state_type(lp, ch, M, n)
+    _reduce_by_orbits(lp, ch, "lp2", M, n, causal, terms, den, law)
     return lp
 
 
 # -- exact reductions -----------------------------------------------------------
 #
 # `solve_exact` solves a program from `build_lp1` or `build_lp2` through the
-# `Reduction` attached here, and checks the lifted optimum against every row
-# of the program itself.  Two reductions are exact:
+# `Reduction` attached here, the program over one variable per class of a
+# partition of its variables with each row summed per class, and checks the
+# lifted optimum against every row of the program itself.  That program is
+# the original one restricted to the points constant on every class, so it
+# has the same optimum as soon as one optimum is constant on every class.
+# The classes are the orbits of a symmetry group (Bödi, Herr, Joswig, Math.
+# Program. 137, 2013), and in the non-causal programs also a fold of the
+# state blocks of probability 0:
 #
-# * orbits (Bödi, Herr, Joswig, Math. Program. 137, 2013).  A single-letter
-#   automorphism (pi_s, pi_x, pi_y) keeps N(y|x,s) and P(s); applied at one
-#   position of the blocks it maps the objective to itself and every row of
-#   either program to a row, or to a difference of two rows of its family
-#   (a c1, c2 or c3 row against a reference cell the map moves).  Averaging an
-#   optimum over the group of those maps, the per-position product, gives
-#   an optimum constant on each orbit of variables, so the program over one
-#   variable per orbit, with each row summed per orbit, has the same value.
-# * state types (Matthews, IEEE Trans. IT 58(12), 2012).  No row of
-#   non-causal LP2 couples two state blocks: it is one program over r[x, y]
-#   and q[x] per block s^n, the non-causal LP2 of the single-state channel
-#   N^n(.|., s^n), all over one system.  Blocks of one state type have the
-#   same program up to a permutation of positions, so an i.i.d. state needs
-#   one solve per type, lifted onto each block of it by its permutation; a
-#   block source needs one per atom.
+# * letters.  A single-letter automorphism (pi_s, pi_x, pi_y) keeps N(y|x,s)
+#   and P(s); applied at one position of the blocks it maps every row of
+#   either program to a row, or to a difference of two rows of its family (a
+#   c1, c2 or c3 row against a reference cell the map moves).
+# * positions.  The non-causal programs have no per-prefix family c3, so a
+#   permutation of the n positions, applied to the x, y and s blocks at once,
+#   maps each of their rows to a row.  With the letters, the classes are the
+#   joint types of (x, y, s) up to the letter group.
+#
+# If the objective is constant on every orbit, averaging an optimum over the
+# group gives one constant on every orbit.  Non-causal LP2 is a direct sum of
+# one program over r[x, y] and q[x] per state block s^n, all with the same
+# rows: so it is enough that the objective is constant on each orbit's
+# members in blocks of positive probability (a block source the group does
+# not keep), and a block of probability 0, whose objective is 0, may take the
+# point of any other such block, so that all of them share one variable per
+# (x, y) or x.  Non-causal LP1 has the same optimum, and `_lift` maps an
+# optimum of LP2 constant on its classes to one of LP1 constant on the
+# matching classes of z, whose guess and message are kept.  If the objective
+# is not constant on the orbits, the fold alone applies.
 
 
 @functools.lru_cache(maxsize=64)
@@ -317,45 +324,58 @@ def _letter_orbits(sizes: tuple[int, int, int], generators) -> tuple[tuple[int, 
     return labels[0], labels[1]
 
 
-def _per_position(letter: np.ndarray, n: int) -> np.ndarray:
+def _block_codes(letter: np.ndarray, n: int, positions: bool) -> np.ndarray:
     """The code sum_i letter[a_i, b_i, ...] * K^(n-i) of every cell (a, b, ...)
     of block indices, K the number of letter labels: equal exactly when the
-    labels agree at every position."""
-    base, out = int(letter.max()) + 1, letter
-    for _ in range(n - 1):
-        out = (out.reshape([v for size in out.shape for v in (size, 1)]) * base
-               + letter.reshape([v for size in letter.shape for v in (1, size)])).reshape(
-            [a * b for a, b in zip(out.shape, letter.shape)])
-    return out
+    labels agree at every position, or with `positions`, the labels sorted
+    first, up to a permutation of the positions."""
+    powers = np.arange(n - 1, -1, -1)
+    blocks = np.indices([size**n for size in letter.shape]).reshape(letter.ndim, -1)
+    labels = letter[tuple(block[:, None] // size**powers % size for block, size in zip(blocks, letter.shape))]
+    if positions:
+        labels.sort(axis=1)
+    return (labels @ (int(letter.max()) + 1) ** powers).reshape([size**n for size in letter.shape])
+
+
+def _fold(codes: np.ndarray, axis: int, zero: tuple[int, ...]) -> np.ndarray:
+    """`codes` with the cells of the state blocks `zero` along `axis` coded
+    by their other indices alone, above every other code."""
+    codes = np.moveaxis(codes, axis, -1).copy()
+    others = np.arange(codes[..., 0].size).reshape(codes.shape[:-1])
+    codes[..., list(zero)] = (others + int(codes.max()) + 1)[..., None]
+    return np.moveaxis(codes, -1, axis)
 
 
 @functools.lru_cache(maxsize=64)
-def _variable_orbits(form: str, M: int, n: int, triples: tuple, pairs: tuple, sizes: tuple) -> tuple[tuple[int, ...], ...]:
-    """The orbit of each variable of `form` at (M, n), numbered in order of
-    their codes, and each orbit's size: per-position labels of (x, y, s) for
-    r and z (whose guess and message are kept), of (x, s) for q."""
+def _variable_orbits(form: str, M: int, n: int, triples: tuple, pairs: tuple, sizes: tuple, positions: bool,
+                     zero: tuple) -> tuple[tuple[int, ...], ...]:
+    """The class of each variable of `form` at (M, n), numbered in order of
+    their codes, and each class's size: `_block_codes` of (x, y, s) for r and
+    z (whose guess and message are kept), of (x, s) for q, with the blocks
+    `zero` folded."""
     X, Y, S = sizes
     triple = np.array(triples).reshape(X, Y, S)
     if form == "lp2":
-        r = _per_position(triple, n)
-        q = _per_position(np.array(pairs).reshape(X, S), n) + int(r.max()) + 1
+        r = _fold(_block_codes(triple, n, positions), 2, zero)
+        q = _fold(_block_codes(np.array(pairs).reshape(X, S), n, positions), 1, zero) + int(r.max()) + 1
         codes = np.concatenate([r.ravel(), q.ravel()])
     else:
-        cells = _per_position(triple.transpose(0, 2, 1), n)  # [x, s, y]
+        cells = _fold(_block_codes(triple.transpose(0, 2, 1), n, positions), 1, zero)  # [x, s, y]
         codes = (np.arange(M * M).reshape(1, M, M, 1, 1) * (int(cells.max()) + 1) + cells[:, None, None]).ravel()
     _, orbit, size = np.unique(codes, return_inverse=True, return_counts=True)
     return tuple(orbit.reshape(-1).tolist()), tuple(size.tolist())
 
 
-def _orbit_system(build, fields: tuple, form: str, triples: tuple, pairs: tuple) -> LinearProgram:
-    """The program over one variable per orbit of the system build(*fields),
-    whose variables are all nonnegative: each row with its coefficients
-    summed per orbit, in the integers of its standard form, and duplicates
-    and rows that every point meets dropped.  Variables are named after
-    their orbit's first member."""
+def _orbit_system(build, fields: tuple, form: str, triples: tuple, pairs: tuple, positions: bool,
+                  zero: tuple) -> LinearProgram:
+    """The program over one variable per class (`_variable_orbits`) of the
+    system build(*fields), whose variables are all nonnegative: each row with
+    its coefficients summed per class, in the integers of its standard form,
+    and duplicates and rows that every point meets dropped.  Variables are
+    named after their class's first member."""
     full = shared_program("", build, *fields)
     x_size, y_size, s_size, M, n, _causal = fields
-    orbit = _variable_orbits(form, M, n, triples, pairs, (x_size, y_size, s_size))[0]
+    orbit = _variable_orbits(form, M, n, triples, pairs, (x_size, y_size, s_size), positions, zero)[0]
     first: dict[int, int] = {}
     for j, o in enumerate(orbit):
         first.setdefault(o, j)
@@ -386,91 +406,33 @@ def _orbit_system(build, fields: tuple, form: str, triples: tuple, pairs: tuple)
 
 
 def _reduce_by_orbits(lp: LinearProgram, ch: ChannelWithState, form: str, M: int, n: int, causal: bool,
-                      terms: list[tuple[int, int]], den: int) -> None:
-    """Attach the orbit reduction to `lp`, whose objective is k: v / den over
-    `terms`, when the channel's group is nontrivial and the objective is
-    constant on every orbit of the per-position product of it.  The rows
-    of both programs map to rows, or differences of rows, under any
-    per-position permutation of the letters, so that is the whole
-    condition; with the kernel kept, it fails only for a block source the
-    group does not keep, whose program is solved unreduced."""
+                      terms: list[tuple[int, int]], den: int, law: np.ndarray) -> None:
+    """Attach the reduction to `lp`, whose objective is k: v / den over
+    `terms` and whose block law is `law`: over the orbits of the letter
+    group, joined by the positions when non-causal, if that group is
+    nontrivial and the objective is constant on every class; else, when
+    non-causal, over the fold of the blocks of probability 0 alone, if there
+    are any.  With the kernel kept, only a block source can make the
+    objective vary on an orbit."""
     order, generators = ch.automorphisms
-    if order == 1:
-        return
     sizes = (ch.x_size, ch.y_size, ch.s_size)
-    triples, pairs = _letter_orbits(sizes, generators)
-    orbit, size = _variable_orbits(form, M, n, triples, pairs, sizes)
-    values: dict[int, int] = {}
-    for k, v in terms:
-        if values.setdefault(orbit[k], v) != v:
+    zero = () if causal else tuple(np.flatnonzero((law == 0).all(axis=(1, 2))).tolist())
+    group = order**n * (1 if causal else math.factorial(n))
+    candidates = [(generators, not causal, group)] if group > 1 else []
+    if zero:
+        candidates.append(((), False, 1))
+    for generators, positions, group in candidates:
+        triples, pairs = _letter_orbits(sizes, generators)
+        orbit, size = _variable_orbits(form, M, n, triples, pairs, sizes, positions, zero)
+        values: dict[int, int] = {}
+        if all(values.setdefault(orbit[k], v) == v for k, v in terms) and (
+                len(terms) == sum(size[o] for o in values)):  # no class with a zero and a nonzero
+            build = _lp1_system if form == "lp1" else _lp2_system
+            reduced = shared_program(f"{lp.name}/orbits", _orbit_system, build, (*sizes, M, n, causal), form,
+                                     triples, pairs, positions, zero)
+            reduced.objective = {o: Fraction(v * size[o], den) for o, v in values.items()}
+            lp._reduction = Reduction(reduced, orbit, dict(lp.objective), group)
             return
-    if len(terms) != sum(size[o] for o in values):  # an orbit with a zero and a nonzero
-        return
-    build = _lp1_system if form == "lp1" else _lp2_system
-    reduced = shared_program(f"{lp.name}/orbits", _orbit_system, build, (*sizes, M, n, causal), form, triples, pairs)
-    reduced.objective = {o: Fraction(v * size[o], den) for o, v in values.items()}
-    lp._reduction = Reduction((reduced,), (1,), orbit, dict(lp.objective), order**n)
-
-
-@functools.lru_cache(maxsize=64)
-def _type_layout(x_size: int, y_size: int, s_size: int, n: int, support: tuple, atoms: Optional[tuple]):
-    """(keys, weights, lift) of the split of non-causal LP2 over the state
-    blocks of positive probability, those over the letters `support` or,
-    with a block source, its `atoms` of positive weight: one key per
-    program, the type (the sorted block) of an i.i.d. block and the block
-    itself otherwise; how many blocks each program stands for; and the
-    lift, which gives each variable of block s^n its variable in the
-    program of s^n's key, with the positions sorted, laid end to end (a
-    block of probability 0 takes the first program's point)."""
-    nx, ny, ns = x_size**n, y_size**n, s_size**n
-    size = nx * ny + nx  # variables of a block program, r[x, y] then q[x]
-    keys: dict[tuple[int, ...], int] = {}
-    weights = []
-    which = np.zeros(ns, dtype=np.intp)  # the program of each block
-    px, py = np.tile(np.arange(nx), (ns, 1)), np.tile(np.arange(ny), (ns, 1))
-    digits = {a: np.array(list(itertools.product(range(a), repeat=n))) for a in (x_size, y_size)}
-    for ss in itertools.product(support, repeat=n) if atoms is None else atoms:
-        key = tuple(sorted(ss)) if atoms is None else ss
-        k = keys.setdefault(key, len(keys))
-        if k == len(weights):
-            weights.append(0)
-        weights[k] += 1
-        si = seq_to_index(ss, s_size)
-        which[si] = k
-        if key != ss:
-            # N^n(y|x, ss) = N^n(y'|x', key) where x' lists x in the order
-            # that sorts ss
-            order = sorted(range(n), key=ss.__getitem__)
-            for perm, a in ((px, x_size), (py, y_size)):
-                perm[si] = digits[a][:, order] @ (a ** np.arange(n - 1, -1, -1))
-    offset = (which * size)[None]
-    r = offset[:, None] + px.T[:, None, :] * ny + py.T[None, :, :]
-    q = offset + nx * ny + px.T
-    return tuple(keys), tuple(weights), tuple(np.concatenate([r.ravel(), q.ravel()]).tolist())
-
-
-def _split_by_state_type(lp: LinearProgram, ch: ChannelWithState, M: int, n: int) -> None:
-    """Attach the split of non-causal LP2, whose objective is
-    law[s^n, x, y] / D at r[x, y, s^n], into one block program per state type
-    (i.i.d. state) or atom (block source), each over the shared system of
-    the single-state non-causal LP2 of |X|^n inputs and |Y|^n outputs with
-    the objective law[key] / D at r[x, y] and a weight of its block count."""
-    support = tuple(s for s in range(ch.s_size) if ch.state_dist[s])
-    atoms = None if ch.block_state is None else tuple(sorted(ch.block_state.support()))
-    keys, weights, lift = _type_layout(ch.x_size, ch.y_size, ch.s_size, n, support, atoms)
-    nx, ny, ns = ch.x_size**n, ch.y_size**n, ch.s_size**n
-    program = {seq_to_index(key, ch.s_size): k for k, key in enumerate(keys)}
-    objectives: list[dict[int, Fraction]] = [{} for _ in keys]
-    for j, c in lp.objective.items():  # r[x, y, s^n] at j = (x * ny + y) * ns + s^n
-        xy, si = divmod(j, ns)
-        if si in program:
-            objectives[program[si]][xy] = c
-    programs = []
-    for key, objective in zip(keys, objectives):
-        block = shared_program(f"{lp.name}/s={''.join(map(str, key))}", _lp2_system, nx, ny, 1, M, 1, False)
-        block.objective = objective
-        programs.append(block)
-    lp._reduction = Reduction(tuple(programs), weights, lift, dict(lp.objective))
 
 
 def _lift(r: np.ndarray, q: np.ndarray, M: int) -> np.ndarray:

@@ -30,15 +30,14 @@ built once from the builder's arguments; they differ in name and
 objective.  A program whose rows were changed, or that was built row by
 row, is put in standard form when it is solved or checked.
 
-A program may carry a `Reduction`: smaller programs whose weighted
-optima sum to its optimum, and a lift of their vertices onto its
-variables.  `solve_exact` solves through it while the program's rows,
-sign constraints and objective are still those it was made for: it runs
-the two phases on each smaller program, lifts their vertices, and checks
-the lifted point against the program's own standard form as below, so a
+A program may carry a `Reduction`: a smaller program with the same
+optimum, and a lift of its vertices onto the program's variables.
+`solve_exact` solves through it while the program's rows, sign
+constraints and objective are still those it was made for: it runs the
+two phases on the smaller program, lifts its vertex, and checks the
+lifted point against the program's own standard form as below, so a
 wrong lift raises rather than answers.  `MAX_TABLEAU_CELLS` and
-`MAX_PIVOTS` judge each program the phases run on, and the pivots
-reported are their sum.
+`MAX_PIVOTS` judge the program the phases run on.
 
 Phase 1 (the run, the drive-out of artificials, the drop of redundant
 rows and the strip of artificial columns) never reads the objective, so
@@ -118,21 +117,19 @@ class _Row:
 
 @dataclass(frozen=True, eq=False)
 class Reduction:
-    """An exact reduction of a program: smaller programs whose optima give
-    its optimum and an optimal point.
+    """An exact reduction of a program: a smaller program with the same
+    optimum, whose optimal vertex gives the program's variable v the value
+    of its variable lift[v].
 
-    The program's optimum is the sum of each program's optimum times its
-    weight, and its point gives variable v the value of variable lift[v]
-    of the programs' variables laid end to end.  A reduction is exact for
-    one objective, `objective`; `group_order` is the order of the symmetry
-    group whose orbits the programs' variables are, 1 for none.
+    A reduction is exact for one objective, `objective`; `group_order` is
+    the order of the symmetry group whose orbits the smaller program's
+    variables are, 1 for none.
     """
 
-    programs: tuple[LinearProgram, ...]
-    weights: tuple[int, ...]
+    program: LinearProgram
     lift: Sequence[int]
     objective: Mapping[int, Fraction]
-    group_order: int = 1
+    group_order: int
 
 
 @dataclass
@@ -550,11 +547,11 @@ class _System:
 
 # (column, value) pairs the memo holds, at 60-85 bytes each: the rows of its
 # shared constraint systems, as Fractions and in standard form, and the
-# tableaux of their phase-1 outcomes.  The `lp` benchmark's 31 systems, the
-# orbit and state-block systems included, take 29k and their phase-1
-# tableaux 16k; LP2 on z0z1 at n = 3 takes 9k + 1k (causal: the system and
-# its orbit system) and 4k + 0.5k (non-causal: the system and its block
-# system).  A system solved only through a reduction keeps no phase 1.
+# tableaux of their phase-1 outcomes.  Five rounds of the `lp` benchmark
+# leave 41 systems, 23 of them orbit systems, in 51k, 20k of it phase-1
+# tableaux; LP2 on z0z1 at n = 3 takes 7.0k + 2.8k causal and 3.9k + 0.3k
+# non-causal (the system, then its orbit system with its phase 1).  A system
+# solved only through a reduction keeps no phase 1.
 _SYSTEM_CELLS = 100_000
 
 
@@ -711,41 +708,28 @@ def _optimum(lp: LinearProgram, form: _StandardForm, system: Optional[_System]) 
 def solve_exact(lp: LinearProgram) -> SimplexSolution:
     """Solve to exact rational optimality (or report infeasible/unbounded).
 
-    A program with a `reduction` is solved through it: each of its
-    programs is solved, the first that is not optimal gives the status,
-    and otherwise their vertices are lifted onto the program's variables
-    and the weighted sum of their optima is the value.  Either way the
-    point and the value are checked against every row, sign constraint
-    and the objective of the program's own standard form before they are
-    returned.
+    A program with a `reduction` is solved through it: the smaller program
+    is solved, and its optimal vertex is lifted onto the program's
+    variables.  Either way the point and the value are checked against
+    every row, sign constraint and the objective of the program's own
+    standard form before they are returned.
 
     Raises ValueError before the first pivot for a tableau past
-    MAX_TABLEAU_CELLS (of any program solved), and PivotLimitError past
-    MAX_PIVOTS pivots in one of them.
+    MAX_TABLEAU_CELLS (of the program the phases run on), and
+    PivotLimitError past MAX_PIVOTS pivots.
     """
     if lp.sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
     reduction = lp.reduction
-    found = []
-    for program in (lp,) if reduction is None else reduction.programs:
-        form, system = program._form()
-        found.append(_optimum(program, form, system))
-        if found[-1].status != "optimal":
-            break
-    pivots = sum(part.pivots for part in found)
-    if found[-1].status != "optimal":
-        return SimplexSolution(status=found[-1].status, value=None, assignment={}, pivots=pivots)
-    if reduction is None:
-        [(_status, _pivots, nums, d, z, (cost, cost_den))] = found
-    else:
+    program = lp if reduction is None else reduction.program
+    form, system = program._form()
+    status, pivots, nums, d, z, (cost, cost_den) = _optimum(program, form, system)
+    if status != "optimal":
+        return SimplexSolution(status=status, value=None, assignment={}, pivots=pivots)
+    if reduction is not None:
+        # the lift takes every value of the vertex, so nums/d stays reduced
         form = lp._system.form
-        d = math.lcm(*(part.d for part in found))
-        values = [v * (d // part.d) for part in found for v in part.nums]
-        nums = [values[i] for i in reduction.lift]
-        g = math.gcd(d, *nums)
-        if g != 1:
-            nums, d = [v // g for v in nums], d // g
-        z = sum(w * part.z for w, part in zip(reduction.weights, found))
+        nums = [nums[i] for i in reduction.lift]
         cost, cost_den = _cost(lp, form.col_of)
     # cost . x / cost_den must be z
     objective = (*chain.from_iterable((j, c * z.denominator) for j, c in cost.items()), RHS, z.numerator * cost_den)

@@ -515,7 +515,7 @@ def test_oversize_tableau_is_one_error_line(tmp_path):
 
 @pytest.mark.parametrize("noncausal, group, shape, optimum", [
     (False, ["group order = 16"], "272 x 545", "51/56"),
-    (True, [], "5 programs of 272 x 273", "31/32"),
+    (True, ["group order = 384"], "40 x 41", "31/32"),
 ])
 def test_z0z1_at_n4_solves_through_its_reduction(noncausal, group, shape, optimum):
     # the unreduced causal program is the one the tableau cap refuses above

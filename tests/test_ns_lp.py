@@ -471,10 +471,10 @@ def solve_cold(lp: LinearProgram) -> SimplexSolution:
         return solve_exact(lp)
 
 
-def core_programs(lp: LinearProgram) -> list[LinearProgram]:
-    """The programs the simplex runs on when `lp` is solved: those of its
-    reduction, or `lp` itself."""
-    return list(lp.reduction.programs) if lp.reduction is not None else [lp]
+def core_program(lp: LinearProgram) -> LinearProgram:
+    """The program the simplex runs on when `lp` is solved: its reduction's,
+    or `lp` itself."""
+    return lp.reduction.program if lp.reduction is not None else lp
 
 
 def _shared_families():
@@ -500,21 +500,21 @@ def test_shared_programs_solve_as_hand_built_copies_cold_and_warm(build, channel
         first, second = (build(channel(seed), M=2, n=n, causal=causal) for seed in (1, 2))
     assert first._system is second._system
     assert all(a is b for a, b in zip(first.rows, second.rows)) and len(first.rows) == len(second.rows)
-    # a program solved through a reduction (non-causal LP2, split by state
-    # type) is checked on the programs the simplex runs on, which share one
-    # system too
-    pairs = list(zip(core_programs(first), core_programs(second)))
-    assert all(a._system is b._system for a, b in pairs) and len({a._system for a, _ in pairs}) == 1
-    expected = [outcome(solve_cold(hand_built(lp))) for pair in pairs for lp in pair]
-    assert [outcome(solve_cold(lp)) for pair in pairs for lp in pair] == expected
+    # a program solved through a reduction (non-causal LP2 at n = 2, by
+    # joint types) is checked on the program the simplex runs on, which
+    # shares one system too
+    pair = core_program(first), core_program(second)
+    assert pair[0]._system is pair[1]._system
+    expected = [outcome(solve_cold(hand_built(lp))) for lp in pair]
+    assert [outcome(solve_cold(lp)) for lp in pair] == expected
     with fresh_memo() as memo, phase_one_runs() as runs:
         first, second = (build(channel(seed), M=2, n=n, causal=causal) for seed in (1, 2))
-        pairs = list(zip(core_programs(first), core_programs(second)))
-        # every program after the first hits its phase 1; a hand-built copy
-        # of the last runs its own and keeps nothing
-        warm = [outcome(solve_exact(lp)) for pair in pairs for lp in pair] + [outcome(solve_exact(hand_built(pairs[-1][1])))]
+        pair = core_program(first), core_program(second)
+        # the second program hits the first's phase 1; a hand-built copy
+        # runs its own and keeps nothing
+        warm = [outcome(solve_exact(lp)) for lp in pair] + [outcome(solve_exact(hand_built(pair[1])))]
         assert warm == [*expected, expected[-1]]
-        systems = [first] if first.reduction is None else [first, pairs[0][0]]
+        systems = [first] if first.reduction is None else [first, pair[0]]
         assert len(runs) == 2 and list(memo.entries) == [lp._system.key for lp in systems]
 
 
@@ -613,9 +613,10 @@ def test_an_over_budget_program_is_refused_before_anything_is_built(monkeypatch)
 # -- exact reductions ----------------------------------------------------------
 #
 # build_lp1 and build_lp2 attach a reduction that solve_exact solves through:
-# the orbits of the channel's per-position automorphisms, and non-causal LP2
-# split into one block program per state type.  Each must give the value of
-# the program solved without it, at a point that meets every row of it.
+# the orbits of the channel's per-position automorphisms, with the
+# permutations of the positions in the non-causal programs, where the state
+# blocks of probability 0 are also folded into one.  Each must give the value
+# of the program solved without it, at a point that meets every row of it.
 
 
 def identity_channel(size: int, states: int = 1):
@@ -801,20 +802,42 @@ def test_reduced_programs_give_the_unreduced_value_at_a_feasible_point(name, bui
     assert lp.violated_rows(sol.assignment) == [] and lp.objective_value(sol.assignment) == sol.value
 
 
+def random_block_channel(seed: int):
+    """A random (2, 2, 2) channel whose states come from a block source of
+    length 2 on one to three random blocks, with random weights: the other
+    blocks have probability 0, and the atoms need not be exchangeable."""
+    rng = random.Random(seed)
+    ch = random_channel(rng.randrange(2**32), 2, 2, 2)
+    blocks = rng.sample(list(itertools.product(range(2), repeat=2)), rng.randint(1, 3))
+    weights = [rng.randint(1, 4) for _ in blocks]
+    source = BlockStateSource(n=2, atoms=tuple((b, F(w, sum(weights))) for b, w in zip(blocks, weights)))
+    return make_channel(kernel=ch.kernel, state_dist=ch.state_dist, block_state=source)
+
+
+def zero_state_channel(seed: int):
+    """A random (2, 2, 3) channel whose last state has probability 0."""
+    ch = random_channel(seed, 2, 2, 3)
+    p = ch.state_dist[-1]
+    return make_channel(kernel=ch.kernel, state_dist=[*(q / (1 - p) for q in ch.state_dist[:-1]), 0])
+
+
 def _random_cases():
     families = {
         "binary": random_binary_channel,
         "x2y3s2": lambda seed: random_channel(seed, 2, 3, 2),
         "x3y2s2": lambda seed: random_channel(seed, 3, 2, 2),
         "x2y2s3": lambda seed: random_channel(seed, 2, 2, 3),
+        "zero-state": zero_state_channel,
         "mirrored": mirrored_channel,
         "mirrored-block": lambda seed: mirrored_channel(seed, block=True),
         "product-block": lambda seed: product_channel_with_block_source(),
+        "random-block": random_block_channel,
     }
     for name, family in families.items():
         for n in (1, 2) if "block" not in name else (2,):
             for causal in (True, False):
-                for build in (build_lp1, build_lp2) if n == 1 or "block" in name else (build_lp2,):
+                # LP1 at n = 2 is solved unreduced in seconds only without c3
+                for build in (build_lp1, build_lp2) if n == 1 or "block" in name or not causal else (build_lp2,):
                     mode = "causal" if causal else "noncausal"
                     yield pytest.param(family, build, n, causal, id=f"{build.__name__}-{name}-n{n}-{mode}")
 
@@ -824,9 +847,15 @@ def _random_cases():
 def test_reductions_on_random_channels_match_the_unreduced_program(family, build, n, causal, seed):
     ch = family(seed)
     lp = build(ch, M=2, n=n, causal=causal)
-    # non-causal LP2 is always split; the rest reduce when the group is not trivial
-    reduced = build is build_lp2 and not causal or ch.automorphisms[0] > 1
-    assert (lp.reduction is not None) == reduced
+    # causal programs reduce when the group is not trivial; non-causal ones
+    # also when the positions move (n > 1) or a state block has probability 0
+    order = ch.automorphisms[0]
+    empty = len(list(state_blocks(ch, n))) < ch.s_size**n
+    assert (lp.reduction is not None) == (order > 1 or not causal and (n > 1 or empty))
+    if lp.reduction is not None and ch.block_state is None:
+        # an i.i.d. state: the product of the letter group over the positions,
+        # and the permutations of the positions when non-causal
+        assert lp.reduction.group_order == order**n * (1 if causal else math.factorial(n))
     sol = solve_exact(lp)
     assert sol.value == solve_exact(hand_built(lp)).value
     assert lp.violated_rows(sol.assignment) == []
@@ -840,18 +869,40 @@ def test_a_block_source_the_group_moves_is_not_reduced_by_orbits():
     skewed = make_channel(kernel=ch.kernel, state_dist=ch.state_dist, block_state=source)
     assert skewed.automorphisms[0] == 2
     assert build_lp2(skewed, M=2, n=2).reduction is None
+    # non-causal, the blocks (0, 0) and (1, 1) of probability 0 are folded
+    assert build_lp2(skewed, M=2, n=2, causal=False).reduction.group_order == 1
     assert build_lp2(mirrored_channel(1, block=True), M=2, n=2).reduction.group_order == 4
 
 
-def _variable_map(lp: LinearProgram, g, position: int, n: int, sizes) -> list[int]:
+@pytest.mark.parametrize("atoms", [("0000", "0011"), ("0110", "1001", "1111")])
+def test_z0z1_under_a_block_source_solves_through_its_orbits_and_the_fold(atoms):
+    # neither source is exchangeable, but flipping the letters at some
+    # positions maps each block onto any other, so the objective is still
+    # constant on every orbit's members in blocks of positive probability:
+    # the 40 variables of the i.i.d. program, and the 272 of one block that
+    # every block of probability 0 is folded into.  Unreduced, the
+    # 4368 x 8720 tableau is refused
+    z0z1 = builtin_z0z1()
+    source = BlockStateSource(n=4, atoms=tuple((tuple(map(int, a)), F(1, len(atoms))) for a in atoms))
+    ch = make_channel(kernel=z0z1.kernel, state_dist=z0z1.state_dist, block_state=source)
+    lp = build_lp2(ch, M=2, n=4, causal=False)
+    assert lp.reduction.group_order == 384 and len(lp.reduction.program.var_names) == 40 + 272
+    sol = solve_exact(lp)
+    assert sol.value == F(31, 32) and lp.violated_rows(sol.assignment) == []
+
+
+def _variable_map(lp: LinearProgram, g, position: int, n: int, sizes, order=None) -> list[int]:
     """The index each variable of `lp` goes to when the automorphism
-    g = (pi_s, pi_x, pi_y) acts on the letters at one position."""
+    g = (pi_s, pi_x, pi_y) acts on the letters at one position, and then,
+    with `order`, position i of every block takes position order[i]'s letter."""
     ps, px, py = g
     X, Y, S = sizes
 
     def block(index: int, perm, size: int) -> int:
         digits = list(np.unravel_index(index, (size,) * n))
         digits[position] = perm[digits[position]]
+        if order is not None:
+            digits = [digits[i] for i in order]
         return int(np.ravel_multi_index(digits, (size,) * n))
 
     names = []
@@ -906,13 +957,33 @@ def test_each_generator_maps_the_program_onto_itself(name, build, n):
                 assert minus in group.get(plus, ()), row.label
 
 
+@pytest.mark.parametrize("build, n, causal", [
+    (build_lp2, 2, False), (build_lp2, 3, False), (build_lp1, 2, False), (build_lp2, 2, True),
+], ids=["lp2-n2-noncausal", "lp2-n3-noncausal", "lp1-n2-noncausal", "lp2-n2-causal"])
+def test_moving_the_positions_maps_each_non_causal_row_to_a_row(build, n, causal):
+    # the non-causal rows' reference cells sit at block 0, which no order of
+    # the positions moves; the causal c3 rows compare per prefix, which a
+    # new order breaks
+    ch = random_channel(1, 2, 3, 2)
+    lp = build(ch, M=2, n=n, causal=causal)
+    rows = {(tuple(sorted(row.coeffs.items())), row.relation, row.rhs) for row in lp.rows}
+    identity = tuple(tuple(range(k)) for k in (ch.s_size, ch.x_size, ch.y_size))
+    kept = []
+    for order in itertools.permutations(range(n)):
+        image = _variable_map(lp, identity, 0, n, (ch.x_size, ch.y_size, ch.s_size), order)
+        assert {image[j]: c for j, c in lp.objective.items()} == lp.objective
+        kept.append(all((tuple(sorted((image[j], c) for j, c in row.coeffs.items())), row.relation, row.rhs) in rows
+                        for row in lp.rows))
+    assert kept == [not causal or order == tuple(range(n)) for order in itertools.permutations(range(n))]
+
+
 def test_a_point_off_the_lift_is_refused(monkeypatch):
     lp = build_lp2(builtin_z0z1(), M=2, n=2)
     optimum = simplex._optimum
 
     def nudged(program, form, system):
         found = optimum(program, form, system)
-        if program is lp.reduction.programs[0]:
+        if program is lp.reduction.program:
             up = next(j for j, v in enumerate(found.nums) if v)
             nums = list(found.nums)
             nums[up] += 1  # one orbit's value up by 1/D

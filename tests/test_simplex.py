@@ -13,7 +13,7 @@ from nscoding.channels import builtin_z0z1, lift_csir
 from nscoding.ns_lp import build_lp1, build_lp2, build_lp4_z0z1
 from nscoding.simplex import LinearProgram, PivotLimitError, SimplexSolution, shared_program, solve_exact
 from test_ns_lp import (
-    core_programs, fresh_memo, hand_built, outcome, phase_one_runs, random_binary_channel, random_channel, solve_cold,
+    core_program, fresh_memo, hand_built, outcome, phase_one_runs, random_binary_channel, random_channel, solve_cold,
 )
 
 F = Fraction
@@ -490,15 +490,14 @@ def test_assisted_programs_take_the_reference_pivots(build, ch, n, causal):
     if lp.reduction is None:
         assert_same_pivots(lp)
         return
-    # solved through a reduction (z0z1's orbits, non-causal LP2 by state
-    # type): the reference pivots on every program the simplex runs on, and
+    # solved through a reduction (z0z1's orbits, non-causal LP2 by joint
+    # types): the reference pivots on the program the simplex runs on, and
     # on the program itself built row by row, which the simplex solves
     # unreduced; the reduction gives the same optimum
-    for program in core_programs(lp):
-        assert_same_pivots(program)
+    assert_same_pivots(core_program(lp))
     sol = solve_exact(lp)
     assert sol.value == assert_same_pivots(hand_built(lp)).value
-    assert sol.pivots == sum(solve_exact(program).pivots for program in core_programs(lp))
+    assert sol.pivots == solve_exact(core_program(lp)).pivots
 
 
 def assert_sparse_form(tab) -> None:
@@ -532,31 +531,26 @@ def count_checked_pivots(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_keep_the_sparse_form(build, ch, n, causal, monkeypatch):
     # cold: every phase-1, drive-out and phase-2 pivot is taken and checked,
-    # on each program the simplex runs on
+    # on the program the simplex runs on
     with fresh_memo():
-        programs = core_programs(build(ch, M=2, n=n, causal=causal))
+        program = core_program(build(ch, M=2, n=n, causal=causal))
     pivots = count_checked_pivots(monkeypatch)
-    for program in programs:
-        with fresh_memo():
-            pivots[0] = 0
-            sol = solve_exact(program)
-        assert sol.status == "optimal" and pivots[0] == sol.pivots
+    with fresh_memo():
+        sol = solve_exact(program)
+    assert sol.status == "optimal" and pivots[0] == sol.pivots
 
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_keep_the_sparse_form_after_a_memo_hit(build, ch, n, causal, monkeypatch):
-    with fresh_memo():
-        count = len(core_programs(build(ch, M=2, n=n, causal=causal)))
     pivots = count_checked_pivots(monkeypatch)
-    for k in range(count):
-        with fresh_memo():
-            program = core_programs(build(ch, M=2, n=n, causal=causal))[k]
-            cold = solve_exact(program)
-            found = program._system.phase_one
-            pivots[0] = 0
-            warm = solve_exact(program)
-        # warm: only phase 2 pivots, and the count goes on from phase 1's
-        assert warm == cold and pivots[0] == warm.pivots - found.pivots
+    with fresh_memo():
+        program = core_program(build(ch, M=2, n=n, causal=causal))
+        cold = solve_exact(program)
+        found = program._system.phase_one
+        pivots[0] = 0
+        warm = solve_exact(program)
+    # warm: only phase 2 pivots, and the count goes on from phase 1's
+    assert warm == cold and pivots[0] == warm.pivots - found.pivots
 
 
 def test_degenerate_program_takes_the_reference_pivots():
@@ -809,16 +803,16 @@ def assert_warm_matches_cold(make_a, make_b) -> None:
 
 @pytest.mark.parametrize("build, ch, n, causal", _assisted_programs())
 def test_assisted_programs_solve_alike_cold_and_warm(build, ch, n, causal):
-    # on each program the simplex runs on, rebuilt from its system's key
+    # on the program the simplex runs on, rebuilt from its system's key
     with fresh_memo():
-        programs = core_programs(build(ch, M=2, n=n, causal=causal))
-    for program in programs:
-        def same(objective=program.objective):
-            return with_objective(shared_program(program.name, *program._system.key), objective)
+        program = core_program(build(ch, M=2, n=n, causal=causal))
 
-        # the same rows, another objective: each coefficient times 1, 2 or 3
-        other = partial(same, {j: c * (j % 3 + 1) for j, c in program.objective.items()})
-        assert_warm_matches_cold(same, other)
+    def same(objective=program.objective):
+        return with_objective(shared_program(program.name, *program._system.key), objective)
+
+    # the same rows, another objective: each coefficient times 1, 2 or 3
+    other = partial(same, {j: c * (j % 3 + 1) for j, c in program.objective.items()})
+    assert_warm_matches_cold(same, other)
 
 
 @settings(deadline=None, max_examples=150)
@@ -888,7 +882,7 @@ def test_a_hit_leaves_the_memo_as_it_was():
 
 @pytest.mark.parametrize("program", [
     # the program z0z1's LP1 is solved through: one variable per orbit
-    lambda: core_programs(build_lp1(builtin_z0z1(), M=2, n=1))[0],
+    lambda: core_program(build_lp1(builtin_z0z1(), M=2, n=1)),
     partial(build_lp1, random_binary_channel(2), M=2, n=1),
     # no phase-2 pivot: only a phase-1 run can raise, so a hit never does
     lambda: with_objective(build_lp1(builtin_z0z1(), M=2, n=1), {}),
