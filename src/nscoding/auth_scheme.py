@@ -18,8 +18,8 @@ non-signaling marginal condition requires.
 Everything here is exact rational arithmetic except the Monte Carlo
 success estimate, which is explicitly an estimate.  Dense tensors hold
 integer numerators over one positive denominator, and the typicality
-test is decided on integer pair counts against windows computed once
-per scheme.
+test is decided on integer pair counts against count windows that each
+caller recomputes from the scheme with `_count_windows`.
 """
 
 from __future__ import annotations

@@ -26,20 +26,21 @@ its own reference cell is a tautology and is not emitted.
 
 Only the objective depends on the channel, and so does the symmetry
 group the program is solved under.  The variables and rows of each
-program depend on (form, |X|, |Y|, |S|, M, n, causal) alone, are built
-from those fields and nothing else, and are shared, with their integer
-standard form and phase 1, by every program of that shape
-(`simplex.shared_program`); the simplex memo keeps each such system
-under that key and one bound, `_SYSTEM_CELLS`.  A program over the
-variable cap is refused before anything is built or kept.
+program depend on its builder and its fields (|X|, |Y|, |S|, M, n,
+causal) alone, are built from those fields and nothing else, and are
+shared, with their integer standard form and phase 1, by every program
+of that shape (`simplex.shared_program`); the simplex memo keeps each
+such system under that key and one bound, `_SYSTEM_CELLS`.  A program
+over the variable cap is refused before anything is built or kept.
 
 A program may carry an exact `simplex.Reduction`, which `solve_exact`
 solves it through (see "exact reductions" below): the program over the
 orbits of the channel's per-position automorphisms, joined in the
 non-causal programs by the permutations of the positions, where the state
 blocks of probability 0 are also folded into one.  It is read from the
-shared system's rows and shared in turn under (system, classes).  The
-lifted optimum is checked against every row of the program itself.
+shared system's rows and shared in turn under (system, classes), the
+classes being the tuple the reduction lifts with.  The lifted optimum is
+checked against every row of the program itself.
 """
 
 from __future__ import annotations
@@ -151,15 +152,16 @@ def _add_conditions(lp: LinearProgram, family: str, index: np.ndarray, n: int, x
             lp.add_row(coeffs, "==", ZERO, name)
 
 
-def _checked_shape(ch: ChannelWithState, M: int, n: int, form: str) -> tuple[int, int, int]:
+def _checked_shape(ch: ChannelWithState, M: int, n: int, build) -> tuple[int, int, int]:
     """(|X|^n, |S|^n, |Y|^n), once M and n are ints >= 1 and the variables of
-    `form`, |X|^n M^2 |S|^n |Y|^n in lp1 and |X|^n |S|^n (|Y|^n + 1) in lp2, within MAX_LP_VARIABLES."""
+    `build`'s system, |X|^n M^2 |S|^n |Y|^n in LP1 and |X|^n |S|^n (|Y|^n + 1) in LP2, within MAX_LP_VARIABLES."""
     check_int(M, "M", 1)
     check_int(n, "n", 1)
     x, s, y = ch.x_size, ch.s_size, ch.y_size
-    lp1 = form == "lp1"
+    lp1 = build is _lp1_system
     check_cap(MAX_LP_VARIABLES, n * math.log2(x * s * y) + 2 * lp1 * math.log2(M),
-              lambda: (x * s) ** n * (M * M * y**n if lp1 else y**n + 1), f"{form}(M={M}, n={n})", "variables")
+              lambda: (x * s) ** n * (M * M * y**n if lp1 else y**n + 1),
+              f"{'lp1' if lp1 else 'lp2'}(M={M}, n={n})", "variables")
     return x**n, s**n, y**n
 
 
@@ -195,17 +197,16 @@ def build_lp1(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     alphabet sizes, M, n and causal alone and are shared by every program
     of that shape (`shared_program`); the objective is the channel's.
     """
-    nx, ns, ny = _checked_shape(ch, M, n, "lp1")
+    nx, ns, ny = _checked_shape(ch, M, n, _lp1_system)
     law, den = block_law_array(ch, n)
     x, s, y = np.nonzero(law.transpose(1, 0, 2))  # the nonzero cells, x-major
-    lp = shared_program(
-        f"lp1[M={M},n={n},causal={causal}]", _lp1_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal
-    )
+    fields = (ch.x_size, ch.y_size, ch.s_size, M, n, causal)
+    lp = shared_program(f"lp1[M={M},n={n},causal={causal}]", _lp1_system, *fields)
     z = np.arange(len(lp.var_names)).reshape(nx, M, M, ns, ny)
     diagonal = z[x[:, None], range(M), range(M), s[:, None], y[:, None]].tolist()  # [cell][w]
     terms = [(k, v) for keys, v in zip(diagonal, law[s, x, y].tolist()) for k in keys]
     lp.set_objective({k: Fraction(v, M * den) for k, v in terms})
-    _reduce_by_orbits(lp, ch, "lp1", M, n, causal, terms, M * den, law)
+    _reduce_by_orbits(lp, ch, _lp1_system, fields, terms, M * den, law)
     return lp
 
 
@@ -250,16 +251,15 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
     """Reduced program over r[x,y,s] and q[x,s]; same optimum as the full
     one.  Like `build_lp1`, it shares its variables and rows with every
     program of its shape and takes its objective from the channel."""
-    nx, ns, ny = _checked_shape(ch, M, n, "lp2")
+    nx, ns, ny = _checked_shape(ch, M, n, _lp2_system)
     law, den = block_law_array(ch, n)
     x, s, y = np.nonzero(law.transpose(1, 0, 2))  # the nonzero cells, x-major
-    lp = shared_program(
-        f"lp2[M={M},n={n},causal={causal}]", _lp2_system, ch.x_size, ch.y_size, ch.s_size, M, n, causal
-    )
+    fields = (ch.x_size, ch.y_size, ch.s_size, M, n, causal)
+    lp = shared_program(f"lp2[M={M},n={n},causal={causal}]", _lp2_system, *fields)
     r = np.arange(nx * ny * ns).reshape(nx, ny, ns)
     terms = list(zip(r[x, y, s].tolist(), law[s, x, y].tolist()))
     lp.set_objective({k: Fraction(v, den) for k, v in terms})
-    _reduce_by_orbits(lp, ch, "lp2", M, n, causal, terms, den, law)
+    _reduce_by_orbits(lp, ch, _lp2_system, fields, terms, den, law)
     return lp
 
 
@@ -284,44 +284,41 @@ def build_lp2(ch: ChannelWithState, M: int, n: int, causal: bool = True) -> Line
 #   maps each of their rows to a row.  With the letters, the classes are the
 #   joint types of (x, y, s) up to the letter group.
 #
-# If the objective is constant on every orbit, averaging an optimum over the
-# group gives one constant on every orbit.  Non-causal LP2 is a direct sum of
-# one program over r[x, y] and q[x] per state block s^n, all with the same
-# rows: so it is enough that the objective is constant on each orbit's
-# members in blocks of positive probability (a block source the group does
-# not keep), and a block of probability 0, whose objective is 0, may take the
-# point of any other such block, so that all of them share one variable per
-# (x, y) or x.  Non-causal LP1 has the same optimum, and `_lift` maps an
+# q's pairs (x, s) are put in orbits through the letter triples: (x, s) and
+# (x', s') share one exactly when {orbit(x, y, s)}_y = {orbit(x', y, s')}_y,
+# since an element that maps one pair onto the other maps one set onto the
+# other, and one that maps (x, 0, s) into the other set maps the pair.
+#
+# If the objective is constant on every orbit, averaging an optimum, a
+# maximum or a minimum, over the group gives one constant on every orbit.
+# Non-causal LP2 is a direct sum of one program over r[x, y] and q[x] per
+# state block s^n, all with the same rows: so it is enough that the
+# objective is constant on each orbit's members in blocks of positive
+# probability (a block source the group does not keep), and a block of
+# probability 0, whose objective is 0, may take the point of any other such
+# block, so that all of them share one variable per (x, y) or x.  Non-causal LP1 has the same optimum, and `_lift` maps an
 # optimum of LP2 constant on its classes to one of LP1 constant on the
 # matching classes of z, whose guess and message are kept.  If the objective
 # is not constant on the orbits, the fold alone applies.
 
 
-@functools.lru_cache(maxsize=64)
-def _letter_orbits(sizes: tuple[int, int, int], generators) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orbit labels 0, 1, ... (by first cell) of the letter triples (x, y, s)
-    and of the pairs (x, s), row-major, under the generators, by union-find."""
+def _letter_orbits(sizes: tuple[int, int, int], generators) -> tuple[int, ...]:
+    """Orbit labels 0, 1, ... (by first cell) of the letter triples (x, y, s),
+    row-major, under the generators, by union-find."""
     X, Y, S = sizes
-    labels = []
-    for shape, image in (
-        ((X, Y, S), lambda g, x, y, s: (g[1][x] * Y + g[2][y]) * S + g[0][s]),
-        ((X, S), lambda g, x, s: g[1][x] * S + g[0][s]),
-    ):
-        cells = list(itertools.product(*map(range, shape)))
-        parent = list(range(len(cells)))
+    parent = list(range(X * Y * S))
 
-        def root(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            return i
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
-        for g in generators:
-            for i, cell in enumerate(cells):
-                a, b = root(i), root(image(g, *cell))
-                parent[max(a, b)] = min(a, b)
-        first: dict[int, int] = {}
-        labels.append(tuple(first.setdefault(root(i), len(first)) for i in range(len(cells))))
-    return labels[0], labels[1]
+    for g in generators:
+        for i, (x, y, s) in enumerate(itertools.product(range(X), range(Y), range(S))):
+            a, b = root(i), root((g[1][x] * Y + g[2][y]) * S + g[0][s])
+            parent[max(a, b)] = min(a, b)
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(root(i), len(first)) for i in range(len(parent)))
 
 
 def _block_codes(letter: np.ndarray, n: int, positions: bool) -> np.ndarray:
@@ -347,41 +344,39 @@ def _fold(codes: np.ndarray, axis: int, zero: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _variable_orbits(form: str, M: int, n: int, triples: tuple, pairs: tuple, sizes: tuple, positions: bool,
-                     zero: tuple) -> tuple[tuple[int, ...], ...]:
-    """The class of each variable of `form` at (M, n), numbered in order of
-    their codes, and each class's size: `_block_codes` of (x, y, s) for r and
-    z (whose guess and message are kept), of (x, s) for q, with the blocks
-    `zero` folded."""
-    X, Y, S = sizes
+def _variable_orbits(build, fields: tuple, triples: tuple, positions: bool,
+                     zero: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The class of each variable of the system build(*fields), numbered in
+    order of their codes, and each class's size: `_block_codes` of the labels
+    `triples` for r and z (whose guess and message are kept), and for q of
+    its pairs' labels, the sets of their triples' labels; `zero` folded."""
+    X, Y, S, M, n, _causal = fields
     triple = np.array(triples).reshape(X, Y, S)
-    if form == "lp2":
-        r = _fold(_block_codes(triple, n, positions), 2, zero)
-        q = _fold(_block_codes(np.array(pairs).reshape(X, S), n, positions), 1, zero) + int(r.max()) + 1
+    r = _fold(_block_codes(triple, n, positions), 2, zero)
+    if build is _lp2_system:
+        sets: dict[frozenset, int] = {}
+        pair = np.array([sets.setdefault(frozenset(triple[x, :, s].tolist()), len(sets))
+                         for x in range(X) for s in range(S)]).reshape(X, S)
+        q = _fold(_block_codes(pair, n, positions), 1, zero) + int(r.max()) + 1
         codes = np.concatenate([r.ravel(), q.ravel()])
     else:
-        cells = _fold(_block_codes(triple.transpose(0, 2, 1), n, positions), 1, zero)  # [x, s, y]
+        cells = r.transpose(0, 2, 1)  # [x, s, y]
         codes = (np.arange(M * M).reshape(1, M, M, 1, 1) * (int(cells.max()) + 1) + cells[:, None, None]).ravel()
     _, orbit, size = np.unique(codes, return_inverse=True, return_counts=True)
     return tuple(orbit.reshape(-1).tolist()), tuple(size.tolist())
 
 
-def _orbit_system(build, fields: tuple, form: str, triples: tuple, pairs: tuple, positions: bool,
-                  zero: tuple) -> LinearProgram:
-    """The program over one variable per class (`_variable_orbits`) of the
-    system build(*fields), whose variables are all nonnegative: each row with
-    its coefficients summed per class, in the integers of its standard form,
-    and duplicates and rows that every point meets dropped.  Variables are
-    named after their class's first member."""
+def _orbit_system(build, fields: tuple, orbit: tuple[int, ...]) -> LinearProgram:
+    """The system build(*fields), whose variables are all nonnegative, summed
+    over the classes `orbit` (each variable's class): a variable per class,
+    named after its first member, and each row summed per class in the
+    integers of its standard form and built from its key, an equality's first
+    coefficient made positive; duplicate keys and rows every point meets go."""
     full = shared_program("", build, *fields)
-    x_size, y_size, s_size, M, n, _causal = fields
-    orbit = _variable_orbits(form, M, n, triples, pairs, (x_size, y_size, s_size), positions, zero)[0]
-    first: dict[int, int] = {}
-    for j, o in enumerate(orbit):
-        first.setdefault(o, j)
+    first = dict(zip(reversed(orbit), reversed(full.var_names)))  # each class's first member
     lp = LinearProgram()
     for o in range(len(first)):
-        lp.add_var(full.var_names[first[o]])
+        lp.add_var(first[o])
     standard = full._system.form  # a variable's column is its index
     seen = set()
     for row, line, den, relation in zip(full.rows, standard.lines, standard.dens, standard.relations):
@@ -392,44 +387,39 @@ def _orbit_system(build, fields: tuple, form: str, triples: tuple, pairs: tuple,
                 rhs = v
             elif col < len(orbit):
                 sums[orbit[col]] = sums.get(orbit[col], 0) + v
-        sums = {o: v for o, v in sums.items() if v}
-        if not sums and (rhs == 0 or relation == "<="):
+        items = tuple(sorted((o, v) for o, v in sums.items() if v))
+        if not items and (rhs == 0 or relation == "<="):
             continue  # 0 == 0 or 0 <= rhs, with rhs >= 0, holds everywhere
-        items = tuple(sorted(sums.items()))
-        if relation == "==" and items[0][1] < 0:  # an equality and its negation are one row
+        if relation == "==" and items and items[0][1] < 0:
             items, rhs = tuple((o, -v) for o, v in items), -rhs
         key = (items, relation, rhs, den)
         if key not in seen:
             seen.add(key)
-            lp.add_row({o: Fraction(v, den) for o, v in sums.items()}, relation, Fraction(rhs, den), row.label)
+            lp.add_row({o: Fraction(v, den) for o, v in items}, relation, Fraction(rhs, den), row.label)
     return lp
 
 
-def _reduce_by_orbits(lp: LinearProgram, ch: ChannelWithState, form: str, M: int, n: int, causal: bool,
-                      terms: list[tuple[int, int]], den: int, law: np.ndarray) -> None:
-    """Attach the reduction to `lp`, whose objective is k: v / den over
-    `terms` and whose block law is `law`: over the orbits of the letter
-    group, joined by the positions when non-causal, if that group is
-    nontrivial and the objective is constant on every class; else, when
-    non-causal, over the fold of the blocks of probability 0 alone, if there
-    are any.  With the kernel kept, only a block source can make the
-    objective vary on an orbit."""
+def _reduce_by_orbits(lp: LinearProgram, ch: ChannelWithState, build, fields: tuple, terms: list[tuple[int, int]],
+                      den: int, law: np.ndarray) -> None:
+    """Attach the reduction to `lp`, over the system build(*fields), with
+    objective k: v / den over `terms` and block law `law`: over the orbits of
+    the letter group, joined by the positions when non-causal, if that group
+    is nontrivial and the objective is constant on every class; else, when
+    non-causal, over the fold of the blocks of probability 0 alone, if any.
+    With the kernel kept, only a block source can make the objective vary."""
     order, generators = ch.automorphisms
-    sizes = (ch.x_size, ch.y_size, ch.s_size)
+    n, causal = fields[4:]
     zero = () if causal else tuple(np.flatnonzero((law == 0).all(axis=(1, 2))).tolist())
     group = order**n * (1 if causal else math.factorial(n))
     candidates = [(generators, not causal, group)] if group > 1 else []
     if zero:
         candidates.append(((), False, 1))
     for generators, positions, group in candidates:
-        triples, pairs = _letter_orbits(sizes, generators)
-        orbit, size = _variable_orbits(form, M, n, triples, pairs, sizes, positions, zero)
+        orbit, size = _variable_orbits(build, fields, _letter_orbits(fields[:3], generators), positions, zero)
         values: dict[int, int] = {}
         if all(values.setdefault(orbit[k], v) == v for k, v in terms) and (
                 len(terms) == sum(size[o] for o in values)):  # no class with a zero and a nonzero
-            build = _lp1_system if form == "lp1" else _lp2_system
-            reduced = shared_program(f"{lp.name}/orbits", _orbit_system, build, (*sizes, M, n, causal), form,
-                                     triples, pairs, positions, zero)
+            reduced = shared_program(f"{lp.name}/orbits", _orbit_system, build, fields, orbit)
             reduced.objective = {o: Fraction(v * size[o], den) for o, v in values.items()}
             lp._reduction = Reduction(reduced, orbit, dict(lp.objective), group)
             return
@@ -455,7 +445,7 @@ def lp1_to_lp2(ch: ChannelWithState, M: int, n: int, z_point: Mapping[str, objec
     diagonal (wh = w) cells over w, and q also sums over wh, at the reference
     output block (any output gives the same number at a point that satisfies
     the invariance rows).  A name the full program lacks is a ValueError."""
-    nx, ns, ny = _checked_shape(ch, M, n, "lp1")
+    nx, ns, ny = _checked_shape(ch, M, n, _lp1_system)
     nums, d = _lp1_variables(ch.x_size, ch.y_size, ch.s_size, M, n)[0]._point(z_point)
     z = np.array(nums, dtype=object).reshape(nx, M, M, ns, ny)
     r, q = np.trace(z, axis1=1, axis2=2).transpose(0, 2, 1), z[..., 0].sum(axis=(1, 2))  # r[x, y, s], q[x, s]
@@ -468,7 +458,7 @@ def lp2_to_lp1(ch: ChannelWithState, M: int, n: int, rq_point: Mapping[str, obje
     diagonal cells carry r, and off-diagonal cells split the leftover q - r
     evenly over the M - 1 wrong guesses.  A name the reduced program lacks
     is a ValueError."""
-    nx, ns, ny = _checked_shape(ch, M, n, "lp1")
+    nx, ns, ny = _checked_shape(ch, M, n, _lp1_system)
     nums, d = _lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0]._point(rq_point)
     r, q = np.split(np.array(nums, dtype=object), [nx * ny * ns])
     z = _lift(r.reshape(nx, ny, ns).transpose(0, 2, 1), q.reshape(nx, ns), M)

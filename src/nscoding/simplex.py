@@ -34,9 +34,9 @@ A program may carry a `Reduction`: a smaller program with the same
 optimum, and a lift of its vertices onto the program's variables.
 `solve_exact` solves through it while the program's rows, sign
 constraints and objective are still those it was made for: it runs the
-two phases on the smaller program, lifts its vertex, and checks the
-lifted point against the program's own standard form as below, so a
-wrong lift raises rather than answers.  `MAX_TABLEAU_CELLS` and
+two phases on the smaller program in the program's sense, lifts its
+vertex, and checks the lifted point against the program's own standard
+form as below, so a wrong lift raises rather than answers.  `MAX_TABLEAU_CELLS` and
 `MAX_PIVOTS` judge the program the phases run on.
 
 Phase 1 (the run, the drive-out of artificials, the drop of redundant
@@ -121,9 +121,10 @@ class Reduction:
     optimum, whose optimal vertex gives the program's variable v the value
     of its variable lift[v].
 
-    A reduction is exact for one objective, `objective`; `group_order` is
-    the order of the symmetry group whose orbits the smaller program's
-    variables are, 1 for none.
+    A reduction is exact for one objective, `objective`, maximized or
+    minimized: `solve_exact` sets the smaller program's sense to that of
+    the program it solves.  `group_order` is the order of the symmetry
+    group whose orbits the smaller program's variables are, 1 for none.
     """
 
     program: LinearProgram
@@ -709,10 +710,10 @@ def solve_exact(lp: LinearProgram) -> SimplexSolution:
     """Solve to exact rational optimality (or report infeasible/unbounded).
 
     A program with a `reduction` is solved through it: the smaller program
-    is solved, and its optimal vertex is lifted onto the program's
-    variables.  Either way the point and the value are checked against
-    every row, sign constraint and the objective of the program's own
-    standard form before they are returned.
+    is solved in the program's sense, and its optimal vertex is lifted
+    onto the program's variables.  Either way the point and the value are
+    checked against every row, sign constraint and the objective of the
+    program's own standard form before they are returned.
 
     Raises ValueError before the first pivot for a tableau past
     MAX_TABLEAU_CELLS (of the program the phases run on), and
@@ -722,6 +723,7 @@ def solve_exact(lp: LinearProgram) -> SimplexSolution:
         raise ValueError(f"sense must be 'max' or 'min', got {lp.sense!r}")
     reduction = lp.reduction
     program = lp if reduction is None else reduction.program
+    program.sense = lp.sense
     form, system = program._form()
     status, pivots, nums, d, z, (cost, cost_den) = _optimum(program, form, system)
     if status != "optimal":

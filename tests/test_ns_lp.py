@@ -1022,3 +1022,92 @@ def test_the_frontier_values():
     # non-causal one at n = 3 (15/16)
     z0z1 = builtin_z0z1()
     assert solve_exact(build_lp2(lift_csir(z0z1), 2, 3)).value == F(15, 16)
+
+
+@pytest.mark.parametrize("build, n, causal, minimum", [
+    (build_lp2, 2, True, F(3, 16)), (build_lp2, 2, False, F(1, 8)), (build_lp1, 2, True, F(3, 16)),
+    (build_lp2, 4, True, F(5, 56)), (build_lp2, 4, False, F(1, 32)),
+], ids=["lp2-n2-causal", "lp2-n2-noncausal", "lp1-n2-causal", "lp2-n4-causal", "lp2-n4-noncausal"])
+def test_a_reduced_program_is_minimized_through_its_reduction(build, n, causal, minimum):
+    # swapping the two guesses keeps every non-signaling row and turns each
+    # success into an error, so the least success is 1 - the greatest
+    lp = build(builtin_z0z1(), M=2, n=n, causal=causal)
+    maximum = solve_exact(lp).value
+    lp.sense = "min"
+    assert lp.reduction is not None
+    sol = solve_exact(lp)
+    assert sol.value == minimum == 1 - maximum
+    assert lp.violated_rows(sol.assignment) == [] and lp.objective_value(sol.assignment) == minimum
+    if n == 2:
+        assert solve_exact(hand_built(lp)).value == minimum
+    lp.sense = "max"
+    assert solve_exact(lp).value == maximum
+
+
+@pytest.mark.parametrize("seed", SYMMETRIC_SEEDS)
+def test_q_shares_a_class_exactly_where_the_group_maps_its_pairs(seed):
+    ch = symmetric_channel(seed)
+    lp = build_lp2(ch, M=2, n=1)
+    group = reference_automorphisms(ch)
+    assert (lp.reduction is None) == (len(group) == 1)
+    lift = lp.reduction.lift if lp.reduction is not None else range(len(lp.var_names))
+    q = {(x, s): lift[lp._index[f"q[{x},{s}]"]] for x in range(ch.x_size) for s in range(ch.s_size)}
+    for (x, s), (x2, s2) in itertools.product(q, repeat=2):
+        assert (q[x, s] == q[x2, s2]) == any(px[x] == x2 and ps[s] == s2 for ps, px, _py in group)
+
+
+# -- the orbit program of a hand-written shared system ---------------------------
+
+
+def written_system(rows: tuple) -> LinearProgram:
+    """The system over a, b, c >= 0 with `rows`, each (the coefficients of
+    a, b and c, relation, right-hand side)."""
+    lp = LinearProgram()
+    for name in "abc":
+        lp.add_var(name)
+    for *coeffs, relation, rhs in rows:
+        lp.add_row(dict(enumerate(coeffs)), relation, rhs)
+    return lp
+
+
+def orbit_rows(rows: tuple, orbit: tuple) -> list:
+    program = ns_lp._orbit_system(written_system, (rows,), orbit)
+    return [(row.coeffs, row.relation, row.rhs) for row in program.rows]
+
+
+def test_an_equality_summed_over_classes_keeps_its_sign():
+    # -a + 2b == 1 is negated as a whole, right-hand side and coefficients
+    rows = ((-1, 2, 0, "==", 1),)
+    assert orbit_rows(rows, (0, 1, 2)) == [({0: 1, 1: -2}, "==", -1)]
+    program = ns_lp._orbit_system(written_system, (rows,), (0, 1, 2))
+    assert program.violated_rows({"a": 1, "b": 1}) == [] and program.violated_rows({"a": 1}) != []
+
+
+def test_an_equality_and_its_negation_summed_over_classes_are_one_row():
+    # with a and b in one class, a - c == 0 and c - b == 0 both read u - c == 0
+    assert orbit_rows(((1, 0, -1, "==", 0), (0, -1, 1, "==", 0)), (0, 0, 1)) == [({0: 1, 1: -1}, "==", 0)]
+
+
+def test_a_row_every_class_constant_point_meets_is_dropped():
+    # a - b <= 1 sums to 0 <= 1 with a and b in one class; a - b >= 1 sums to
+    # 0 >= 1, which no such point meets, and stays
+    assert orbit_rows(((1, -1, 0, "<=", 1), (0, 0, 1, "<=", 2)), (0, 0, 1)) == [({1: 1}, "<=", 2)]
+    assert orbit_rows(((1, -1, 0, ">=", 1),), (0, 0, 1)) == [({}, ">=", 1)]
+
+
+def test_the_lifted_optimum_of_the_orbit_program_is_the_program_optimum():
+    # swapping a and b keeps the rows and the objective: the two rows on a
+    # and b sum to one, 3u <= 3, and the optimum a = b = c = 1 is constant on
+    # the classes
+    rows = ((1, 2, 0, "<=", 3), (2, 1, 0, "<=", 3), (0, 0, 1, "<=", 1))
+    orbit = (0, 0, 1)
+    lp = simplex.shared_program("written", written_system, rows)
+    lp.set_objective({0: 1, 1: 1, 2: 1})
+    reduced = simplex.shared_program("written/orbits", ns_lp._orbit_system, written_system, (rows,), orbit)
+    assert reduced._system.key == (ns_lp._orbit_system, written_system, (rows,), orbit)
+    assert [(row.coeffs, row.rhs) for row in reduced.rows] == [({0: 3}, 3), ({1: 1}, 1)]
+    reduced.objective = {0: F(2), 1: F(1)}
+    lp._reduction = simplex.Reduction(reduced, orbit, dict(lp.objective), 2)
+    sol = solve_exact(lp)
+    assert sol.value == solve_exact(hand_built(lp)).value == 3
+    assert sol.assignment == {"a": 1, "b": 1, "c": 1}
