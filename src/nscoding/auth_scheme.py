@@ -18,8 +18,8 @@ non-signaling marginal condition requires.
 Everything here is exact rational arithmetic except the Monte Carlo
 success estimate, which is explicitly an estimate.  Dense tensors hold
 integer numerators over one positive denominator, and the typicality
-test is decided on integer pair counts against count windows that each
-caller recomputes from the scheme with `_count_windows`.
+test is decided on integer pair counts against the count windows that
+`build_auth_scheme` derives once and stores on the scheme.
 """
 
 from __future__ import annotations
@@ -90,20 +90,10 @@ def _clean_strategy(ch: ChannelWithState, strategy: Sequence[Sequence[object]]) 
     return tuple(as_distribution(row, f"strategy row {s}") for s, row in enumerate(strategy))
 
 
-def _output_tables(
-    ch: ChannelWithState, strategy: InputStrategy
-) -> tuple[list[list[Fraction]], list[list[list[Fraction]]]]:
-    """Per-state output law p_y[s][y] and joint law p_xy[s][x][y]."""
-    p_y = [[ZERO] * ch.y_size for _ in range(ch.s_size)]
-    p_xy = [[[ZERO] * ch.y_size for _ in range(ch.x_size)] for _ in range(ch.s_size)]
-    for s in range(ch.s_size):
-        for x in range(ch.x_size):
-            px = strategy[s][x]
-            for y in range(ch.y_size):
-                v = px * ch.prob(y, x, s)
-                p_xy[s][x][y] = v
-                p_y[s][y] += v
-    return p_y, p_xy
+# count windows (lo, hi) of every (x, y) pair of a kept block, flat at
+# x * |Y| + y: `jointly_typical` passes exactly when each pair count c has
+# lo <= c <= hi
+Window = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,11 @@ class AuthScheme:
 
     `message_count` defaults to ceil(mu) but may be any integer at least
     that large; `acceptance` (the lambda scaling) is mu / message_count
-    and always lies in (0, 1].
+    and always lies in (0, 1].  `windows` holds (sigma, pair windows) for
+    every tested state sigma, one whose kept block is not empty (an empty
+    one keeps no pair, so its test always passes); the kept block always
+    has the fixed length n-tilde_sigma, so one window per pair decides the
+    test for every block.
     """
 
     channel: ChannelWithState
@@ -121,7 +115,7 @@ class AuthScheme:
     eps: Fraction
     state_budgets: Budgets
     y_budgets: tuple[Optional[Budgets], ...]
-    p_xy_given_s: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    windows: tuple[tuple[int, Window], ...]
     mu: Fraction
     message_count: int
     acceptance: Fraction
@@ -134,32 +128,6 @@ class AuthScheme:
         return tuple(
             sum(b.per_symbol) if b is not None else 0 for b in self.y_budgets
         )
-
-
-# -- the typicality test on integer counts ----------------------------------
-
-
-Window = tuple[list[int], list[int]]
-
-
-def _pair_windows(p_xy: Sequence[Sequence[Fraction]], n_tilde: int, eps: Fraction) -> Window:
-    """Count windows (lo, hi) of every (x, y) pair of a length-n_tilde block,
-    flat at x * |Y| + y: `jointly_typical` passes exactly when each pair
-    count c has lo <= c <= hi."""
-    bounds = [count_window(n_tilde, p, eps) for row in p_xy for p in row]
-    return [lo for lo, _ in bounds], [hi for _, hi in bounds]
-
-
-def _count_windows(scheme: AuthScheme) -> list[tuple[int, Window]]:
-    """(sigma, pair windows) for every tested state sigma, one whose kept
-    block is not empty (an empty one keeps no pair, so its test always
-    passes).  The kept block always has the fixed length n-tilde_sigma, so
-    one window per pair decides the test for every block."""
-    return [
-        (s, _pair_windows(scheme.p_xy_given_s[s], sum(b.per_symbol), scheme.eps))
-        for s, b in enumerate(scheme.y_budgets)
-        if b is not None and any(b.per_symbol)
-    ]
 
 
 # -- mu ---------------------------------------------------------------------
@@ -228,17 +196,6 @@ def typicality_pass_probability(
     return result
 
 
-def _scheme_tables(ch: ChannelWithState, strategy: InputStrategy, n: int, eps: Fraction):
-    check_block_length(ch, n)
-    state_b = budgets(n, ch.s_size, ch.state_dist, eps)
-    p_y, p_xy = _output_tables(ch, strategy)
-    y_b: list[Optional[Budgets]] = []
-    for s in range(ch.s_size):
-        n_s = state_b.per_symbol[s]
-        y_b.append(budgets(n_s, ch.y_size, p_y[s], eps) if n_s > 0 else None)
-    return state_b, tuple(y_b), p_xy
-
-
 def compute_mu(
     ch: ChannelWithState,
     strategy: Sequence[Sequence[object]],
@@ -281,7 +238,13 @@ def build_auth_scheme(
         check_int(message_count, "message_count", 1)
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
-    state_b, y_b, p_xy = _scheme_tables(ch, strat, n, eps)
+    check_block_length(ch, n)
+    state_b = budgets(n, ch.s_size, ch.state_dist, eps)
+    # p_xy[s][x][y] = P(x|s) N(y|x,s); the outputs of state s are budgeted by its column sums
+    p_xy = [[[p * ch.prob(y, x, s) for y in range(ch.y_size)] for x, p in enumerate(strat[s])]
+            for s in range(ch.s_size)]
+    y_b = tuple(budgets(n_s, ch.y_size, [sum(col, ZERO) for col in zip(*p_xy[s])], eps) if n_s > 0 else None
+                for s, n_s in enumerate(state_b.per_symbol))
     # mu is 1 / (the product over tested states of the pass probability)
     prob = math.prod(
         (typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps) for s, b in enumerate(y_b) if b is not None),
@@ -297,6 +260,10 @@ def build_auth_scheme(
         raise ValueError(f"message_count must be at least ceil(mu) = {minimum}, got {message_count}")
     lam = mu / message_count
     assert ZERO < lam <= ONE and lam * message_count == mu
+    windows = tuple(
+        (s, tuple(zip(*(count_window(sum(b.per_symbol), p, eps) for row in p_xy[s] for p in row))))
+        for s, b in enumerate(y_b) if b is not None and any(b.per_symbol)
+    )
     return AuthScheme(
         channel=ch,
         strategy=strat,
@@ -304,10 +271,10 @@ def build_auth_scheme(
         eps=eps,
         state_budgets=state_b,
         y_budgets=y_b,
-        p_xy_given_s=tuple(tuple(tuple(r) for r in rows) for rows in p_xy),
         mu=mu,
         message_count=message_count,
         acceptance=lam,
+        windows=windows,
     )
 
 
@@ -333,7 +300,7 @@ def zeta(scheme: AuthScheme, i: int, x: int, s_prefix: Sequence[int]) -> Fractio
 Block = tuple[int, Window, Sequence[int]]
 
 
-def _sigma_blocks(windows: list[tuple[int, Window]], mapped_states: Sequence[int]) -> list[Block]:
+def _sigma_blocks(windows: Sequence[tuple[int, Window]], mapped_states: Sequence[int]) -> list[Block]:
     """(sigma, window, positions the state mapping gave sigma) for every
     tested state; there are always state_budgets.per_symbol[sigma] positions."""
     return [(s, window, [i for i, v in enumerate(mapped_states) if v == s]) for s, window in windows]
@@ -363,7 +330,7 @@ def t_function(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], ss: Seq
         if not all(0 <= v < size for v in seq):
             raise ValueError(f"{name}-sequence {tuple(seq)} has a symbol outside 0..{size - 1}")
     mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-    blocks = _sigma_blocks(_count_windows(scheme), mapped_states)
+    blocks = _sigma_blocks(scheme.windows, mapped_states)
     return scheme.acceptance if all(_block_test(scheme, block, xs, ys)[0] for block in blocks) else ZERO
 
 
@@ -463,7 +430,7 @@ def _sub_tables(scheme: AuthScheme) -> dict[int, np.ndarray]:
     gave sigma, so these tables decide it for every state block."""
     ch = scheme.channel
     tables = {}
-    for s, window in _count_windows(scheme):
+    for s, window in scheme.windows:
         length = scheme.state_budgets.per_symbol[s]
         block, sub_ys = (s, window, range(length)), list(all_sequences(ch.y_size, length))
         tables[s] = np.array([[_block_test(scheme, block, sub_x, sub_y)[0] for sub_y in sub_ys]
@@ -486,7 +453,6 @@ def _acceptance_table(scheme: AuthScheme, mapped_states: Sequence[Sequence[int]]
     """
     ch, n = scheme.channel, scheme.n
     sequences = {k: np.array(list(all_sequences(k, n))).reshape(-1, n) for k in {ch.x_size, ch.y_size}}
-    windows = _count_windows(scheme)
     sub_tables = _sub_tables(scheme)
 
     def sub_index(size, positions):
@@ -494,7 +460,7 @@ def _acceptance_table(scheme: AuthScheme, mapped_states: Sequence[Sequence[int]]
 
     table = np.ones((ch.x_size**n, ch.s_size**n, ch.y_size**n), dtype=bool)
     for si, mapped in enumerate(mapped_states):
-        for s, _window, positions in _sigma_blocks(windows, mapped):
+        for s, _window, positions in _sigma_blocks(scheme.windows, mapped):
             rows = sub_index(ch.x_size, positions)
             table[:, si] &= sub_tables[s][np.ix_(rows, sub_index(ch.y_size, positions))]
     return table
@@ -632,7 +598,7 @@ def _scheme_success_monte_carlo(
     carried into the next.  The states are drawn, the state mapper and each
     tested sigma's output mapper run inline, inputs and outputs are drawn
     only where the state mapping gives a tested sigma, and the kept (x, y)
-    pair counts meet the `_count_windows` windows once per sample.  At M = 1
+    pair counts meet the scheme's `windows` once per sample.  At M = 1
     every sample succeeds, and nothing is drawn."""
     check_int(samples, "samples", 1)
     check_int(seed, "seed", 0)  # random.Random seeds from abs(seed), so -3 would read the stream of 3
@@ -640,7 +606,7 @@ def _scheme_success_monte_carlo(
         return 1.0, _ci95(1.0, samples)
     ch, n = scheme.channel, scheme.n
     source = ch.block_state
-    windows = _count_windows(scheme)
+    windows = scheme.windows
     lam = float(scheme.acceptance)
     x_start = 1 if source is not None else n  # offsets in a sample's floats
     y_start = x_start + n
@@ -789,8 +755,7 @@ def success_decomposition(scheme: AuthScheme) -> SuccessDecomposition:
     most after i positions): (state blocks) * (1 + the sum over sigma of the
     smaller) terms are checked against EXACT_SUCCESS_CAP before the pass.
     """
-    ch, n = scheme.channel, scheme.n
-    windows = _count_windows(scheme)
+    ch, n, windows = scheme.channel, scheme.n, scheme.windows
     q = ch.x_size * max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
     # b.n is n_sigma; q^n_sigma is not built past the bit length of p, where it is the larger (q >= 2)
     steps = sum(min(p, q ** min(b.n, p.bit_length())) for b in (scheme.y_budgets[s] for s, _ in windows)

@@ -44,7 +44,7 @@ from nscoding.channels import (
 )
 from nscoding.indexing import index_to_seq
 from nscoding.ns_lp import build_lp1, build_lp2, lp1_to_lp2, lp2_to_lp1
-from nscoding.type_mapping import map_with_budgets, placeholder
+from nscoding.type_mapping import budgets, map_with_budgets, placeholder
 from nscoding.typicality import jointly_typical
 from test_channels import reference_block_outputs
 from test_golden_reports import xor_block_channel, zero_probability_channel
@@ -85,15 +85,22 @@ def reference_pass_probability(p_x, p_xy, y_type, eps):
     return total
 
 
+def reference_joint(ch, strategy):
+    """The joint laws p_xy[s][x][y] = P(x|s) * N(y|x,s) of each state."""
+    return [[[F(p) * ch.prob(y, x, s) for y in range(ch.y_size)] for x, p in enumerate(row)]
+            for s, row in enumerate(strategy)]
+
+
 def reference_mu(ch, strategy, n, eps):
-    """`compute_mu` with every per-state factor from `reference_pass_probability`."""
+    """`compute_mu` with every per-state factor from `reference_pass_probability`,
+    on the state budgets and on output budgets from each state's output law."""
     eps = F(eps)
-    strat = auth_scheme._clean_strategy(ch, strategy)
-    _, y_b, p_xy = auth_scheme._scheme_tables(ch, strat, n, eps)
-    prob = math.prod(
-        (reference_pass_probability(strat[s], p_xy[s], b.per_symbol, eps) for s, b in enumerate(y_b) if b is not None),
-        start=F(1),
-    )
+    p_xy = reference_joint(ch, strategy)
+    prob = F(1)
+    for s, n_s in enumerate(budgets(n, ch.s_size, ch.state_dist, eps).per_symbol):
+        if n_s:
+            y_type = budgets(n_s, ch.y_size, [sum(col) for col in zip(*p_xy[s])], eps).per_symbol
+            prob *= reference_pass_probability(strategy[s], p_xy[s], y_type, eps)
     if prob == 0:
         raise DegenerateSchemeError("no input block passes the typicality test for these parameters")
     return 1 / prob
@@ -123,6 +130,17 @@ def test_pass_probability_refuses_an_input_law_unfit_for_the_pairs(px):
     pxy = [[HALF, F(0)], [F(0), HALF]]
     with pytest.raises(ValueError, match="^p_x (has 1 entries for the 2 inputs of p_xy|is not a probability distribution: .+)$"):
         typicality_pass_probability(px, pxy, (1, 1), HALF)
+
+
+@pytest.mark.parametrize("y_type, eps, message", [
+    ((1, 1), 1, "eps must be in (0, 1), got 1"),
+    ((1, 1), 0, "eps must be in (0, 1), got 0"),
+    ((1, 1, 0), HALF, "3 output counts for 2 output symbols"),
+])
+def test_pass_probability_refuses_a_bad_eps_or_output_type(y_type, eps, message):
+    pxy = [[HALF, F(0)], [F(0), HALF]]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        typicality_pass_probability([HALF, HALF], pxy, y_type, eps)
 
 
 def test_pass_probability_empty_block_is_one():
@@ -486,6 +504,16 @@ def test_tensor_validation_catches_bad_tables():
         bad.validate()
 
 
+@pytest.mark.parametrize("shape, denominator, message", [
+    ((1, 1, 1, 1, 2), 1, "entry shape (1, 1, 1, 1, 2) does not match (1, 1, 1, 1, 1)"),
+    ((1, 1, 1, 1, 1), 0, "denominator 0 is not positive"),
+])
+def test_tensor_validation_refuses_a_bad_shape_or_denominator(shape, denominator, message):
+    bad = SchemeTensor(1, 1, 1, 1, 1, np.zeros(shape, dtype=np.int64), denominator)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bad.validate()
+
+
 # -- cell-by-cell reference for the array forms -----------------------------------
 
 
@@ -751,6 +779,7 @@ def reference_accepts(scheme, xs, ss, ys):
     the states, map each sigma-block of outputs, and ask `jointly_typical`
     about the kept (input, output) pairs."""
     phi_y = placeholder(scheme.channel.y_size)
+    p_xy = reference_joint(scheme.channel, scheme.strategy)
     mapped_states = map_with_budgets(ss, scheme.state_budgets).output
     for s, b in enumerate(scheme.y_budgets):
         if b is None:
@@ -759,7 +788,7 @@ def reference_accepts(scheme, xs, ss, ys):
         outputs = map_with_budgets([ys[i] for i in block], b).output
         kept = [(xs[i], y) for i, y in zip(block, outputs) if y != phi_y]
         kept_x, kept_y = [x for x, _ in kept], [y for _, y in kept]
-        if not jointly_typical(kept_x, kept_y, scheme.p_xy_given_s[s], scheme.eps):
+        if not jointly_typical(kept_x, kept_y, p_xy[s], scheme.eps):
             return False
     return True
 
@@ -836,7 +865,7 @@ SUB_TABLE_CASES = ACCEPTANCE_CASES + [
 def test_sub_tables_match_the_block_test(ch, strategy, n, eps, m):
     scheme = build_auth_scheme(ch, strategy, n, eps, message_count=m)
     tables = auth_scheme._sub_tables(scheme)
-    windows = dict(auth_scheme._count_windows(scheme))
+    windows = dict(scheme.windows)
     assert tables.keys() == windows.keys()
     for s, table in tables.items():
         length = scheme.state_budgets.per_symbol[s]
@@ -987,7 +1016,7 @@ def reference_monte_carlo(scheme, samples, seed, coins=None, y_maps=None):
     output_cum = [[cumulative(row) for row in state_slice] for state_slice in ch.kernel]
     x_range, y_range = range(ch.x_size), range(ch.y_size)
     lam = float(scheme.acceptance)
-    windows = auth_scheme._count_windows(scheme)
+    windows = scheme.windows
     wins = 0
     for _ in range(samples):
         if source is None:
@@ -1061,7 +1090,7 @@ def test_monte_carlo_draws_as_the_reference_sampler(ch, strategy, n, eps, m):
 def test_monte_carlo_cases_cover_the_output_mapper_branches_and_both_sources():
     labels = [case[0] for case in MONTE_CARLO_CASES]
     schemes = [build_auth_scheme(*case[1:-1], message_count=case[-1]) for case in MONTE_CARLO_CASES]
-    tested = [s for s in schemes if s.message_count > 1 and auth_scheme._count_windows(s)]
+    tested = [s for s in schemes if s.message_count > 1 and s.windows]
 
     def reaches_placeholder_and_flag_drop(scheme):
         y_maps = []
@@ -1076,7 +1105,7 @@ def test_monte_carlo_cases_cover_the_output_mapper_branches_and_both_sources():
     assert any(s.channel.block_state is not None for s in tested)
     # the sampler's no-test branch, which only skips letters and draws coins,
     # on an i.i.d. source and on a block source
-    untested = [s for s in schemes if s.message_count > 1 and not auth_scheme._count_windows(s)]
+    untested = [s for s in schemes if s.message_count > 1 and not s.windows]
     assert any(s.channel.block_state is None for s in untested)
     assert any(s.channel.block_state is not None for s in untested)
     # a case reads several chunks, and a coin is the last float of one and the first of another
@@ -1117,7 +1146,7 @@ def assert_monte_carlo_peak_is_flat(scheme, sample_counts):
 def test_monte_carlo_memory_does_not_grow_with_samples():
     # no kept block: every sample skips its three letter floats and reads its coin
     scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 1, HALF, message_count=2)
-    assert not auth_scheme._count_windows(scheme)
+    assert not scheme.windows
     assert_monte_carlo_peak_is_flat(scheme, (10_000, 100_000))
 
 
@@ -1126,8 +1155,14 @@ def test_monte_carlo_chunk_buffer_does_not_grow_with_samples():
     # when it passes, through the MC_CHUNK buffer: about 3 chunks at the
     # first count and 30 at the second
     scheme = build_auth_scheme(identity_channel(), UNIFORM2, 4, F(1, 4), message_count=4)
-    assert auth_scheme._count_windows(scheme)
+    assert scheme.windows
     assert_monte_carlo_peak_is_flat(scheme, (1_000, 10_000))
+
+
+def test_success_probability_refuses_an_unknown_mode():
+    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 4, HALF)
+    with pytest.raises(ValueError, match=r"^mode must be 'exact' or 'monte_carlo', got 'mc'$"):
+        success_probability(scheme, mode="mc")
 
 
 def test_exact_cap_points_to_sampling(monkeypatch):
@@ -1176,7 +1211,7 @@ def reference_decomposition(scheme):
     success at M = 1 read as the total weight."""
     ch, n = scheme.channel, scheme.n
     phi = placeholder(ch.s_size)
-    windows = auth_scheme._count_windows(scheme)
+    windows = scheme.windows
     total = p_accept = p_flag = p_both = F(0)
     for _si, ss, p_s in state_blocks(ch, n):
         mapped = map_with_budgets(ss, scheme.state_budgets)
@@ -1265,7 +1300,7 @@ def test_decomposition_cases_cover_tested_states_and_fallback_positions():
     def fallback_blocks(scheme):
         """State blocks with state flag 0 on which a tested sigma's
         positions hold another state."""
-        tested = {s for s, _ in auth_scheme._count_windows(scheme)}
+        tested = {s for s, _ in scheme.windows}
         for _si, ss, _p in state_blocks(scheme.channel, scheme.n):
             mapped = map_with_budgets(ss, scheme.state_budgets)
             if mapped.flag == 0 and any(v in tested and v != s for v, s in zip(mapped.output, ss)):
@@ -1279,7 +1314,7 @@ def test_decomposition_cases_cover_tested_states_and_fallback_positions():
 def test_exact_pass_refuses_z0z1_at_n40_without_walking_the_state_blocks(eps):
     scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 40, eps)
     if eps == F(39, 40):
-        assert not auth_scheme._count_windows(scheme) and scheme.message_count == 1
+        assert not scheme.windows and scheme.message_count == 1
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"^the exact success pass needs \d+ terms, above the cap 4000000; use monte_carlo mode$"):
         success_decomposition(scheme)
@@ -1313,7 +1348,7 @@ def reference_term_count(scheme):
     ch = scheme.channel
     y_max = max(sum(1 for p in row if p) for state_slice in ch.kernel for row in state_slice)
     lengths = scheme.state_budgets.per_symbol
-    tested = auth_scheme._count_windows(scheme)
+    tested = scheme.windows
     return state_block_count(ch, scheme.n) * (1 + sum((ch.x_size * y_max) ** lengths[s] for s, _ in tested))
 
 
@@ -1341,7 +1376,7 @@ def reference_sigma_decomposition(scheme):
     """The decomposition as the exact pass found it before the DP: per state
     block, the product over tested sigma of `reference_sigma_sums`, cached
     by sigma and the real states of its positions."""
-    windows = auth_scheme._count_windows(scheme)
+    windows = scheme.windows
     cache, totals = {}, [F(0)] * 3
     for _si, ss, p_s in state_blocks(scheme.channel, scheme.n):
         mapped = map_with_budgets(ss, scheme.state_budgets)

@@ -97,6 +97,15 @@ def test_blahut_arimoto_known_channels():
     assert res.input_dist == pytest.approx([0.5, 0.5], abs=1e-6)
 
 
+@pytest.mark.parametrize("kernel, message", [
+    (np.ones(2), r"^kernel must be 2-D, got shape \(2,\)$"),
+    (np.array([[0.5, 0.6], [0.5, 0.5]]), "^kernel rows must be probability distributions$"),
+])
+def test_blahut_arimoto_refuses_a_kernel_that_is_no_channel(kernel, message):
+    with pytest.raises(ValueError, match=message):
+        blahut_arimoto(kernel)
+
+
 def test_blahut_arimoto_trace_monotone():
     rows = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
     res = blahut_arimoto(rows)

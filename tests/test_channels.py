@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import time
@@ -93,6 +94,25 @@ def test_block_source_validation():
     wrong_len = BlockStateSource(n=2, atoms=(((0, 1, 0), Fraction(1)),))
     with pytest.raises(ValueError, match="length"):
         wrong_len.validate(2)
+
+
+@pytest.mark.parametrize("atoms, message", [
+    ((((0, 2), Fraction(1)),), "state sequence (0, 2) leaves the alphabet of size 2"),
+    ((((0, 1), H), ((0, 1), H)), "state sequence (0, 1) listed twice"),
+])
+def test_block_source_refuses_foreign_letters_and_repeated_sequences(atoms, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BlockStateSource(n=2, atoms=atoms).validate(2)
+
+
+@pytest.mark.parametrize("kernel, message", [
+    (lambda k: k[:1], "kernel has 1 state slices, expected 2"),
+    (lambda k: (k[0], k[1][:1]), "kernel slice s=1 has 1 rows, expected 2"),
+])
+def test_validation_refuses_a_kernel_of_the_wrong_shape(kernel, message):
+    ch = builtin_z0z1()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(ch, kernel=kernel(ch.kernel)).validate()
 
 
 def test_lift_csir_layout():

@@ -73,6 +73,37 @@ def test_certificate_subcommand():
     assert "FAIL" not in text
 
 
+def test_an_infeasible_certificate_point_fails_with_its_violated_rows(monkeypatch):
+    # qsum[s=0] enters the dual rows of the four variables q[x, 0]: lowered by 1, all four fall short
+    point = cli.ns_lp.certificate_point_z0z1
+
+    def lowered(lp4):
+        found = point(lp4)
+        return {**found, "qsum[s=0]": found["qsum[s=0]"] - 1}
+
+    monkeypatch.setattr(cli.ns_lp, "certificate_point_z0z1", lowered)
+    assert run(["lp", "certificate"]) == (1, "command = lp certificate\n"
+                                            "certificate objective = -3/16\n"
+                                            + "".join(f"violated = dual[q[{x},0]]\n" for x in range(4))
+                                            + "certificate feasible: FAIL\n"
+                                            "certificate objective = 13/16: FAIL\n")
+
+
+def test_a_looser_feasible_certificate_point_fails_only_its_objective(monkeypatch):
+    # raising a dual variable of a <= row keeps every dual row met, at a higher bound
+    point = cli.ns_lp.certificate_point_z0z1
+
+    def raised(lp4):
+        found = point(lp4)
+        return {**found, "rsum[s=0,y=0]": found["rsum[s=0,y=0]"] + 1}
+
+    monkeypatch.setattr(cli.ns_lp, "certificate_point_z0z1", raised)
+    assert run(["lp", "certificate"]) == (1, "command = lp certificate\n"
+                                            "certificate objective = 21/16\n"
+                                            "certificate feasible: pass\n"
+                                            "certificate objective = 13/16: FAIL\n")
+
+
 @pytest.mark.parametrize("argv", [["theorem2"], ["lp", "certificate"]])
 def test_certificate_pipelines_build_lp4_once(monkeypatch, argv):
     built = []
@@ -247,6 +278,23 @@ def test_json_report_mirrors_text(tmp_path):
         assert f"{key}: {'pass' if verdict == 'pass' else 'FAIL'}" in text
 
 
+def test_seeded_json_report_mirrors_text():
+    # the one report with a seed line: the JSON carries it, and the same
+    # results and checks in the same order
+    argv = ["scheme", "simulate", "--channel", "z0z1", "--n", "16", "--eps", "1/4", "--mode", "mc",
+            "--samples", "300", "--seed", "3"]
+    code, text = run(argv)
+    json_code, blob = run(argv + ["--json"])
+    doc = json.loads(blob)
+    assert (code, json_code) == (0, 0) and doc["seed"] == 3
+    assert list(doc) == ["command", "channel", "seed", "results", "checks"]
+    lines = [f"command = {doc['command']}", f"channel = {doc['channel']}", "seed = 3"]
+    lines += [f"{key} = {value}" for key, value in doc["results"]]
+    lines += [f"{key}: {verdict}" for key, verdict in doc["checks"].items()]
+    assert text == "\n".join(lines) + "\n"
+    assert ["samples", "300"] in doc["results"]
+
+
 def test_json_report_keeps_repeated_keys():
     argv = ["classical", "--channel", "z0z1", "--M", "2", "--n", "2", "--csir"]
     _, text = run(argv)
@@ -297,6 +345,19 @@ def test_malformed_block_state_is_one_error_line(tmp_path):
     assert code == 1
     assert text.startswith("error:") and "block_state" in text
     assert text.count("\n") == 1
+
+
+def test_malformed_block_state_atom_is_one_error_line(tmp_path):
+    path = tmp_path / "atom.json"
+    path.write_text(json.dumps({"x_size": 2, "y_size": 2, "s_size": 1, "kernel": [[["1", "0"], ["0", "1"]]],
+                                "state_dist": ["1"], "block_state": {"n": 1, "atoms": [[0, "1"]]}}))
+    code, text = run(["lp", "solve", "--channel", str(path), "--M", "2", "--n", "1"])
+    assert (code, text) == (1, f"error: {path}: block_state atom [0, '1'] is not a [sequence, probability] pair\n")
+
+
+def test_typemap_symbol_outside_the_alphabet_is_one_error_line():
+    code, text = run(["typemap", "--n", "4", "--dist", "1/2,1/2", "--eps", "1/4", "--seq", "0,2,1,0"])
+    assert (code, text) == (1, "error: symbol 2 out of range for alphabet of size 2\n")
 
 
 @pytest.mark.parametrize("content", ["5", "[[0.5, 0.5], 3]"])

@@ -768,6 +768,37 @@ def test_large_groups_and_regular_patterns_are_found_quickly(ch, order):
         assert len(generated_group(generators, (ch.s_size, ch.x_size, ch.y_size))) == order
 
 
+def single_state_automorphisms(ch) -> set:
+    """`reference_automorphisms` of a one-state channel whose columns are
+    distinct, in |X|! tries: each pi_x leaves pi_y no choice, as column y
+    must go to the column holding its entries at the rows pi_x moves them to."""
+    kernel = ch.kernel[0]
+    columns = {frozenset((x, p) for x, row in enumerate(kernel) if (p := row[y])): y for y in range(ch.y_size)}
+    assert ch.s_size == 1 and len(columns) == ch.y_size
+    group = set()
+    for px in itertools.permutations(range(ch.x_size)):
+        py = []
+        for column in columns:  # in y order
+            image = columns.get(frozenset((px[x], p) for x, p in column))
+            if image is None:
+                break
+            py.append(image)
+        else:
+            group.add(((0,), px, tuple(py)))
+    return group
+
+
+@pytest.mark.parametrize("size, seed, order", [(7, 75, 8), (8, 33, 2), (9, 93, 16)])
+def test_regular_patterns_whose_search_backs_out_of_a_branch(size, seed, order):
+    # on these patterns the search marks a letter against each candidate of
+    # its colour, finds no map for any of them, and backs out of the branch
+    ch = regular_pattern(size, seed)
+    found, generators = ch.automorphisms
+    expected = single_state_automorphisms(ch)
+    assert found == len(expected) == order
+    assert generated_group(generators, (1, size, size)) == expected
+
+
 def test_a_permutation_that_breaks_the_kernel_is_not_an_automorphism():
     # flipping x alone on z0z1 maps the noiseless input of state 0 onto the
     # noisy one; only flipping all three letters keeps the kernel

@@ -205,6 +205,21 @@ def test_objective_with_a_negative_index_rejected():
     assert lp.objective == {} and solve_exact(lp).value == 0
 
 
+def test_row_with_an_unknown_relation_rejected():
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    with pytest.raises(ValueError, match=r"^relation must be one of \('==', '<=', '>='\), got '<'$"):
+        lp.add_row({x: 1}, "<", 1)
+    assert lp.rows == []
+
+
+def test_program_with_an_unknown_sense_rejected():
+    lp = LinearProgram(sense="maximize")
+    lp.add_var("x", objective=1)
+    with pytest.raises(ValueError, match=r"^sense must be 'max' or 'min', got 'maximize'$"):
+        solve_exact(lp)
+
+
 def test_boolean_coefficients_are_refused():
     lp = LinearProgram()
     x = lp.add_var("x")
