@@ -19,7 +19,7 @@ n = 10
 dist = (Fraction(3, 5), Fraction(2, 5))
 eps = Fraction(1, 10)
 
-b = budgets(n, 2, dist, eps)
+b = budgets(n, dist, eps)
 print(f"budgets for n={n}, P=(3/5, 2/5), eps=1/10:")
 print(f"  copies of 0: {b.per_symbol[0]}   copies of 1: {b.per_symbol[1]}   placeholder slots: {b.extra}")
 print(f"  placeholder symbol prints as {placeholder(2)}")
@@ -46,4 +46,4 @@ for seq in (good, bad, (0,) * 10, (1,) * 10):
 print("\nflag == composition predicate on all four sample inputs")
 
 # Convenience entry point: budgets derived on the fly.
-print(map_sequence(10, 2, dist, good, eps))
+print(map_sequence(10, dist, good, eps))

@@ -114,7 +114,7 @@ class AuthScheme:
     n: int
     eps: Fraction
     state_budgets: Budgets
-    y_budgets: tuple[Optional[Budgets], ...]
+    y_budgets: tuple[Budgets, ...]
     windows: tuple[tuple[int, Window], ...]
     mu: Fraction
     message_count: int
@@ -125,9 +125,7 @@ class AuthScheme:
 
     def kept_block_lengths(self) -> tuple[int, ...]:
         """Per-state length of the typicality test block (the n-tilde values)."""
-        return tuple(
-            sum(b.per_symbol) if b is not None else 0 for b in self.y_budgets
-        )
+        return tuple(sum(b.per_symbol) for b in self.y_budgets)
 
 
 # -- mu ---------------------------------------------------------------------
@@ -239,17 +237,17 @@ def build_auth_scheme(
     eps = as_rational(eps)
     strat = _clean_strategy(ch, strategy)
     check_block_length(ch, n)
-    state_b = budgets(n, ch.s_size, ch.state_dist, eps)
+    state_b = budgets(n, ch.state_dist, eps)
     # p_xy[s][x][y] = P(x|s) N(y|x,s); the outputs of state s are budgeted by its column sums
     p_xy = [[[p * ch.prob(y, x, s) for y in range(ch.y_size)] for x, p in enumerate(strat[s])]
             for s in range(ch.s_size)]
-    y_b = tuple(budgets(n_s, ch.y_size, [sum(col, ZERO) for col in zip(*p_xy[s])], eps) if n_s > 0 else None
+    # a state the state mapping gives no position (n_sigma = 0) gets the empty budget
+    empty = Budgets((0,) * ch.y_size, 0)
+    y_b = tuple(budgets(n_s, [sum(col, ZERO) for col in zip(*p_xy[s])], eps) if n_s else empty
                 for s, n_s in enumerate(state_b.per_symbol))
-    # mu is 1 / (the product over tested states of the pass probability)
-    prob = math.prod(
-        (typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps) for s, b in enumerate(y_b) if b is not None),
-        start=ONE,
-    )
+    # the tested states keep a pair; mu is 1 / (the product over them of the pass probability)
+    tested = [(s, b) for s, b in enumerate(y_b) if any(b.per_symbol)]
+    prob = math.prod((typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps) for s, b in tested), start=ONE)
     if prob == 0:
         raise DegenerateSchemeError("no input block passes the typicality test for these parameters")
     mu = 1 / prob
@@ -261,8 +259,7 @@ def build_auth_scheme(
     lam = mu / message_count
     assert ZERO < lam <= ONE and lam * message_count == mu
     windows = tuple(
-        (s, tuple(zip(*(count_window(sum(b.per_symbol), p, eps) for row in p_xy[s] for p in row))))
-        for s, b in enumerate(y_b) if b is not None and any(b.per_symbol)
+        (s, tuple(zip(*(count_window(sum(b.per_symbol), p, eps) for row in p_xy[s] for p in row)))) for s, b in tested
     )
     return AuthScheme(
         channel=ch,
@@ -626,8 +623,8 @@ def _scheme_success_monte_carlo(
     # at (sigma * |X| + x) * |Y| + y, whose window is [0, 0] for an untested sigma
     bounds, zero = dict(windows), [0] * (x_size * y_size)
     least, most = ([c for s in range(ch.s_size) for c in bounds.get(s, (zero, zero))[i]] for i in (0, 1))
-    rooms = [t for b in scheme.y_budgets for t in (b.per_symbol if b is not None else zero[:y_size])]
-    y_extra = [b.extra if b is not None else 0 for b in scheme.y_budgets]
+    rooms = [t for b in scheme.y_budgets for t in b.per_symbol]
+    y_extra = [b.extra for b in scheme.y_budgets]
     if source is None:
         state_cum, state_total, state_hi = _draw_table(ch.state_dist)
     else:

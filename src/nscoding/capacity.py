@@ -148,18 +148,18 @@ def ns_capacity(ch: ChannelWithState) -> NsCapacityResult:
     """max_{P_X|S} I(X;Y|S): the assisted capacity with or without causality.
 
     The maximization splits into an independent Blahut–Arimoto problem
-    per state value, weighted by P_S.
+    per state value, weighted by P_S.  A state of probability zero weighs
+    nothing and is not solved for: its row stays uniform.
     """
     W = ch.kernel_array()
     ps = ch.state_array()
     value = 0.0
-    rows = []
-    for s in range(ch.s_size):
+    rows = np.full((ch.s_size, ch.x_size), 1 / ch.x_size)
+    for s in np.flatnonzero(ps):
         res = blahut_arimoto(W[s])
-        rows.append(res.input_dist)
-        if ps[s] > 0:
-            value += ps[s] * res.value
-    return NsCapacityResult(value=value, p_x_given_s=np.array(rows))
+        rows[s] = res.input_dist
+        value += ps[s] * res.value
+    return NsCapacityResult(value=value, p_x_given_s=rows)
 
 
 def strategy_channel(ch: ChannelWithState) -> tuple[np.ndarray, list[tuple[int, ...]]]:

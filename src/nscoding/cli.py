@@ -33,6 +33,7 @@ from .channels import (
 )
 from .rational import as_distribution, as_integer, as_rational, check_int, format_rational
 from .simplex import PivotLimitError, solve_exact
+from .typicality import symbol_counts
 
 __all__ = ["ReportDocument", "run", "main"]
 
@@ -260,7 +261,9 @@ def _cmd_typemap(args) -> ReportDocument:
     )
     dist = as_distribution(_parse_list("--dist", args.dist, as_rational), "--dist")
     seq = _parse_list("--seq", args.seq, as_integer)
-    mapped = type_mapping.map_sequence(args.n, len(dist), dist, seq, _parse("--eps", args.eps, as_rational))
+    eps = _parse("--eps", args.eps, as_rational)
+    _parse("--seq", seq, lambda seq: symbol_counts(seq, len(dist)))  # a symbol outside the alphabet
+    mapped = type_mapping.map_sequence(args.n, dist, seq, eps)
     report.add("output", ",".join(str(v) for v in mapped.output))
     report.add("flag", mapped.flag)
     report.add("placeholder_symbol", type_mapping.placeholder(len(dist)))

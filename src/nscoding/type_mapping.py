@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import as_distribution, as_rational
+from .rational import as_distribution, as_rational, check_int
 
 __all__ = [
     "Budgets",
@@ -40,32 +40,29 @@ def placeholder(alphabet_size: int) -> int:
 class Budgets:
     """Output composition: per-symbol slot counts plus placeholder slots.
 
-    Checked once, at construction: an inconsistent `Budgets` cannot exist.
+    The slots are the whole budget: the block length n and the alphabet
+    size are read off them.  Checked once, at construction.
     """
 
-    n: int
-    alphabet_size: int
     per_symbol: tuple[int, ...]
     extra: int
 
     def __post_init__(self) -> None:
         self.validate()
 
+    @property
+    def n(self) -> int:
+        return sum(self.per_symbol) + self.extra
+
+    @property
+    def alphabet_size(self) -> int:
+        return len(self.per_symbol)
+
     def validate(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.alphabet_size < 1:
-            raise ValueError(f"alphabet_size must be >= 1, got {self.alphabet_size}")
-        if len(self.per_symbol) != self.alphabet_size:
-            raise ValueError(
-                f"{len(self.per_symbol)} per-symbol budgets for alphabet of size {self.alphabet_size}"
-            )
+        if not self.per_symbol:
+            raise ValueError("budgets for an alphabet with no symbol")
         if any(t < 0 for t in self.per_symbol) or self.extra < 0:
             raise ValueError(f"negative budget in {self}")
-        if sum(self.per_symbol) + self.extra != self.n:
-            raise ValueError(
-                f"budgets {self.per_symbol} + extra {self.extra} do not sum to n = {self.n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -74,20 +71,20 @@ class MappedSequence:
     flag: int
 
 
-def budgets(n: int, alphabet_size: int, dist: Sequence[object], eps: object) -> Budgets:
+def budgets(n: int, dist: Sequence[object], eps: object) -> Budgets:
     """Per-symbol budgets floor(n*(1-eps)*P(a)); the remainder is placeholder slots.
 
     `dist` and `eps` are exact rationals (or parseable); eps must lie
-    strictly inside (0, 1).
+    strictly inside (0, 1).  The alphabet has one symbol per entry of
+    `dist`, and n = 0 gives the empty budget.
     """
+    check_int(n, "n", 0)
     eps = as_rational(eps)
     if not Fraction(0) < eps < Fraction(1):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if len(dist) != alphabet_size:
-        raise ValueError(f"{len(dist)} probabilities for alphabet of size {alphabet_size}")
     probs = as_distribution(dist, "dist")
     per = tuple(math.floor(n * (1 - eps) * p) for p in probs)
-    return Budgets(n=n, alphabet_size=alphabet_size, per_symbol=per, extra=n - sum(per))
+    return Budgets(per_symbol=per, extra=n - sum(per))
 
 
 def map_with_budgets(seq: Sequence[int], b: Budgets) -> MappedSequence:
@@ -99,14 +96,15 @@ def map_with_budgets(seq: Sequence[int], b: Budgets) -> MappedSequence:
     """
     if len(seq) > b.n:
         raise ValueError(f"input of length {len(seq)} exceeds block length n = {b.n}")
-    phi = placeholder(b.alphabet_size)
-    counts = [0] * b.alphabet_size
+    size = b.alphabet_size
+    phi = placeholder(size)
+    counts = [0] * size
     used_extra = 0
     flag = 1
     out = []
     for a in seq:
-        if not 0 <= a < b.alphabet_size:
-            raise ValueError(f"symbol {a} out of range for alphabet of size {b.alphabet_size}")
+        if not 0 <= a < size:
+            raise ValueError(f"symbol {a} out of range for alphabet of size {size}")
         if flag == 1 and counts[a] < b.per_symbol[a]:
             out.append(a)
             counts[a] += 1
@@ -115,7 +113,7 @@ def map_with_budgets(seq: Sequence[int], b: Budgets) -> MappedSequence:
             used_extra += 1
         else:
             flag = 0
-            for alt in range(b.alphabet_size):
+            for alt in range(size):
                 if counts[alt] < b.per_symbol[alt]:
                     out.append(alt)
                     counts[alt] += 1
@@ -125,15 +123,10 @@ def map_with_budgets(seq: Sequence[int], b: Budgets) -> MappedSequence:
     return MappedSequence(output=tuple(out), flag=flag)
 
 
-def map_sequence(
-    n: int,
-    alphabet_size: int,
-    dist: Sequence[object],
-    seq: Sequence[int],
-    eps: object,
-) -> MappedSequence:
+def map_sequence(n: int, dist: Sequence[object], seq: Sequence[int], eps: object) -> MappedSequence:
     """Map a full length-n sequence using budgets derived from (dist, eps)."""
-    b = budgets(n, alphabet_size, dist, eps)
+    check_int(n, "n", 1)
+    b = budgets(n, dist, eps)
     if len(seq) != n:
         raise ValueError(f"expected a length-{n} sequence, got length {len(seq)}")
     return map_with_budgets(seq, b)

@@ -132,7 +132,7 @@ def test_criterion_06_type_mapping_suite():
         (3, 50, (F(1, 2), F(3, 10), F(1, 5))),
     ]
     for alphabet_size, n, dist in configs:
-        b = budgets(n, alphabet_size, dist, F(1, 7))
+        b = budgets(n, dist, F(1, 7))
         expected = list(b.per_symbol) + [b.extra]
         rng = random.Random(alphabet_size * 1000 + n)
         for _ in range(1000):
@@ -146,7 +146,7 @@ def test_criterion_06_type_mapping_suite():
             assert map_with_budgets(seq[:cut], b).output == got.output[:cut]  # P2
             assert got.flag == int(flag_predicate(seq, b))
     # the two worked instances, output and flag verbatim
-    fig = Budgets(n=10, alphabet_size=2, per_symbol=(5, 3), extra=2)
+    fig = Budgets(per_symbol=(5, 3), extra=2)
     up = map_with_budgets((0, 1, 0, 0, 1, 1, 1, 0, 1, 0), fig)
     assert up.output == (0, 1, 0, 0, 1, 1, 2, 0, 2, 0) and up.flag == 1
     down = map_with_budgets((0, 1, 0, 0, 1, 1, 1, 1, 1, 0), fig)

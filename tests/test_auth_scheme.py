@@ -97,9 +97,9 @@ def reference_mu(ch, strategy, n, eps):
     eps = F(eps)
     p_xy = reference_joint(ch, strategy)
     prob = F(1)
-    for s, n_s in enumerate(budgets(n, ch.s_size, ch.state_dist, eps).per_symbol):
+    for s, n_s in enumerate(budgets(n, ch.state_dist, eps).per_symbol):
         if n_s:
-            y_type = budgets(n_s, ch.y_size, [sum(col) for col in zip(*p_xy[s])], eps).per_symbol
+            y_type = budgets(n_s, [sum(col) for col in zip(*p_xy[s])], eps).per_symbol
             prob *= reference_pass_probability(strategy[s], p_xy[s], y_type, eps)
     if prob == 0:
         raise DegenerateSchemeError("no input block passes the typicality test for these parameters")
@@ -332,6 +332,8 @@ def test_zeta_validates_prefix():
         zeta(scheme, 0, 0, ())
     with pytest.raises(ValueError, match="prefix"):
         zeta(scheme, 2, 0, (0,))
+    with pytest.raises(ValueError, match="^input symbol 2 out of range$"):
+        zeta(scheme, 1, 2, (0,))
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
@@ -367,6 +369,12 @@ def test_t_function_rejects_out_of_range_inputs():
     for bad in (2, -1):
         with pytest.raises(ValueError, match="x-sequence"):
             t_function(scheme, (bad,) + (0,) * 7, (0, 1) + (0,) * 6, (0,) * 8)
+
+
+def test_t_function_refuses_a_block_of_another_length():
+    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
+    with pytest.raises(ValueError, match="^s-sequence has length 7, expected 8$"):
+        t_function(scheme, (0,) * 8, (0,) * 8, (0,) * 7)
 
 
 def test_t_function_rejects_out_of_range_outputs():
@@ -782,8 +790,6 @@ def reference_accepts(scheme, xs, ss, ys):
     p_xy = reference_joint(scheme.channel, scheme.strategy)
     mapped_states = map_with_budgets(ss, scheme.state_budgets).output
     for s, b in enumerate(scheme.y_budgets):
-        if b is None:
-            continue
         block = [i for i, v in enumerate(mapped_states) if v == s]
         outputs = map_with_budgets([ys[i] for i in block], b).output
         kept = [(xs[i], y) for i, y in zip(block, outputs) if y != phi_y]

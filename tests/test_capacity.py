@@ -307,6 +307,45 @@ def test_capacity_table_runs_each_blahut_arimoto_once(monkeypatch):
     assert len(runs) == 3
 
 
+def test_capacity_table_skips_the_blahut_arimoto_of_a_state_that_never_occurs(monkeypatch):
+    # state 1 has probability zero: only state 0 and the strategy channel are solved
+    runs = count_blahut_arimoto_runs(monkeypatch)
+    capacity_table(make_channel(DEAD_STATE_KERNEL, ["0", "1"]))
+    assert len(runs) == 2
+
+
+# state 1, of probability zero, is the strategy channel of the 9th
+# random_channel(np.random.default_rng(0), 2, 4, 3), in exact arithmetic:
+# Blahut-Arimoto once ran out of iterations on it (residual gap 7.403e-07)
+# and refused a channel whose four cells are all 2
+SLOW_DEAD_STATE = [
+    ["1465/3762", "145/792", "3841/15048", "36/209"],
+    ["74/209", "2/11", "61/209", "36/209"],
+    ["476/1881", "250/1089", "5089/20691", "624/2299"],
+    ["91/418", "221/968", "5197/18392", "624/2299"],
+    ["269/990", "361/792", "1079/3960", "0"],
+    ["13/55", "5/11", "17/55", "0"],
+    ["67/495", "547/1089", "1433/5445", "12/121"],
+    ["1/10", "485/968", "1451/4840", "12/121"],
+]
+
+
+def test_a_state_that_never_occurs_is_not_solved_for():
+    noiseless = [[int(y == x % 4) for y in range(4)] for x in range(8)]
+    ch = make_channel([noiseless, SLOW_DEAD_STATE], ["1", "0"])
+    for name, value in capacity_table(ch).cells().items():
+        assert value == pytest.approx(2.0, abs=1e-9), name
+    ns = ns_capacity(ch)
+    assert ns.p_x_given_s[1] == pytest.approx([1 / 8] * 8)
+
+
+def test_conditional_mi_leaves_out_a_state_that_never_occurs():
+    ch = make_channel(DEAD_STATE_KERNEL, ["1", "0"])
+    uniform = [[1 / 3] * 3] * 2
+    live = np.array([[float(p) / 3 for p in row] for row in ch.kernel[0]])
+    assert conditional_mi(ch, uniform) == pytest.approx(mi_oracle(live), abs=1e-15)
+
+
 def test_capacity_cells_stay_finite_when_input_weights_underflow():
     # Blahut-Arimoto drives some strategy-channel input weights of this
     # channel down to denormals; the mutual information must not divide

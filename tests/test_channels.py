@@ -94,6 +94,8 @@ def test_block_source_validation():
     wrong_len = BlockStateSource(n=2, atoms=(((0, 1, 0), Fraction(1)),))
     with pytest.raises(ValueError, match="length"):
         wrong_len.validate(2)
+    with pytest.raises(ValueError, match="^block length must be >= 1, got 0$"):
+        BlockStateSource(n=0, atoms=(((), Fraction(1)),)).validate(2)
 
 
 @pytest.mark.parametrize("atoms, message", [

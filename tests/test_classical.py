@@ -92,6 +92,22 @@ def test_encoder_refuses_a_message_outside_its_range(w):
         enc.input_block(w, (0, 1))
 
 
+def test_encoder_refuses_a_position_or_prefix_outside_its_block():
+    enc = explicit_z0z1_strategy().encoder
+    for j in (0, 3):
+        with pytest.raises(ValueError, match=f"^position {j} outside 1..2$"):
+            enc.input_symbol(j, 0, (0,) * j)
+    with pytest.raises(ValueError, match="^prefix of length 2 at position 1$"):
+        enc.input_symbol(1, 0, (0, 1))
+
+
+def test_sequence_indices_refuse_what_lies_outside_their_range():
+    with pytest.raises(ValueError, match="^symbol 2 out of range for alphabet of size 2$"):
+        seq_to_index((0, 2), 2)
+    with pytest.raises(ValueError, match=r"^index 4 out of range for 2\^2 sequences$"):
+        index_to_seq(4, 2, 2)
+
+
 def test_enumeration_reaches_the_explicit_value():
     value, witness = classical_opt_success(builtin_z0z1(), 2, 2, csir=True)
     assert value == CSIR_OPT

@@ -261,7 +261,7 @@ def test_typemap_subcommand_mirrors_the_library():
         ["typemap", "--n", "6", "--dist", "1/2,1/2", "--eps", "1/3", "--seq", "0,1,1,1,0,1"]
     )
     assert code == 0
-    mapped = map_sequence(6, 2, [F(1, 2), F(1, 2)], (0, 1, 1, 1, 0, 1), F(1, 3))
+    mapped = map_sequence(6, [F(1, 2), F(1, 2)], (0, 1, 1, 1, 0, 1), F(1, 3))
     assert f"output = {','.join(str(v) for v in mapped.output)}" in text
     assert f"flag = {mapped.flag}" in text
 
@@ -357,7 +357,7 @@ def test_malformed_block_state_atom_is_one_error_line(tmp_path):
 
 def test_typemap_symbol_outside_the_alphabet_is_one_error_line():
     code, text = run(["typemap", "--n", "4", "--dist", "1/2,1/2", "--eps", "1/4", "--seq", "0,2,1,0"])
-    assert (code, text) == (1, "error: symbol 2 out of range for alphabet of size 2\n")
+    assert (code, text) == (1, "error: --seq: symbol 2 out of range for alphabet of size 2\n")
 
 
 @pytest.mark.parametrize("content", ["5", "[[0.5, 0.5], 3]"])

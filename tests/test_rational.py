@@ -77,7 +77,7 @@ LAW_CHECKS = {
     "kernel row s=0, x=1": lambda law: make_channel([[[1, 0], law]], [1]),
     "state_dist": lambda law: make_channel([[[1]], [[1]]], law),
     "block_state": lambda law: BlockStateSource(1, (((0,), law[0]), ((1,), law[1]))).validate(2),
-    "dist": lambda law: budgets(10, 2, law, HALF),
+    "dist": lambda law: budgets(10, law, HALF),
     "strategy row 0": lambda law: build_auth_scheme(builtin_z0z1(), [law, [HALF, HALF]], 2, HALF),
     "p_x": lambda law: typicality_pass_probability(law, PAIRS, (1, 1), HALF),
 }

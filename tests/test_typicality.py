@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from nscoding.typicality import (
@@ -28,6 +29,13 @@ def oracle_typical(seq, dist, eps):
 
 def test_counts():
     assert symbol_counts((0, 1, 1, 2), 3) == (1, 2, 1)
+    with pytest.raises(ValueError, match="^symbol 3 out of range for alphabet of size 3$"):
+        symbol_counts((0, 3), 3)
+
+
+def test_joint_typicality_refuses_sequences_of_unequal_lengths():
+    with pytest.raises(ValueError, match="^sequence lengths differ: 2 vs 1$"):
+        jointly_typical((0, 1), (0,), ((H, 0), (0, H)), H)
 
 
 def test_exact_boundary_membership():
