@@ -23,7 +23,6 @@ from .capacity import (
     conditional_mi,
     gp_noncausal_capacity,
     ns_capacity,
-    shannon_causal_capacity,
 )
 from .type_mapping import Budgets, budgets, flag_predicate, map_sequence, placeholder
 from .typicality import jointly_typical, strongly_typical
@@ -71,7 +70,6 @@ __all__ = [
     "conditional_mi",
     "gp_noncausal_capacity",
     "ns_capacity",
-    "shannon_causal_capacity",
     "Budgets",
     "budgets",
     "flag_predicate",

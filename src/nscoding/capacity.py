@@ -28,7 +28,6 @@ __all__ = [
     "conditional_mi",
     "NsCapacityResult",
     "ns_capacity",
-    "shannon_causal_capacity",
     "gp_noncausal_capacity",
     "CapacityReport",
     "capacity_table",
@@ -179,12 +178,6 @@ def strategy_channel(ch: ChannelWithState) -> tuple[np.ndarray, list[tuple[int, 
         for s in range(ch.s_size):
             rows[i] += ps[s] * W[s, u[s]]
     return rows, maps
-
-
-def shannon_causal_capacity(ch: ChannelWithState) -> float:
-    """Unassisted causal capacity: ordinary capacity of the strategy channel."""
-    rows, _ = strategy_channel(ch)
-    return blahut_arimoto(rows).value
 
 
 # -- non-causal lower bound ------------------------------------------------

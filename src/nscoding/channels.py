@@ -242,6 +242,12 @@ class ChannelWithState:
         return order, tuple((g[:S], tuple(l - S for l in g[S:S + X]), tuple(l - S - X for l in g[S + X:]))
                             for g in generators)
 
+    @functools.cached_property
+    def _block_laws(self) -> dict[int, tuple[np.ndarray, int]]:
+        """`block_law_array`'s laws by block length, kept on the channel
+        once built, as `automorphisms` is."""
+        return {}
+
     # -- block quantities --------------------------------------------------
 
     def iid_block_prob(self, ss: Sequence[int]) -> Fraction:
@@ -379,13 +385,24 @@ def block_law_array(ch: ChannelWithState, n: int) -> tuple[np.ndarray, int]:
     over the least common denominator D of the nonzero cells, indexed by
     block indices, zero on state blocks of probability 0.
 
-    The table is the outer product over positions of the integer kernel
-    numerators (times the state numerators for an i.i.d. state; a block
-    source weighs its atoms once at the end), held as int64 when the
-    unreduced denominator fits and as Python ints otherwise, then divided
-    by the gcd of that denominator and every entry.
+    The law is read-only and kept on the channel for its lifetime, one per
+    n, so a channel's searches and LP builds at one n share one table.  An
+    equal channel built separately, `lift_csir(ch)` or a
+    `dataclasses.replace` of it builds its own.
     """
     check_block_length(ch, n)
+    laws = ch._block_laws
+    if n not in laws:
+        laws[n] = _build_block_law(ch, n)
+    return laws[n]
+
+
+def _build_block_law(ch: ChannelWithState, n: int) -> tuple[np.ndarray, int]:
+    """`block_law_array`'s table: the outer product over positions of the
+    integer kernel numerators (times the state numerators for an i.i.d.
+    state; a block source weighs its atoms once at the end), held as int64
+    when the unreduced denominator fits and as Python ints otherwise, then
+    divided by the gcd of that denominator and every entry."""
     kd = math.lcm(*(p.denominator for sl in ch.kernel for row in sl for p in row))
     kernel = [[[p.numerator * (kd // p.denominator) for p in row] for row in sl] for sl in ch.kernel]
     source = ch.block_state
@@ -411,6 +428,7 @@ def block_law_array(ch: ChannelWithState, n: int) -> tuple[np.ndarray, int]:
         law *= weights[:, None, None]
     g = math.gcd(den, int(np.gcd.reduce(law, axis=None)))
     law //= g
+    law.flags.writeable = False
     return law, den // g
 
 

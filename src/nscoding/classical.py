@@ -12,13 +12,14 @@ tree walk instead of a second exponential enumeration.
 The search is exact integer arithmetic on `channels.block_law_array`:
 numerators over one denominator (int64 when no sum can overflow it,
 Python ints otherwise), and the optimum leaves as a Fraction.  Each piece
-of work is done once: the plain search scores each unordered pair of
-branches once, and the CSIR search reads every branch's advantages off
-one gain table built per (channel, n).  Message-0 branches are scored in
-array batches of at most _BATCH_CELLS cells, so numpy does the work and
-memory stays flat in the branch count.  Ties break toward the smallest
-message, then the earliest enumerated encoder, so results are
-deterministic and identical for any batch size.
+of work is done once: the law is the one the channel keeps per n, the
+digit places that read a branch are kept per (|X|, |S|, n), the plain
+search scores each unordered pair of branches once, and the CSIR search
+reads every branch's advantages off one gain table built per search.
+Message-0 branches are scored in array batches of at most _BATCH_CELLS
+cells, so numpy does the work and memory stays flat in the branch count.
+Ties break toward the smallest message, then the earliest enumerated
+encoder, so results are deterministic and identical for any batch size.
 
 A code is also a point of the full program: `code_tensor` writes an
 encoder and its MAP decoder as a `SchemeTensor`, which
@@ -28,6 +29,7 @@ any scheme's tensor.  The explicit 7/8 strategy is scored that way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,17 +183,24 @@ def _block_law(ch: ChannelWithState, n: int, csir: bool = False) -> _Law:
     """
     law, den = block_law_array(ch, n)
     law = law.astype(int_dtype(den, law.size), copy=False)
-    # a branch lists its position-j slots after those of positions 1..j-1
-    si = np.arange(law.shape[0])
-    offsets = np.cumsum([0] + _slot_sizes(ch.s_size, n)[:-1])
-    digits = np.stack([offsets[j] + si // ch.s_size ** (n - 1 - j) for j in range(n)], axis=1)
-    place = ch.x_size ** np.arange(n - 1, -1, -1)
     gain = None
     if csir:
         gain = np.empty(law.shape[:2] + law.shape[1:2], dtype=law.dtype)
         for lo, hi in _batches(law.shape[1], law.size):
             gain[:, :, lo:hi] = np.maximum(law[:, :, None] - law[:, None, lo:hi], 0).sum(axis=-1)
-    return _Law(law, den, ch.x_size**digits, place, ch.x_size, ch.s_size, n, gain)
+    return _Law(law, den, *_branch_places(ch.x_size, ch.s_size, n), ch.x_size, ch.s_size, n, gain)
+
+
+@functools.cache
+def _branch_places(x_size: int, s_size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, place) of `_Law`, read-only and kept per (|X|, |S|, n)."""
+    # a branch lists its position-j slots after those of positions 1..j-1
+    si = np.arange(s_size**n)
+    offsets = np.cumsum([0] + _slot_sizes(s_size, n)[:-1])
+    digits = np.stack([offsets[j] + si // s_size ** (n - 1 - j) for j in range(n)], axis=1)
+    powers, place = x_size**digits, x_size ** np.arange(n - 1, -1, -1)
+    powers.flags.writeable = place.flags.writeable = False
+    return powers, place
 
 
 def _batches(stop: int, cells: int):
@@ -249,16 +258,17 @@ def _response_levels(law: _Law, branches) -> list[np.ndarray]:
 
 
 def _best_response_branch(law: _Law, levels: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
-    """The response branch: along each prefix, the smallest best symbol."""
+    """The response branch: along each prefix, the smallest best symbol.
+    Level j is read at every length-j state prefix at once, at the input
+    prefix the response chose along it."""
     s_size, x_size = law.s_size, law.x_size
+    chosen = np.zeros(s_size, dtype=np.int64)  # input-prefix index along each state prefix
     tables: list[tuple[int, ...]] = []
     for j in range(1, law.n + 1):
-        row = []
-        for pi in range(s_size**j):
-            prefix = index_to_seq(pi, s_size, j)
-            chosen = tuple(tables[k][pi // s_size ** (j - 1 - k)] for k in range(j - 1))
-            row.append(int(np.argmax(levels[j][prefix + chosen])))
-        tables.append(tuple(row))
+        level = levels[j].reshape(s_size**j, x_size ** (j - 1), x_size)
+        row = level[np.arange(s_size**j), chosen].argmax(axis=-1)
+        tables.append(tuple(row.tolist()))
+        chosen = np.repeat(chosen * x_size + row, s_size)  # a prefix's children follow it in index order
     return tuple(tables)
 
 

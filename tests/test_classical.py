@@ -19,7 +19,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from nscoding import auth_scheme, classical
+from nscoding import auth_scheme, channels, classical
 from nscoding.auth_scheme import message_success, tensor_success, verify_conditions
 from nscoding.channels import (
     BlockStateSource,
@@ -115,6 +115,14 @@ def test_enumeration_reaches_the_explicit_value():
     # a code with its MAP decoder
     lifted = lift_csir(builtin_z0z1())
     assert tensor_success(code_tensor(lifted, witness), lifted) == CSIR_OPT
+
+
+def test_csir_search_at_three_uses_reaches_fifteen_sixteenths():
+    # the witness decodes message 1 always and message 0 in 7 of 8 cases
+    value, witness = classical_opt_success(builtin_z0z1(), 2, 3, csir=True)
+    assert value == F(15, 16)
+    lifted = lift_csir(builtin_z0z1())
+    assert message_success(code_tensor(lifted, witness), lifted) == (F(7, 8), 1)
 
 
 def test_receiver_state_info_is_worth_one_sixteenth():
@@ -534,9 +542,12 @@ def test_csir_search_memory_does_not_grow_with_the_branch_count():
     bound = law.nbytes + tables.gain.nbytes + 4 * classical._BATCH_CELLS * law.itemsize
     # scoring every branch at once would take a law-sized array per branch
     assert 4096 * law.nbytes > 8 * bound
+    # an equal channel keeps no law yet, so the search's peak counts its build
+    fresh = _random_channel(0, 2, 2, 3)
+    assert fresh == ch
     tracemalloc.start()
     try:
-        classical_opt_success(ch, 2, n, csir=True)
+        classical_opt_success(fresh, 2, n, csir=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -631,6 +642,61 @@ def test_block_law_array_checks_the_block_length():
         block_law_array(builtin_z0z1(), 0)
 
 
+def test_block_law_is_kept_read_only_per_length():
+    ch = _random_channel(5, 2, 3, 2)
+    law, den = block_law_array(ch, 2)
+    again, again_den = block_law_array(ch, 2)
+    assert again is law and again_den == den
+    assert classical._block_law(ch, 2).law is law  # int64 already, so the search reads it in place
+    assert block_law_array(ch, 1)[0] is not law
+    for write in (lambda: law.__setitem__((0, 0, 0), 1), lambda: law.__ifloordiv__(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    expected, expected_den = _reference_law_array(ch, 2)
+    assert den == expected_den and np.array_equal(law, expected)
+
+
+def test_every_other_channel_builds_its_own_law():
+    ch = _random_channel(6, 2, 2, 2)
+    law, _ = block_law_array(ch, 2)
+    atoms = (((0, 1), F(1, 4)), ((1, 1), F(3, 4)))
+    others = [make_channel(ch.kernel, ch.state_dist), lift_csir(ch), replace(ch, block_state=BlockStateSource(2, atoms))]
+    assert others[0] == ch
+    for other in others:
+        table, den = block_law_array(other, 2)
+        assert table is not law and not table.flags.writeable
+        fresh, fresh_den = channels._build_block_law(other, 2)
+        assert den == fresh_den and np.array_equal(table, fresh)
+        expected, expected_den = _reference_law_array(other, 2)
+        assert den == expected_den and np.array_equal(table, expected)
+
+
+def test_a_channels_searches_and_programs_build_one_law_per_length(monkeypatch):
+    built = []
+    build = channels._build_block_law
+    monkeypatch.setattr(channels, "_build_block_law", lambda ch, n: built.append(n) or build(ch, n))
+    ch = builtin_z0z1()
+    assert classical_opt_success(ch, 2, 2)[0] == PLAIN_OPT
+    assert classical_opt_success(ch, 2, 2, csir=True)[0] == CSIR_OPT
+    assert solve_exact(build_lp2(ch, 2, 2)).value == F(13, 16)
+    build_lp2(ch, 2, 2, causal=False)
+    build_lp1(ch, 2, 2)
+    assert built == [2]
+    classical_opt_success(ch, 2, 1)
+    assert built == [2, 1]
+
+
+def test_branch_places_are_kept_read_only_per_shape():
+    powers, place = classical._branch_places(2, 3, 2)
+    assert classical._branch_places(2, 3, 2)[0] is powers
+    assert classical._block_law(_random_channel(7, 2, 2, 3), 2).powers is powers
+    # x_1 reads slot s_1, x_2 slot 3 + 3 s_1 + s_2, as |X| ** slot
+    assert powers.tolist() == [[2**s1, 2 ** (3 + 3 * s1 + s2)] for s1 in range(3) for s2 in range(3)]
+    assert place.tolist() == [2, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        powers[0, 0] = 0
+
+
 # -- the gain table and the pair scan, against the direct formulas --------------
 
 
@@ -668,6 +734,45 @@ def test_gain_table_levels_equal_the_direct_formula(name, ch, n):
             level, ref = np.asarray(level), np.asarray(ref)  # the total of one branch is a scalar
             assert level.shape == ref.shape and level.dtype == ref.dtype
             assert np.array_equal(level, ref)
+
+
+def reference_best_response_branch(law, levels):
+    """`_best_response_branch` one state prefix at a time: the first
+    argmax of levels[j] at the prefix and the inputs chosen along it."""
+    s_size, x_size = law.s_size, law.x_size
+    tables = []
+    for j in range(1, law.n + 1):
+        row = []
+        for pi in range(s_size**j):
+            prefix = index_to_seq(pi, s_size, j)
+            chosen = tuple(tables[k][pi // s_size ** (j - 1 - k)] for k in range(j - 1))
+            row.append(int(np.argmax(levels[j][prefix + chosen])))
+        tables.append(tuple(row))
+    return tuple(tables)
+
+
+_RESPONSE_CASES = [
+    *_GAIN_CASES,
+    *((f"(3,2,3) seed {seed} n={n}", _random_channel(seed, 3, 2, 3), n) for seed in range(2) for n in (2, 3)),
+]
+
+
+@pytest.mark.parametrize("name, ch, n", _RESPONSE_CASES, ids=[c[0] for c in _RESPONSE_CASES])
+def test_best_response_gather_matches_the_per_prefix_walk(name, ch, n):
+    # on the response levels of sampled branches, and on small random
+    # levels, where ties are common
+    law = classical._block_law(ch, n, csir=True)
+    count = classical._branch_count(ch.x_size, ch.s_size, n)
+    rng = random.Random(n)
+    branches = {0, count - 1, *(rng.randrange(count) for _ in range(24))}
+    ties = np.random.default_rng(n)
+    samples = [classical._response_levels(law, b) for b in sorted(branches)]
+    samples += [[None] + [ties.integers(0, 3, (ch.s_size,) * j + (ch.x_size,) * j) for j in range(1, n + 1)]
+                for _ in range(8)]
+    for levels in samples:
+        response = classical._best_response_branch(law, levels)
+        assert response == reference_best_response_branch(law, levels)
+        assert all(type(x) is int for table in response for x in table)
 
 
 @pytest.mark.parametrize("name, ch, n", _LAW_CASES, ids=[f"{c[0]} n={c[2]}" for c in _LAW_CASES])
