@@ -19,7 +19,8 @@ Everything here is exact rational arithmetic except the Monte Carlo
 success estimate, which is explicitly an estimate.  Dense tensors hold
 integer numerators over one positive denominator, and the typicality
 test is decided on integer pair counts against the count windows that
-`build_auth_scheme` derives once and stores on the scheme.
+`build_auth_scheme` derives once and stores on the scheme; mu is counted
+against the same windows, and n and lambda are read off the scheme.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "DegenerateSchemeError",
     "build_auth_scheme",
     "compute_mu",
-    "typicality_pass_probability",
     "zeta",
     "t_function",
     "materialize_tensor",
@@ -72,6 +72,15 @@ TENSOR_ENTRY_CAP = 10_000_000
 EXACT_SUCCESS_CAP = 4_000_000
 MC_CHUNK = 4096  # floats the Monte Carlo sampler reads from its stream at a time
 MU_WORK_CAP = 20_000_000  # mu DP steps: 15-43 ns each on a 2-vCPU x86-64 VM, Python 3.11
+
+
+def _tensor_entries(what: str, ch: ChannelWithState, n: int, m: int) -> int:
+    """The entry count |X|^n M^2 |S|^n |Y|^n of a dense tensor over `ch` with
+    M = m messages, refused past TENSOR_ENTRY_CAP as `<what> (M=m, n=n)`."""
+    cells = ch.x_size * ch.s_size * ch.y_size
+    check_cap(TENSOR_ENTRY_CAP, n * math.log2(cells) + 2 * math.log2(m), lambda: cells**n * m * m,
+              f"{what} (M={m}, n={n})", "entries")
+    return cells**n * m * m
 
 
 class DegenerateSchemeError(ValueError):
@@ -101,24 +110,30 @@ class AuthScheme:
     """A fully parameterized scheme instance.
 
     `message_count` defaults to ceil(mu) but may be any integer at least
-    that large; `acceptance` (the lambda scaling) is mu / message_count
-    and always lies in (0, 1].  `windows` holds (sigma, pair windows) for
-    every tested state sigma, one whose kept block is not empty (an empty
-    one keeps no pair, so its test always passes); the kept block always
-    has the fixed length n-tilde_sigma, so one window per pair decides the
-    test for every block.
+    that large.  `windows` holds (sigma, pair windows) for every tested
+    state sigma, one whose kept block is not empty (an empty one keeps no
+    pair, so its test always passes); the kept block always has the fixed
+    length n-tilde_sigma, so one window per pair decides the test for
+    every block, and mu is counted against the same windows.
     """
 
     channel: ChannelWithState
     strategy: InputStrategy
-    n: int
     eps: Fraction
     state_budgets: Budgets
     y_budgets: tuple[Budgets, ...]
     windows: tuple[tuple[int, Window], ...]
     mu: Fraction
     message_count: int
-    acceptance: Fraction
+
+    @property
+    def n(self) -> int:
+        return self.state_budgets.n
+
+    @property
+    def acceptance(self) -> Fraction:
+        """The lambda scaling mu / message_count, always in (0, 1]."""
+        return self.mu / self.message_count
 
     def rate(self) -> float:
         return math.log2(self.message_count) / self.n
@@ -131,54 +146,35 @@ class AuthScheme:
 # -- mu ---------------------------------------------------------------------
 
 
-def typicality_pass_probability(
-    p_x: Sequence[object],
-    p_xy: Sequence[Sequence[object]],
-    y_type: Sequence[int],
-    eps: object,
-) -> Fraction:
+def _pass_probability(p_x: Sequence[Fraction], window: Window, y_type: Sequence[int]) -> Fraction:
     """Probability that i.i.d. inputs drawn from `p_x`, paired with a fixed
-    output block of composition `y_type`, land in the joint typical set.
+    output block of composition `y_type`, keep every (x, y) pair count
+    inside `window`: the pass probability of one tested state's test.
 
     The pairs in distinct output-symbol groups are independent, and the
-    typicality window constrains each pair count separately, so the
-    probability is a product over output symbols of bounded multinomial
-    sums ("types"), each a DP over the input letters keyed by the count
-    taken so far.
+    window constrains each pair count separately, so the probability is a
+    product over output symbols of bounded multinomial sums ("types"),
+    each a DP over the input letters keyed by the count taken so far.
     """
-    eps = as_rational(eps)
-    if not ZERO < eps < ONE:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    joint = [[as_rational(v) for v in row] for row in p_xy]
-    if len(p_x) != len(joint):
-        raise ValueError(f"p_x has {len(p_x)} entries for the {len(joint)} inputs of p_xy")
-    px = as_distribution(p_x, "p_x")
-    y_size = len(joint[0]) if joint else 0
-    counts = list(y_type)
-    if len(counts) != y_size:
-        raise ValueError(f"{len(counts)} output counts for {y_size} output symbols")
-    n_tilde = sum(counts)
-    if n_tilde == 0:
-        return ONE
+    y_size, (lo_all, hi_all), last = len(y_type), window, len(p_x) - 1
     # windows[y][x]: the passing counts lo..hi of the pair (x, y), at most m_y
-    windows = [[(lo, min(m, hi)) for lo, hi in (count_window(n_tilde, row[y], eps) for row in joint)]
-               for y, m in enumerate(counts)]
+    windows = [list(zip(lo_all[y::y_size], (min(m, hi) for hi in hi_all[y::y_size])))
+               for y, m in enumerate(y_type)]
     # the DP's steps, on numbers of about n-tilde bits: per output symbol and letter, its
     # weights and the (total so far, count) pairs it combines, one total at the last letter
     work = 0
-    for y, m in enumerate(counts):
+    for y, m in enumerate(y_type):
         lo_sum = hi_sum = 0
         for x, (lo, hi) in enumerate(windows[y]):
-            work += max(0, hi - lo + 1) * (1 + (1 if x == len(px) - 1 else max(0, hi_sum - lo_sum + 1)))
+            work += max(0, hi - lo + 1) * (1 + (1 if x == last else max(0, hi_sum - lo_sum + 1)))
             lo_sum, hi_sum = lo_sum + lo, min(m, hi_sum + hi)
-    check_cap(MU_WORK_CAP, 0, lambda: n_tilde * work, "mu's typicality test", "steps")
+    check_cap(MU_WORK_CAP, 0, lambda: sum(y_type) * work, "mu's typicality test", "steps")
     result = ONE
-    last = len(px) - 1
-    for y, m in enumerate(counts):
+    for y, m in enumerate(y_type):
         # sums[t]: over the letters so far, the nonzero sum of prod p^k / k! at window counts k
         # totalling t, each reachable total pushed forward by every count of the next letter
         sums = {0: ONE}
-        for x, (p, (lo, hi)) in enumerate(zip(px, windows[y])):
+        for x, (p, (lo, hi)) in enumerate(zip(p_x, windows[y])):
             weights = {k: w for k in range(lo, hi + 1) if (w := p**k / math.factorial(k))}
             if x == last:  # only the total m is read
                 sums = {m: sum((v * weights[m - t] for t, v in sums.items() if m - t in weights), ZERO)}
@@ -201,8 +197,8 @@ def compute_mu(
     eps: object,
 ) -> Fraction:
     """The mu of `build_auth_scheme`: the reciprocal of the probability that
-    an independent input block passes every per-state typicality test;
-    always >= 1.
+    an independent input block passes every per-state typicality test,
+    counted by types against the scheme's `windows`; always >= 1.
 
     Raises DegenerateSchemeError when that probability is zero, and
     ValueError when a typicality test's DP would take more than
@@ -245,9 +241,13 @@ def build_auth_scheme(
     empty = Budgets((0,) * ch.y_size, 0)
     y_b = tuple(budgets(n_s, [sum(col, ZERO) for col in zip(*p_xy[s])], eps) if n_s else empty
                 for s, n_s in enumerate(state_b.per_symbol))
-    # the tested states keep a pair; mu is 1 / (the product over them of the pass probability)
-    tested = [(s, b) for s, b in enumerate(y_b) if any(b.per_symbol)]
-    prob = math.prod((typicality_pass_probability(strat[s], p_xy[s], b.per_symbol, eps) for s, b in tested), start=ONE)
+    # the tested states keep a pair; their windows decide the test, and mu is
+    # 1 / (the product over them of the probability of passing those windows)
+    windows = tuple(
+        (s, tuple(zip(*(count_window(sum(b.per_symbol), p, eps) for row in p_xy[s] for p in row))))
+        for s, b in enumerate(y_b) if any(b.per_symbol)
+    )
+    prob = math.prod((_pass_probability(strat[s], window, y_b[s].per_symbol) for s, window in windows), start=ONE)
     if prob == 0:
         raise DegenerateSchemeError("no input block passes the typicality test for these parameters")
     mu = 1 / prob
@@ -256,22 +256,15 @@ def build_auth_scheme(
         message_count = minimum
     elif message_count < minimum:
         raise ValueError(f"message_count must be at least ceil(mu) = {minimum}, got {message_count}")
-    lam = mu / message_count
-    assert ZERO < lam <= ONE and lam * message_count == mu
-    windows = tuple(
-        (s, tuple(zip(*(count_window(sum(b.per_symbol), p, eps) for row in p_xy[s] for p in row)))) for s, b in tested
-    )
     return AuthScheme(
         channel=ch,
         strategy=strat,
-        n=n,
         eps=eps,
         state_budgets=state_b,
         y_budgets=y_b,
+        windows=windows,
         mu=mu,
         message_count=message_count,
-        acceptance=lam,
-        windows=windows,
     )
 
 
@@ -471,9 +464,7 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     where the test passes and 0 elsewhere; Z = zeta at M = 1."""
     ch = scheme.channel
     n, m, lam = scheme.n, scheme.message_count, scheme.acceptance
-    cells = ch.x_size * ch.s_size * ch.y_size
-    check_cap(TENSOR_ENTRY_CAP, n * math.log2(cells) + 2 * math.log2(m), lambda: cells**n * m * m,
-              f"the scheme tensor (M={m}, n={n})", "entries")
+    entries = _tensor_entries("the scheme tensor", ch, n, m)
     mapped_states = _mapped_states(scheme)
     # zeta[x, s] * d^n as a product of integers, indexed by mapped state;
     # the placeholder (index |S|) gets uniform inputs
@@ -485,7 +476,7 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     # zeta over the lcm D of its reduced denominators, and Z over D * den(lambda) * (M - 1)
     g = math.gcd(d**n, *(w for row in weight for w in row))
     den = d**n // g * lam.denominator * max(m - 1, 1)
-    zeta = np.array([[w // g for w in row] for row in weight], dtype=int_dtype(den, cells**n * m * m))
+    zeta = np.array([[w // g for w in row] for row in weight], dtype=int_dtype(den, entries))
     # at M = 1, lambda = 1 and the test is not read: t = 1 everywhere
     accept = _acceptance_table(scheme, mapped_states) if m > 1 else np.ones(ch.y_size**n, dtype=bool)
     z = _lift(zeta[..., None] * lam.numerator * accept, zeta * lam.denominator, m)

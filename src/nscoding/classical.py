@@ -366,9 +366,7 @@ def code_tensor(ch: ChannelWithState, encoder: DeterministicEncoder) -> SchemeTe
     if sizes != (ch.x_size, ch.s_size):
         raise ValueError(f"encoder alphabets (|X|, |S|) = {sizes} do not match the channel's {(ch.x_size, ch.s_size)}")
     n, m = encoder.n, encoder.message_count
-    cells = ch.x_size * ch.s_size * ch.y_size
-    check_cap(auth_scheme.TENSOR_ENTRY_CAP, n * math.log2(cells) + 2 * math.log2(m), lambda: cells**n * m * m,
-              f"the code tensor (M={m}, n={n})", "entries")
+    auth_scheme._tensor_entries("the code tensor", ch, n, m)
     law, _ = block_law_array(ch, n)
     blocks, outputs = np.arange(law.shape[0]), np.arange(law.shape[2])
     messages = np.arange(m)[:, None]

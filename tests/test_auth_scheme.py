@@ -6,6 +6,7 @@ builtin, which at small blocks produces only vacuous tests and therefore
 exercises the degenerate corners.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -34,7 +35,6 @@ from nscoding.auth_scheme import (
     t_function,
     message_success,
     tensor_success,
-    typicality_pass_probability,
     verify_conditions,
     zeta,
 )
@@ -45,7 +45,7 @@ from nscoding.channels import (
 from nscoding.indexing import index_to_seq
 from nscoding.ns_lp import build_lp1, build_lp2, lp1_to_lp2, lp2_to_lp1
 from nscoding.type_mapping import budgets, map_with_budgets, placeholder
-from nscoding.typicality import jointly_typical
+from nscoding.typicality import count_window, jointly_typical
 from test_channels import reference_block_outputs
 from test_golden_reports import xor_block_channel, zero_probability_channel
 
@@ -68,10 +68,18 @@ def noise_channel():
 REFERENCE_ENUMERATION_CAP = 2**16  # input blocks the reference walks at most
 
 
+def pass_probability(p_x, p_xy, y_type, eps):
+    """`auth_scheme._pass_probability` against the windows `count_window`
+    gives each pair of `p_xy` at the kept length sum(y_type), flat at
+    x * |Y| + y as `AuthScheme.windows` stores them."""
+    window = tuple(zip(*(count_window(sum(y_type), F(p), F(eps)) for row in p_xy for p in row)))
+    return auth_scheme._pass_probability([F(p) for p in p_x], window, y_type)
+
+
 def reference_pass_probability(p_x, p_xy, y_type, eps):
-    """`typicality_pass_probability` by brute force: every input block of
-    positive probability against a canonical arrangement of `y_type`,
-    judged by `jointly_typical`."""
+    """The pass probability by brute force: every input block of positive
+    probability against a canonical arrangement of `y_type`, judged by
+    `jointly_typical`."""
     eps, px = F(eps), [F(p) for p in p_x]
     joint = [[F(v) for v in row] for row in p_xy]
     canonical = [y for y, m in enumerate(y_type) for _ in range(m)]
@@ -111,7 +119,7 @@ def test_pass_probability_uniform_pairs_is_zero_both_ways():
     # admits no pair count inside the window [1/4, 3/4]: nothing passes.
     px = [HALF, HALF]
     pxy = [[F(1, 4), F(1, 4)], [F(1, 4), F(1, 4)]]
-    assert typicality_pass_probability(px, pxy, (1, 1), HALF) == 0
+    assert pass_probability(px, pxy, (1, 1), HALF) == 0
     assert reference_pass_probability(px, pxy, (1, 1), HALF) == 0
 
 
@@ -120,31 +128,12 @@ def test_pass_probability_identity_pairs():
     # two distinct outputs exactly, which uniform inputs do w.p. 1/4.
     px = [HALF, HALF]
     pxy = [[HALF, F(0)], [F(0), HALF]]
-    assert typicality_pass_probability(px, pxy, (1, 1), HALF) == F(1, 4)
+    assert pass_probability(px, pxy, (1, 1), HALF) == F(1, 4)
     assert reference_pass_probability(px, pxy, (1, 1), HALF) == F(1, 4)
 
 
-@pytest.mark.parametrize("px", [[F(1)], [F(1), F(1)], [F(3, 2), -HALF]])
-def test_pass_probability_refuses_an_input_law_unfit_for_the_pairs(px):
-    # unchecked, [1] would give 0 and [1, 1] would give 1 beside these pairs
-    pxy = [[HALF, F(0)], [F(0), HALF]]
-    with pytest.raises(ValueError, match="^p_x (has 1 entries for the 2 inputs of p_xy|is not a probability distribution: .+)$"):
-        typicality_pass_probability(px, pxy, (1, 1), HALF)
-
-
-@pytest.mark.parametrize("y_type, eps, message", [
-    ((1, 1), 1, "eps must be in (0, 1), got 1"),
-    ((1, 1), 0, "eps must be in (0, 1), got 0"),
-    ((1, 1, 0), HALF, "3 output counts for 2 output symbols"),
-])
-def test_pass_probability_refuses_a_bad_eps_or_output_type(y_type, eps, message):
-    pxy = [[HALF, F(0)], [F(0), HALF]]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        typicality_pass_probability([HALF, HALF], pxy, y_type, eps)
-
-
 def test_pass_probability_empty_block_is_one():
-    assert typicality_pass_probability([1], [[1]], (0,), HALF) == 1
+    assert pass_probability([1], [[1]], (0,), HALF) == 1
 
 
 def test_pass_probability_positive_cell_in_empty_group_kills_everything():
@@ -152,7 +141,7 @@ def test_pass_probability_positive_cell_in_empty_group_kills_everything():
     # probability: the zero-count window is violated by every sequence.
     px = [HALF, HALF]
     pxy = [[F(1, 4), F(1, 4)], [F(1, 4), F(1, 4)]]
-    assert typicality_pass_probability(px, pxy, (2, 0), HALF) == 0
+    assert pass_probability(px, pxy, (2, 0), HALF) == 0
 
 
 # (p_x, p_xy, output composition, eps, pass probability).  Column 1 of the
@@ -172,7 +161,7 @@ PASS_PROBABILITY_CASES = [
 
 @pytest.mark.parametrize("p_x, p_xy, y_type, eps, expected", PASS_PROBABILITY_CASES)
 def test_pass_probability_types_match_enumeration_on_empty_and_zero_corners(p_x, p_xy, y_type, eps, expected):
-    assert typicality_pass_probability(p_x, p_xy, y_type, eps) == expected
+    assert pass_probability(p_x, p_xy, y_type, eps) == expected
     assert reference_pass_probability(p_x, p_xy, y_type, eps) == expected
 
 
@@ -255,6 +244,66 @@ def test_mu_type_counts_match_brute_force_on_random_channels():
     assert nontrivial >= 4  # the comparison actually bites
 
 
+def random_law(rng, size, den=4):
+    """A law over `size` letters with entries in multiples of 1/den."""
+    cuts = sorted(rng.randint(0, den) for _ in range(size - 1))
+    return [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+
+
+def test_mu_matches_brute_force_on_two_state_channels_with_random_strategies():
+    # mu is a product over the tested states, each against its own output
+    # budget and its own strategy row: seeded channels of (|X|, |S|, |Y|) =
+    # (2, 2, 2) and (2, 2, 3), kernel rows mostly point masses so that some
+    # tests pass with a probability strictly between 0 and 1
+    rng = random.Random(1)
+    verdicts = {"degenerate": 0, "one": 0, "nontrivial": 0, "two tested states": 0}
+    for y_size in [2, 3] * 24:
+        kernel = [[random_law(rng, y_size, rng.choice([1, 1, 2])) for _x in range(2)] for _s in range(2)]
+        k = rng.randint(1, 3)
+        ch = make_channel(kernel, [F(k, 4), F(4 - k, 4)])
+        strategy = [random_law(rng, 2, rng.choice([2, 3, 4])) for _s in range(2)]
+        n, eps = rng.randint(6, 10), rng.choice([F(1, 4), F(1, 3), HALF])
+        try:
+            by_types = compute_mu(ch, strategy, n, eps)
+        except DegenerateSchemeError:
+            by_types = None
+        try:
+            by_brute = reference_mu(ch, strategy, n, eps)
+        except DegenerateSchemeError:
+            by_brute = None
+        assert by_types == by_brute
+        verdicts["degenerate" if by_types is None else "one" if by_types == 1 else "nontrivial"] += 1
+        if by_types not in (None, 1) and len(build_auth_scheme(ch, strategy, n, eps).windows) == 2:
+            verdicts["two tested states"] += 1
+    # the comparison bites on every verdict, and on a product of two factors (17, 24, 7 and 2)
+    assert min(verdicts.values()) >= 2, verdicts
+
+
+def test_the_builder_derives_each_tested_window_once(monkeypatch):
+    # z0z1 at n = 16, eps = 1/4 tests both states on 2 x 2 pairs: 8 windows,
+    # each counted once and read by mu's DP as the scheme stores it
+    calls = []
+
+    def counting_window(n, p, eps):
+        calls.append((n, p, eps))
+        return count_window(n, p, eps)
+
+    monkeypatch.setattr(auth_scheme, "count_window", counting_window)
+    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 16, F(1, 4))
+    assert [s for s, _ in scheme.windows] == [0, 1]
+    assert len(calls) == 8
+    assert scheme.mu == F(256, 9) and scheme.message_count == 29 and scheme.acceptance == F(256, 261)
+    assert scheme.n == 16 == scheme.state_budgets.n
+
+
+def test_a_scheme_stores_only_what_it_cannot_derive():
+    # n is the state budget's length and lambda is mu / M: read, not stored
+    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF, message_count=6)
+    assert "n" not in {f.name for f in dataclasses.fields(scheme)}
+    assert "acceptance" not in {f.name for f in dataclasses.fields(scheme)}
+    assert (scheme.n, scheme.mu, scheme.acceptance) == (8, 4, F(2, 3))
+
+
 # -- scheme construction -------------------------------------------------------
 
 
@@ -309,6 +358,19 @@ def test_bad_strategy_rejected():
         build_auth_scheme(identity_channel(), [[HALF, F(1, 4)]], 8, HALF)
     with pytest.raises(ValueError, match="strategy rows"):
         build_auth_scheme(identity_channel(), UNIFORM2 * 2, 8, HALF)
+
+
+@pytest.mark.parametrize("strategy, eps, message", [
+    # the strategy rows and eps are checked before any window or mu is counted
+    ([[F(1)]], HALF, "strategy row 0 has 1 entries for 2 inputs"),
+    ([[F(1), F(1)]], HALF, "strategy row 0 is not a probability distribution: it sums to 2"),
+    ([[F(3, 2), -HALF]], HALF, "strategy row 0 is not a probability distribution: 3/2 is outside [0, 1]"),
+    (UNIFORM2, 1, "eps must be in (0, 1), got 1"),
+    (UNIFORM2, 0, "eps must be in (0, 1), got 0"),
+])
+def test_the_builder_refuses_a_bad_eps_or_strategy_row_before_counting_mu(strategy, eps, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_auth_scheme(identity_channel(), strategy, 8, eps)
 
 
 # -- per-position encoder weight ----------------------------------------------
@@ -463,9 +525,14 @@ def test_single_message_tensor_is_input_weight_only():
 
 def test_tensor_cap_enforced(monkeypatch):
     scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
+    # 4 cells (x, s, y) per position: 4^8 * 4^2 entries at M = 4
+    assert scheme.message_count == 4
     monkeypatch.setattr(auth_scheme, "TENSOR_ENTRY_CAP", 100)
-    with pytest.raises(ValueError, match="cap"):
+    message = "the scheme tensor (M=4, n=8) needs 1048576 entries, above the cap 100"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         materialize_tensor(scheme)
+    monkeypatch.setattr(auth_scheme, "TENSOR_ENTRY_CAP", 1048576)
+    assert materialize_tensor(scheme).numerators.size == 1048576
 
 
 def routed_tensor():

@@ -73,7 +73,25 @@ def test_certificate_subcommand():
     assert "FAIL" not in text
 
 
-def test_an_infeasible_certificate_point_fails_with_its_violated_rows(monkeypatch):
+# both certificate reports against their goldens, the certificate's lines rewritten
+CERTIFICATE_REPORTS = pytest.mark.parametrize("argv, golden", [
+    (["lp", "certificate"], "lp-certificate.txt"),
+    (["theorem2"], "theorem2.txt"),
+])
+
+
+def certificate_report(golden, objective, violated, feasible):
+    """The golden report `golden` with the certificate at `objective`, its
+    `violated` rows, and the feasibility verdict `feasible`."""
+    text = (Path(__file__).parent / "golden" / golden).read_text()
+    rows = "".join(f"violated = {row}\n" for row in violated)
+    text = text.replace("certificate objective = 13/16\n", f"certificate objective = {objective}\n{rows}")
+    return text.replace("certificate feasible: pass\ncertificate objective = 13/16: pass\n",
+                        f"certificate feasible: {feasible}\ncertificate objective = 13/16: FAIL\n")
+
+
+@CERTIFICATE_REPORTS
+def test_an_infeasible_certificate_point_fails_with_its_violated_rows(monkeypatch, argv, golden):
     # qsum[s=0] enters the dual rows of the four variables q[x, 0]: lowered by 1, all four fall short
     point = cli.ns_lp.certificate_point_z0z1
 
@@ -82,14 +100,12 @@ def test_an_infeasible_certificate_point_fails_with_its_violated_rows(monkeypatc
         return {**found, "qsum[s=0]": found["qsum[s=0]"] - 1}
 
     monkeypatch.setattr(cli.ns_lp, "certificate_point_z0z1", lowered)
-    assert run(["lp", "certificate"]) == (1, "command = lp certificate\n"
-                                            "certificate objective = -3/16\n"
-                                            + "".join(f"violated = dual[q[{x},0]]\n" for x in range(4))
-                                            + "certificate feasible: FAIL\n"
-                                            "certificate objective = 13/16: FAIL\n")
+    violated = [f"dual[q[{x},0]]" for x in range(4)]
+    assert run(argv) == (1, certificate_report(golden, "-3/16", violated, "FAIL"))
 
 
-def test_a_looser_feasible_certificate_point_fails_only_its_objective(monkeypatch):
+@CERTIFICATE_REPORTS
+def test_a_looser_feasible_certificate_point_fails_only_its_objective(monkeypatch, argv, golden):
     # raising a dual variable of a <= row keeps every dual row met, at a higher bound
     point = cli.ns_lp.certificate_point_z0z1
 
@@ -98,10 +114,7 @@ def test_a_looser_feasible_certificate_point_fails_only_its_objective(monkeypatc
         return {**found, "rsum[s=0,y=0]": found["rsum[s=0,y=0]"] + 1}
 
     monkeypatch.setattr(cli.ns_lp, "certificate_point_z0z1", raised)
-    assert run(["lp", "certificate"]) == (1, "command = lp certificate\n"
-                                            "certificate objective = 21/16\n"
-                                            "certificate feasible: pass\n"
-                                            "certificate objective = 13/16: FAIL\n")
+    assert run(argv) == (1, certificate_report(golden, "21/16", [], "pass"))
 
 
 @pytest.mark.parametrize("argv", [["theorem2"], ["lp", "certificate"]])

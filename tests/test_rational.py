@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nscoding.auth_scheme import build_auth_scheme, typicality_pass_probability
+from nscoding.auth_scheme import build_auth_scheme
 from nscoding.channels import BlockStateSource, builtin_z0z1, make_channel
 from nscoding.rational import as_distribution, as_integer, as_rational, format_rational
 from nscoding.type_mapping import budgets
@@ -70,7 +70,6 @@ def test_digit_runs_up_to_the_limit_read():
 
 
 HALF = Fraction(1, 2)
-PAIRS = [[HALF, Fraction(0)], [Fraction(0), HALF]]
 
 # each exact-law check in the package, fed one two-entry law where it reads one
 LAW_CHECKS = {
@@ -79,7 +78,6 @@ LAW_CHECKS = {
     "block_state": lambda law: BlockStateSource(1, (((0,), law[0]), ((1,), law[1]))).validate(2),
     "dist": lambda law: budgets(10, law, HALF),
     "strategy row 0": lambda law: build_auth_scheme(builtin_z0z1(), [law, [HALF, HALF]], 2, HALF),
-    "p_x": lambda law: typicality_pass_probability(law, PAIRS, (1, 1), HALF),
 }
 
 
