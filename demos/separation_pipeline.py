@@ -18,7 +18,6 @@ from nscoding import (
     build_lp2,
     build_lp4_z0z1,
     builtin_z0z1,
-    certificate_point_z0z1,
     classical_opt_success,
     explicit_z0z1_strategy,
     lift_csir,
@@ -37,7 +36,7 @@ print(f"assisted causal optimum (exact simplex): {sol.value}")
 # It is found by solving the dual exactly; weak duality then needs only
 # its feasibility, which is checked row by row in integers.
 lp4 = build_lp4_z0z1()
-verdict = verify_certificate(lp4, certificate_point_z0z1(lp4))
+verdict = verify_certificate(lp4, solve_exact(lp4).assignment)
 print(f"dual point feasible: {verdict.feasible}, objective {verdict.objective}")
 
 # Lower bound, route 1: brute force over all deterministic causal

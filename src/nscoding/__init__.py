@@ -30,7 +30,6 @@ from .simplex import LinearProgram, SimplexSolution, solve_exact
 from .ns_lp import (
     build_lp1,
     build_lp2,
-    build_lp3_z0z1,
     build_lp4_z0z1,
     certificate_point_z0z1,
     verify_certificate,
@@ -82,7 +81,6 @@ __all__ = [
     "solve_exact",
     "build_lp1",
     "build_lp2",
-    "build_lp3_z0z1",
     "build_lp4_z0z1",
     "certificate_point_z0z1",
     "verify_certificate",

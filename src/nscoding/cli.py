@@ -142,10 +142,11 @@ def _cmd_capacity(args) -> ReportDocument:
 
 
 def _add_certificate(report: ReportDocument) -> None:
-    """Verify the z0z1 dual point on LP4: report its objective and any
-    violated rows, and check that it is feasible and bounds at 13/16."""
+    """Verify the z0z1 dual point, the exact optimum of LP4: report its
+    objective and any violated rows, and check that it is feasible and
+    bounds at 13/16."""
     lp4 = ns_lp.build_lp4_z0z1()
-    verdict = ns_lp.verify_certificate(lp4, ns_lp.certificate_point_z0z1(lp4))
+    verdict = ns_lp.verify_certificate(lp4, solve_exact(lp4).assignment)
     report.add("certificate objective", verdict.objective)
     for row in verdict.violated:
         report.add("violated", row)

@@ -15,8 +15,9 @@ as array maps over integer numerators, refused past the full program's
 variable cap.  The lift from (r, q) to z, `_lift`, also builds every
 scheme tensor of `auth_scheme`, so each is the full-program point of a
 reduced point by construction.  Also here: a generic LP dual, the
-binary-alphabet relaxation whose dual certifies the 13/16 bound, and a
-certificate point derived by solving that dual exactly.
+13/16 certificate program, which is the causal reduced program's own dual
+on the two-state binary channel at M=2, n=2, and a certificate point
+derived by solving that dual exactly.
 
 The conditions are stated once, in `CONDITIONS`: per family, the axes of
 z summed and the axes along which the sums must equal their value at
@@ -50,7 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -64,7 +65,6 @@ __all__ = [
     "build_lp2",
     "lp1_to_lp2",
     "lp2_to_lp1",
-    "build_lp3_z0z1",
     "build_lp4_z0z1",
     "dual_of",
     "certificate_point_z0z1",
@@ -466,21 +466,7 @@ def lp2_to_lp1(ch: ChannelWithState, M: int, n: int, rq_point: Mapping[str, obje
     return {name: Fraction(int(v), d * max(M - 1, 1)) for name, v in zip(names, z.flat) if v}
 
 
-# -- binary worked instance: relaxation and dual certificate ---------------
-
-
-def build_lp3_z0z1() -> LinearProgram:
-    """The causal reduced program for the two-state binary channel at
-    M=2, n=2 with only the input-marginal (q) causality rows dropped.
-
-    Dropping rows can only enlarge the feasible region, so this
-    relaxation upper-bounds the causal optimum; it is the primal whose
-    dual the 13/16 certificate lives in.
-    """
-    lp = build_lp2(builtin_z0z1(), M=2, n=2, causal=True)
-    lp.rows = [row for row in lp.rows if not row.label.startswith("qcausal")]
-    lp.name = "lp3[z0z1,M=2,n=2]"
-    return lp
+# -- binary worked instance: the dual certificate -----------------------------
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:
@@ -510,21 +496,21 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
 
 
 def build_lp4_z0z1() -> LinearProgram:
-    """The dual of the relaxation: any feasible point's objective
-    upper-bounds the relaxed primal, hence the causal optimum."""
-    return dual_of(build_lp3_z0z1())
+    """The dual of the causal reduced program for the two-state binary
+    channel at M=2, n=2: any feasible point's objective upper-bounds the
+    causal optimum, 13/16."""
+    return dual_of(build_lp2(builtin_z0z1(), M=2, n=2))
 
 
-def certificate_point_z0z1(lp: Optional[LinearProgram] = None) -> dict[str, Fraction]:
+def certificate_point_z0z1() -> dict[str, Fraction]:
     """A feasible point of the dual with objective exactly 13/16: the
     exact simplex optimum of `build_lp4_z0z1`, its nonzero entries keyed
-    by the relaxation's rows.  A caller that already holds that program
-    passes it as `lp`, so it is not built twice.
+    by the causal reduced program's rows.
 
     Feasibility is machine-checkable with verify_certificate; by weak
     duality the point certifies that no causal assisted scheme for this
     instance succeeds with probability above 13/16."""
-    return solve_exact(build_lp4_z0z1() if lp is None else lp).assignment
+    return solve_exact(build_lp4_z0z1()).assignment
 
 
 @dataclass

@@ -29,6 +29,7 @@ from nscoding.channels import builtin_z0z1
 from nscoding.cli import channel_digest, run
 from nscoding.simplex import PivotLimitError
 from nscoding.type_mapping import map_sequence
+from test_golden_reports import CLI_CASES, GOLDEN
 from test_rational import first_primes
 
 
@@ -90,16 +91,24 @@ def certificate_report(golden, objective, violated, feasible):
                         f"certificate feasible: {feasible}\ncertificate objective = 13/16: FAIL\n")
 
 
+def shift_certificate_entry(monkeypatch, name, by):
+    """Make the CLI's exact solve of a dual program return its point with
+    the entry `name` moved by `by`."""
+    solve = cli.solve_exact
+
+    def shifted(lp):
+        sol = solve(lp)
+        if lp.name.startswith("dual["):
+            sol.assignment = {**sol.assignment, name: sol.assignment[name] + by}
+        return sol
+
+    monkeypatch.setattr(cli, "solve_exact", shifted)
+
+
 @CERTIFICATE_REPORTS
 def test_an_infeasible_certificate_point_fails_with_its_violated_rows(monkeypatch, argv, golden):
     # qsum[s=0] enters the dual rows of the four variables q[x, 0]: lowered by 1, all four fall short
-    point = cli.ns_lp.certificate_point_z0z1
-
-    def lowered(lp4):
-        found = point(lp4)
-        return {**found, "qsum[s=0]": found["qsum[s=0]"] - 1}
-
-    monkeypatch.setattr(cli.ns_lp, "certificate_point_z0z1", lowered)
+    shift_certificate_entry(monkeypatch, "qsum[s=0]", -1)
     violated = [f"dual[q[{x},0]]" for x in range(4)]
     assert run(argv) == (1, certificate_report(golden, "-3/16", violated, "FAIL"))
 
@@ -107,13 +116,7 @@ def test_an_infeasible_certificate_point_fails_with_its_violated_rows(monkeypatc
 @CERTIFICATE_REPORTS
 def test_a_looser_feasible_certificate_point_fails_only_its_objective(monkeypatch, argv, golden):
     # raising a dual variable of a <= row keeps every dual row met, at a higher bound
-    point = cli.ns_lp.certificate_point_z0z1
-
-    def raised(lp4):
-        found = point(lp4)
-        return {**found, "rsum[s=0,y=0]": found["rsum[s=0,y=0]"] + 1}
-
-    monkeypatch.setattr(cli.ns_lp, "certificate_point_z0z1", raised)
+    shift_certificate_entry(monkeypatch, "rsum[s=0,y=0]", 1)
     assert run(argv) == (1, certificate_report(golden, "21/16", [], "pass"))
 
 
@@ -279,44 +282,34 @@ def test_typemap_subcommand_mirrors_the_library():
     assert f"flag = {mapped.flag}" in text
 
 
-def test_json_report_mirrors_text(tmp_path):
-    code, text = run(["toy"])
-    json_code, blob = run(["toy", "--json"])
-    assert (code, json_code) == (0, 0)
-    doc = json.loads(blob)
-    assert doc["command"] == "toy"
-    for key, value in doc["results"]:
-        assert f"{key} = {value}" in text
-    for key, verdict in doc["checks"].items():
-        assert f"{key}: {'pass' if verdict == 'pass' else 'FAIL'}" in text
+# every golden report but the JSON one, and a seeded Monte Carlo report of
+# its own sample count
+JSON_CASES = {case: argv for case, argv in CLI_CASES.items() if case != "toy-json"}
+JSON_CASES["simulate-z0z1-n16-mc-300"] = [
+    "scheme", "simulate", "--channel", "z0z1", "--n", "16", "--eps", "1/4", "--mode", "mc",
+    "--samples", "300", "--seed", "3",
+]
 
 
-def test_seeded_json_report_mirrors_text():
-    # the one report with a seed line: the JSON carries it, and the same
-    # results and checks in the same order
-    argv = ["scheme", "simulate", "--channel", "z0z1", "--n", "16", "--eps", "1/4", "--mode", "mc",
-            "--samples", "300", "--seed", "3"]
+@pytest.mark.parametrize("argv", JSON_CASES.values(), ids=JSON_CASES)
+def test_json_report_rebuilds_the_text(argv, monkeypatch):
+    # the JSON exits alike and carries the text's command, channel, seed,
+    # results and checks, in the same order; its results are [key, value]
+    # pairs, so a repeated key such as the classical `witness` survives
+    monkeypatch.chdir(GOLDEN)
     code, text = run(argv)
     json_code, blob = run(argv + ["--json"])
     doc = json.loads(blob)
-    assert (code, json_code) == (0, 0) and doc["seed"] == 3
-    assert list(doc) == ["command", "channel", "seed", "results", "checks"]
-    lines = [f"command = {doc['command']}", f"channel = {doc['channel']}", "seed = 3"]
+    assert json_code == code
+    head = [key for key in ("command", "channel", "seed") if key in doc]
+    assert list(doc) == [*head, "results", "checks"]
+    lines = [f"{key} = {doc[key]}" for key in head]
     lines += [f"{key} = {value}" for key, value in doc["results"]]
     lines += [f"{key}: {verdict}" for key, verdict in doc["checks"].items()]
     assert text == "\n".join(lines) + "\n"
-    assert ["samples", "300"] in doc["results"]
-
-
-def test_json_report_keeps_repeated_keys():
-    argv = ["classical", "--channel", "z0z1", "--M", "2", "--n", "2", "--csir"]
-    _, text = run(argv)
-    _, blob = run(argv + ["--json"])
-    witness = [v for k, v in json.loads(blob)["results"] if k == "witness"]
-    assert len(witness) == 12
-    assert [f"witness = {v}" for v in witness] == [
-        line for line in text.splitlines() if line.startswith("witness = ")
-    ]
+    if "--samples" in argv:
+        assert ["samples", argv[argv.index("--samples") + 1]] in doc["results"]
+        assert doc["seed"] == int(argv[argv.index("--seed") + 1])
 
 
 def test_channel_digest_is_stable_and_content_sensitive():

@@ -2,9 +2,9 @@
 
 The binary two-state channel at M=2, n=2 is small enough to solve
 exactly, so the values asserted here are solver-verified rationals:
-13/16 for the causal programs (full and reduced agree, and the
-relaxation plus a certificate point in its derived dual pin the same
-number from both sides) and 7/8 for the non-causal programs, which must
+13/16 for the causal programs (full and reduced agree, and a
+certificate point in the reduced program's derived dual pins the same
+number from above) and 7/8 for the non-causal programs, which must
 not change when the receiver is handed the state sequence.
 """
 
@@ -34,7 +34,6 @@ from nscoding.ns_lp import (
     MAX_LP_VARIABLES,
     build_lp1,
     build_lp2,
-    build_lp3_z0z1,
     build_lp4_z0z1,
     certificate_point_z0z1,
     dual_of,
@@ -65,13 +64,6 @@ def test_full_causal_optimum_matches_reduced():
     assert sol.value == OPT_CAUSAL
 
 
-def test_relaxation_and_dual_bracket_the_same_value():
-    relaxed = solve_exact(build_lp3_z0z1())
-    dual = solve_exact(build_lp4_z0z1())
-    assert relaxed.value == OPT_CAUSAL
-    assert dual.value == OPT_CAUSAL
-
-
 def test_noncausal_value_survives_state_disclosure():
     ch = builtin_z0z1()
     base = solve_exact(build_lp2(ch, M=2, n=2, causal=False))
@@ -97,11 +89,43 @@ def test_reduced_program_shape_regression():
 # -- certificate ------------------------------------------------------------
 
 
-# The dual point published with the 13/16 bound, keyed by the relaxation's
-# rows: output-block normalization (rsum), input-marginal normalization
-# (qsum), diagonal-weight causality (rcausal) and r <= q (rq).  Every
-# unlisted variable is zero.  It is another optimum of the same dual than
-# the simplex vertex `certificate_point_z0z1` returns.
+# The simplex vertex of the certificate program, `certificate_point_z0z1`:
+# its 37 nonzero entries, keyed by LP2's rows.  Every qcausal multiplier is 0.
+CERTIFICATE_VERTEX = {label: F(v) for label, v in {
+    "rsum[s=0,y=0]": "1/8", "rsum[s=0,y=1]": "1/16", "rsum[s=1,y=1]": "1/16",
+    "rsum[s=1,y=3]": "1/16", "rsum[s=2,y=0]": "1/16", "rsum[s=2,y=2]": "1/8",
+    "rsum[s=3,y=3]": "1/8",
+    "qsum[s=0]": "1/8", "qsum[s=1]": "1/8", "qsum[s=2]": "1/8", "qsum[s=3]": "1/8",
+    "rq[x=0,y=0,s=0]": "1/8", "rq[x=0,y=0,s=1]": "1/8", "rq[x=0,y=0,s=2]": "1/16",
+    "rq[x=0,y=0,s=3]": "1/16", "rq[x=0,y=1,s=2]": "1/16", "rq[x=0,y=2,s=3]": "1/16",
+    "rq[x=1,y=1,s=0]": "1/8", "rq[x=1,y=1,s=1]": "1/8", "rq[x=1,y=1,s=2]": "1/8",
+    "rq[x=1,y=1,s=3]": "1/16", "rq[x=1,y=3,s=3]": "1/16", "rq[x=2,y=0,s=1]": "1/16",
+    "rq[x=2,y=2,s=0]": "1/8", "rq[x=2,y=2,s=1]": "1/16", "rq[x=2,y=2,s=2]": "1/8",
+    "rq[x=2,y=2,s=3]": "1/8", "rq[x=3,y=1,s=1]": "1/16", "rq[x=3,y=2,s=0]": "1/16",
+    "rq[x=3,y=3,s=0]": "1/16", "rq[x=3,y=3,s=1]": "1/16", "rq[x=3,y=3,s=2]": "1/8",
+    "rq[x=3,y=3,s=3]": "1/8",
+    "rcausal[i=1,px=0,s=1,y=1]": "1/16", "rcausal[i=1,px=0,s=1,y=3]": "-1/16",
+    "rcausal[i=1,px=0,s=3,y=1]": "1/16", "rcausal[i=1,px=0,s=3,y=3]": "-1/16",
+}.items()}
+
+
+def test_certificate_program_is_the_dual_of_causal_lp2():
+    lp2 = build_lp2(builtin_z0z1(), M=2, n=2)
+    lp4 = build_lp4_z0z1()
+    assert lp4 == dual_of(lp2)  # name, sense, variables, objective, rows and signs
+    assert (len(lp4.var_names), len(lp4.rows)) == (104, 80)
+    assert lp4.var_names == [row.label for row in lp2.rows]
+    sol = solve_exact(lp4)
+    assert sol.value == solve_exact(lp2).value == OPT_CAUSAL
+    assert sol.assignment == CERTIFICATE_VERTEX and len(CERTIFICATE_VERTEX) == 37
+
+
+# The dual point published with the 13/16 bound, keyed by LP2's rows:
+# output-block normalization (rsum), input-marginal normalization (qsum),
+# diagonal-weight causality (rcausal) and r <= q (rq).  Every unlisted
+# variable is zero, the four input-marginal causality multipliers (qcausal)
+# among them.  It is another optimum of the same dual than the simplex
+# vertex `certificate_point_z0z1` returns.
 PUBLISHED_CERTIFICATE = {label: F(v) for label, v in {
     "rsum[s=1,y=0]": "3/16", "rsum[s=2,y=0]": "1/16", "rsum[s=1,y=1]": "3/16",
     "rsum[s=1,y=2]": "1/16", "rsum[s=2,y=2]": "3/16", "rsum[s=2,y=3]": "3/16",
@@ -138,10 +162,13 @@ def test_certificate_is_the_simplex_optimum_of_the_dual():
 
 
 def test_published_certificate_is_feasible_with_objective_13_16():
-    report = verify_certificate(build_lp4_z0z1(), PUBLISHED_CERTIFICATE)
+    lp4 = build_lp4_z0z1()
+    report = verify_certificate(lp4, PUBLISHED_CERTIFICATE)
     assert report.feasible and report.violated == []
     assert report.objective == OPT_CAUSAL
     assert len(PUBLISHED_CERTIFICATE) == 40
+    qcausal = [name for name in lp4.var_names if name.startswith("qcausal")]
+    assert len(qcausal) == 4 and not PUBLISHED_CERTIFICATE.keys() & set(qcausal)
 
 
 def test_certificate_mu_entry_cannot_be_lowered():
@@ -259,6 +286,15 @@ def random_channel(seed: int, x_size: int, y_size: int, s_size: int):
     return make_channel(kernel=kernel, state_dist=[F(a, sum(d)) for a in d])
 
 
+def relaxed_lp2() -> LinearProgram:
+    """Causal LP2 on z0z1 at M=2, n=2 without its four qcausal rows: a
+    shared program whose rows were changed, under a name of its own."""
+    lp = build_lp2(builtin_z0z1(), M=2, n=2)
+    lp.rows = [row for row in lp.rows if not row.label.startswith("qcausal")]
+    lp.name = "lp3[z0z1,M=2,n=2]"
+    return lp
+
+
 def test_programs_match_the_pinned_digest():
     # The sha256 of every program below, computed with the per-family
     # row loops the builders had before they shared one invariance-row
@@ -280,7 +316,7 @@ def test_programs_match_the_pinned_digest():
         for causal in (True, False)
         for build in (build_lp1, build_lp2)
     ]
-    programs += [build_lp2(z0z1, 2, 3), build_lp3_z0z1()]
+    programs += [build_lp2(z0z1, 2, 3), relaxed_lp2()]
     digest = hashlib.sha256()
     for lp in programs:
         rows = [(sorted(row.coeffs.items()), row.relation, row.rhs, row.label) for row in lp.rows]
@@ -531,7 +567,7 @@ def test_changing_one_shared_program_leaves_the_others_and_the_system():
         grown.add_var("t")
         grown.add_row({0: 1, len(grown.var_names) - 1: -1}, "<=", 0, "extra")
         grown.set_objective({0: 1})
-        # as build_lp3_z0z1 does
+        # as relaxed_lp2 does
         relaxed.rows = [row for row in relaxed.rows if not row.label.startswith("qcausal")]
         assert snapshot(other) == before
         assert system.program.rows == rows and all(map(lambda a, b: a is b, system.program.rows, rows))
@@ -542,7 +578,7 @@ def test_changing_one_shared_program_leaves_the_others_and_the_system():
     for lp in (grown, relaxed):
         assert lp._form()[0] is not form and lp._form()[1] is None
         assert outcome(solve_cold(lp)) == outcome(solve_cold(hand_built(lp)))
-    assert solve_exact(relaxed).value == solve_exact(build_lp3_z0z1()).value == OPT_CAUSAL
+    assert solve_exact(relaxed).value == solve_exact(relaxed_lp2()).value == OPT_CAUSAL
     assert outcome(solve_cold(other)) == outcome(solve_cold(hand_built(other)))
 
 
@@ -586,7 +622,7 @@ def test_systems_and_phase_one_outcomes_share_one_bound(monkeypatch):
     build_lp4_z0z1,
     lambda: dual_of(build_lp2(random_channel(1, 2, 3, 2), M=2, n=2)),
     # a shared program whose rows changed
-    build_lp3_z0z1,
+    relaxed_lp2,
 ], ids=["lp4", "dual-of-lp2", "lp3"])
 def test_hand_built_and_changed_programs_never_enter_the_memo(make):
     lp = make()

@@ -1,6 +1,7 @@
 """Tests for the exact rational simplex solver."""
 
 import math
+import random
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -570,6 +571,29 @@ def test_assisted_programs_keep_the_sparse_form_after_a_memo_hit(build, ch, n, c
 
 def test_degenerate_program_takes_the_reference_pivots():
     assert_same_pivots(beale_cycling_program())
+
+
+def degenerate_program(rng: random.Random) -> LinearProgram:
+    """A max program over at most five nonnegative variables and five <=
+    rows whose right-hand sides are 0 (with probability 1/2), 1 or 2, so
+    that its ratio tests tie often."""
+    lp = LinearProgram(name="degenerate")
+    nvars = rng.randint(1, 5)
+    for j in range(nvars):
+        lp.add_var(f"x{j}", objective=rng.randint(-1, 3))
+    for _ in range(rng.randint(1, 5)):
+        lp.add_row({j: rng.randint(-1, 2) for j in range(nvars)}, "<=", rng.choice((0, 0, 1, 2)))
+    return lp
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ratio_test_ties_go_to_the_lowest_basis_index(seed):
+    # Bland's rule ends cycling only if a tie in the ratio test goes to the
+    # row whose basic variable has the lowest index, as in the reference;
+    # ties to the last tying row or to the highest index take other pivots
+    rng = random.Random(seed)
+    for _ in range(100):
+        assert_same_pivots(degenerate_program(rng))
 
 
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
