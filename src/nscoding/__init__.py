@@ -20,12 +20,9 @@ from .channels import (
 from .capacity import (
     blahut_arimoto,
     capacity_table,
-    conditional_mi,
-    gp_noncausal_capacity,
     ns_capacity,
 )
 from .type_mapping import Budgets, budgets, flag_predicate, map_sequence, placeholder
-from .typicality import jointly_typical, strongly_typical
 from .simplex import LinearProgram, SimplexSolution, solve_exact
 from .ns_lp import (
     build_lp1,
@@ -66,16 +63,12 @@ __all__ = [
     "save_channel_file",
     "blahut_arimoto",
     "capacity_table",
-    "conditional_mi",
-    "gp_noncausal_capacity",
     "ns_capacity",
     "Budgets",
     "budgets",
     "flag_predicate",
     "map_sequence",
     "placeholder",
-    "jointly_typical",
-    "strongly_typical",
     "LinearProgram",
     "SimplexSolution",
     "solve_exact",

@@ -37,10 +37,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import ChannelWithState, block_law_array, check_block_length, state_block_count, state_blocks
-from .indexing import all_sequences, seq_to_index
+from .indexing import all_sequences
 from .ns_lp import CONDITIONS, _lift, condition_labels, condition_views
 from .rational import as_distribution, as_rational, check_cap, check_int, int_dtype
-from .type_mapping import Budgets, budgets, map_with_budgets, placeholder
+from .type_mapping import Budgets, budgets, map_with_budgets
 from .typicality import count_window
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "DegenerateSchemeError",
     "build_auth_scheme",
     "compute_mu",
-    "zeta",
-    "t_function",
     "materialize_tensor",
     "verify_conditions",
     "success_probability",
@@ -100,8 +98,8 @@ def _clean_strategy(ch: ChannelWithState, strategy: Sequence[Sequence[object]]) 
 
 
 # count windows (lo, hi) of every (x, y) pair of a kept block, flat at
-# x * |Y| + y: `jointly_typical` passes exactly when each pair count c has
-# lo <= c <= hi
+# x * |Y| + y: the block is jointly typical (the definition is kept in
+# tests/test_typicality.py) exactly when each pair count c has lo <= c <= hi
 Window = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -268,23 +266,7 @@ def build_auth_scheme(
     )
 
 
-# -- encoder and test -------------------------------------------------------
-
-
-def zeta(scheme: AuthScheme, i: int, x: int, s_prefix: Sequence[int]) -> Fraction:
-    """Probability the encoder puts symbol `x` at position `i`, given the
-    first i states; uniform on placeholder positions, P_{X|S} otherwise."""
-    if not 1 <= i <= scheme.n:
-        raise ValueError(f"position {i} outside 1..{scheme.n}")
-    if len(s_prefix) != i:
-        raise ValueError(f"prefix of length {len(s_prefix)} for position {i}")
-    if not 0 <= x < scheme.channel.x_size:
-        raise ValueError(f"input symbol {x} out of range")
-    mapped = map_with_budgets(s_prefix, scheme.state_budgets)
-    kept = mapped.output[-1]
-    if kept == placeholder(scheme.channel.s_size):
-        return Fraction(1, scheme.channel.x_size)
-    return scheme.strategy[kept][x]
+# -- the typicality test ---------------------------------------------------
 
 
 Block = tuple[int, Window, Sequence[int]]
@@ -308,20 +290,6 @@ def _block_test(scheme: AuthScheme, block: Block, xs: Sequence[int], ys: Sequenc
         if y < y_size:  # the placeholder output keeps no pair
             counts[xs[i] * y_size + y] += 1
     return all(a <= c <= b for a, c, b in zip(lo, counts, hi)), mapped.flag
-
-
-def t_function(scheme: AuthScheme, xs: Sequence[int], ys: Sequence[int], ss: Sequence[int]) -> Fraction:
-    """The acceptance weight: `acceptance` if every per-state block of kept
-    (input, mapped output) pairs is jointly typical, else 0."""
-    ch = scheme.channel
-    for name, seq, size in (("x", xs, ch.x_size), ("y", ys, ch.y_size), ("s", ss, ch.s_size)):
-        if len(seq) != scheme.n:
-            raise ValueError(f"{name}-sequence has length {len(seq)}, expected {scheme.n}")
-        if not all(0 <= v < size for v in seq):
-            raise ValueError(f"{name}-sequence {tuple(seq)} has a symbol outside 0..{size - 1}")
-    mapped_states = map_with_budgets(ss, scheme.state_budgets).output
-    blocks = _sigma_blocks(scheme.windows, mapped_states)
-    return scheme.acceptance if all(_block_test(scheme, block, xs, ys)[0] for block in blocks) else ZERO
 
 
 # -- dense tensor -----------------------------------------------------------
@@ -357,37 +325,10 @@ class SchemeTensor:
     numerators: np.ndarray
     denominator: int
 
-    @classmethod
-    def from_entries(
-        cls, message_count: int, n: int, x_size: int, s_size: int, y_size: int, entries
-    ) -> "SchemeTensor":
-        """A tensor from an array of rationals, over the lcm of their denominators."""
-        values = [Fraction(v) for v in np.asarray(entries, dtype=object).flat]
-        den = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        dtype = int_dtype(max(map(abs, nums), default=0), len(nums))
-        numerators = np.array(nums, dtype=dtype).reshape(np.shape(entries))
-        return cls(message_count, n, x_size, s_size, y_size, numerators, den)
-
     @property
     def entries(self) -> np.ndarray:
         """The table as a read-only Fraction array, built on each access."""
         return _fractions(self.numerators, self.denominator)
-
-    def entry(self, xs, w_hat: int, w: int, ss, ys) -> Fraction:
-        if not (0 <= w_hat < self.message_count and 0 <= w < self.message_count):
-            raise ValueError(f"message pair (w_hat, w) = ({w_hat}, {w}) outside 0..{self.message_count - 1}")
-        for name, block in (("input", xs), ("state", ss), ("output", ys)):
-            if len(block) != self.n:
-                raise ValueError(f"{name} block {tuple(block)} has length {len(block)}, not n = {self.n}")
-        cell = self.numerators[
-            seq_to_index(xs, self.x_size),
-            w_hat,
-            w,
-            seq_to_index(ss, self.s_size),
-            seq_to_index(ys, self.y_size),
-        ]
-        return Fraction(int(cell), self.denominator)
 
     def validate(self) -> None:
         expected = (self.x_size**self.n, self.message_count, self.message_count,
@@ -460,8 +401,10 @@ def materialize_tensor(scheme: AuthScheme) -> SchemeTensor:
     """Write the scheme out as a dense tensor (small blocks only): Z is
     `ns_lp._lift` of the reduced point (zeta * t, zeta), in the full
     program's layout z[x, w-hat, w, s, y].  So Z = zeta * t where
-    w-hat = w and zeta * (1 - t) / (M - 1) elsewhere, with t = lambda
-    where the test passes and 0 elsewhere; Z = zeta at M = 1."""
+    w-hat = w and zeta * (1 - t) / (M - 1) elsewhere, with zeta(x^n | s^n)
+    the encoder's weight (P_{X|S} at the state mapping's kept positions,
+    uniform at its placeholders) and t = lambda where the test passes and
+    0 elsewhere; Z = zeta at M = 1."""
     ch = scheme.channel
     n, m, lam = scheme.n, scheme.message_count, scheme.acceptance
     entries = _tensor_entries("the scheme tensor", ch, n, m)

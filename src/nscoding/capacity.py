@@ -13,9 +13,8 @@ read at each call, with no per-call knob.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -25,10 +24,8 @@ from .rational import check_cap
 __all__ = [
     "BlahutArimotoResult",
     "blahut_arimoto",
-    "conditional_mi",
     "NsCapacityResult",
     "ns_capacity",
-    "gp_noncausal_capacity",
     "CapacityReport",
     "capacity_table",
     "MAX_STRATEGY_LETTERS",
@@ -68,7 +65,6 @@ class BlahutArimotoResult:
     value: float
     input_dist: np.ndarray
     iterations: int
-    trace: list[float] = field(repr=False)
     gap: float = 0.0
 
 
@@ -78,9 +74,9 @@ def blahut_arimoto(p_y_x: np.ndarray) -> BlahutArimotoResult:
     Stops when the standard per-iteration capacity bracket
     max_x D(W(.|x)||p_Y) - log2(sum_x r(x) 2^{D_x}) drops below TOL,
     or raises ConvergenceError after MAX_BA_ITERATIONS iterations.
-    The mutual-information trace is asserted non-decreasing along the
-    way (up to additive float noise), which is a theorem for these
-    updates and a cheap self-check in practice.
+    Each iterate's mutual information is asserted no lower than the
+    previous one's (up to additive float noise), which is a theorem for
+    these updates and a cheap self-check in practice.
     """
     W = np.asarray(p_y_x, dtype=float)
     if W.ndim != 2:
@@ -93,8 +89,7 @@ def blahut_arimoto(p_y_x: np.ndarray) -> BlahutArimotoResult:
     np.log2(W, out=logW, where=support)
 
     r = np.full(nx, 1.0 / nx)
-    trace: list[float] = []
-    gap = np.inf
+    previous, gap = -np.inf, np.inf
     for it in range(1, MAX_BA_ITERATIONS + 1):
         py = r @ W
         log_py = np.zeros_like(py)
@@ -102,11 +97,9 @@ def blahut_arimoto(p_y_x: np.ndarray) -> BlahutArimotoResult:
         # D_x = D(W(.|x) || p_Y); wherever r(x) > 0, W(y|x) > 0 implies py(y) > 0
         D = np.sum(np.where(support, W * (logW - log_py[None, :]), 0.0), axis=1)
         current = float(r @ D)
-        if trace and current < trace[-1] - 1e-12:
-            raise AssertionError(
-                f"mutual information decreased at iteration {it}: {trace[-1]} -> {current}"
-            )
-        trace.append(current)
+        if current < previous - 1e-12:
+            raise AssertionError(f"mutual information decreased at iteration {it}: {previous} -> {current}")
+        previous = current
         scaled = r * np.exp2(D - D.max())
         lower = float(np.log2(scaled.sum()) + D.max())
         upper = float(D.max())
@@ -114,27 +107,8 @@ def blahut_arimoto(p_y_x: np.ndarray) -> BlahutArimotoResult:
         r = scaled / scaled.sum()
         if gap < TOL:
             value = _mutual_information(r[:, None] * W)
-            trace.append(value)
-            return BlahutArimotoResult(value=value, input_dist=r, iterations=it, trace=trace, gap=gap)
+            return BlahutArimotoResult(value=value, input_dist=r, iterations=it, gap=gap)
     raise ConvergenceError(MAX_BA_ITERATIONS, gap)
-
-
-def conditional_mi(ch: ChannelWithState, p_x_given_s: Sequence[Sequence[float]]) -> float:
-    """I(X;Y|S) in bits for a given per-state input strategy."""
-    strat = np.asarray(p_x_given_s, dtype=float)
-    if strat.shape != (ch.s_size, ch.x_size):
-        raise ValueError(f"strategy shape {strat.shape} != ({ch.s_size}, {ch.x_size})")
-    if np.any(strat < 0) or not np.allclose(strat.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("strategy rows must be probability distributions")
-    W = ch.kernel_array()
-    ps = ch.state_array()
-    total = 0.0
-    for s in range(ch.s_size):
-        if ps[s] == 0:
-            continue
-        joint = strat[s][:, None] * W[s]
-        total += ps[s] * _mutual_information(joint)
-    return total
 
 
 @dataclass
@@ -236,9 +210,20 @@ def _gp_ascend(p_u_given_s: np.ndarray, xmap: np.ndarray, W: np.ndarray, ps: np.
 
 
 def _gp_bound(ch: ChannelWithState, maps: list[tuple[int, ...]], causal_dist: np.ndarray) -> float:
-    """The ascent over the strategy letters `maps` from the causal optimum
-    `causal_dist`, tiled over states, and from its even mix with the
-    uniform distribution; the larger value."""
+    """Lower bound on the unassisted non-causal (Gelfand-Pinsker) capacity.
+
+    Maximizes I(T;Y) - I(T;S) over P_{T|S} on the strategy letters `maps`
+    of `strategy_channel`, which send state s to input t(s).  That
+    alphabet loses nothing: a pair (U, x(u,s)) does no better than the
+    strategy T = x(U,.), since I(U;Y|T) <= I(U;S|T).  The objective is not
+    concave in P_{T|S}, so the ascent (`_gp_ascend`) returns an achievable
+    value, not a certified optimum.  It runs from the causal optimum
+    `causal_dist`, tiled over states, where the objective is the causal
+    capacity, and from its even mix with the uniform distribution, and the
+    larger value is returned, so the bound is at least the causal capacity.
+    States of probability zero leave the objective alone and are left out
+    of the ascent.
+    """
     live = ch.state_array() > 0  # a dead state's row of the ascent's d may be all -inf
     W, ps = ch.kernel_array()[live], ch.state_array()[live]
     xmap = np.array(maps)[:, live]
@@ -246,23 +231,6 @@ def _gp_bound(ch: ChannelWithState, maps: list[tuple[int, ...]], causal_dist: np
     starts = (tiled, (tiled + 1 / len(maps)) / 2)
     # a constant U achieves 0, so the bound is never negative
     return max(0.0, *(_gp_ascend(p0, xmap, W, ps) for p0 in starts))
-
-
-def gp_noncausal_capacity(ch: ChannelWithState) -> float:
-    """Lower bound on the unassisted non-causal (Gelfand-Pinsker) capacity.
-
-    Maximizes I(T;Y) - I(T;S) over P_{T|S} on the strategy letters t of
-    `strategy_channel`, which send state s to input t(s).  That alphabet
-    loses nothing: a pair (U, x(u,s)) does no better than the strategy
-    T = x(U,.), since I(U;Y|T) <= I(U;S|T).  The objective is not concave
-    in P_{T|S}, so the ascent (`_gp_ascend`) returns an achievable value,
-    not a certified optimum.  It starts from the causal optimum, where the
-    objective is the causal capacity, so the bound is at least that.
-    States of probability zero leave the objective alone and are left out
-    of the ascent.
-    """
-    rows, maps = strategy_channel(ch)
-    return _gp_bound(ch, maps, blahut_arimoto(rows).input_dist)
 
 
 @dataclass
@@ -283,7 +251,7 @@ def capacity_table(ch: ChannelWithState) -> CapacityReport:
 
     Assistance removes the causal penalty, so both assisted cells equal
     max I(X;Y|S); the classical non-causal cell is an achievable lower
-    bound (see gp_noncausal_capacity), whose ascent starts from the
+    bound (see `_gp_bound`), whose ascent starts from the
     causal cell's Blahut-Arimoto optimum.  The strategy alphabet is
     refused above its cap before any Blahut-Arimoto run.  Every cell takes
     the state i.i.d. from `state_dist`: an attached block source is not read.

@@ -41,8 +41,6 @@ __all__ = [
     "BUILTIN_CHANNELS",
 ]
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class BlockStateSource:
@@ -247,25 +245,6 @@ class ChannelWithState:
         """`block_law_array`'s laws by block length, kept on the channel
         once built, as `automorphisms` is."""
         return {}
-
-    # -- block quantities --------------------------------------------------
-
-    def iid_block_prob(self, ss: Sequence[int]) -> Fraction:
-        p = Fraction(1)
-        for s in ss:
-            p *= self.state_dist[s]
-        return p
-
-    def state_block_prob(self, ss: Sequence[int]) -> Fraction:
-        """P(S^n = ss), as `state_blocks` weighs it: the block source's atom,
-        or the i.i.d. product; 0 for a block `state_blocks` does not yield."""
-        ss = tuple(ss)
-        check_block_length(self, len(ss))
-        if self.block_state is not None:
-            return dict(self.block_state.atoms).get(ss, ZERO)
-        if not all(0 <= s < self.s_size for s in ss):
-            return ZERO
-        return self.iid_block_prob(ss)
 
 
 def make_channel(

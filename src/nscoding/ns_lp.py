@@ -63,8 +63,6 @@ __all__ = [
     "MAX_LP_VARIABLES",
     "build_lp1",
     "build_lp2",
-    "lp1_to_lp2",
-    "lp2_to_lp1",
     "build_lp4_z0z1",
     "dual_of",
     "certificate_point_z0z1",
@@ -438,32 +436,6 @@ def _lift(r: np.ndarray, q: np.ndarray, M: int) -> np.ndarray:
     z[:] = off[:, None, None]
     z[:, range(M), range(M)] = diagonal[:, None]
     return z
-
-
-def lp1_to_lp2(ch: ChannelWithState, M: int, n: int, z_point: Mapping[str, object]) -> dict[str, Fraction]:
-    """Map a full-program point to the reduced variables: r averages the
-    diagonal (wh = w) cells over w, and q also sums over wh, at the reference
-    output block (any output gives the same number at a point that satisfies
-    the invariance rows).  A name the full program lacks is a ValueError."""
-    nx, ns, ny = _checked_shape(ch, M, n, _lp1_system)
-    nums, d = _lp1_variables(ch.x_size, ch.y_size, ch.s_size, M, n)[0]._point(z_point)
-    z = np.array(nums, dtype=object).reshape(nx, M, M, ns, ny)
-    r, q = np.trace(z, axis1=1, axis2=2).transpose(0, 2, 1), z[..., 0].sum(axis=(1, 2))  # r[x, y, s], q[x, s]
-    names = _lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0].var_names
-    return {name: Fraction(v, d * M) for name, v in zip(names, [*r.flat, *q.flat]) if v}
-
-
-def lp2_to_lp1(ch: ChannelWithState, M: int, n: int, rq_point: Mapping[str, object]) -> dict[str, Fraction]:
-    """Map a reduced-program point back to the full variables by `_lift`:
-    diagonal cells carry r, and off-diagonal cells split the leftover q - r
-    evenly over the M - 1 wrong guesses.  A name the reduced program lacks
-    is a ValueError."""
-    nx, ns, ny = _checked_shape(ch, M, n, _lp1_system)
-    nums, d = _lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0]._point(rq_point)
-    r, q = np.split(np.array(nums, dtype=object), [nx * ny * ns])
-    z = _lift(r.reshape(nx, ny, ns).transpose(0, 2, 1), q.reshape(nx, ns), M)
-    names = _lp1_variables(ch.x_size, ch.y_size, ch.s_size, M, n)[0].var_names
-    return {name: Fraction(int(v), d * max(M - 1, 1)) for name, v in zip(names, z.flat) if v}
 
 
 # -- binary worked instance: the dual certificate -----------------------------

@@ -32,22 +32,23 @@ from nscoding.auth_scheme import (
     materialize_tensor,
     success_decomposition,
     success_probability,
-    t_function,
     message_success,
     tensor_success,
     verify_conditions,
-    zeta,
 )
 from nscoding.channels import (
     block_law_array, builtin_product_xs, builtin_z0z1, load_channel_file, make_channel,
     state_block_count, state_blocks,
 )
-from nscoding.indexing import index_to_seq
-from nscoding.ns_lp import build_lp1, build_lp2, lp1_to_lp2, lp2_to_lp1
+from nscoding.indexing import index_to_seq, seq_to_index
+from nscoding.ns_lp import build_lp1, build_lp2
+from nscoding.rational import int_dtype
 from nscoding.type_mapping import budgets, map_with_budgets, placeholder
-from nscoding.typicality import count_window, jointly_typical
+from nscoding.typicality import count_window
 from test_channels import reference_block_outputs
 from test_golden_reports import xor_block_channel, zero_probability_channel
+from test_ns_lp import lp1_to_lp2, lp2_to_lp1
+from test_typicality import jointly_typical
 
 F = Fraction
 HALF = F(1, 2)
@@ -376,26 +377,26 @@ def test_the_builder_refuses_a_bad_eps_or_strategy_row_before_counting_mu(strate
 # -- per-position encoder weight ----------------------------------------------
 
 
+def zeta(scheme, x, s_prefix):
+    """Probability the encoder puts symbol `x` at position len(s_prefix),
+    given the states so far: uniform on a placeholder position of the
+    state mapping, P_{X|S} of the kept state otherwise."""
+    kept = map_with_budgets(s_prefix, scheme.state_budgets).output[-1]
+    if kept == placeholder(scheme.channel.s_size):
+        return F(1, scheme.channel.x_size)
+    return scheme.strategy[kept][x]
+
+
 def test_zeta_kept_vs_placeholder_positions():
     # Non-uniform inputs make the two branches distinguishable: with
     # eps = 2/3 the state budget keeps floor(8/3) = 2 of 8 positions,
     # so the third state onward overflows into placeholders.
     scheme = build_auth_scheme(identity_channel(), [[F(1, 4), F(3, 4)]], 8, F(2, 3))
     assert scheme.state_budgets.per_symbol == (2,)
-    assert zeta(scheme, 1, 1, (0,)) == F(3, 4)
-    assert zeta(scheme, 2, 0, (0, 0)) == F(1, 4)
-    assert zeta(scheme, 3, 1, (0,) * 3) == HALF  # placeholder: uniform
-    assert zeta(scheme, 8, 0, (0,) * 8) == HALF
-
-
-def test_zeta_validates_prefix():
-    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
-    with pytest.raises(ValueError, match="position"):
-        zeta(scheme, 0, 0, ())
-    with pytest.raises(ValueError, match="prefix"):
-        zeta(scheme, 2, 0, (0,))
-    with pytest.raises(ValueError, match="^input symbol 2 out of range$"):
-        zeta(scheme, 1, 2, (0,))
+    assert zeta(scheme, 1, (0,)) == F(3, 4)
+    assert zeta(scheme, 0, (0, 0)) == F(1, 4)
+    assert zeta(scheme, 1, (0,) * 3) == HALF  # placeholder: uniform
+    assert zeta(scheme, 0, (0,) * 8) == HALF
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
@@ -403,11 +404,18 @@ def test_zeta_rows_normalized(prefix):
     scheme = build_auth_scheme(
         builtin_z0z1(), [[F(1, 4), F(3, 4)], [F(3, 4), F(1, 4)]], 8, HALF
     )
-    i = len(prefix)
-    assert zeta(scheme, i, 0, prefix) + zeta(scheme, i, 1, prefix) == 1
+    assert zeta(scheme, 0, prefix) + zeta(scheme, 1, prefix) == 1
 
 
 # -- acceptance weight ---------------------------------------------------------
+
+
+def t_function(scheme, xs, ys, ss):
+    """The acceptance weight: `scheme.acceptance` if every per-state block
+    of kept (input, mapped output) pairs passes its windows, else 0."""
+    mapped_states = map_with_budgets(ss, scheme.state_budgets).output
+    blocks = auth_scheme._sigma_blocks(scheme.windows, mapped_states)
+    return scheme.acceptance if all(auth_scheme._block_test(scheme, b, xs, ys)[0] for b in blocks) else F(0)
 
 
 def test_t_function_accepts_matching_blocks():
@@ -424,30 +432,6 @@ def test_t_function_rejects_monotone_output_block():
     assert t_function(scheme, xs, xs, (0,) * 8) == 0
 
 
-def test_t_function_rejects_out_of_range_inputs():
-    # Pair counts are indexed by x * |Y| + y: an input outside the
-    # alphabet must be refused, not counted as another pair.
-    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
-    for bad in (2, -1):
-        with pytest.raises(ValueError, match="x-sequence"):
-            t_function(scheme, (bad,) + (0,) * 7, (0, 1) + (0,) * 6, (0,) * 8)
-
-
-def test_t_function_refuses_a_block_of_another_length():
-    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
-    with pytest.raises(ValueError, match="^s-sequence has length 7, expected 8$"):
-        t_function(scheme, (0,) * 8, (0,) * 8, (0,) * 7)
-
-
-def test_t_function_rejects_out_of_range_outputs():
-    # Position 4 is a placeholder state there, so its output is never
-    # mapped; position 1 is a tested sigma position.
-    scheme = build_auth_scheme(builtin_z0z1(), [[HALF, HALF]] * 2, 4, HALF)
-    for ys in ((0, 0, 0, 7), (7, 0, 0, 0), (0, 0, -1, 0)):
-        with pytest.raises(ValueError, match=re.escape(f"y-sequence {ys} has a symbol outside 0..1")):
-            t_function(scheme, (0, 0, 0, 0), ys, (0, 1, 0, 1))
-
-
 def test_t_function_vacuous_scheme_accepts_everything():
     ch = builtin_z0z1()
     scheme = build_auth_scheme(ch, [[HALF, HALF]] * 2, 4, HALF, message_count=2)
@@ -455,12 +439,15 @@ def test_t_function_vacuous_scheme_accepts_everything():
         assert t_function(scheme, xs, (1, 0, 1, 0), (0, 1, 1, 0)) == HALF
 
 
-def test_t_function_against_direct_reimplementation():
+def test_tensor_acceptance_against_direct_reimplementation():
     # Independent restatement of the whole test pipeline for the
     # single-state channel: keep the first four positions, map their
     # outputs onto composition (1, 1) + 2 placeholders, and demand the
-    # kept (input, output) pairs match one-for-one.
+    # kept (input, output) pairs match one-for-one.  Every input block
+    # weighs 2^-8, so the tensor's diagonal cell is lambda * 2^-8 where
+    # the test passes and 0 where it fails.
     scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
+    tensor = materialize_tensor(scheme)
 
     def oracle(xs, ys):
         kept_y = []
@@ -490,11 +477,21 @@ def test_t_function_against_direct_reimplementation():
     for _ in range(300):
         xs = tuple(rng.randint(0, 1) for _ in range(8))
         ys = tuple(rng.randint(0, 1) for _ in range(8))
-        expected = scheme.acceptance if oracle(xs, ys) else 0
-        assert t_function(scheme, xs, ys, ss) == expected
+        expected = scheme.acceptance / 256 if oracle(xs, ys) else 0
+        cell = tensor.numerators[seq_to_index(xs, 2), 0, 0, seq_to_index(ss, 1), seq_to_index(ys, 2)]
+        assert F(int(cell), tensor.denominator) == expected
 
 
 # -- dense tensor ----------------------------------------------------------------
+
+
+def tensor_from_entries(message_count, n, x_size, s_size, y_size, entries):
+    """A `SchemeTensor` from an array of rationals, over the lcm of their denominators."""
+    values = [F(v) for v in np.asarray(entries, dtype=object).flat]
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    numerators = np.array(nums, dtype=int_dtype(max(map(abs, nums), default=0), len(nums)))
+    return SchemeTensor(message_count, n, x_size, s_size, y_size, numerators.reshape(np.shape(entries)), den)
 
 
 def test_materialized_tensor_is_normalized_with_uniform_guess_marginal():
@@ -547,7 +544,7 @@ def routed_tensor():
                 for w in range(2):
                     for yi in range(4):
                         entries[xi, wh, w, si, yi] = F(1, 4)
-    return SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    return tensor_from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
 
 
 def test_state_routing_trips_only_the_stepwise_condition():
@@ -562,7 +559,7 @@ def test_state_routing_trips_only_the_stepwise_condition():
 
 def test_fully_uniform_tensor_passes_everything():
     entries = np.full((4, 2, 2, 4, 4), F(1, 8), dtype=object)
-    tensor = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    tensor = tensor_from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     tensor.validate()
     assert verify_conditions(tensor).all_pass()
 
@@ -570,11 +567,11 @@ def test_fully_uniform_tensor_passes_everything():
 def test_tensor_validation_catches_bad_tables():
     entries = np.full((4, 2, 2, 4, 4), F(1, 8), dtype=object)
     entries[0, 0, 0, 0, 0] = F(-1, 8)
-    bad = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    bad = tensor_from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     with pytest.raises(ValueError, match="negative"):
         bad.validate()
     entries = np.full((4, 2, 2, 4, 4), F(1, 4), dtype=object)
-    bad = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    bad = tensor_from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     with pytest.raises(ValueError, match="sum"):
         bad.validate()
 
@@ -593,7 +590,7 @@ def test_tensor_validation_refuses_a_bad_shape_or_denominator(shape, denominator
 
 
 def reference_tensor(scheme):
-    """Z one cell at a time from the public zeta and t_function:
+    """Z one cell at a time from `zeta` and `t_function` above:
     zeta * t on the diagonal, zeta * (1 - t) / (M - 1) off it."""
     ch, n, m = scheme.channel, scheme.n, scheme.message_count
     xs_all, ss_all, ys_all = (
@@ -605,7 +602,7 @@ def reference_tensor(scheme):
         for xi, xs in enumerate(xs_all):
             weight = F(1)
             for i in range(1, n + 1):
-                weight *= zeta(scheme, i, xs[i - 1], ss[:i])
+                weight *= zeta(scheme, xs[i - 1], ss[:i])
             for yi, ys in enumerate(ys_all):
                 t = t_function(scheme, xs, ys, ss)
                 miss = (1 - t) / (m - 1)
@@ -725,7 +722,7 @@ def test_condition_labels_and_messages_match_the_cell_loops():
             xi, w, si, yi = (rng.randrange(entries.shape[k]) for k in (0, 2, 3, 4))
             entries[xi, 0, w, si, yi] += F(1, 64)
             entries[xi, 1, w, si, yi] -= F(1, 64)
-        cases.append(SchemeTensor.from_entries(2, 3, 2, 2, 2, entries))
+        cases.append(tensor_from_entries(2, 3, 2, 2, 2, entries))
 
     for tensor in cases:
         assert_conditions_match_the_reference(tensor)
@@ -754,7 +751,7 @@ def test_object_numerators_check_like_the_cell_loops():
         if seed % 2:
             cell = tuple(rng.randrange(d) for d in entries.shape)
             entries[cell] += tiny * rng.randint(-3, 3)
-        cases.append(SchemeTensor.from_entries(2, 3, 2, 2, 2, entries))
+        cases.append(tensor_from_entries(2, 3, 2, 2, 2, entries))
     assert all(t.numerators.dtype == object for t in cases)
     for tensor in cases:
         assert_conditions_match_the_reference(tensor)
@@ -831,7 +828,7 @@ def test_mutated_tensors_fail_the_same_cells_in_the_program_and_the_checks():
             mass = F(rng.randint(1, 6), 64)  # the entries are all 1/16
             entries[tuple(cell)] += mass
             entries[tuple(other)] -= mass
-        tensor = SchemeTensor.from_entries(2, n, 2, 2, 2, entries)
+        tensor = tensor_from_entries(2, n, 2, 2, 2, entries)
         violated = lp.violated_rows(lp1_point(lp, tensor))
         report, combined = assert_conditions_match_the_reference(tensor)
         for family in ("c1", "c2", "c3"):
@@ -971,7 +968,7 @@ def test_acceptance_comparisons_bite():
 
 def test_blind_guessing_succeeds_one_in_m():
     entries = np.full((4, 2, 2, 4, 4), F(1, 8), dtype=object)
-    tensor = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    tensor = tensor_from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     assert tensor_success(tensor, builtin_z0z1()) == HALF
 
 
@@ -979,7 +976,7 @@ def test_message_success_is_kept_per_message():
     # a decoder that always guesses message 0 is right on message 0 only
     entries = np.zeros((4, 2, 2, 4, 4), dtype=object)
     entries[:, 0] = F(1, 4)
-    tensor = SchemeTensor.from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
+    tensor = tensor_from_entries(message_count=2, n=2, x_size=2, s_size=2, y_size=2, entries=entries)
     assert message_success(tensor, builtin_z0z1()) == (1, 0)
     assert tensor_success(tensor, builtin_z0z1()) == HALF
     # the toy scheme never errs on its own source, whichever message is sent

@@ -7,12 +7,8 @@ from math import log2
 
 from nscoding import capacity
 from nscoding.capacity import (
-    BlahutArimotoResult,
-    CapacityReport,
     blahut_arimoto,
     capacity_table,
-    conditional_mi,
-    gp_noncausal_capacity,
     ns_capacity,
     strategy_channel,
 )
@@ -37,6 +33,15 @@ def mi_oracle(joint):
             if joint[i, j] > 0:
                 total += joint[i, j] * log2(joint[i, j] / (px[i] * py[j]))
     return total
+
+
+def conditional_mi(ch, p_x_given_s):
+    """I(X;Y|S) in bits for a per-state input strategy: the library's
+    mutual information of each state's joint P(x|s) N(y|x,s), weighted by
+    P_S; a state of probability zero is left out."""
+    strat = np.asarray(p_x_given_s, dtype=float)
+    W, ps = ch.kernel_array(), ch.state_array()
+    return sum(ps[s] * capacity._mutual_information(strat[s][:, None] * W[s]) for s in range(ch.s_size) if ps[s])
 
 
 def grid_search_binary_capacity(rows, step=1e-6):
@@ -75,14 +80,6 @@ def test_conditional_mi_identity_channel():
     assert conditional_mi(ch, [[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_conditional_mi_validates_strategy():
-    ch = builtin_z0z1()
-    with pytest.raises(ValueError, match="shape"):
-        conditional_mi(ch, [[1.0, 0.0]])
-    with pytest.raises(ValueError, match="probability"):
-        conditional_mi(ch, [[0.9, 0.3], [0.5, 0.5]])
-
-
 def test_blahut_arimoto_known_channels():
     # noiseless binary channel
     res = blahut_arimoto(np.eye(2))
@@ -105,12 +102,28 @@ def test_blahut_arimoto_refuses_a_kernel_that_is_no_channel(kernel, message):
         blahut_arimoto(kernel)
 
 
+def reference_ba_trace(W, iterations):
+    """I(X;Y) at the uniform input and at each of the next `iterations`
+    Blahut-Arimoto inputs r <- r * 2^D / sum, D_x = D(W(.|x) || rW), written
+    out apart from the library."""
+    r = np.full(len(W), 1 / len(W))
+    trace = [mi_oracle(r[:, None] * W)]
+    for _ in range(iterations):
+        py = r @ W
+        D = np.array([sum(w * log2(w / q) for w, q in zip(row, py) if w > 0) for row in W])
+        r = r * np.exp2(D)
+        r /= r.sum()
+        trace.append(mi_oracle(r[:, None] * W))
+    return trace
+
+
 def test_blahut_arimoto_trace_monotone():
     rows = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
     res = blahut_arimoto(rows)
-    diffs = np.diff(res.trace)
-    assert np.all(diffs >= -1e-12)
-    assert res.trace[-1] >= res.trace[0]
+    trace = reference_ba_trace(rows, res.iterations)
+    assert np.all(np.diff(trace) >= -1e-12)
+    assert trace[-1] >= trace[0]
+    assert trace[-1] == pytest.approx(res.value, abs=1e-12)
 
 
 def test_blahut_arimoto_nonconvergence_reports_gap(monkeypatch):
@@ -182,10 +195,8 @@ DEAD_STATE_KERNEL = [
     make_channel(DEAD_STATE_KERNEL, ["1", "0"]),
 ], ids=["z0z1", "z0z1-csir", "product-xs", "dead-state-0", "dead-state-1"])
 def test_gp_bound_sandwich(ch):
-    causal = shannon_causal_capacity(ch)
-    ns = ns_capacity(ch).value
-    gp = gp_noncausal_capacity(ch)
-    assert causal - 1e-9 <= gp <= ns + 1e-9
+    table = capacity_table(ch)
+    assert shannon_causal_capacity(ch) - 1e-9 <= table.classical_noncausal <= table.ns_noncausal + 1e-9
 
 
 def test_gp_causal_start_carries_the_causal_capacity(monkeypatch):
@@ -201,7 +212,7 @@ def test_gp_causal_start_carries_the_causal_capacity(monkeypatch):
         return ascend(p0, xmap, W, ps)
 
     monkeypatch.setattr(capacity, "_gp_ascend", spy)
-    gp = gp_noncausal_capacity(ch)
+    gp = capacity_table(ch).classical_noncausal
     causal = shannon_causal_capacity(ch)
     assert len(starts) == 2
     assert starts[0] == pytest.approx(causal, abs=1e-12)
@@ -256,15 +267,16 @@ def test_gp_bound_matches_the_best_of_five_random_start_ascents():
         ch = random_channel(rng, *RANDOM_SHAPES[i % len(RANDOM_SHAPES)])
         starts = rng.dirichlet(np.ones(ch.x_size**ch.s_size), size=(5, ch.s_size))
         best = max(reference_gp_ascents(ch, starts))
-        gp = gp_noncausal_capacity(ch)
+        table = capacity_table(ch)
+        gp = table.classical_noncausal
         assert gp == pytest.approx(best, abs=1e-6), (i, gp, best)
-        assert gp <= ns_capacity(ch).value + 1e-9
+        assert gp <= table.ns_noncausal + 1e-9
 
 
 def test_gp_state_independent_channel_recovers_capacity():
     bsc = [[Fraction(7, 8), Fraction(1, 8)], [Fraction(1, 8), Fraction(7, 8)]]
     ch = make_channel([bsc, bsc], [H, H])
-    gp = gp_noncausal_capacity(ch)
+    gp = capacity_table(ch).classical_noncausal
     assert gp == pytest.approx(1 - hb(0.125), abs=1e-3)
 
 

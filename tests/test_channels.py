@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import time
 from fractions import Fraction
@@ -47,8 +48,7 @@ def test_product_channel_is_multiplication():
     assert ch.prob(0, 1, 0) == 1  # y = 1*0 = 0 with certainty
     assert ch.block_state is not None
     assert ch.block_state.support() == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    assert ch.state_block_prob((0, 1, 1)) == Fraction(1, 3)
-    assert ch.state_block_prob((0, 0, 0)) == 0
+    assert {ss: p for _, ss, p in state_blocks(ch, 3)} == dict.fromkeys(ch.block_state.support(), Fraction(1, 3))
 
 
 def test_builtin_lookup():
@@ -135,19 +135,6 @@ def test_lift_csir_rows_still_normalize():
     ch = lift_csir(builtin_product_xs())
     ch.validate()
     assert ch.block_state == builtin_product_xs().block_state
-
-
-def test_iid_block_prob():
-    ch = builtin_z0z1()
-    assert ch.iid_block_prob((0, 1, 0)) == Fraction(1, 8)
-    assert ch.state_block_prob((0, 1)) == Fraction(1, 4)
-    # read off the block, not found among the 2^40 blocks of the walk
-    assert ch.state_block_prob((0, 1) * 20) == Fraction(1, 2**40)
-    assert ch.state_block_prob((0, 2)) == ch.state_block_prob((-1, 0)) == 0
-    assert make_channel([[[1]]] * 3, [H, 0, H]).state_block_prob((0, 1)) == 0
-    # one product per count vector weighs every block as its own product does
-    three = make_channel([[[1]]] * 3, [H, Fraction(1, 3), Fraction(1, 6)])
-    assert all(p == three.iid_block_prob(ss) for _, ss, p in state_blocks(three, 5))
 
 
 def test_file_round_trip(tmp_path):
@@ -267,13 +254,18 @@ def test_state_block_count_matches_the_walk(ch, n):
     assert state_block_count(ch, n) == sum(1 for _ in state_blocks(ch, n))
 
 
+def iid_block_prob(ch, ss):
+    """P(S^n = ss) for i.i.d. states: the product of the state probabilities."""
+    return math.prod((ch.state_dist[s] for s in ss), start=Fraction(1))
+
+
 def reference_state_blocks(ch, n):
     """The state-block walk as it was: every block's index by the
     range-checking `seq_to_index`, its weight by `iid_block_prob`."""
     if ch.block_state is not None:
         return [(seq_to_index(ss, ch.s_size), ss, p) for ss, p in sorted(ch.block_state.atoms) if p]
     support = [s for s in range(ch.s_size) if ch.state_dist[s]]
-    return [(seq_to_index(ss, ch.s_size), ss, ch.iid_block_prob(ss)) for ss in product(support, repeat=n)]
+    return [(seq_to_index(ss, ch.s_size), ss, iid_block_prob(ch, ss)) for ss in product(support, repeat=n)]
 
 
 @pytest.mark.parametrize("ch, n", [

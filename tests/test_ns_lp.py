@@ -37,8 +37,6 @@ from nscoding.ns_lp import (
     build_lp4_z0z1,
     certificate_point_z0z1,
     dual_of,
-    lp1_to_lp2,
-    lp2_to_lp1,
     verify_certificate,
 )
 from nscoding.simplex import LinearProgram, SimplexSolution, solve_exact
@@ -197,6 +195,30 @@ def test_dual_of_the_dual_recovers_13_16():
 # -- point mappings between the two formulations ----------------------------
 
 
+def lp1_to_lp2(ch, M, n, z_point):
+    """Map a full-program point to the reduced variables: r averages the
+    diagonal (wh = w) cells over w, and q also sums over wh, at the reference
+    output block (any output gives the same number at a point that satisfies
+    the invariance rows)."""
+    nums, d = ns_lp._lp1_variables(ch.x_size, ch.y_size, ch.s_size, M, n)[0]._point(z_point)
+    z = np.array(nums, dtype=object).reshape(ch.x_size**n, M, M, ch.s_size**n, ch.y_size**n)
+    r, q = np.trace(z, axis1=1, axis2=2).transpose(0, 2, 1), z[..., 0].sum(axis=(1, 2))  # r[x, y, s], q[x, s]
+    names = ns_lp._lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0].var_names
+    return {name: F(v, d * M) for name, v in zip(names, [*r.flat, *q.flat]) if v}
+
+
+def lp2_to_lp1(ch, M, n, rq_point):
+    """Map a reduced-program point back to the full variables by
+    `ns_lp._lift`: diagonal cells carry r, and off-diagonal cells split the
+    leftover q - r evenly over the M - 1 wrong guesses."""
+    nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
+    nums, d = ns_lp._lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0]._point(rq_point)
+    r, q = np.split(np.array(nums, dtype=object), [nx * ny * ns])
+    z = ns_lp._lift(r.reshape(nx, ny, ns).transpose(0, 2, 1), q.reshape(nx, ns), M)
+    names = ns_lp._lp1_variables(ch.x_size, ch.y_size, ch.s_size, M, n)[0].var_names
+    return {name: F(int(v), d * max(M - 1, 1)) for name, v in zip(names, z.flat) if v}
+
+
 def test_reduced_solution_lifts_to_feasible_full_point():
     ch = builtin_z0z1()
     lp2 = build_lp2(ch, M=2, n=2)
@@ -226,14 +248,15 @@ def test_single_message_programs_are_trivial():
     assert set(z_point) == {"z[0,0,0,0,0]"}
 
 
-@pytest.mark.parametrize("mapping", [lp1_to_lp2, lp2_to_lp1])
-def test_point_maps_refuse_oversize_programs_and_unknown_names(mapping):
+def test_programs_refuse_an_oversize_shape_and_a_point_with_unknown_names():
     start = time.perf_counter()
     with pytest.raises(ValueError, match=rf"^lp1\(M=2, n=30\) needs about 2\^92 variables, above the cap {MAX_LP_VARIABLES}$"):
-        mapping(builtin_z0z1(), 2, 30, {})
+        build_lp1(builtin_z0z1(), 2, 30)
     assert time.perf_counter() - start < 1
-    with pytest.raises(ValueError, match=r"has no variable 'w\[0\]'"):
-        mapping(builtin_z0z1(), 2, 1, {"w[0]": 1})
+    lp = build_lp1(builtin_z0z1(), 2, 1)
+    for evaluate in (lp.violated_rows, lp.objective_value):
+        with pytest.raises(ValueError, match=r"has no variable 'w\[0\]'"):
+            evaluate({"w[0]": 1})
 
 
 @pytest.mark.parametrize("bits, dtype", [(57, np.int64), (58, object)])

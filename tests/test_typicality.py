@@ -1,30 +1,42 @@
+"""Tests for the integer count windows of strong typicality.
+
+`strongly_typical` and `jointly_typical` here are the definitions,
+restated literally in Fraction arithmetic: the oracles that
+`typicality.count_window` (and, through it, the scheme's typicality
+test in `tests/test_auth_scheme.py`) is checked against.
+"""
+
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from nscoding.typicality import (
-    count_bounds,
-    count_window,
-    jointly_typical,
-    strongly_typical,
-    symbol_counts,
-)
+from nscoding.typicality import count_window, symbol_counts
 
 H = Fraction(1, 2)
 
 
-def oracle_typical(seq, dist, eps):
-    """Literal restatement of the definition, kept independent of the library."""
+def strongly_typical(seq, dist, eps):
+    """Every symbol a of the length-n block has |N(a)/n - P(a)| <= eps * P(a);
+    the empty block is typical by convention."""
     n = len(seq)
-    if n == 0:
-        return True
-    for a, p in enumerate(dist):
-        c = sum(1 for b in seq if b == a)
-        if abs(Fraction(c, n) - p) > eps * p:
-            return False
-    return True
+    return n == 0 or all(abs(Fraction(seq.count(a), n) - p) <= eps * p for a, p in enumerate(dist))
+
+
+def jointly_typical(xs, ys, dist_xy, eps):
+    """Strong typicality of the paired block over the product alphabet:
+    the pair (x_i, y_i) is one symbol x_i * |Y| + y_i of the flattened
+    joint distribution `dist_xy[x][y]`."""
+    y_size = len(dist_xy[0])
+    return strongly_typical([x * y_size + y for x, y in zip(xs, ys)], [p for row in dist_xy for p in row], eps)
+
+
+def typical_by_windows(seq, dist, eps):
+    """Strong typicality decided the library's way: the symbol counts
+    against each symbol's `count_window`."""
+    windows = [count_window(len(seq), p, eps) for p in dist]
+    return all(lo <= c <= hi for (lo, hi), c in zip(windows, symbol_counts(seq, len(dist))))
 
 
 def test_counts():
@@ -33,28 +45,25 @@ def test_counts():
         symbol_counts((0, 3), 3)
 
 
-def test_joint_typicality_refuses_sequences_of_unequal_lengths():
-    with pytest.raises(ValueError, match="^sequence lengths differ: 2 vs 1$"):
-        jointly_typical((0, 1), (0,), ((H, 0), (0, H)), H)
-
-
 def test_exact_boundary_membership():
     # n=4, p=(1/2,1/2), eps=1/2: counts must lie in [1, 3] inclusive.
     dist = (H, H)
     eps = H
-    assert count_bounds(4, H, eps) == (Fraction(1), Fraction(3))
+    assert count_window(4, H, eps) == (1, 3)
     assert strongly_typical((0, 0, 0, 1), dist, eps)  # count 3: on the boundary
     assert not strongly_typical((0, 0, 0, 0), dist, eps)  # count 4
 
 
 def test_zero_probability_symbols_forbidden():
     dist = (Fraction(1), Fraction(0))
+    assert count_window(3, Fraction(0), H) == (0, 0)
     assert strongly_typical((0, 0, 0), dist, H)
     assert not strongly_typical((0, 1, 0), dist, H)
 
 
 def test_empty_sequence_is_typical():
     assert strongly_typical((), (H, H), H)
+    assert typical_by_windows((), (H, H), H)
 
 
 def test_matches_oracle_on_random_sequences():
@@ -71,7 +80,7 @@ def test_matches_oracle_on_random_sequences():
             n = rng.randrange(0, 12)
             seq = tuple(rng.randrange(k) for _ in range(n))
             eps = Fraction(rng.randrange(1, 8), 8)
-            assert strongly_typical(seq, dist, eps) == oracle_typical(seq, dist, eps)
+            assert typical_by_windows(seq, dist, eps) == strongly_typical(seq, dist, eps)
 
 
 def test_joint_typicality_flattens_pairs():
