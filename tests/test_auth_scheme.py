@@ -439,45 +439,58 @@ def test_t_function_vacuous_scheme_accepts_everything():
         assert t_function(scheme, xs, (1, 0, 1, 0), (0, 1, 1, 0)) == HALF
 
 
-def test_tensor_acceptance_against_direct_reimplementation():
-    # Independent restatement of the whole test pipeline for the
-    # single-state channel: keep the first four positions, map their
-    # outputs onto composition (1, 1) + 2 placeholders, and demand the
-    # kept (input, output) pairs match one-for-one.  Every input block
-    # weighs 2^-8, so the tensor's diagonal cell is lambda * 2^-8 where
-    # the test passes and 0 where it fails.
+def identity_pipeline_accepts(xs, ys):
+    """Independent restatement of the whole test pipeline for the
+    single-state identity channel at n = 8, eps = 1/2: keep the first four
+    positions, map their outputs onto composition (1, 1) + 2 placeholders,
+    and demand the kept (input, output) pairs match one-for-one."""
+    kept_y = []
+    kept_x = []
+    seen = {0: 0, 1: 0}
+    extras = 0
+    for i in range(4):
+        y = ys[i]
+        if seen[y] < 1:
+            seen[y] += 1
+            kept_y.append(y)
+            kept_x.append(xs[i])
+        elif extras < 2:
+            extras += 1
+        else:  # forced fill with the other symbol
+            other = 1 - y
+            seen[other] += 1
+            kept_y.append(other)
+            kept_x.append(xs[i])
+    counts = {}
+    for pair in zip(kept_x, kept_y):
+        counts[pair] = counts.get(pair, 0) + 1
+    return counts.get((0, 0), 0) == 1 and counts.get((1, 1), 0) == 1 and len(kept_y) == 2
+
+
+def test_t_function_against_direct_reimplementation():
+    # `t_function` runs the library's own state mapping, sigma blocks and
+    # block test; the restatement shares none of them.
     scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
-    tensor = materialize_tensor(scheme)
-
-    def oracle(xs, ys):
-        kept_y = []
-        kept_x = []
-        seen = {0: 0, 1: 0}
-        extras = 0
-        for i in range(4):
-            y = ys[i]
-            if seen[y] < 1:
-                seen[y] += 1
-                kept_y.append(y)
-                kept_x.append(xs[i])
-            elif extras < 2:
-                extras += 1
-            else:  # forced fill with the other symbol
-                other = 1 - y
-                seen[other] += 1
-                kept_y.append(other)
-                kept_x.append(xs[i])
-        counts = {}
-        for pair in zip(kept_x, kept_y):
-            counts[pair] = counts.get(pair, 0) + 1
-        return counts.get((0, 0), 0) == 1 and counts.get((1, 1), 0) == 1 and len(kept_y) == 2
-
     rng = random.Random(5)
     ss = (0,) * 8
     for _ in range(300):
         xs = tuple(rng.randint(0, 1) for _ in range(8))
         ys = tuple(rng.randint(0, 1) for _ in range(8))
-        expected = scheme.acceptance / 256 if oracle(xs, ys) else 0
+        expected = scheme.acceptance if identity_pipeline_accepts(xs, ys) else 0
+        assert t_function(scheme, xs, ys, ss) == expected
+
+
+def test_tensor_acceptance_against_direct_reimplementation():
+    # Every input block weighs 2^-8, so the tensor's diagonal cell is
+    # lambda * 2^-8 where the restated test passes and 0 where it fails.
+    scheme = build_auth_scheme(identity_channel(), UNIFORM2, 8, HALF)
+    tensor = materialize_tensor(scheme)
+    rng = random.Random(5)
+    ss = (0,) * 8
+    for _ in range(300):
+        xs = tuple(rng.randint(0, 1) for _ in range(8))
+        ys = tuple(rng.randint(0, 1) for _ in range(8))
+        expected = scheme.acceptance / 256 if identity_pipeline_accepts(xs, ys) else 0
         cell = tensor.numerators[seq_to_index(xs, 2), 0, 0, seq_to_index(ss, 1), seq_to_index(ys, 2)]
         assert F(int(cell), tensor.denominator) == expected
 

@@ -259,6 +259,13 @@ def iid_block_prob(ch, ss):
     return math.prod((ch.state_dist[s] for s in ss), start=Fraction(1))
 
 
+def test_iid_block_prob():
+    assert iid_block_prob(builtin_z0z1(), (0, 1, 0)) == Fraction(1, 8)
+    # one product per count vector weighs every block as its own product does
+    three = make_channel([[[1]]] * 3, [H, Fraction(1, 3), Fraction(1, 6)])
+    assert all(p == iid_block_prob(three, ss) for _, ss, p in state_blocks(three, 5))
+
+
 def reference_state_blocks(ch, n):
     """The state-block walk as it was: every block's index by the
     range-checking `seq_to_index`, its weight by `iid_block_prob`."""

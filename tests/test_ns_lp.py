@@ -199,9 +199,11 @@ def lp1_to_lp2(ch, M, n, z_point):
     """Map a full-program point to the reduced variables: r averages the
     diagonal (wh = w) cells over w, and q also sums over wh, at the reference
     output block (any output gives the same number at a point that satisfies
-    the invariance rows)."""
+    the invariance rows).  The full program's cap and names are the library's:
+    an oversize shape or an unknown name is a ValueError."""
+    nx, ns, ny = ns_lp._checked_shape(ch, M, n, ns_lp._lp1_system)
     nums, d = ns_lp._lp1_variables(ch.x_size, ch.y_size, ch.s_size, M, n)[0]._point(z_point)
-    z = np.array(nums, dtype=object).reshape(ch.x_size**n, M, M, ch.s_size**n, ch.y_size**n)
+    z = np.array(nums, dtype=object).reshape(nx, M, M, ns, ny)
     r, q = np.trace(z, axis1=1, axis2=2).transpose(0, 2, 1), z[..., 0].sum(axis=(1, 2))  # r[x, y, s], q[x, s]
     names = ns_lp._lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0].var_names
     return {name: F(v, d * M) for name, v in zip(names, [*r.flat, *q.flat]) if v}
@@ -210,8 +212,9 @@ def lp1_to_lp2(ch, M, n, z_point):
 def lp2_to_lp1(ch, M, n, rq_point):
     """Map a reduced-program point back to the full variables by
     `ns_lp._lift`: diagonal cells carry r, and off-diagonal cells split the
-    leftover q - r evenly over the M - 1 wrong guesses."""
-    nx, ns, ny = ch.x_size**n, ch.s_size**n, ch.y_size**n
+    leftover q - r evenly over the M - 1 wrong guesses; refused as
+    `lp1_to_lp2` refuses."""
+    nx, ns, ny = ns_lp._checked_shape(ch, M, n, ns_lp._lp1_system)
     nums, d = ns_lp._lp2_variables(ch.x_size, ch.y_size, ch.s_size, n)[0]._point(rq_point)
     r, q = np.split(np.array(nums, dtype=object), [nx * ny * ns])
     z = ns_lp._lift(r.reshape(nx, ny, ns).transpose(0, 2, 1), q.reshape(nx, ns), M)
@@ -246,6 +249,16 @@ def test_single_message_programs_are_trivial():
     assert solve_exact(build_lp2(ch, M=1, n=1)).value == 1
     z_point = lp2_to_lp1(ch, 1, 1, {"r[0,0,0]": 1, "q[0,0]": 1})
     assert set(z_point) == {"z[0,0,0,0,0]"}
+
+
+@pytest.mark.parametrize("mapping", [lp1_to_lp2, lp2_to_lp1])
+def test_point_maps_refuse_oversize_programs_and_unknown_names(mapping):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^lp1\(M=2, n=30\) needs about 2\^92 variables, above the cap {MAX_LP_VARIABLES}$"):
+        mapping(builtin_z0z1(), 2, 30, {})
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match=r"has no variable 'w\[0\]'"):
+        mapping(builtin_z0z1(), 2, 1, {"w[0]": 1})
 
 
 def test_programs_refuse_an_oversize_shape_and_a_point_with_unknown_names():

@@ -27,7 +27,10 @@ def strongly_typical(seq, dist, eps):
 def jointly_typical(xs, ys, dist_xy, eps):
     """Strong typicality of the paired block over the product alphabet:
     the pair (x_i, y_i) is one symbol x_i * |Y| + y_i of the flattened
-    joint distribution `dist_xy[x][y]`."""
+    joint distribution `dist_xy[x][y]`.  Blocks of unequal lengths are
+    refused, not paired up to the shorter one."""
+    if len(xs) != len(ys):
+        raise ValueError(f"sequence lengths differ: {len(xs)} vs {len(ys)}")
     y_size = len(dist_xy[0])
     return strongly_typical([x * y_size + y for x, y in zip(xs, ys)], [p for row in dist_xy for p in row], eps)
 
@@ -43,6 +46,11 @@ def test_counts():
     assert symbol_counts((0, 1, 1, 2), 3) == (1, 2, 1)
     with pytest.raises(ValueError, match="^symbol 3 out of range for alphabet of size 3$"):
         symbol_counts((0, 3), 3)
+
+
+def test_joint_typicality_refuses_sequences_of_unequal_lengths():
+    with pytest.raises(ValueError, match="^sequence lengths differ: 2 vs 1$"):
+        jointly_typical((0, 1), (0,), ((H, 0), (0, H)), H)
 
 
 def test_exact_boundary_membership():
